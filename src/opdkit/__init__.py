@@ -14,7 +14,7 @@ from .signals import MixtureSpec, Waveform, add, energy, inner, mix_at_snr, scal
 from .wavio import read_wav, write_wav
 from .projection import (
     DEFAULT_MAX_DELAY,
-    DelayConvention,
+    DELAY_PADDING,
     ProjectionBasis,
     SingularProjectionError,
     build_basis,
@@ -26,7 +26,6 @@ from .decomposition import (
     Decomposition,
     decompose,
     export_components,
-    make_decomposition,
     recompose,
 )
 from .metrics import (
@@ -34,6 +33,7 @@ from .metrics import (
     NoTargetError,
     compute_metrics,
     db_to_str,
+    metrics_from_gram,
     sar_improvement_closed_form,
 )
 from .analysis import (

@@ -16,8 +16,11 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
-from .decomposition import Decomposer, Decomposition, make_decomposition
-from .metrics import MetricsReport, compute_metrics, sar_improvement_closed_form
+import numpy as np
+
+from .decomposition import Decomposer, Decomposition
+from .metrics import (MetricsReport, compute_metrics, metrics_from_gram,
+                      sar_improvement_closed_form)
 from .projection import DEFAULT_MAX_DELAY
 from .signals import Waveform, add, inner, scale
 
@@ -145,29 +148,22 @@ def dsa_sweep(d: Decomposition, grid: Sequence[DsaPoint],
               utterance_id: str = "") -> SweepResult:
     """Metrics for every grid point of independently scaled error components.
 
-    The components of the scaled signal are the scaled components (the
-    target part is invariant under both projectors and the error parts are
-    annihilated by the ones that should drop them), so each point's
-    decomposition is formed directly without re-projecting.  The
-    self-test suite verifies this linearity against re-decomposition.
+    Scaling the components by ``D = diag(1, w_noise, w_artif)`` maps their
+    3x3 Gram ``G`` to ``D G D`` exactly, orthogonal or not, so no waveform
+    is formed per point.  The self-test suite verifies against
+    re-decomposition that the scaled signal splits into the scaled parts.
     """
     grid = list(grid)
     _check_grid(grid, "dsa_sweep")
     rows = []
     for point in grid:
-        scaled = make_decomposition(
-            d.s_target,
-            scale(d.e_noise, point.omega_noise),
-            scale(d.e_artif, point.omega_artif),
-            d.max_delay,
-            d.regularization_events,
-        )
+        w = np.array([1.0, point.omega_noise, point.omega_artif])
         rows.append(SweepRow(
             utterance_id=utterance_id,
             omega_noise=point.omega_noise,
             omega_artif=point.omega_artif,
             omega_obs=None,
-            metrics=compute_metrics(scaled),
+            metrics=metrics_from_gram(d.gram * np.outer(w, w)),
         ))
     return SweepResult(rows=tuple(rows))
 
@@ -179,10 +175,12 @@ def oa_sweep(s_hat: Waveform, y: Waveform, s: Waveform, n: Waveform,
              decomposer: Decomposer | None = None) -> SweepResult:
     """Metrics for every observation-adding amount in the grid.
 
-    Each point is re-decomposed against the shared projection bases.  When
-    both the baseline and the point SAR are finite, the closed-form SAR
-    improvement is validated against the re-decomposed difference and a
-    mismatch beyond ``SARI_VALIDATION_TOL_DB`` raises
+    Each point is re-decomposed on its own through the shared basis.  It is
+    deliberately not batched: that keeps the closed-form check independent,
+    and holding every point's signal at once costs more memory than it
+    saves time.  When both the baseline and the point SAR are finite, the
+    closed-form SAR improvement is validated against the re-decomposed
+    difference and a mismatch beyond ``SARI_VALIDATION_TOL_DB`` raises
     ``SweepValidationError`` (this only happens when the inputs are
     inconsistent, e.g. y is not actually s + n).
     """

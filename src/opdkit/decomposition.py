@@ -15,11 +15,12 @@ utterance, not in frames.
 
 import os
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .projection import DEFAULT_MAX_DELAY, ProjectionBasis, build_basis, project
-from .signals import Waveform, energy
+from .signals import Waveform
 from .wavio import write_wav
 
 __all__ = [
@@ -27,15 +28,15 @@ __all__ = [
     "Decomposer",
     "decompose",
     "recompose",
-    "make_decomposition",
+    "dust_energy",
     "export_components",
     "ARTIFACT_FREE_ENERGY_RATIO",
     "COMPONENT_SUFFIXES",
 ]
 
-# e_artif below this fraction of the total signal energy is numerical dust;
-# the decomposition is flagged artifact-free so SAR reports +inf instead of
-# a ratio against round-off noise.
+# A component energy below this fraction of the total signal energy is
+# numerical dust: such an e_artif flags the decomposition artifact-free, and
+# metrics report +inf instead of a ratio against round-off noise.
 ARTIFACT_FREE_ENERGY_RATIO = 1e-12
 
 COMPONENT_SUFFIXES = {
@@ -43,6 +44,11 @@ COMPONENT_SUFFIXES = {
     "e_noise": ".enoise.wav",
     "e_artif": ".eartif.wav",
 }
+
+
+def dust_energy(gram: np.ndarray) -> float:
+    """Energy at or below which a component of the 3x3 ``gram`` counts as zero."""
+    return ARTIFACT_FREE_ENERGY_RATIO * float(gram.sum())
 
 
 @dataclass(frozen=True, eq=False)
@@ -53,56 +59,47 @@ class Decomposition:
     e_noise: Waveform
     e_artif: Waveform
     max_delay: int
-    regularization_events: tuple[str, ...]
-    artifact_free: bool
+    regularization_events: tuple[str, ...] = ()
 
     @property
     def sample_rate(self) -> int:
         return self.s_target.sample_rate
 
+    @cached_property
+    def gram(self) -> np.ndarray:
+        """3x3 matrix of inner products of (s_target, e_noise, e_artif)."""
+        parts = np.stack([self.s_target.samples, self.e_noise.samples,
+                          self.e_artif.samples])
+        return parts @ parts.T
 
-def make_decomposition(s_target: Waveform, e_noise: Waveform, e_artif: Waveform,
-                       max_delay: int,
-                       regularization_events: tuple[str, ...] = ()) -> Decomposition:
-    """Assemble a Decomposition, computing the artifact-free flag from the parts."""
-    total = s_target.samples + e_noise.samples + e_artif.samples
-    total_energy = float(np.dot(total, total))
-    artifact_free = energy(e_artif) <= ARTIFACT_FREE_ENERGY_RATIO * total_energy
-    return Decomposition(
-        s_target=s_target,
-        e_noise=e_noise,
-        e_artif=e_artif,
-        max_delay=max_delay,
-        regularization_events=regularization_events,
-        artifact_free=artifact_free,
-    )
+    @property
+    def artifact_free(self) -> bool:
+        return bool(self.gram[2, 2] <= dust_energy(self.gram))
 
 
 class Decomposer:
-    """Reusable projection bases for one (speech, noise) reference pair.
+    """One factorized projection basis for a (speech, noise) reference pair.
 
-    Building the two Gram systems dominates the cost of a decomposition, so
-    parameter sweeps that re-decompose many modified signals against the
-    same references should share one Decomposer.
+    The basis spans delayed copies of ``[s, n]``; ``P_s`` solves with the
+    leading speech block of its factor.  Building it dominates the cost of
+    a decomposition, so parameter sweeps that re-decompose many modified
+    signals against the same references should share one Decomposer.
     """
 
     def __init__(self, s: Waveform, n: Waveform, max_delay: int = DEFAULT_MAX_DELAY):
-        self.basis_speech: ProjectionBasis = build_basis([s], max_delay)
-        self.basis_joint: ProjectionBasis = build_basis([s, n], max_delay)
-        self.max_delay = max_delay
+        self.basis: ProjectionBasis = build_basis([s, n], max_delay)
 
     @property
     def regularization_events(self) -> tuple[str, ...]:
-        return (self.basis_speech.regularization_events
-                + self.basis_joint.regularization_events)
+        return self.basis.regularization_events
 
     def decompose(self, s_hat: Waveform) -> Decomposition:
-        p_s = project(self.basis_speech, s_hat)
-        p_sn = project(self.basis_joint, s_hat)
+        p_s = project(self.basis, s_hat, refs=1)
+        p_sn = project(self.basis, s_hat)
         e_noise = Waveform(p_sn.samples - p_s.samples, s_hat.sample_rate)
         e_artif = Waveform(s_hat.samples - p_sn.samples, s_hat.sample_rate)
-        return make_decomposition(p_s, e_noise, e_artif, self.max_delay,
-                                  self.regularization_events)
+        return Decomposition(p_s, e_noise, e_artif, self.basis.max_delay,
+                             self.regularization_events)
 
 
 def decompose(s_hat: Waveform, s: Waveform, n: Waveform,

@@ -15,13 +15,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decomposition import ARTIFACT_FREE_ENERGY_RATIO, Decomposition
+from .decomposition import Decomposition, dust_energy
 from .signals import Waveform, energy
 
 __all__ = [
     "MetricsReport",
     "NoTargetError",
     "compute_metrics",
+    "metrics_from_gram",
     "sar_improvement_closed_form",
     "db_to_str",
 ]
@@ -82,31 +83,30 @@ def _ratio_db(num: float, den: float, dust: float) -> float:
 
 
 def compute_metrics(d: Decomposition) -> MetricsReport:
-    """SDR/SNR/SAR of a decomposition.
+    """SDR/SNR/SAR of a decomposition; see :func:`metrics_from_gram`."""
+    return metrics_from_gram(d.gram)
 
-    Error energies below ``ARTIFACT_FREE_ENERGY_RATIO`` of the total signal
-    energy are treated as exactly zero, so a perfect enhancement reports
-    +inf on all three metrics instead of a ratio against round-off noise.
-    SAR specifically honors the decomposition's artifact-free flag.
+
+def metrics_from_gram(gram: np.ndarray) -> MetricsReport:
+    """SDR/SNR/SAR from the 3x3 Gram of (s_target, e_noise, e_artif).
+
+    Error energies at or below ``dust_energy`` count as exactly zero, so a
+    perfect enhancement reports +inf on all three metrics instead of a ratio
+    against round-off noise; SAR is +inf exactly when artifact-free.
     """
-    e_target = energy(d.s_target)
-    e_noise = energy(d.e_noise)
-    e_artif = energy(d.e_artif)
-    projected = d.s_target.samples + d.e_noise.samples
-    e_projected = float(np.dot(projected, projected))
-    total = e_projected + e_artif
-    dust = ARTIFACT_FREE_ENERGY_RATIO * total
+    e_target, e_noise, e_artif = (float(v) for v in np.diag(gram))
+    e_projected = float(gram[:2, :2].sum())  # ||s_target + e_noise||^2
+    dust = dust_energy(gram)
 
     if e_target <= dust:
         raise NoTargetError(
             "no-target: target component energy is numerically zero; SDR/SNR undefined"
         )
 
-    sar = math.inf if d.artifact_free else 10.0 * math.log10(e_projected / e_artif)
     return MetricsReport(
         sdr_db=_ratio_db(e_target, e_noise + e_artif, dust),
         snr_db=_ratio_db(e_target, e_noise, dust),
-        sar_db=sar,
+        sar_db=_ratio_db(e_projected, e_artif, dust),
         target_energy=e_target,
         noise_energy=e_noise,
         artifact_energy=e_artif,

@@ -20,12 +20,13 @@ from typing import Sequence
 
 import numpy as np
 from scipy.fft import next_fast_len, rfft, irfft
-from scipy.linalg import LinAlgError, cho_factor, cho_solve, toeplitz
+from scipy.linalg import cho_solve, toeplitz
+from scipy.linalg.lapack import dpotrf
 
 from .signals import Waveform, energy
 
 __all__ = [
-    "DelayConvention",
+    "DELAY_PADDING",
     "ProjectionBasis",
     "SingularProjectionError",
     "build_basis",
@@ -36,6 +37,8 @@ __all__ = [
 ]
 
 DEFAULT_MAX_DELAY = 512
+
+DELAY_PADDING = "zero-pad-head"  # the delay convention; run manifests record it
 
 # Diagonal loading factor used only when the plain Cholesky factorization of
 # the Gram matrix fails: load = GRAM_REG_LAMBDA * trace(gram) / dim.
@@ -51,32 +54,25 @@ class SingularProjectionError(RuntimeError):
     """Gram system could not be factorized even after diagonal loading."""
 
 
-@dataclass(frozen=True)
-class DelayConvention:
-    """Delayed copies are zero-padded at the head and truncated to length T."""
-
-    padding: str = "zero-pad-head"
-    effective_length: int = 0
-
-
 @dataclass(frozen=True, eq=False)
 class ProjectionBasis:
     """Factorized representation of a delayed-reference subspace.
 
     ``gram[i*L + t, j*L + u]`` is the inner product of reference ``i``
-    delayed by ``t`` with reference ``j`` delayed by ``u``.  The Cholesky
-    factor kept alongside may include diagonal loading; the amount actually
-    added is recorded in ``regularization`` (0.0 when none was needed).
+    delayed by ``t`` with reference ``j`` delayed by ``u``.  The upper
+    Cholesky factor kept alongside may include diagonal loading; the amount
+    actually added is recorded in ``regularization`` (0.0 when none was
+    needed).  Its leading ``r*L`` block factorizes the Gram of the first
+    ``r`` references, so one basis serves each nested subspace.
     """
 
     references: tuple[Waveform, ...]
     max_delay: int
     gram: np.ndarray
-    convention: DelayConvention
     sample_rate: int
     regularization: float
     regularization_events: tuple[str, ...]
-    _factor: tuple = field(repr=False, default=None)
+    _factor: np.ndarray = field(repr=False, default=None)
     _ref_ffts: tuple = field(repr=False, default=None)
     _nfft: int = field(repr=False, default=0)
 
@@ -155,9 +151,11 @@ def build_basis(references: Sequence[Waveform], max_delay: int) -> ProjectionBas
     max_delay : number of delay taps L; delays 0 .. L-1 are included
 
     The Gram matrix is factorized once (Cholesky).  If factorization fails,
-    a diagonal loading of ``GRAM_REG_LAMBDA * trace / dim`` is added and the
-    event is recorded; if it still fails, ``SingularProjectionError`` is
-    raised rather than silently absorbing the problem.
+    a diagonal loading of ``GRAM_REG_LAMBDA * trace / dim`` is added to the
+    reference block where it broke and the blocks after it (earlier blocks
+    keep an unloaded factor) and the event is recorded; if it still fails,
+    ``SingularProjectionError`` is raised rather than silently absorbing the
+    problem.
     """
     _validate_references(references, max_delay)
     refs = tuple(references)
@@ -178,27 +176,25 @@ def build_basis(references: Sequence[Waveform], max_delay: int) -> ProjectionBas
 
     regularization = 0.0
     events: tuple[str, ...] = ()
-    try:
-        factor = cho_factor(gram)
-    except LinAlgError:
+    factor, info = dpotrf(gram, clean=False)
+    if info > 0:
+        first = (info - 1) // L  # block of the first non-positive pivot
         regularization = GRAM_REG_LAMBDA * np.trace(gram) / (k * L)
-        loaded = gram + regularization * np.eye(k * L)
-        try:
-            factor = cho_factor(loaded)
-        except LinAlgError as exc:
+        loaded = gram + regularization * np.diag(np.arange(k * L) >= first * L)
+        factor, info = dpotrf(loaded, clean=False)
+        if info > 0:
             raise SingularProjectionError(
                 f"Gram matrix ({k * L}x{k * L}) is singular even after diagonal "
                 f"loading of {regularization:g}"
-            ) from exc
+            )
         events = (f"gram-regularized: diagonal loading {regularization:g} "
-                  f"(L={L}, refs={k})",)
+                  f"from reference {first} on (L={L}, refs={k})",)
 
     ref_ffts = tuple(rfft(a, nfft) for a in arrays)
     return ProjectionBasis(
         references=refs,
         max_delay=L,
         gram=gram,
-        convention=DelayConvention(effective_length=T),
         sample_rate=refs[0].sample_rate,
         regularization=regularization,
         regularization_events=events,
@@ -208,31 +204,37 @@ def build_basis(references: Sequence[Waveform], max_delay: int) -> ProjectionBas
     )
 
 
-def project(basis: ProjectionBasis, x: Waveform) -> Waveform:
-    """Orthogonal projection of ``x`` onto the basis span.
+def project(basis: ProjectionBasis, x: Waveform, refs: int | None = None) -> Waveform:
+    """Orthogonal projection of ``x`` onto the span of the basis' first
+    ``refs`` references (default: all).
 
-    Solves the Gram system for the coefficients of the delayed copies and
-    synthesizes their combination by FFT convolution.  The residual
-    ``x - project(basis, x)`` is orthogonal to every delayed copy up to
-    round-off.
+    Solves the Gram system, or its leading block for a nested subspace, for
+    the coefficients of the delayed copies and synthesizes their combination
+    by FFT convolution.  The residual ``x - project(basis, x)`` is
+    orthogonal to every delayed copy up to round-off.
     """
     T = basis.length
     if len(x) != T:
         raise ValueError(f"project: length mismatch ({len(x)} vs basis length {T})")
     if x.sample_rate != basis.sample_rate:
         raise ValueError(f"project: sample rate mismatch ({x.sample_rate} vs {basis.sample_rate})")
+    k = len(basis.references)
+    refs = k if refs is None else refs
+    if not 1 <= refs <= k:
+        raise ValueError(f"project: refs must satisfy 1 <= refs <= {k}, got {refs}")
 
-    k, L, nfft = len(basis.references), basis.max_delay, basis._nfft
+    L, nfft, m = basis.max_delay, basis._nfft, refs * basis.max_delay
     fx = rfft(x.samples, nfft)
-    rhs = np.empty(k * L)
-    for i, ref_fft in enumerate(basis._ref_ffts):
+    rhs = np.empty(m)
+    for i, ref_fft in enumerate(basis._ref_ffts[:refs]):
         # <ref delayed by tau, x> needs no truncation correction: x itself
         # is not delayed, so no products fall outside [0, T).
         rhs[i * L:(i + 1) * L] = irfft(fx * np.conj(ref_fft), nfft)[:L]
 
-    coeffs = cho_solve(basis._factor, rhs)
+    # the factor is finite by construction: skip rescanning it per call
+    coeffs = cho_solve((basis._factor[:m, :m], False), rhs, check_finite=False)
     out = np.zeros(T)
-    for i, ref_fft in enumerate(basis._ref_ffts):
+    for i, ref_fft in enumerate(basis._ref_ffts[:refs]):
         out += irfft(ref_fft * rfft(coeffs[i * L:(i + 1) * L], nfft), nfft)[:T]
     return Waveform(out, basis.sample_rate)
 

@@ -19,6 +19,7 @@ import numpy as np
 from . import __version__
 from .analysis import SweepRow
 from .metrics import db_to_str
+from .projection import DELAY_PADDING
 from .signals import Waveform
 from .wavio import read_wav
 
@@ -62,7 +63,7 @@ class RunManifest:
     aggregation: str
     tool_version: str = __version__
     conventions: dict = dataclasses.field(default_factory=lambda: {
-        "delay_padding": "zero-pad-head",
+        "delay_padding": DELAY_PADDING,
         "snr_weighting": "full-signal-power",
         "normalization": "none",
     })

@@ -15,7 +15,6 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .analysis import DsaPoint, OaPoint, dsa_synthesize, oa_apply, sar_improvement_condition
 from .decomposition import Decomposer, recompose
@@ -101,6 +100,7 @@ class SelfTestReport:
 
 
 def _lowpass_noise(rng: np.random.Generator, length: int) -> np.ndarray:
+    from scipy.signal import lfilter  # slow to import; only the self-test needs it
     return lfilter([1.0], [1.0, -LOWPASS_POLE], rng.standard_normal(length))
 
 
@@ -161,7 +161,7 @@ def _check_case(case: OracleCase, dev: dict) -> None:
     a_joint = np.hstack([delayed_matrix(s.samples, L), delayed_matrix(n.samples, L)])
     gram_dense = a_joint.T @ a_joint
     bump("gram_vs_dense_rel",
-         np.max(np.abs(dec.basis_joint.gram - gram_dense)) / np.max(np.abs(gram_dense)))
+         np.max(np.abs(dec.basis.gram - gram_dense)) / np.max(np.abs(gram_dense)))
 
     # fast projections against dense least squares
     dense_s = project_dense_oracle([s], L, s_hat)
@@ -188,20 +188,20 @@ def _check_case(case: OracleCase, dev: dict) -> None:
 
     # projector identities
     p_sn_wave = Waveform(p_sn, s_hat.sample_rate)
-    twice = project(dec.basis_joint, p_sn_wave)
+    twice = project(dec.basis, p_sn_wave)
     bump("projection_idempotence_rel",
          _rel(twice.samples - p_sn, np.linalg.norm(p_sn)))
     probe = Waveform(_lowpass_noise(np.random.default_rng(case.seed + 10_000), len(s)),
                      s.sample_rate)
-    lhs = inner(project(dec.basis_joint, s_hat), probe)
-    rhs = inner(s_hat, project(dec.basis_joint, probe))
+    lhs = inner(project(dec.basis, s_hat), probe)
+    rhs = inner(s_hat, project(dec.basis, probe))
     bump("projection_symmetry_rel",
          abs(lhs - rhs) / (np.linalg.norm(s_hat.samples) * np.linalg.norm(probe.samples)))
-    contained = project(dec.basis_speech, p_sn_wave)
+    contained = project(dec.basis, p_sn_wave, refs=1)
     bump("projection_containment_rel",
          _rel(contained.samples - d.s_target.samples,
               max(np.linalg.norm(d.s_target.samples), scale_floor)))
-    y_proj = project(dec.basis_joint, y)
+    y_proj = project(dec.basis, y)
     bump("mixture_in_span_rel",
          _rel(y_proj.samples - y.samples, np.linalg.norm(y.samples)))
 

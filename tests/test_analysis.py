@@ -5,10 +5,10 @@ import pytest
 from numpy.testing import assert_allclose
 
 from conftest import RATE, random_signals
-from opdkit import (Decomposer, DsaPoint, OaPoint, SweepValidationError,
-                    Waveform, compute_metrics, decompose, dsa_sweep,
-                    dsa_synthesize, oa_apply, oa_sweep,
-                    sar_improvement_condition)
+from opdkit import (Decomposer, Decomposition, DsaPoint, OaPoint,
+                    SweepValidationError, Waveform, compute_metrics, decompose,
+                    dsa_sweep, dsa_synthesize, oa_apply, oa_sweep,
+                    sar_improvement_condition, scale)
 from opdkit.analysis import default_dsa_grid, default_oa_grid
 
 
@@ -111,6 +111,32 @@ class TestDsaSweep:
             result = dsa_sweep(running_decomposition, [DsaPoint(omega_noise, 1.0)])
             expected = baseline.snr_db - 20.0 * math.log10(omega_noise)
             assert result.rows[0].metrics.snr_db == pytest.approx(expected, abs=1e-9)
+
+    @pytest.mark.parametrize("artifact_free", [False, True])
+    def test_matches_scaled_decompositions(self, artifact_free):
+        s, n, s_hat = random_signals(4, length=500, max_delay=8)
+        if artifact_free:
+            s_hat = Waveform(s.samples + n.samples, RATE)
+        d = decompose(s_hat, s, n, max_delay=8)
+        assert d.artifact_free == artifact_free
+        grid = default_dsa_grid()
+        rows = dsa_sweep(d, grid).rows
+        assert [(r.omega_noise, r.omega_artif) for r in rows] == \
+            [(p.omega_noise, p.omega_artif) for p in grid]
+        for row, point in zip(rows, grid):
+            scaled = Decomposition(d.s_target, scale(d.e_noise, point.omega_noise),
+                                   scale(d.e_artif, point.omega_artif), d.max_delay)
+            want = compute_metrics(scaled)
+            for name in ("sdr_db", "snr_db", "sar_db"):
+                got, expected = getattr(row.metrics, name), getattr(want, name)
+                if math.isinf(expected):
+                    assert got == expected
+                else:
+                    assert abs(got - expected) <= 1e-12
+        # the w = 0 corner has no error left at all
+        assert all(math.isinf(v) for v in (rows[0].metrics.sdr_db,
+                                           rows[0].metrics.snr_db,
+                                           rows[0].metrics.sar_db))
 
     def test_default_grid_shape(self):
         grid = default_dsa_grid()

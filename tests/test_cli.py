@@ -1,12 +1,16 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ElementTree
 
 import numpy as np
 import pytest
 
 from conftest import RATE, lowpass_noise
+import opdkit
 from opdkit import Waveform, energy, read_wav, write_wav
 from opdkit.cli import main, parse_grid
 from opdkit.reporting import SWEEP_CSV_COLUMNS
@@ -316,3 +320,14 @@ def test_self_test_flag(capsys):
 def test_no_command_prints_help(capsys):
     assert main([]) == 1
     assert "decompose" in capsys.readouterr().out
+
+
+def test_cli_import_leaves_out_scipy_signal():
+    # scipy.signal is slow to import and only the self-test uses it
+    src = os.path.dirname(os.path.dirname(os.path.abspath(opdkit.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    code = "import sys, opdkit.cli; print('scipy.signal' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=60)
+    assert out.stdout.strip() == "False"

@@ -3,8 +3,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 from conftest import RATE, random_signals
-from opdkit import (Decomposer, Waveform, decompose, energy, make_decomposition,
-                    read_wav, recompose)
+from opdkit import (Decomposer, Decomposition, Waveform, build_basis, decompose,
+                    energy, make_case, project, read_wav, recompose)
 from opdkit.decomposition import export_components
 
 
@@ -43,7 +43,7 @@ def test_recompose_is_exact(running_example):
 
 def test_recompose_zero_components():
     zero = Waveform(np.zeros(4), RATE)
-    d = make_decomposition(zero, zero, zero, 1)
+    d = Decomposition(zero, zero, zero, 1)
     assert_allclose(recompose(d).samples, np.zeros(4))
     assert d.artifact_free
 
@@ -71,6 +71,21 @@ def test_linearity_of_redecomposition(seed):
     assert np.linalg.norm(d2.s_target.samples - d.s_target.samples) <= 1e-8 * scale_ref
     assert np.linalg.norm(d2.e_noise.samples - a * d.e_noise.samples) <= 1e-8 * scale_ref
     assert np.linalg.norm(d2.e_artif.samples - b * d.e_artif.samples) <= 1e-8 * scale_ref
+
+
+@pytest.mark.parametrize("seed", range(1, 9))
+def test_loading_only_the_failing_block_keeps_speech_projection(seed):
+    # with n = s the joint Gram is singular while the speech Gram is not, so
+    # only the noise block may be loaded and P_s stays unloaded
+    case = make_case(seed)
+    s, L = case.s, case.max_delay
+    dec = Decomposer(s, s, L)
+    expected = project(build_basis([s], L), case.s_hat).samples
+    got = dec.decompose(case.s_hat).s_target.samples
+    assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected)
+    # reference 1 of the basis is the noise
+    assert len(dec.regularization_events) == 1
+    assert "from reference 1 on" in dec.regularization_events[0]
 
 
 def test_energy_pythagoras(running_example):

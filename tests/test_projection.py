@@ -3,9 +3,10 @@ import pytest
 from numpy.testing import assert_allclose
 
 from conftest import RATE, lowpass_noise
-from opdkit import (SingularProjectionError, Waveform, build_basis, inner,
-                    project, project_dense_oracle)
+from opdkit import (DELAY_PADDING, SingularProjectionError, Waveform, build_basis,
+                    inner, project, project_dense_oracle)
 from opdkit.projection import delay_signal, delayed_matrix
+from opdkit.reporting import RunManifest
 
 import opdkit.projection as projection_module
 
@@ -50,8 +51,10 @@ class TestGram:
 
     def test_convention_recorded(self):
         basis = build_basis([Waveform(np.ones(16), RATE)], 4)
-        assert basis.convention.padding == "zero-pad-head"
-        assert basis.convention.effective_length == 16
+        assert DELAY_PADDING == "zero-pad-head"
+        manifest = RunManifest(command="oa", parameters={}, max_delay=4,
+                               aggregation="per-utterance")
+        assert manifest.conventions["delay_padding"] == DELAY_PADDING
         assert basis.regularization == 0.0
         assert basis.regularization_events == ()
 
@@ -80,6 +83,15 @@ class TestProject:
             project(basis, Waveform([1.0, 2.0], RATE))
         with pytest.raises(ValueError, match="rate"):
             project(basis, Waveform([1.0, 0.0, 0.0, 0.0], 8000))
+
+    def test_nested_refs(self, running_example):
+        s, n, s_hat, _ = running_example
+        basis = build_basis([s, n], 1)
+        out = project(basis, s_hat, refs=1)
+        assert_allclose(out.samples, [0.9, 0.0, 0.0, 0.0], atol=1e-14)
+        for refs in (0, 3):
+            with pytest.raises(ValueError, match="refs"):
+                project(basis, s_hat, refs=refs)
 
 
 class TestDenseOracle:
@@ -131,6 +143,9 @@ def test_projector_properties(seed):
     via_joint = project(speech, px)
     direct = project(speech, x)
     assert np.linalg.norm(via_joint.samples - direct.samples) <= 1e-8 * scale_x
+    # the leading block of the joint factor projects onto the speech span
+    nested = project(joint, x, refs=1)
+    assert np.linalg.norm(nested.samples - direct.samples) <= 1e-8 * scale_x
     # a mixture lies in the joint span
     y = Waveform(s.samples + n.samples, RATE)
     assert np.linalg.norm(project(joint, y).samples - y.samples) \
@@ -195,9 +210,11 @@ class TestRegularization:
                                                        running_example):
         s, _, _, _ = running_example
 
-        def always_fail(*args, **kwargs):
-            raise projection_module.LinAlgError("forced")
+        def always_fail(a, **kwargs):
+            # LAPACK potrf reports failure through info, here at the first
+            # leading minor of the plain and the loaded Gram alike
+            return a, 1
 
-        monkeypatch.setattr(projection_module, "cho_factor", always_fail)
+        monkeypatch.setattr(projection_module, "dpotrf", always_fail)
         with pytest.raises(SingularProjectionError, match="singular"):
             build_basis([s], 1)
