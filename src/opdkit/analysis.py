@@ -9,7 +9,8 @@ Two ways of modifying an enhanced signal to probe its error components:
   to the enhanced signal.  Reference-free, and provably SAR-improving
   whenever <s_hat, y> > 0.
 
-Both come with sweep drivers that tabulate metrics over parameter grids.
+Both come with sweep drivers that tabulate metrics over parameter grids,
+each point as exact algebra on a small Gram matrix of components.
 """
 
 import math
@@ -21,7 +22,6 @@ import numpy as np
 from .decomposition import Decomposer, Decomposition
 from .metrics import (MetricsReport, compute_metrics, metrics_from_gram,
                       sar_improvement_closed_form)
-from .projection import DEFAULT_MAX_DELAY
 from .signals import Waveform, add, inner, scale
 
 __all__ = [
@@ -41,8 +41,8 @@ __all__ = [
     "SARI_VALIDATION_TOL_DB",
 ]
 
-# An OA sweep cross-checks the closed-form SAR improvement against the one
-# measured by re-decomposition and refuses to continue past this gap.
+# An OA sweep cross-checks the closed-form SAR improvement against the
+# measured one and refuses to continue past this gap.
 SARI_VALIDATION_TOL_DB = 1e-6
 
 
@@ -102,7 +102,7 @@ class SweepResult:
 
 
 class SweepValidationError(RuntimeError):
-    """Closed-form SAR improvement disagreed with re-decomposition."""
+    """Closed-form SAR improvement disagreed with the measured one."""
 
 
 def dsa_synthesize(d: Decomposition, point: DsaPoint) -> Waveform:
@@ -168,42 +168,41 @@ def dsa_sweep(d: Decomposition, grid: Sequence[DsaPoint],
     return SweepResult(rows=tuple(rows))
 
 
-def oa_sweep(s_hat: Waveform, y: Waveform, s: Waveform, n: Waveform,
-             max_delay: int = DEFAULT_MAX_DELAY,
+def oa_sweep(dec: Decomposer, s_hat: Waveform, y: Waveform,
              grid: Sequence[OaPoint] | None = None,
-             utterance_id: str = "",
-             decomposer: Decomposer | None = None) -> SweepResult:
+             utterance_id: str = "") -> SweepResult:
     """Metrics for every observation-adding amount in the grid.
 
-    Each point is re-decomposed on its own through the shared basis.  It is
-    deliberately not batched: that keeps the closed-form check independent,
-    and holding every point's signal at once costs more memory than it
-    saves time.  When both the baseline and the point SAR are finite, the
-    closed-form SAR improvement is validated against the re-decomposed
-    difference and a mismatch beyond ``SARI_VALIDATION_TOL_DB`` raises
-    ``SweepValidationError`` (this only happens when the inputs are
-    inconsistent, e.g. y is not actually s + n).
+    Only ``s_hat`` and ``y`` are decomposed.  ``project`` is linear, even on
+    a loaded Gram, so ``s_hat + w y`` splits into ``d(s_hat) + w d(y)`` and a
+    point's 3x3 Gram is ``M G6 M^T``, with ``G6`` the Gram of both component
+    triples and ``M = [I | w I]``.  When both SARs are finite, the closed-form
+    SARi (from raw ``y``) must match the measured one within
+    ``SARI_VALIDATION_TOL_DB``, else ``SweepValidationError``: a ``y`` outside
+    the span has an ``e_artif`` that the closed form does not see.
     """
     grid = list(grid) if grid is not None else default_oa_grid()
     _check_grid(grid, "oa_sweep")
-    dec = decomposer if decomposer is not None else Decomposer(s, n, max_delay)
     baseline = dec.decompose(s_hat)
+    d_y = dec.decompose(y)
     baseline_sar = compute_metrics(baseline).sar_db
     condition = sar_improvement_condition(s_hat, y)
+    parts = np.stack([c.samples for d in (baseline, d_y)
+                      for c in (d.s_target, d.e_noise, d.e_artif)])
+    g6 = parts @ parts.T
 
     rows = []
     for point in grid:
-        modified = dec.decompose(oa_apply(s_hat, y, point))
-        report = compute_metrics(modified)
+        m = np.hstack([np.eye(3), point.omega_obs * np.eye(3)])
+        report = metrics_from_gram(m @ g6 @ m.T)
         sari = sar_improvement_closed_form(baseline, y, point.omega_obs)
         if math.isfinite(report.sar_db) and math.isfinite(baseline_sar):
             measured = report.sar_db - baseline_sar
             if abs(sari - measured) > SARI_VALIDATION_TOL_DB:
                 raise SweepValidationError(
-                    f"closed-form SAR improvement {sari:.9f} dB disagrees with "
-                    f"re-decomposition {measured:.9f} dB at omega_obs="
-                    f"{point.omega_obs} (utterance {utterance_id!r}); "
-                    "is y really the sum of the provided references?"
+                    f"closed-form SAR improvement {sari:.9f} dB disagrees with the "
+                    f"measured {measured:.9f} dB at omega_obs={point.omega_obs} "
+                    f"(utterance {utterance_id!r}); is y really s + n?"
                 )
         rows.append(SweepRow(
             utterance_id=utterance_id,

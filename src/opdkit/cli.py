@@ -39,16 +39,19 @@ DEFAULT_OA_GRID = "0:1.5:0.1"
 
 def parse_grid(text: str) -> list[float]:
     """Parse 'start:stop:step' (inclusive) or a comma-separated value list."""
-    if ":" in text:
-        fields = text.split(":")
-        if len(fields) != 3:
-            raise ValueError(f"bad grid {text!r}: expected start:stop:step")
-        start, stop, step = (float(v) for v in fields)
-        if step <= 0 or stop < start:
-            raise ValueError(f"bad grid {text!r}: need step > 0 and stop >= start")
-        count = int(math.floor((stop - start) / step + 1e-9)) + 1
-        return [round(start + i * step, 10) for i in range(count)]
-    return [float(v) for v in text.split(",")]
+    values = [float(v) for v in text.split(":" if ":" in text else ",")]
+    if not all(math.isfinite(v) for v in values):
+        raise ValueError(f"bad grid {text!r}: every value must be finite")
+    if ":" not in text:
+        return values
+    if len(values) != 3:
+        raise ValueError(f"bad grid {text!r}: expected start:stop:step")
+    start, stop, step = values
+    if step <= 0 or stop < start or not math.isfinite((stop - start) / step):
+        raise ValueError(f"bad grid {text!r}: need step > 0, stop >= start "
+                         "and a finite number of points")
+    count = int(math.floor((stop - start) / step + 1e-9)) + 1
+    return [round(start + i * step, 10) for i in range(count)]
 
 
 def _method_config(args) -> dict | None:
@@ -81,8 +84,8 @@ def _oa_task(payload) -> dict:
     try:
         s, n, y, s_hat = _prepare_utterance(triplet, method_cfg)
         dec = Decomposer(s, n, max_delay)
-        result = oa_sweep(s_hat, y, s, n, max_delay, [OaPoint(v) for v in grid],
-                          utterance_id=triplet.utterance_id, decomposer=dec)
+        result = oa_sweep(dec, s_hat, y, grid=[OaPoint(v) for v in grid],
+                          utterance_id=triplet.utterance_id)
         return {"utterance_id": triplet.utterance_id, "rows": result.rows,
                 "events": list(dec.regularization_events), "error": None}
     except Exception as exc:  # noqa: BLE001 - tagged into the report

@@ -82,8 +82,8 @@ class Decomposer:
 
     The basis spans delayed copies of ``[s, n]``; ``P_s`` solves with the
     leading speech block of its factor.  Building it dominates the cost of
-    a decomposition, so parameter sweeps that re-decompose many modified
-    signals against the same references should share one Decomposer.
+    a decomposition, so all signals decomposed against one reference pair
+    (an OA sweep's ``s_hat`` and ``y``) should share one Decomposer.
     """
 
     def __init__(self, s: Waveform, n: Waveform, max_delay: int = DEFAULT_MAX_DELAY):
@@ -105,8 +105,6 @@ class Decomposer:
 def decompose(s_hat: Waveform, s: Waveform, n: Waveform,
               max_delay: int = DEFAULT_MAX_DELAY) -> Decomposition:
     """One-shot decomposition of ``s_hat`` against references ``s`` and ``n``."""
-    if len(s_hat) != len(s) or s_hat.sample_rate != s.sample_rate:
-        raise ValueError("decompose: s_hat and s must have equal length and sample rate")
     return Decomposer(s, n, max_delay).decompose(s_hat)
 
 

@@ -5,10 +5,10 @@ import pytest
 from numpy.testing import assert_allclose
 
 from conftest import RATE, random_signals
-from opdkit import (Decomposer, Decomposition, DsaPoint, OaPoint,
-                    SweepValidationError, Waveform, compute_metrics, decompose,
-                    dsa_sweep, dsa_synthesize, oa_apply, oa_sweep,
-                    sar_improvement_condition, scale)
+from opdkit import (Decomposer, Decomposition, DsaPoint, NoTargetError, OaPoint,
+                    SweepValidationError, Waveform, add, compute_metrics,
+                    decompose, dsa_sweep, dsa_synthesize, make_case, oa_apply,
+                    oa_sweep, sar_improvement_condition, scale)
 from opdkit.analysis import default_dsa_grid, default_oa_grid
 
 
@@ -149,7 +149,7 @@ class TestOaSweep:
     def test_zero_point_matches_baseline(self, running_example):
         s, n, s_hat, y = running_example
         baseline = compute_metrics(decompose(s_hat, s, n, max_delay=1))
-        result = oa_sweep(s_hat, y, s, n, 1, [OaPoint(0.0)], "u0")
+        result = oa_sweep(Decomposer(s, n, 1), s_hat, y, [OaPoint(0.0)], "u0")
         row = result.rows[0]
         assert row.sari_closed_form_db == 0.0
         assert row.metrics.sar_db == pytest.approx(baseline.sar_db, abs=1e-12)
@@ -157,33 +157,73 @@ class TestOaSweep:
 
     def test_sar_increases_when_condition_holds(self, running_example):
         s, n, s_hat, y = running_example
-        result = oa_sweep(s_hat, y, s, n, 1,
+        result = oa_sweep(Decomposer(s, n, 1), s_hat, y,
                           [OaPoint(0.0), OaPoint(0.5), OaPoint(1.0)])
         sars = [row.metrics.sar_db for row in result.rows]
         assert sars[0] < sars[1] < sars[2]
 
-    def test_shared_decomposer_gives_same_rows(self, running_example):
-        s, n, s_hat, y = running_example
-        dec = Decomposer(s, n, max_delay=1)
-        grid = [OaPoint(0.0), OaPoint(0.7)]
-        a = oa_sweep(s_hat, y, s, n, 1, grid)
-        b = oa_sweep(s_hat, y, s, n, 1, grid, decomposer=dec)
-        for ra, rb in zip(a.rows, b.rows):
-            assert ra.metrics.sar_db == rb.metrics.sar_db
-
     def test_inconsistent_observation_fails_loudly(self, running_example):
         # y must equal s + n; smuggling in an out-of-span component breaks
-        # the closed-form/re-decomposition agreement and must raise
+        # the closed-form/measured agreement and must raise
         s, n, s_hat, _ = running_example
         bad_y = Waveform([1.0, 1.0, 0.5, 0.0], RATE)
         with pytest.raises(SweepValidationError, match="disagrees"):
-            oa_sweep(s_hat, bad_y, s, n, 1, [OaPoint(1.0)])
+            oa_sweep(Decomposer(s, n, 1), s_hat, bad_y, [OaPoint(1.0)])
 
     def test_default_grid(self):
         grid = default_oa_grid()
         assert len(grid) == 16
         assert grid[0].omega_obs == 0.0
         assert grid[-1].omega_obs == 1.5
+
+    def test_decomposes_only_s_hat_and_y(self, monkeypatch):
+        s, n, s_hat = random_signals(0, length=500, max_delay=8)
+        dec = Decomposer(s, n, max_delay=8)
+        seen = []
+        original = Decomposer.decompose
+
+        def counting(self, x):
+            seen.append(x)
+            return original(self, x)
+
+        monkeypatch.setattr(Decomposer, "decompose", counting)
+        oa_sweep(dec, s_hat, add(s, n), default_oa_grid())
+        assert len(seen) == 2
+        assert seen[0] is s_hat
+
+    @pytest.mark.parametrize("kind,seed", [("random", seed) for seed in range(21)]
+                             + [("n=s", seed) for seed in range(1, 9)]
+                             + [("perfect", 0)])
+    def test_matches_redecomposition(self, kind, seed):
+        # each row against the literal decomposition of s_hat + w y
+        case = make_case(seed, kind="random" if kind == "n=s" else kind)
+        n = case.s if kind == "n=s" else case.n
+        y = add(case.s, n)
+        dec = Decomposer(case.s, n, case.max_delay)
+        assert bool(dec.regularization_events) == (kind == "n=s")
+        grid = default_oa_grid()
+        rows = oa_sweep(dec, case.s_hat, y, grid).rows
+        assert [r.omega_obs for r in rows] == [p.omega_obs for p in grid]
+        for row, point in zip(rows, grid):
+            want = compute_metrics(dec.decompose(oa_apply(case.s_hat, y, point)))
+            for name in ("sdr_db", "snr_db", "sar_db"):
+                got, expected = getattr(row.metrics, name), getattr(want, name)
+                if math.isinf(expected):
+                    assert got == expected
+                else:
+                    assert abs(got - expected) <= 1e-9
+        if kind == "perfect":
+            assert all(r.metrics.sar_db == math.inf for r in rows)
+
+    def test_negated_observation_has_no_target_either_way(self):
+        # s_hat = -y: the w = 1 point cancels the signal entirely
+        case = make_case(1, kind="negated-observation")
+        dec = Decomposer(case.s, case.n, case.max_delay)
+        with pytest.raises(NoTargetError):
+            oa_sweep(dec, case.s_hat, case.y, default_oa_grid())
+        with pytest.raises(NoTargetError):
+            for point in default_oa_grid():
+                compute_metrics(dec.decompose(oa_apply(case.s_hat, case.y, point)))
 
 
 @pytest.mark.parametrize("seed", range(3))

@@ -8,6 +8,7 @@ import xml.etree.ElementTree as ElementTree
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from conftest import RATE, lowpass_noise
 import opdkit
@@ -34,6 +35,32 @@ class TestParseGrid:
             parse_grid("1:0:0.5")
         with pytest.raises(ValueError):
             parse_grid("0:1:-0.5")
+
+    @pytest.mark.parametrize("text", ["0:inf:1", "nan:1:0.1", "-inf:0:1",
+                                      "0:1:inf", "0:1:nan", "1,nan", "inf",
+                                      "0,-inf", "-1e308:1e308:1e-308"])
+    def test_nonfinite_grid_rejected(self, text):
+        with pytest.raises(ValueError, match="bad grid"):
+            parse_grid(text)
+
+    def test_nonfinite_grid_exit_code(self, tmp_path, capsys):
+        rc = main(["oa", "--corpus", str(tmp_path / "absent.jsonl"),
+                   "--grid", "0:inf:1", "--out", str(tmp_path / "out")])
+        assert rc == 1
+        assert "bad grid" in capsys.readouterr().err
+
+    @given(start=st.decimals(-100, 100, places=3),
+           step=st.decimals("0.001", 10, places=3),
+           steps=st.integers(0, 999),
+           fraction=st.decimals(0, "0.999", places=3))
+    def test_range_properties(self, start, step, steps, fraction):
+        # decimal text, as typed on the command line, at most 1000 points
+        stop = start + step * (steps + fraction)
+        values = parse_grid(f"{start}:{stop}:{step}")
+        assert values[0] == float(start)
+        assert all(b > a for a, b in zip(values, values[1:]))
+        assert values[-1] <= float(stop) + float(step) * 1e-9
+        assert len(values) == steps + 1
 
 
 @pytest.fixture
