@@ -40,11 +40,8 @@ from .analysis import (
     DsaPoint,
     OaPoint,
     SarGainCondition,
-    SweepResult,
     SweepRow,
     SweepValidationError,
-    default_dsa_grid,
-    default_oa_grid,
     dsa_sweep,
     dsa_synthesize,
     oa_apply,

@@ -9,8 +9,9 @@ Two ways of modifying an enhanced signal to probe its error components:
   to the enhanced signal.  Reference-free, and provably SAR-improving
   whenever <s_hat, y> > 0.
 
-Both come with sweep drivers that tabulate metrics over parameter grids,
-each point as exact algebra on a small Gram matrix of components.
+Both come with sweep drivers that return one ``SweepRow`` per point of a
+caller-given grid, each point as exact algebra on a small Gram matrix of
+components.
 """
 
 import math
@@ -28,7 +29,6 @@ __all__ = [
     "DsaPoint",
     "OaPoint",
     "SweepRow",
-    "SweepResult",
     "SweepValidationError",
     "SarGainCondition",
     "dsa_synthesize",
@@ -36,8 +36,6 @@ __all__ = [
     "sar_improvement_condition",
     "dsa_sweep",
     "oa_sweep",
-    "default_dsa_grid",
-    "default_oa_grid",
     "SARI_VALIDATION_TOL_DB",
 ]
 
@@ -95,12 +93,6 @@ class SweepRow:
     sari_closed_form_db: float | None = None
 
 
-@dataclass(frozen=True)
-class SweepResult:
-    rows: tuple[SweepRow, ...]
-    aggregation: str = "per-utterance"
-
-
 class SweepValidationError(RuntimeError):
     """Closed-form SAR improvement disagreed with the measured one."""
 
@@ -133,20 +125,9 @@ def _check_grid(grid: Sequence, name: str) -> None:
         raise ValueError(f"{name}: grid points must be unique")
 
 
-def default_dsa_grid() -> list[DsaPoint]:
-    """Cartesian product of {0.0, 0.25, ..., 1.5} on both scaling axes."""
-    values = [i * 0.25 for i in range(7)]
-    return [DsaPoint(wn, wa) for wn in values for wa in values]
-
-
-def default_oa_grid() -> list[OaPoint]:
-    """omega_obs from 0.0 to 1.5 in steps of 0.1."""
-    return [OaPoint(round(i * 0.1, 10)) for i in range(16)]
-
-
 def dsa_sweep(d: Decomposition, grid: Sequence[DsaPoint],
-              utterance_id: str = "") -> SweepResult:
-    """Metrics for every grid point of independently scaled error components.
+              utterance_id: str = "") -> tuple[SweepRow, ...]:
+    """One row per grid point of independently scaled error components.
 
     Scaling the components by ``D = diag(1, w_noise, w_artif)`` maps their
     3x3 Gram ``G`` to ``D G D`` exactly, orthogonal or not, so no waveform
@@ -165,13 +146,13 @@ def dsa_sweep(d: Decomposition, grid: Sequence[DsaPoint],
             omega_obs=None,
             metrics=metrics_from_gram(d.gram * np.outer(w, w)),
         ))
-    return SweepResult(rows=tuple(rows))
+    return tuple(rows)
 
 
 def oa_sweep(dec: Decomposer, s_hat: Waveform, y: Waveform,
-             grid: Sequence[OaPoint] | None = None,
-             utterance_id: str = "") -> SweepResult:
-    """Metrics for every observation-adding amount in the grid.
+             grid: Sequence[OaPoint],
+             utterance_id: str = "") -> tuple[SweepRow, ...]:
+    """One row per observation-adding amount in the grid.
 
     Only ``s_hat`` and ``y`` are decomposed.  ``project`` is linear, even on
     a loaded Gram, so ``s_hat + w y`` splits into ``d(s_hat) + w d(y)`` and a
@@ -181,7 +162,7 @@ def oa_sweep(dec: Decomposer, s_hat: Waveform, y: Waveform,
     ``SARI_VALIDATION_TOL_DB``, else ``SweepValidationError``: a ``y`` outside
     the span has an ``e_artif`` that the closed form does not see.
     """
-    grid = list(grid) if grid is not None else default_oa_grid()
+    grid = list(grid)
     _check_grid(grid, "oa_sweep")
     baseline = dec.decompose(s_hat)
     d_y = dec.decompose(y)
@@ -213,4 +194,4 @@ def oa_sweep(dec: Decomposer, s_hat: Waveform, y: Waveform,
             inner_s_hat_y=condition.inner_value,
             sari_closed_form_db=sari,
         ))
-    return SweepResult(rows=tuple(rows))
+    return tuple(rows)

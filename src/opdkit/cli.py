@@ -36,21 +36,36 @@ from .wavio import read_wav, write_wav
 DEFAULT_DSA_GRID = "0:1.5:0.25"
 DEFAULT_OA_GRID = "0:1.5:0.1"
 
+# Largest value count a grid may have; a dsa sweep squares it.
+MAX_GRID_VALUES = 1000
+
 
 def parse_grid(text: str) -> list[float]:
-    """Parse 'start:stop:step' (inclusive) or a comma-separated value list."""
-    values = [float(v) for v in text.split(":" if ":" in text else ",")]
+    """Parse 'start:stop:step' (inclusive) or a comma-separated value list.
+
+    The value count is checked against ``MAX_GRID_VALUES`` before a range
+    is expanded.
+    """
+    try:
+        values = [float(v) for v in text.split(":" if ":" in text else ",")]
+    except ValueError:
+        raise ValueError(f"bad grid {text!r}: every value must be a number") from None
     if not all(math.isfinite(v) for v in values):
         raise ValueError(f"bad grid {text!r}: every value must be finite")
+    count = len(values)
+    if ":" in text:
+        if len(values) != 3:
+            raise ValueError(f"bad grid {text!r}: expected start:stop:step")
+        start, stop, step = values
+        if step <= 0 or stop < start or not math.isfinite((stop - start) / step):
+            raise ValueError(f"bad grid {text!r}: need step > 0, stop >= start "
+                             "and a finite number of points")
+        count = int(math.floor((stop - start) / step + 1e-9)) + 1
+    if count > MAX_GRID_VALUES:
+        raise ValueError(f"bad grid {text!r}: {count} values, at most "
+                         f"{MAX_GRID_VALUES} allowed")
     if ":" not in text:
         return values
-    if len(values) != 3:
-        raise ValueError(f"bad grid {text!r}: expected start:stop:step")
-    start, stop, step = values
-    if step <= 0 or stop < start or not math.isfinite((stop - start) / step):
-        raise ValueError(f"bad grid {text!r}: need step > 0, stop >= start "
-                         "and a finite number of points")
-    count = int(math.floor((stop - start) / step + 1e-9)) + 1
     return [round(start + i * step, 10) for i in range(count)]
 
 
@@ -79,31 +94,21 @@ def _prepare_utterance(triplet: UtteranceTriplet, method_cfg: dict | None):
     return s, n, y, s_hat
 
 
-def _oa_task(payload) -> dict:
-    triplet, max_delay, grid, method_cfg = payload
+def _sweep_task(payload) -> dict:
+    command, triplet, max_delay, grid, method_cfg = payload
     try:
         s, n, y, s_hat = _prepare_utterance(triplet, method_cfg)
         dec = Decomposer(s, n, max_delay)
-        result = oa_sweep(dec, s_hat, y, grid=[OaPoint(v) for v in grid],
-                          utterance_id=triplet.utterance_id)
-        return {"utterance_id": triplet.utterance_id, "rows": result.rows,
-                "events": list(dec.regularization_events), "error": None}
+        if command == "oa":
+            rows = oa_sweep(dec, s_hat, y, grid=[OaPoint(v) for v in grid],
+                            utterance_id=triplet.utterance_id)
+        else:
+            rows = dsa_sweep(dec.decompose(s_hat),
+                             grid=[DsaPoint(wn, wa) for wn in grid for wa in grid],
+                             utterance_id=triplet.utterance_id)
+        return {"utterance_id": triplet.utterance_id, "rows": rows,
+                "events": list(dec.basis.regularization_events), "error": None}
     except Exception as exc:  # noqa: BLE001 - tagged into the report
-        return {"utterance_id": triplet.utterance_id, "rows": (),
-                "events": [], "error": f"{type(exc).__name__}: {exc}"}
-
-
-def _dsa_task(payload) -> dict:
-    triplet, max_delay, grid, method_cfg = payload
-    try:
-        s, n, _, s_hat = _prepare_utterance(triplet, method_cfg)
-        dec = Decomposer(s, n, max_delay)
-        points = [DsaPoint(wn, wa) for wn in grid for wa in grid]
-        result = dsa_sweep(dec.decompose(s_hat), points,
-                           utterance_id=triplet.utterance_id)
-        return {"utterance_id": triplet.utterance_id, "rows": result.rows,
-                "events": list(dec.regularization_events), "error": None}
-    except Exception as exc:  # noqa: BLE001
         return {"utterance_id": triplet.utterance_id, "rows": (),
                 "events": [], "error": f"{type(exc).__name__}: {exc}"}
 
@@ -166,20 +171,21 @@ def cmd_decompose(args) -> int:
                     "utterance_id": utterance_id},
         max_delay=args.max_delay,
         aggregation="per-utterance",
-        regularization_events=list(dec.regularization_events),
+        regularization_events=list(dec.basis.regularization_events),
     ))
     print(f"{utterance_id}: SDR {report.sdr_db:.2f} dB, SNR {report.snr_db:.2f} dB, "
           f"SAR {report.sar_db:.2f} dB -> {args.out}")
     return 0
 
 
-def _cmd_sweep(args, task, grid_text_default: str, name: str) -> int:
+def _cmd_sweep(args) -> int:
+    name = args.command
     os.makedirs(args.out, exist_ok=True)
-    grid = parse_grid(args.grid or grid_text_default)
+    grid = parse_grid(args.grid)
     triplets = load_corpus_manifest(args.corpus)
     method_cfg = _method_config(args)
-    payloads = [(t, args.max_delay, grid, method_cfg) for t in triplets]
-    rows, events, errors = _collect(_run_corpus(task, payloads, args.workers))
+    payloads = [(name, t, args.max_delay, grid, method_cfg) for t in triplets]
+    rows, events, errors = _collect(_run_corpus(_sweep_task, payloads, args.workers))
     summary = summarize_rows(rows)
 
     write_sweep_csv(os.path.join(args.out, f"{name}.csv"), rows, errors)
@@ -222,14 +228,6 @@ def _cmd_sweep(args, task, grid_text_default: str, name: str) -> int:
         for err in errors:
             print(f"  failed {err['utterance_id']}: {err['error']}", file=sys.stderr)
     return 0
-
-
-def cmd_dsa(args) -> int:
-    return _cmd_sweep(args, _dsa_task, DEFAULT_DSA_GRID, "dsa")
-
-
-def cmd_oa(args) -> int:
-    return _cmd_sweep(args, _oa_task, DEFAULT_OA_GRID, "oa")
 
 
 def _fit_length(w: Waveform, length: int, rng: np.random.Generator) -> Waveform:
@@ -350,13 +348,14 @@ def build_parser() -> argparse.ArgumentParser:
             ("oa", "sweep observation-adding amounts over a corpus", DEFAULT_OA_GRID)):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--corpus", required=True, help="corpus manifest (JSON lines)")
-        p.add_argument("--grid", default=None,
-                       help=f"start:stop:step or comma list (default {default_grid})")
+        p.add_argument("--grid", default=default_grid,
+                       help=f"start:stop:step or comma list of at most "
+                            f"{MAX_GRID_VALUES} values (default {default_grid})")
         p.add_argument("--max-delay", "-L", type=int, default=DEFAULT_MAX_DELAY)
         p.add_argument("--workers", type=int, default=1)
         p.add_argument("--out", required=True)
         _add_method_options(p)
-        p.set_defaults(func=cmd_dsa if name == "dsa" else cmd_oa)
+        p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("mix", help="synthesize SNR-controlled mixtures")
     p.add_argument("--speech-dir", required=True)

@@ -58,8 +58,6 @@ class Decomposition:
     s_target: Waveform
     e_noise: Waveform
     e_artif: Waveform
-    max_delay: int
-    regularization_events: tuple[str, ...] = ()
 
     @property
     def sample_rate(self) -> int:
@@ -83,23 +81,19 @@ class Decomposer:
     The basis spans delayed copies of ``[s, n]``; ``P_s`` solves with the
     leading speech block of its factor.  Building it dominates the cost of
     a decomposition, so all signals decomposed against one reference pair
-    (an OA sweep's ``s_hat`` and ``y``) should share one Decomposer.
+    (an OA sweep's ``s_hat`` and ``y``) should share one Decomposer.  Any
+    diagonal loading is recorded in ``basis.regularization_events``.
     """
 
     def __init__(self, s: Waveform, n: Waveform, max_delay: int = DEFAULT_MAX_DELAY):
         self.basis: ProjectionBasis = build_basis([s, n], max_delay)
-
-    @property
-    def regularization_events(self) -> tuple[str, ...]:
-        return self.basis.regularization_events
 
     def decompose(self, s_hat: Waveform) -> Decomposition:
         p_s = project(self.basis, s_hat, refs=1)
         p_sn = project(self.basis, s_hat)
         e_noise = Waveform(p_sn.samples - p_s.samples, s_hat.sample_rate)
         e_artif = Waveform(s_hat.samples - p_sn.samples, s_hat.sample_rate)
-        return Decomposition(p_s, e_noise, e_artif, self.basis.max_delay,
-                             self.regularization_events)
+        return Decomposition(p_s, e_noise, e_artif)
 
 
 def decompose(s_hat: Waveform, s: Waveform, n: Waveform,

@@ -32,7 +32,6 @@ __all__ = [
     "build_basis",
     "project",
     "project_dense_oracle",
-    "delay_signal",
     "delayed_matrix",
 ]
 
@@ -79,15 +78,6 @@ class ProjectionBasis:
     @property
     def length(self) -> int:
         return len(self.references[0])
-
-
-def delay_signal(x: np.ndarray, tau: int) -> np.ndarray:
-    """Shift ``x`` right by ``tau`` samples, zero-padding the head, same length."""
-    if tau == 0:
-        return np.asarray(x, dtype=np.float64).copy()
-    out = np.zeros(len(x))
-    out[tau:] = x[: len(x) - tau]
-    return out
 
 
 def delayed_matrix(x: np.ndarray, max_delay: int) -> np.ndarray:

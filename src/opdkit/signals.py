@@ -20,9 +20,6 @@ __all__ = [
     "mix_at_snr",
 ]
 
-NOISE_SCALING_MODES = ("full-signal-power",)
-
-
 @dataclass(frozen=True, eq=False)
 class Waveform:
     """A finite single-channel signal: float64 samples plus a sample rate in Hz."""
@@ -58,16 +55,10 @@ class MixtureSpec:
     """How to scale noise against speech when synthesizing a mixture."""
 
     target_snr_db: float
-    noise_scaling_mode: str = "full-signal-power"
 
     def __post_init__(self):
         if not math.isfinite(self.target_snr_db):
             raise ValueError("target_snr_db must be finite")
-        if self.noise_scaling_mode not in NOISE_SCALING_MODES:
-            raise ValueError(
-                f"unknown noise_scaling_mode {self.noise_scaling_mode!r}; "
-                f"expected one of {NOISE_SCALING_MODES}"
-            )
 
 
 def _check_compatible(a: Waveform, b: Waveform, op: str) -> None:

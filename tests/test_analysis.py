@@ -9,7 +9,15 @@ from opdkit import (Decomposer, Decomposition, DsaPoint, NoTargetError, OaPoint,
                     SweepValidationError, Waveform, add, compute_metrics,
                     decompose, dsa_sweep, dsa_synthesize, make_case, oa_apply,
                     oa_sweep, sar_improvement_condition, scale)
-from opdkit.analysis import default_dsa_grid, default_oa_grid
+from opdkit.cli import DEFAULT_DSA_GRID, DEFAULT_OA_GRID, parse_grid
+
+
+def default_grid(kind):
+    """The CLI's default ``kind`` grid ("oa" or "dsa") as sweep points."""
+    if kind == "oa":
+        return [OaPoint(v) for v in parse_grid(DEFAULT_OA_GRID)]
+    values = parse_grid(DEFAULT_DSA_GRID)
+    return [DsaPoint(wn, wa) for wn in values for wa in values]
 
 
 @pytest.fixture
@@ -88,9 +96,9 @@ class TestSarGainCondition:
 class TestDsaSweep:
     def test_unit_grid_point_matches_baseline(self, running_decomposition):
         baseline = compute_metrics(running_decomposition)
-        result = dsa_sweep(running_decomposition, [DsaPoint(1.0, 1.0)], "u0")
-        assert len(result.rows) == 1
-        row = result.rows[0]
+        rows = dsa_sweep(running_decomposition, [DsaPoint(1.0, 1.0)], "u0")
+        assert len(rows) == 1
+        row = rows[0]
         assert row.utterance_id == "u0"
         assert row.omega_obs is None
         assert row.metrics.sar_db == pytest.approx(baseline.sar_db, abs=1e-12)
@@ -108,9 +116,9 @@ class TestDsaSweep:
     def test_snr_shift_law(self, running_decomposition):
         baseline = compute_metrics(running_decomposition)
         for omega_noise in (0.25, 0.5, 2.0):
-            result = dsa_sweep(running_decomposition, [DsaPoint(omega_noise, 1.0)])
+            rows = dsa_sweep(running_decomposition, [DsaPoint(omega_noise, 1.0)])
             expected = baseline.snr_db - 20.0 * math.log10(omega_noise)
-            assert result.rows[0].metrics.snr_db == pytest.approx(expected, abs=1e-9)
+            assert rows[0].metrics.snr_db == pytest.approx(expected, abs=1e-9)
 
     @pytest.mark.parametrize("artifact_free", [False, True])
     def test_matches_scaled_decompositions(self, artifact_free):
@@ -119,13 +127,13 @@ class TestDsaSweep:
             s_hat = Waveform(s.samples + n.samples, RATE)
         d = decompose(s_hat, s, n, max_delay=8)
         assert d.artifact_free == artifact_free
-        grid = default_dsa_grid()
-        rows = dsa_sweep(d, grid).rows
+        grid = default_grid("dsa")
+        rows = dsa_sweep(d, grid)
         assert [(r.omega_noise, r.omega_artif) for r in rows] == \
             [(p.omega_noise, p.omega_artif) for p in grid]
         for row, point in zip(rows, grid):
             scaled = Decomposition(d.s_target, scale(d.e_noise, point.omega_noise),
-                                   scale(d.e_artif, point.omega_artif), d.max_delay)
+                                   scale(d.e_artif, point.omega_artif))
             want = compute_metrics(scaled)
             for name in ("sdr_db", "snr_db", "sar_db"):
                 got, expected = getattr(row.metrics, name), getattr(want, name)
@@ -139,7 +147,7 @@ class TestDsaSweep:
                                            rows[0].metrics.sar_db))
 
     def test_default_grid_shape(self):
-        grid = default_dsa_grid()
+        grid = default_grid("dsa")
         assert len(grid) == 49
         assert grid[0] == DsaPoint(0.0, 0.0)
         assert grid[-1] == DsaPoint(1.5, 1.5)
@@ -149,17 +157,16 @@ class TestOaSweep:
     def test_zero_point_matches_baseline(self, running_example):
         s, n, s_hat, y = running_example
         baseline = compute_metrics(decompose(s_hat, s, n, max_delay=1))
-        result = oa_sweep(Decomposer(s, n, 1), s_hat, y, [OaPoint(0.0)], "u0")
-        row = result.rows[0]
+        row = oa_sweep(Decomposer(s, n, 1), s_hat, y, [OaPoint(0.0)], "u0")[0]
         assert row.sari_closed_form_db == 0.0
         assert row.metrics.sar_db == pytest.approx(baseline.sar_db, abs=1e-12)
         assert row.inner_s_hat_y == pytest.approx(1.1)
 
     def test_sar_increases_when_condition_holds(self, running_example):
         s, n, s_hat, y = running_example
-        result = oa_sweep(Decomposer(s, n, 1), s_hat, y,
-                          [OaPoint(0.0), OaPoint(0.5), OaPoint(1.0)])
-        sars = [row.metrics.sar_db for row in result.rows]
+        rows = oa_sweep(Decomposer(s, n, 1), s_hat, y,
+                        [OaPoint(0.0), OaPoint(0.5), OaPoint(1.0)])
+        sars = [row.metrics.sar_db for row in rows]
         assert sars[0] < sars[1] < sars[2]
 
     def test_inconsistent_observation_fails_loudly(self, running_example):
@@ -171,7 +178,7 @@ class TestOaSweep:
             oa_sweep(Decomposer(s, n, 1), s_hat, bad_y, [OaPoint(1.0)])
 
     def test_default_grid(self):
-        grid = default_oa_grid()
+        grid = default_grid("oa")
         assert len(grid) == 16
         assert grid[0].omega_obs == 0.0
         assert grid[-1].omega_obs == 1.5
@@ -187,7 +194,7 @@ class TestOaSweep:
             return original(self, x)
 
         monkeypatch.setattr(Decomposer, "decompose", counting)
-        oa_sweep(dec, s_hat, add(s, n), default_oa_grid())
+        oa_sweep(dec, s_hat, add(s, n), default_grid("oa"))
         assert len(seen) == 2
         assert seen[0] is s_hat
 
@@ -200,9 +207,9 @@ class TestOaSweep:
         n = case.s if kind == "n=s" else case.n
         y = add(case.s, n)
         dec = Decomposer(case.s, n, case.max_delay)
-        assert bool(dec.regularization_events) == (kind == "n=s")
-        grid = default_oa_grid()
-        rows = oa_sweep(dec, case.s_hat, y, grid).rows
+        assert bool(dec.basis.regularization_events) == (kind == "n=s")
+        grid = default_grid("oa")
+        rows = oa_sweep(dec, case.s_hat, y, grid)
         assert [r.omega_obs for r in rows] == [p.omega_obs for p in grid]
         for row, point in zip(rows, grid):
             want = compute_metrics(dec.decompose(oa_apply(case.s_hat, y, point)))
@@ -220,9 +227,9 @@ class TestOaSweep:
         case = make_case(1, kind="negated-observation")
         dec = Decomposer(case.s, case.n, case.max_delay)
         with pytest.raises(NoTargetError):
-            oa_sweep(dec, case.s_hat, case.y, default_oa_grid())
+            oa_sweep(dec, case.s_hat, case.y, default_grid("oa"))
         with pytest.raises(NoTargetError):
-            for point in default_oa_grid():
+            for point in default_grid("oa"):
                 compute_metrics(dec.decompose(oa_apply(case.s_hat, case.y, point)))
 
 

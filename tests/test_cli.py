@@ -13,7 +13,7 @@ from hypothesis import given, strategies as st
 from conftest import RATE, lowpass_noise
 import opdkit
 from opdkit import Waveform, energy, read_wav, write_wav
-from opdkit.cli import main, parse_grid
+from opdkit.cli import MAX_GRID_VALUES, main, parse_grid
 from opdkit.reporting import SWEEP_CSV_COLUMNS
 
 
@@ -46,6 +46,28 @@ class TestParseGrid:
     def test_nonfinite_grid_exit_code(self, tmp_path, capsys):
         rc = main(["oa", "--corpus", str(tmp_path / "absent.jsonl"),
                    "--grid", "0:inf:1", "--out", str(tmp_path / "out")])
+        assert rc == 1
+        assert "bad grid" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", ["0:1e18:1", "0:1000:1", pytest.param(
+        ",".join(["0"] * 1001), id="1001-fields")])
+    def test_too_many_values_rejected(self, text):
+        # refused from the value count, before the range is expanded
+        with pytest.raises(ValueError, match="bad grid"):
+            parse_grid(text)
+
+    def test_largest_grid(self):
+        assert parse_grid("0:999:1") == [float(i) for i in range(MAX_GRID_VALUES)]
+
+    @pytest.mark.parametrize("text", ["", "0:x:1", "0,,1"])
+    def test_unparsable_grid_rejected(self, text):
+        with pytest.raises(ValueError, match="bad grid"):
+            parse_grid(text)
+
+    @pytest.mark.parametrize("grid", ["0:1e18:1", ""])
+    def test_bad_grid_exit_code(self, tmp_path, capsys, grid):
+        rc = main(["oa", "--corpus", str(tmp_path / "absent.jsonl"),
+                   "--grid", grid, "--out", str(tmp_path / "out")])
         assert rc == 1
         assert "bad grid" in capsys.readouterr().err
 
@@ -281,6 +303,15 @@ class TestOaCommand:
         _, rows = read_csv(out / "oa.csv")
         assert len(rows) == 4
 
+    def test_default_grid(self, tmp_path, enhanced_corpus):
+        out = tmp_path / "oa_default"
+        assert main(["oa", "--corpus", str(enhanced_corpus / "corpus.jsonl"),
+                     "-L", "8", "--out", str(out)]) == 0
+        _, rows = read_csv(out / "oa.csv")
+        assert len(rows) == 2 * 16
+        manifest = json.loads((out / "run_manifest.json").read_text())
+        assert manifest["parameters"]["grid"] == [round(0.1 * i, 10) for i in range(16)]
+
     def test_missing_method_and_enhanced_fails(self, tmp_path, mixed_corpus, capsys):
         rc = main(["oa", "--corpus", str(mixed_corpus / "corpus.jsonl"),
                    "--grid", "0", "-L", "8", "--out", str(tmp_path / "oa_bad")])
@@ -302,6 +333,16 @@ class TestDsaCommand:
             assert record["inner_s_hat_y"] == ""
         assert (out / "dsa_sar_vs_omega_noise.svg").exists()
         assert (out / "dsa_snr_vs_omega_artif.svg").exists()
+
+    def test_default_grid(self, tmp_path, enhanced_corpus):
+        out = tmp_path / "dsa_default"
+        assert main(["dsa", "--corpus", str(enhanced_corpus / "corpus.jsonl"),
+                     "-L", "8", "--out", str(out)]) == 0
+        _, rows = read_csv(out / "dsa.csv")
+        for utterance_id in ("utt0", "utt1"):
+            assert sum(r["utterance_id"] == utterance_id for r in rows) == 49
+        manifest = json.loads((out / "run_manifest.json").read_text())
+        assert manifest["parameters"]["grid"] == [0.25 * i for i in range(7)]
 
     def test_unit_point_matches_oa_baseline(self, tmp_path, enhanced_corpus):
         dsa_out = tmp_path / "dsa_unit"

@@ -14,7 +14,6 @@ def test_running_example_components(running_example):
     assert_allclose(d.s_target.samples, [0.9, 0.0, 0.0, 0.0], atol=1e-14)
     assert_allclose(d.e_noise.samples, [0.0, 0.2, 0.0, 0.0], atol=1e-14)
     assert_allclose(d.e_artif.samples, [0.0, 0.0, 0.1, 0.0], atol=1e-14)
-    assert d.max_delay == 1
     assert not d.artifact_free
 
 
@@ -43,7 +42,7 @@ def test_recompose_is_exact(running_example):
 
 def test_recompose_zero_components():
     zero = Waveform(np.zeros(4), RATE)
-    d = Decomposition(zero, zero, zero, 1)
+    d = Decomposition(zero, zero, zero)
     assert_allclose(recompose(d).samples, np.zeros(4))
     assert d.artifact_free
 
@@ -84,8 +83,8 @@ def test_loading_only_the_failing_block_keeps_speech_projection(seed):
     got = dec.decompose(case.s_hat).s_target.samples
     assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected)
     # reference 1 of the basis is the noise
-    assert len(dec.regularization_events) == 1
-    assert "from reference 1 on" in dec.regularization_events[0]
+    assert len(dec.basis.regularization_events) == 1
+    assert "from reference 1 on" in dec.basis.regularization_events[0]
 
 
 def test_energy_pythagoras(running_example):

@@ -5,15 +5,10 @@ from numpy.testing import assert_allclose
 from conftest import RATE, lowpass_noise
 from opdkit import (DELAY_PADDING, SingularProjectionError, Waveform, build_basis,
                     inner, project, project_dense_oracle)
-from opdkit.projection import delay_signal, delayed_matrix
+from opdkit.projection import delayed_matrix
 from opdkit.reporting import RunManifest
 
 import opdkit.projection as projection_module
-
-
-def test_delay_signal_zero_pads_head():
-    out = delay_signal(np.array([1.0, 2.0, 3.0, 4.0]), 2)
-    assert_allclose(out, [0.0, 0.0, 1.0, 2.0])
 
 
 def test_delayed_matrix_columns():

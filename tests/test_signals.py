@@ -140,5 +140,3 @@ class TestMixAtSnr:
 def test_mixture_spec_validation():
     with pytest.raises(ValueError, match="finite"):
         MixtureSpec(target_snr_db=math.inf)
-    with pytest.raises(ValueError, match="noise_scaling_mode"):
-        MixtureSpec(target_snr_db=0.0, noise_scaling_mode="voiced-only")
