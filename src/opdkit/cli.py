@@ -180,10 +180,12 @@ def cmd_decompose(args) -> int:
 
 def _cmd_sweep(args) -> int:
     name = args.command
-    os.makedirs(args.out, exist_ok=True)
     grid = parse_grid(args.grid)
+    if args.max_delay < 1:  # L <= T needs the audio and is checked per utterance
+        raise ValueError(f"max_delay must satisfy L >= 1, got {args.max_delay}")
     triplets = load_corpus_manifest(args.corpus)
     method_cfg = _method_config(args)
+    os.makedirs(args.out, exist_ok=True)
     payloads = [(name, t, args.max_delay, grid, method_cfg) for t in triplets]
     rows, events, errors = _collect(_run_corpus(_sweep_task, payloads, args.workers))
     summary = summarize_rows(rows)
@@ -198,12 +200,14 @@ def _cmd_sweep(args) -> int:
                             f"{label} [dB]",
                             _metric_series(rows, summary, "omega_obs", metric))
             write_plot(os.path.join(args.out, f"oa_{metric[:3]}.svg"), svg)
+    elif 1.0 not in grid:
+        print("dsa: --grid has no 1.0, so the omega_artif=1.0 and omega_noise=1.0 "
+              "slices are empty; skipped dsa_{sdr,snr,sar}_vs_omega_{noise,artif}.svg",
+              file=sys.stderr)
     else:
         for axis, fixed in (("omega_noise", "omega_artif"),
                             ("omega_artif", "omega_noise")):
             slice_rows = [r for r in rows if getattr(r, fixed) == 1.0]
-            if not slice_rows:
-                continue
             slice_summary = summarize_rows(slice_rows)
             for metric in ("sdr_db", "snr_db", "sar_db"):
                 label = metric[:3].upper()

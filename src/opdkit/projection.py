@@ -11,8 +11,8 @@ synthesized as FIR filtering of the references.
 Correlations are computed with FFTs of length >= T + L - 1.  Because the
 delayed copies are truncated at T rather than extended, the Gram matrix
 differs from the plain Toeplitz correlation matrix by products of the
-reference tails that fall off the end; that correction is applied exactly
-(see ``_gram_block``).
+reference tails that fall off the end; that correction is exact, an O(L^2)
+prefix sum along each diagonal subtracted once (see ``_gram_block``).
 """
 
 from dataclasses import dataclass, field
@@ -89,31 +89,31 @@ def delayed_matrix(x: np.ndarray, max_delay: int) -> np.ndarray:
     return A
 
 
-def _tail_overhang(x: np.ndarray, L: int) -> np.ndarray:
-    """(L, L-1) matrix H with H[tau, m-1] = x[T-1+m-tau] for 1 <= m <= tau.
+def _truncation_loss(a: np.ndarray, b: np.ndarray, L: int) -> np.ndarray:
+    """Products that truncation at T drops from Gram entry (t, u), summed by
+    diagonal: ``sum_{m=1}^{min(t,u)} ra[t-m] * rb[u-m]``, ``ra, rb = a[::-1][:L], b[::-1][:L]``."""
+    ra, rb = a[::-1][:L], b[::-1][:L]
+    loss = np.zeros((L, L))
+    for t in range(1, L):
+        np.add(loss[t - 1, :-1], ra[t - 1] * rb[:-1], out=loss[t, 1:])
+    return loss
 
-    Row ``tau`` holds (reversed) the tail samples of ``x`` that truncation
-    drops when the signal is delayed by ``tau``.
-    """
-    rev_tail = x[::-1][:L]
-    return toeplitz(rev_tail, np.zeros(L))[:, 1:]
 
+def _gram_block(a: np.ndarray, b: np.ndarray, fa: np.ndarray, fb: np.ndarray,
+                L: int, nfft: int) -> np.ndarray:
+    """L-by-L block of inner products between delayed copies of a and b (spectra fa, fb).
 
-def _gram_block(a: np.ndarray, b: np.ndarray, L: int, nfft: int) -> np.ndarray:
-    """L-by-L block of inner products between delayed copies of a and b.
-
-    The full (untruncated) correlations form a Toeplitz matrix; truncation
-    at T removes, for entry (tau, tau'), the products of the last
-    min(tau, tau') overhanging samples, which factor as an outer product of
-    tail matrices.
-    """
-    full = irfft(rfft(a, nfft) * np.conj(rfft(b, nfft)), nfft)
+    Toeplitz matrix of the full correlations, minus the min(t, u) tail products
+    that truncation at T drops from entry (t, u): those are summed among
+    themselves, so they round at their own size, and subtracted once."""
+    full = irfft(fa * np.conj(fb), nfft)
     pos = full[:L]  # lag d = 0 .. L-1: sum_w a[w] * b[w - d]
-    col = np.concatenate(([pos[0]], full[-(L - 1):][::-1])) if L > 1 else pos[:1]
-    ext = toeplitz(col, pos)
-    if L == 1:
-        return ext
-    return ext - _tail_overhang(a, L) @ _tail_overhang(b, L).T
+    neg = np.concatenate((pos[:1], full[:-L:-1]))  # lag -d
+    if b is a:  # auto block: the mean of both FFT estimates of a lag is symmetric
+        pos = neg = 0.5 * (pos + neg)
+    ext = toeplitz(neg, pos)
+    ext -= _truncation_loss(a, b, L)
+    return ext
 
 
 def _validate_references(references: Sequence[Waveform], max_delay: int) -> None:
@@ -153,16 +153,15 @@ def build_basis(references: Sequence[Waveform], max_delay: int) -> ProjectionBas
     T = len(refs[0])
     nfft = next_fast_len(T + L - 1)
     arrays = [r.samples for r in refs]
+    ref_ffts = tuple(rfft(a, nfft) for a in arrays)
 
     gram = np.empty((k * L, k * L))
     for i in range(k):
         for j in range(i, k):
-            block = _gram_block(arrays[i], arrays[j], L, nfft)
+            block = _gram_block(arrays[i], arrays[j], ref_ffts[i], ref_ffts[j], L, nfft)
             gram[i * L:(i + 1) * L, j * L:(j + 1) * L] = block
             if i != j:
                 gram[j * L:(j + 1) * L, i * L:(i + 1) * L] = block.T
-    # enforce exact symmetry against FFT round-off
-    gram = 0.5 * (gram + gram.T)
 
     regularization = 0.0
     events: tuple[str, ...] = ()
@@ -170,8 +169,10 @@ def build_basis(references: Sequence[Waveform], max_delay: int) -> ProjectionBas
     if info > 0:
         first = (info - 1) // L  # block of the first non-positive pivot
         regularization = GRAM_REG_LAMBDA * np.trace(gram) / (k * L)
-        loaded = gram + regularization * np.diag(np.arange(k * L) >= first * L)
-        factor, info = dpotrf(loaded, clean=False)
+        loaded = gram.copy(order="F")  # LAPACK's order: factorized in place
+        tail = np.arange(first * L, k * L)
+        loaded[tail, tail] += regularization
+        factor, info = dpotrf(loaded, clean=False, overwrite_a=True)
         if info > 0:
             raise SingularProjectionError(
                 f"Gram matrix ({k * L}x{k * L}) is singular even after diagonal "
@@ -180,7 +181,6 @@ def build_basis(references: Sequence[Waveform], max_delay: int) -> ProjectionBas
         events = (f"gram-regularized: diagonal loading {regularization:g} "
                   f"from reference {first} on (L={L}, refs={k})",)
 
-    ref_ffts = tuple(rfft(a, nfft) for a in arrays)
     return ProjectionBasis(
         references=refs,
         max_delay=L,

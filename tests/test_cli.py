@@ -344,6 +344,17 @@ class TestDsaCommand:
         manifest = json.loads((out / "run_manifest.json").read_text())
         assert manifest["parameters"]["grid"] == [0.25 * i for i in range(7)]
 
+    def test_grid_without_unit_point_skips_plots(self, tmp_path, enhanced_corpus,
+                                                 capsys):
+        out = tmp_path / "dsa_no_unit"
+        assert main(["dsa", "--corpus", str(enhanced_corpus / "corpus.jsonl"),
+                     "--grid", "0:0.9:0.3", "-L", "8", "--out", str(out)]) == 0
+        assert not list(out.glob("*.svg"))
+        skipped = [line for line in capsys.readouterr().err.splitlines()
+                   if "skipped" in line]
+        assert len(skipped) == 1
+        assert "omega_artif=1.0" in skipped[0] and ".svg" in skipped[0]
+
     def test_unit_point_matches_oa_baseline(self, tmp_path, enhanced_corpus):
         dsa_out = tmp_path / "dsa_unit"
         oa_out = tmp_path / "oa_unit"
@@ -358,6 +369,36 @@ class TestDsaCommand:
         base = next(r for r in oa_rows if r["utterance_id"] == "utt1")
         assert float(unit["sar_db"]) == pytest.approx(float(base["sar_db"]), abs=1e-9)
         assert float(unit["sdr_db"]) == pytest.approx(float(base["sdr_db"]), abs=1e-9)
+
+
+class TestSweepArguments:
+    def test_bad_grid_creates_no_out(self, tmp_path, enhanced_corpus, capsys):
+        out = tmp_path / "X"
+        assert main(["oa", "--corpus", str(enhanced_corpus / "corpus.jsonl"),
+                     "--grid", "0:x:1", "--out", str(out)]) == 1
+        assert "bad grid" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_zero_max_delay_fails_before_reading_audio(self, tmp_path, enhanced_corpus,
+                                                       monkeypatch, capsys):
+        import opdkit.reporting as reporting_module
+        reads = []
+        monkeypatch.setattr(reporting_module, "read_wav",
+                            lambda path: reads.append(path) or read_wav(path))
+        out = tmp_path / "X"
+        assert main(["oa", "--corpus", str(enhanced_corpus / "corpus.jsonl"),
+                     "-L", "0", "--out", str(out)]) == 1
+        assert capsys.readouterr().err.count("max_delay") == 1
+        assert reads == []
+        assert not out.exists()
+
+    def test_max_delay_beyond_length_fails_each_utterance(self, tmp_path,
+                                                          enhanced_corpus, capsys):
+        assert main(["oa", "--corpus", str(enhanced_corpus / "corpus.jsonl"),
+                     "-L", "1601", "--out", str(tmp_path / "X")]) == 1
+        err = capsys.readouterr().err
+        assert "every utterance failed" in err
+        assert err.count("1 <= L <= T=1600, got 1601") == 2
 
 
 def test_numerical_failure_exit_code(tmp_path, mixed_corpus, monkeypatch, capsys):

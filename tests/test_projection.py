@@ -5,7 +5,7 @@ from numpy.testing import assert_allclose
 from conftest import RATE, lowpass_noise
 from opdkit import (DELAY_PADDING, SingularProjectionError, Waveform, build_basis,
                     inner, project, project_dense_oracle)
-from opdkit.projection import delayed_matrix
+from opdkit.projection import _truncation_loss, delayed_matrix
 from opdkit.reporting import RunManifest
 
 import opdkit.projection as projection_module
@@ -43,6 +43,36 @@ class TestGram:
                        delayed_matrix(n.samples, max_delay)])
         dense = A.T @ A
         assert np.max(np.abs(basis.gram - dense)) <= 1e-8 * np.max(np.abs(dense))
+
+    @pytest.mark.parametrize("length,max_delay", [(48, 48), (300, 1), (300, 64),
+                                                  (64, 64)])
+    def test_edge_delays_dense_and_exactly_symmetric(self, length, max_delay):
+        rng = np.random.default_rng(length + max_delay)
+        s = Waveform(lowpass_noise(rng, length), RATE)
+        n = Waveform(lowpass_noise(rng, length), RATE)
+        for refs in ([s], [s, n]):
+            basis = build_basis(refs, max_delay)
+            assert np.array_equal(basis.gram, basis.gram.T)
+            A = np.hstack([delayed_matrix(r.samples, max_delay) for r in refs])
+            dense = A.T @ A
+            assert np.max(np.abs(basis.gram - dense)) <= 1e-8 * np.max(np.abs(dense))
+
+    @pytest.mark.parametrize("max_delay", [1, 2, 17, 40])
+    def test_truncation_loss_matches_dropped_products(self, max_delay):
+        # a large DC offset makes the dropped products large and one-signed
+        rng = np.random.default_rng(max_delay)
+        T = 40
+        a = 1e3 + rng.standard_normal(T)
+        b = -2e3 + rng.standard_normal(T)
+        expected = np.zeros((max_delay, max_delay))
+        for t in range(max_delay):
+            for u in range(max_delay):
+                # untruncated, a delayed by t and b delayed by u overlap up
+                # to sample T - 1 + min(t, u); truncation drops w >= T
+                for w in range(T, T + min(t, u)):
+                    expected[t, u] += a[w - t] * b[w - u]
+        loss = _truncation_loss(a, b, max_delay)
+        assert np.max(np.abs(loss - expected)) <= 1e-13 * np.max(np.abs(expected))
 
     def test_convention_recorded(self):
         basis = build_basis([Waveform(np.ones(16), RATE)], 4)
