@@ -150,8 +150,13 @@ def _metric_series(rows, summary, x_field: str, metric: str) -> list[Series]:
     return series
 
 
+def _check_max_delay(max_delay: int) -> None:
+    if max_delay < 1:  # L <= T needs the audio and is checked by build_basis
+        raise ValueError(f"max_delay must satisfy L >= 1, got {max_delay}")
+
+
 def cmd_decompose(args) -> int:
-    os.makedirs(args.out, exist_ok=True)
+    _check_max_delay(args.max_delay)
     utterance_id = args.id or os.path.splitext(os.path.basename(args.speech))[0]
     triplet = UtteranceTriplet(utterance_id=utterance_id, speech_path=args.speech,
                                noise_path=args.noise, enhanced_path=args.enhanced)
@@ -159,6 +164,7 @@ def cmd_decompose(args) -> int:
     dec = Decomposer(s, n, args.max_delay)
     d = dec.decompose(s_hat)
     report = compute_metrics(d)
+    os.makedirs(args.out, exist_ok=True)
     export_components(d, args.out, utterance_id)
     with open(os.path.join(args.out, f"{utterance_id}.metrics.json"), "w",
               encoding="utf-8") as fh:
@@ -181,8 +187,7 @@ def cmd_decompose(args) -> int:
 def _cmd_sweep(args) -> int:
     name = args.command
     grid = parse_grid(args.grid)
-    if args.max_delay < 1:  # L <= T needs the audio and is checked per utterance
-        raise ValueError(f"max_delay must satisfy L >= 1, got {args.max_delay}")
+    _check_max_delay(args.max_delay)
     triplets = load_corpus_manifest(args.corpus)
     method_cfg = _method_config(args)
     os.makedirs(args.out, exist_ok=True)

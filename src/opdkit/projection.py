@@ -12,16 +12,18 @@ Correlations are computed with FFTs of length >= T + L - 1.  Because the
 delayed copies are truncated at T rather than extended, the Gram matrix
 differs from the plain Toeplitz correlation matrix by products of the
 reference tails that fall off the end; that correction is exact, an O(L^2)
-prefix sum along each diagonal subtracted once (see ``_gram_block``).
+prefix sum along each diagonal subtracted once (see ``_gram_block``).  The
+Gram is written in LAPACK's (Fortran) order and factorized in place, so a
+basis holds one (kL)^2 array and no solve copies it.
 """
 
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.fft import next_fast_len, rfft, irfft
-from scipy.linalg import cho_solve, toeplitz
-from scipy.linalg.lapack import dpotrf
+from scipy.linalg.lapack import dpotrf, dtrtrs
 
 from .signals import Waveform, energy
 
@@ -57,17 +59,18 @@ class SingularProjectionError(RuntimeError):
 class ProjectionBasis:
     """Factorized representation of a delayed-reference subspace.
 
-    ``gram[i*L + t, j*L + u]`` is the inner product of reference ``i``
-    delayed by ``t`` with reference ``j`` delayed by ``u``.  The upper
-    Cholesky factor kept alongside may include diagonal loading; the amount
-    actually added is recorded in ``regularization`` (0.0 when none was
-    needed).  Its leading ``r*L`` block factorizes the Gram of the first
-    ``r`` references, so one basis serves each nested subspace.
+    The basis holds one (kL)^2 array, ``_factor``: the Gram matrix in
+    Fortran order, factorized in place by LAPACK.  Its upper triangle is
+    the Cholesky factor ``U`` (``Uᵀ U`` = Gram) and its strict lower
+    triangle still holds the Gram.  The factor may include diagonal
+    loading; the amount actually added is recorded in ``regularization``
+    (0.0 when none was needed).  Its leading ``r*L`` block factorizes the
+    Gram of the first ``r`` references, so one basis serves each nested
+    subspace.
     """
 
     references: tuple[Waveform, ...]
     max_delay: int
-    gram: np.ndarray
     sample_rate: int
     regularization: float
     regularization_events: tuple[str, ...]
@@ -79,6 +82,21 @@ class ProjectionBasis:
     def length(self) -> int:
         return len(self.references[0])
 
+    @property
+    def gram(self) -> np.ndarray:
+        """Unloaded Gram matrix: ``gram[i*L + t, j*L + u]`` is the inner
+        product of reference ``i`` delayed by ``t`` with reference ``j``
+        delayed by ``u``.
+
+        Not stored: each access rebuilds it from the reference spectra, in
+        O(k^2 (nfft log nfft + L^2)) time and a new (kL)^2 * 8-byte array.
+        Meant for checks, not for the solve path.
+        """
+        gram = _empty_gram(len(self.references) * self.max_delay)
+        _fill_gram(gram, [r.samples for r in self.references], self._ref_ffts,
+                   self.max_delay, self._nfft)
+        return gram
+
 
 def delayed_matrix(x: np.ndarray, max_delay: int) -> np.ndarray:
     """T-by-L matrix whose columns are ``x`` delayed by 0 .. L-1 samples."""
@@ -89,19 +107,25 @@ def delayed_matrix(x: np.ndarray, max_delay: int) -> np.ndarray:
     return A
 
 
-def _truncation_loss(a: np.ndarray, b: np.ndarray, L: int) -> np.ndarray:
-    """Products that truncation at T drops from Gram entry (t, u), summed by
-    diagonal: ``sum_{m=1}^{min(t,u)} ra[t-m] * rb[u-m]``, ``ra, rb = a[::-1][:L], b[::-1][:L]``."""
+def _subtract_truncation_loss(block: np.ndarray, a: np.ndarray, b: np.ndarray,
+                              L: int) -> None:
+    """Subtract from ``block[t, u]`` the products that truncation at T drops
+    from Gram entry (t, u), summed by diagonal:
+    ``sum_{m=1}^{min(t,u)} ra[t-m] * rb[u-m]``, ``ra, rb = a[::-1][:L], b[::-1][:L]``.
+
+    Row t of the loss follows from row t-1 shifted by one column; one
+    running length-L row is kept."""
     ra, rb = a[::-1][:L], b[::-1][:L]
-    loss = np.zeros((L, L))
+    loss = np.zeros(L)
     for t in range(1, L):
-        np.add(loss[t - 1, :-1], ra[t - 1] * rb[:-1], out=loss[t, 1:])
-    return loss
+        loss[1:] = loss[:-1] + ra[t - 1] * rb[:-1]
+        block[t] -= loss
 
 
-def _gram_block(a: np.ndarray, b: np.ndarray, fa: np.ndarray, fb: np.ndarray,
-                L: int, nfft: int) -> np.ndarray:
-    """L-by-L block of inner products between delayed copies of a and b (spectra fa, fb).
+def _gram_block(out: np.ndarray, a: np.ndarray, b: np.ndarray, fa: np.ndarray,
+                fb: np.ndarray, L: int, nfft: int) -> None:
+    """Write the L-by-L block of inner products between delayed copies of a
+    and b (spectra fa, fb) into ``out``.
 
     Toeplitz matrix of the full correlations, minus the min(t, u) tail products
     that truncation at T drops from entry (t, u): those are summed among
@@ -111,9 +135,36 @@ def _gram_block(a: np.ndarray, b: np.ndarray, fa: np.ndarray, fb: np.ndarray,
     neg = np.concatenate((pos[:1], full[:-L:-1]))  # lag -d
     if b is a:  # auto block: the mean of both FFT estimates of a lag is symmetric
         pos = neg = 0.5 * (pos + neg)
-    ext = toeplitz(neg, pos)
-    ext -= _truncation_loss(a, b, L)
-    return ext
+    # row t is lags -t .. L-1-t: neg[t], ..., neg[1], pos[0], ..., pos[L-1-t]
+    out[...] = sliding_window_view(np.concatenate((neg[::-1], pos[1:])), L)[::-1]
+    _subtract_truncation_loss(out, a, b, L)
+
+
+def _empty_gram(dim: int) -> np.ndarray:
+    """Uninitialized dim-by-dim Fortran-ordered array for a Gram matrix."""
+    try:
+        return np.empty((dim, dim), order="F")
+    except MemoryError:
+        raise ValueError(f"cannot allocate the Gram matrix: kL={dim} needs "
+                         f"(kL)^2*8 = {dim * dim * 8} bytes") from None
+
+
+def _fill_gram(gram: np.ndarray, arrays: Sequence[np.ndarray], ref_ffts: Sequence,
+               L: int, nfft: int) -> None:
+    """Write the unloaded Gram of the delayed copies of ``arrays`` into the
+    Fortran-ordered ``gram``.
+
+    Blocks are written through the C-ordered view ``gram.T``, so that every
+    row write is contiguous.  Gram block (i, j) written into block (i, j) of
+    the view puts its transpose, Gram block (j, i), into ``gram``; the auto
+    blocks are exactly symmetric, so ``gram`` holds the Gram itself."""
+    view = gram.T
+    for i in range(len(arrays)):
+        for j in range(i, len(arrays)):
+            block = view[i * L:(i + 1) * L, j * L:(j + 1) * L]
+            _gram_block(block, arrays[i], arrays[j], ref_ffts[i], ref_ffts[j], L, nfft)
+            if i != j:
+                view[j * L:(j + 1) * L, i * L:(i + 1) * L] = block.T
 
 
 def _validate_references(references: Sequence[Waveform], max_delay: int) -> None:
@@ -145,7 +196,8 @@ def build_basis(references: Sequence[Waveform], max_delay: int) -> ProjectionBas
     reference block where it broke and the blocks after it (earlier blocks
     keep an unloaded factor) and the event is recorded; if it still fails,
     ``SingularProjectionError`` is raised rather than silently absorbing the
-    problem.
+    problem.  A Gram matrix that cannot be allocated raises ``ValueError``
+    naming its size.
     """
     _validate_references(references, max_delay)
     refs = tuple(references)
@@ -155,24 +207,20 @@ def build_basis(references: Sequence[Waveform], max_delay: int) -> ProjectionBas
     arrays = [r.samples for r in refs]
     ref_ffts = tuple(rfft(a, nfft) for a in arrays)
 
-    gram = np.empty((k * L, k * L))
-    for i in range(k):
-        for j in range(i, k):
-            block = _gram_block(arrays[i], arrays[j], ref_ffts[i], ref_ffts[j], L, nfft)
-            gram[i * L:(i + 1) * L, j * L:(j + 1) * L] = block
-            if i != j:
-                gram[j * L:(j + 1) * L, i * L:(i + 1) * L] = block.T
+    gram = _empty_gram(k * L)
+    _fill_gram(gram, arrays, ref_ffts, L, nfft)
 
     regularization = 0.0
     events: tuple[str, ...] = ()
-    factor, info = dpotrf(gram, clean=False)
+    trace = np.trace(gram)
+    factor, info = dpotrf(gram, clean=False, overwrite_a=True)
     if info > 0:
         first = (info - 1) // L  # block of the first non-positive pivot
-        regularization = GRAM_REG_LAMBDA * np.trace(gram) / (k * L)
-        loaded = gram.copy(order="F")  # LAPACK's order: factorized in place
+        regularization = GRAM_REG_LAMBDA * trace / (k * L)
+        _fill_gram(gram, arrays, ref_ffts, L, nfft)  # the failed factor overwrote it
         tail = np.arange(first * L, k * L)
-        loaded[tail, tail] += regularization
-        factor, info = dpotrf(loaded, clean=False, overwrite_a=True)
+        gram[tail, tail] += regularization
+        factor, info = dpotrf(gram, clean=False, overwrite_a=True)
         if info > 0:
             raise SingularProjectionError(
                 f"Gram matrix ({k * L}x{k * L}) is singular even after diagonal "
@@ -184,7 +232,6 @@ def build_basis(references: Sequence[Waveform], max_delay: int) -> ProjectionBas
     return ProjectionBasis(
         references=refs,
         max_delay=L,
-        gram=gram,
         sample_rate=refs[0].sample_rate,
         regularization=regularization,
         regularization_events=events,
@@ -200,7 +247,11 @@ def project(basis: ProjectionBasis, x: Waveform, refs: int | None = None) -> Wav
 
     Solves the Gram system, or its leading block for a nested subspace, for
     the coefficients of the delayed copies and synthesizes their combination
-    by FFT convolution.  The residual ``x - project(basis, x)`` is
+    by FFT convolution.  Both triangular solves run on the whole in-place
+    factor, so no block of it is copied: for ``m = refs * L`` the forward
+    solve of ``Uᵀ z = [b₁; 0]`` gives ``z₁ = U₁₁⁻ᵀ b₁`` (``Uᵀ`` is lower
+    triangular), and the back solve of ``U c = [z₁; 0]`` gives
+    ``c = [U₁₁⁻¹ z₁; 0]``.  The residual ``x - project(basis, x)`` is
     orthogonal to every delayed copy up to round-off.
     """
     T = basis.length
@@ -215,14 +266,15 @@ def project(basis: ProjectionBasis, x: Waveform, refs: int | None = None) -> Wav
 
     L, nfft, m = basis.max_delay, basis._nfft, refs * basis.max_delay
     fx = rfft(x.samples, nfft)
-    rhs = np.empty(m)
+    rhs = np.zeros(k * L)
     for i, ref_fft in enumerate(basis._ref_ffts[:refs]):
         # <ref delayed by tau, x> needs no truncation correction: x itself
         # is not delayed, so no products fall outside [0, T).
         rhs[i * L:(i + 1) * L] = irfft(fx * np.conj(ref_fft), nfft)[:L]
 
-    # the factor is finite by construction: skip rescanning it per call
-    coeffs = cho_solve((basis._factor[:m, :m], False), rhs, check_finite=False)
+    z, _ = dtrtrs(basis._factor, rhs, trans=1, overwrite_b=True)
+    z[m:] = 0.0
+    coeffs, _ = dtrtrs(basis._factor, z, overwrite_b=True)
     out = np.zeros(T)
     for i, ref_fft in enumerate(basis._ref_ffts[:refs]):
         out += irfft(ref_fft * rfft(coeffs[i * L:(i + 1) * L], nfft), nfft)[:T]

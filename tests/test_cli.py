@@ -237,6 +237,23 @@ class TestDecomposeCommand:
         assert rc == 1
         assert "length" in capsys.readouterr().err
 
+    def test_zero_max_delay_creates_no_out(self, tmp_path, enhanced_corpus,
+                                           mixed_corpus, monkeypatch, capsys):
+        import opdkit.reporting as reporting_module
+        reads = []
+        monkeypatch.setattr(reporting_module, "read_wav",
+                            lambda path: reads.append(path) or read_wav(path))
+        out = tmp_path / "X"
+        assert main(["decompose",
+                     "--speech", str(mixed_corpus / "utt0.speech.wav"),
+                     "--noise", str(mixed_corpus / "utt0.noise.wav"),
+                     "--enhanced", str(enhanced_corpus / "utt0.enhanced.wav"),
+                     "-L", "0", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "max_delay" in err
+        assert reads == []
+        assert not out.exists()
+
 
 class TestOaCommand:
     def test_sweep_outputs(self, tmp_path, enhanced_corpus):
@@ -371,6 +388,62 @@ class TestDsaCommand:
         assert float(unit["sdr_db"]) == pytest.approx(float(base["sdr_db"]), abs=1e-9)
 
 
+# Address-space cap set by the child process on itself: room for the
+# interpreter, numpy and scipy, far below a 12.8 GB Gram.
+_LIMITED_PRELUDE = ("import resource, sys; "
+                    "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30)); ")
+
+
+def _child_env():
+    """The environment with this opdkit's source tree first on PYTHONPATH."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(opdkit.__file__)))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+
+
+def _run_limited(code, *args):
+    return subprocess.run([sys.executable, "-c", _LIMITED_PRELUDE + code, *args],
+                          env=_child_env(), capture_output=True, text=True, timeout=120)
+
+
+class TestGramAllocation:
+    """L=20000 over a 2 s pair needs a (2L)^2 * 8 = 12.8 GB Gram."""
+
+    @pytest.fixture
+    def two_second_pair(self, tmp_path):
+        rng = np.random.default_rng(3)
+        paths = []
+        for name in ("speech", "noise", "enhanced"):
+            path = tmp_path / f"{name}.wav"
+            write_wav(path, Waveform(0.05 * lowpass_noise(rng, 2 * RATE), RATE))
+            paths.append(str(path))
+        return paths
+
+    def test_decompose_exits_cleanly(self, tmp_path, two_second_pair):
+        speech, noise, enhanced = two_second_pair
+        out = tmp_path / "X"
+        result = _run_limited("from opdkit.cli import main; sys.exit(main(sys.argv[1:]))",
+                              "decompose", "--speech", speech, "--noise", noise,
+                              "--enhanced", enhanced, "-L", "20000", "--out", str(out))
+        assert result.returncode == 1
+        assert result.stderr == ("error: cannot allocate the Gram matrix: kL=40000 "
+                                 "needs (kL)^2*8 = 12800000000 bytes\n")
+        assert not out.exists()
+
+    def test_sweep_fails_only_that_utterance(self, two_second_pair):
+        code = ("import json; from opdkit.cli import _sweep_task; "
+                "from opdkit.reporting import UtteranceTriplet; "
+                "t = UtteranceTriplet('utt', *sys.argv[1:4]); "
+                "results = [_sweep_task(('oa', t, L, [0.0], None)) for L in (20000, 64)]; "
+                "print(json.dumps([[r['error'], len(r['rows'])] for r in results]))")
+        result = _run_limited(code, *two_second_pair)
+        assert result.returncode == 0, result.stderr
+        (error, rows), (later_error, later_rows) = json.loads(result.stdout)
+        assert error.startswith("ValueError: cannot allocate the Gram matrix: kL=40000")
+        assert rows == 0
+        assert later_error is None and later_rows == 1
+
+
 class TestSweepArguments:
     def test_bad_grid_creates_no_out(self, tmp_path, enhanced_corpus, capsys):
         out = tmp_path / "X"
@@ -433,10 +506,7 @@ def test_no_command_prints_help(capsys):
 
 def test_cli_import_leaves_out_scipy_signal():
     # scipy.signal is slow to import and only the self-test uses it
-    src = os.path.dirname(os.path.dirname(os.path.abspath(opdkit.__file__)))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
     code = "import sys, opdkit.cli; print('scipy.signal' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+    out = subprocess.run([sys.executable, "-c", code], env=_child_env(), check=True,
                          capture_output=True, text=True, timeout=60)
     assert out.stdout.strip() == "False"

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -5,8 +7,9 @@ from numpy.testing import assert_allclose
 from conftest import RATE, lowpass_noise
 from opdkit import (DELAY_PADDING, SingularProjectionError, Waveform, build_basis,
                     inner, project, project_dense_oracle)
-from opdkit.projection import _truncation_loss, delayed_matrix
+from opdkit.projection import _subtract_truncation_loss, delayed_matrix
 from opdkit.reporting import RunManifest
+from opdkit.selftest import make_case
 
 import opdkit.projection as projection_module
 
@@ -71,8 +74,22 @@ class TestGram:
                 # to sample T - 1 + min(t, u); truncation drops w >= T
                 for w in range(T, T + min(t, u)):
                     expected[t, u] += a[w - t] * b[w - u]
-        loss = _truncation_loss(a, b, max_delay)
+        block = np.zeros((max_delay, max_delay))
+        _subtract_truncation_loss(block, a, b, max_delay)
+        loss = -block
         assert np.max(np.abs(loss - expected)) <= 1e-13 * np.max(np.abs(expected))
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_factor_is_the_factorized_gram(self, seed):
+        # ties the Gram that the tests and the self-test check to the one
+        # that was factorized in place
+        case = make_case(seed)
+        basis = build_basis([case.s, case.n], case.max_delay)
+        assert basis.regularization == 0.0
+        gram, factor = basis.gram, basis._factor
+        upper = np.triu(factor)
+        assert np.max(np.abs(upper.T @ upper - gram)) <= 1e-12 * np.max(np.abs(gram))
+        assert np.array_equal(np.tril(factor, -1), np.tril(gram, -1))
 
     def test_convention_recorded(self):
         basis = build_basis([Waveform(np.ones(16), RATE)], 4)
@@ -243,3 +260,50 @@ class TestRegularization:
         monkeypatch.setattr(projection_module, "dpotrf", always_fail)
         with pytest.raises(SingularProjectionError, match="singular"):
             build_basis([s], 1)
+
+
+class TestMemory:
+    """tracemalloc peaks on a k=2 basis at T=20000, L=1024, whose Gram is
+    (2L)^2 * 8 = 33.5 MB and whose L-by-L blocks are 8.4 MB each."""
+
+    T, L = 20000, 1024
+
+    @pytest.fixture(scope="class")
+    def signals(self):
+        rng = np.random.default_rng(0)
+        return [Waveform(lowpass_noise(rng, self.T), RATE) for _ in range(3)]
+
+    @staticmethod
+    def traced_peak(fn):
+        """(result of fn(), bytes allocated at the peak of the call)."""
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            result = fn()
+            return result, tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+
+    def basis_bound(self):
+        # the one Gram array, with 10% slack, plus O(T) for spectra and lags
+        return 1.1 * (2 * self.L) ** 2 * 8 + 64 * self.T
+
+    def test_build_holds_one_gram(self, signals):
+        s, n, _ = signals
+        basis, peak = self.traced_peak(lambda: build_basis([s, n], self.L))
+        assert basis.regularization == 0.0
+        assert peak <= self.basis_bound()
+
+    def test_regularized_build_holds_one_gram(self, signals):
+        s, _, _ = signals
+        basis, peak = self.traced_peak(lambda: build_basis([s, s], self.L))
+        assert peak <= self.basis_bound()
+        assert basis.regularization_events == (
+            "gram-regularized: diagonal loading 1.0532e-05 from reference 1 on "
+            "(L=1024, refs=2)",)
+
+    def test_nested_projection_copies_no_factor_block(self, signals):
+        s, n, x = signals
+        basis = build_basis([s, n], self.L)
+        _, peak = self.traced_peak(lambda: project(basis, x, refs=1))
+        assert peak < self.L ** 2 * 8
