@@ -64,9 +64,11 @@ def parse_grid(text: str) -> list[float]:
     if count > MAX_GRID_VALUES:
         raise ValueError(f"bad grid {text!r}: {count} values, at most "
                          f"{MAX_GRID_VALUES} allowed")
-    if ":" not in text:
-        return values
-    return [round(start + i * step, 10) for i in range(count)]
+    if ":" in text:
+        values = [round(start + i * step, 10) for i in range(count)]
+    if len(set(values)) != len(values):
+        raise ValueError(f"bad grid {text!r}: values must be distinct")
+    return values
 
 
 def _method_config(args) -> dict | None:
@@ -95,16 +97,15 @@ def _prepare_utterance(triplet: UtteranceTriplet, method_cfg: dict | None):
 
 
 def _sweep_task(payload) -> dict:
-    command, triplet, max_delay, grid, method_cfg = payload
+    command, triplet, max_delay, points, method_cfg = payload
     try:
         s, n, y, s_hat = _prepare_utterance(triplet, method_cfg)
         dec = Decomposer(s, n, max_delay)
         if command == "oa":
-            rows = oa_sweep(dec, s_hat, y, grid=[OaPoint(v) for v in grid],
+            rows = oa_sweep(dec, s_hat, y, grid=points,
                             utterance_id=triplet.utterance_id)
         else:
-            rows = dsa_sweep(dec.decompose(s_hat),
-                             grid=[DsaPoint(wn, wa) for wn in grid for wa in grid],
+            rows = dsa_sweep(dec.decompose(s_hat), grid=points,
                              utterance_id=triplet.utterance_id)
         return {"utterance_id": triplet.utterance_id, "rows": rows,
                 "events": list(dec.basis.regularization_events), "error": None}
@@ -116,7 +117,8 @@ def _sweep_task(payload) -> dict:
 def _run_corpus(task, payloads, workers: int) -> list[dict]:
     if workers <= 1:
         return [task(p) for p in payloads]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    # a fork pool starts all its workers at once, so start no idle ones
+    with ProcessPoolExecutor(max_workers=min(workers, len(payloads))) as pool:
         return list(pool.map(task, payloads, chunksize=1))
 
 
@@ -187,11 +189,13 @@ def cmd_decompose(args) -> int:
 def _cmd_sweep(args) -> int:
     name = args.command
     grid = parse_grid(args.grid)
+    points = ([OaPoint(v) for v in grid] if name == "oa"
+              else [DsaPoint(wn, wa) for wn in grid for wa in grid])
     _check_max_delay(args.max_delay)
     triplets = load_corpus_manifest(args.corpus)
     method_cfg = _method_config(args)
     os.makedirs(args.out, exist_ok=True)
-    payloads = [(name, t, args.max_delay, grid, method_cfg) for t in triplets]
+    payloads = [(name, t, args.max_delay, points, method_cfg) for t in triplets]
     rows, events, errors = _collect(_run_corpus(_sweep_task, payloads, args.workers))
     summary = summarize_rows(rows)
 

@@ -78,19 +78,19 @@ class Decomposition:
 class Decomposer:
     """One factorized projection basis for a (speech, noise) reference pair.
 
-    The basis spans delayed copies of ``[s, n]``; ``P_s`` solves with the
-    leading speech block of its factor.  Building it dominates the cost of
-    a decomposition, so all signals decomposed against one reference pair
-    (an OA sweep's ``s_hat`` and ``y``) should share one Decomposer.  Any
-    diagonal loading is recorded in ``basis.regularization_events``.
+    The basis spans delayed copies of ``[s, n]``; one ``project`` call gives
+    both ``P_s s_hat`` (the leading speech block of its factor) and ``P_sn
+    s_hat``.  Building the basis dominates the cost of a decomposition, so
+    all signals decomposed against one reference pair (an OA sweep's
+    ``s_hat`` and ``y``) should share one Decomposer.  Any diagonal loading
+    is recorded in ``basis.regularization_events``.
     """
 
     def __init__(self, s: Waveform, n: Waveform, max_delay: int = DEFAULT_MAX_DELAY):
         self.basis: ProjectionBasis = build_basis([s, n], max_delay)
 
     def decompose(self, s_hat: Waveform) -> Decomposition:
-        p_s = project(self.basis, s_hat, refs=1)
-        p_sn = project(self.basis, s_hat)
+        p_s, p_sn = project(self.basis, s_hat)
         e_noise = Waveform(p_sn.samples - p_s.samples, s_hat.sample_rate)
         e_artif = Waveform(s_hat.samples - p_sn.samples, s_hat.sample_rate)
         return Decomposition(p_s, e_noise, e_artif)

@@ -4,8 +4,8 @@ A reference delayed by ``tau`` is zero-padded at the head and truncated to
 the original length ``T``, so every delayed copy lives in the same R^T as
 the signals being projected and orthogonality statements are exact.  The
 projector onto the span of delays ``0 .. L-1`` of one or two references is
-never materialized as a T-by-T matrix: a Gram system over the delayed
-copies is solved for combination coefficients and the projection is
+never materialized as a T-by-T matrix: one Gram solve over the delayed
+copies gives the coefficients of every nested subspace's projection, each
 synthesized as FIR filtering of the references.
 
 Correlations are computed with FFTs of length >= T + L - 1.  Because the
@@ -77,10 +77,6 @@ class ProjectionBasis:
     _factor: np.ndarray = field(repr=False, default=None)
     _ref_ffts: tuple = field(repr=False, default=None)
     _nfft: int = field(repr=False, default=0)
-
-    @property
-    def length(self) -> int:
-        return len(self.references[0])
 
     @property
     def gram(self) -> np.ndarray:
@@ -241,44 +237,42 @@ def build_basis(references: Sequence[Waveform], max_delay: int) -> ProjectionBas
     )
 
 
-def project(basis: ProjectionBasis, x: Waveform, refs: int | None = None) -> Waveform:
-    """Orthogonal projection of ``x`` onto the span of the basis' first
-    ``refs`` references (default: all).
+def project(basis: ProjectionBasis, x: Waveform) -> tuple[Waveform, ...]:
+    """Orthogonal projections ``(P_1 x, ..., P_k x)`` of ``x``, ``P_r`` onto
+    the delayed copies of the basis' first ``r`` references: ``(P_s x, P_sn x)``
+    for an ``[s, n]`` basis.
 
-    Solves the Gram system, or its leading block for a nested subspace, for
-    the coefficients of the delayed copies and synthesizes their combination
-    by FFT convolution.  Both triangular solves run on the whole in-place
-    factor, so no block of it is copied: for ``m = refs * L`` the forward
-    solve of ``Uᵀ z = [b₁; 0]`` gives ``z₁ = U₁₁⁻ᵀ b₁`` (``Uᵀ`` is lower
-    triangular), and the back solve of ``U c = [z₁; 0]`` gives
-    ``c = [U₁₁⁻¹ z₁; 0]``.  The residual ``x - project(basis, x)`` is
-    orthogonal to every delayed copy up to round-off.
+    One right-hand side ``Aᵀx`` serves every subspace.  ``Uᵀ`` is lower
+    triangular, so the leading ``r*L`` entries of its forward solve ``z`` are
+    the solve for the first ``r`` references alone.  One back solve of ``k``
+    columns, column ``r`` being ``z`` zeroed past ``r*L``, gives each
+    subspace's coefficients ``c``, and its projection is ``Σ_i F_i ·
+    rfft(c_i)`` under one inverse FFT.  No block of the in-place factor is
+    copied.  ``x - project(basis, x)[-1]`` is orthogonal to every delayed copy
+    up to round-off.
     """
-    T = basis.length
+    T = len(basis.references[0])
     if len(x) != T:
         raise ValueError(f"project: length mismatch ({len(x)} vs basis length {T})")
     if x.sample_rate != basis.sample_rate:
         raise ValueError(f"project: sample rate mismatch ({x.sample_rate} vs {basis.sample_rate})")
-    k = len(basis.references)
-    refs = k if refs is None else refs
-    if not 1 <= refs <= k:
-        raise ValueError(f"project: refs must satisfy 1 <= refs <= {k}, got {refs}")
 
-    L, nfft, m = basis.max_delay, basis._nfft, refs * basis.max_delay
+    k, L, nfft = len(basis.references), basis.max_delay, basis._nfft
     fx = rfft(x.samples, nfft)
-    rhs = np.zeros(k * L)
-    for i, ref_fft in enumerate(basis._ref_ffts[:refs]):
-        # <ref delayed by tau, x> needs no truncation correction: x itself
-        # is not delayed, so no products fall outside [0, T).
-        rhs[i * L:(i + 1) * L] = irfft(fx * np.conj(ref_fft), nfft)[:L]
-
+    # <ref delayed by tau, x> needs no truncation correction: x itself is
+    # not delayed, so no products fall outside [0, T).
+    rhs = np.concatenate([irfft(fx * np.conj(f), nfft)[:L] for f in basis._ref_ffts])
     z, _ = dtrtrs(basis._factor, rhs, trans=1, overwrite_b=True)
-    z[m:] = 0.0
-    coeffs, _ = dtrtrs(basis._factor, z, overwrite_b=True)
-    out = np.zeros(T)
-    for i, ref_fft in enumerate(basis._ref_ffts[:refs]):
-        out += irfft(ref_fft * rfft(coeffs[i * L:(i + 1) * L], nfft), nfft)[:T]
-    return Waveform(out, basis.sample_rate)
+    nested = np.zeros((k * L, k), order="F")
+    for r in range(1, k + 1):  # column r - 1: z zeroed past r*L
+        nested[:r * L, r - 1] = z[:r * L]
+    coeffs, _ = dtrtrs(basis._factor, nested, overwrite_b=True)
+    projections = []
+    for r in range(k):
+        spectrum = sum(f * rfft(coeffs[i * L:(i + 1) * L, r], nfft)
+                       for i, f in enumerate(basis._ref_ffts[:r + 1]))
+        projections.append(Waveform(irfft(spectrum, nfft)[:T], basis.sample_rate))
+    return tuple(projections)
 
 
 def project_dense_oracle(references: Sequence[Waveform], max_delay: int,

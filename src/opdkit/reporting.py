@@ -84,16 +84,19 @@ def load_corpus_manifest(path: str | os.PathLike) -> list[UtteranceTriplet]:
             if not line:
                 continue
             record = json.loads(line)
+            if not isinstance(record, dict):
+                raise ValueError(f"{path}:{lineno}: expected a JSON object, got "
+                                 f"{type(record).__name__}")
             try:
-                triplets.append(UtteranceTriplet(
-                    utterance_id=record["utterance_id"],
-                    speech_path=resolve(record["speech_path"]),
-                    noise_path=resolve(record["noise_path"]),
-                    enhanced_path=(resolve(record["enhanced_path"])
-                                   if record.get("enhanced_path") else None),
-                ))
+                fields = [record[k] for k in ("utterance_id", "speech_path", "noise_path")]
             except KeyError as exc:
                 raise ValueError(f"{path}:{lineno}: missing manifest key {exc}") from exc
+            enhanced = record.get("enhanced_path") or None
+            if not all(isinstance(v, str) for v in (*fields, enhanced or "")):
+                raise ValueError(f"{path}:{lineno}: utterance_id and the paths must be strings")
+            utterance_id, speech, noise = fields
+            triplets.append(UtteranceTriplet(utterance_id, resolve(speech), resolve(noise),
+                                             resolve(enhanced) if enhanced else None))
     if not triplets:
         raise ValueError(f"{path}: corpus manifest is empty")
     return triplets

@@ -188,20 +188,19 @@ def _check_case(case: OracleCase, dev: dict) -> None:
 
     # projector identities
     p_sn_wave = Waveform(p_sn, s_hat.sample_rate)
-    twice = project(dec.basis, p_sn_wave)
+    contained, twice = project(dec.basis, p_sn_wave)
     bump("projection_idempotence_rel",
          _rel(twice.samples - p_sn, np.linalg.norm(p_sn)))
     probe = Waveform(_lowpass_noise(np.random.default_rng(case.seed + 10_000), len(s)),
                      s.sample_rate)
-    lhs = inner(project(dec.basis, s_hat), probe)
-    rhs = inner(s_hat, project(dec.basis, probe))
+    lhs = inner(project(dec.basis, s_hat)[-1], probe)
+    rhs = inner(s_hat, project(dec.basis, probe)[-1])
     bump("projection_symmetry_rel",
          abs(lhs - rhs) / (np.linalg.norm(s_hat.samples) * np.linalg.norm(probe.samples)))
-    contained = project(dec.basis, p_sn_wave, refs=1)
     bump("projection_containment_rel",
          _rel(contained.samples - d.s_target.samples,
               max(np.linalg.norm(d.s_target.samples), scale_floor)))
-    y_proj = project(dec.basis, y)
+    y_proj = project(dec.basis, y)[-1]
     bump("mixture_in_span_rel",
          _rel(y_proj.samples - y.samples, np.linalg.norm(y.samples)))
 

@@ -59,6 +59,12 @@ class TestParseGrid:
     def test_largest_grid(self):
         assert parse_grid("0:999:1") == [float(i) for i in range(MAX_GRID_VALUES)]
 
+    @pytest.mark.parametrize("text", ["0.5,0.5", "0,1,-0.0", "0:1e-11:1e-12"])
+    def test_duplicate_values_rejected(self, text):
+        # the last range collapses to 0.0 when its values are rounded
+        with pytest.raises(ValueError, match="bad grid .*distinct"):
+            parse_grid(text)
+
     @pytest.mark.parametrize("text", ["", "0:x:1", "0,,1"])
     def test_unparsable_grid_rejected(self, text):
         with pytest.raises(ValueError, match="bad grid"):
@@ -432,9 +438,11 @@ class TestGramAllocation:
 
     def test_sweep_fails_only_that_utterance(self, two_second_pair):
         code = ("import json; from opdkit.cli import _sweep_task; "
+                "from opdkit.analysis import OaPoint; "
                 "from opdkit.reporting import UtteranceTriplet; "
                 "t = UtteranceTriplet('utt', *sys.argv[1:4]); "
-                "results = [_sweep_task(('oa', t, L, [0.0], None)) for L in (20000, 64)]; "
+                "results = [_sweep_task(('oa', t, L, [OaPoint(0.0)], None)) "
+                "for L in (20000, 64)]; "
                 "print(json.dumps([[r['error'], len(r['rows'])] for r in results]))")
         result = _run_limited(code, *two_second_pair)
         assert result.returncode == 0, result.stderr
@@ -464,6 +472,47 @@ class TestSweepArguments:
         assert capsys.readouterr().err.count("max_delay") == 1
         assert reads == []
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["oa", "dsa"])
+    @pytest.mark.parametrize("grid", ["0.5,0.5", "-0.5,1"])
+    def test_bad_grid_point_fails_once_before_reading_audio(
+            self, tmp_path, enhanced_corpus, monkeypatch, capsys, command, grid):
+        import opdkit.reporting as reporting_module
+        reads = []
+        monkeypatch.setattr(reporting_module, "read_wav",
+                            lambda path: reads.append(path) or read_wav(path))
+        out = tmp_path / "X"
+        assert main([command, "--corpus", str(enhanced_corpus / "corpus.jsonl"),
+                     f"--grid={grid}", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1 and "every utterance failed" not in err
+        assert reads == []
+        assert not out.exists()
+
+    def test_worker_pool_bounded_by_utterances(self, tmp_path, enhanced_corpus,
+                                               monkeypatch):
+        # stands in for ProcessPoolExecutor, so no process is started
+        import opdkit.cli as cli_module
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                return False
+
+            def map(self, fn, payloads, chunksize=1):
+                return map(fn, payloads)
+
+        monkeypatch.setattr(cli_module, "ProcessPoolExecutor", RecordingPool)
+        assert main(["oa", "--corpus", str(enhanced_corpus / "corpus.jsonl"),
+                     "--grid", "0,1", "-L", "8", "--workers", "1000",
+                     "--out", str(tmp_path / "X")]) == 0
+        assert sizes == [2]
 
     def test_max_delay_beyond_length_fails_each_utterance(self, tmp_path,
                                                           enhanced_corpus, capsys):

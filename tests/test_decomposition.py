@@ -79,12 +79,35 @@ def test_loading_only_the_failing_block_keeps_speech_projection(seed):
     case = make_case(seed)
     s, L = case.s, case.max_delay
     dec = Decomposer(s, s, L)
-    expected = project(build_basis([s], L), case.s_hat).samples
+    expected = project(build_basis([s], L), case.s_hat)[-1].samples
     got = dec.decompose(case.s_hat).s_target.samples
     assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected)
     # reference 1 of the basis is the noise
     assert len(dec.basis.regularization_events) == 1
     assert "from reference 1 on" in dec.basis.regularization_events[0]
+
+
+def test_one_projection_call_and_two_triangular_solves(monkeypatch):
+    # P_s and P_sn come from one right-hand side: one forward and one
+    # (two-column) back substitution on the shared factor
+    import opdkit.decomposition as decomposition_module
+    import opdkit.projection as projection_module
+    case = make_case(0)
+    dec = Decomposer(case.s, case.n, case.max_delay)
+    calls = {"project": 0, "dtrtrs": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(decomposition_module, "project",
+                        counted("project", decomposition_module.project))
+    monkeypatch.setattr(projection_module, "dtrtrs",
+                        counted("dtrtrs", projection_module.dtrtrs))
+    dec.decompose(case.s_hat)
+    assert calls == {"project": 1, "dtrtrs": 2}
 
 
 def test_energy_pythagoras(running_example):

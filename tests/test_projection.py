@@ -106,16 +106,16 @@ class TestProject:
         rng = np.random.default_rng(0)
         s = Waveform(lowpass_noise(rng, 200), RATE)
         basis = build_basis([s], 4)
-        assert_allclose(project(basis, s).samples, s.samples, rtol=0, atol=1e-12)
+        assert_allclose(project(basis, s)[-1].samples, s.samples, rtol=0, atol=1e-12)
 
     def test_running_example_single_reference(self, running_example):
         s, _, s_hat, _ = running_example
-        out = project(build_basis([s], 1), s_hat)
+        out = project(build_basis([s], 1), s_hat)[-1]
         assert_allclose(out.samples, [0.9, 0.0, 0.0, 0.0], atol=1e-14)
 
     def test_running_example_joint_reference(self, running_example):
         s, n, s_hat, _ = running_example
-        out = project(build_basis([s, n], 1), s_hat)
+        out = project(build_basis([s, n], 1), s_hat)[-1]
         assert_allclose(out.samples, [0.9, 0.2, 0.0, 0.0], atol=1e-14)
 
     def test_length_and_rate_validated(self, running_example):
@@ -129,11 +129,18 @@ class TestProject:
     def test_nested_refs(self, running_example):
         s, n, s_hat, _ = running_example
         basis = build_basis([s, n], 1)
-        out = project(basis, s_hat, refs=1)
+        out = project(basis, s_hat)[0]
         assert_allclose(out.samples, [0.9, 0.0, 0.0, 0.0], atol=1e-14)
-        for refs in (0, 3):
-            with pytest.raises(ValueError, match="refs"):
-                project(basis, s_hat, refs=refs)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_leading_projection_is_the_speech_projection(self, seed):
+        case = make_case(seed)
+        joint = project(build_basis([case.s, case.n], case.max_delay), case.s_hat)
+        speech = project(build_basis([case.s], case.max_delay), case.s_hat)
+        assert len(joint) == 2 and len(speech) == 1
+        expected = speech[0].samples
+        assert np.linalg.norm(joint[0].samples - expected) \
+            <= 1e-8 * np.linalg.norm(expected)
 
 
 class TestDenseOracle:
@@ -172,25 +179,25 @@ def test_projector_properties(seed):
     joint = build_basis([s, n], max_delay)
     speech = build_basis([s], max_delay)
 
-    px = project(joint, x)
+    px = project(joint, x)[-1]
     scale_x = np.linalg.norm(x.samples)
 
     # idempotence
-    assert np.linalg.norm(project(joint, px).samples - px.samples) <= 1e-8 * scale_x
+    assert np.linalg.norm(project(joint, px)[-1].samples - px.samples) <= 1e-8 * scale_x
     # symmetry
-    lhs, rhs = inner(px, z), inner(x, project(joint, z))
+    lhs, rhs = inner(px, z), inner(x, project(joint, z)[-1])
     assert abs(lhs - rhs) <= 1e-8 * scale_x * np.linalg.norm(z.samples)
     # containment: projecting the joint projection onto the speech span
     # equals projecting directly
-    via_joint = project(speech, px)
-    direct = project(speech, x)
+    via_joint = project(speech, px)[-1]
+    direct = project(speech, x)[-1]
     assert np.linalg.norm(via_joint.samples - direct.samples) <= 1e-8 * scale_x
     # the leading block of the joint factor projects onto the speech span
-    nested = project(joint, x, refs=1)
+    nested = project(joint, x)[0]
     assert np.linalg.norm(nested.samples - direct.samples) <= 1e-8 * scale_x
     # a mixture lies in the joint span
     y = Waveform(s.samples + n.samples, RATE)
-    assert np.linalg.norm(project(joint, y).samples - y.samples) \
+    assert np.linalg.norm(project(joint, y)[-1].samples - y.samples) \
         <= 1e-8 * np.linalg.norm(y.samples)
     # fast path equals the dense oracle
     dense = project_dense_oracle([s, n], max_delay, x)
@@ -243,7 +250,7 @@ class TestRegularization:
         assert "loading" in basis.regularization_events[0]
         # projection still behaves: the span is just {impulse at T-1}
         x = Waveform(np.arange(8.0), RATE)
-        out = project(basis, x)
+        out = project(basis, x)[-1]
         expected = np.zeros(8)
         expected[7] = 7.0
         assert_allclose(out.samples, expected, atol=1e-6)
@@ -305,5 +312,5 @@ class TestMemory:
     def test_nested_projection_copies_no_factor_block(self, signals):
         s, n, x = signals
         basis = build_basis([s, n], self.L)
-        _, peak = self.traced_peak(lambda: project(basis, x, refs=1))
+        _, peak = self.traced_peak(lambda: project(basis, x)[0])
         assert peak < self.L ** 2 * 8

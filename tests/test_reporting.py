@@ -1,9 +1,13 @@
 import csv
 import json
 import math
+import os
+import re
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from opdkit import MetricsReport, SweepRow, Waveform, write_wav
 from opdkit.reporting import (RunManifest, SWEEP_CSV_COLUMNS, UtteranceTriplet,
@@ -11,6 +15,17 @@ from opdkit.reporting import (RunManifest, SWEEP_CSV_COLUMNS, UtteranceTriplet,
                               summarize_rows, write_corpus_manifest,
                               write_run_manifest, write_sweep_csv,
                               write_summary_csv)
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(), inner, max_size=3),
+    max_leaves=8)
+# any JSON value per line, and objects with some or all manifest keys, so
+# that some manifests load
+_MANIFEST_LINES = _JSON_VALUES | st.fixed_dictionaries({}, optional={
+    key: st.text() | _JSON_VALUES
+    for key in ("utterance_id", "speech_path", "noise_path", "enhanced_path")})
 
 
 def _report(sdr=1.0, snr=2.0, sar=3.0):
@@ -43,6 +58,30 @@ class TestCorpusManifest:
         manifest.write_text(json.dumps({"utterance_id": "x"}) + "\n")
         with pytest.raises(ValueError, match="missing manifest key"):
             load_corpus_manifest(manifest)
+
+    @pytest.mark.parametrize("line", ["[1, 2]", '"a.speech.wav"', json.dumps(
+        {"utterance_id": "a", "speech_path": 5, "noise_path": "a.noise.wav"})],
+        ids=["list", "string", "numeric-path"])
+    def test_malformed_record_rejected(self, tmp_path, line):
+        manifest = tmp_path / "corpus.jsonl"
+        manifest.write_text(line + "\n")
+        with pytest.raises(ValueError, match=re.escape(f"{manifest}:1: ")):
+            load_corpus_manifest(manifest)
+
+    @given(st.lists(_MANIFEST_LINES, max_size=4))
+    def test_loads_or_raises_value_error(self, records):
+        with tempfile.TemporaryDirectory() as tmp:
+            manifest = os.path.join(tmp, "corpus.jsonl")
+            with open(manifest, "w", encoding="utf-8") as fh:
+                fh.writelines(json.dumps(r) + "\n" for r in records)
+            try:
+                triplets = load_corpus_manifest(manifest)
+            except ValueError:
+                return
+        for t in triplets:
+            assert all(isinstance(v, str) for v in
+                       (t.utterance_id, t.speech_path, t.noise_path))
+            assert t.enhanced_path is None or isinstance(t.enhanced_path, str)
 
     def test_empty_manifest_rejected(self, tmp_path):
         manifest = tmp_path / "corpus.jsonl"
