@@ -1,14 +1,17 @@
 """Command-line interface.
 
-Subcommands: ``decompose`` (one utterance), ``dsa`` and ``oa`` (parameter
-sweeps over a corpus manifest), ``mix`` (SNR-controlled mixture synthesis),
-``enhance`` (baseline enhancement over a corpus).  ``opdkit --self-test``
-runs the randomized invariant suite.
+Subcommands: ``mix`` (SNR-controlled mixture synthesis), ``enhance``
+(baseline enhancement over a corpus), ``dsa`` and ``oa`` (parameter sweeps
+over a corpus manifest) and ``decompose`` (one utterance).  Only ``enhance``
+runs an enhancer: the sweeps analyse the file each manifest record's
+``enhanced_path`` names, and ``decompose`` the file ``--enhanced`` names.
+``opdkit --self-test`` runs the randomized invariant suite.
 
 Exit codes: 0 success, 1 validation/I-O error, 2 numerical failure.
 """
 
 import argparse
+import dataclasses
 import glob
 import json
 import math
@@ -71,38 +74,16 @@ def parse_grid(text: str) -> list[float]:
     return values
 
 
-def _method_config(args) -> dict | None:
-    if not getattr(args, "method", None):
-        return None
-    return {
-        "method": args.method,
-        "frame_len": args.frame_len,
-        "hop": args.hop,
-        "oversubtraction": args.oversubtraction,
-        "mask_threshold_db": args.mask_threshold_db,
-    }
-
-
-def _prepare_utterance(triplet: UtteranceTriplet, method_cfg: dict | None):
-    """Load one triplet and return (s, n, y, s_hat), enhancing on the fly
-    with the configured stub when the triplet has no enhanced file."""
-    s, n, s_hat = load_triplet(triplet)
-    y = add(s, n)
-    if s_hat is None:
-        if method_cfg is None:
-            raise ValueError(f"{triplet.utterance_id}: no enhanced_path in manifest "
-                             "and no --method given")
-        s_hat = enhance(y, s, n, EnhanceConfig(**method_cfg))
-    return s, n, y, s_hat
-
-
 def _sweep_task(payload) -> dict:
-    command, triplet, max_delay, points, method_cfg = payload
+    command, triplet, max_delay, points = payload
     try:
-        s, n, y, s_hat = _prepare_utterance(triplet, method_cfg)
+        if triplet.enhanced_path is None:
+            raise ValueError(f"{triplet.utterance_id}: no enhanced_path in the manifest; "
+                             "run `opdkit enhance` first")
+        s, n, s_hat = load_triplet(triplet)
         dec = Decomposer(s, n, max_delay)
         if command == "oa":
-            rows = oa_sweep(dec, s_hat, y, grid=points,
+            rows = oa_sweep(dec, s_hat, add(s, n), grid=points,
                             utterance_id=triplet.utterance_id)
         else:
             rows = dsa_sweep(dec.decompose(s_hat), grid=points,
@@ -160,9 +141,8 @@ def _check_max_delay(max_delay: int) -> None:
 def cmd_decompose(args) -> int:
     _check_max_delay(args.max_delay)
     utterance_id = args.id or os.path.splitext(os.path.basename(args.speech))[0]
-    triplet = UtteranceTriplet(utterance_id=utterance_id, speech_path=args.speech,
-                               noise_path=args.noise, enhanced_path=args.enhanced)
-    s, n, _, s_hat = _prepare_utterance(triplet, _method_config(args))
+    s, n, s_hat = load_triplet(UtteranceTriplet(utterance_id, args.speech, args.noise,
+                                                args.enhanced))
     dec = Decomposer(s, n, args.max_delay)
     d = dec.decompose(s_hat)
     report = compute_metrics(d)
@@ -175,8 +155,7 @@ def cmd_decompose(args) -> int:
     write_run_manifest(args.out, RunManifest(
         command="decompose",
         parameters={"speech": args.speech, "noise": args.noise,
-                    "enhanced": args.enhanced, "method": args.method,
-                    "utterance_id": utterance_id},
+                    "enhanced": args.enhanced, "utterance_id": utterance_id},
         max_delay=args.max_delay,
         aggregation="per-utterance",
         regularization_events=list(dec.basis.regularization_events),
@@ -193,9 +172,8 @@ def _cmd_sweep(args) -> int:
               else [DsaPoint(wn, wa) for wn in grid for wa in grid])
     _check_max_delay(args.max_delay)
     triplets = load_corpus_manifest(args.corpus)
-    method_cfg = _method_config(args)
     os.makedirs(args.out, exist_ok=True)
-    payloads = [(name, t, args.max_delay, points, method_cfg) for t in triplets]
+    payloads = [(name, t, args.max_delay, points) for t in triplets]
     rows, events, errors = _collect(_run_corpus(_sweep_task, payloads, args.workers))
     summary = summarize_rows(rows)
 
@@ -227,9 +205,7 @@ def _cmd_sweep(args) -> int:
 
     write_run_manifest(args.out, RunManifest(
         command=name,
-        parameters={"corpus": args.corpus, "grid": grid,
-                    "method": getattr(args, "method", None),
-                    "workers": args.workers},
+        parameters={"corpus": args.corpus, "grid": grid, "workers": args.workers},
         max_delay=args.max_delay,
         aggregation=AGGREGATION_MODE,
         regularization_events=events,
@@ -259,11 +235,11 @@ def _list_wavs(directory: str) -> list[str]:
 
 
 def cmd_mix(args) -> int:
-    os.makedirs(args.out, exist_ok=True)
+    spec = MixtureSpec(target_snr_db=args.snr)
     speech_files = _list_wavs(args.speech_dir)
     noise_files = _list_wavs(args.noise_dir)
+    os.makedirs(args.out, exist_ok=True)
     rng = np.random.default_rng(args.seed)
-    spec = MixtureSpec(target_snr_db=args.snr)
     triplets = []
     for speech_path in speech_files:
         utterance_id = os.path.splitext(os.path.basename(speech_path))[0]
@@ -297,9 +273,11 @@ def cmd_mix(args) -> int:
 
 
 def cmd_enhance(args) -> int:
-    os.makedirs(args.out, exist_ok=True)
+    cfg = EnhanceConfig(method=args.method, frame_len=args.frame_len, hop=args.hop,
+                        oversubtraction=args.oversubtraction,
+                        mask_threshold_db=args.mask_threshold_db)
     triplets = load_corpus_manifest(args.corpus)
-    cfg = EnhanceConfig(**_method_config(args))
+    os.makedirs(args.out, exist_ok=True)
     out_triplets = []
     for triplet in triplets:
         s, n, _ = load_triplet(triplet)
@@ -315,22 +293,12 @@ def cmd_enhance(args) -> int:
     write_corpus_manifest(os.path.join(args.out, "corpus.jsonl"), out_triplets)
     write_run_manifest(args.out, RunManifest(
         command="enhance",
-        parameters={"corpus": args.corpus, **_method_config(args)},
+        parameters={"corpus": args.corpus, **dataclasses.asdict(cfg)},
         max_delay=None,
         aggregation="per-utterance",
     ))
-    print(f"enhance[{args.method}]: {len(out_triplets)} utterances -> {args.out}")
+    print(f"enhance[{cfg.method}]: {len(out_triplets)} utterances -> {args.out}")
     return 0
-
-
-def _add_method_options(parser, required: bool = False) -> None:
-    parser.add_argument("--method", choices=ENHANCE_METHODS, required=required,
-                        default=None,
-                        help="enhancement stub to run when no enhanced file exists")
-    parser.add_argument("--frame-len", type=int, default=512)
-    parser.add_argument("--hop", type=int, default=256)
-    parser.add_argument("--oversubtraction", type=float, default=2.0)
-    parser.add_argument("--mask-threshold-db", type=float, default=0.0)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -349,11 +317,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("decompose", help="decompose one utterance and report metrics")
     p.add_argument("--speech", required=True)
     p.add_argument("--noise", required=True)
-    p.add_argument("--enhanced", default=None)
+    p.add_argument("--enhanced", required=True)
     p.add_argument("--id", default=None)
     p.add_argument("--max-delay", "-L", type=int, default=DEFAULT_MAX_DELAY)
     p.add_argument("--out", required=True)
-    _add_method_options(p)
     p.set_defaults(func=cmd_decompose)
 
     for name, help_text, default_grid in (
@@ -367,7 +334,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--max-delay", "-L", type=int, default=DEFAULT_MAX_DELAY)
         p.add_argument("--workers", type=int, default=1)
         p.add_argument("--out", required=True)
-        _add_method_options(p)
         p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("mix", help="synthesize SNR-controlled mixtures")
@@ -381,7 +347,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("enhance", help="run a baseline enhancer over a corpus")
     p.add_argument("--corpus", required=True)
     p.add_argument("--out", required=True)
-    _add_method_options(p, required=True)
+    p.add_argument("--method", choices=ENHANCE_METHODS, required=True,
+                   help="baseline enhancement stub to run")
+    p.add_argument("--frame-len", type=int, default=512)
+    p.add_argument("--hop", type=int, default=256)
+    p.add_argument("--oversubtraction", type=float, default=2.0)
+    p.add_argument("--mask-threshold-db", type=float, default=0.0)
     p.set_defaults(func=cmd_enhance)
 
     return parser

@@ -108,12 +108,12 @@ def recompose(d: Decomposition) -> Waveform:
                     d.sample_rate)
 
 
-def export_components(d: Decomposition, out_dir: str | os.PathLike, stem: str,
-                      fmt: str = "float32") -> dict[str, str]:
-    """Write the three components as WAV files; returns component -> path."""
+def export_components(d: Decomposition, out_dir: str | os.PathLike,
+                      stem: str) -> dict[str, str]:
+    """Write the three components as float-32 WAV files; returns component -> path."""
     paths = {}
     for name, suffix in COMPONENT_SUFFIXES.items():
         path = os.path.join(out_dir, stem + suffix)
-        write_wav(path, getattr(d, name), fmt=fmt)
+        write_wav(path, getattr(d, name))
         paths[name] = path
     return paths

@@ -2,8 +2,8 @@
 
 The corpus manifest is JSON lines, one utterance triplet per line with keys
 ``utterance_id``, ``speech_path``, ``noise_path``, and optionally
-``enhanced_path``.  Relative paths are resolved against the manifest's own
-directory.  Every command writes a ``run_manifest.json`` describing its
+``enhanced_path``; no ``utterance_id`` may repeat.  Relative paths are
+resolved against the manifest's own directory.  Every command writes a ``run_manifest.json`` describing its
 parameters so outputs can be reproduced bit-identically.
 """
 
@@ -77,13 +77,16 @@ def load_corpus_manifest(path: str | os.PathLike) -> list[UtteranceTriplet]:
     def resolve(p):
         return p if os.path.isabs(p) else os.path.join(base, p)
 
-    triplets = []
+    triplets, first_line = [], {}
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line:
                 continue
-            record = json.loads(line)
+            try:
+                record = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"{path}:{lineno}: not JSON: {exc.msg}") from None
             if not isinstance(record, dict):
                 raise ValueError(f"{path}:{lineno}: expected a JSON object, got "
                                  f"{type(record).__name__}")
@@ -95,6 +98,10 @@ def load_corpus_manifest(path: str | os.PathLike) -> list[UtteranceTriplet]:
             if not all(isinstance(v, str) for v in (*fields, enhanced or "")):
                 raise ValueError(f"{path}:{lineno}: utterance_id and the paths must be strings")
             utterance_id, speech, noise = fields
+            if utterance_id in first_line:
+                raise ValueError(f"{path}:{lineno}: utterance_id {utterance_id!r} "
+                                 f"repeats line {first_line[utterance_id]}")
+            first_line[utterance_id] = lineno
             triplets.append(UtteranceTriplet(utterance_id, resolve(speech), resolve(noise),
                                              resolve(enhanced) if enhanced else None))
     if not triplets:

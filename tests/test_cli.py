@@ -1,3 +1,4 @@
+import argparse
 import csv
 import json
 import math
@@ -13,7 +14,7 @@ from hypothesis import given, strategies as st
 from conftest import RATE, lowpass_noise
 import opdkit
 from opdkit import Waveform, energy, read_wav, write_wav
-from opdkit.cli import MAX_GRID_VALUES, main, parse_grid
+from opdkit.cli import MAX_GRID_VALUES, build_parser, main, parse_grid
 from opdkit.reporting import SWEEP_CSV_COLUMNS
 
 
@@ -315,17 +316,6 @@ class TestOaCommand:
             outputs.append((out / "oa.csv").read_bytes())
         assert outputs[0] == outputs[1]
 
-    def test_on_the_fly_enhancement(self, tmp_path, mixed_corpus):
-        # corpus without enhanced paths + --method synthesizes s_hat per utterance
-        out = tmp_path / "oa_fly"
-        rc = main(["oa", "--corpus", str(mixed_corpus / "corpus.jsonl"),
-                   "--grid", "0,0.5", "-L", "8",
-                   "--method", "ideal-binary-mask", "--frame-len", "256",
-                   "--hop", "128", "--out", str(out)])
-        assert rc == 0
-        _, rows = read_csv(out / "oa.csv")
-        assert len(rows) == 4
-
     def test_default_grid(self, tmp_path, enhanced_corpus):
         out = tmp_path / "oa_default"
         assert main(["oa", "--corpus", str(enhanced_corpus / "corpus.jsonl"),
@@ -339,7 +329,8 @@ class TestOaCommand:
         rc = main(["oa", "--corpus", str(mixed_corpus / "corpus.jsonl"),
                    "--grid", "0", "-L", "8", "--out", str(tmp_path / "oa_bad")])
         assert rc == 1
-        assert "no enhanced_path" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.count("no enhanced_path in the manifest; run `opdkit enhance` first") == 2
 
 
 class TestDsaCommand:
@@ -441,7 +432,7 @@ class TestGramAllocation:
                 "from opdkit.analysis import OaPoint; "
                 "from opdkit.reporting import UtteranceTriplet; "
                 "t = UtteranceTriplet('utt', *sys.argv[1:4]); "
-                "results = [_sweep_task(('oa', t, L, [OaPoint(0.0)], None)) "
+                "results = [_sweep_task(('oa', t, L, [OaPoint(0.0)])) "
                 "for L in (20000, 64)]; "
                 "print(json.dumps([[r['error'], len(r['rows'])] for r in results]))")
         result = _run_limited(code, *two_second_pair)
@@ -521,6 +512,71 @@ class TestSweepArguments:
         err = capsys.readouterr().err
         assert "every utterance failed" in err
         assert err.count("1 <= L <= T=1600, got 1601") == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["enhance", "--corpus", "{mixed}/corpus.jsonl", "--method", "oracle-wiener",
+     "--hop", "0"],
+    ["enhance", "--corpus", "{tmp}/missing.jsonl", "--method", "oracle-wiener"],
+    ["mix", "--speech-dir", "{speech}", "--noise-dir", "{tmp}"],
+    ["mix", "--speech-dir", "{speech}", "--noise-dir", "{noise}", "--snr", "nan"],
+], ids=["enhance-hop-0", "enhance-missing-corpus", "mix-empty-noise-dir",
+        "mix-nan-snr"])
+def test_mix_and_enhance_check_inputs_before_out(tmp_path, corpus_dirs, mixed_corpus,
+                                                 capsys, argv):
+    speech_dir, noise_dir = corpus_dirs
+    out = tmp_path / "X"
+    argv = [a.format(mixed=mixed_corpus, tmp=tmp_path, speech=speech_dir,
+                     noise=noise_dir) for a in argv]
+    assert main(argv + ["--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
+# Every option of every subcommand; a new one needs a measured reason.
+SUBCOMMAND_OPTIONS = {
+    "decompose": [["--speech"], ["--noise"], ["--enhanced"], ["--id"],
+                  ["--max-delay", "-L"], ["--out"]],
+    "dsa": [["--corpus"], ["--grid"], ["--max-delay", "-L"], ["--workers"], ["--out"]],
+    "oa": [["--corpus"], ["--grid"], ["--max-delay", "-L"], ["--workers"], ["--out"]],
+    "mix": [["--speech-dir"], ["--noise-dir"], ["--snr"], ["--seed"], ["--out"]],
+    "enhance": [["--corpus"], ["--out"], ["--method"], ["--frame-len"], ["--hop"],
+                ["--oversubtraction"], ["--mask-threshold-db"]],
+}
+ENHANCER_FLAGS = ["--method", "--frame-len", "--hop", "--oversubtraction",
+                  "--mask-threshold-db"]
+
+
+class TestParser:
+    @staticmethod
+    def subparsers():
+        (action,) = [a for a in build_parser()._actions
+                     if isinstance(a, argparse._SubParsersAction)]
+        return action.choices
+
+    def test_subcommand_options_pinned(self):
+        options = {name: [a.option_strings for a in sub._actions
+                          if not isinstance(a, argparse._HelpAction)]
+                   for name, sub in self.subparsers().items()}
+        assert options == SUBCOMMAND_OPTIONS
+        required = {name: [a.option_strings[0] for a in sub._actions if a.required]
+                    for name, sub in self.subparsers().items()}
+        assert required["decompose"] == ["--speech", "--noise", "--enhanced", "--out"]
+        assert required["enhance"] == ["--corpus", "--out", "--method"]
+
+    @pytest.mark.parametrize("command", ["decompose", "oa", "dsa"])
+    @pytest.mark.parametrize("flag", ENHANCER_FLAGS)
+    def test_analysis_commands_reject_enhancer_flags(self, capsys, command, flag):
+        assert flag not in self.subparsers()[command].format_help()
+        argv = ([command, "--speech", "s", "--noise", "n", "--enhanced", "e"]
+                if command == "decompose" else [command, "--corpus", "c"])
+        argv += ["--out", "o"]
+        build_parser().parse_args(argv)
+        value = "spectral-subtraction" if flag == "--method" else "256"
+        with pytest.raises(SystemExit) as exc_info:
+            build_parser().parse_args(argv + [flag, value])
+        assert exc_info.value.code == 2
+        assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
 
 
 def test_numerical_failure_exit_code(tmp_path, mixed_corpus, monkeypatch, capsys):

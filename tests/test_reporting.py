@@ -28,6 +28,11 @@ _MANIFEST_LINES = _JSON_VALUES | st.fixed_dictionaries({}, optional={
     for key in ("utterance_id", "speech_path", "noise_path", "enhanced_path")})
 
 
+def _record(utterance_id):
+    return json.dumps({"utterance_id": utterance_id, "speech_path": "s.wav",
+                       "noise_path": "n.wav"}) + "\n"
+
+
 def _report(sdr=1.0, snr=2.0, sar=3.0):
     return MetricsReport(sdr_db=sdr, snr_db=snr, sar_db=sar,
                          target_energy=1.0, noise_energy=0.1,
@@ -60,12 +65,19 @@ class TestCorpusManifest:
             load_corpus_manifest(manifest)
 
     @pytest.mark.parametrize("line", ["[1, 2]", '"a.speech.wav"', json.dumps(
-        {"utterance_id": "a", "speech_path": 5, "noise_path": "a.noise.wav"})],
-        ids=["list", "string", "numeric-path"])
+        {"utterance_id": "a", "speech_path": 5, "noise_path": "a.noise.wav"}), "{oops"],
+        ids=["list", "string", "numeric-path", "not-json"])
     def test_malformed_record_rejected(self, tmp_path, line):
         manifest = tmp_path / "corpus.jsonl"
-        manifest.write_text(line + "\n")
-        with pytest.raises(ValueError, match=re.escape(f"{manifest}:1: ")):
+        manifest.write_text(_record("first") + line + "\n")
+        with pytest.raises(ValueError, match=re.escape(f"{manifest}:2: ")):
+            load_corpus_manifest(manifest)
+
+    def test_repeated_utterance_id_rejected(self, tmp_path):
+        manifest = tmp_path / "corpus.jsonl"
+        manifest.write_text(_record("same") + _record("other") + _record("same"))
+        with pytest.raises(ValueError, match=re.escape(
+                f"{manifest}:3: utterance_id 'same' repeats line 1")):
             load_corpus_manifest(manifest)
 
     @given(st.lists(_MANIFEST_LINES, max_size=4))
