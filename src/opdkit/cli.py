@@ -172,10 +172,10 @@ def _cmd_sweep(args) -> int:
               else [DsaPoint(wn, wa) for wn in grid for wa in grid])
     _check_max_delay(args.max_delay)
     triplets = load_corpus_manifest(args.corpus)
-    os.makedirs(args.out, exist_ok=True)
     payloads = [(name, t, args.max_delay, points) for t in triplets]
     rows, events, errors = _collect(_run_corpus(_sweep_task, payloads, args.workers))
     summary = summarize_rows(rows)
+    os.makedirs(args.out, exist_ok=True)
 
     write_sweep_csv(os.path.join(args.out, f"{name}.csv"), rows, errors)
     write_summary_csv(os.path.join(args.out, f"{name}_summary.csv"), summary)

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft import irfft, rfft
+from numpy.fft import irfft, rfft
 
 from .signals import Waveform
 

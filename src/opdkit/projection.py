@@ -15,15 +15,21 @@ reference tails that fall off the end; that correction is exact, an O(L^2)
 prefix sum along each diagonal subtracted once (see ``_gram_block``).  The
 Gram is written in LAPACK's (Fortran) order and factorized in place, so a
 basis holds one (kL)^2 array and no solve copies it.
+
+FFTs come from ``numpy.fft``.  From numpy 2.0 on that is the C++ pocketfft
+that ``scipy.fft`` also wraps, so transforms are bitwise the same as
+scipy's; numpy 1.x ships a different C implementation, hence the
+``numpy>=2.0`` floor.  scipy is needed only for LAPACK's Cholesky
+factorization and triangular solve, and ``scipy.linalg`` is imported at the
+first of them, so importing this module loads no scipy.
 """
 
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
+from numpy.fft import irfft, rfft
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.fft import next_fast_len, rfft, irfft
-from scipy.linalg.lapack import dpotrf, dtrtrs
 
 from .signals import Waveform, energy
 
@@ -49,6 +55,32 @@ GRAM_REG_LAMBDA = 1e-10
 # delayed-copy matrix.
 DENSE_ORACLE_MAX_LENGTH = 8192
 DENSE_ORACLE_MAX_COLUMNS = 64
+
+
+def dpotrf(a, **kwargs):
+    """LAPACK ``dpotrf`` (Cholesky factorization) from ``scipy.linalg.lapack``."""
+    from scipy.linalg.lapack import dpotrf as potrf  # slow to import; solves only
+    return potrf(a, **kwargs)
+
+
+def dtrtrs(a, b, **kwargs):
+    """LAPACK ``dtrtrs`` (triangular solve) from ``scipy.linalg.lapack``."""
+    from scipy.linalg.lapack import dtrtrs as trtrs
+    return trtrs(a, b, **kwargs)
+
+
+def next_fast_len(target: int) -> int:
+    """Smallest 11-smooth length (2^a 3^b 5^c 7^d 11^e) >= ``target`` >= 1,
+    the length ``scipy.fft.next_fast_len(target)`` returns."""
+    best = 1 << (target - 1).bit_length()  # a power of two is 11-smooth
+    odd = [1]  # every 3,5,7,11-smooth number below best
+    for prime in (3, 5, 7, 11):
+        for p in list(odd):
+            while (p := p * prime) < best:
+                odd.append(p)
+    for p in odd:  # the least power-of-two multiple of p that reaches target
+        best = min(best, p << (-(-target // p) - 1).bit_length())
+    return best
 
 
 class SingularProjectionError(RuntimeError):

@@ -1,13 +1,23 @@
-"""Mono WAV file I/O: PCM 16-bit and IEEE float-32.
+"""Mono WAV file I/O: PCM 16-bit and IEEE float, on numpy and ``struct`` alone.
 
-Samples are promoted to float64 on read (PCM 16-bit normalized to roughly
-[-1, 1]); the on-disk format is chosen at write time.
+``read_wav`` accepts a little-endian RIFF/WAVE file with one channel of PCM
+16-bit, IEEE float-32 or IEEE float-64 samples, tagged plainly or as
+``WAVE_FORMAT_EXTENSIBLE`` with one of those subformats.  It walks the
+chunks up to ``data``, skipping unknown ones (``LIST``, ``fact``, ...) and the
+pad byte after an odd-sized chunk.  Samples are promoted to float64 (PCM
+16-bit normalized to roughly [-1, 1]).  A file it cannot read raises
+``ValueError`` naming the path.
+
+``write_wav`` writes the layout ``scipy.io.wavfile.write`` writes, byte for
+byte: ``RIFF``/``WAVE``, a ``fmt `` chunk (with a 2-byte ``cbSize`` for float),
+a ``fact`` chunk holding the sample count for float, then ``data``.  The
+on-disk format is chosen at write time.
 """
 
 import os
+import struct
 
 import numpy as np
-from scipy.io import wavfile
 
 from .signals import Waveform
 
@@ -15,29 +25,91 @@ __all__ = ["read_wav", "write_wav"]
 
 PCM16_FULL_SCALE = 32767.0
 
+WAVE_FORMAT_PCM = 0x0001
+WAVE_FORMAT_IEEE_FLOAT = 0x0003
+WAVE_FORMAT_EXTENSIBLE = 0xFFFE
+# An extensible subformat GUID is its format tag followed by this tail (RFC 2361).
+_SUBFORMAT_GUID_TAIL = b"\x00\x00\x10\x00\x80\x00\x00\xaa\x00\x38\x9b\x71"
+
+_SAMPLE_DTYPES = {(WAVE_FORMAT_PCM, 16): np.dtype("<i2"),
+                  (WAVE_FORMAT_IEEE_FLOAT, 32): np.dtype("<f4"),
+                  (WAVE_FORMAT_IEEE_FLOAT, 64): np.dtype("<f8")}
+_FORMAT_NAMES = {WAVE_FORMAT_PCM: "PCM", WAVE_FORMAT_IEEE_FLOAT: "IEEE float"}
+
+
+def _sample_dtype(path, fmt: bytes) -> np.dtype:
+    """Sample dtype named by the body of a ``fmt `` chunk; mono only."""
+    if len(fmt) < 16:
+        raise ValueError(f"{path}: fmt chunk of {len(fmt)} bytes, expected at least 16")
+    tag, channels, _, _, _, bits = struct.unpack_from("<HHIIHH", fmt)
+    if tag == WAVE_FORMAT_EXTENSIBLE and fmt[28:40] == _SUBFORMAT_GUID_TAIL:
+        tag = struct.unpack_from("<I", fmt, 24)[0]
+    if channels != 1:
+        raise ValueError(f"{path}: expected mono audio, got {channels} channels")
+    if (tag, bits) not in _SAMPLE_DTYPES:
+        name = _FORMAT_NAMES.get(tag, f"format tag 0x{tag:04x}")
+        raise ValueError(f"{path}: unsupported sample format {bits}-bit {name} "
+                         "(expected PCM 16-bit or IEEE float)")
+    return _SAMPLE_DTYPES[tag, bits]
+
 
 def read_wav(path: str | os.PathLike) -> Waveform:
     """Read a mono WAV file; rejects multi-channel input."""
-    sample_rate, data = wavfile.read(path)
-    if data.ndim != 1:
-        raise ValueError(f"{path}: expected mono audio, got {data.shape[1]} channels")
-    if data.dtype == np.int16:
-        samples = data.astype(np.float64) / PCM16_FULL_SCALE
-    elif data.dtype in (np.float32, np.float64):
-        samples = data.astype(np.float64)
-    else:
-        raise ValueError(f"{path}: unsupported sample format {data.dtype} "
-                         "(expected PCM 16-bit or IEEE float)")
-    return Waveform(samples, int(sample_rate))
+    with open(path, "rb") as fh:
+        raw = memoryview(fh.read())
+    if raw[:4] != b"RIFF" or raw[8:12] != b"WAVE":
+        raise ValueError(f"{path}: not a RIFF/WAVE file")
+    dtype = None
+    pos = 12
+    while pos + 8 <= len(raw):
+        chunk_id, size = struct.unpack_from("<4sI", raw, pos)
+        body = raw[pos + 8:pos + 8 + size]
+        if len(body) < size:
+            raise ValueError(f"{path}: {chunk_id!r} chunk of {size} bytes runs past "
+                             f"the end of the file ({len(body)} bytes left)")
+        if chunk_id == b"fmt ":
+            dtype = _sample_dtype(path, body)
+            rate = struct.unpack_from("<I", body, 4)[0]
+        elif chunk_id == b"data":
+            if dtype is None:
+                raise ValueError(f"{path}: data chunk before the fmt chunk")
+            data = np.frombuffer(body, dtype, count=size // dtype.itemsize)
+            if dtype.kind == "i":
+                samples = data.astype(np.float64) / PCM16_FULL_SCALE
+            else:
+                samples = data.astype(np.float64)
+            return Waveform(samples, rate)
+        pos += 8 + size + (size & 1)  # an odd-sized chunk is followed by a pad byte
+    raise ValueError(f"{path}: no data chunk")
+
+
+def _write(path, sample_rate: int, data: np.ndarray) -> None:
+    """Write mono ``data`` (int16 or float32) in scipy.io.wavfile's layout."""
+    data = data.astype(data.dtype.newbyteorder("<"), copy=False)
+    is_float = data.dtype.kind == "f"
+    fmt = struct.pack("<HHIIHH", WAVE_FORMAT_IEEE_FLOAT if is_float else WAVE_FORMAT_PCM,
+                      1, sample_rate, sample_rate * data.itemsize, data.itemsize,
+                      8 * data.itemsize)
+    if is_float:
+        fmt += b"\x00\x00"  # cbSize: no extension
+    header = b"fmt " + struct.pack("<I", len(fmt)) + fmt
+    if is_float:
+        header += b"fact" + struct.pack("<II", 4, len(data))
+    riff_size = 4 + len(header) + 8 + data.nbytes
+    if riff_size > 0xFFFFFFFF:
+        raise ValueError(f"{path}: {data.nbytes} bytes of samples exceed a RIFF file's 4 GiB")
+    with open(path, "wb") as fh:
+        fh.write(b"RIFF" + struct.pack("<I", riff_size) + b"WAVE" + header
+                 + b"data" + struct.pack("<I", data.nbytes))
+        fh.write(data.data)
 
 
 def write_wav(path: str | os.PathLike, w: Waveform, fmt: str = "float32") -> None:
     """Write a mono WAV file as IEEE float-32 or PCM 16-bit (clipped to [-1, 1])."""
     if fmt == "float32":
-        wavfile.write(path, w.sample_rate, w.samples.astype(np.float32))
+        _write(path, w.sample_rate, w.samples.astype(np.float32))
     elif fmt == "pcm16":
         clipped = np.clip(w.samples, -1.0, 1.0)
-        wavfile.write(path, w.sample_rate,
-                      np.round(clipped * PCM16_FULL_SCALE).astype(np.int16))
+        _write(path, w.sample_rate, np.round(clipped * PCM16_FULL_SCALE).astype(np.int16))
     else:
         raise ValueError(f"unsupported WAV format {fmt!r} (expected 'float32' or 'pcm16')")

@@ -145,6 +145,15 @@ class TestMix:
         for rel in ("utt0.mix.wav", "utt1.noise.wav", "corpus.jsonl"):
             assert (outs[0] / rel).read_bytes() == (outs[1] / rel).read_bytes()
 
+    def test_malformed_wav_fails_naming_it(self, tmp_path, corpus_dirs, capsys):
+        speech_dir, noise_dir = corpus_dirs
+        bad = speech_dir / "utt1.wav"
+        bad.write_bytes(bad.read_bytes()[:30])
+        rc = main(["mix", "--speech-dir", str(speech_dir), "--noise-dir",
+                   str(noise_dir), "--out", str(tmp_path / "x")])
+        assert rc == 1
+        assert str(bad) in capsys.readouterr().err
+
     def test_empty_noise_dir_fails(self, tmp_path, corpus_dirs, capsys):
         speech_dir, _ = corpus_dirs
         empty = tmp_path / "empty"
@@ -331,6 +340,20 @@ class TestOaCommand:
         assert rc == 1
         err = capsys.readouterr().err
         assert err.count("no enhanced_path in the manifest; run `opdkit enhance` first") == 2
+        assert not (tmp_path / "oa_bad").exists()
+
+    def test_malformed_enhanced_file_fails_only_that_utterance(self, tmp_path,
+                                                                enhanced_corpus):
+        bad = enhanced_corpus / "utt1.enhanced.wav"
+        bad.write_bytes(b"RIFF\x00\x00\x00\x00WAVE")
+        out = tmp_path / "oa"
+        assert main(["oa", "--corpus", str(enhanced_corpus / "corpus.jsonl"),
+                     "--grid", "0", "-L", "8", "--out", str(out)]) == 0
+        _, rows = read_csv(out / "oa.csv")
+        by_utterance = {r["utterance_id"]: r for r in rows}
+        assert by_utterance["utt0"]["error"] == ""
+        assert by_utterance["utt1"]["error"].startswith("ValueError: ")
+        assert str(bad) in by_utterance["utt1"]["error"]
 
 
 class TestDsaCommand:
@@ -609,9 +632,42 @@ def test_no_command_prints_help(capsys):
     assert "decompose" in capsys.readouterr().out
 
 
-def test_cli_import_leaves_out_scipy_signal():
-    # scipy.signal is slow to import and only the self-test uses it
-    code = "import sys, opdkit.cli; print('scipy.signal' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], env=_child_env(), check=True,
-                         capture_output=True, text=True, timeout=60)
-    assert out.stdout.strip() == "False"
+_SCIPY_PROBE = """
+import json, os, sys
+import numpy as np
+from opdkit import Waveform, write_wav
+from opdkit.cli import main
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+tmp = sys.argv[1]
+seen = {"import": scipy_modules()}
+rng = np.random.default_rng(0)
+for sub in ("speech", "noise"):
+    os.makedirs(os.path.join(tmp, sub))
+    write_wav(os.path.join(tmp, sub, "a.wav"), Waveform(rng.standard_normal(800) * 0.1, 8000))
+assert main(["mix", "--speech-dir", os.path.join(tmp, "speech"), "--noise-dir",
+             os.path.join(tmp, "noise"), "--out", os.path.join(tmp, "mix")]) == 0
+assert main(["enhance", "--corpus", os.path.join(tmp, "mix", "corpus.jsonl"),
+             "--method", "oracle-wiener", "--out", os.path.join(tmp, "enh")]) == 0
+seen["mix+enhance"] = scipy_modules()
+assert main(["oa", "--corpus", os.path.join(tmp, "enh", "corpus.jsonl"), "--grid", "0",
+             "-L", "8", "--out", os.path.join(tmp, "oa")]) == 0
+seen["oa"] = scipy_modules()
+print(json.dumps(seen))
+"""
+
+
+def test_scipy_loaded_only_for_the_solve(tmp_path):
+    # scipy's import dominates start-up; only LAPACK's factor and solve need it
+    out = subprocess.run([sys.executable, "-c", _SCIPY_PROBE, str(tmp_path)],
+                         env=_child_env(), check=True, capture_output=True, text=True,
+                         timeout=120)
+    seen = json.loads(out.stdout.splitlines()[-1])
+    assert seen["import"] == []
+    assert seen["mix+enhance"] == []
+    assert "scipy.linalg" in seen["oa"]
+    for unwanted in ("scipy.io", "scipy.fft", "scipy.special", "scipy.sparse",
+                     "scipy.signal"):
+        assert not [m for m in seen["oa"] if m == unwanted or m.startswith(unwanted + ".")]

@@ -314,3 +314,10 @@ class TestMemory:
         basis = build_basis([s, n], self.L)
         _, peak = self.traced_peak(lambda: project(basis, x)[0])
         assert peak < self.L ** 2 * 8
+
+
+def test_next_fast_len_matches_scipy():
+    from scipy.fft import next_fast_len
+    targets = [*range(1, 20001), *range(20001, 2 ** 21 + 1, 997)]
+    assert ([projection_module.next_fast_len(t) for t in targets]
+            == [next_fast_len(t) for t in targets])
