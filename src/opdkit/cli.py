@@ -237,29 +237,27 @@ def _list_wavs(directory: str) -> list[str]:
 def cmd_mix(args) -> int:
     spec = MixtureSpec(target_snr_db=args.snr)
     speech_files = _list_wavs(args.speech_dir)
-    noise_files = _list_wavs(args.noise_dir)
-    os.makedirs(args.out, exist_ok=True)
+    noises = [read_wav(path) for path in _list_wavs(args.noise_dir)]
     rng = np.random.default_rng(args.seed)
-    triplets = []
+    mixtures = []  # every input is read and mixed before --out exists
     for speech_path in speech_files:
         utterance_id = os.path.splitext(os.path.basename(speech_path))[0]
         s = read_wav(speech_path)
-        noise_path = noise_files[int(rng.integers(len(noise_files)))]
-        n_raw = read_wav(noise_path)
+        n_raw = noises[int(rng.integers(len(noises)))]
         if n_raw.sample_rate != s.sample_rate:
             raise ValueError(f"{utterance_id}: noise rate {n_raw.sample_rate} "
                              f"!= speech rate {s.sample_rate}")
         n = _fit_length(n_raw, len(s), rng)
         y, n_scaled = mix_at_snr(s, n, spec)
-        names = {"speech": f"{utterance_id}.speech.wav",
-                 "noise": f"{utterance_id}.noise.wav",
-                 "mix": f"{utterance_id}.mix.wav"}
-        write_wav(os.path.join(args.out, names["speech"]), s)
-        write_wav(os.path.join(args.out, names["noise"]), n_scaled)
-        write_wav(os.path.join(args.out, names["mix"]), y)
+        mixtures.append((utterance_id, {"speech": s, "noise": n_scaled, "mix": y}))
+    os.makedirs(args.out, exist_ok=True)
+    triplets = []
+    for utterance_id, signals in mixtures:
+        for kind, w in signals.items():
+            write_wav(os.path.join(args.out, f"{utterance_id}.{kind}.wav"), w)
         triplets.append(UtteranceTriplet(utterance_id=utterance_id,
-                                         speech_path=names["speech"],
-                                         noise_path=names["noise"]))
+                                         speech_path=f"{utterance_id}.speech.wav",
+                                         noise_path=f"{utterance_id}.noise.wav"))
     write_corpus_manifest(os.path.join(args.out, "corpus.jsonl"), triplets)
     write_run_manifest(args.out, RunManifest(
         command="mix",

@@ -19,13 +19,18 @@ basis holds one (kL)^2 array and no solve copies it.
 FFTs come from ``numpy.fft``.  From numpy 2.0 on that is the C++ pocketfft
 that ``scipy.fft`` also wraps, so transforms are bitwise the same as
 scipy's; numpy 1.x ships a different C implementation, hence the
-``numpy>=2.0`` floor.  scipy is needed only for LAPACK's Cholesky
-factorization and triangular solve, and ``scipy.linalg`` is imported at the
-first of them, so importing this module loads no scipy.
+``numpy>=2.0`` floor.  LAPACK's Cholesky factorization (``dpotrf``) and
+triangular solve (``dtrtrs``) are called through ``ctypes``, in place, on the
+OpenBLAS that numpy's own wheels bundle and have already loaded, so neither
+importing this module nor solving loads scipy.  A numpy built against
+another LAPACK (MKL, Accelerate, a distribution's OpenBLAS) exports no such
+symbols; the same two routines then come from
+``scipy.linalg.cython_lapack``.  The symbols are resolved at the first solve.
 """
 
+import functools
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 from numpy.fft import irfft, rfft
@@ -57,16 +62,112 @@ DENSE_ORACLE_MAX_LENGTH = 8192
 DENSE_ORACLE_MAX_COLUMNS = 64
 
 
-def dpotrf(a, **kwargs):
-    """LAPACK ``dpotrf`` (Cholesky factorization) from ``scipy.linalg.lapack``."""
-    from scipy.linalg.lapack import dpotrf as potrf  # slow to import; solves only
-    return potrf(a, **kwargs)
+class _Lapack(NamedTuple):
+    """LAPACK's ``dpotrf`` and ``dtrtrs`` with their C prototypes declared,
+    and the integer type they take."""
+
+    potrf: Callable
+    trtrs: Callable
+    int_t: type
 
 
-def dtrtrs(a, b, **kwargs):
-    """LAPACK ``dtrtrs`` (triangular solve) from ``scipy.linalg.lapack``."""
-    from scipy.linalg.lapack import dtrtrs as trtrs
-    return trtrs(a, b, **kwargs)
+def _numpy_openblas_pointers():
+    """(int type, dpotrf, dtrtrs) of the OpenBLAS numpy's wheels bundle.
+
+    ``dlsym`` on the handle of numpy's linalg extension also searches the
+    libraries it links, so this finds the copy already loaded; a numpy
+    built against another LAPACK raises ``AttributeError``."""
+    import ctypes
+    lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+    return ctypes.c_int64, lib.scipy_dpotrf_64_, lib.scipy_dtrtrs_64_
+
+
+def _cython_lapack_pointers():
+    """(int type, dpotrf, dtrtrs) from ``scipy.linalg.cython_lapack``'s capsules."""
+    import ctypes
+    from scipy.linalg.cython_lapack import __pyx_capi__ as capi
+    api = ctypes.pythonapi
+    get_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
+        ("PyCapsule_GetName", api))
+    get_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+        ("PyCapsule_GetPointer", api))
+    return ctypes.c_int, *(get_pointer(capi[name], get_name(capi[name]))
+                           for name in ("dpotrf", "dtrtrs"))
+
+
+def _bind_lapack(source) -> _Lapack:
+    """Declare the C prototypes of the two routines ``source()`` points at:
+    ``dpotrf(uplo, n, a, lda, info)`` and
+    ``dtrtrs(uplo, trans, diag, n, nrhs, a, lda, b, ldb, info)``, characters
+    and integers by reference, no hidden Fortran string lengths."""
+    import ctypes
+    int_t, potrf, trtrs = source()
+    char_p, int_p, double_p = ctypes.c_char_p, ctypes.POINTER(int_t), ctypes.c_void_p
+    potrf_t = ctypes.CFUNCTYPE(None, char_p, int_p, double_p, int_p, int_p)
+    trtrs_t = ctypes.CFUNCTYPE(None, char_p, char_p, char_p, int_p, int_p, double_p, int_p,
+                               double_p, int_p, int_p)
+    return _Lapack(potrf_t(ctypes.cast(potrf, ctypes.c_void_p).value),
+                   trtrs_t(ctypes.cast(trtrs, ctypes.c_void_p).value), int_t)
+
+
+@functools.cache
+def _lapack() -> _Lapack:
+    """The routines of numpy's OpenBLAS, else of scipy; resolved once."""
+    try:
+        return _bind_lapack(_numpy_openblas_pointers)
+    except AttributeError:
+        return _bind_lapack(_cython_lapack_pointers)
+
+
+def _check_lapack_array(routine: str, name: str, a: np.ndarray) -> None:
+    """LAPACK writes through a raw pointer: a wrong dtype or layout would
+    corrupt memory instead of raising, so refuse it first."""
+    if a.dtype != np.float64 or not a.flags.f_contiguous or not a.flags.writeable:
+        raise ValueError(f"{routine}: {name} must be a writeable Fortran-contiguous "
+                         f"float64 array, got {a.dtype} with flags "
+                         f"F_CONTIGUOUS={a.flags.f_contiguous}, WRITEABLE={a.flags.writeable}")
+
+
+def _check_square(routine: str, a: np.ndarray) -> int:
+    _check_lapack_array(routine, "a", a)
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
+        raise ValueError(f"{routine}: a must be a non-empty square matrix, got shape {a.shape}")
+    return a.shape[0]
+
+
+def _check_info(routine: str, info) -> int:
+    if info.value < 0:
+        raise ValueError(f"{routine}: argument {-info.value} had an illegal value")
+    return info.value
+
+
+def dpotrf(a: np.ndarray) -> tuple[np.ndarray, int]:
+    """LAPACK ``dpotrf``: Cholesky factor ``U`` (``Uᵀ U`` = ``a``), written in
+    place over the upper triangle of ``a``; the strict lower triangle is left
+    as it was.  Returns ``(a, info)``; ``info > 0`` is the 1-based order of
+    the first leading minor that is not positive definite."""
+    n = _check_square("dpotrf", a)
+    lapack = _lapack()
+    order, info = lapack.int_t(n), lapack.int_t()
+    lapack.potrf(b"U", order, a.ctypes.data, order, info)
+    return a, _check_info("dpotrf", info)
+
+
+def dtrtrs(a: np.ndarray, b: np.ndarray, trans: bool = False) -> tuple[np.ndarray, int]:
+    """LAPACK ``dtrtrs``: solve ``U x = b`` (``Uᵀ x = b`` with ``trans``) for
+    the upper triangle ``U`` of ``a``, written in place over ``b``.  Returns
+    ``(b, info)``; ``info > 0`` is the 1-based index of a zero diagonal entry
+    of ``U``."""
+    n = _check_square("dtrtrs", a)
+    _check_lapack_array("dtrtrs", "b", b)
+    if b.ndim not in (1, 2) or b.shape[0] != n:
+        raise ValueError(f"dtrtrs: b must have n={n} rows, got shape {b.shape}")
+    lapack = _lapack()
+    order, info = lapack.int_t(n), lapack.int_t()
+    nrhs = lapack.int_t(b.shape[1] if b.ndim == 2 else 1)
+    lapack.trtrs(b"U", b"T" if trans else b"N", b"N", order, nrhs, a.ctypes.data,
+                 order, b.ctypes.data, order, info)
+    return b, _check_info("dtrtrs", info)
 
 
 def next_fast_len(target: int) -> int:
@@ -168,13 +269,35 @@ def _gram_block(out: np.ndarray, a: np.ndarray, b: np.ndarray, fa: np.ndarray,
     _subtract_truncation_loss(out, a, b, L)
 
 
+def _mem_available() -> int | None:
+    """Bytes the kernel reports as ``MemAvailable``; None where there is no
+    ``/proc/meminfo``."""
+    try:
+        with open("/proc/meminfo") as fh:
+            for line in fh:
+                if line.startswith("MemAvailable:"):
+                    return int(line.split()[1]) * 1024  # the value is in kB
+    except FileNotFoundError:
+        pass
+    return None
+
+
 def _empty_gram(dim: int) -> np.ndarray:
-    """Uninitialized dim-by-dim Fortran-ordered array for a Gram matrix."""
+    """Uninitialized dim-by-dim Fortran-ordered array for a Gram matrix.
+
+    Refused before allocating when it exceeds the available memory: under
+    overcommit ``np.empty`` would be granted, and filling it could get the
+    process killed instead of raising."""
+    nbytes = dim * dim * 8
+    too_large = ValueError(f"cannot allocate the Gram matrix: kL={dim} needs "
+                           f"(kL)^2*8 = {nbytes} bytes")
+    available = _mem_available()
+    if available is not None and nbytes > available:
+        raise too_large
     try:
         return np.empty((dim, dim), order="F")
     except MemoryError:
-        raise ValueError(f"cannot allocate the Gram matrix: kL={dim} needs "
-                         f"(kL)^2*8 = {dim * dim * 8} bytes") from None
+        raise too_large from None
 
 
 def _fill_gram(gram: np.ndarray, arrays: Sequence[np.ndarray], ref_ffts: Sequence,
@@ -241,14 +364,14 @@ def build_basis(references: Sequence[Waveform], max_delay: int) -> ProjectionBas
     regularization = 0.0
     events: tuple[str, ...] = ()
     trace = np.trace(gram)
-    factor, info = dpotrf(gram, clean=False, overwrite_a=True)
+    factor, info = dpotrf(gram)
     if info > 0:
         first = (info - 1) // L  # block of the first non-positive pivot
         regularization = GRAM_REG_LAMBDA * trace / (k * L)
         _fill_gram(gram, arrays, ref_ffts, L, nfft)  # the failed factor overwrote it
         tail = np.arange(first * L, k * L)
         gram[tail, tail] += regularization
-        factor, info = dpotrf(gram, clean=False, overwrite_a=True)
+        factor, info = dpotrf(gram)
         if info > 0:
             raise SingularProjectionError(
                 f"Gram matrix ({k * L}x{k * L}) is singular even after diagonal "
@@ -281,7 +404,8 @@ def project(basis: ProjectionBasis, x: Waveform) -> tuple[Waveform, ...]:
     subspace's coefficients ``c``, and its projection is ``Σ_i F_i ·
     rfft(c_i)`` under one inverse FFT.  No block of the in-place factor is
     copied.  ``x - project(basis, x)[-1]`` is orthogonal to every delayed copy
-    up to round-off.
+    up to round-off.  A zero pivot in the factor raises
+    ``SingularProjectionError``.
     """
     T = len(basis.references[0])
     if len(x) != T:
@@ -294,11 +418,15 @@ def project(basis: ProjectionBasis, x: Waveform) -> tuple[Waveform, ...]:
     # <ref delayed by tau, x> needs no truncation correction: x itself is
     # not delayed, so no products fall outside [0, T).
     rhs = np.concatenate([irfft(fx * np.conj(f), nfft)[:L] for f in basis._ref_ffts])
-    z, _ = dtrtrs(basis._factor, rhs, trans=1, overwrite_b=True)
+    z, info = dtrtrs(basis._factor, rhs, trans=True)
+    if info:
+        raise SingularProjectionError(f"project: zero pivot {info} in the Cholesky factor")
     nested = np.zeros((k * L, k), order="F")
     for r in range(1, k + 1):  # column r - 1: z zeroed past r*L
         nested[:r * L, r - 1] = z[:r * L]
-    coeffs, _ = dtrtrs(basis._factor, nested, overwrite_b=True)
+    coeffs, info = dtrtrs(basis._factor, nested)
+    if info:
+        raise SingularProjectionError(f"project: zero pivot {info} in the Cholesky factor")
     projections = []
     for r in range(k):
         spectrum = sum(f * rfft(coeffs[i * L:(i + 1) * L, r], nfft)

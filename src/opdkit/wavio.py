@@ -5,8 +5,9 @@
 ``WAVE_FORMAT_EXTENSIBLE`` with one of those subformats.  It walks the
 chunks up to ``data``, skipping unknown ones (``LIST``, ``fact``, ...) and the
 pad byte after an odd-sized chunk.  Samples are promoted to float64 (PCM
-16-bit normalized to roughly [-1, 1]).  A file it cannot read raises
-``ValueError`` naming the path.
+16-bit normalized to roughly [-1, 1]).  A file it cannot read, or whose
+samples do not make a ``Waveform`` (none, NaN/inf, a sample rate of 0),
+raises ``ValueError`` naming the path.
 
 ``write_wav`` writes the layout ``scipy.io.wavfile.write`` writes, byte for
 byte: ``RIFF``/``WAVE``, a ``fmt `` chunk (with a 2-byte ``cbSize`` for float),
@@ -78,7 +79,10 @@ def read_wav(path: str | os.PathLike) -> Waveform:
                 samples = data.astype(np.float64) / PCM16_FULL_SCALE
             else:
                 samples = data.astype(np.float64)
-            return Waveform(samples, rate)
+            try:
+                return Waveform(samples, rate)
+            except ValueError as err:  # no samples, non-finite samples, rate 0
+                raise ValueError(f"{path}: {err}") from None
         pos += 8 + size + (size & 1)  # an odd-sized chunk is followed by a pad byte
     raise ValueError(f"{path}: no data chunk")
 

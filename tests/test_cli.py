@@ -153,6 +153,30 @@ class TestMix:
                    str(noise_dir), "--out", str(tmp_path / "x")])
         assert rc == 1
         assert str(bad) in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()  # utt0 was not written either
+
+    def test_malformed_noise_leaves_no_output(self, tmp_path, corpus_dirs, capsys):
+        speech_dir, noise_dir = corpus_dirs
+        bad = noise_dir / "n0.wav"
+        bad.write_bytes(bad.read_bytes()[:30])
+        rc = main(["mix", "--speech-dir", str(speech_dir), "--noise-dir",
+                   str(noise_dir), "--out", str(tmp_path / "x")])
+        assert rc == 1
+        assert str(bad) in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    def test_reads_each_file_once(self, tmp_path, corpus_dirs, monkeypatch):
+        import opdkit.cli as cli_module
+        speech_dir, noise_dir = corpus_dirs
+        for i in range(2, 5):  # 5 utterances over 2 noise files: some noise repeats
+            (speech_dir / f"utt{i}.wav").write_bytes((speech_dir / "utt0.wav").read_bytes())
+        reads = []
+        monkeypatch.setattr(cli_module, "read_wav",
+                            lambda path: reads.append(str(path)) or read_wav(path))
+        assert main(["mix", "--speech-dir", str(speech_dir), "--noise-dir",
+                     str(noise_dir), "--out", str(tmp_path / "m")]) == 0
+        inputs = [*speech_dir.glob("*.wav"), *noise_dir.glob("*.wav")]
+        assert sorted(reads) == sorted(map(str, inputs))
 
     def test_empty_noise_dir_fails(self, tmp_path, corpus_dirs, capsys):
         speech_dir, _ = corpus_dirs
@@ -652,22 +676,38 @@ assert main(["mix", "--speech-dir", os.path.join(tmp, "speech"), "--noise-dir",
 assert main(["enhance", "--corpus", os.path.join(tmp, "mix", "corpus.jsonl"),
              "--method", "oracle-wiener", "--out", os.path.join(tmp, "enh")]) == 0
 seen["mix+enhance"] = scipy_modules()
-assert main(["oa", "--corpus", os.path.join(tmp, "enh", "corpus.jsonl"), "--grid", "0",
-             "-L", "8", "--out", os.path.join(tmp, "oa")]) == 0
-seen["oa"] = scipy_modules()
+for sweep in ("oa", "dsa"):
+    assert main([sweep, "--corpus", os.path.join(tmp, "enh", "corpus.jsonl"), "--grid", "0",
+                 "-L", "8", "--out", os.path.join(tmp, sweep)]) == 0
+    seen[sweep] = scipy_modules()
+assert main(["decompose", "--speech", os.path.join(tmp, "mix", "a.speech.wav"),
+             "--noise", os.path.join(tmp, "mix", "a.noise.wav"),
+             "--enhanced", os.path.join(tmp, "enh", "a.enhanced.wav"),
+             "-L", "8", "--out", os.path.join(tmp, "dec")]) == 0
+seen["decompose"] = scipy_modules()
+import ctypes
+from opdkit.projection import _lapack, _numpy_openblas_pointers
+seen["lapack_int_bytes"] = ctypes.sizeof(_lapack().int_t)
+try:
+    _numpy_openblas_pointers()
+    seen["numpy_exports_lapack"] = True
+except AttributeError:
+    seen["numpy_exports_lapack"] = False
 print(json.dumps(seen))
 """
 
 
-def test_scipy_loaded_only_for_the_solve(tmp_path):
-    # scipy's import dominates start-up; only LAPACK's factor and solve need it
+def test_analysis_loads_no_scipy(tmp_path):
+    # scipy's import dominates start-up; LAPACK's factor and solve run on the
+    # OpenBLAS numpy bundles, so no command needs scipy when numpy exports them
     out = subprocess.run([sys.executable, "-c", _SCIPY_PROBE, str(tmp_path)],
                          env=_child_env(), check=True, capture_output=True, text=True,
                          timeout=120)
     seen = json.loads(out.stdout.splitlines()[-1])
     assert seen["import"] == []
     assert seen["mix+enhance"] == []
-    assert "scipy.linalg" in seen["oa"]
-    for unwanted in ("scipy.io", "scipy.fft", "scipy.special", "scipy.sparse",
-                     "scipy.signal"):
-        assert not [m for m in seen["oa"] if m == unwanted or m.startswith(unwanted + ".")]
+    if not seen["numpy_exports_lapack"]:
+        pytest.skip("this numpy bundles no OpenBLAS; LAPACK comes from scipy")
+    assert seen["lapack_int_bytes"] == 8  # numpy's OpenBLAS has 64-bit integers
+    for command in ("oa", "dsa", "decompose"):
+        assert seen[command] == [], command

@@ -1,3 +1,8 @@
+import ctypes
+import dataclasses
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -9,7 +14,7 @@ from opdkit import (DELAY_PADDING, SingularProjectionError, Waveform, build_basi
                     inner, project, project_dense_oracle)
 from opdkit.projection import _subtract_truncation_loss, delayed_matrix
 from opdkit.reporting import RunManifest
-from opdkit.selftest import make_case
+from opdkit.selftest import INVARIANT_TOLERANCES, make_case
 
 import opdkit.projection as projection_module
 
@@ -316,8 +321,162 @@ class TestMemory:
         assert peak < self.L ** 2 * 8
 
 
+class TestGramSizeCheck:
+    def test_gram_over_available_memory_refused(self, monkeypatch, running_example):
+        s, n, _, _ = running_example
+        # a k=2, L=4 Gram is 8^2 * 8 = 512 bytes
+        monkeypatch.setattr(projection_module, "_mem_available", lambda: 511)
+        with pytest.raises(ValueError, match=r"^cannot allocate the Gram matrix: kL=8 "
+                                             r"needs \(kL\)\^2\*8 = 512 bytes$"):
+            build_basis([s, n], 4)
+        monkeypatch.setattr(projection_module, "_mem_available", lambda: 512)
+        assert build_basis([s, n], 4).regularization > 0.0
+
+    def test_no_meminfo_leaves_the_allocation_to_numpy(self, monkeypatch, running_example):
+        s, n, _, _ = running_example
+        monkeypatch.setattr(projection_module, "_mem_available", lambda: None)
+        assert build_basis([s, n], 1).regularization == 0.0
+
+    def test_reads_mem_available(self):
+        if not os.path.exists("/proc/meminfo"):
+            assert projection_module._mem_available() is None
+        else:
+            assert projection_module._mem_available() > 0
+
+
 def test_next_fast_len_matches_scipy():
     from scipy.fft import next_fast_len
     targets = [*range(1, 20001), *range(20001, 2 ** 21 + 1, 997)]
     assert ([projection_module.next_fast_len(t) for t in targets]
             == [next_fast_len(t) for t in targets])
+
+
+class TestLapackBinding:
+    """dpotrf and dtrtrs write through raw pointers, so the wrappers must
+    refuse an array LAPACK would misread before any call is made."""
+
+    SOURCES = {"numpy-openblas": projection_module._numpy_openblas_pointers,
+               "cython-lapack": projection_module._cython_lapack_pointers}
+
+    @pytest.fixture
+    def no_call(self, monkeypatch):
+        def called(*args):
+            raise AssertionError("LAPACK was called")
+        fake = projection_module._Lapack(called, called, ctypes.c_int64)
+        monkeypatch.setattr(projection_module, "_lapack", lambda: fake)
+
+    @pytest.fixture(params=SOURCES)
+    def lapack(self, request, monkeypatch):
+        try:
+            bound = projection_module._bind_lapack(self.SOURCES[request.param])
+        except AttributeError:
+            pytest.skip(f"this numpy exports no {request.param} LAPACK")
+        monkeypatch.setattr(projection_module, "_lapack", lambda: bound)
+        return bound
+
+    @staticmethod
+    def spd(n=6, seed=0):
+        A = np.random.default_rng(seed).standard_normal((n + 4, n))
+        return np.asfortranarray(A.T @ A)
+
+    @pytest.mark.parametrize("bad", ["float32", "c-order", "read-only", "non-square",
+                                     "vector", "empty"])
+    def test_dpotrf_guard_raises_before_the_call(self, no_call, bad):
+        a = {"float32": lambda: self.spd().astype(np.float32, order="F"),
+             "c-order": lambda: np.ascontiguousarray(self.spd()),
+             "read-only": lambda: self.spd(),
+             "non-square": lambda: np.asfortranarray(self.spd()[:, :5]),
+             "vector": lambda: np.ones(6),
+             "empty": lambda: np.empty((0, 0), order="F")}[bad]()
+        if bad == "read-only":
+            a.flags.writeable = False
+        with pytest.raises(ValueError, match="dpotrf: a must"):
+            projection_module.dpotrf(a)
+
+    @pytest.mark.parametrize("bad", ["a-c-order", "float32", "c-order", "read-only",
+                                     "rows", "3-d"])
+    def test_dtrtrs_guard_raises_before_the_call(self, no_call, bad):
+        a = np.ascontiguousarray(self.spd()) if bad == "a-c-order" else self.spd()
+        b = {"a-c-order": lambda: np.ones(6),
+             "float32": lambda: np.ones(6, np.float32),
+             "c-order": lambda: np.ones((6, 2)),
+             "read-only": lambda: np.ones(6),
+             "rows": lambda: np.ones(5),
+             "3-d": lambda: np.ones((6, 1, 1), order="F")}[bad]()
+        if bad == "read-only":
+            b.flags.writeable = False
+        with pytest.raises(ValueError, match="dtrtrs: a must" if bad == "a-c-order"
+                           else "dtrtrs: b must"):
+            projection_module.dtrtrs(a, b)
+
+    def test_illegal_argument_raises(self, monkeypatch):
+        def illegal(*args):
+            args[-1].value = -4  # info, passed by reference
+        fake = projection_module._Lapack(illegal, illegal, ctypes.c_int64)
+        monkeypatch.setattr(projection_module, "_lapack", lambda: fake)
+        with pytest.raises(ValueError, match="dpotrf: argument 4 had an illegal value"):
+            projection_module.dpotrf(self.spd())
+        with pytest.raises(ValueError, match="dtrtrs: argument 4 had an illegal value"):
+            projection_module.dtrtrs(self.spd(), np.ones(6))
+
+    def test_factor_and_solves_match_numpy(self, lapack):
+        gram = self.spd(40, seed=1)
+        factor, info = projection_module.dpotrf(gram.copy(order="F"))
+        assert info == 0
+        upper = np.triu(factor)
+        assert_allclose(upper, np.linalg.cholesky(gram).T, rtol=0, atol=1e-12)
+        assert np.array_equal(np.tril(factor, -1), np.tril(gram, -1))  # left as it was
+        b = np.asfortranarray(np.random.default_rng(2).standard_normal((40, 3)))
+        x, info = projection_module.dtrtrs(factor, b.copy(order="F"), trans=True)
+        assert info == 0
+        assert_allclose(x, np.linalg.solve(upper.T, b), rtol=1e-12, atol=1e-12)
+        x, info = projection_module.dtrtrs(factor, b[:, 0].copy())
+        assert info == 0
+        assert_allclose(x, np.linalg.solve(upper, b[:, 0]), rtol=1e-12, atol=1e-12)
+
+    def test_not_positive_definite_reports_the_minor(self, lapack):
+        gram = self.spd()
+        gram[3, 3] = -1.0
+        assert projection_module.dpotrf(gram)[1] == 4
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_projection_matches_dense_oracle(self, lapack, seed):
+        case = make_case(seed)
+        fast = project(build_basis([case.s, case.n], case.max_delay), case.s_hat)[-1]
+        dense = project_dense_oracle([case.s, case.n], case.max_delay, case.s_hat)
+        tol = INVARIANT_TOLERANCES["fast_vs_dense_projection_rel"]
+        assert_allclose(fast.samples, dense.samples, atol=tol * np.linalg.norm(dense.samples))
+
+    def test_zero_pivot_in_solve_raises(self, running_example):
+        s, n, s_hat, _ = running_example
+        basis = build_basis([s, n], 1)
+        factor = basis._factor.copy(order="F")
+        factor[1, 1] = 0.0
+        broken = dataclasses.replace(basis, _factor=factor)
+        with pytest.raises(SingularProjectionError, match="zero pivot 2"):
+            project(broken, s_hat)
+
+
+_FORCED_CYTHON_LAPACK = """
+import sys, pytest
+import opdkit.projection as projection
+forced = projection._bind_lapack(projection._cython_lapack_pointers)
+projection._lapack = lambda: forced
+code = pytest.main(sys.argv[1:])
+assert "scipy.linalg.cython_lapack" in sys.modules
+sys.exit(code)
+"""
+
+
+def test_projection_tests_pass_on_cython_lapack(tmp_path):
+    # the fallback source for a numpy without bundled OpenBLAS
+    here = os.path.dirname(os.path.abspath(__file__))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(projection_module.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, here, os.environ.get("PYTHONPATH")) if p))
+    result = subprocess.run(
+        [sys.executable, "-c", _FORCED_CYTHON_LAPACK, "-q", "-p", "no:cacheprovider",
+         "-k", "not test_projection_tests_pass_on_cython_lapack",
+         "--rootdir", str(tmp_path), os.path.abspath(__file__)],
+        env=env, capture_output=True, text=True, timeout=300)
+    assert result.returncode == 0, result.stdout[-3000:]

@@ -135,6 +135,10 @@ MALFORMED = {
     "no-data-chunk": _riff(_fmt(1, 16)),
     "data-before-fmt": _riff(_chunk(b"data", _PCM16.tobytes()), _fmt(1, 16)),
     "data-larger-than-file": _VALID[:40] + struct.pack("<I", 1000) + _VALID[44:],
+    "empty-data": _riff(_fmt(1, 16), _chunk(b"data", b"")),
+    "nan-sample": _riff(_fmt(3, 32), _chunk(b"data", np.array([0.5, np.nan], "<f4").tobytes())),
+    "inf-sample": _riff(_fmt(3, 64), _chunk(b"data", np.array([np.inf, 0.5], "<f8").tobytes())),
+    "zero-rate": _riff(_fmt(1, 16, rate=0), _chunk(b"data", _PCM16.tobytes())),
 }
 
 
