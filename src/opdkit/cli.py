@@ -7,7 +7,8 @@ runs an enhancer: the sweeps analyse the file each manifest record's
 ``enhanced_path`` names, and ``decompose`` the file ``--enhanced`` names.
 ``opdkit --self-test`` runs the randomized invariant suite.
 
-Exit codes: 0 success, 1 validation/I-O error, 2 numerical failure.
+Exit codes: 0 success, 1 validation/I-O error or missing LAPACK, 2 numerical
+failure.
 """
 
 import argparse
@@ -17,7 +18,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -31,7 +31,6 @@ from .reporting import (AGGREGATION_MODE, RunManifest, UtteranceTriplet,
                         load_corpus_manifest, load_triplet, summarize_rows,
                         write_corpus_manifest, write_run_manifest,
                         write_summary_csv, write_sweep_csv)
-from .selftest import run_property_suite
 from .signals import MixtureSpec, Waveform, add, mix_at_snr
 from .svgplot import Series, line_plot, write_plot
 from .wavio import read_wav, write_wav
@@ -98,6 +97,8 @@ def _sweep_task(payload) -> dict:
 def _run_corpus(task, payloads, workers: int) -> list[dict]:
     if workers <= 1:
         return [task(p) for p in payloads]
+    # imported here: loading it costs every run, and only --workers > 1 uses it
+    from concurrent.futures import ProcessPoolExecutor
     # a fork pool starts all its workers at once, so start no idle ones
     with ProcessPoolExecutor(max_workers=min(workers, len(payloads))) as pool:
         return list(pool.map(task, payloads, chunksize=1))
@@ -275,11 +276,14 @@ def cmd_enhance(args) -> int:
                         oversubtraction=args.oversubtraction,
                         mask_threshold_db=args.mask_threshold_db)
     triplets = load_corpus_manifest(args.corpus)
+    enhanced = []  # every utterance is read and enhanced before --out exists
+    for triplet in triplets:
+        # the record's old enhanced_path, if any, is never read
+        s, n, _ = load_triplet(dataclasses.replace(triplet, enhanced_path=None))
+        enhanced.append(enhance(add(s, n), s, n, cfg))
     os.makedirs(args.out, exist_ok=True)
     out_triplets = []
-    for triplet in triplets:
-        s, n, _ = load_triplet(triplet)
-        s_hat = enhance(add(s, n), s, n, cfg)
+    for triplet, s_hat in zip(triplets, enhanced):
         enhanced_name = f"{triplet.utterance_id}.enhanced.wav"
         write_wav(os.path.join(args.out, enhanced_name), s_hat)
         out_triplets.append(UtteranceTriplet(
@@ -360,6 +364,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.self_test:
+        from .selftest import run_property_suite
         report = run_property_suite(args.self_test_cases, args.self_test_seed)
         for line in report.lines():
             print(line)
@@ -369,7 +374,7 @@ def main(argv=None) -> int:
         return 1
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, ImportError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except RuntimeError as exc:

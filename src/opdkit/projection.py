@@ -25,7 +25,8 @@ OpenBLAS that numpy's own wheels bundle and have already loaded, so neither
 importing this module nor solving loads scipy.  A numpy built against
 another LAPACK (MKL, Accelerate, a distribution's OpenBLAS) exports no such
 symbols; the same two routines then come from
-``scipy.linalg.cython_lapack``.  The symbols are resolved at the first solve.
+``scipy.linalg.cython_lapack``.  The symbols are resolved at the first solve,
+which raises ``ImportError`` naming both sources when neither has them.
 """
 
 import functools
@@ -115,8 +116,13 @@ def _lapack() -> _Lapack:
     """The routines of numpy's OpenBLAS, else of scipy; resolved once."""
     try:
         return _bind_lapack(_numpy_openblas_pointers)
-    except AttributeError:
-        return _bind_lapack(_cython_lapack_pointers)
+    except AttributeError as numpy_err:
+        try:
+            return _bind_lapack(_cython_lapack_pointers)
+        except ImportError as scipy_err:
+            raise ImportError(f"no LAPACK to solve with: numpy bundles none ({numpy_err}) "
+                              f"and the fallback, scipy, cannot be imported ({scipy_err}); "
+                              "install scipy") from scipy_err
 
 
 def _check_lapack_array(routine: str, name: str, a: np.ndarray) -> None:

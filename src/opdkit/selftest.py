@@ -5,7 +5,9 @@ runs the full decomposition/analysis stack, and checks every advertised
 identity against independent oracles: dense least-squares projection,
 explicit delayed-copy matrices, and re-decomposition of modified signals.
 Correlated rather than white noise is used on purpose; it stresses the Gram
-conditioning the way real speech does.
+conditioning the way real speech does.  The lowpass is a plain recursion,
+so the suite needs numpy alone; the CLI imports this module only under
+``--self-test``.
 
 The suite reports the maximum observed deviation per invariant and fails
 with the offending seed on any violation.
@@ -100,8 +102,11 @@ class SelfTestReport:
 
 
 def _lowpass_noise(rng: np.random.Generator, length: int) -> np.ndarray:
-    from scipy.signal import lfilter  # slow to import; only the self-test needs it
-    return lfilter([1.0], [1.0, -LOWPASS_POLE], rng.standard_normal(length))
+    """White Gaussian noise through ``y[t] = x[t] + LOWPASS_POLE·y[t-1]``."""
+    y = rng.standard_normal(length).tolist()  # Python floats: 3x faster than indexing
+    for t in range(1, length):
+        y[t] += LOWPASS_POLE * y[t - 1]
+    return np.array(y)
 
 
 def make_case(seed: int, kind: str = "random") -> OracleCase:

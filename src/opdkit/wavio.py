@@ -78,7 +78,8 @@ def read_wav(path: str | os.PathLike) -> Waveform:
             if dtype.kind == "i":
                 samples = data.astype(np.float64) / PCM16_FULL_SCALE
             else:
-                samples = data.astype(np.float64)
+                with np.errstate(invalid="ignore"):  # a signalling NaN; Waveform rejects it
+                    samples = data.astype(np.float64)
             try:
                 return Waveform(samples, rate)
             except ValueError as err:  # no samples, non-finite samples, rate 0

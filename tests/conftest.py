@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.signal import lfilter
 
-from opdkit import Waveform
+from opdkit.signals import Waveform
 
 RATE = 16000
 

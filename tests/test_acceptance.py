@@ -15,9 +15,12 @@ import numpy as np
 import pytest
 
 from conftest import RATE, lowpass_noise
-from opdkit import (Waveform, compute_metrics, decompose, run_property_suite,
-                    sar_improvement_closed_form, write_wav)
 from opdkit.cli import main
+from opdkit.decomposition import decompose
+from opdkit.metrics import compute_metrics, sar_improvement_closed_form
+from opdkit.selftest import run_property_suite
+from opdkit.signals import Waveform
+from opdkit.wavio import write_wav
 
 SUITE_CASES = 200
 SUITE_SEED = 0

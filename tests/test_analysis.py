@@ -5,11 +5,13 @@ import pytest
 from numpy.testing import assert_allclose
 
 from conftest import RATE, random_signals
-from opdkit import (Decomposer, Decomposition, DsaPoint, NoTargetError, OaPoint,
-                    SweepValidationError, Waveform, add, compute_metrics,
-                    decompose, dsa_sweep, dsa_synthesize, make_case, oa_apply,
-                    oa_sweep, sar_improvement_condition, scale)
+from opdkit.analysis import (DsaPoint, OaPoint, SweepValidationError, dsa_sweep, dsa_synthesize,
+                             oa_apply, oa_sweep, sar_improvement_condition)
 from opdkit.cli import DEFAULT_DSA_GRID, DEFAULT_OA_GRID, parse_grid
+from opdkit.decomposition import Decomposer, Decomposition, decompose
+from opdkit.metrics import NoTargetError, compute_metrics
+from opdkit.selftest import make_case
+from opdkit.signals import Waveform, add, scale
 
 
 def default_grid(kind):

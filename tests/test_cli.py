@@ -13,9 +13,10 @@ from hypothesis import given, strategies as st
 
 from conftest import RATE, lowpass_noise
 import opdkit
-from opdkit import Waveform, energy, read_wav, write_wav
 from opdkit.cli import MAX_GRID_VALUES, build_parser, main, parse_grid
 from opdkit.reporting import SWEEP_CSV_COLUMNS
+from opdkit.signals import Waveform, energy
+from opdkit.wavio import read_wav, write_wav
 
 
 class TestParseGrid:
@@ -216,6 +217,29 @@ class TestEnhanceCommand:
             assert record["enhanced_path"].endswith(".enhanced.wav")
         enhanced = read_wav(enhanced_corpus / "utt0.enhanced.wav")
         assert len(enhanced) == 1600
+
+    def test_malformed_speech_leaves_no_output(self, tmp_path, mixed_corpus, capsys):
+        bad = mixed_corpus / "utt1.speech.wav"  # the last utterance
+        bad.write_bytes(bad.read_bytes()[:30])
+        rc = main(["enhance", "--corpus", str(mixed_corpus / "corpus.jsonl"),
+                   "--method", "oracle-wiener", "--out", str(tmp_path / "x")])
+        assert rc == 1
+        assert str(bad) in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()  # utt0 was not written either
+
+    def test_reads_only_speech_and_noise_once(self, tmp_path, mixed_corpus,
+                                              enhanced_corpus, monkeypatch):
+        import opdkit.reporting as reporting_module
+        # re-enhancing an enhanced corpus never reads its old enhanced files
+        (enhanced_corpus / "utt0.enhanced.wav").unlink()
+        reads = []
+        monkeypatch.setattr(reporting_module, "read_wav",
+                            lambda path: reads.append(os.path.realpath(path)) or read_wav(path))
+        assert main(["enhance", "--corpus", str(enhanced_corpus / "corpus.jsonl"),
+                     "--method", "oracle-wiener", "--out", str(tmp_path / "again")]) == 0
+        inputs = [*mixed_corpus.glob("*.speech.wav"), *mixed_corpus.glob("*.noise.wav")]
+        assert sorted(reads) == sorted(os.path.realpath(p) for p in inputs)
+        assert (tmp_path / "again" / "utt0.enhanced.wav").exists()
 
 
 class TestDecomposeCommand:
@@ -529,8 +553,9 @@ class TestSweepArguments:
 
     def test_worker_pool_bounded_by_utterances(self, tmp_path, enhanced_corpus,
                                                monkeypatch):
-        # stands in for ProcessPoolExecutor, so no process is started
-        import opdkit.cli as cli_module
+        # stands in for ProcessPoolExecutor, so no process is started; the
+        # CLI imports the pool from concurrent.futures only when it starts one
+        import concurrent.futures
         sizes = []
 
         class RecordingPool:
@@ -546,7 +571,7 @@ class TestSweepArguments:
             def map(self, fn, payloads, chunksize=1):
                 return map(fn, payloads)
 
-        monkeypatch.setattr(cli_module, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         assert main(["oa", "--corpus", str(enhanced_corpus / "corpus.jsonl"),
                      "--grid", "0,1", "-L", "8", "--workers", "1000",
                      "--out", str(tmp_path / "X")]) == 0
@@ -628,7 +653,7 @@ class TestParser:
 
 def test_numerical_failure_exit_code(tmp_path, mixed_corpus, monkeypatch, capsys):
     import opdkit.cli as cli_module
-    from opdkit import SingularProjectionError
+    from opdkit.projection import SingularProjectionError
 
     def broken(*args, **kwargs):
         raise SingularProjectionError("forced singular system")
@@ -641,6 +666,45 @@ def test_numerical_failure_exit_code(tmp_path, mixed_corpus, monkeypatch, capsys
                "-L", "8", "--out", str(tmp_path / "dec_sing")])
     assert rc == 2
     assert "numerical failure" in capsys.readouterr().err
+
+
+@pytest.fixture
+def no_lapack(monkeypatch):
+    """Neither numpy's OpenBLAS nor scipy: both pointer sources fail."""
+    import opdkit.projection as projection_module
+
+    def numpy_without_openblas():
+        raise AttributeError("_umath_linalg.so: undefined symbol: scipy_dpotrf_64_")
+
+    def scipy_missing():
+        raise ModuleNotFoundError("No module named 'scipy'", name="scipy")
+
+    monkeypatch.setattr(projection_module, "_numpy_openblas_pointers", numpy_without_openblas)
+    monkeypatch.setattr(projection_module, "_cython_lapack_pointers", scipy_missing)
+    projection_module._lapack.cache_clear()
+    yield
+    projection_module._lapack.cache_clear()
+
+
+def test_missing_lapack_is_an_error_naming_scipy(tmp_path, enhanced_corpus, mixed_corpus,
+                                                 no_lapack, capsys):
+    from opdkit.analysis import OaPoint
+    from opdkit.cli import _sweep_task
+    from opdkit.reporting import load_corpus_manifest
+    rc = main(["decompose",
+               "--speech", str(mixed_corpus / "utt0.speech.wav"),
+               "--noise", str(mixed_corpus / "utt0.noise.wav"),
+               "--enhanced", str(enhanced_corpus / "utt0.enhanced.wav"),
+               "-L", "8", "--out", str(tmp_path / "dec")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    message = err.strip().removeprefix("error: ")
+    assert "scipy_dpotrf_64_" in message and "No module named 'scipy'" in message
+    assert not (tmp_path / "dec").exists()
+    triplet = load_corpus_manifest(enhanced_corpus / "corpus.jsonl")[0]
+    result = _sweep_task(("oa", triplet, 8, [OaPoint(0.0)]))
+    assert result["error"] == f"ImportError: {message}"
 
 
 def test_self_test_flag(capsys):
@@ -659,14 +723,16 @@ def test_no_command_prints_help(capsys):
 _SCIPY_PROBE = """
 import json, os, sys
 import numpy as np
-from opdkit import Waveform, write_wav
+from opdkit.signals import Waveform
+from opdkit.wavio import write_wav
 from opdkit.cli import main
 
 def scipy_modules():
     return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 
 tmp = sys.argv[1]
-seen = {"import": scipy_modules()}
+seen = {"import": scipy_modules() + sorted(
+    {"opdkit.selftest", "concurrent.futures.process"}.intersection(sys.modules))}
 rng = np.random.default_rng(0)
 for sub in ("speech", "noise"):
     os.makedirs(os.path.join(tmp, sub))
@@ -685,6 +751,8 @@ assert main(["decompose", "--speech", os.path.join(tmp, "mix", "a.speech.wav"),
              "--enhanced", os.path.join(tmp, "enh", "a.enhanced.wav"),
              "-L", "8", "--out", os.path.join(tmp, "dec")]) == 0
 seen["decompose"] = scipy_modules()
+assert main(["--self-test", "--self-test-cases", "3"]) == 0
+seen["self-test"] = scipy_modules()
 import ctypes
 from opdkit.projection import _lapack, _numpy_openblas_pointers
 seen["lapack_int_bytes"] = ctypes.sizeof(_lapack().int_t)
@@ -699,7 +767,8 @@ print(json.dumps(seen))
 
 def test_analysis_loads_no_scipy(tmp_path):
     # scipy's import dominates start-up; LAPACK's factor and solve run on the
-    # OpenBLAS numpy bundles, so no command needs scipy when numpy exports them
+    # OpenBLAS numpy bundles, so no command needs scipy when numpy exports them.
+    # The self-test and the process pool are imported only when used.
     out = subprocess.run([sys.executable, "-c", _SCIPY_PROBE, str(tmp_path)],
                          env=_child_env(), check=True, capture_output=True, text=True,
                          timeout=120)
@@ -709,5 +778,5 @@ def test_analysis_loads_no_scipy(tmp_path):
     if not seen["numpy_exports_lapack"]:
         pytest.skip("this numpy bundles no OpenBLAS; LAPACK comes from scipy")
     assert seen["lapack_int_bytes"] == 8  # numpy's OpenBLAS has 64-bit integers
-    for command in ("oa", "dsa", "decompose"):
+    for command in ("oa", "dsa", "decompose", "self-test"):
         assert seen[command] == [], command

@@ -3,9 +3,11 @@ import pytest
 from numpy.testing import assert_allclose
 
 from conftest import RATE, random_signals
-from opdkit import (Decomposer, Decomposition, Waveform, build_basis, decompose,
-                    energy, make_case, project, read_wav, recompose)
-from opdkit.decomposition import export_components
+from opdkit.decomposition import Decomposer, Decomposition, decompose, export_components, recompose
+from opdkit.projection import build_basis, project
+from opdkit.selftest import make_case
+from opdkit.signals import Waveform, energy
+from opdkit.wavio import read_wav
 
 
 def test_running_example_components(running_example):

@@ -3,10 +3,11 @@ import pytest
 from numpy.testing import assert_allclose
 
 from conftest import RATE
-from opdkit import (EnhanceConfig, MixtureSpec, Waveform, decompose, energy,
-                    enhance, compute_metrics, mix_at_snr,
-                    sar_improvement_condition)
-from opdkit.enhance import istft, stft
+from opdkit.analysis import sar_improvement_condition
+from opdkit.decomposition import decompose
+from opdkit.enhance import EnhanceConfig, enhance, istft, stft
+from opdkit.metrics import compute_metrics
+from opdkit.signals import MixtureSpec, Waveform, energy, mix_at_snr
 
 
 def tone_plus_noise(seed=0, length=6000, snr_db=5.0):

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from conftest import RATE
-from opdkit import (NoTargetError, Waveform, compute_metrics, db_to_str,
-                    decompose, sar_improvement_closed_form)
+from opdkit.decomposition import decompose
+from opdkit.metrics import NoTargetError, compute_metrics, db_to_str, sar_improvement_closed_form
+from opdkit.signals import Waveform
 
 # Frozen from the dense least-squares oracle on the 4-sample worked example
 # (energies 0.81 / 0.04 / 0.01, projected 0.85).

@@ -10,11 +10,11 @@ import pytest
 from numpy.testing import assert_allclose
 
 from conftest import RATE, lowpass_noise
-from opdkit import (DELAY_PADDING, SingularProjectionError, Waveform, build_basis,
-                    inner, project, project_dense_oracle)
-from opdkit.projection import _subtract_truncation_loss, delayed_matrix
+from opdkit.projection import (DELAY_PADDING, SingularProjectionError, _subtract_truncation_loss,
+                               build_basis, delayed_matrix, project, project_dense_oracle)
 from opdkit.reporting import RunManifest
 from opdkit.selftest import INVARIANT_TOLERANCES, make_case
+from opdkit.signals import Waveform, inner
 
 import opdkit.projection as projection_module
 

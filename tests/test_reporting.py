@@ -9,12 +9,14 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from opdkit import MetricsReport, SweepRow, Waveform, write_wav
+from opdkit.analysis import SweepRow
+from opdkit.metrics import MetricsReport
 from opdkit.reporting import (RunManifest, SWEEP_CSV_COLUMNS, UtteranceTriplet,
-                              load_corpus_manifest, load_triplet,
-                              summarize_rows, write_corpus_manifest,
-                              write_run_manifest, write_sweep_csv,
-                              write_summary_csv)
+                              load_corpus_manifest, load_triplet, summarize_rows,
+                              write_corpus_manifest, write_run_manifest, write_summary_csv,
+                              write_sweep_csv)
+from opdkit.signals import Waveform
+from opdkit.wavio import write_wav
 
 
 _JSON_VALUES = st.recursive(

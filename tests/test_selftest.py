@@ -1,8 +1,22 @@
 import numpy as np
 import pytest
 
-from opdkit import energy, make_case, run_property_suite
-from opdkit.selftest import INVARIANT_TOLERANCES
+from opdkit.selftest import (INVARIANT_TOLERANCES, LOWPASS_POLE, _lowpass_noise, make_case,
+                             run_property_suite)
+from opdkit.signals import energy
+
+
+def test_lowpass_recursion_is_bitwise_lfilter():
+    # the suite's cases (and so every reported deviation) are unchanged from
+    # when the lowpass was scipy.signal.lfilter
+    from scipy.signal import lfilter
+    for seed in range(100):
+        length = int(np.random.default_rng(seed).integers(64, 1025))
+        got = _lowpass_noise(np.random.default_rng(seed), length)
+        want = lfilter([1.0], [1.0, -LOWPASS_POLE],
+                       np.random.default_rng(seed).standard_normal(length))
+        assert got.dtype == np.float64
+        np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
 
 
 def test_cases_reproducible_from_seed():

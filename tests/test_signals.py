@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from opdkit import MixtureSpec, Waveform, add, energy, inner, mix_at_snr, scale
+from opdkit.signals import MixtureSpec, Waveform, add, energy, inner, mix_at_snr, scale
 
 
 class TestWaveform:

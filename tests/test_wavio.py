@@ -7,8 +7,8 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.io import wavfile
 
-from opdkit import Waveform, read_wav, write_wav
-from opdkit.wavio import _write
+from opdkit.signals import Waveform
+from opdkit.wavio import _write, read_wav, write_wav
 
 
 @pytest.fixture
@@ -148,6 +148,17 @@ def test_malformed_file_is_value_error_naming_path(tmp_path, name):
     path.write_bytes(MALFORMED[name])
     with pytest.raises(ValueError, match=re.escape(str(path))):
         read_wav(path)
+
+
+def test_signalling_nan_raises_only_the_value_error(tmp_path):
+    # casting a float32 signalling NaN to float64 sets numpy's "invalid" flag
+    path = tmp_path / "snan.wav"
+    samples = np.array([0.5, 0.0], "<f4").tobytes()[:4] + struct.pack("<I", 0x7F800001)
+    path.write_bytes(_riff(_fmt(3, 32), _chunk(b"data", samples)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=re.escape(str(path))):
+            read_wav(path)
 
 
 def test_file_over_4_gib_refused(tmp_path):
