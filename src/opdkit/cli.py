@@ -73,6 +73,11 @@ def parse_grid(text: str) -> list[float]:
     return values
 
 
+def _failed(utterance_id: str, exc: BaseException) -> dict:
+    return {"utterance_id": utterance_id, "rows": (), "events": [],
+            "error": f"{type(exc).__name__}: {exc}"}
+
+
 def _sweep_task(payload) -> dict:
     command, triplet, max_delay, points = payload
     try:
@@ -90,18 +95,42 @@ def _sweep_task(payload) -> dict:
         return {"utterance_id": triplet.utterance_id, "rows": rows,
                 "events": list(dec.basis.regularization_events), "error": None}
     except Exception as exc:  # noqa: BLE001 - tagged into the report
-        return {"utterance_id": triplet.utterance_id, "rows": (),
-                "events": [], "error": f"{type(exc).__name__}: {exc}"}
+        return _failed(triplet.utterance_id, exc)
 
 
 def _run_corpus(task, payloads, workers: int) -> list[dict]:
+    """``task`` over each ``(command, triplet, ...)`` payload, in order.
+
+    With more than one worker, a payload left unfinished by a broken pool (a
+    worker process killed, say for memory) is rerun alone in a one-worker
+    pool, so a crash that repeats fails only its own utterance."""
     if workers <= 1:
         return [task(p) for p in payloads]
     # imported here: loading it costs every run, and only --workers > 1 uses it
     from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
+    def pooled(batch, size):
+        """Results in batch order, None for each payload the pool broke on."""
+        futures = []
+        with ProcessPoolExecutor(max_workers=size) as pool:
+            try:
+                for payload in batch:
+                    futures.append(pool.submit(task, payload))
+            except BrokenProcessPool:
+                pass  # broken while submitting: the rest are unfinished too
+            results = [None if isinstance(f.exception(), BrokenProcessPool) else f.result()
+                       for f in futures]
+        return results + [None] * (len(batch) - len(results))
+
     # a fork pool starts all its workers at once, so start no idle ones
-    with ProcessPoolExecutor(max_workers=min(workers, len(payloads))) as pool:
-        return list(pool.map(task, payloads, chunksize=1))
+    results = pooled(payloads, min(workers, len(payloads)))
+    for i, payload in enumerate(payloads):
+        if results[i] is None:
+            results[i] = pooled([payload], 1)[0] or _failed(
+                payload[1].utterance_id,
+                BrokenProcessPool("its worker process died, also when rerun alone"))
+    return results
 
 
 def _collect(results):

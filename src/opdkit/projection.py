@@ -12,9 +12,12 @@ Correlations are computed with FFTs of length >= T + L - 1.  Because the
 delayed copies are truncated at T rather than extended, the Gram matrix
 differs from the plain Toeplitz correlation matrix by products of the
 reference tails that fall off the end; that correction is exact, an O(L^2)
-prefix sum along each diagonal subtracted once (see ``_gram_block``).  The
+prefix sum along each diagonal subtracted once (see ``_cross_block``).  The
 Gram is written in LAPACK's (Fortran) order and factorized in place, so a
-basis holds one (kL)^2 array and no solve copies it.
+basis holds one (kL)^2 array and no solve copies it.  Only its upper
+triangle, the part ``dpotrf`` and ``dtrtrs`` read, is written; the strict
+lower triangle is never touched, so its pages of the lazily mapped array
+are never made resident.
 
 FFTs come from ``numpy.fft``.  From numpy 2.0 on that is the C++ pocketfft
 that ``scipy.fft`` also wraps, so transforms are bitwise the same as
@@ -30,6 +33,7 @@ which raises ``ImportError`` naming both sources when neither has them.
 """
 
 import functools
+import mmap
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Sequence
 
@@ -198,14 +202,14 @@ class SingularProjectionError(RuntimeError):
 class ProjectionBasis:
     """Factorized representation of a delayed-reference subspace.
 
-    The basis holds one (kL)^2 array, ``_factor``: the Gram matrix in
-    Fortran order, factorized in place by LAPACK.  Its upper triangle is
-    the Cholesky factor ``U`` (``Uᵀ U`` = Gram) and its strict lower
-    triangle still holds the Gram.  The factor may include diagonal
-    loading; the amount actually added is recorded in ``regularization``
-    (0.0 when none was needed).  Its leading ``r*L`` block factorizes the
-    Gram of the first ``r`` references, so one basis serves each nested
-    subspace.
+    The basis holds one (kL)^2 array, ``_factor``: the upper triangle of
+    the Gram matrix in Fortran order, factorized in place by LAPACK.  Its
+    upper triangle is the Cholesky factor ``U`` (``Uᵀ U`` = Gram); its
+    strict lower triangle is the zero fill of the allocation, never written
+    and never paged in.  The factor may include diagonal loading; the
+    amount actually added is recorded in ``regularization`` (0.0 when none
+    was needed).  Its leading ``r*L`` block factorizes the Gram of the first
+    ``r`` references, so one basis serves each nested subspace.
     """
 
     references: tuple[Waveform, ...]
@@ -223,14 +227,15 @@ class ProjectionBasis:
         product of reference ``i`` delayed by ``t`` with reference ``j``
         delayed by ``u``.
 
-        Not stored: each access rebuilds it from the reference spectra, in
-        O(k^2 (nfft log nfft + L^2)) time and a new (kL)^2 * 8-byte array.
-        Meant for checks, not for the solve path.
+        Not stored: each access rebuilds its upper triangle from the
+        reference spectra, in O(k^2 (nfft log nfft + L^2)) time, and mirrors
+        it into a new (kL)^2 * 8-byte array, so the result is exactly
+        symmetric.  Meant for checks, not for the solve path.
         """
         gram = _empty_gram(len(self.references) * self.max_delay)
         _fill_gram(gram, [r.samples for r in self.references], self._ref_ffts,
                    self.max_delay, self._nfft)
-        return gram
+        return np.triu(gram) + np.triu(gram, 1).T
 
 
 def delayed_matrix(x: np.ndarray, max_delay: int) -> np.ndarray:
@@ -257,22 +262,46 @@ def _subtract_truncation_loss(block: np.ndarray, a: np.ndarray, b: np.ndarray,
         block[t] -= loss
 
 
-def _gram_block(out: np.ndarray, a: np.ndarray, b: np.ndarray, fa: np.ndarray,
-                fb: np.ndarray, L: int, nfft: int) -> None:
-    """Write the L-by-L block of inner products between delayed copies of a
-    and b (spectra fa, fb) into ``out``.
+def _lag_row(fa: np.ndarray, fb: np.ndarray, L: int, nfft: int,
+             symmetric: bool) -> np.ndarray:
+    """Correlations of a and b (spectra fa, fb) at lags -(L-1) .. L-1 in one
+    row, ``row[L-1+d] = sum_w a[w] * b[w - d]``, so the inner product of a
+    delayed by t with b delayed by u, untruncated, is ``row[L-1-t+u]``.
+
+    ``symmetric`` (an auto block) replaces each lag by the mean of both FFT
+    estimates of it, ``row[L-1+d]`` and ``row[L-1-d]``."""
+    full = irfft(fa * np.conj(fb), nfft)
+    row = np.concatenate((full[nfft - L + 1:], full[:L]))
+    return 0.5 * (row + row[::-1]) if symmetric else row
+
+
+def _cross_block(out: np.ndarray, a: np.ndarray, b: np.ndarray, fa: np.ndarray,
+                 fb: np.ndarray, L: int, nfft: int) -> None:
+    """Write into ``out`` the L-by-L block of inner products between delayed
+    copies of b and of a, ``out[u, t] = <b delayed by u, a delayed by t>``,
+    from the correlations of a with b (spectra fa, fb).
 
     Toeplitz matrix of the full correlations, minus the min(t, u) tail products
-    that truncation at T drops from entry (t, u): those are summed among
+    that truncation at T drops from entry (u, t): those are summed among
     themselves, so they round at their own size, and subtracted once."""
-    full = irfft(fa * np.conj(fb), nfft)
-    pos = full[:L]  # lag d = 0 .. L-1: sum_w a[w] * b[w - d]
-    neg = np.concatenate((pos[:1], full[:-L:-1]))  # lag -d
-    if b is a:  # auto block: the mean of both FFT estimates of a lag is symmetric
-        pos = neg = 0.5 * (pos + neg)
-    # row t is lags -t .. L-1-t: neg[t], ..., neg[1], pos[0], ..., pos[L-1-t]
-    out[...] = sliding_window_view(np.concatenate((neg[::-1], pos[1:])), L)[::-1]
-    _subtract_truncation_loss(out, a, b, L)
+    row = _lag_row(fa, fb, L, nfft, symmetric=b is a)
+    out[...] = sliding_window_view(row[::-1], L)[::-1]  # row u: row[L-1+u-t], t < L
+    _subtract_truncation_loss(out, b, a, L)
+
+
+def _auto_block_upper(out: np.ndarray, a: np.ndarray, fa: np.ndarray, L: int,
+                      nfft: int) -> None:
+    """Write ``out[t, :t+1]``, the inner products of a delayed by t with a
+    delayed by 0 .. t, and no other entry of ``out``: the Toeplitz row minus
+    the truncation loss of ``_subtract_truncation_loss``, whose recursion is
+    run only over the columns u <= t that are written."""
+    row = _lag_row(fa, fa, L, nfft, symmetric=True)
+    tail = a[::-1][:L]
+    loss = np.zeros(L)
+    for t in range(L):
+        if t:
+            loss[1:t + 1] = loss[:t] + tail[t - 1] * tail[:t]
+        out[t, :t + 1] = row[L - 1 - t:L] - loss[:t + 1]
 
 
 def _mem_available() -> int | None:
@@ -289,39 +318,50 @@ def _mem_available() -> int | None:
 
 
 def _empty_gram(dim: int) -> np.ndarray:
-    """Uninitialized dim-by-dim Fortran-ordered array for a Gram matrix.
+    """Zero-filled dim-by-dim Fortran-ordered array for a Gram matrix, on
+    pages the kernel maps only where they are written.
 
-    Refused before allocating when it exceeds the available memory: under
-    overcommit ``np.empty`` would be granted, and filling it could get the
-    process killed instead of raising."""
+    The array is a private anonymous ``mmap``, with transparent huge pages
+    declined where the platform can (``MADV_NOHUGEPAGE``): numpy asks for
+    2 MB pages for every array of 4 MB or more, and a huge page would map
+    the untouched lower triangle along with the upper one.  The request is
+    refused before allocating when (dim^2)*8 bytes exceed the available
+    memory: under overcommit the mapping would be granted, and filling it
+    could get the process killed instead of raising."""
     nbytes = dim * dim * 8
     too_large = ValueError(f"cannot allocate the Gram matrix: kL={dim} needs "
                            f"(kL)^2*8 = {nbytes} bytes")
     available = _mem_available()
     if available is not None and nbytes > available:
         raise too_large
+    private = {"flags": mmap.MAP_PRIVATE} if hasattr(mmap, "MAP_PRIVATE") else {}
     try:
-        return np.empty((dim, dim), order="F")
-    except MemoryError:
+        buffer = mmap.mmap(-1, nbytes, **private)
+    except OSError:
         raise too_large from None
+    if hasattr(mmap, "MADV_NOHUGEPAGE"):
+        buffer.madvise(mmap.MADV_NOHUGEPAGE)
+    return np.frombuffer(buffer, dtype=np.float64).reshape((dim, dim), order="F")
 
 
 def _fill_gram(gram: np.ndarray, arrays: Sequence[np.ndarray], ref_ffts: Sequence,
                L: int, nfft: int) -> None:
-    """Write the unloaded Gram of the delayed copies of ``arrays`` into the
-    Fortran-ordered ``gram``.
+    """Write the upper triangle of the unloaded Gram of the delayed copies of
+    ``arrays`` into the Fortran-ordered ``gram``, the only part ``dpotrf``
+    and ``dtrtrs`` read; the strict lower triangle is never touched.
 
-    Blocks are written through the C-ordered view ``gram.T``, so that every
-    row write is contiguous.  Gram block (i, j) written into block (i, j) of
-    the view puts its transpose, Gram block (j, i), into ``gram``; the auto
-    blocks are exactly symmetric, so ``gram`` holds the Gram itself."""
+    Blocks are written through the C-ordered view ``gram.T``, whose row c is
+    column c of ``gram``, so every row write is contiguous and starts at its
+    column's head.  Gram block (i, j), i < j, is written as block (j, i) of
+    the view; of auto block (i, i), row t of the view gets its first t + 1
+    entries."""
     view = gram.T
     for i in range(len(arrays)):
-        for j in range(i, len(arrays)):
-            block = view[i * L:(i + 1) * L, j * L:(j + 1) * L]
-            _gram_block(block, arrays[i], arrays[j], ref_ffts[i], ref_ffts[j], L, nfft)
-            if i != j:
-                view[j * L:(j + 1) * L, i * L:(i + 1) * L] = block.T
+        rows = slice(i * L, (i + 1) * L)
+        _auto_block_upper(view[rows, rows], arrays[i], ref_ffts[i], L, nfft)
+        for j in range(i + 1, len(arrays)):
+            _cross_block(view[j * L:(j + 1) * L, rows], arrays[i], arrays[j],
+                         ref_ffts[i], ref_ffts[j], L, nfft)
 
 
 def _validate_references(references: Sequence[Waveform], max_delay: int) -> None:

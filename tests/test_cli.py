@@ -13,10 +13,19 @@ from hypothesis import given, strategies as st
 
 from conftest import RATE, lowpass_noise
 import opdkit
-from opdkit.cli import MAX_GRID_VALUES, build_parser, main, parse_grid
+import opdkit.cli as cli_module
+from opdkit.cli import MAX_GRID_VALUES, _sweep_task, build_parser, main, parse_grid
 from opdkit.reporting import SWEEP_CSV_COLUMNS
 from opdkit.signals import Waveform, energy
 from opdkit.wavio import read_wav, write_wav
+
+
+def _dies_on_utt1(payload):
+    """The sweep task, except that its worker process dies on utterance
+    utt1, as one the kernel kills for memory would."""
+    if payload[1].utterance_id == "utt1":
+        os._exit(1)
+    return _sweep_task(payload)
 
 
 class TestParseGrid:
@@ -373,6 +382,53 @@ class TestOaCommand:
             outputs.append((out / "oa.csv").read_bytes())
         assert outputs[0] == outputs[1]
 
+    def test_dead_worker_fails_only_its_utterance(self, tmp_path, enhanced_corpus,
+                                                  monkeypatch, capsys):
+        # utt1 kills its pool, then its one-worker rerun; utt0 is unaffected
+        monkeypatch.setattr(cli_module, "_sweep_task", _dies_on_utt1)
+        out = tmp_path / "oa_w2"
+        assert main(["oa", "--corpus", str(enhanced_corpus / "corpus.jsonl"),
+                     "--grid", "0:1:0.5", "-L", "8", "--workers", "2",
+                     "--out", str(out)]) == 0
+        assert "failed utt1: BrokenProcessPool: " in capsys.readouterr().err
+        manifest = json.loads((out / "run_manifest.json").read_text())
+        assert [e["utterance_id"] for e in manifest["errors"]] == ["utt1"]
+        _, rows = read_csv(out / "oa.csv")
+        assert [r["utterance_id"] for r in rows] == ["utt0"] * 3 + ["utt1"]
+        assert rows[-1]["error"].startswith("BrokenProcessPool: ")
+
+    def test_pool_broken_while_submitting_reruns_the_rest(self, monkeypatch):
+        # stands in for ProcessPoolExecutor: the first pool breaks at its
+        # second submit, as one whose worker died meanwhile would
+        import concurrent.futures
+        from concurrent.futures.process import BrokenProcessPool
+        sizes = []
+
+        class BreakingPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+                self.submitted = 0
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                return False
+
+            def submit(self, fn, payload):
+                self.submitted += 1
+                if len(sizes) == 1 and self.submitted == 2:
+                    raise BrokenProcessPool("a child process terminated abruptly")
+                future = concurrent.futures.Future()
+                future.set_result(fn(payload))
+                return future
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", BreakingPool)
+        payloads = [("oa", argparse.Namespace(utterance_id=f"utt{i}"), 8, []) for i in range(3)]
+        results = cli_module._run_corpus(lambda p: p[1].utterance_id, payloads, 2)
+        assert results == ["utt0", "utt1", "utt2"]
+        assert sizes == [2, 1, 1]
+
     def test_default_grid(self, tmp_path, enhanced_corpus):
         out = tmp_path / "oa_default"
         assert main(["oa", "--corpus", str(enhanced_corpus / "corpus.jsonl"),
@@ -568,8 +624,10 @@ class TestSweepArguments:
             def __exit__(self, *exc_info):
                 return False
 
-            def map(self, fn, payloads, chunksize=1):
-                return map(fn, payloads)
+            def submit(self, fn, payload):
+                future = concurrent.futures.Future()
+                future.set_result(fn(payload))
+                return future
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         assert main(["oa", "--corpus", str(enhanced_corpus / "corpus.jsonl"),

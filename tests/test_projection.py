@@ -1,5 +1,8 @@
 import ctypes
 import dataclasses
+import errno
+import json
+import mmap
 import os
 import subprocess
 import sys
@@ -87,14 +90,15 @@ class TestGram:
     @pytest.mark.parametrize("seed", range(8))
     def test_factor_is_the_factorized_gram(self, seed):
         # ties the Gram that the tests and the self-test check to the one
-        # that was factorized in place
+        # that was factorized in place; the strict lower triangle is still
+        # the zero-filled allocation, so neither the fill nor dpotrf wrote it
         case = make_case(seed)
         basis = build_basis([case.s, case.n], case.max_delay)
         assert basis.regularization == 0.0
         gram, factor = basis.gram, basis._factor
         upper = np.triu(factor)
         assert np.max(np.abs(upper.T @ upper - gram)) <= 1e-12 * np.max(np.abs(gram))
-        assert np.array_equal(np.tril(factor, -1), np.tril(gram, -1))
+        assert not np.tril(factor, -1).any()
 
     def test_convention_recorded(self):
         basis = build_basis([Waveform(np.ones(16), RATE)], 4)
@@ -146,6 +150,22 @@ class TestProject:
         expected = speech[0].samples
         assert np.linalg.norm(joint[0].samples - expected) \
             <= 1e-8 * np.linalg.norm(expected)
+
+
+def test_production_length_projection_matches_householder_qr():
+    # 4 s at 16 kHz, the utterance length the benchmark runs, against the
+    # projection onto the orthonormal basis Householder QR gives of the
+    # dense 64000 x 128 delayed-copy matrix
+    T, L = 64000, 64
+    rng = np.random.default_rng(64)
+    s, n, w = (lowpass_noise(rng, T) for _ in range(3))
+    x = np.convolve(s, [0.8, 0.5, 0.2])[:T] + 0.3 * n + 0.25 * w
+    fast = project(build_basis([Waveform(s, RATE), Waveform(n, RATE)], L),
+                   Waveform(x, RATE))[-1].samples
+    q, _ = np.linalg.qr(np.hstack([delayed_matrix(s, L), delayed_matrix(n, L)]))
+    oracle = q @ (q.T @ x)
+    tol = INVARIANT_TOLERANCES["fast_vs_dense_projection_rel"]
+    assert np.linalg.norm(fast - oracle) <= tol * np.linalg.norm(oracle)
 
 
 class TestDenseOracle:
@@ -274,8 +294,38 @@ class TestRegularization:
             build_basis([s], 1)
 
 
+_RESIDENT_GROWTH = """
+import json, resource, sys
+import numpy as np
+from conftest import RATE, lowpass_noise
+from opdkit.projection import build_basis, dpotrf
+from opdkit.signals import Waveform
+T, L, second = int(sys.argv[1]), int(sys.argv[2]), sys.argv[3]
+rng = np.random.default_rng(0)
+s, n = (Waveform(lowpass_noise(rng, T), RATE) for _ in range(2))
+build_basis([s, n], 4)  # loads LAPACK and the FFT
+# pages in LAPACK's workspace for a 2L-by-2L factor on a matrix kept alive,
+# so that the peak before the build is the resident size
+warm = dpotrf(np.eye(2 * L, order="F") * 2.0)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+basis = build_basis([s, s if second == "s" else n], L)
+after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+unit = 1 if sys.platform == "darwin" else 1024  # ru_maxrss is in kB on Linux
+print(json.dumps({"growth": (after - before) * unit,
+                  "events": basis.regularization_events}))
+"""
+
+
+def _subprocess_env() -> dict:
+    """The environment with ``src`` and this directory on PYTHONPATH."""
+    here = os.path.dirname(os.path.abspath(__file__))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(projection_module.__file__)))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, here, os.environ.get("PYTHONPATH")) if p))
+
+
 class TestMemory:
-    """tracemalloc peaks on a k=2 basis at T=20000, L=1024, whose Gram is
+    """Memory of a k=2 basis at T=20000, L=1024, whose Gram is
     (2L)^2 * 8 = 33.5 MB and whose L-by-L blocks are 8.4 MB each."""
 
     T, L = 20000, 1024
@@ -296,23 +346,33 @@ class TestMemory:
         finally:
             tracemalloc.stop()
 
+    def resident_growth(self, second: str) -> dict:
+        """Growth of the peak resident size over ``build_basis([s, <second>])``
+        in a fresh interpreter: tracemalloc does not see the Gram's mmap."""
+        result = subprocess.run(
+            [sys.executable, "-c", _RESIDENT_GROWTH, str(self.T), str(self.L), second],
+            env=_subprocess_env(), capture_output=True, text=True, timeout=120)
+        assert result.returncode == 0, result.stderr[-3000:]
+        return json.loads(result.stdout)
+
     def basis_bound(self):
-        # the one Gram array, with 10% slack, plus O(T) for spectra and lags
-        return 1.1 * (2 * self.L) ** 2 * 8 + 64 * self.T
+        # the Gram's upper triangle, the last partial page of each of its
+        # columns, and O(T) for spectra and lags; the whole Gram is 2x the first
+        return 0.5 * (2 * self.L) ** 2 * 8 + 2 * self.L * mmap.PAGESIZE + 64 * self.T
 
-    def test_build_holds_one_gram(self, signals):
-        s, n, _ = signals
-        basis, peak = self.traced_peak(lambda: build_basis([s, n], self.L))
-        assert basis.regularization == 0.0
-        assert peak <= self.basis_bound()
+    @pytest.mark.skipif(sys.platform == "win32", reason="needs resource.getrusage")
+    def test_build_holds_one_gram(self):
+        measured = self.resident_growth("n")
+        assert measured["events"] == []
+        assert measured["growth"] <= self.basis_bound()
 
-    def test_regularized_build_holds_one_gram(self, signals):
-        s, _, _ = signals
-        basis, peak = self.traced_peak(lambda: build_basis([s, s], self.L))
-        assert peak <= self.basis_bound()
-        assert basis.regularization_events == (
+    @pytest.mark.skipif(sys.platform == "win32", reason="needs resource.getrusage")
+    def test_regularized_build_holds_one_gram(self):
+        measured = self.resident_growth("s")
+        assert measured["growth"] <= self.basis_bound()
+        assert measured["events"] == [
             "gram-regularized: diagonal loading 1.0532e-05 from reference 1 on "
-            "(L=1024, refs=2)",)
+            "(L=1024, refs=2)"]
 
     def test_nested_projection_copies_no_factor_block(self, signals):
         s, n, x = signals
@@ -331,6 +391,17 @@ class TestGramSizeCheck:
             build_basis([s, n], 4)
         monkeypatch.setattr(projection_module, "_mem_available", lambda: 512)
         assert build_basis([s, n], 4).regularization > 0.0
+
+    def test_failed_mapping_is_the_size_error(self, monkeypatch, running_example):
+        s, n, _, _ = running_example
+
+        def no_memory(*args, **kwargs):
+            raise OSError(errno.ENOMEM, os.strerror(errno.ENOMEM))
+
+        monkeypatch.setattr(projection_module.mmap, "mmap", no_memory)
+        with pytest.raises(ValueError, match=r"^cannot allocate the Gram matrix: kL=8 "
+                                             r"needs \(kL\)\^2\*8 = 512 bytes$"):
+            build_basis([s, n], 4)
 
     def test_no_meminfo_leaves_the_allocation_to_numpy(self, monkeypatch, running_example):
         s, n, _, _ = running_example
@@ -470,13 +541,10 @@ sys.exit(code)
 
 def test_projection_tests_pass_on_cython_lapack(tmp_path):
     # the fallback source for a numpy without bundled OpenBLAS
-    here = os.path.dirname(os.path.abspath(__file__))
-    src = os.path.dirname(os.path.dirname(os.path.abspath(projection_module.__file__)))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, here, os.environ.get("PYTHONPATH")) if p))
     result = subprocess.run(
         [sys.executable, "-c", _FORCED_CYTHON_LAPACK, "-q", "-p", "no:cacheprovider",
-         "-k", "not test_projection_tests_pass_on_cython_lapack",
+         # TestMemory's builds run in their own interpreters, on numpy's LAPACK
+         "-k", "not test_projection_tests_pass_on_cython_lapack and not TestMemory",
          "--rootdir", str(tmp_path), os.path.abspath(__file__)],
-        env=env, capture_output=True, text=True, timeout=300)
+        env=_subprocess_env(), capture_output=True, text=True, timeout=300)
     assert result.returncode == 0, result.stdout[-3000:]
