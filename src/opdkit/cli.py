@@ -103,7 +103,9 @@ def _run_corpus(task, payloads, workers: int) -> list[dict]:
 
     With more than one worker, a payload left unfinished by a broken pool (a
     worker process killed, say for memory) is rerun alone in a one-worker
-    pool, so a crash that repeats fails only its own utterance."""
+    pool, so a crash that repeats fails only its own utterance.  Every
+    payload the broken pool left unfinished is rerun that way, one process
+    each: after a crash the rest of the run is serial."""
     if workers <= 1:
         return [task(p) for p in payloads]
     # imported here: loading it costs every run, and only --workers > 1 uses it

@@ -12,7 +12,7 @@ Correlations are computed with FFTs of length >= T + L - 1.  Because the
 delayed copies are truncated at T rather than extended, the Gram matrix
 differs from the plain Toeplitz correlation matrix by products of the
 reference tails that fall off the end; that correction is exact, an O(L^2)
-prefix sum along each diagonal subtracted once (see ``_cross_block``).  The
+prefix sum along each diagonal subtracted once (see ``_gram_block``).  The
 Gram is written in LAPACK's (Fortran) order and factorized in place, so a
 basis holds one (kL)^2 array and no solve copies it.  Only its upper
 triangle, the part ``dpotrf`` and ``dtrtrs`` read, is written; the strict
@@ -39,7 +39,6 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 from numpy.fft import irfft, rfft
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .signals import Waveform, energy
 
@@ -228,14 +227,18 @@ class ProjectionBasis:
         delayed by ``u``.
 
         Not stored: each access rebuilds its upper triangle from the
-        reference spectra, in O(k^2 (nfft log nfft + L^2)) time, and mirrors
-        it into a new (kL)^2 * 8-byte array, so the result is exactly
-        symmetric.  Meant for checks, not for the solve path.
+        reference spectra into a new (kL)^2 * 8-byte array, in
+        O(k^2 (nfft log nfft + L^2)) time, and copies it into the lower
+        triangle, so the result is exactly symmetric.  Meant for checks, not
+        for the solve path.
         """
-        gram = _empty_gram(len(self.references) * self.max_delay)
+        dim = len(self.references) * self.max_delay
+        gram = _empty_gram(dim)
         _fill_gram(gram, [r.samples for r in self.references], self._ref_ffts,
                    self.max_delay, self._nfft)
-        return np.triu(gram) + np.triu(gram, 1).T
+        for c in range(1, dim):
+            gram[c, :c] = gram[:c, c]
+        return gram
 
 
 def delayed_matrix(x: np.ndarray, max_delay: int) -> np.ndarray:
@@ -245,21 +248,6 @@ def delayed_matrix(x: np.ndarray, max_delay: int) -> np.ndarray:
     for tau in range(max_delay):
         A[tau:, tau] = x[: T - tau]
     return A
-
-
-def _subtract_truncation_loss(block: np.ndarray, a: np.ndarray, b: np.ndarray,
-                              L: int) -> None:
-    """Subtract from ``block[t, u]`` the products that truncation at T drops
-    from Gram entry (t, u), summed by diagonal:
-    ``sum_{m=1}^{min(t,u)} ra[t-m] * rb[u-m]``, ``ra, rb = a[::-1][:L], b[::-1][:L]``.
-
-    Row t of the loss follows from row t-1 shifted by one column; one
-    running length-L row is kept."""
-    ra, rb = a[::-1][:L], b[::-1][:L]
-    loss = np.zeros(L)
-    for t in range(1, L):
-        loss[1:] = loss[:-1] + ra[t - 1] * rb[:-1]
-        block[t] -= loss
 
 
 def _lag_row(fa: np.ndarray, fb: np.ndarray, L: int, nfft: int,
@@ -275,33 +263,28 @@ def _lag_row(fa: np.ndarray, fb: np.ndarray, L: int, nfft: int,
     return 0.5 * (row + row[::-1]) if symmetric else row
 
 
-def _cross_block(out: np.ndarray, a: np.ndarray, b: np.ndarray, fa: np.ndarray,
-                 fb: np.ndarray, L: int, nfft: int) -> None:
+def _gram_block(out: np.ndarray, a: np.ndarray, b: np.ndarray, fa: np.ndarray,
+                fb: np.ndarray, L: int, nfft: int, diagonal: bool) -> None:
     """Write into ``out`` the L-by-L block of inner products between delayed
     copies of b and of a, ``out[u, t] = <b delayed by u, a delayed by t>``,
-    from the correlations of a with b (spectra fa, fb).
+    from the correlations of a with b (spectra fa, fb).  A block on the
+    Gram's ``diagonal`` has row u written up to column u only; no other
+    entry of ``out`` is touched.
 
-    Toeplitz matrix of the full correlations, minus the min(t, u) tail products
-    that truncation at T drops from entry (u, t): those are summed among
-    themselves, so they round at their own size, and subtracted once."""
-    row = _lag_row(fa, fb, L, nfft, symmetric=b is a)
-    out[...] = sliding_window_view(row[::-1], L)[::-1]  # row u: row[L-1+u-t], t < L
-    _subtract_truncation_loss(out, b, a, L)
-
-
-def _auto_block_upper(out: np.ndarray, a: np.ndarray, fa: np.ndarray, L: int,
-                      nfft: int) -> None:
-    """Write ``out[t, :t+1]``, the inner products of a delayed by t with a
-    delayed by 0 .. t, and no other entry of ``out``: the Toeplitz row minus
-    the truncation loss of ``_subtract_truncation_loss``, whose recursion is
-    run only over the columns u <= t that are written."""
-    row = _lag_row(fa, fa, L, nfft, symmetric=True)
-    tail = a[::-1][:L]
+    Toeplitz row minus the products that truncation at T drops from entry
+    (u, t), ``sum_{m=1}^{min(t,u)} rb[u-m] * ra[t-m]`` with ``ra, rb`` the
+    last L samples of a, b reversed: those are summed among themselves along
+    each diagonal, so they round at their own size, and subtracted once.
+    Row u of that loss is row u-1 shifted by one column plus one product
+    row, so one running row is kept."""
+    lags = _lag_row(fa, fb, L, nfft, symmetric=b is a)[::-1]  # lags[L-1-u+t]: entry (u, t)
+    ra, rb = a[::-1][:L], b[::-1][:L]
     loss = np.zeros(L)
-    for t in range(L):
-        if t:
-            loss[1:t + 1] = loss[:t] + tail[t - 1] * tail[:t]
-        out[t, :t + 1] = row[L - 1 - t:L] - loss[:t + 1]
+    for u in range(L):
+        width = u + 1 if diagonal else L
+        if u:
+            loss[1:width] = loss[:width - 1] + rb[u - 1] * ra[:width - 1]
+        out[u, :width] = lags[L - 1 - u:L - 1 - u + width] - loss[:width]
 
 
 def _mem_available() -> int | None:
@@ -357,11 +340,9 @@ def _fill_gram(gram: np.ndarray, arrays: Sequence[np.ndarray], ref_ffts: Sequenc
     entries."""
     view = gram.T
     for i in range(len(arrays)):
-        rows = slice(i * L, (i + 1) * L)
-        _auto_block_upper(view[rows, rows], arrays[i], ref_ffts[i], L, nfft)
-        for j in range(i + 1, len(arrays)):
-            _cross_block(view[j * L:(j + 1) * L, rows], arrays[i], arrays[j],
-                         ref_ffts[i], ref_ffts[j], L, nfft)
+        for j in range(i, len(arrays)):
+            _gram_block(view[j * L:(j + 1) * L, i * L:(i + 1) * L], arrays[i], arrays[j],
+                        ref_ffts[i], ref_ffts[j], L, nfft, diagonal=i == j)
 
 
 def _validate_references(references: Sequence[Waveform], max_delay: int) -> None:

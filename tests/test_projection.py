@@ -13,7 +13,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from conftest import RATE, lowpass_noise
-from opdkit.projection import (DELAY_PADDING, SingularProjectionError, _subtract_truncation_loss,
+from opdkit.projection import (DELAY_PADDING, SingularProjectionError, _gram_block,
                                build_basis, delayed_matrix, project, project_dense_oracle)
 from opdkit.reporting import RunManifest
 from opdkit.selftest import INVARIANT_TOLERANCES, make_case
@@ -82,9 +82,12 @@ class TestGram:
                 # to sample T - 1 + min(t, u); truncation drops w >= T
                 for w in range(T, T + min(t, u)):
                     expected[t, u] += a[w - t] * b[w - u]
+        # with zero spectra the Toeplitz part is zero and the block written,
+        # block[u, t] for b delayed by u and a delayed by t, is minus the loss
         block = np.zeros((max_delay, max_delay))
-        _subtract_truncation_loss(block, a, b, max_delay)
-        loss = -block
+        nothing = np.zeros(T + 1, dtype=complex)
+        _gram_block(block, a, b, nothing, nothing, max_delay, 2 * T, diagonal=False)
+        loss = -block.T
         assert np.max(np.abs(loss - expected)) <= 1e-13 * np.max(np.abs(expected))
 
     @pytest.mark.parametrize("seed", range(8))
@@ -349,6 +352,9 @@ class TestMemory:
     def resident_growth(self, second: str) -> dict:
         """Growth of the peak resident size over ``build_basis([s, <second>])``
         in a fresh interpreter: tracemalloc does not see the Gram's mmap."""
+        if self.basis_bound() >= (2 * self.L) ** 2 * 8:
+            pytest.skip(f"with {mmap.PAGESIZE}-byte pages the bound is not below the "
+                        "whole Gram, so it cannot tell which half was paged in")
         result = subprocess.run(
             [sys.executable, "-c", _RESIDENT_GROWTH, str(self.T), str(self.L), second],
             env=_subprocess_env(), capture_output=True, text=True, timeout=120)
@@ -543,8 +549,8 @@ def test_projection_tests_pass_on_cython_lapack(tmp_path):
     # the fallback source for a numpy without bundled OpenBLAS
     result = subprocess.run(
         [sys.executable, "-c", _FORCED_CYTHON_LAPACK, "-q", "-p", "no:cacheprovider",
-         # TestMemory's builds run in their own interpreters, on numpy's LAPACK
-         "-k", "not test_projection_tests_pass_on_cython_lapack and not TestMemory",
+         # the resident-growth builds run in their own interpreters, on numpy's LAPACK
+         "-k", "not test_projection_tests_pass_on_cython_lapack and not holds_one_gram",
          "--rootdir", str(tmp_path), os.path.abspath(__file__)],
         env=_subprocess_env(), capture_output=True, text=True, timeout=300)
     assert result.returncode == 0, result.stdout[-3000:]
