@@ -16,7 +16,7 @@ components.
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -29,10 +29,8 @@ __all__ = [
     "OaPoint",
     "SweepRow",
     "SweepValidationError",
-    "SarGainCondition",
     "dsa_synthesize",
     "oa_apply",
-    "sar_improvement_condition",
     "dsa_sweep",
     "oa_sweep",
     "SARI_VALIDATION_TOL_DB",
@@ -72,13 +70,6 @@ class OaPoint:
         object.__setattr__(self, "omega_obs", _check_omega(self.omega_obs, "omega_obs"))
 
 
-class SarGainCondition(NamedTuple):
-    """Whether adding observation is guaranteed to improve SAR, and why."""
-
-    holds: bool
-    inner_value: float
-
-
 @dataclass(frozen=True)
 class SweepRow:
     """One (utterance, grid point) entry of a sweep table."""
@@ -109,12 +100,6 @@ def dsa_synthesize(d: Decomposition, point: DsaPoint) -> Waveform:
 def oa_apply(s_hat: Waveform, y: Waveform, point: OaPoint) -> Waveform:
     """Enhanced signal with a scaled copy of the observation added back."""
     return add(s_hat, scale(y, point.omega_obs))
-
-
-def sar_improvement_condition(s_hat: Waveform, y: Waveform) -> SarGainCondition:
-    """Check <s_hat, y> > 0, the condition under which OA strictly improves SAR."""
-    value = inner(s_hat, y)
-    return SarGainCondition(holds=value > 0.0, inner_value=value)
 
 
 def _check_grid(grid: Sequence, name: str) -> None:
@@ -165,17 +150,17 @@ def oa_sweep(dec: Decomposer, s_hat: Waveform, y: Waveform,
     _check_grid(grid, "oa_sweep")
     baseline = dec.decompose(s_hat)
     d_y = dec.decompose(y)
-    condition = sar_improvement_condition(s_hat, y)
     parts = np.stack([c.samples for d in (baseline, d_y)
                       for c in (d.s_target, d.e_noise, d.e_artif)])
     g6 = parts @ parts.T
     baseline_sar = metrics_from_gram(g6[:3, :3]).sar_db  # the w = 0 block
+    saris = sar_improvement_closed_form(baseline, y, [p.omega_obs for p in grid])
+    inner_s_hat_y = inner(s_hat, y)  # OA is guaranteed to improve SAR when > 0
 
     rows = []
-    for point in grid:
+    for point, sari in zip(grid, saris):
         m = np.hstack([np.eye(3), point.omega_obs * np.eye(3)])
         report = metrics_from_gram(m @ g6 @ m.T)
-        sari = sar_improvement_closed_form(baseline, y, point.omega_obs)
         if math.isfinite(report.sar_db) and math.isfinite(baseline_sar):
             measured = report.sar_db - baseline_sar
             if abs(sari - measured) > SARI_VALIDATION_TOL_DB:
@@ -190,7 +175,7 @@ def oa_sweep(dec: Decomposer, s_hat: Waveform, y: Waveform,
             omega_artif=None,
             omega_obs=point.omega_obs,
             metrics=report,
-            inner_s_hat_y=condition.inner_value,
+            inner_s_hat_y=inner_s_hat_y,
             sari_closed_form_db=sari,
         ))
     return tuple(rows)

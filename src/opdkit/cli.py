@@ -170,9 +170,17 @@ def _check_max_delay(max_delay: int) -> None:
         raise ValueError(f"max_delay must satisfy L >= 1, got {max_delay}")
 
 
+def _check_file_stem(utterance_id: str) -> None:
+    """An id that names files in --out must be one path component."""
+    if utterance_id in ("", ".", "..") or "/" in utterance_id or os.sep in utterance_id:
+        raise ValueError(f"utterance id {utterance_id!r} cannot name a file in --out: "
+                         "it must be one path component")
+
+
 def cmd_decompose(args) -> int:
     _check_max_delay(args.max_delay)
     utterance_id = args.id or os.path.splitext(os.path.basename(args.speech))[0]
+    _check_file_stem(utterance_id)
     s, n, s_hat = load_triplet(UtteranceTriplet(utterance_id, args.speech, args.noise,
                                                 args.enhanced))
     dec = Decomposer(s, n, args.max_delay)
@@ -203,6 +211,8 @@ def _cmd_sweep(args) -> int:
     points = ([OaPoint(v) for v in grid] if name == "oa"
               else [DsaPoint(wn, wa) for wn in grid for wa in grid])
     _check_max_delay(args.max_delay)
+    if args.workers < 1:
+        raise ValueError(f"--workers must be >= 1, got {args.workers}")
     triplets = load_corpus_manifest(args.corpus)
     payloads = [(name, t, args.max_delay, points) for t in triplets]
     rows, events, errors = _collect(_run_corpus(_sweep_task, payloads, args.workers))
@@ -307,6 +317,8 @@ def cmd_enhance(args) -> int:
                         oversubtraction=args.oversubtraction,
                         mask_threshold_db=args.mask_threshold_db)
     triplets = load_corpus_manifest(args.corpus)
+    for triplet in triplets:
+        _check_file_stem(triplet.utterance_id)
     enhanced = []  # every utterance is read and enhanced before --out exists
     for triplet in triplets:
         # the record's old enhanced_path, if any, is never read

@@ -26,7 +26,6 @@ from .wavio import write_wav
 __all__ = [
     "Decomposition",
     "Decomposer",
-    "decompose",
     "recompose",
     "dust_energy",
     "export_components",
@@ -94,12 +93,6 @@ class Decomposer:
         e_noise = Waveform(p_sn.samples - p_s.samples, s_hat.sample_rate)
         e_artif = Waveform(s_hat.samples - p_sn.samples, s_hat.sample_rate)
         return Decomposition(p_s, e_noise, e_artif)
-
-
-def decompose(s_hat: Waveform, s: Waveform, n: Waveform,
-              max_delay: int = DEFAULT_MAX_DELAY) -> Decomposition:
-    """One-shot decomposition of ``s_hat`` against references ``s`` and ``n``."""
-    return Decomposer(s, n, max_delay).decompose(s_hat)
 
 
 def recompose(d: Decomposition) -> Waveform:

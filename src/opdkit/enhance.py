@@ -20,10 +20,6 @@ __all__ = ["EnhanceConfig", "enhance", "stft", "istft", "ENHANCE_METHODS"]
 
 ENHANCE_METHODS = ("spectral-subtraction", "oracle-wiener", "ideal-binary-mask")
 
-# Leading frames of the mixture used as the noise estimate when no noise
-# reference is supplied to spectral subtraction.
-NOISE_ESTIMATE_FRAMES = 8
-
 _COLA_MIN_WEIGHT = 1e-6
 
 
@@ -63,7 +59,7 @@ def _layout(length: int, frame_len: int, hop: int) -> tuple[int, int, int]:
     return head, n_frames, padded
 
 
-def stft(x: np.ndarray, frame_len: int = 512, hop: int = 256) -> np.ndarray:
+def stft(x: np.ndarray, frame_len: int, hop: int) -> np.ndarray:
     """Windowed rfft frames, shape (n_frames, frame_len // 2 + 1)."""
     x = np.asarray(x, dtype=np.float64)
     head, n_frames, padded = _layout(len(x), frame_len, hop)
@@ -75,7 +71,7 @@ def stft(x: np.ndarray, frame_len: int = 512, hop: int = 256) -> np.ndarray:
     return rfft(frames, axis=1)
 
 
-def istft(spec: np.ndarray, length: int, frame_len: int = 512, hop: int = 256) -> np.ndarray:
+def istft(spec: np.ndarray, length: int, frame_len: int, hop: int) -> np.ndarray:
     """Overlap-add inverse of :func:`stft`, trimmed to ``length`` samples.
 
     Normalizes by the accumulated squared window; if that weight vanishes
@@ -117,40 +113,30 @@ def _subtraction_gains(y_spec: np.ndarray, noise_psd: np.ndarray, beta: float) -
     return np.sqrt(np.maximum(gain_sq, 0.0))
 
 
-def enhance(y: Waveform, s: Waveform | None = None, n: Waveform | None = None,
-            cfg: EnhanceConfig | None = None) -> Waveform:
-    """Run one of the baseline enhancers on the observed signal ``y``.
+def enhance(y: Waveform, s: Waveform, n: Waveform, cfg: EnhanceConfig) -> Waveform:
+    """Run the baseline enhancer ``cfg.method`` on the observed signal ``y``.
 
-    ``oracle-wiener`` and ``ideal-binary-mask`` require both references;
-    ``spectral-subtraction`` uses ``n`` for its noise estimate when given
-    and otherwise falls back to the leading frames of ``y``.  Output length
-    always equals the input length.
+    ``s`` and ``n`` are the speech and noise references, of ``y``'s length
+    and rate.  ``spectral-subtraction`` reads only ``n``, for its average
+    noise power; ``oracle-wiener`` and ``ideal-binary-mask`` read both.
+    Output length always equals the input length.
     """
-    if cfg is None:
-        raise ValueError("enhance: cfg is required")
     for name, ref in (("s", s), ("n", n)):
-        if ref is not None and (len(ref) != len(y) or ref.sample_rate != y.sample_rate):
+        if len(ref) != len(y) or ref.sample_rate != y.sample_rate:
             raise ValueError(f"enhance: reference {name} incompatible with y")
 
     y_spec = stft(y.samples, cfg.frame_len, cfg.hop)
 
     if cfg.method == "spectral-subtraction":
-        if n is not None:
-            noise_psd = _power(stft(n.samples, cfg.frame_len, cfg.hop)).mean(axis=0)
-        else:
-            noise_psd = _power(y_spec[:NOISE_ESTIMATE_FRAMES]).mean(axis=0)
+        noise_psd = _power(stft(n.samples, cfg.frame_len, cfg.hop)).mean(axis=0)
         gains = _subtraction_gains(y_spec, noise_psd, cfg.oversubtraction)
     elif cfg.method == "oracle-wiener":
-        if s is None or n is None:
-            raise ValueError("oracle-wiener requires both s and n references")
         s_pow = _power(stft(s.samples, cfg.frame_len, cfg.hop))
         n_pow = _power(stft(n.samples, cfg.frame_len, cfg.hop))
         denom = s_pow + n_pow
         with np.errstate(divide="ignore", invalid="ignore"):
             gains = np.where(denom > 0.0, s_pow / denom, 0.0)
     else:  # ideal-binary-mask
-        if s is None or n is None:
-            raise ValueError("ideal-binary-mask requires both s and n references")
         s_pow = _power(stft(s.samples, cfg.frame_len, cfg.hop))
         n_pow = _power(stft(n.samples, cfg.frame_len, cfg.hop))
         threshold = 10.0 ** (cfg.mask_threshold_db / 10.0)

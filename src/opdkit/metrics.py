@@ -12,6 +12,7 @@ much adding back a scaled observation improves SAR (see
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -43,11 +44,6 @@ class MetricsReport:
     noise_energy: float
     artifact_energy: float
     projected_energy: float
-
-    @property
-    def energies(self) -> tuple[float, float, float, float]:
-        return (self.target_energy, self.noise_energy,
-                self.artifact_energy, self.projected_energy)
 
     def as_dict(self) -> dict:
         """JSON-ready mapping; infinite dB values become the string 'inf'."""
@@ -114,8 +110,10 @@ def metrics_from_gram(gram: np.ndarray) -> MetricsReport:
     )
 
 
-def sar_improvement_closed_form(d: Decomposition, y: Waveform, omega_obs: float) -> float:
-    """Predicted SAR gain (dB) from adding ``omega_obs * y`` to the enhanced signal.
+def sar_improvement_closed_form(d: Decomposition, y: Waveform,
+                                omegas: Sequence[float]) -> list[float]:
+    """Predicted SAR gain (dB) from adding ``w * y`` to the enhanced signal,
+    one value per ``w`` in ``omegas``.
 
     Because the observation lies in the speech-noise subspace, adding it
     back leaves the artifact component untouched and only grows the
@@ -123,12 +121,14 @@ def sar_improvement_closed_form(d: Decomposition, y: Waveform, omega_obs: float)
 
         SARi = 10 log10[ 1 + (w^2 ||y||^2 + 2 w <p, y>) / ||p||^2 ]
 
-    with ``p = s_target + e_noise`` (the projected enhanced signal) and
-    ``w = omega_obs``.  The result can be negative when ``<p, y> < 0``.
+    with ``p = s_target + e_noise`` (the projected enhanced signal).  The
+    three T-length products are taken once for all omegas.  A value can be
+    negative when ``<p, y> < 0``.
     """
-    omega = float(omega_obs)
-    if not math.isfinite(omega) or omega < 0:
-        raise ValueError(f"omega_obs must be finite and >= 0, got {omega_obs!r}")
+    omegas = [float(w) for w in omegas]
+    for omega in omegas:
+        if not math.isfinite(omega) or omega < 0:
+            raise ValueError(f"omega_obs must be finite and >= 0, got {omega!r}")
     if len(y) != len(d.s_target) or y.sample_rate != d.sample_rate:
         raise ValueError("sar_improvement_closed_form: y incompatible with decomposition")
     p = d.s_target.samples + d.e_noise.samples
@@ -136,8 +136,10 @@ def sar_improvement_closed_form(d: Decomposition, y: Waveform, omega_obs: float)
     if e_projected == 0.0:
         raise ValueError("sar_improvement_closed_form: projected signal has zero energy")
     cross = float(np.dot(p, y.samples))
-    argument = 1.0 + (omega * omega * energy(y) + 2.0 * omega * cross) / e_projected
-    if argument <= 0.0:
-        # only reachable when p is (anti)parallel to y and omega cancels it
-        return -math.inf
-    return 10.0 * math.log10(argument)
+    e_y = energy(y)
+    saris = []
+    for omega in omegas:
+        argument = 1.0 + (omega * omega * e_y + 2.0 * omega * cross) / e_projected
+        # argument <= 0 only when p is (anti)parallel to y and omega cancels it
+        saris.append(10.0 * math.log10(argument) if argument > 0.0 else -math.inf)
+    return saris

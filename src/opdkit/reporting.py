@@ -2,7 +2,8 @@
 
 The corpus manifest is JSON lines, one utterance triplet per line with keys
 ``utterance_id``, ``speech_path``, ``noise_path``, and optionally
-``enhanced_path``; no ``utterance_id`` may repeat.  Relative paths are
+``enhanced_path`` (absent or null when not enhanced yet); no
+``utterance_id`` may repeat.  Relative paths are
 resolved against the manifest's own directory.  Every command writes a ``run_manifest.json`` describing its
 parameters so outputs can be reproduced bit-identically.
 """
@@ -94,9 +95,12 @@ def load_corpus_manifest(path: str | os.PathLike) -> list[UtteranceTriplet]:
                 fields = [record[k] for k in ("utterance_id", "speech_path", "noise_path")]
             except KeyError as exc:
                 raise ValueError(f"{path}:{lineno}: missing manifest key {exc}") from exc
-            enhanced = record.get("enhanced_path") or None
-            if not all(isinstance(v, str) for v in (*fields, enhanced or "")):
+            enhanced = record.get("enhanced_path")  # absent or null: not enhanced yet
+            if not all(isinstance(v, str) for v in fields):
                 raise ValueError(f"{path}:{lineno}: utterance_id and the paths must be strings")
+            if enhanced is not None and not (isinstance(enhanced, str) and enhanced):
+                raise ValueError(f"{path}:{lineno}: enhanced_path must be null or a "
+                                 f"non-empty string, got {enhanced!r}")
             utterance_id, speech, noise = fields
             if utterance_id in first_line:
                 raise ValueError(f"{path}:{lineno}: utterance_id {utterance_id!r} "

@@ -44,11 +44,6 @@ class Waveform:
     def __len__(self) -> int:
         return self.samples.size
 
-    @property
-    def duration(self) -> float:
-        """Length in seconds."""
-        return self.samples.size / self.sample_rate
-
 
 @dataclass(frozen=True)
 class MixtureSpec:

@@ -13,11 +13,8 @@ __all__ = ["Series", "line_plot", "write_plot"]
 WIDTH, HEIGHT = 640, 400
 MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 64, 16, 36, 48
 
-PALETTE = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b"]
-
-
 class Series:
-    def __init__(self, label: str, xs, ys, color: str | None = None,
+    def __init__(self, label: str, xs, ys, color: str,
                  width: float = 2.0, opacity: float = 1.0):
         self.label = label
         self.xs = [float(v) for v in xs]
@@ -95,8 +92,7 @@ def line_plot(title: str, x_label: str, y_label: str, series: list[Series]) -> s
                  f'transform="rotate(-90 16 {MARGIN_T + plot_h / 2:.1f})">{y_label}</text>')
 
     legend_y = MARGIN_T + 8
-    for i, s in enumerate(series):
-        color = s.color or PALETTE[i % len(PALETTE)]
+    for s in series:
         segment: list[str] = []
         segments = [segment]
         for x, y in zip(s.xs, s.ys):
@@ -108,12 +104,12 @@ def line_plot(title: str, x_label: str, y_label: str, series: list[Series]) -> s
         for points in segments:
             if len(points) >= 2:
                 parts.append(f'<polyline points="{" ".join(points)}" fill="none" '
-                             f'stroke="{color}" stroke-width="{s.width:g}" '
+                             f'stroke="{s.color}" stroke-width="{s.width:g}" '
                              f'stroke-opacity="{s.opacity:g}"/>')
         if s.label:
             parts.append(f'<line x1="{MARGIN_L + plot_w - 150}" y1="{legend_y}" '
                          f'x2="{MARGIN_L + plot_w - 126}" y2="{legend_y}" '
-                         f'stroke="{color}" stroke-width="{s.width:g}"/>')
+                         f'stroke="{s.color}" stroke-width="{s.width:g}"/>')
             parts.append(f'<text x="{MARGIN_L + plot_w - 120}" y="{legend_y + 4}">'
                          f'{s.label}</text>')
             legend_y += 16

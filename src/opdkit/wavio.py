@@ -1,4 +1,5 @@
-"""Mono WAV file I/O: PCM 16-bit and IEEE float, on numpy and ``struct`` alone.
+"""Mono WAV file I/O on numpy and ``struct`` alone: reads PCM 16-bit and IEEE
+float, writes IEEE float-32.
 
 ``read_wav`` accepts a little-endian RIFF/WAVE file with one channel of PCM
 16-bit, IEEE float-32 or IEEE float-64 samples, tagged plainly or as
@@ -9,10 +10,9 @@ pad byte after an odd-sized chunk.  Samples are promoted to float64 (PCM
 samples do not make a ``Waveform`` (none, NaN/inf, a sample rate of 0),
 raises ``ValueError`` naming the path.
 
-``write_wav`` writes the layout ``scipy.io.wavfile.write`` writes, byte for
-byte: ``RIFF``/``WAVE``, a ``fmt `` chunk (with a 2-byte ``cbSize`` for float),
-a ``fact`` chunk holding the sample count for float, then ``data``.  The
-on-disk format is chosen at write time.
+``write_wav`` writes float-32 samples in the layout ``scipy.io.wavfile.write``
+writes, byte for byte: ``RIFF``/``WAVE``, a ``fmt `` chunk with a 2-byte
+``cbSize``, a ``fact`` chunk holding the sample count, then ``data``.
 """
 
 import os
@@ -89,17 +89,11 @@ def read_wav(path: str | os.PathLike) -> Waveform:
 
 
 def _write(path, sample_rate: int, data: np.ndarray) -> None:
-    """Write mono ``data`` (int16 or float32) in scipy.io.wavfile's layout."""
-    data = data.astype(data.dtype.newbyteorder("<"), copy=False)
-    is_float = data.dtype.kind == "f"
-    fmt = struct.pack("<HHIIHH", WAVE_FORMAT_IEEE_FLOAT if is_float else WAVE_FORMAT_PCM,
-                      1, sample_rate, sample_rate * data.itemsize, data.itemsize,
-                      8 * data.itemsize)
-    if is_float:
-        fmt += b"\x00\x00"  # cbSize: no extension
-    header = b"fmt " + struct.pack("<I", len(fmt)) + fmt
-    if is_float:
-        header += b"fact" + struct.pack("<II", 4, len(data))
+    """Write mono little-endian float32 ``data`` in scipy.io.wavfile's layout."""
+    fmt = struct.pack("<HHIIHHH", WAVE_FORMAT_IEEE_FLOAT, 1, sample_rate,
+                      sample_rate * 4, 4, 32, 0)  # cbSize 0: no extension
+    header = (b"fmt " + struct.pack("<I", len(fmt)) + fmt
+              + b"fact" + struct.pack("<II", 4, len(data)))
     riff_size = 4 + len(header) + 8 + data.nbytes
     if riff_size > 0xFFFFFFFF:
         raise ValueError(f"{path}: {data.nbytes} bytes of samples exceed a RIFF file's 4 GiB")
@@ -109,12 +103,6 @@ def _write(path, sample_rate: int, data: np.ndarray) -> None:
         fh.write(data.data)
 
 
-def write_wav(path: str | os.PathLike, w: Waveform, fmt: str = "float32") -> None:
-    """Write a mono WAV file as IEEE float-32 or PCM 16-bit (clipped to [-1, 1])."""
-    if fmt == "float32":
-        _write(path, w.sample_rate, w.samples.astype(np.float32))
-    elif fmt == "pcm16":
-        clipped = np.clip(w.samples, -1.0, 1.0)
-        _write(path, w.sample_rate, np.round(clipped * PCM16_FULL_SCALE).astype(np.int16))
-    else:
-        raise ValueError(f"unsupported WAV format {fmt!r} (expected 'float32' or 'pcm16')")
+def write_wav(path: str | os.PathLike, w: Waveform) -> None:
+    """Write a mono IEEE float-32 WAV file."""
+    _write(path, w.sample_rate, w.samples.astype("<f4"))

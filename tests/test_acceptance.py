@@ -16,7 +16,7 @@ import pytest
 
 from conftest import RATE, lowpass_noise
 from opdkit.cli import main
-from opdkit.decomposition import decompose
+from opdkit.decomposition import Decomposer
 from opdkit.metrics import compute_metrics, sar_improvement_closed_form
 from opdkit.selftest import run_property_suite
 from opdkit.signals import Waveform
@@ -175,16 +175,16 @@ def test_criterion_8_hand_worked_example():
     n = Waveform([0.0, 1.0, 0.0, 0.0], RATE)
     s_hat = Waveform([0.9, 0.2, 0.1, 0.0], RATE)
     y = Waveform([1.0, 1.0, 0.0, 0.0], RATE)
-    d = decompose(s_hat, s, n, max_delay=1)
+    d = Decomposer(s, n, 1).decompose(s_hat)
     report = compute_metrics(d)
-    sari = sar_improvement_closed_form(d, y, 0.5)
+    [sari] = sar_improvement_closed_form(d, y, [0.5])
     assert report.sar_db == pytest.approx(ORACLE_VALUES_DB["sar"], abs=1e-3)
     assert report.snr_db == pytest.approx(ORACLE_VALUES_DB["snr"], abs=1e-3)
     assert report.sdr_db == pytest.approx(ORACLE_VALUES_DB["sdr"], abs=1e-3)
     assert sari == pytest.approx(ORACLE_VALUES_DB["sari_half"], abs=1e-3)
     # the closed form must also match the literal re-decomposition route
     modified = Waveform(s_hat.samples + 0.5 * y.samples, RATE)
-    sar_after = compute_metrics(decompose(modified, s, n, max_delay=1)).sar_db
+    sar_after = compute_metrics(Decomposer(s, n, 1).decompose(modified)).sar_db
     assert sari == pytest.approx(sar_after - report.sar_db, abs=1e-6)
     _report_line(8, f"hand-worked example: SAR {report.sar_db:.4f}, "
                     f"SNR {report.snr_db:.4f}, SDR {report.sdr_db:.4f}, "

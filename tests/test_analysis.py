@@ -6,9 +6,9 @@ from numpy.testing import assert_allclose
 
 from conftest import RATE, random_signals
 from opdkit.analysis import (DsaPoint, OaPoint, SweepValidationError, dsa_sweep, dsa_synthesize,
-                             oa_apply, oa_sweep, sar_improvement_condition)
+                             oa_apply, oa_sweep)
 from opdkit.cli import DEFAULT_DSA_GRID, DEFAULT_OA_GRID, parse_grid
-from opdkit.decomposition import Decomposer, Decomposition, decompose
+from opdkit.decomposition import Decomposer, Decomposition
 from opdkit.metrics import NoTargetError, compute_metrics
 from opdkit.selftest import make_case
 from opdkit.signals import Waveform, add, scale
@@ -25,7 +25,7 @@ def default_grid(kind):
 @pytest.fixture
 def running_decomposition(running_example):
     s, n, s_hat, _ = running_example
-    return decompose(s_hat, s, n, max_delay=1)
+    return Decomposer(s, n, 1).decompose(s_hat)
 
 
 class TestPoints:
@@ -75,24 +75,25 @@ class TestOaApply:
 
 
 class TestSarGainCondition:
+    """An OA sweep reports the gain condition's <s_hat, y> in every row."""
+
+    @staticmethod
+    def inner_s_hat_y(s_hat, running_example):
+        s, n, _, y = running_example
+        return oa_sweep(Decomposer(s, n, 1), s_hat, y, [OaPoint(0.0)])[0].inner_s_hat_y
+
     def test_observation_itself_holds(self, running_example):
         _, _, _, y = running_example
-        check = sar_improvement_condition(y, y)
-        assert check.holds
-        assert check.inner_value == pytest.approx(2.0)
+        assert self.inner_s_hat_y(y, running_example) == pytest.approx(2.0)
 
     def test_negated_observation_fails(self, running_example):
         _, _, _, y = running_example
         neg = Waveform(-y.samples, RATE)
-        check = sar_improvement_condition(neg, y)
-        assert not check.holds
-        assert check.inner_value == pytest.approx(-2.0)
+        assert self.inner_s_hat_y(neg, running_example) == pytest.approx(-2.0)
 
     def test_running_example(self, running_example):
-        _, _, s_hat, y = running_example
-        check = sar_improvement_condition(s_hat, y)
-        assert check.holds
-        assert check.inner_value == pytest.approx(1.1)
+        _, _, s_hat, _ = running_example
+        assert self.inner_s_hat_y(s_hat, running_example) == pytest.approx(1.1)
 
 
 class TestDsaSweep:
@@ -127,7 +128,7 @@ class TestDsaSweep:
         s, n, s_hat = random_signals(4, length=500, max_delay=8)
         if artifact_free:
             s_hat = Waveform(s.samples + n.samples, RATE)
-        d = decompose(s_hat, s, n, max_delay=8)
+        d = Decomposer(s, n, 8).decompose(s_hat)
         assert d.artifact_free == artifact_free
         grid = default_grid("dsa")
         rows = dsa_sweep(d, grid)
@@ -158,7 +159,7 @@ class TestDsaSweep:
 class TestOaSweep:
     def test_zero_point_matches_baseline(self, running_example):
         s, n, s_hat, y = running_example
-        baseline = compute_metrics(decompose(s_hat, s, n, max_delay=1))
+        baseline = compute_metrics(Decomposer(s, n, 1).decompose(s_hat))
         row = oa_sweep(Decomposer(s, n, 1), s_hat, y, [OaPoint(0.0)], "u0")[0]
         assert row.sari_closed_form_db == 0.0
         assert row.metrics.sar_db == pytest.approx(baseline.sar_db, abs=1e-12)
@@ -199,6 +200,19 @@ class TestOaSweep:
         oa_sweep(dec, s_hat, add(s, n), default_grid("oa"))
         assert len(seen) == 2
         assert seen[0] is s_hat
+
+    def test_closed_form_once_for_the_whole_grid(self, monkeypatch):
+        import opdkit.analysis as analysis_module
+        s, n, s_hat = random_signals(0, length=500, max_delay=8)
+        calls = []
+        original = analysis_module.sar_improvement_closed_form
+        monkeypatch.setattr(analysis_module, "sar_improvement_closed_form",
+                            lambda d, y, omegas: calls.append(omegas) or original(d, y, omegas))
+        grid = default_grid("oa")
+        rows = oa_sweep(Decomposer(s, n, max_delay=8), s_hat, add(s, n), grid)
+        assert calls == [[p.omega_obs for p in grid]]
+        assert [r.sari_closed_form_db for r in rows] == original(
+            Decomposer(s, n, max_delay=8).decompose(s_hat), add(s, n), calls[0])
 
     @pytest.mark.parametrize("kind,seed", [("random", seed) for seed in range(21)]
                              + [("n=s", seed) for seed in range(1, 9)]

@@ -251,6 +251,22 @@ class TestEnhanceCommand:
         assert (tmp_path / "again" / "utt0.enhanced.wav").exists()
 
 
+    @pytest.mark.parametrize("bad_id", ["../../escaped", "sub/dir", "..", ".", ""])
+    def test_path_like_id_rejected_before_out(self, tmp_path, mixed_corpus, capsys,
+                                              bad_id):
+        records = [json.loads(line) for line in
+                   (mixed_corpus / "corpus.jsonl").read_text().splitlines()]
+        records[-1]["utterance_id"] = bad_id
+        manifest = mixed_corpus / "bad_id.jsonl"
+        manifest.write_text("".join(json.dumps(r) + "\n" for r in records))
+        before = set(tmp_path.rglob("*"))
+        rc = main(["enhance", "--corpus", str(manifest), "--method", "oracle-wiener",
+                   "--out", str(tmp_path / "enh" / "x")])
+        assert rc == 1
+        assert repr(bad_id) in capsys.readouterr().err
+        assert set(tmp_path.rglob("*")) == before
+
+
 class TestDecomposeCommand:
     def test_metrics_json_and_components(self, tmp_path, enhanced_corpus,
                                           mixed_corpus):
@@ -309,6 +325,19 @@ class TestDecomposeCommand:
                    "--out", str(tmp_path / "dec_bad")])
         assert rc == 1
         assert "length" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bad_id", ["../dec_escaped", "sub/dir", ".."])
+    def test_path_like_id_rejected_before_out(self, tmp_path, enhanced_corpus,
+                                              mixed_corpus, capsys, bad_id):
+        before = set(tmp_path.rglob("*"))
+        rc = main(["decompose",
+                   "--speech", str(mixed_corpus / "utt0.speech.wav"),
+                   "--noise", str(mixed_corpus / "utt0.noise.wav"),
+                   "--enhanced", str(enhanced_corpus / "utt0.enhanced.wav"),
+                   "--id", bad_id, "-L", "8", "--out", str(tmp_path / "dec" / "a")])
+        assert rc == 1
+        assert repr(bad_id) in capsys.readouterr().err
+        assert set(tmp_path.rglob("*")) == before
 
     def test_zero_max_delay_creates_no_out(self, tmp_path, enhanced_corpus,
                                            mixed_corpus, monkeypatch, capsys):
@@ -588,6 +617,20 @@ class TestSweepArguments:
         assert main(["oa", "--corpus", str(enhanced_corpus / "corpus.jsonl"),
                      "-L", "0", "--out", str(out)]) == 1
         assert capsys.readouterr().err.count("max_delay") == 1
+        assert reads == []
+        assert not out.exists()
+
+    @pytest.mark.parametrize("workers", ["0", "-5"])
+    def test_workers_below_one_fail_before_reading_audio(self, tmp_path, enhanced_corpus,
+                                                         monkeypatch, capsys, workers):
+        import opdkit.reporting as reporting_module
+        reads = []
+        monkeypatch.setattr(reporting_module, "read_wav",
+                            lambda path: reads.append(path) or read_wav(path))
+        out = tmp_path / "X"
+        assert main(["oa", "--corpus", str(enhanced_corpus / "corpus.jsonl"),
+                     "--workers", workers, "--out", str(out)]) == 1
+        assert f"--workers must be >= 1, got {workers}" in capsys.readouterr().err
         assert reads == []
         assert not out.exists()
 

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from conftest import RATE, random_signals
-from opdkit.decomposition import Decomposer, Decomposition, decompose, export_components, recompose
+from opdkit.decomposition import Decomposer, Decomposition, export_components, recompose
 from opdkit.projection import build_basis, project
 from opdkit.selftest import make_case
 from opdkit.signals import Waveform, energy
@@ -12,7 +12,7 @@ from opdkit.wavio import read_wav
 
 def test_running_example_components(running_example):
     s, n, s_hat, _ = running_example
-    d = decompose(s_hat, s, n, max_delay=1)
+    d = Decomposer(s, n, 1).decompose(s_hat)
     assert_allclose(d.s_target.samples, [0.9, 0.0, 0.0, 0.0], atol=1e-14)
     assert_allclose(d.e_noise.samples, [0.0, 0.2, 0.0, 0.0], atol=1e-14)
     assert_allclose(d.e_artif.samples, [0.0, 0.0, 0.1, 0.0], atol=1e-14)
@@ -21,7 +21,7 @@ def test_running_example_components(running_example):
 
 def test_perfect_enhancement(running_example):
     s, n, _, _ = running_example
-    d = decompose(s, s, n, max_delay=1)
+    d = Decomposer(s, n, 1).decompose(s)
     assert_allclose(d.s_target.samples, s.samples, atol=1e-14)
     assert energy(d.e_noise) <= 1e-24
     assert energy(d.e_artif) <= 1e-24
@@ -30,7 +30,7 @@ def test_perfect_enhancement(running_example):
 
 def test_mixture_splits_into_target_and_noise(running_example):
     s, n, _, y = running_example
-    d = decompose(y, s, n, max_delay=1)
+    d = Decomposer(s, n, 1).decompose(y)
     assert_allclose(d.s_target.samples, s.samples, atol=1e-12)
     assert_allclose(d.e_noise.samples, n.samples, atol=1e-12)
     assert d.artifact_free
@@ -38,7 +38,7 @@ def test_mixture_splits_into_target_and_noise(running_example):
 
 def test_recompose_is_exact(running_example):
     s, n, s_hat, _ = running_example
-    d = decompose(s_hat, s, n, max_delay=1)
+    d = Decomposer(s, n, 1).decompose(s_hat)
     assert_allclose(recompose(d).samples, [0.9, 0.2, 0.1, 0.0], atol=1e-15)
 
 
@@ -52,7 +52,7 @@ def test_recompose_zero_components():
 @pytest.mark.parametrize("seed", range(5))
 def test_reconstruction_on_random_cases(seed):
     s, n, s_hat = random_signals(seed)
-    d = decompose(s_hat, s, n, max_delay=8)
+    d = Decomposer(s, n, 8).decompose(s_hat)
     rel = (np.linalg.norm(recompose(d).samples - s_hat.samples)
            / np.linalg.norm(s_hat.samples))
     assert rel <= 1e-10
@@ -114,7 +114,7 @@ def test_one_projection_call_and_two_triangular_solves(monkeypatch):
 
 def test_energy_pythagoras(running_example):
     s, n, s_hat, _ = running_example
-    d = decompose(s_hat, s, n, max_delay=1)
+    d = Decomposer(s, n, 1).decompose(s_hat)
     projected = d.s_target.samples + d.e_noise.samples
     lhs = energy(s_hat)
     rhs = float(projected @ projected) + energy(d.e_artif)
@@ -123,36 +123,39 @@ def test_energy_pythagoras(running_example):
 
 def test_mixture_has_no_artifacts(running_example):
     s, n, _, y = running_example
-    d = decompose(y, s, n, max_delay=1)
+    d = Decomposer(s, n, 1).decompose(y)
     assert np.linalg.norm(d.e_artif.samples) <= 1e-8 * np.linalg.norm(y.samples)
 
 
 def test_decomposer_matches_one_shot(running_example):
-    s, n, s_hat, _ = running_example
-    one_shot = decompose(s_hat, s, n, max_delay=1)
-    shared = Decomposer(s, n, max_delay=1).decompose(s_hat)
-    assert_allclose(shared.s_target.samples, one_shot.s_target.samples)
-    assert_allclose(shared.e_artif.samples, one_shot.e_artif.samples)
+    # a Decomposer shared across signals gives what a fresh one gives
+    s, n, s_hat, y = running_example
+    one_shot = Decomposer(s, n, 1).decompose(s_hat)
+    dec = Decomposer(s, n, max_delay=1)
+    dec.decompose(y)
+    shared = dec.decompose(s_hat)
+    for name in ("s_target", "e_noise", "e_artif"):
+        assert_array_equal(getattr(shared, name).samples, getattr(one_shot, name).samples)
 
 
 def test_zero_references_rejected(running_example):
     s, n, s_hat, _ = running_example
     zero = Waveform(np.zeros(4), RATE)
     with pytest.raises(ValueError, match="all-zero"):
-        decompose(s_hat, zero, n, max_delay=1)
+        Decomposer(zero, n, 1).decompose(s_hat)
     with pytest.raises(ValueError, match="all-zero"):
-        decompose(s_hat, s, zero, max_delay=1)
+        Decomposer(s, zero, 1).decompose(s_hat)
 
 
 def test_length_mismatch_rejected(running_example):
     s, n, _, _ = running_example
     with pytest.raises(ValueError, match="length"):
-        decompose(Waveform([1.0, 2.0], RATE), s, n, max_delay=1)
+        Decomposer(s, n, 1).decompose(Waveform([1.0, 2.0], RATE))
 
 
 def test_export_components(tmp_path, running_example):
     s, n, s_hat, _ = running_example
-    d = decompose(s_hat, s, n, max_delay=1)
+    d = Decomposer(s, n, 1).decompose(s_hat)
     paths = export_components(d, tmp_path, "utt0")
     assert sorted(p.split("utt0")[-1] for p in paths.values()) == \
         [".eartif.wav", ".enoise.wav", ".target.wav"]

@@ -75,6 +75,22 @@ class TestCorpusManifest:
         with pytest.raises(ValueError, match=re.escape(f"{manifest}:2: ")):
             load_corpus_manifest(manifest)
 
+    @pytest.mark.parametrize("value", [0, False, [], "", 1])
+    def test_enhanced_path_must_be_a_non_empty_string(self, tmp_path, value):
+        manifest = tmp_path / "corpus.jsonl"
+        manifest.write_text(_record("first") + json.dumps(
+            {"utterance_id": "a", "speech_path": "s.wav", "noise_path": "n.wav",
+             "enhanced_path": value}) + "\n")
+        with pytest.raises(ValueError, match=re.escape(f"{manifest}:2: enhanced_path")):
+            load_corpus_manifest(manifest)
+
+    def test_absent_or_null_enhanced_path_is_none(self, tmp_path):
+        manifest = tmp_path / "corpus.jsonl"
+        manifest.write_text(_record("first") + json.dumps(
+            {"utterance_id": "a", "speech_path": "s.wav", "noise_path": "n.wav",
+             "enhanced_path": None}) + "\n")
+        assert [t.enhanced_path for t in load_corpus_manifest(manifest)] == [None, None]
+
     def test_repeated_utterance_id_rejected(self, tmp_path):
         manifest = tmp_path / "corpus.jsonl"
         manifest.write_text(_record("same") + _record("other") + _record("same"))

@@ -37,7 +37,7 @@ class TestWaveform:
     def test_len_and_duration(self):
         w = Waveform(np.ones(8000), 16000)
         assert len(w) == 8000
-        assert w.duration == 0.5
+        assert len(w) / w.sample_rate == 0.5  # seconds
 
 
 def test_add_definition():
