@@ -261,7 +261,9 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
-def _fit_length(w: Waveform, length: int, rng: np.random.Generator) -> Waveform:
+# quoted: evaluating np.random here would import numpy.random for every
+# command, and only mix draws from it
+def _fit_length(w: Waveform, length: int, rng: "np.random.Generator") -> Waveform:
     samples = w.samples
     if len(samples) < length:
         samples = np.tile(samples, -(-length // len(samples)))

@@ -8,7 +8,15 @@ never materialized as a T-by-T matrix: one Gram solve over the delayed
 copies gives the coefficients of every nested subspace's projection, each
 synthesized as FIR filtering of the references.
 
-Correlations are computed with FFTs of length >= T + L - 1.  Because the
+Every correlation and every synthesis runs on overlap-save blocks of one
+length M: the smallest power of two >= max(FFT_BLOCK_MIN, 4L), capped at the
+power of two >= T + L - 1, so a short signal is one block.  The signals are
+cut at hops of B = M - L + 1 samples.  Only lags 0 .. L-1 of a correlation
+are ever needed, and each frame of B samples meets at most M = B + L - 1
+samples of the other signal there, so the sum over blocks of M-point
+circular correlations is the linear one, exactly; a synthesis is an L-tap
+filter, whose blocks overlap-add the same way.  Many short transforms stay
+in cache where one of length T + L - 1 does not.  Because the
 delayed copies are truncated at T rather than extended, the Gram matrix
 differs from the plain Toeplitz correlation matrix by products of the
 reference tails that fall off the end; that correction is exact, an O(L^2)
@@ -64,6 +72,9 @@ GRAM_REG_LAMBDA = 1e-10
 # delayed-copy matrix.
 DENSE_ORACLE_MAX_LENGTH = 8192
 DENSE_ORACLE_MAX_COLUMNS = 64
+
+# Least FFT length of an overlap-save block (see the module docstring).
+FFT_BLOCK_MIN = 4096
 
 
 class _Lapack(NamedTuple):
@@ -179,20 +190,6 @@ def dtrtrs(a: np.ndarray, b: np.ndarray, trans: bool = False) -> tuple[np.ndarra
     return b, _check_info("dtrtrs", info)
 
 
-def next_fast_len(target: int) -> int:
-    """Smallest 11-smooth length (2^a 3^b 5^c 7^d 11^e) >= ``target`` >= 1,
-    the length ``scipy.fft.next_fast_len(target)`` returns."""
-    best = 1 << (target - 1).bit_length()  # a power of two is 11-smooth
-    odd = [1]  # every 3,5,7,11-smooth number below best
-    for prime in (3, 5, 7, 11):
-        for p in list(odd):
-            while (p := p * prime) < best:
-                odd.append(p)
-    for p in odd:  # the least power-of-two multiple of p that reaches target
-        best = min(best, p << (-(-target // p) - 1).bit_length())
-    return best
-
-
 class SingularProjectionError(RuntimeError):
     """Gram system could not be factorized even after diagonal loading."""
 
@@ -209,6 +206,13 @@ class ProjectionBasis:
     amount actually added is recorded in ``regularization`` (0.0 when none
     was needed).  Its leading ``r*L`` block factorizes the Gram of the first
     ``r`` references, so one basis serves each nested subspace.
+
+    Beside the factor it keeps, per reference, the block spectra that
+    ``project`` correlates and synthesizes with: ``_spectra[i]`` has one
+    row ``rfft(frame, M)`` per hop of B = M - L + 1 samples, ``_block`` = M,
+    each frame B samples of the reference zero-padded to M: 8 M / B bytes
+    per sample of a reference (9.1 at L=512), a little over the 8 of one
+    full-length spectrum.
     """
 
     references: tuple[Waveform, ...]
@@ -217,8 +221,8 @@ class ProjectionBasis:
     regularization: float
     regularization_events: tuple[str, ...]
     _factor: np.ndarray = field(repr=False, default=None)
-    _ref_ffts: tuple = field(repr=False, default=None)
-    _nfft: int = field(repr=False, default=0)
+    _spectra: tuple = field(repr=False, default=None)
+    _block: int = field(repr=False, default=0)
 
     @property
     def gram(self) -> np.ndarray:
@@ -226,17 +230,18 @@ class ProjectionBasis:
         product of reference ``i`` delayed by ``t`` with reference ``j``
         delayed by ``u``.
 
-        Not stored: each access rebuilds its upper triangle from the
-        reference spectra into a new (kL)^2 * 8-byte array, in
-        O(k^2 (nfft log nfft + L^2)) time, and copies it into the lower
+        Not stored: each access makes the references' extended block
+        spectra again, correlates them with the stored ones and rebuilds
+        the upper triangle into a new (kL)^2 * 8-byte array, in
+        O(k T log M + k^2 (T + L^2)) time, then copies it into the lower
         triangle, so the result is exactly symmetric.  Meant for checks, not
         for the solve path.
         """
-        dim = len(self.references) * self.max_delay
-        gram = _empty_gram(dim)
-        _fill_gram(gram, [r.samples for r in self.references], self._ref_ffts,
-                   self.max_delay, self._nfft)
-        for c in range(1, dim):
+        L = self.max_delay
+        gram = _empty_gram(len(self.references) * L)
+        arrays = [r.samples for r in self.references]
+        _fill_gram(gram, arrays, _lag_rows(arrays, self._spectra, L, self._block), L)
+        for c in range(1, len(gram)):
             gram[c, :c] = gram[:c, c]
         return gram
 
@@ -250,26 +255,67 @@ def delayed_matrix(x: np.ndarray, max_delay: int) -> np.ndarray:
     return A
 
 
-def _lag_row(fa: np.ndarray, fb: np.ndarray, L: int, nfft: int,
-             symmetric: bool) -> np.ndarray:
-    """Correlations of a and b (spectra fa, fb) at lags -(L-1) .. L-1 in one
-    row, ``row[L-1+d] = sum_w a[w] * b[w - d]``, so the inner product of a
-    delayed by t with b delayed by u, untruncated, is ``row[L-1-t+u]``.
-
-    ``symmetric`` (an auto block) replaces each lag by the mean of both FFT
-    estimates of it, ``row[L-1+d]`` and ``row[L-1-d]``."""
-    full = irfft(fa * np.conj(fb), nfft)
-    row = np.concatenate((full[nfft - L + 1:], full[:L]))
-    return 0.5 * (row + row[::-1]) if symmetric else row
+def _block_length(T: int, L: int) -> int:
+    """FFT length M of the overlap-save blocks for signals of T samples and
+    L delays: the smallest power of two >= max(FFT_BLOCK_MIN, 4L), capped at
+    the power of two >= T + L - 1, which makes the whole signal one block."""
+    def pow2(n):
+        return 1 << (n - 1).bit_length()
+    return min(pow2(max(FFT_BLOCK_MIN, 4 * L)), pow2(T + L - 1))
 
 
-def _gram_block(out: np.ndarray, a: np.ndarray, b: np.ndarray, fa: np.ndarray,
-                fb: np.ndarray, L: int, nfft: int, diagonal: bool) -> None:
+def _block_spectra(x: np.ndarray, L: int, M: int, extended: bool) -> np.ndarray:
+    """Length-M spectra of ``x`` framed at hops of B = M - L + 1 samples,
+    one row per hop: the B samples from the hop, zero-padded to M, or with
+    ``extended`` the M = B + L - 1 samples from the hop on.  ``x`` is
+    zero-padded at its end to fill the last frame."""
+    B = M - L + 1
+    padded = np.zeros(-(-len(x) // B) * B + L - 1)
+    padded[:len(x)] = x
+    if extended:
+        return rfft(np.lib.stride_tricks.sliding_window_view(padded, M)[::B], axis=1)
+    return rfft(padded[:len(padded) - L + 1].reshape(-1, B), M, axis=1)
+
+
+def _correlation(fe: np.ndarray, fp: np.ndarray, L: int, M: int) -> np.ndarray:
+    """``sum_w e[w + d] * p[w]`` at lags d = 0 .. L-1, from the extended
+    spectra ``fe`` of e and the block spectra ``fp`` of p.  A plain frame
+    of B samples meets only its extended frame's M = B + L - 1 at these
+    lags, so no circular correlation of two frames wraps, and their sum over
+    the blocks (``vecdot`` conjugates ``fp``, copying nothing) is the
+    linear correlation."""
+    return irfft(np.vecdot(fp, fe, axis=0), M)[:L]
+
+
+def _lag_rows(arrays: Sequence[np.ndarray], spectra: Sequence[np.ndarray], L: int,
+              M: int) -> np.ndarray:
+    """Correlations of every pair of ``arrays`` (block spectra ``spectra``)
+    at lags -(L-1) .. L-1, ``rows[i, j, L-1+d] = sum_w a_i[w] * a_j[w - d]``,
+    so the inner product of a_i delayed by t with a_j delayed by u,
+    untruncated, is ``rows[i, j, L-1-t+u]``.
+
+    Lag d >= 0 of pair (i, j) is the correlation of a_i's extended spectra
+    with a_j's block spectra, and lag -d is that of pair (j, i), so an auto
+    row is one correlation mirrored: exactly symmetric.  Each array's
+    extended spectra are made, used against every block spectrum and
+    dropped before the next array's."""
+    k = len(arrays)
+    pos = np.empty((k, k, L))  # pos[i, j, d] = rows[i, j, L-1+d]
+    for i, a in enumerate(arrays):
+        fe = _block_spectra(a, L, M, extended=True)
+        for j, fp in enumerate(spectra):
+            pos[i, j] = _correlation(fe, fp, L, M)
+        del fe
+    return np.concatenate((pos.transpose(1, 0, 2)[:, :, :0:-1], pos), axis=2)
+
+
+def _gram_block(out: np.ndarray, a: np.ndarray, b: np.ndarray, row: np.ndarray,
+                L: int, diagonal: bool) -> None:
     """Write into ``out`` the L-by-L block of inner products between delayed
     copies of b and of a, ``out[u, t] = <b delayed by u, a delayed by t>``,
-    from the correlations of a with b (spectra fa, fb).  A block on the
-    Gram's ``diagonal`` has row u written up to column u only; no other
-    entry of ``out`` is touched.
+    from the lag row of a with b, ``row[L-1+d] = sum_w a[w] * b[w - d]``
+    (see ``_lag_rows``).  A block on the Gram's ``diagonal`` has row u
+    written up to column u only; no other entry of ``out`` is touched.
 
     Toeplitz row minus the products that truncation at T drops from entry
     (u, t), ``sum_{m=1}^{min(t,u)} rb[u-m] * ra[t-m]`` with ``ra, rb`` the
@@ -277,7 +323,7 @@ def _gram_block(out: np.ndarray, a: np.ndarray, b: np.ndarray, fa: np.ndarray,
     each diagonal, so they round at their own size, and subtracted once.
     Row u of that loss is row u-1 shifted by one column plus one product
     row, so one running row is kept."""
-    lags = _lag_row(fa, fb, L, nfft, symmetric=b is a)[::-1]  # lags[L-1-u+t]: entry (u, t)
+    lags = row[::-1]  # lags[L-1-u+t]: entry (u, t)
     ra, rb = a[::-1][:L], b[::-1][:L]
     loss = np.zeros(L)
     for u in range(L):
@@ -285,6 +331,15 @@ def _gram_block(out: np.ndarray, a: np.ndarray, b: np.ndarray, fa: np.ndarray,
         if u:
             loss[1:width] = loss[:width - 1] + rb[u - 1] * ra[:width - 1]
         out[u, :width] = lags[L - 1 - u:L - 1 - u + width] - loss[:width]
+
+
+def _overlap_add(blocks: np.ndarray, L: int, T: int) -> np.ndarray:
+    """The first T samples of the length-M rows of ``blocks`` laid at hops
+    of B = M - L + 1 and summed: each row's last L - 1 samples are added,
+    in place, onto the head of the next row."""
+    B = blocks.shape[1] - L + 1
+    blocks[1:, :L - 1] += blocks[:-1, B:]
+    return blocks[:, :B].reshape(-1)[:T]
 
 
 def _mem_available() -> int | None:
@@ -327,11 +382,12 @@ def _empty_gram(dim: int) -> np.ndarray:
     return np.frombuffer(buffer, dtype=np.float64).reshape((dim, dim), order="F")
 
 
-def _fill_gram(gram: np.ndarray, arrays: Sequence[np.ndarray], ref_ffts: Sequence,
-               L: int, nfft: int) -> None:
+def _fill_gram(gram: np.ndarray, arrays: Sequence[np.ndarray], rows: np.ndarray,
+               L: int) -> None:
     """Write the upper triangle of the unloaded Gram of the delayed copies of
-    ``arrays`` into the Fortran-ordered ``gram``, the only part ``dpotrf``
-    and ``dtrtrs`` read; the strict lower triangle is never touched.
+    ``arrays``, whose lag rows are ``rows`` (see ``_lag_rows``), into the
+    Fortran-ordered ``gram``, the only part ``dpotrf`` and ``dtrtrs`` read;
+    the strict lower triangle is never touched.
 
     Blocks are written through the C-ordered view ``gram.T``, whose row c is
     column c of ``gram``, so every row write is contiguous and starts at its
@@ -342,7 +398,7 @@ def _fill_gram(gram: np.ndarray, arrays: Sequence[np.ndarray], ref_ffts: Sequenc
     for i in range(len(arrays)):
         for j in range(i, len(arrays)):
             _gram_block(view[j * L:(j + 1) * L, i * L:(i + 1) * L], arrays[i], arrays[j],
-                        ref_ffts[i], ref_ffts[j], L, nfft, diagonal=i == j)
+                        rows[i, j], L, diagonal=i == j)
 
 
 def _validate_references(references: Sequence[Waveform], max_delay: int) -> None:
@@ -381,12 +437,13 @@ def build_basis(references: Sequence[Waveform], max_delay: int) -> ProjectionBas
     refs = tuple(references)
     k, L = len(refs), max_delay
     T = len(refs[0])
-    nfft = next_fast_len(T + L - 1)
+    M = _block_length(T, L)
     arrays = [r.samples for r in refs]
-    ref_ffts = tuple(rfft(a, nfft) for a in arrays)
+    spectra = tuple(_block_spectra(a, L, M, extended=False) for a in arrays)
+    rows = _lag_rows(arrays, spectra, L, M)
 
     gram = _empty_gram(k * L)
-    _fill_gram(gram, arrays, ref_ffts, L, nfft)
+    _fill_gram(gram, arrays, rows, L)
 
     regularization = 0.0
     events: tuple[str, ...] = ()
@@ -395,7 +452,7 @@ def build_basis(references: Sequence[Waveform], max_delay: int) -> ProjectionBas
     if info > 0:
         first = (info - 1) // L  # block of the first non-positive pivot
         regularization = GRAM_REG_LAMBDA * trace / (k * L)
-        _fill_gram(gram, arrays, ref_ffts, L, nfft)  # the failed factor overwrote it
+        _fill_gram(gram, arrays, rows, L)  # the failed factor overwrote it
         tail = np.arange(first * L, k * L)
         gram[tail, tail] += regularization
         factor, info = dpotrf(gram)
@@ -414,8 +471,8 @@ def build_basis(references: Sequence[Waveform], max_delay: int) -> ProjectionBas
         regularization=regularization,
         regularization_events=events,
         _factor=factor,
-        _ref_ffts=ref_ffts,
-        _nfft=nfft,
+        _spectra=spectra,
+        _block=M,
     )
 
 
@@ -429,10 +486,11 @@ def project(basis: ProjectionBasis, x: Waveform) -> tuple[Waveform, ...]:
     the solve for the first ``r`` references alone.  One back solve of ``k``
     columns, column ``r`` being ``z`` zeroed past ``r*L``, gives each
     subspace's coefficients ``c``, and its projection is ``Σ_i F_i ·
-    rfft(c_i)`` under one inverse FFT.  No block of the in-place factor is
-    copied.  ``x - project(basis, x)[-1]`` is orthogonal to every delayed copy
-    up to round-off.  A zero pivot in the factor raises
-    ``SingularProjectionError``.
+    rfft(c_i)``, ``F_i`` the block spectra of reference ``i``, under one
+    batched inverse FFT whose blocks are overlap-added.  No block of the
+    in-place factor is copied.  ``x - project(basis, x)[-1]`` is orthogonal
+    to every delayed copy up to round-off.  A zero pivot in the factor
+    raises ``SingularProjectionError``.
     """
     T = len(basis.references[0])
     if len(x) != T:
@@ -440,11 +498,12 @@ def project(basis: ProjectionBasis, x: Waveform) -> tuple[Waveform, ...]:
     if x.sample_rate != basis.sample_rate:
         raise ValueError(f"project: sample rate mismatch ({x.sample_rate} vs {basis.sample_rate})")
 
-    k, L, nfft = len(basis.references), basis.max_delay, basis._nfft
-    fx = rfft(x.samples, nfft)
+    k, L, M = len(basis.references), basis.max_delay, basis._block
+    fx = _block_spectra(x.samples, L, M, extended=True)
     # <ref delayed by tau, x> needs no truncation correction: x itself is
     # not delayed, so no products fall outside [0, T).
-    rhs = np.concatenate([irfft(fx * np.conj(f), nfft)[:L] for f in basis._ref_ffts])
+    rhs = np.concatenate([_correlation(fx, f, L, M) for f in basis._spectra])
+    del fx  # block-sized arrays are freed as soon as used, to keep the peak low
     z, info = dtrtrs(basis._factor, rhs, trans=True)
     if info:
         raise SingularProjectionError(f"project: zero pivot {info} in the Cholesky factor")
@@ -456,9 +515,12 @@ def project(basis: ProjectionBasis, x: Waveform) -> tuple[Waveform, ...]:
         raise SingularProjectionError(f"project: zero pivot {info} in the Cholesky factor")
     projections = []
     for r in range(k):
-        spectrum = sum(f * rfft(coeffs[i * L:(i + 1) * L, r], nfft)
-                       for i, f in enumerate(basis._ref_ffts[:r + 1]))
-        projections.append(Waveform(irfft(spectrum, nfft)[:T], basis.sample_rate))
+        spectrum = basis._spectra[0] * rfft(coeffs[:L, r], M)
+        for i in range(1, r + 1):
+            spectrum += basis._spectra[i] * rfft(coeffs[i * L:(i + 1) * L, r], M)
+        blocks = irfft(spectrum, M, axis=1)
+        del spectrum
+        projections.append(Waveform(_overlap_add(blocks, L, T), basis.sample_rate))
     return tuple(projections)
 
 

@@ -866,6 +866,15 @@ print(json.dumps(seen))
 """
 
 
+def test_cli_import_leaves_out_numpy_random():
+    # only mix draws random numbers; every other command, --version among
+    # them, should not pay for importing numpy.random
+    probe = "import sys, opdkit.cli; print('numpy.random' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], env=_child_env(), check=True,
+                         capture_output=True, text=True, timeout=120)
+    assert out.stdout.strip() == "False"
+
+
 def test_analysis_loads_no_scipy(tmp_path):
     # scipy's import dominates start-up; LAPACK's factor and solve run on the
     # OpenBLAS numpy bundles, so no command needs scipy when numpy exports them.

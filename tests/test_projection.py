@@ -56,7 +56,9 @@ class TestGram:
         assert np.max(np.abs(basis.gram - dense)) <= 1e-8 * np.max(np.abs(dense))
 
     @pytest.mark.parametrize("length,max_delay", [(48, 48), (300, 1), (300, 64),
-                                                  (64, 64)])
+                                                  (64, 64),
+                                                  # 3 and 2 overlap-save blocks
+                                                  (8192, 32), (4066, 32)])
     def test_edge_delays_dense_and_exactly_symmetric(self, length, max_delay):
         rng = np.random.default_rng(length + max_delay)
         s = Waveform(lowpass_noise(rng, length), RATE)
@@ -82,11 +84,10 @@ class TestGram:
                 # to sample T - 1 + min(t, u); truncation drops w >= T
                 for w in range(T, T + min(t, u)):
                     expected[t, u] += a[w - t] * b[w - u]
-        # with zero spectra the Toeplitz part is zero and the block written,
+        # with a zero lag row the Toeplitz part is zero and the block written,
         # block[u, t] for b delayed by u and a delayed by t, is minus the loss
         block = np.zeros((max_delay, max_delay))
-        nothing = np.zeros(T + 1, dtype=complex)
-        _gram_block(block, a, b, nothing, nothing, max_delay, 2 * T, diagonal=False)
+        _gram_block(block, a, b, np.zeros(2 * max_delay - 1), max_delay, diagonal=False)
         loss = -block.T
         assert np.max(np.abs(loss - expected)) <= 1e-13 * np.max(np.abs(expected))
 
@@ -153,6 +154,38 @@ class TestProject:
         expected = speech[0].samples
         assert np.linalg.norm(joint[0].samples - expected) \
             <= 1e-8 * np.linalg.norm(expected)
+
+
+class TestBlocks:
+    """Correlations and syntheses over more than one overlap-save block:
+    at L=32 a block is M=4096 samples, B = M - L + 1 = 4065 of them new."""
+
+    L = 32
+    M = 4096
+    B = M - L + 1
+
+    def test_block_rule(self):
+        block_length = projection_module._block_length
+        assert block_length(8192, self.L) == self.M
+        assert block_length(900, self.L) == 1024  # one block: T+L-1 = 931
+        assert block_length(256000, 512) == 4096
+        assert block_length(256000, 2048) == 8192  # 4L
+        assert block_length(1, 1) == 1
+
+    @pytest.mark.parametrize("T", [8192,  # 3 blocks, the last one partial
+                                   B,  # exactly one block
+                                   B + 1])  # a second block with one sample
+    def test_projection_matches_dense_oracle(self, T):
+        rng = np.random.default_rng(T)
+        s, n, x = (Waveform(lowpass_noise(rng, T), RATE) for _ in range(3))
+        basis = build_basis([s, n], self.L)
+        assert basis._block == self.M
+        assert len(basis._spectra[0]) == -(-T // self.B)
+        fast = project(basis, x)
+        for r, refs in enumerate(([s], [s, n])):
+            dense = project_dense_oracle(refs, self.L, x).samples
+            tol = INVARIANT_TOLERANCES["fast_vs_dense_projection_rel"]
+            assert np.linalg.norm(fast[r].samples - dense) <= tol * np.linalg.norm(dense)
 
 
 def test_production_length_projection_matches_householder_qr():
@@ -419,13 +452,6 @@ class TestGramSizeCheck:
             assert projection_module._mem_available() is None
         else:
             assert projection_module._mem_available() > 0
-
-
-def test_next_fast_len_matches_scipy():
-    from scipy.fft import next_fast_len
-    targets = [*range(1, 20001), *range(20001, 2 ** 21 + 1, 997)]
-    assert ([projection_module.next_fast_len(t) for t in targets]
-            == [next_fast_len(t) for t in targets])
 
 
 class TestLapackBinding:
