@@ -11,7 +11,10 @@ Two ways of modifying an enhanced signal to probe its error components:
 
 Both come with sweep drivers that return one ``SweepRow`` per point of a
 caller-given grid, each point as exact algebra on a small Gram matrix of
-components.
+components.  A sweep decomposes each signal once and reads only the Grams
+of its decompositions, which on an unloaded basis come from whitened
+coefficients and the artifact waveform alone (see
+``decomposition.cross_gram``): no target or noise-error waveform is made.
 """
 
 import math
@@ -20,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .decomposition import Decomposer, Decomposition
+from .decomposition import Decomposer, Decomposition, cross_gram
 from .metrics import MetricsReport, metrics_from_gram, sar_improvement_closed_form
 from .signals import Waveform, add, inner, scale
 
@@ -141,8 +144,9 @@ def oa_sweep(dec: Decomposer, s_hat: Waveform, y: Waveform,
     Only ``s_hat`` and ``y`` are decomposed.  ``project`` is linear, even on
     a loaded Gram, so ``s_hat + w y`` splits into ``d(s_hat) + w d(y)`` and a
     point's 3x3 Gram is ``M G6 M^T``, with ``G6`` the Gram of both component
-    triples and ``M = [I | w I]``.  When both SARs are finite, the closed-form
-    SARi (from raw ``y``) must match the measured one within
+    triples, assembled from the two 3x3 Grams and their ``cross_gram``, and
+    ``M = [I | w I]``.  When both SARs are finite, the closed-form SARi (from
+    ``s_hat - e_artif`` and raw ``y``) must match the measured one within
     ``SARI_VALIDATION_TOL_DB``, else ``SweepValidationError``: a ``y`` outside
     the span has an ``e_artif`` that the closed form does not see.
     """
@@ -150,9 +154,8 @@ def oa_sweep(dec: Decomposer, s_hat: Waveform, y: Waveform,
     _check_grid(grid, "oa_sweep")
     baseline = dec.decompose(s_hat)
     d_y = dec.decompose(y)
-    parts = np.stack([c.samples for d in (baseline, d_y)
-                      for c in (d.s_target, d.e_noise, d.e_artif)])
-    g6 = parts @ parts.T
+    cross = cross_gram(baseline, d_y)
+    g6 = np.block([[baseline.gram, cross], [cross.T, d_y.gram]])
     baseline_sar = metrics_from_gram(g6[:3, :3]).sar_db  # the w = 0 block
     saris = sar_improvement_closed_form(baseline, y, [p.omega_obs for p in grid])
     inner_s_hat_y = inner(s_hat, y)  # OA is guaranteed to improve SAR when > 0

@@ -13,6 +13,7 @@ failure.
 
 import argparse
 import dataclasses
+import gc
 import glob
 import json
 import math
@@ -428,7 +429,15 @@ def main(argv=None) -> int:
 
 
 def run() -> None:
-    raise SystemExit(main())
+    """The console entry point.  On the way out, ``SystemExit`` from
+    ``--help`` and ``--version`` included, every object is frozen out of the
+    collector's reach: the interpreter's last cyclic collection would spend
+    about 30 ms scanning numpy's import graph to free nothing the exit does
+    not.  ``main()`` does not freeze, so in-process callers are unaffected."""
+    try:
+        raise SystemExit(main())
+    finally:
+        gc.freeze()
 
 
 if __name__ == "__main__":

@@ -11,21 +11,29 @@ so the three components reconstruct s_hat exactly.  The artifact part is
 the portion of the enhancement error that no linear combination of delayed
 speech/noise copies can explain.  Decomposition is computed over the whole
 utterance, not in frames.
+
+Every metric is a ratio of entries of the components' Gram, and on an
+unloaded basis those need only the whitened coefficients ``z`` of the
+forward solve and the waveform ``e_artif`` (see ``cross_gram``).  So only
+``e_artif`` is made at once; ``s_target`` and ``e_noise`` are synthesized
+when something reads them, such as ``export_components``.  No sweep does.
 """
 
 import os
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .projection import DEFAULT_MAX_DELAY, ProjectionBasis, build_basis, project
+from .projection import (DEFAULT_MAX_DELAY, ProjectionBasis, build_basis, project,
+                         synthesize, whiten)
 from .signals import Waveform
 from .wavio import write_wav
 
 __all__ = [
     "Decomposition",
+    "WhitenedDecomposition",
     "Decomposer",
+    "cross_gram",
     "recompose",
     "dust_energy",
     "export_components",
@@ -50,49 +58,115 @@ def dust_energy(gram: np.ndarray) -> float:
     return ARTIFACT_FREE_ENERGY_RATIO * float(gram.sum())
 
 
-@dataclass(frozen=True, eq=False)
 class Decomposition:
-    """Target / noise-error / artifact-error triple for one enhanced signal."""
+    """Target / noise-error / artifact-error triple for one enhanced signal,
+    given as its three waveforms.  On an unloaded basis,
+    ``Decomposer.decompose`` returns a ``WhitenedDecomposition`` instead,
+    which makes ``s_target`` and ``e_noise`` only when they are read."""
 
-    s_target: Waveform
-    e_noise: Waveform
-    e_artif: Waveform
+    def __init__(self, s_target: Waveform, e_noise: Waveform, e_artif: Waveform):
+        self.s_target, self.e_noise, self.e_artif = s_target, e_noise, e_artif
 
     @property
     def sample_rate(self) -> int:
-        return self.s_target.sample_rate
+        return self.e_artif.sample_rate
+
+    @property
+    def projected(self) -> np.ndarray:
+        """Samples of ``s_target + e_noise``, the decomposed signal's
+        projection onto the joint speech-noise span."""
+        return self.s_target.samples + self.e_noise.samples
 
     @cached_property
     def gram(self) -> np.ndarray:
         """3x3 matrix of inner products of (s_target, e_noise, e_artif)."""
-        parts = np.stack([self.s_target.samples, self.e_noise.samples,
-                          self.e_artif.samples])
-        return parts @ parts.T
+        return cross_gram(self, self)
 
     @property
     def artifact_free(self) -> bool:
         return bool(self.gram[2, 2] <= dust_energy(self.gram))
 
 
+class WhitenedDecomposition(Decomposition):
+    """A decomposition of ``signal`` on an unloaded ``basis``, held as its
+    whitened coefficients ``z`` (see ``projection.whiten``) and its
+    artifact waveform ``e_artif = signal - P_sn signal``.
+
+    ``s_target`` and ``e_noise`` are synthesized from ``z`` the first time
+    they are read, so the decomposition keeps the basis, and with it the
+    factor, alive for as long as it lives.  ``gram`` and ``cross_gram``
+    never read them.
+    """
+
+    def __init__(self, basis: ProjectionBasis, z: np.ndarray, signal: Waveform,
+                 e_artif: Waveform):
+        self.basis, self.z, self.signal, self.e_artif = basis, z, signal, e_artif
+
+    @cached_property
+    def s_target(self) -> Waveform:
+        return Waveform(synthesize(self.basis, self.z, (1,))[0], self.sample_rate)
+
+    @cached_property
+    def e_noise(self) -> Waveform:
+        return Waveform(self.projected - self.s_target.samples, self.sample_rate)
+
+    @property
+    def projected(self) -> np.ndarray:
+        return self.signal.samples - self.e_artif.samples
+
+
+def _stacked(d: Decomposition) -> np.ndarray:
+    return np.stack([d.s_target.samples, d.e_noise.samples, d.e_artif.samples])
+
+
+def cross_gram(a: Decomposition, b: Decomposition) -> np.ndarray:
+    """3x3 inner products of the components of ``a`` (rows) with those of
+    ``b`` (columns), each in (s_target, e_noise, e_artif) order.
+
+    For two whitened decompositions on one basis the target and noise-error
+    entries are products of coefficients, ``z[:L]·z'[:L]`` and
+    ``z[L:]·z'[L:]``, and the entries between the target, noise-error and
+    artifact subspaces, mutually orthogonal, are exact zeros.  The artifact
+    entry is always the product of the waveforms: ``‖x‖² - ‖z‖²`` would lose
+    2-4 digits of it on ill-conditioned references.  Any other pair (a
+    loaded basis, whose projections are not orthogonal) is the product of
+    the stacked waveforms.
+    """
+    if (isinstance(a, WhitenedDecomposition) and isinstance(b, WhitenedDecomposition)
+            and a.basis is b.basis):
+        L = a.basis.max_delay
+        return np.diag([float(np.dot(a.z[:L], b.z[:L])), float(np.dot(a.z[L:], b.z[L:])),
+                        float(np.dot(a.e_artif.samples, b.e_artif.samples))])
+    parts = _stacked(a)
+    return parts @ (parts if b is a else _stacked(b)).T
+
+
 class Decomposer:
     """One factorized projection basis for a (speech, noise) reference pair.
 
-    The basis spans delayed copies of ``[s, n]``; one ``project`` call gives
-    both ``P_s s_hat`` (the leading speech block of its factor) and ``P_sn
-    s_hat``.  Building the basis dominates the cost of a decomposition, so
-    all signals decomposed against one reference pair (an OA sweep's
-    ``s_hat`` and ``y``) should share one Decomposer.  Any diagonal loading
-    is recorded in ``basis.regularization_events``.
+    The basis spans delayed copies of ``[s, n]``.  Building it dominates the
+    cost of a decomposition, so all signals decomposed against one reference
+    pair (an OA sweep's ``s_hat`` and ``y``) should share one Decomposer.
+    Any diagonal loading is recorded in ``basis.regularization_events``.
     """
 
     def __init__(self, s: Waveform, n: Waveform, max_delay: int = DEFAULT_MAX_DELAY):
         self.basis: ProjectionBasis = build_basis([s, n], max_delay)
 
     def decompose(self, s_hat: Waveform) -> Decomposition:
-        p_s, p_sn = project(self.basis, s_hat)
-        e_noise = Waveform(p_sn.samples - p_s.samples, s_hat.sample_rate)
-        e_artif = Waveform(s_hat.samples - p_sn.samples, s_hat.sample_rate)
-        return Decomposition(p_s, e_noise, e_artif)
+        """On an unloaded basis, ``whiten`` gives ``z`` and one synthesis
+        ``P_sn s_hat``, so ``e_artif``; nothing more is made until read.  A
+        loaded basis does not solve for the orthogonal projection, so ``z``
+        is no set of coordinates there: ``project`` makes all three parts."""
+        rate = s_hat.sample_rate
+        if self.basis.regularization:
+            p_s, p_sn = project(self.basis, s_hat)
+            return Decomposition(p_s, Waveform(p_sn.samples - p_s.samples, rate),
+                                 Waveform(s_hat.samples - p_sn.samples, rate))
+        z = whiten(self.basis, s_hat)
+        (p_sn,) = synthesize(self.basis, z, (len(self.basis.references),))
+        e_artif = Waveform(np.subtract(s_hat.samples, p_sn, out=p_sn), rate)
+        return WhitenedDecomposition(self.basis, z, s_hat, e_artif)
 
 
 def recompose(d: Decomposition) -> Waveform:

@@ -121,17 +121,20 @@ def sar_improvement_closed_form(d: Decomposition, y: Waveform,
 
         SARi = 10 log10[ 1 + (w^2 ||y||^2 + 2 w <p, y>) / ||p||^2 ]
 
-    with ``p = s_target + e_noise`` (the projected enhanced signal).  The
-    three T-length products are taken once for all omegas.  A value can be
-    negative when ``<p, y> < 0``.
+    with ``p = s_target + e_noise`` (the projected enhanced signal), read as
+    ``d.projected``, which a ``WhitenedDecomposition`` forms as the enhanced
+    signal less ``e_artif`` without synthesizing either component.  ``y`` is
+    used raw, so a ``y`` outside the span is not projected into agreement.
+    The three T-length products are taken once for all omegas.  A value can
+    be negative when ``<p, y> < 0``.
     """
     omegas = [float(w) for w in omegas]
     for omega in omegas:
         if not math.isfinite(omega) or omega < 0:
             raise ValueError(f"omega_obs must be finite and >= 0, got {omega!r}")
-    if len(y) != len(d.s_target) or y.sample_rate != d.sample_rate:
+    if len(y) != len(d.e_artif) or y.sample_rate != d.sample_rate:
         raise ValueError("sar_improvement_closed_form: y incompatible with decomposition")
-    p = d.s_target.samples + d.e_noise.samples
+    p = d.projected
     e_projected = float(np.dot(p, p))
     if e_projected == 0.0:
         raise ValueError("sar_improvement_closed_form: projected signal has zero energy")

@@ -6,7 +6,11 @@ the signals being projected and orthogonality statements are exact.  The
 projector onto the span of delays ``0 .. L-1`` of one or two references is
 never materialized as a T-by-T matrix: one Gram solve over the delayed
 copies gives the coefficients of every nested subspace's projection, each
-synthesized as FIR filtering of the references.
+synthesized as FIR filtering of the references.  The solve has two halves:
+``whiten`` (the right-hand side and the forward solve) gives coefficients
+whose inner products are those of the projections, and ``synthesize`` (the
+back solve and the filtering) makes waveforms of them; ``project`` is the
+two in turn.
 
 Every correlation and every synthesis runs on overlap-save blocks of one
 length M: the smallest power of two >= max(FFT_BLOCK_MIN, 4L), capped at the
@@ -57,6 +61,8 @@ __all__ = [
     "build_basis",
     "project",
     "project_dense_oracle",
+    "synthesize",
+    "whiten",
     "delayed_matrix",
 ]
 
@@ -476,21 +482,16 @@ def build_basis(references: Sequence[Waveform], max_delay: int) -> ProjectionBas
     )
 
 
-def project(basis: ProjectionBasis, x: Waveform) -> tuple[Waveform, ...]:
-    """Orthogonal projections ``(P_1 x, ..., P_k x)`` of ``x``, ``P_r`` onto
-    the delayed copies of the basis' first ``r`` references: ``(P_s x, P_sn x)``
-    for an ``[s, n]`` basis.
+def whiten(basis: ProjectionBasis, x: Waveform) -> np.ndarray:
+    """Whitened coefficients ``z`` of ``x``: one correlation pass gives the
+    right-hand side ``Aᵀx`` and one forward solve ``Uᵀ z = Aᵀx`` the rest.
 
-    One right-hand side ``Aᵀx`` serves every subspace.  ``Uᵀ`` is lower
-    triangular, so the leading ``r*L`` entries of its forward solve ``z`` are
-    the solve for the first ``r`` references alone.  One back solve of ``k``
-    columns, column ``r`` being ``z`` zeroed past ``r*L``, gives each
-    subspace's coefficients ``c``, and its projection is ``Σ_i F_i ·
-    rfft(c_i)``, ``F_i`` the block spectra of reference ``i``, under one
-    batched inverse FFT whose blocks are overlap-added.  No block of the
-    in-place factor is copied.  ``x - project(basis, x)[-1]`` is orthogonal
-    to every delayed copy up to round-off.  A zero pivot in the factor
-    raises ``SingularProjectionError``.
+    ``A U⁻¹`` has orthonormal columns, the whitened delayed copies, and
+    ``Uᵀ`` is lower triangular, so the leading ``r*L`` entries of ``z`` are
+    the coordinates of ``P_r x`` in them: ``‖P_1 x‖² = ‖z[:L]‖²`` and
+    ``<P_k x, P_k x'> = z·z'``, with no waveform synthesized (see
+    ``synthesize``).  A zero pivot in the factor raises
+    ``SingularProjectionError``.
     """
     T = len(basis.references[0])
     if len(x) != T:
@@ -498,7 +499,7 @@ def project(basis: ProjectionBasis, x: Waveform) -> tuple[Waveform, ...]:
     if x.sample_rate != basis.sample_rate:
         raise ValueError(f"project: sample rate mismatch ({x.sample_rate} vs {basis.sample_rate})")
 
-    k, L, M = len(basis.references), basis.max_delay, basis._block
+    L, M = basis.max_delay, basis._block
     fx = _block_spectra(x.samples, L, M, extended=True)
     # <ref delayed by tau, x> needs no truncation correction: x itself is
     # not delayed, so no products fall outside [0, T).
@@ -507,21 +508,53 @@ def project(basis: ProjectionBasis, x: Waveform) -> tuple[Waveform, ...]:
     z, info = dtrtrs(basis._factor, rhs, trans=True)
     if info:
         raise SingularProjectionError(f"project: zero pivot {info} in the Cholesky factor")
-    nested = np.zeros((k * L, k), order="F")
-    for r in range(1, k + 1):  # column r - 1: z zeroed past r*L
-        nested[:r * L, r - 1] = z[:r * L]
+    return z
+
+
+def synthesize(basis: ProjectionBasis, z: np.ndarray,
+               counts: Sequence[int]) -> list[np.ndarray]:
+    """Samples of ``P_r x`` for each ``r`` in ``counts``, from the whitened
+    coefficients ``z`` of ``x`` (see ``whiten``).
+
+    One back solve of ``len(counts)`` columns, column ``j`` being ``z``
+    zeroed past ``counts[j]*L``, gives each subspace's coefficients ``c``,
+    and its projection is ``Σ_i F_i · rfft(c_i)``, ``F_i`` the block spectra
+    of reference ``i``, under one batched inverse FFT whose blocks are
+    overlap-added.  No block of the in-place factor is copied.  A zero pivot
+    in the factor raises ``SingularProjectionError``.
+    """
+    k, L, M = len(basis.references), basis.max_delay, basis._block
+    T = len(basis.references[0])
+    nested = np.zeros((k * L, len(counts)), order="F")
+    for col, r in enumerate(counts):
+        nested[:r * L, col] = z[:r * L]
     coeffs, info = dtrtrs(basis._factor, nested)
     if info:
         raise SingularProjectionError(f"project: zero pivot {info} in the Cholesky factor")
     projections = []
-    for r in range(k):
-        spectrum = basis._spectra[0] * rfft(coeffs[:L, r], M)
-        for i in range(1, r + 1):
-            spectrum += basis._spectra[i] * rfft(coeffs[i * L:(i + 1) * L, r], M)
+    for col, r in enumerate(counts):
+        spectrum = basis._spectra[0] * rfft(coeffs[:L, col], M)
+        for i in range(1, r):
+            spectrum += basis._spectra[i] * rfft(coeffs[i * L:(i + 1) * L, col], M)
         blocks = irfft(spectrum, M, axis=1)
         del spectrum
-        projections.append(Waveform(_overlap_add(blocks, L, T), basis.sample_rate))
-    return tuple(projections)
+        projections.append(_overlap_add(blocks, L, T))
+    return projections
+
+
+def project(basis: ProjectionBasis, x: Waveform) -> tuple[Waveform, ...]:
+    """Orthogonal projections ``(P_1 x, ..., P_k x)`` of ``x``, ``P_r`` onto
+    the delayed copies of the basis' first ``r`` references: ``(P_s x, P_sn x)``
+    for an ``[s, n]`` basis.
+
+    The composition of ``whiten`` and ``synthesize``: one right-hand side
+    ``Aᵀx`` and one forward solve serve every subspace, and one back solve
+    of ``k`` columns gives every projection.  ``x - project(basis, x)[-1]``
+    is orthogonal to every delayed copy up to round-off.
+    """
+    z = whiten(basis, x)
+    return tuple(Waveform(p, basis.sample_rate)
+                 for p in synthesize(basis, z, range(1, len(basis.references) + 1)))
 
 
 def project_dense_oracle(references: Sequence[Waveform], max_delay: int,

@@ -3,7 +3,8 @@
 Each case draws correlated (one-pole lowpass filtered) Gaussian signals,
 runs the full decomposition/analysis stack, and checks every advertised
 identity against independent oracles: dense least-squares projection,
-explicit delayed-copy matrices, and re-decomposition of modified signals.
+explicit delayed-copy matrices, re-decomposition of modified signals, and
+the synthesized waveforms behind every coefficient-space Gram.
 Correlated rather than white noise is used on purpose; it stresses the Gram
 conditioning the way real speech does.  The lowpass is a plain recursion,
 so the suite needs numpy alone; the CLI imports this module only under
@@ -19,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .analysis import DsaPoint, OaPoint, dsa_synthesize, oa_apply
-from .decomposition import Decomposer, recompose
+from .decomposition import Decomposer, cross_gram, recompose
 from .metrics import compute_metrics, sar_improvement_closed_form
 from .projection import delayed_matrix, project, project_dense_oracle
 from .signals import Waveform, add, energy, inner, scale
@@ -34,6 +35,7 @@ CASE_MAX_DELAYS = (1, 4, 16)
 INVARIANT_TOLERANCES = {
     "reconstruction_rel": 1e-10,
     "gram_vs_dense_rel": 1e-8,
+    "coefficient_gram_rel": 1e-8,
     "fast_vs_dense_projection_rel": 1e-8,
     "error_orthogonality_rel": 1e-8,
     "projection_idempotence_rel": 1e-8,
@@ -208,6 +210,15 @@ def _check_case(case: OracleCase, dev: dict) -> None:
     d_y = dec.decompose(y)
     y_proj = d_y.s_target.samples + d_y.e_noise.samples
     bump("mixture_in_span_rel", _rel(y_proj - y.samples, np.linalg.norm(y.samples)))
+
+    # the coefficient-space Grams and OA cross block against the products of
+    # the synthesized waveforms, relative to the largest energy
+    parts, parts_y = (np.stack([c.s_target.samples, c.e_noise.samples, c.e_artif.samples])
+                      for c in (d, d_y))
+    largest = max(np.max(np.diag(d.gram)), np.max(np.diag(d_y.gram)))
+    for got, want in ((d.gram, parts @ parts.T), (d_y.gram, parts_y @ parts_y.T),
+                      (cross_gram(d, d_y), parts @ parts_y.T)):
+        bump("coefficient_gram_rel", np.max(np.abs(got - want)) / largest)
 
     # energy split and the mixture's lack of artifacts
     total = energy(s_hat)

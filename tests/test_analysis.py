@@ -1,10 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from conftest import RATE, random_signals
+from conftest import RATE, lowpass_noise, random_signals
 from opdkit.analysis import (DsaPoint, OaPoint, SweepValidationError, dsa_sweep, dsa_synthesize,
                              oa_apply, oa_sweep)
 from opdkit.cli import DEFAULT_DSA_GRID, DEFAULT_OA_GRID, parse_grid
@@ -273,3 +274,38 @@ def test_dsa_end_to_end_linearity_random(seed):
     assert np.linalg.norm(d2.s_target.samples - d.s_target.samples) <= 1e-8 * ref
     assert np.linalg.norm(d2.e_noise.samples - 0.5 * d.e_noise.samples) <= 1e-8 * ref
     assert np.linalg.norm(d2.e_artif.samples - 2.0 * d.e_artif.samples) <= 1e-8 * ref
+
+
+class TestSweepMemory:
+    """Traced peak allocation of a sweep on one 16 s utterance (T=256000,
+    L=512), in T-length float64 arrays, after the basis is built: on an
+    unloaded basis a sweep makes ``e_artif`` and the synthesis it comes
+    from, not the target and noise-error waveforms or a stack of them."""
+
+    T, L = 256000, 512
+
+    @pytest.fixture(scope="class")
+    def utterance(self):
+        rng = np.random.default_rng(0)
+        s, n, w = (Waveform(lowpass_noise(rng, self.T), RATE) for _ in range(3))
+        s_hat = Waveform(0.8 * s.samples + 0.3 * n.samples + 0.2 * w.samples, RATE)
+        return Decomposer(s, n, self.L), s_hat, add(s, n)
+
+    def peak_arrays(self, fn) -> float:
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            fn()
+            return (tracemalloc.get_traced_memory()[1] - base) / (8 * self.T)
+        finally:
+            tracemalloc.stop()
+
+    def test_dsa_sweep(self, utterance):
+        dec, s_hat, _ = utterance
+        grid = default_grid("dsa")
+        assert self.peak_arrays(lambda: dsa_sweep(dec.decompose(s_hat), grid)) <= 3.5
+
+    def test_oa_sweep(self, utterance):
+        dec, s_hat, y = utterance
+        grid = default_grid("oa")
+        assert self.peak_arrays(lambda: oa_sweep(dec, s_hat, y, grid)) <= 6.0

@@ -1,5 +1,6 @@
 import argparse
 import csv
+import gc
 import json
 import math
 import os
@@ -819,6 +820,36 @@ def test_self_test_flag(capsys):
 def test_no_command_prints_help(capsys):
     assert main([]) == 1
     assert "decompose" in capsys.readouterr().out
+
+
+_FREEZE_PROBE = """
+import gc, sys
+import opdkit.cli
+sys.argv = ["opdkit", "--version"]
+try:
+    opdkit.cli.run()
+except SystemExit as exc:
+    print(exc.code, gc.get_freeze_count() > 0)
+"""
+
+
+def test_entry_point_exits_as_before_and_freezes_the_collector():
+    # run() freezes the collector on every way out, SystemExit from
+    # --version included, so exit skips the last cyclic collection
+    out = subprocess.run([sys.executable, "-m", "opdkit.cli", "--version"], env=_child_env(),
+                         capture_output=True, text=True, timeout=120)
+    assert (out.returncode, out.stdout, out.stderr) == (0, f"opdkit {opdkit.__version__}\n", "")
+    out = subprocess.run([sys.executable, "-c", _FREEZE_PROBE], env=_child_env(), check=True,
+                         capture_output=True, text=True, timeout=120)
+    assert out.stdout.splitlines() == [f"opdkit {opdkit.__version__}", "0 True"]
+
+
+def test_main_in_process_leaves_the_collector_unfrozen(capsys):
+    before = gc.get_freeze_count()
+    assert main([]) == 1
+    with pytest.raises(SystemExit):
+        main(["--version"])
+    assert gc.get_freeze_count() == before
 
 
 _SCIPY_PROBE = """

@@ -3,10 +3,11 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from conftest import RATE, random_signals
-from opdkit.decomposition import Decomposer, Decomposition, export_components, recompose
+from opdkit.decomposition import (Decomposer, Decomposition, WhitenedDecomposition,
+                                  cross_gram, export_components, recompose)
 from opdkit.projection import build_basis, project
-from opdkit.selftest import make_case
-from opdkit.signals import Waveform, energy
+from opdkit.selftest import INVARIANT_TOLERANCES, make_case
+from opdkit.signals import Waveform, add, energy
 from opdkit.wavio import read_wav
 
 
@@ -89,27 +90,35 @@ def test_loading_only_the_failing_block_keeps_speech_projection(seed):
     assert "from reference 1 on" in dec.basis.regularization_events[0]
 
 
-def test_one_projection_call_and_two_triangular_solves(monkeypatch):
-    # P_s and P_sn come from one right-hand side: one forward and one
-    # (two-column) back substitution on the shared factor
+def test_one_correlation_pass_and_two_triangular_solves(monkeypatch):
+    # an unloaded decomposition is one right-hand side, one forward and one
+    # one-column back substitution, and one synthesis (P_sn x, for e_artif);
+    # reading s_target adds one back substitution and one synthesis, and the
+    # nested two-column project() is not called
     import opdkit.decomposition as decomposition_module
     import opdkit.projection as projection_module
     case = make_case(0)
     dec = Decomposer(case.s, case.n, case.max_delay)
-    calls = {"project": 0, "dtrtrs": 0}
+    calls = {"project": 0, "_block_spectra": 0, "dtrtrs": 0, "synthesize": 0}
 
-    def counted(name, fn):
+    def counted(module, name):
+        fn = getattr(module, name)
+
         def wrapper(*args, **kwargs):
             calls[name] += 1
             return fn(*args, **kwargs)
-        return wrapper
+        monkeypatch.setattr(module, name, wrapper)
 
-    monkeypatch.setattr(decomposition_module, "project",
-                        counted("project", decomposition_module.project))
-    monkeypatch.setattr(projection_module, "dtrtrs",
-                        counted("dtrtrs", projection_module.dtrtrs))
-    dec.decompose(case.s_hat)
-    assert calls == {"project": 1, "dtrtrs": 2}
+    counted(decomposition_module, "project")
+    counted(decomposition_module, "synthesize")
+    counted(projection_module, "_block_spectra")
+    counted(projection_module, "dtrtrs")
+    d = dec.decompose(case.s_hat)
+    assert calls == {"project": 0, "_block_spectra": 1, "dtrtrs": 2, "synthesize": 1}
+    d.gram, d.e_artif
+    assert calls == {"project": 0, "_block_spectra": 1, "dtrtrs": 2, "synthesize": 1}
+    d.s_target, d.e_noise
+    assert calls == {"project": 0, "_block_spectra": 1, "dtrtrs": 3, "synthesize": 2}
 
 
 def test_energy_pythagoras(running_example):
@@ -161,3 +170,52 @@ def test_export_components(tmp_path, running_example):
         [".eartif.wav", ".enoise.wav", ".target.wav"]
     back = read_wav(tmp_path / "utt0.target.wav")
     assert_allclose(back.samples, [0.9, 0.0, 0.0, 0.0], atol=1e-7)
+
+
+def _waveform_products(a: Decomposition, b: Decomposition) -> np.ndarray:
+    parts_a, parts_b = (np.stack([d.s_target.samples, d.e_noise.samples, d.e_artif.samples])
+                        for d in (a, b))
+    return parts_a @ parts_b.T
+
+
+def _band_limited_case(seed):
+    # references through a 401-tap windowed-sinc lowpass at a quarter of the
+    # band (Gram condition about 1e9 at L=32), a white artifact
+    rng = np.random.default_rng(seed)
+    T, taps = 8000, np.arange(401) - 200
+    fir = 0.25 * np.sinc(0.25 * taps) * np.hamming(401)
+    s, n = (np.convolve(rng.standard_normal(T), fir)[:T] for _ in range(2))
+    w = rng.standard_normal(T)
+    s_hat = s + 0.3 * n + 0.5 * w * np.linalg.norm(s) / np.linalg.norm(w)
+    return Waveform(s, RATE), Waveform(n, RATE), Waveform(s_hat, RATE), 32
+
+
+def _oracle_case(kind, seed):
+    if kind == "band-limited":
+        return _band_limited_case(seed)
+    case = make_case(seed, kind="random" if kind == "n=s" else kind)
+    return case.s, case.s if kind == "n=s" else case.n, case.s_hat, case.max_delay
+
+
+@pytest.mark.parametrize("kind,seed", [("random", seed) for seed in range(12)]
+                         + [("perfect", 0), ("negated-observation", 1)]
+                         + [("band-limited", seed) for seed in range(3)]
+                         + [("n=s", seed) for seed in range(1, 4)])
+def test_gram_and_cross_block_match_the_synthesized_waveforms(kind, seed):
+    # the coefficient-space Gram and OA cross block against the products of
+    # the waveforms they stand for; a loaded basis (n = s) takes the eager
+    # three-waveform path
+    s, n, s_hat, L = _oracle_case(kind, seed)
+    dec = Decomposer(s, n, L)
+    d, d_y = dec.decompose(s_hat), dec.decompose(add(s, n))
+    eager = kind == "n=s"
+    assert bool(dec.basis.regularization) == eager
+    for x in (d, d_y):
+        assert type(x) is (Decomposition if eager else WhitenedDecomposition)
+    got = {"gram": d.gram, "gram_y": d_y.gram, "cross": cross_gram(d, d_y)}
+    want = {"gram": _waveform_products(d, d), "gram_y": _waveform_products(d_y, d_y),
+            "cross": _waveform_products(d, d_y)}
+    largest = max(np.max(np.diag(d.gram)), np.max(np.diag(d_y.gram)))
+    for name in got:
+        assert (np.max(np.abs(got[name] - want[name]))
+                <= INVARIANT_TOLERANCES["coefficient_gram_rel"] * largest), name

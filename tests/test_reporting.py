@@ -4,6 +4,7 @@ import math
 import os
 import re
 import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -184,7 +185,7 @@ def test_run_manifest_is_json_without_timestamps(tmp_path):
         command="oa", parameters={"grid": [0.0, 0.5]}, max_delay=16,
         aggregation="mean-of-per-utterance-db",
         regularization_events=["gram-regularized: diagonal loading 1e-12"]))
-    record = json.loads(open(path).read())
+    record = json.loads(Path(path).read_text())
     assert record["command"] == "oa"
     assert record["max_delay"] == 16
     assert record["tool_version"]
