@@ -148,7 +148,9 @@ def oa_sweep(dec: Decomposer, s_hat: Waveform, y: Waveform,
     ``M = [I | w I]``.  When both SARs are finite, the closed-form SARi (from
     ``s_hat - e_artif`` and raw ``y``) must match the measured one within
     ``SARI_VALIDATION_TOL_DB``, else ``SweepValidationError``: a ``y`` outside
-    the span has an ``e_artif`` that the closed form does not see.
+    the span has an ``e_artif`` that the closed form does not see, and on an
+    ill-conditioned Gram the coefficient energies and the waveform ``s_hat -
+    e_artif`` carry different round-off.
     """
     grid = list(grid)
     _check_grid(grid, "oa_sweep")
@@ -169,8 +171,11 @@ def oa_sweep(dec: Decomposer, s_hat: Waveform, y: Waveform,
             if abs(sari - measured) > SARI_VALIDATION_TOL_DB:
                 raise SweepValidationError(
                     f"closed-form SAR improvement {sari:.9f} dB disagrees with the "
-                    f"measured {measured:.9f} dB at omega_obs={point.omega_obs} "
-                    f"(utterance {utterance_id!r}); is y really s + n?"
+                    f"measured {measured:.9f} dB by {abs(sari - measured):.3g} dB, "
+                    f"over the {SARI_VALIDATION_TOL_DB:g} dB tolerance, at "
+                    f"omega_obs={point.omega_obs} (utterance {utterance_id!r}): either "
+                    "y lies outside the span of the delayed references, or the "
+                    "projection is inaccurate at this Gram's conditioning"
                 )
         rows.append(SweepRow(
             utterance_id=utterance_id,

@@ -24,28 +24,35 @@ in cache where one of length T + L - 1 does not.  Because the
 delayed copies are truncated at T rather than extended, the Gram matrix
 differs from the plain Toeplitz correlation matrix by products of the
 reference tails that fall off the end; that correction is exact, an O(L^2)
-prefix sum along each diagonal subtracted once (see ``_gram_block``).  The
-Gram is written in LAPACK's (Fortran) order and factorized in place, so a
-basis holds one (kL)^2 array and no solve copies it.  Only its upper
-triangle, the part ``dpotrf`` and ``dtrtrs`` read, is written; the strict
-lower triangle is never touched, so its pages of the lazily mapped array
-are never made resident.
+prefix sum along each diagonal subtracted once (see ``_gram_rows``).
+
+The Gram is held in LAPACK's rectangular full packed (RFP) format
+(``TRANSR='N'``, ``UPLO='U'``): its upper triangle, and nothing else, in one
+(2 n1 + 1)-by-n2 Fortran-ordered array, n1 = floor(kL/2) and n2 = kL - n1,
+so kL(kL+1)/2 doubles.  Column j of that array is column n1 + j of the upper
+triangle followed by row j of it from the diagonal up to column n1 - 1.
+``dpftrf`` factorizes it in place with Level-3 BLAS, so a basis holds that
+one array and no solve copies it.  Its three blocks are plain strided
+matrices with leading dimension 2 n1 + 1: ``U11ᵀ`` (lower triangle),
+``U22`` (upper triangle) and ``U12``; a solve is ``dtrtrs`` on the two
+triangles and one product with ``U12`` (see ``_solve``).  For k = 2 the
+split falls on the reference boundary, n1 = L.
 
 FFTs come from ``numpy.fft``.  From numpy 2.0 on that is the C++ pocketfft
 that ``scipy.fft`` also wraps, so transforms are bitwise the same as
 scipy's; numpy 1.x ships a different C implementation, hence the
-``numpy>=2.0`` floor.  LAPACK's Cholesky factorization (``dpotrf``) and
-triangular solve (``dtrtrs``) are called through ``ctypes``, in place, on the
-OpenBLAS that numpy's own wheels bundle and have already loaded, so neither
-importing this module nor solving loads scipy.  A numpy built against
-another LAPACK (MKL, Accelerate, a distribution's OpenBLAS) exports no such
-symbols; the same two routines then come from
-``scipy.linalg.cython_lapack``.  The symbols are resolved at the first solve,
-which raises ``ImportError`` naming both sources when neither has them.
+``numpy>=2.0`` floor.  LAPACK's packed Cholesky factorization (``dpftrf``)
+and triangular solve (``dtrtrs``) are called through ``ctypes``, in place,
+on the OpenBLAS that numpy's own wheels bundle and have already loaded
+(``scipy_dpftrf_64_`` and ``scipy_dtrtrs_64_``), so neither importing this
+module nor solving loads scipy.  A numpy built against another LAPACK (MKL,
+Accelerate, a distribution's OpenBLAS) exports no such symbols; the same two
+routines then come from ``scipy.linalg.cython_lapack``.  The symbols are
+resolved at the first solve, which raises ``ImportError`` naming both
+sources when neither has them.
 """
 
 import functools
-import mmap
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Sequence
 
@@ -84,27 +91,27 @@ FFT_BLOCK_MIN = 4096
 
 
 class _Lapack(NamedTuple):
-    """LAPACK's ``dpotrf`` and ``dtrtrs`` with their C prototypes declared,
+    """LAPACK's ``dpftrf`` and ``dtrtrs`` with their C prototypes declared,
     and the integer type they take."""
 
-    potrf: Callable
+    pftrf: Callable
     trtrs: Callable
     int_t: type
 
 
 def _numpy_openblas_pointers():
-    """(int type, dpotrf, dtrtrs) of the OpenBLAS numpy's wheels bundle.
+    """(int type, dpftrf, dtrtrs) of the OpenBLAS numpy's wheels bundle.
 
     ``dlsym`` on the handle of numpy's linalg extension also searches the
     libraries it links, so this finds the copy already loaded; a numpy
     built against another LAPACK raises ``AttributeError``."""
     import ctypes
     lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
-    return ctypes.c_int64, lib.scipy_dpotrf_64_, lib.scipy_dtrtrs_64_
+    return ctypes.c_int64, lib.scipy_dpftrf_64_, lib.scipy_dtrtrs_64_
 
 
 def _cython_lapack_pointers():
-    """(int type, dpotrf, dtrtrs) from ``scipy.linalg.cython_lapack``'s capsules."""
+    """(int type, dpftrf, dtrtrs) from ``scipy.linalg.cython_lapack``'s capsules."""
     import ctypes
     from scipy.linalg.cython_lapack import __pyx_capi__ as capi
     api = ctypes.pythonapi
@@ -113,21 +120,21 @@ def _cython_lapack_pointers():
     get_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
         ("PyCapsule_GetPointer", api))
     return ctypes.c_int, *(get_pointer(capi[name], get_name(capi[name]))
-                           for name in ("dpotrf", "dtrtrs"))
+                           for name in ("dpftrf", "dtrtrs"))
 
 
 def _bind_lapack(source) -> _Lapack:
     """Declare the C prototypes of the two routines ``source()`` points at:
-    ``dpotrf(uplo, n, a, lda, info)`` and
+    ``dpftrf(transr, uplo, n, a, info)`` and
     ``dtrtrs(uplo, trans, diag, n, nrhs, a, lda, b, ldb, info)``, characters
     and integers by reference, no hidden Fortran string lengths."""
     import ctypes
-    int_t, potrf, trtrs = source()
+    int_t, pftrf, trtrs = source()
     char_p, int_p, double_p = ctypes.c_char_p, ctypes.POINTER(int_t), ctypes.c_void_p
-    potrf_t = ctypes.CFUNCTYPE(None, char_p, int_p, double_p, int_p, int_p)
+    pftrf_t = ctypes.CFUNCTYPE(None, char_p, char_p, int_p, double_p, int_p)
     trtrs_t = ctypes.CFUNCTYPE(None, char_p, char_p, char_p, int_p, int_p, double_p, int_p,
                                double_p, int_p, int_p)
-    return _Lapack(potrf_t(ctypes.cast(potrf, ctypes.c_void_p).value),
+    return _Lapack(pftrf_t(ctypes.cast(pftrf, ctypes.c_void_p).value),
                    trtrs_t(ctypes.cast(trtrs, ctypes.c_void_p).value), int_t)
 
 
@@ -145,20 +152,35 @@ def _lapack() -> _Lapack:
                               "install scipy") from scipy_err
 
 
-def _check_lapack_array(routine: str, name: str, a: np.ndarray) -> None:
-    """LAPACK writes through a raw pointer: a wrong dtype or layout would
-    corrupt memory instead of raising, so refuse it first."""
-    if a.dtype != np.float64 or not a.flags.f_contiguous or not a.flags.writeable:
-        raise ValueError(f"{routine}: {name} must be a writeable Fortran-contiguous "
-                         f"float64 array, got {a.dtype} with flags "
-                         f"F_CONTIGUOUS={a.flags.f_contiguous}, WRITEABLE={a.flags.writeable}")
+def _leading_dimension(routine: str, name: str, a: np.ndarray, rows: int) -> int:
+    """Leading dimension of ``a``, a vector or a matrix of ``rows`` rows
+    that LAPACK reads and writes through a raw pointer: a wrong dtype or
+    layout would corrupt memory instead of raising, so refuse it first.
 
-
-def _check_square(routine: str, a: np.ndarray) -> int:
-    _check_lapack_array(routine, "a", a)
-    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
-        raise ValueError(f"{routine}: a must be a non-empty square matrix, got shape {a.shape}")
-    return a.shape[0]
+    ``a`` must be writeable float64 with contiguous columns (unit row
+    stride) that lie ``lda >= rows`` elements apart, all within the memory of
+    the array it is a view of."""
+    if a.dtype != np.float64 or not a.flags.writeable or a.ndim not in (1, 2):
+        raise ValueError(f"{routine}: {name} must be a writeable float64 vector or "
+                         f"matrix, got {a.ndim}-d {a.dtype} with "
+                         f"WRITEABLE={a.flags.writeable}")
+    if a.shape[0] != rows:
+        raise ValueError(f"{routine}: {name} must have {rows} rows, got shape {a.shape}")
+    row_stride, col_stride = (*a.strides, a.itemsize * rows)[:2]
+    lda, misaligned = divmod(col_stride, a.itemsize)
+    if row_stride != a.itemsize or misaligned or lda < rows:
+        raise ValueError(f"{routine}: {name} must have contiguous columns at least {rows} "
+                         f"elements apart (lda >= n), got strides {a.strides}")
+    base = a.base
+    while base is not None:  # as_strided views hide their array behind a wrapper
+        if isinstance(base, np.ndarray):
+            low, high = np.lib.array_utils.byte_bounds(a)
+            base_low, base_high = np.lib.array_utils.byte_bounds(base)
+            if low < base_low or high > base_high:
+                raise ValueError(f"{routine}: {name} reaches outside the array it is a "
+                                 "view of")
+        base = getattr(base, "base", None)
+    return lda
 
 
 def _check_info(routine: str, info) -> int:
@@ -167,32 +189,45 @@ def _check_info(routine: str, info) -> int:
     return info.value
 
 
-def dpotrf(a: np.ndarray) -> tuple[np.ndarray, int]:
-    """LAPACK ``dpotrf``: Cholesky factor ``U`` (``Uᵀ U`` = ``a``), written in
-    place over the upper triangle of ``a``; the strict lower triangle is left
-    as it was.  Returns ``(a, info)``; ``info > 0`` is the 1-based order of
-    the first leading minor that is not positive definite."""
-    n = _check_square("dpotrf", a)
+def dpftrf(a: np.ndarray) -> tuple[np.ndarray, int]:
+    """LAPACK ``dpftrf`` (``TRANSR='N'``, ``UPLO='U'``): Cholesky factor
+    ``U`` (``Uᵀ U`` = the matrix) of the symmetric matrix whose upper triangle
+    ``a`` holds in rectangular full packed format, written in place in the
+    same format.  ``a`` is Fortran-ordered, (2 n1 + 1)-by-n2 with n2 = n1 or
+    n1 + 1, for order n = n1 + n2.  Returns ``(a, info)``; ``info > 0`` is the
+    1-based order of the first leading minor that is not positive
+    definite."""
+    if a.ndim != 2 or a.shape[0] % 2 == 0 or a.shape[1] - a.shape[0] // 2 not in (0, 1) \
+            or a.shape[1] < 1 or not a.flags.f_contiguous:
+        raise ValueError(f"dpftrf: a must be a Fortran-contiguous (2 n1 + 1)-by-n2 array, "
+                         f"n2 = n1 or n1 + 1, got shape {a.shape} with "
+                         f"F_CONTIGUOUS={a.flags.f_contiguous}")
+    _leading_dimension("dpftrf", "a", a, a.shape[0])
     lapack = _lapack()
-    order, info = lapack.int_t(n), lapack.int_t()
-    lapack.potrf(b"U", order, a.ctypes.data, order, info)
-    return a, _check_info("dpotrf", info)
+    info = lapack.int_t()
+    lapack.pftrf(b"N", b"U", lapack.int_t(a.shape[0] // 2 + a.shape[1]), a.ctypes.data,
+                 info)
+    return a, _check_info("dpftrf", info)
 
 
-def dtrtrs(a: np.ndarray, b: np.ndarray, trans: bool = False) -> tuple[np.ndarray, int]:
-    """LAPACK ``dtrtrs``: solve ``U x = b`` (``Uᵀ x = b`` with ``trans``) for
-    the upper triangle ``U`` of ``a``, written in place over ``b``.  Returns
-    ``(b, info)``; ``info > 0`` is the 1-based index of a zero diagonal entry
-    of ``U``."""
-    n = _check_square("dtrtrs", a)
-    _check_lapack_array("dtrtrs", "b", b)
-    if b.ndim not in (1, 2) or b.shape[0] != n:
-        raise ValueError(f"dtrtrs: b must have n={n} rows, got shape {b.shape}")
+def dtrtrs(a: np.ndarray, b: np.ndarray, lower: bool = False,
+           trans: bool = False) -> tuple[np.ndarray, int]:
+    """LAPACK ``dtrtrs``: solve ``T x = b`` (``Tᵀ x = b`` with ``trans``) for
+    the upper triangle ``T`` of the square matrix ``a`` (the lower one with
+    ``lower``), written in place over ``b``.  ``a`` and ``b`` may be strided
+    views, such as the blocks of a packed factor (see
+    ``_leading_dimension``).  Returns ``(b, info)``; ``info > 0`` is the
+    1-based index of a zero diagonal entry of ``T``."""
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
+        raise ValueError(f"dtrtrs: a must be a non-empty square matrix, got shape {a.shape}")
+    n = a.shape[0]
+    lda = _leading_dimension("dtrtrs", "a", a, n)
+    ldb = _leading_dimension("dtrtrs", "b", b, n)
     lapack = _lapack()
-    order, info = lapack.int_t(n), lapack.int_t()
-    nrhs = lapack.int_t(b.shape[1] if b.ndim == 2 else 1)
-    lapack.trtrs(b"U", b"T" if trans else b"N", b"N", order, nrhs, a.ctypes.data,
-                 order, b.ctypes.data, order, info)
+    info = lapack.int_t()
+    lapack.trtrs(b"L" if lower else b"U", b"T" if trans else b"N", b"N", lapack.int_t(n),
+                 lapack.int_t(b.shape[1] if b.ndim == 2 else 1), a.ctypes.data,
+                 lapack.int_t(lda), b.ctypes.data, lapack.int_t(ldb), info)
     return b, _check_info("dtrtrs", info)
 
 
@@ -204,14 +239,14 @@ class SingularProjectionError(RuntimeError):
 class ProjectionBasis:
     """Factorized representation of a delayed-reference subspace.
 
-    The basis holds one (kL)^2 array, ``_factor``: the upper triangle of
-    the Gram matrix in Fortran order, factorized in place by LAPACK.  Its
-    upper triangle is the Cholesky factor ``U`` (``Uᵀ U`` = Gram); its
-    strict lower triangle is the zero fill of the allocation, never written
-    and never paged in.  The factor may include diagonal loading; the
-    amount actually added is recorded in ``regularization`` (0.0 when none
-    was needed).  Its leading ``r*L`` block factorizes the Gram of the first
-    ``r`` references, so one basis serves each nested subspace.
+    The basis holds one array of kL(kL+1)/2 doubles, ``_factor``: the Gram
+    matrix's upper triangle in rectangular full packed format (see the
+    module docstring), factorized in place by ``dpftrf`` into the Cholesky
+    factor ``U`` (``Uᵀ U`` = Gram) in the same format; ``_unpacked`` expands
+    it.  The factor may include diagonal loading; the amount actually added
+    is recorded in ``regularization`` (0.0 when none was needed).  Its
+    leading ``r*L`` block factorizes the Gram of the first ``r``
+    references, so one basis serves each nested subspace.
 
     Beside the factor it keeps, per reference, the block spectra that
     ``project`` correlates and synthesizes with: ``_spectra[i]`` has one
@@ -237,18 +272,19 @@ class ProjectionBasis:
         delayed by ``u``.
 
         Not stored: each access makes the references' extended block
-        spectra again, correlates them with the stored ones and rebuilds
-        the upper triangle into a new (kL)^2 * 8-byte array, in
-        O(k T log M + k^2 (T + L^2)) time, then copies it into the lower
-        triangle, so the result is exactly symmetric.  Meant for checks, not
-        for the solve path.
+        spectra again, correlates them with the stored ones, rebuilds the
+        packed upper triangle and expands it into a new (kL)^2 * 8-byte
+        array, in O(k T log M + k^2 (T + L^2)) time, with the lower triangle
+        copied from the upper one, so the result is exactly symmetric.
+        Meant for checks, not for the solve path.
         """
         L = self.max_delay
-        gram = _empty_gram(len(self.references) * L)
+        packed = _empty_gram(len(self.references) * L)
         arrays = [r.samples for r in self.references]
-        _fill_gram(gram, arrays, _lag_rows(arrays, self._spectra, L, self._block), L)
-        for c in range(1, len(gram)):
-            gram[c, :c] = gram[:c, c]
+        _fill_gram(packed, arrays, _lag_rows(arrays, self._spectra, L, self._block), L)
+        gram = _unpacked(packed)
+        lower = np.tril_indices(len(gram), -1)
+        gram[lower] = gram.T[lower]
         return gram
 
 
@@ -315,28 +351,26 @@ def _lag_rows(arrays: Sequence[np.ndarray], spectra: Sequence[np.ndarray], L: in
     return np.concatenate((pos.transpose(1, 0, 2)[:, :, :0:-1], pos), axis=2)
 
 
-def _gram_block(out: np.ndarray, a: np.ndarray, b: np.ndarray, row: np.ndarray,
-                L: int, diagonal: bool) -> None:
-    """Write into ``out`` the L-by-L block of inner products between delayed
-    copies of b and of a, ``out[u, t] = <b delayed by u, a delayed by t>``,
-    from the lag row of a with b, ``row[L-1+d] = sum_w a[w] * b[w - d]``
-    (see ``_lag_rows``).  A block on the Gram's ``diagonal`` has row u
-    written up to column u only; no other entry of ``out`` is touched.
+def _gram_rows(a: np.ndarray, b: np.ndarray, row: np.ndarray, L: int):
+    """Yield, for u = 0 .. L-1, row u of the L-by-L block of inner products
+    between delayed copies of b and of a, ``entries[t] = <b delayed by u,
+    a delayed by t>``, from the lag row of a with b, ``row[L-1+d] = sum_w
+    a[w] * b[w - d]`` (see ``_lag_rows``).  Each row is a new array.
 
     Toeplitz row minus the products that truncation at T drops from entry
     (u, t), ``sum_{m=1}^{min(t,u)} rb[u-m] * ra[t-m]`` with ``ra, rb`` the
     last L samples of a, b reversed: those are summed among themselves along
     each diagonal, so they round at their own size, and subtracted once.
     Row u of that loss is row u-1 shifted by one column plus one product
-    row, so one running row is kept."""
+    row, so one running row is kept.  For b = a the products commute and
+    the lag row is exactly symmetric, so the block is too, bitwise."""
     lags = row[::-1]  # lags[L-1-u+t]: entry (u, t)
     ra, rb = a[::-1][:L], b[::-1][:L]
     loss = np.zeros(L)
     for u in range(L):
-        width = u + 1 if diagonal else L
         if u:
-            loss[1:width] = loss[:width - 1] + rb[u - 1] * ra[:width - 1]
-        out[u, :width] = lags[L - 1 - u:L - 1 - u + width] - loss[:width]
+            loss[1:] = loss[:-1] + rb[u - 1] * ra[:-1]
+        yield lags[L - 1 - u:2 * L - 1 - u] - loss
 
 
 def _overlap_add(blocks: np.ndarray, L: int, T: int) -> np.ndarray:
@@ -362,49 +396,75 @@ def _mem_available() -> int | None:
 
 
 def _empty_gram(dim: int) -> np.ndarray:
-    """Zero-filled dim-by-dim Fortran-ordered array for a Gram matrix, on
-    pages the kernel maps only where they are written.
+    """Uninitialized Fortran-ordered array for the upper triangle of a
+    dim-by-dim Gram matrix in rectangular full packed format:
+    (2 n1 + 1)-by-(dim - n1), n1 = dim // 2, dim(dim+1)/2 doubles.
 
-    The array is a private anonymous ``mmap``, with transparent huge pages
-    declined where the platform can (``MADV_NOHUGEPAGE``): numpy asks for
-    2 MB pages for every array of 4 MB or more, and a huge page would map
-    the untouched lower triangle along with the upper one.  The request is
-    refused before allocating when (dim^2)*8 bytes exceed the available
-    memory: under overcommit the mapping would be granted, and filling it
-    could get the process killed instead of raising."""
-    nbytes = dim * dim * 8
+    The request is refused before allocating when those bytes exceed the
+    available memory: under overcommit the allocation would be granted,
+    and filling it could get the process killed instead of raising.  An
+    allocation that fails anyway raises the same error."""
+    n1 = dim // 2
+    nbytes = dim * (dim + 1) // 2 * 8
     too_large = ValueError(f"cannot allocate the Gram matrix: kL={dim} needs "
-                           f"(kL)^2*8 = {nbytes} bytes")
+                           f"kL(kL+1)/2*8 = {nbytes} bytes")
     available = _mem_available()
     if available is not None and nbytes > available:
         raise too_large
-    private = {"flags": mmap.MAP_PRIVATE} if hasattr(mmap, "MAP_PRIVATE") else {}
     try:
-        buffer = mmap.mmap(-1, nbytes, **private)
-    except OSError:
+        return np.empty((2 * n1 + 1, dim - n1), order="F")
+    except MemoryError:
         raise too_large from None
-    if hasattr(mmap, "MADV_NOHUGEPAGE"):
-        buffer.madvise(mmap.MADV_NOHUGEPAGE)
-    return np.frombuffer(buffer, dtype=np.float64).reshape((dim, dim), order="F")
 
 
-def _fill_gram(gram: np.ndarray, arrays: Sequence[np.ndarray], rows: np.ndarray,
+def _diagonal_index(dim: int, start: int = 0) -> np.ndarray:
+    """Positions, in the Fortran-order flattening of the packed array of a
+    dim-by-dim matrix, of its diagonal entries ``start .. dim-1``: entry
+    (i, i) is at row i, column i - n1 (the ``U22`` triangle) for i >= n1,
+    else at row n1 + 1 + i, column i (the ``U11ᵀ`` triangle)."""
+    n1 = dim // 2
+    i = np.arange(start, dim)
+    return np.where(i < n1, n1 + 1 + i + i * (2 * n1 + 1), i + (i - n1) * (2 * n1 + 1))
+
+
+def _unpacked(packed: np.ndarray) -> np.ndarray:
+    """The dim-by-dim upper triangle, zeros below it, that the rectangular
+    full packed array ``packed`` holds: a new array, for checks."""
+    n1, n2 = packed.shape[0] // 2, packed.shape[1]
+    upper = np.zeros((n1 + n2, n1 + n2))
+    for j in range(n2):
+        upper[:n1 + j + 1, n1 + j] = packed[:n1 + j + 1, j]
+        upper[j, j:n1] = packed[n1 + 1 + j:, j]
+    return upper
+
+
+def _fill_gram(packed: np.ndarray, arrays: Sequence[np.ndarray], rows: np.ndarray,
                L: int) -> None:
     """Write the upper triangle of the unloaded Gram of the delayed copies of
     ``arrays``, whose lag rows are ``rows`` (see ``_lag_rows``), into the
-    Fortran-ordered ``gram``, the only part ``dpotrf`` and ``dtrtrs`` read;
-    the strict lower triangle is never touched.
+    rectangular full packed array ``packed``; every entry of it is written.
 
-    Blocks are written through the C-ordered view ``gram.T``, whose row c is
-    column c of ``gram``, so every row write is contiguous and starts at its
-    column's head.  Gram block (i, j), i < j, is written as block (j, i) of
-    the view; of auto block (i, i), row t of the view gets its first t + 1
-    entries."""
-    view = gram.T
+    Row j of the C-ordered view ``packed.T`` is column j of ``packed``: Gram
+    column n1 + j from row 0 to the diagonal, then Gram row j from the
+    diagonal to column n1 - 1.  Gram block (i, j), i <= j, is made one row
+    u of ``_gram_rows`` at a time, entry t of which is Gram entry
+    (i L + t, j L + u).  Where Gram column c = j L + u >= n1, the row's
+    entries, up to the diagonal in an auto block, go to view row c - n1
+    from column i L on.  Below n1 only auto block (0, 0) lies, as n1 <= L
+    for k <= 2; it is symmetric, so entries u .. n1 - 1 of its row u are
+    Gram row u from the diagonal, the tail of view row u."""
+    n1 = len(arrays) * L // 2
+    view = packed.T
     for i in range(len(arrays)):
         for j in range(i, len(arrays)):
-            _gram_block(view[j * L:(j + 1) * L, i * L:(i + 1) * L], arrays[i], arrays[j],
-                        rows[i, j], L, diagonal=i == j)
+            block = _gram_rows(arrays[i], arrays[j], rows[i, j], L)
+            for u, entries in enumerate(block):
+                c = j * L + u
+                if c >= n1:
+                    width = u + 1 if i == j else L
+                    view[c - n1, i * L:i * L + width] = entries[:width]
+                else:
+                    view[c, n1 + 1 + c:] = entries[u:n1]
 
 
 def _validate_references(references: Sequence[Waveform], max_delay: int) -> None:
@@ -448,20 +508,20 @@ def build_basis(references: Sequence[Waveform], max_delay: int) -> ProjectionBas
     spectra = tuple(_block_spectra(a, L, M, extended=False) for a in arrays)
     rows = _lag_rows(arrays, spectra, L, M)
 
-    gram = _empty_gram(k * L)
-    _fill_gram(gram, arrays, rows, L)
+    packed = _empty_gram(k * L)
+    _fill_gram(packed, arrays, rows, L)
 
     regularization = 0.0
     events: tuple[str, ...] = ()
-    trace = np.trace(gram)
-    factor, info = dpotrf(gram)
+    flat = packed.ravel(order="F")  # a view: the array is Fortran-contiguous
+    trace = flat[_diagonal_index(k * L)].sum()
+    factor, info = dpftrf(packed)
     if info > 0:
         first = (info - 1) // L  # block of the first non-positive pivot
         regularization = GRAM_REG_LAMBDA * trace / (k * L)
-        _fill_gram(gram, arrays, rows, L)  # the failed factor overwrote it
-        tail = np.arange(first * L, k * L)
-        gram[tail, tail] += regularization
-        factor, info = dpotrf(gram)
+        _fill_gram(packed, arrays, rows, L)  # the failed factor overwrote it
+        flat[_diagonal_index(k * L, first * L)] += regularization
+        factor, info = dpftrf(packed)
         if info > 0:
             raise SingularProjectionError(
                 f"Gram matrix ({k * L}x{k * L}) is singular even after diagonal "
@@ -480,6 +540,39 @@ def build_basis(references: Sequence[Waveform], max_delay: int) -> ProjectionBas
         _spectra=spectra,
         _block=M,
     )
+
+
+def _solve(factor: np.ndarray, b: np.ndarray, trans: bool) -> np.ndarray:
+    """Solve ``Uᵀ x = b`` (``trans``) or ``U x = b`` in place over ``b``, for
+    the Cholesky factor ``U`` in rectangular full packed format.
+
+    With ``U = [[U11, U12], [0, U22]]`` split after row n1, the factor holds
+    ``U11ᵀ`` as the lower triangle of rows n1+1 .. 2 n1, ``U22`` as the upper
+    triangle of rows n1 .. n1+n2-1 and ``U12`` in rows 0 .. n1-1, all with
+    leading dimension 2 n1 + 1: each solve is ``dtrtrs`` on the two
+    triangles, in place, and one product with ``U12``.  A zero pivot raises
+    ``SingularProjectionError`` naming its 1-based index in ``U``."""
+    n1, n2 = factor.shape[0] // 2, factor.shape[1]
+    lower11, upper22, off = factor[n1 + 1:, :n1], factor[n1:n1 + n2], factor[:n1]
+    head, tail = b[:n1], b[n1:]
+
+    def triangle(a, x, offset, **kind):
+        info = dtrtrs(a, x, **kind)[1]
+        if info:
+            raise SingularProjectionError(
+                f"project: zero pivot {offset + info} in the Cholesky factor")
+
+    if trans:
+        if n1:
+            triangle(lower11, head, 0, lower=True)
+            tail -= off.T @ head
+        triangle(upper22, tail, n1, trans=True)
+    else:
+        triangle(upper22, tail, n1)
+        if n1:
+            head -= off @ tail
+            triangle(lower11, head, 0, lower=True, trans=True)
+    return b
 
 
 def whiten(basis: ProjectionBasis, x: Waveform) -> np.ndarray:
@@ -505,10 +598,7 @@ def whiten(basis: ProjectionBasis, x: Waveform) -> np.ndarray:
     # not delayed, so no products fall outside [0, T).
     rhs = np.concatenate([_correlation(fx, f, L, M) for f in basis._spectra])
     del fx  # block-sized arrays are freed as soon as used, to keep the peak low
-    z, info = dtrtrs(basis._factor, rhs, trans=True)
-    if info:
-        raise SingularProjectionError(f"project: zero pivot {info} in the Cholesky factor")
-    return z
+    return _solve(basis._factor, rhs, trans=True)
 
 
 def synthesize(basis: ProjectionBasis, z: np.ndarray,
@@ -528,9 +618,7 @@ def synthesize(basis: ProjectionBasis, z: np.ndarray,
     nested = np.zeros((k * L, len(counts)), order="F")
     for col, r in enumerate(counts):
         nested[:r * L, col] = z[:r * L]
-    coeffs, info = dtrtrs(basis._factor, nested)
-    if info:
-        raise SingularProjectionError(f"project: zero pivot {info} in the Cholesky factor")
+    coeffs = _solve(basis._factor, nested, trans=False)
     projections = []
     for col, r in enumerate(counts):
         spectrum = basis._spectra[0] * rfft(coeffs[:L, col], M)

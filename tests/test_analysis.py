@@ -178,8 +178,13 @@ class TestOaSweep:
         # the closed-form/measured agreement and must raise
         s, n, s_hat, _ = running_example
         bad_y = Waveform([1.0, 1.0, 0.5, 0.0], RATE)
-        with pytest.raises(SweepValidationError, match="disagrees"):
+        with pytest.raises(SweepValidationError, match="disagrees") as raised:
             oa_sweep(Decomposer(s, n, 1), s_hat, bad_y, [OaPoint(1.0)])
+        # the message names the gap, the tolerance, the point and both causes
+        message = str(raised.value)
+        for part in ("dB by 15.8 dB", "over the 1e-06 dB tolerance", "omega_obs=1.0",
+                     "outside the span", "inaccurate at this Gram's conditioning"):
+            assert part in message
 
     def test_default_grid(self):
         grid = default_grid("oa")

@@ -561,7 +561,8 @@ def _run_limited(code, *args):
 
 
 class TestGramAllocation:
-    """L=20000 over a 2 s pair needs a (2L)^2 * 8 = 12.8 GB Gram."""
+    """L=20000 over a 2 s pair needs a 2L(2L+1)/2 * 8 = 6.4 GB packed Gram,
+    more than the 2 GiB address space the child is limited to."""
 
     @pytest.fixture
     def two_second_pair(self, tmp_path):
@@ -581,7 +582,7 @@ class TestGramAllocation:
                               "--enhanced", enhanced, "-L", "20000", "--out", str(out))
         assert result.returncode == 1
         assert result.stderr == ("error: cannot allocate the Gram matrix: kL=40000 "
-                                 "needs (kL)^2*8 = 12800000000 bytes\n")
+                                 "needs kL(kL+1)/2*8 = 6400160000 bytes\n")
         assert not out.exists()
 
     def test_sweep_fails_only_that_utterance(self, two_second_pair):
@@ -776,7 +777,7 @@ def no_lapack(monkeypatch):
     import opdkit.projection as projection_module
 
     def numpy_without_openblas():
-        raise AttributeError("_umath_linalg.so: undefined symbol: scipy_dpotrf_64_")
+        raise AttributeError("_umath_linalg.so: undefined symbol: scipy_dpftrf_64_")
 
     def scipy_missing():
         raise ModuleNotFoundError("No module named 'scipy'", name="scipy")
@@ -802,7 +803,7 @@ def test_missing_lapack_is_an_error_naming_scipy(tmp_path, enhanced_corpus, mixe
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
     message = err.strip().removeprefix("error: ")
-    assert "scipy_dpotrf_64_" in message and "No module named 'scipy'" in message
+    assert "scipy_dpftrf_64_" in message and "No module named 'scipy'" in message
     assert not (tmp_path / "dec").exists()
     triplet = load_corpus_manifest(enhanced_corpus / "corpus.jsonl")[0]
     result = _sweep_task(("oa", triplet, 8, [OaPoint(0.0)]))

@@ -94,7 +94,8 @@ def test_one_correlation_pass_and_two_triangular_solves(monkeypatch):
     # an unloaded decomposition is one right-hand side, one forward and one
     # one-column back substitution, and one synthesis (P_sn x, for e_artif);
     # reading s_target adds one back substitution and one synthesis, and the
-    # nested two-column project() is not called
+    # nested two-column project() is not called.  Each substitution is one
+    # dtrtrs on each of the packed factor's two triangles.
     import opdkit.decomposition as decomposition_module
     import opdkit.projection as projection_module
     case = make_case(0)
@@ -114,11 +115,11 @@ def test_one_correlation_pass_and_two_triangular_solves(monkeypatch):
     counted(projection_module, "_block_spectra")
     counted(projection_module, "dtrtrs")
     d = dec.decompose(case.s_hat)
-    assert calls == {"project": 0, "_block_spectra": 1, "dtrtrs": 2, "synthesize": 1}
+    assert calls == {"project": 0, "_block_spectra": 1, "dtrtrs": 4, "synthesize": 1}
     d.gram, d.e_artif
-    assert calls == {"project": 0, "_block_spectra": 1, "dtrtrs": 2, "synthesize": 1}
+    assert calls == {"project": 0, "_block_spectra": 1, "dtrtrs": 4, "synthesize": 1}
     d.s_target, d.e_noise
-    assert calls == {"project": 0, "_block_spectra": 1, "dtrtrs": 3, "synthesize": 2}
+    assert calls == {"project": 0, "_block_spectra": 1, "dtrtrs": 6, "synthesize": 2}
 
 
 def test_energy_pythagoras(running_example):

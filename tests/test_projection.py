@@ -1,8 +1,6 @@
 import ctypes
 import dataclasses
-import errno
 import json
-import mmap
 import os
 import subprocess
 import sys
@@ -13,7 +11,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from conftest import RATE, lowpass_noise
-from opdkit.projection import (DELAY_PADDING, SingularProjectionError, _gram_block,
+from opdkit.projection import (DELAY_PADDING, SingularProjectionError, _gram_rows, _unpacked,
                                build_basis, delayed_matrix, project, project_dense_oracle)
 from opdkit.reporting import RunManifest
 from opdkit.selftest import INVARIANT_TOLERANCES, make_case
@@ -84,25 +82,26 @@ class TestGram:
                 # to sample T - 1 + min(t, u); truncation drops w >= T
                 for w in range(T, T + min(t, u)):
                     expected[t, u] += a[w - t] * b[w - u]
-        # with a zero lag row the Toeplitz part is zero and the block written,
+        # with a zero lag row the Toeplitz part is zero and the block made,
         # block[u, t] for b delayed by u and a delayed by t, is minus the loss
-        block = np.zeros((max_delay, max_delay))
-        _gram_block(block, a, b, np.zeros(2 * max_delay - 1), max_delay, diagonal=False)
+        block = np.array(list(_gram_rows(a, b, np.zeros(2 * max_delay - 1), max_delay)))
         loss = -block.T
         assert np.max(np.abs(loss - expected)) <= 1e-13 * np.max(np.abs(expected))
 
     @pytest.mark.parametrize("seed", range(8))
     def test_factor_is_the_factorized_gram(self, seed):
         # ties the Gram that the tests and the self-test check to the one
-        # that was factorized in place; the strict lower triangle is still
-        # the zero-filled allocation, so neither the fill nor dpotrf wrote it
+        # that was factorized in place; the basis holds that one packed
+        # array of kL(kL+1)/2 doubles and nothing the size of the Gram else
         case = make_case(seed)
         basis = build_basis([case.s, case.n], case.max_delay)
         assert basis.regularization == 0.0
         gram, factor = basis.gram, basis._factor
-        upper = np.triu(factor)
+        upper = _unpacked(factor)
         assert np.max(np.abs(upper.T @ upper - gram)) <= 1e-12 * np.max(np.abs(gram))
-        assert not np.tril(factor, -1).any()
+        dim = 2 * case.max_delay
+        assert factor.dtype == np.float64 and factor.base is None
+        assert factor.size == dim * (dim + 1) // 2
 
     def test_convention_recorded(self):
         basis = build_basis([Waveform(np.ones(16), RATE)], 4)
@@ -112,6 +111,87 @@ class TestGram:
         assert manifest.conventions["delay_padding"] == DELAY_PADDING
         assert basis.regularization == 0.0
         assert basis.regularization_events == ()
+
+
+def _packed_positions(dim: int, first: int = 0) -> set:
+    """(row, column) in the packed array of Gram diagonal entries first ..
+    dim-1, from the layout's definition: column j holds Gram column n1 + j
+    from row 0 to the diagonal, then Gram row j (j < n1) from the diagonal
+    on, so (i, i) is at (i, i - n1) for i >= n1, else at (n1 + 1 + i, i)."""
+    n1 = dim // 2
+    return {(i, i - n1) if i >= n1 else (n1 + 1 + i, i) for i in range(first, dim)}
+
+
+class TestPackedLayout:
+    """The basis' Gram and factor in rectangular full packed format: one
+    (2 n1 + 1)-by-n2 array, n1 = kL // 2, for odd and even kL."""
+
+    @staticmethod
+    def single(L, seed=0):
+        rng = np.random.default_rng(seed)
+        return Waveform(lowpass_noise(rng, 64 + 4 * L), RATE)
+
+    @staticmethod
+    def assert_factorizes(basis):
+        gram, upper = basis.gram, _unpacked(basis._factor)
+        assert np.max(np.abs(upper.T @ upper - gram)) <= 1e-12 * np.max(np.abs(gram))
+
+    @pytest.mark.parametrize("L", [1, 2, 3, 5, 16])
+    def test_single_reference_factor(self, L):
+        basis = build_basis([self.single(L)], L)
+        n1 = L // 2
+        assert basis._factor.shape == (2 * n1 + 1, L - n1)
+        assert basis._factor.flags.f_contiguous
+        self.assert_factorizes(basis)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_pair_factor_leads_with_the_speech_factor(self, seed):
+        case = make_case(seed)
+        L = case.max_delay
+        # that it factorizes the Gram is test_factor_is_the_factorized_gram
+        joint = build_basis([case.s, case.n], L)
+        assert joint._factor.shape == (2 * L + 1, L)
+        speech = _unpacked(build_basis([case.s], L)._factor)
+        lead = _unpacked(joint._factor)[:L, :L]
+        assert np.max(np.abs(lead - speech)) <= 1e-12 * np.max(np.abs(speech))
+
+    def loaded_entries(self, monkeypatch, refs, L):
+        """The basis, and the positions and loading by which the packed Gram
+        of its second factorization differs from that of its first."""
+        seen = []
+        factorize = projection_module.dpftrf
+
+        def recording(a):
+            seen.append(a.copy(order="F"))
+            return factorize(a)
+        monkeypatch.setattr(projection_module, "dpftrf", recording)
+        basis = build_basis(refs, L)
+        assert len(seen) == 2
+        plain, loaded = seen
+        positions = {tuple(p) for p in np.argwhere(plain != loaded)}
+        for p in positions:
+            assert loaded[p] == plain[p] + basis.regularization
+        return basis, positions
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_failure_in_the_first_block_loads_both_triangles(self, monkeypatch, k):
+        # an impulse at the last sample: its delays past 0 are all-zero
+        impulse = Waveform([0.0] * 7 + [1.0], RATE)
+        refs = [impulse, Waveform(np.arange(8.0) % 3 - 1.0, RATE)][:k]
+        basis, positions = self.loaded_entries(monkeypatch, refs, 3)
+        assert "from reference 0 on" in basis.regularization_events[0]
+        assert positions == _packed_positions(3 * k)
+        n1 = 3 * k // 2  # rows n1 + 1 .. 2 n1 hold U11ᵀ, rows n1 .. hold U22
+        assert {r - c for r, c in positions} == {n1, n1 + 1}
+
+    @pytest.mark.parametrize("seed", range(1, 4))
+    def test_failure_in_the_second_block_loads_only_its_triangle(self, monkeypatch, seed):
+        # with n = s the noise block is singular and the speech block is not
+        case = make_case(seed)
+        L = case.max_delay
+        basis, positions = self.loaded_entries(monkeypatch, [case.s, case.s], L)
+        assert "from reference 1 on" in basis.regularization_events[0]
+        assert positions == _packed_positions(2 * L, L)
 
 
 class TestProject:
@@ -321,11 +401,11 @@ class TestRegularization:
         s, _, _, _ = running_example
 
         def always_fail(a, **kwargs):
-            # LAPACK potrf reports failure through info, here at the first
+            # LAPACK pftrf reports failure through info, here at the first
             # leading minor of the plain and the loaded Gram alike
             return a, 1
 
-        monkeypatch.setattr(projection_module, "dpotrf", always_fail)
+        monkeypatch.setattr(projection_module, "dpftrf", always_fail)
         with pytest.raises(SingularProjectionError, match="singular"):
             build_basis([s], 1)
 
@@ -334,15 +414,17 @@ _RESIDENT_GROWTH = """
 import json, resource, sys
 import numpy as np
 from conftest import RATE, lowpass_noise
-from opdkit.projection import build_basis, dpotrf
+from opdkit.projection import _diagonal_index, build_basis, dpftrf
 from opdkit.signals import Waveform
 T, L, second = int(sys.argv[1]), int(sys.argv[2]), sys.argv[3]
 rng = np.random.default_rng(0)
 s, n = (Waveform(lowpass_noise(rng, T), RATE) for _ in range(2))
 build_basis([s, n], 4)  # loads LAPACK and the FFT
-# pages in LAPACK's workspace for a 2L-by-2L factor on a matrix kept alive,
-# so that the peak before the build is the resident size
-warm = dpotrf(np.eye(2 * L, order="F") * 2.0)
+# pages in LAPACK's workspace for a 2L-by-2L packed factor on a matrix kept
+# alive, so that the peak before the build is the resident size
+warm = np.zeros((2 * L + 1, L), order="F")
+warm.ravel(order="F")[_diagonal_index(2 * L)] = 2.0
+dpftrf(warm)
 before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
 basis = build_basis([s, s if second == "s" else n], L)
 after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
@@ -361,8 +443,8 @@ def _subprocess_env() -> dict:
 
 
 class TestMemory:
-    """Memory of a k=2 basis at T=20000, L=1024, whose Gram is
-    (2L)^2 * 8 = 33.5 MB and whose L-by-L blocks are 8.4 MB each."""
+    """Memory of a k=2 basis at T=20000, L=1024, whose packed Gram is
+    2L(2L+1)/2 * 8 = 16.8 MB and whose L-by-L blocks are 8.4 MB each."""
 
     T, L = 20000, 1024
 
@@ -384,10 +466,8 @@ class TestMemory:
 
     def resident_growth(self, second: str) -> dict:
         """Growth of the peak resident size over ``build_basis([s, <second>])``
-        in a fresh interpreter: tracemalloc does not see the Gram's mmap."""
-        if self.basis_bound() >= (2 * self.L) ** 2 * 8:
-            pytest.skip(f"with {mmap.PAGESIZE}-byte pages the bound is not below the "
-                        "whole Gram, so it cannot tell which half was paged in")
+        in a fresh interpreter, which counts what LAPACK's own buffers page
+        in beside numpy's allocations."""
         result = subprocess.run(
             [sys.executable, "-c", _RESIDENT_GROWTH, str(self.T), str(self.L), second],
             env=_subprocess_env(), capture_output=True, text=True, timeout=120)
@@ -395,9 +475,11 @@ class TestMemory:
         return json.loads(result.stdout)
 
     def basis_bound(self):
-        # the Gram's upper triangle, the last partial page of each of its
-        # columns, and O(T) for spectra and lags; the whole Gram is 2x the first
-        return 0.5 * (2 * self.L) ** 2 * 8 + 2 * self.L * mmap.PAGESIZE + 64 * self.T
+        # the packed Gram, one 2 MiB huge page that its allocation may round
+        # up to, and O(T) for spectra and lags; page-rounded columns of a
+        # dense Gram (16 MiB more at 4 KiB pages) do not fit
+        dim = 2 * self.L
+        return dim * (dim + 1) // 2 * 8 + (2 << 20) + 64 * self.T
 
     @pytest.mark.skipif(sys.platform == "win32", reason="needs resource.getrusage")
     def test_build_holds_one_gram(self):
@@ -423,24 +505,23 @@ class TestMemory:
 class TestGramSizeCheck:
     def test_gram_over_available_memory_refused(self, monkeypatch, running_example):
         s, n, _, _ = running_example
-        # a k=2, L=4 Gram is 8^2 * 8 = 512 bytes
-        monkeypatch.setattr(projection_module, "_mem_available", lambda: 511)
+        # a k=2, L=4 packed Gram is 8 * 9 / 2 * 8 = 288 bytes
+        monkeypatch.setattr(projection_module, "_mem_available", lambda: 287)
         with pytest.raises(ValueError, match=r"^cannot allocate the Gram matrix: kL=8 "
-                                             r"needs \(kL\)\^2\*8 = 512 bytes$"):
+                                             r"needs kL\(kL\+1\)/2\*8 = 288 bytes$"):
             build_basis([s, n], 4)
-        monkeypatch.setattr(projection_module, "_mem_available", lambda: 512)
+        monkeypatch.setattr(projection_module, "_mem_available", lambda: 288)
         assert build_basis([s, n], 4).regularization > 0.0
 
-    def test_failed_mapping_is_the_size_error(self, monkeypatch, running_example):
-        s, n, _, _ = running_example
-
-        def no_memory(*args, **kwargs):
-            raise OSError(errno.ENOMEM, os.strerror(errno.ENOMEM))
-
-        monkeypatch.setattr(projection_module.mmap, "mmap", no_memory)
-        with pytest.raises(ValueError, match=r"^cannot allocate the Gram matrix: kL=8 "
-                                             r"needs \(kL\)\^2\*8 = 512 bytes$"):
-            build_basis([s, n], 4)
+    def test_failed_mapping_is_the_size_error(self, monkeypatch):
+        # with no MemAvailable to check against, an allocation the system
+        # refuses (here 2^58 bytes, beyond any address space) is the same error
+        monkeypatch.setattr(projection_module, "_mem_available", lambda: None)
+        dim = 1 << 28
+        with pytest.raises(ValueError, match=r"^cannot allocate the Gram matrix: "
+                                             rf"kL={dim} needs kL\(kL\+1\)/2\*8 = "
+                                             rf"{dim * (dim + 1) * 4} bytes$"):
+            projection_module._empty_gram(dim)
 
     def test_no_meminfo_leaves_the_allocation_to_numpy(self, monkeypatch, running_example):
         s, n, _, _ = running_example
@@ -455,7 +536,7 @@ class TestGramSizeCheck:
 
 
 class TestLapackBinding:
-    """dpotrf and dtrtrs write through raw pointers, so the wrappers must
+    """dpftrf and dtrtrs write through raw pointers, so the wrappers must
     refuse an array LAPACK would misread before any call is made."""
 
     SOURCES = {"numpy-openblas": projection_module._numpy_openblas_pointers,
@@ -482,34 +563,59 @@ class TestLapackBinding:
         A = np.random.default_rng(seed).standard_normal((n + 4, n))
         return np.asfortranarray(A.T @ A)
 
+    @staticmethod
+    def packed(gram):
+        """The upper triangle of ``gram`` in rectangular full packed format,
+        from the layout's definition (see ``_packed_positions``)."""
+        dim = len(gram)
+        n1 = dim // 2
+        out = np.empty((2 * n1 + 1, dim - n1), order="F")
+        for j in range(dim - n1):
+            out[:n1 + j + 1, j] = gram[:n1 + j + 1, n1 + j]
+            out[n1 + 1 + j:, j] = gram[j, j:n1]
+        return out
+
+    @staticmethod
+    def strided(shape, strides, base_size=36):
+        # made, never read: the guards must refuse it before LAPACK sees it
+        return np.lib.stride_tricks.as_strided(np.zeros(base_size), shape, strides)
+
     @pytest.mark.parametrize("bad", ["float32", "c-order", "read-only", "non-square",
-                                     "vector", "empty"])
-    def test_dpotrf_guard_raises_before_the_call(self, no_call, bad):
-        a = {"float32": lambda: self.spd().astype(np.float32, order="F"),
-             "c-order": lambda: np.ascontiguousarray(self.spd()),
-             "read-only": lambda: self.spd(),
-             "non-square": lambda: np.asfortranarray(self.spd()[:, :5]),
+                                     "vector", "empty", "outside-base"])
+    def test_dpftrf_guard_raises_before_the_call(self, no_call, bad):
+        a = {"float32": lambda: self.packed(self.spd()).astype(np.float32, order="F"),
+             "c-order": lambda: np.ascontiguousarray(self.packed(self.spd())),
+             "read-only": lambda: self.packed(self.spd()),
+             # square, so not (2 n1 + 1)-by-n1 or -(n1 + 1)
+             "non-square": lambda: self.spd(),
              "vector": lambda: np.ones(6),
-             "empty": lambda: np.empty((0, 0), order="F")}[bad]()
+             "empty": lambda: np.empty((0, 0), order="F"),
+             "outside-base": lambda: self.strided((7, 3), (8, 56), base_size=20)}[bad]()
         if bad == "read-only":
             a.flags.writeable = False
-        with pytest.raises(ValueError, match="dpotrf: a must"):
-            projection_module.dpotrf(a)
+        if bad == "outside-base":
+            assert a.flags.f_contiguous and a.flags.writeable
+        with pytest.raises(ValueError, match="^dpftrf: a "):
+            projection_module.dpftrf(a)
 
     @pytest.mark.parametrize("bad", ["a-c-order", "float32", "c-order", "read-only",
-                                     "rows", "3-d"])
+                                     "rows", "3-d", "lda", "outside-base"])
     def test_dtrtrs_guard_raises_before_the_call(self, no_call, bad):
-        a = np.ascontiguousarray(self.spd()) if bad == "a-c-order" else self.spd()
-        b = {"a-c-order": lambda: np.ones(6),
-             "float32": lambda: np.ones(6, np.float32),
+        a = {"a-c-order": lambda: np.ascontiguousarray(self.spd()),
+             # columns 5 apart for 6 rows: they would overlap
+             "lda": lambda: self.strided((6, 6), (8, 40)),
+             # columns 6 apart, but past the end of a 20-element array
+             "outside-base": lambda: self.strided((6, 6), (8, 48), base_size=20)
+             }.get(bad, self.spd)()
+        b = {"float32": lambda: np.ones(6, np.float32),
              "c-order": lambda: np.ones((6, 2)),
-             "read-only": lambda: np.ones(6),
              "rows": lambda: np.ones(5),
-             "3-d": lambda: np.ones((6, 1, 1), order="F")}[bad]()
+             "3-d": lambda: np.ones((6, 1, 1), order="F")}.get(bad, lambda: np.ones(6))()
         if bad == "read-only":
             b.flags.writeable = False
-        with pytest.raises(ValueError, match="dtrtrs: a must" if bad == "a-c-order"
-                           else "dtrtrs: b must"):
+        with pytest.raises(ValueError, match="^dtrtrs: a " if bad in ("a-c-order", "lda",
+                                                                       "outside-base")
+                           else "^dtrtrs: b "):
             projection_module.dtrtrs(a, b)
 
     def test_illegal_argument_raises(self, monkeypatch):
@@ -517,30 +623,42 @@ class TestLapackBinding:
             args[-1].value = -4  # info, passed by reference
         fake = projection_module._Lapack(illegal, illegal, ctypes.c_int64)
         monkeypatch.setattr(projection_module, "_lapack", lambda: fake)
-        with pytest.raises(ValueError, match="dpotrf: argument 4 had an illegal value"):
-            projection_module.dpotrf(self.spd())
+        with pytest.raises(ValueError, match="dpftrf: argument 4 had an illegal value"):
+            projection_module.dpftrf(self.packed(self.spd()))
         with pytest.raises(ValueError, match="dtrtrs: argument 4 had an illegal value"):
             projection_module.dtrtrs(self.spd(), np.ones(6))
 
     def test_factor_and_solves_match_numpy(self, lapack):
-        gram = self.spd(40, seed=1)
-        factor, info = projection_module.dpotrf(gram.copy(order="F"))
-        assert info == 0
-        upper = np.triu(factor)
-        assert_allclose(upper, np.linalg.cholesky(gram).T, rtol=0, atol=1e-12)
-        assert np.array_equal(np.tril(factor, -1), np.tril(gram, -1))  # left as it was
-        b = np.asfortranarray(np.random.default_rng(2).standard_normal((40, 3)))
-        x, info = projection_module.dtrtrs(factor, b.copy(order="F"), trans=True)
-        assert info == 0
-        assert_allclose(x, np.linalg.solve(upper.T, b), rtol=1e-12, atol=1e-12)
-        x, info = projection_module.dtrtrs(factor, b[:, 0].copy())
-        assert info == 0
-        assert_allclose(x, np.linalg.solve(upper, b[:, 0]), rtol=1e-12, atol=1e-12)
+        rng = np.random.default_rng(2)
+        for n in (40, 41):  # even and odd order
+            gram = self.spd(n, seed=1)
+            factor, info = projection_module.dpftrf(self.packed(gram))
+            assert info == 0
+            upper = _unpacked(factor)
+            assert_allclose(upper, np.linalg.cholesky(gram).T, rtol=0, atol=1e-12)
+            # the triangles are strided views with leading dimension 2 n1 + 1,
+            # the right-hand sides rows of a Fortran-ordered n-by-3 array
+            n1 = n // 2
+            lower11, upper22 = factor[n1 + 1:, :n1], factor[n1:n1 + n - n1]
+            b = np.asfortranarray(rng.standard_normal((n, 3)))
+            x = b.copy(order="F")
+            assert projection_module.dtrtrs(lower11, x[:n1], lower=True)[1] == 0
+            assert projection_module.dtrtrs(upper22, x[n1:], trans=True)[1] == 0
+            assert_allclose(x[:n1], np.linalg.solve(upper[:n1, :n1].T, b[:n1]),
+                            rtol=1e-12, atol=1e-12)
+            assert_allclose(x[n1:], np.linalg.solve(upper[n1:, n1:].T, b[n1:]),
+                            rtol=1e-12, atol=1e-12)
+            x = projection_module._solve(factor, b.copy(order="F"), trans=True)
+            assert_allclose(x, np.linalg.solve(upper.T, b), rtol=1e-12, atol=1e-12)
+            x = projection_module._solve(factor, b[:, 0].copy(), trans=False)
+            assert_allclose(x, np.linalg.solve(upper, b[:, 0]), rtol=1e-12, atol=1e-12)
 
     def test_not_positive_definite_reports_the_minor(self, lapack):
-        gram = self.spd()
-        gram[3, 3] = -1.0
-        assert projection_module.dpotrf(gram)[1] == 4
+        # order 6 splits after row n1 = 3: index 1 fails in U11, index 3 in U22
+        for index in (1, 3):
+            gram = self.spd()
+            gram[index, index] = -1.0
+            assert projection_module.dpftrf(self.packed(gram))[1] == index + 1
 
     @pytest.mark.parametrize("seed", range(4))
     def test_projection_matches_dense_oracle(self, lapack, seed):
@@ -552,12 +670,14 @@ class TestLapackBinding:
 
     def test_zero_pivot_in_solve_raises(self, running_example):
         s, n, s_hat, _ = running_example
-        basis = build_basis([s, n], 1)
-        factor = basis._factor.copy(order="F")
-        factor[1, 1] = 0.0
-        broken = dataclasses.replace(basis, _factor=factor)
-        with pytest.raises(SingularProjectionError, match="zero pivot 2"):
-            project(broken, s_hat)
+        for L, pivot in ((1, 2), (2, 1), (2, 4)):  # in U22, in U11, in U22
+            basis = build_basis([s, n], L)
+            factor = basis._factor.copy(order="F")
+            (position,) = _packed_positions(2 * L, pivot - 1) - _packed_positions(2 * L, pivot)
+            factor[position] = 0.0
+            broken = dataclasses.replace(basis, _factor=factor)
+            with pytest.raises(SingularProjectionError, match=f"zero pivot {pivot} "):
+                project(broken, s_hat)
 
 
 _FORCED_CYTHON_LAPACK = """
