@@ -12,11 +12,12 @@ the portion of the enhancement error that no linear combination of delayed
 speech/noise copies can explain.  Decomposition is computed over the whole
 utterance, not in frames.
 
-Every metric is a ratio of entries of the components' Gram, and on an
-unloaded basis those need only the whitened coefficients ``z`` of the
-forward solve and the waveform ``e_artif`` (see ``cross_gram``).  So only
-``e_artif`` is made at once; ``s_target`` and ``e_noise`` are synthesized
-when something reads them, such as ``export_components``.  No sweep does.
+A decomposition holds the whitened coefficients ``z`` of the forward solve
+and the waveform ``e_artif``; ``s_target`` and ``e_noise`` are synthesized
+when read, as by ``export_components``.  Every metric is a ratio of entries
+of the components' Gram, which ``cross_gram`` takes from ``z`` and
+``e_artif`` on an unloaded basis (so no sweep synthesizes more) and from the
+waveforms on a loaded one.
 """
 
 import os
@@ -24,8 +25,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .projection import (DEFAULT_MAX_DELAY, ProjectionBasis, build_basis, project,
-                         synthesize, whiten)
+from .projection import DEFAULT_MAX_DELAY, ProjectionBasis, build_basis, synthesize, whiten
 from .signals import Waveform
 from .wavio import write_wav
 
@@ -60,9 +60,9 @@ def dust_energy(gram: np.ndarray) -> float:
 
 class Decomposition:
     """Target / noise-error / artifact-error triple for one enhanced signal,
-    given as its three waveforms.  On an unloaded basis,
-    ``Decomposer.decompose`` returns a ``WhitenedDecomposition`` instead,
-    which makes ``s_target`` and ``e_noise`` only when they are read."""
+    given as its three waveforms.  ``Decomposer.decompose`` returns a
+    ``WhitenedDecomposition`` instead, which makes ``s_target`` and
+    ``e_noise`` only when they are read."""
 
     def __init__(self, s_target: Waveform, e_noise: Waveform, e_artif: Waveform):
         self.s_target, self.e_noise, self.e_artif = s_target, e_noise, e_artif
@@ -88,14 +88,14 @@ class Decomposition:
 
 
 class WhitenedDecomposition(Decomposition):
-    """A decomposition of ``signal`` on an unloaded ``basis``, held as its
-    whitened coefficients ``z`` (see ``projection.whiten``) and its
-    artifact waveform ``e_artif = signal - P_sn signal``.
+    """A decomposition of ``signal`` on ``basis``, held as its whitened
+    coefficients ``z`` (see ``projection.whiten``) and its artifact waveform
+    ``e_artif = signal - P_sn signal``.
 
     ``s_target`` and ``e_noise`` are synthesized from ``z`` the first time
     they are read, so the decomposition keeps the basis, and with it the
-    factor, alive for as long as it lives.  ``gram`` and ``cross_gram``
-    never read them.
+    factor, alive for as long as it lives.  On an unloaded basis ``gram``
+    and ``cross_gram`` never read them.
     """
 
     def __init__(self, basis: ProjectionBasis, z: np.ndarray, signal: Waveform,
@@ -123,17 +123,19 @@ def cross_gram(a: Decomposition, b: Decomposition) -> np.ndarray:
     """3x3 inner products of the components of ``a`` (rows) with those of
     ``b`` (columns), each in (s_target, e_noise, e_artif) order.
 
-    For two whitened decompositions on one basis the target and noise-error
-    entries are products of coefficients, ``z[:L]·z'[:L]`` and
+    This is the one place that decides where the entries come from.  For
+    two whitened decompositions on one unloaded basis the target and
+    noise-error entries are products of coefficients, ``z[:L]·z'[:L]`` and
     ``z[L:]·z'[L:]``, and the entries between the target, noise-error and
     artifact subspaces, mutually orthogonal, are exact zeros.  The artifact
     entry is always the product of the waveforms: ``‖x‖² - ‖z‖²`` would lose
-    2-4 digits of it on ill-conditioned references.  Any other pair (a
-    loaded basis, whose projections are not orthogonal) is the product of
-    the stacked waveforms.
+    2-4 digits of it on ill-conditioned references.  Any other pair is the
+    product of the stacked waveforms: on a loaded basis the solve is not the
+    orthogonal projection, so ``z`` is no set of coordinates and the parts
+    are not orthogonal.
     """
     if (isinstance(a, WhitenedDecomposition) and isinstance(b, WhitenedDecomposition)
-            and a.basis is b.basis):
+            and a.basis is b.basis and not a.basis.regularization):
         L = a.basis.max_delay
         return np.diag([float(np.dot(a.z[:L], b.z[:L])), float(np.dot(a.z[L:], b.z[L:])),
                         float(np.dot(a.e_artif.samples, b.e_artif.samples))])
@@ -153,19 +155,13 @@ class Decomposer:
     def __init__(self, s: Waveform, n: Waveform, max_delay: int = DEFAULT_MAX_DELAY):
         self.basis: ProjectionBasis = build_basis([s, n], max_delay)
 
-    def decompose(self, s_hat: Waveform) -> Decomposition:
-        """On an unloaded basis, ``whiten`` gives ``z`` and one synthesis
-        ``P_sn s_hat``, so ``e_artif``; nothing more is made until read.  A
-        loaded basis does not solve for the orthogonal projection, so ``z``
-        is no set of coordinates there: ``project`` makes all three parts."""
-        rate = s_hat.sample_rate
-        if self.basis.regularization:
-            p_s, p_sn = project(self.basis, s_hat)
-            return Decomposition(p_s, Waveform(p_sn.samples - p_s.samples, rate),
-                                 Waveform(s_hat.samples - p_sn.samples, rate))
+    def decompose(self, s_hat: Waveform) -> WhitenedDecomposition:
+        """``whiten`` gives ``z`` and one synthesis ``P_sn s_hat``, so
+        ``e_artif``; the rest is synthesized when read.  On a loaded basis
+        those are the loaded solve's parts, ``project``'s up to round-off."""
         z = whiten(self.basis, s_hat)
         (p_sn,) = synthesize(self.basis, z, (len(self.basis.references),))
-        e_artif = Waveform(np.subtract(s_hat.samples, p_sn, out=p_sn), rate)
+        e_artif = Waveform(np.subtract(s_hat.samples, p_sn, out=p_sn), s_hat.sample_rate)
         return WhitenedDecomposition(self.basis, z, s_hat, e_artif)
 
 

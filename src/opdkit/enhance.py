@@ -65,10 +65,8 @@ def stft(x: np.ndarray, frame_len: int, hop: int) -> np.ndarray:
     head, n_frames, padded = _layout(len(x), frame_len, hop)
     buf = np.zeros(padded)
     buf[head:head + len(x)] = x
-    window = _sqrt_hann(frame_len)
-    starts = np.arange(n_frames) * hop
-    frames = np.stack([buf[s:s + frame_len] for s in starts]) * window
-    return rfft(frames, axis=1)
+    frames = np.lib.stride_tricks.sliding_window_view(buf, frame_len)[::hop]
+    return rfft(frames * _sqrt_hann(frame_len), axis=1)
 
 
 def istft(spec: np.ndarray, length: int, frame_len: int, hop: int) -> np.ndarray:
@@ -77,19 +75,26 @@ def istft(spec: np.ndarray, length: int, frame_len: int, hop: int) -> np.ndarray
     Normalizes by the accumulated squared window; if that weight vanishes
     anywhere in the output region the window/hop pair cannot reconstruct
     (not constant-overlap-add) and a ValueError is raised.
+
+    Phase r, the r-th hop-sized piece of every frame, is one add onto output
+    hops r onwards; phases run last to first, so each sample sums its frames
+    in increasing order.
     """
-    head, n_frames, padded = _layout(length, frame_len, hop)
+    head, n_frames, _ = _layout(length, frame_len, hop)
     if spec.shape != (n_frames, frame_len // 2 + 1):
         raise ValueError(f"istft: expected spectrogram shape "
                          f"{(n_frames, frame_len // 2 + 1)}, got {spec.shape}")
     window = _sqrt_hann(frame_len)
-    frames = irfft(spec, n=frame_len, axis=1) * window
-    out = np.zeros(padded)
-    weight = np.zeros(padded)
-    for m in range(n_frames):
-        s = m * hop
-        out[s:s + frame_len] += frames[m]
-        weight[s:s + frame_len] += window * window
+    frames = irfft(spec, n=frame_len, axis=1)
+    frames *= window
+    R = -(-frame_len // hop)  # phases per frame; the last may be short
+    out, weight = np.zeros((2, n_frames + R - 1, hop))
+    for r in reversed(range(R)):
+        phase = slice(r * hop, min((r + 1) * hop, frame_len))
+        width = phase.stop - phase.start
+        out[r:r + n_frames, :width] += frames[:, phase]
+        weight[r:r + n_frames, :width] += window[phase] * window[phase]
+    out, weight = out.ravel(), weight.ravel()
     region = slice(head, head + length)
     if np.min(weight[region]) < _COLA_MIN_WEIGHT:
         raise ValueError(

@@ -319,14 +319,19 @@ def _block_spectra(x: np.ndarray, L: int, M: int, extended: bool) -> np.ndarray:
     return rfft(padded[:len(padded) - L + 1].reshape(-1, B), M, axis=1)
 
 
-def _correlation(fe: np.ndarray, fp: np.ndarray, L: int, M: int) -> np.ndarray:
-    """``sum_w e[w + d] * p[w]`` at lags d = 0 .. L-1, from the extended
-    spectra ``fe`` of e and the block spectra ``fp`` of p.  A plain frame
-    of B samples meets only its extended frame's M = B + L - 1 at these
-    lags, so no circular correlation of two frames wraps, and their sum over
-    the blocks (``vecdot`` conjugates ``fp``, copying nothing) is the
-    linear correlation."""
-    return irfft(np.vecdot(fp, fe, axis=0), M)[:L]
+def _correlations(x: np.ndarray, spectra: Sequence[np.ndarray], L: int,
+                  M: int) -> np.ndarray:
+    """(k, L) array: row j is ``sum_w x[w + d] * p_j[w]`` at lags d = 0 ..
+    L-1, for the k references whose block spectra are ``spectra``.
+
+    The extended spectra of ``x`` are made once, used against every block
+    spectrum and dropped on return.  A plain frame of B samples meets only
+    its extended frame's M = B + L - 1 at these lags, so no circular
+    correlation of two frames wraps, and their sum over the blocks
+    (``vecdot`` conjugates the block spectra, copying nothing) is the linear
+    correlation."""
+    fe = _block_spectra(x, L, M, extended=True)
+    return irfft(np.stack([np.vecdot(fp, fe, axis=0) for fp in spectra]), M, axis=1)[:, :L]
 
 
 def _lag_rows(arrays: Sequence[np.ndarray], spectra: Sequence[np.ndarray], L: int,
@@ -336,18 +341,10 @@ def _lag_rows(arrays: Sequence[np.ndarray], spectra: Sequence[np.ndarray], L: in
     so the inner product of a_i delayed by t with a_j delayed by u,
     untruncated, is ``rows[i, j, L-1-t+u]``.
 
-    Lag d >= 0 of pair (i, j) is the correlation of a_i's extended spectra
-    with a_j's block spectra, and lag -d is that of pair (j, i), so an auto
-    row is one correlation mirrored: exactly symmetric.  Each array's
-    extended spectra are made, used against every block spectrum and
-    dropped before the next array's."""
-    k = len(arrays)
-    pos = np.empty((k, k, L))  # pos[i, j, d] = rows[i, j, L-1+d]
-    for i, a in enumerate(arrays):
-        fe = _block_spectra(a, L, M, extended=True)
-        for j, fp in enumerate(spectra):
-            pos[i, j] = _correlation(fe, fp, L, M)
-        del fe
+    Lag d >= 0 of pair (i, j) is row j of ``_correlations(a_i)``, and lag
+    -d is that of pair (j, i), so an auto row is one correlation mirrored:
+    exactly symmetric."""
+    pos = np.stack([_correlations(a, spectra, L, M) for a in arrays])  # rows[:, :, L-1:]
     return np.concatenate((pos.transpose(1, 0, 2)[:, :, :0:-1], pos), axis=2)
 
 
@@ -592,12 +589,9 @@ def whiten(basis: ProjectionBasis, x: Waveform) -> np.ndarray:
     if x.sample_rate != basis.sample_rate:
         raise ValueError(f"project: sample rate mismatch ({x.sample_rate} vs {basis.sample_rate})")
 
-    L, M = basis.max_delay, basis._block
-    fx = _block_spectra(x.samples, L, M, extended=True)
     # <ref delayed by tau, x> needs no truncation correction: x itself is
     # not delayed, so no products fall outside [0, T).
-    rhs = np.concatenate([_correlation(fx, f, L, M) for f in basis._spectra])
-    del fx  # block-sized arrays are freed as soon as used, to keep the peak low
+    rhs = _correlations(x.samples, basis._spectra, basis.max_delay, basis._block).ravel()
     return _solve(basis._factor, rhs, trans=True)
 
 

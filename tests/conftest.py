@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-from scipy.signal import lfilter
 
 from opdkit.signals import Waveform
 
@@ -8,8 +7,14 @@ RATE = 16000
 
 
 def lowpass_noise(rng, length, pole=0.9):
-    """Correlated test noise; stresses Gram conditioning like real speech."""
-    return lfilter([1.0], [1.0, -pole], rng.standard_normal(length))
+    """Correlated test noise; stresses Gram conditioning like real speech.
+
+    White Gaussian noise through ``y[t] = x[t] + pole·y[t-1]``, on Python
+    floats: bitwise ``scipy.signal.lfilter([1], [1, -pole], x)``."""
+    y = rng.standard_normal(length).tolist()
+    for t in range(1, length):
+        y[t] += pole * y[t - 1]
+    return np.array(y)
 
 
 @pytest.fixture

@@ -91,16 +91,17 @@ def test_loading_only_the_failing_block_keeps_speech_projection(seed):
 
 
 def test_one_correlation_pass_and_two_triangular_solves(monkeypatch):
-    # an unloaded decomposition is one right-hand side, one forward and one
-    # one-column back substitution, and one synthesis (P_sn x, for e_artif);
-    # reading s_target adds one back substitution and one synthesis, and the
-    # nested two-column project() is not called.  Each substitution is one
+    # a decomposition is one right-hand side, one forward and one one-column
+    # back substitution, and one synthesis (P_sn x, for e_artif); reading
+    # s_target adds one back substitution and one synthesis.  The nested
+    # two-column project() is not even imported.  Each substitution is one
     # dtrtrs on each of the packed factor's two triangles.
     import opdkit.decomposition as decomposition_module
     import opdkit.projection as projection_module
+    assert not hasattr(decomposition_module, "project")
     case = make_case(0)
     dec = Decomposer(case.s, case.n, case.max_delay)
-    calls = {"project": 0, "_block_spectra": 0, "dtrtrs": 0, "synthesize": 0}
+    calls = {"_block_spectra": 0, "dtrtrs": 0, "synthesize": 0}
 
     def counted(module, name):
         fn = getattr(module, name)
@@ -110,16 +111,15 @@ def test_one_correlation_pass_and_two_triangular_solves(monkeypatch):
             return fn(*args, **kwargs)
         monkeypatch.setattr(module, name, wrapper)
 
-    counted(decomposition_module, "project")
     counted(decomposition_module, "synthesize")
     counted(projection_module, "_block_spectra")
     counted(projection_module, "dtrtrs")
     d = dec.decompose(case.s_hat)
-    assert calls == {"project": 0, "_block_spectra": 1, "dtrtrs": 4, "synthesize": 1}
+    assert calls == {"_block_spectra": 1, "dtrtrs": 4, "synthesize": 1}
     d.gram, d.e_artif
-    assert calls == {"project": 0, "_block_spectra": 1, "dtrtrs": 4, "synthesize": 1}
+    assert calls == {"_block_spectra": 1, "dtrtrs": 4, "synthesize": 1}
     d.s_target, d.e_noise
-    assert calls == {"project": 0, "_block_spectra": 1, "dtrtrs": 6, "synthesize": 2}
+    assert calls == {"_block_spectra": 1, "dtrtrs": 6, "synthesize": 2}
 
 
 def test_energy_pythagoras(running_example):
@@ -204,15 +204,21 @@ def _oracle_case(kind, seed):
                          + [("n=s", seed) for seed in range(1, 4)])
 def test_gram_and_cross_block_match_the_synthesized_waveforms(kind, seed):
     # the coefficient-space Gram and OA cross block against the products of
-    # the waveforms they stand for; a loaded basis (n = s) takes the eager
-    # three-waveform path
+    # the waveforms they stand for; on a loaded basis (n = s) both are those
+    # products, and the components are the ones project() gives
     s, n, s_hat, L = _oracle_case(kind, seed)
     dec = Decomposer(s, n, L)
     d, d_y = dec.decompose(s_hat), dec.decompose(add(s, n))
-    eager = kind == "n=s"
-    assert bool(dec.basis.regularization) == eager
+    loaded = kind == "n=s"
+    assert bool(dec.basis.regularization) == loaded
     for x in (d, d_y):
-        assert type(x) is (Decomposition if eager else WhitenedDecomposition)
+        assert type(x) is WhitenedDecomposition
+    if loaded:
+        p_s, p_sn = (p.samples for p in project(dec.basis, s_hat))
+        want = {"s_target": p_s, "e_noise": p_sn - p_s, "e_artif": s_hat.samples - p_sn}
+        for name, samples in want.items():
+            assert (np.linalg.norm(getattr(d, name).samples - samples)
+                    <= 1e-12 * np.linalg.norm(s_hat.samples)), name
     got = {"gram": d.gram, "gram_y": d_y.gram, "cross": cross_gram(d, d_y)}
     want = {"gram": _waveform_products(d, d), "gram_y": _waveform_products(d_y, d_y),
             "cross": _waveform_products(d, d_y)}
