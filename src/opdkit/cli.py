@@ -79,6 +79,12 @@ def _failed(utterance_id: str, exc: BaseException) -> dict:
             "error": f"{type(exc).__name__}: {exc}"}
 
 
+def _named_events(utterance_id: str, basis) -> list[dict]:
+    """``basis``' regularization events as manifest records, like ``errors``."""
+    return [{"utterance_id": utterance_id, "event": event}
+            for event in basis.regularization_events]
+
+
 def _sweep_task(payload) -> dict:
     command, triplet, max_delay, points = payload
     try:
@@ -94,7 +100,7 @@ def _sweep_task(payload) -> dict:
             rows = dsa_sweep(dec.decompose(s_hat), grid=points,
                              utterance_id=triplet.utterance_id)
         return {"utterance_id": triplet.utterance_id, "rows": rows,
-                "events": list(dec.basis.regularization_events), "error": None}
+                "events": _named_events(triplet.utterance_id, dec.basis), "error": None}
     except Exception as exc:  # noqa: BLE001 - tagged into the report
         return _failed(triplet.utterance_id, exc)
 
@@ -199,7 +205,7 @@ def cmd_decompose(args) -> int:
                     "enhanced": args.enhanced, "utterance_id": utterance_id},
         max_delay=args.max_delay,
         aggregation="per-utterance",
-        regularization_events=list(dec.basis.regularization_events),
+        regularization_events=_named_events(utterance_id, dec.basis),
     ))
     print(f"{utterance_id}: SDR {report.sdr_db:.2f} dB, SNR {report.snr_db:.2f} dB, "
           f"SAR {report.sar_db:.2f} dB -> {args.out}")
@@ -406,20 +412,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def cmd_self_test(args) -> int:
+    from .selftest import run_property_suite
+    report = run_property_suite(args.self_test_cases, args.self_test_seed)
+    for line in report.lines():
+        print(line)
+    return 0 if report.passed else 2
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.self_test:
-        from .selftest import run_property_suite
-        report = run_property_suite(args.self_test_cases, args.self_test_seed)
-        for line in report.lines():
-            print(line)
-        return 0 if report.passed else 2
-    if not getattr(args, "func", None):
+    func = cmd_self_test if args.self_test else getattr(args, "func", None)
+    if not func:
         parser.print_help()
         return 1
     try:
-        return args.func(args)
+        return func(args)
     except (ValueError, OSError, ImportError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

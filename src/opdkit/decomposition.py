@@ -12,12 +12,13 @@ the portion of the enhancement error that no linear combination of delayed
 speech/noise copies can explain.  Decomposition is computed over the whole
 utterance, not in frames.
 
-A decomposition holds the whitened coefficients ``z`` of the forward solve
-and the waveform ``e_artif``; ``s_target`` and ``e_noise`` are synthesized
+``Decomposition`` is the one type of it, what ``Decomposer.decompose``
+returns on every basis: the whitened coefficients ``z`` of the forward solve
+and the waveform ``e_artif``, with ``s_target`` and ``e_noise`` synthesized
 when read, as by ``export_components``.  Every metric is a ratio of entries
-of the components' Gram, which ``cross_gram`` takes from ``z`` and
+of the components' Gram.  ``cross_gram`` takes them from ``z`` and
 ``e_artif`` on an unloaded basis (so no sweep synthesizes more) and from the
-waveforms on a loaded one.
+waveforms on a loaded one, deciding by the basis alone.
 """
 
 import os
@@ -31,7 +32,6 @@ from .wavio import write_wav
 
 __all__ = [
     "Decomposition",
-    "WhitenedDecomposition",
     "Decomposer",
     "cross_gram",
     "recompose",
@@ -59,36 +59,7 @@ def dust_energy(gram: np.ndarray) -> float:
 
 
 class Decomposition:
-    """Target / noise-error / artifact-error triple for one enhanced signal,
-    given as its three waveforms.  ``Decomposer.decompose`` returns a
-    ``WhitenedDecomposition`` instead, which makes ``s_target`` and
-    ``e_noise`` only when they are read."""
-
-    def __init__(self, s_target: Waveform, e_noise: Waveform, e_artif: Waveform):
-        self.s_target, self.e_noise, self.e_artif = s_target, e_noise, e_artif
-
-    @property
-    def sample_rate(self) -> int:
-        return self.e_artif.sample_rate
-
-    @property
-    def projected(self) -> np.ndarray:
-        """Samples of ``s_target + e_noise``, the decomposed signal's
-        projection onto the joint speech-noise span."""
-        return self.s_target.samples + self.e_noise.samples
-
-    @cached_property
-    def gram(self) -> np.ndarray:
-        """3x3 matrix of inner products of (s_target, e_noise, e_artif)."""
-        return cross_gram(self, self)
-
-    @property
-    def artifact_free(self) -> bool:
-        return bool(self.gram[2, 2] <= dust_energy(self.gram))
-
-
-class WhitenedDecomposition(Decomposition):
-    """A decomposition of ``signal`` on ``basis``, held as its whitened
+    """The decomposition of ``signal`` on ``basis``, held as its whitened
     coefficients ``z`` (see ``projection.whiten``) and its artifact waveform
     ``e_artif = signal - P_sn signal``.
 
@@ -102,6 +73,10 @@ class WhitenedDecomposition(Decomposition):
                  e_artif: Waveform):
         self.basis, self.z, self.signal, self.e_artif = basis, z, signal, e_artif
 
+    @property
+    def sample_rate(self) -> int:
+        return self.e_artif.sample_rate
+
     @cached_property
     def s_target(self) -> Waveform:
         return Waveform(synthesize(self.basis, self.z, (1,))[0], self.sample_rate)
@@ -112,7 +87,18 @@ class WhitenedDecomposition(Decomposition):
 
     @property
     def projected(self) -> np.ndarray:
+        """Samples of ``P_sn signal = s_target + e_noise``, the signal's
+        projection onto the joint speech-noise span, as ``signal - e_artif``."""
         return self.signal.samples - self.e_artif.samples
+
+    @cached_property
+    def gram(self) -> np.ndarray:
+        """3x3 matrix of inner products of (s_target, e_noise, e_artif)."""
+        return cross_gram(self, self)
+
+    @property
+    def artifact_free(self) -> bool:
+        return bool(self.gram[2, 2] <= dust_energy(self.gram))
 
 
 def _stacked(d: Decomposition) -> np.ndarray:
@@ -123,19 +109,19 @@ def cross_gram(a: Decomposition, b: Decomposition) -> np.ndarray:
     """3x3 inner products of the components of ``a`` (rows) with those of
     ``b`` (columns), each in (s_target, e_noise, e_artif) order.
 
-    This is the one place that decides where the entries come from.  For
-    two whitened decompositions on one unloaded basis the target and
-    noise-error entries are products of coefficients, ``z[:L]·z'[:L]`` and
-    ``z[L:]·z'[L:]``, and the entries between the target, noise-error and
-    artifact subspaces, mutually orthogonal, are exact zeros.  The artifact
-    entry is always the product of the waveforms: ``‖x‖² - ‖z‖²`` would lose
-    2-4 digits of it on ill-conditioned references.  Any other pair is the
-    product of the stacked waveforms: on a loaded basis the solve is not the
-    orthogonal projection, so ``z`` is no set of coordinates and the parts
-    are not orthogonal.
+    This is the one place that decides where the entries come from, and the
+    basis alone decides it.  For two decompositions on one unloaded basis the
+    target and noise-error entries are products of coefficients,
+    ``z[:L]·z'[:L]`` and ``z[L:]·z'[L:]``, and the entries between the
+    target, noise-error and artifact subspaces, mutually orthogonal, are
+    exact zeros.  The artifact entry is always the product of the waveforms:
+    ``‖x‖² - ‖z‖²`` would lose 2-4 digits of it on ill-conditioned
+    references.  On a loaded basis, or across two bases, the entries are
+    products of the stacked waveforms: the loaded solve is not the orthogonal
+    projection, so ``z`` is no set of coordinates and the parts are not
+    orthogonal.
     """
-    if (isinstance(a, WhitenedDecomposition) and isinstance(b, WhitenedDecomposition)
-            and a.basis is b.basis and not a.basis.regularization):
+    if a.basis is b.basis and not a.basis.regularization:
         L = a.basis.max_delay
         return np.diag([float(np.dot(a.z[:L], b.z[:L])), float(np.dot(a.z[L:], b.z[L:])),
                         float(np.dot(a.e_artif.samples, b.e_artif.samples))])
@@ -155,14 +141,15 @@ class Decomposer:
     def __init__(self, s: Waveform, n: Waveform, max_delay: int = DEFAULT_MAX_DELAY):
         self.basis: ProjectionBasis = build_basis([s, n], max_delay)
 
-    def decompose(self, s_hat: Waveform) -> WhitenedDecomposition:
-        """``whiten`` gives ``z`` and one synthesis ``P_sn s_hat``, so
+    def decompose(self, s_hat: Waveform) -> Decomposition:
+        """The ``Decomposition`` of ``s_hat``, by one path on every basis:
+        ``whiten`` gives ``z`` and one synthesis ``P_sn s_hat``, so
         ``e_artif``; the rest is synthesized when read.  On a loaded basis
         those are the loaded solve's parts, ``project``'s up to round-off."""
         z = whiten(self.basis, s_hat)
         (p_sn,) = synthesize(self.basis, z, (len(self.basis.references),))
         e_artif = Waveform(np.subtract(s_hat.samples, p_sn, out=p_sn), s_hat.sample_rate)
-        return WhitenedDecomposition(self.basis, z, s_hat, e_artif)
+        return Decomposition(self.basis, z, s_hat, e_artif)
 
 
 def recompose(d: Decomposition) -> Waveform:

@@ -122,11 +122,10 @@ def sar_improvement_closed_form(d: Decomposition, y: Waveform,
         SARi = 10 log10[ 1 + (w^2 ||y||^2 + 2 w <p, y>) / ||p||^2 ]
 
     with ``p = s_target + e_noise`` (the projected enhanced signal), read as
-    ``d.projected``, which a ``WhitenedDecomposition`` (``decompose``'s, on
-    every basis) forms as ``s_hat - e_artif``, synthesizing neither.  ``y`` is
-    used raw, so a ``y`` outside the span is not projected into agreement.
-    The three T-length products are taken once for all omegas.  A value can
-    be negative when ``<p, y> < 0``.
+    ``d.projected``, which a ``Decomposition`` forms as ``s_hat - e_artif``,
+    synthesizing neither.  ``y`` is used raw, so a ``y`` outside the span is
+    not projected into agreement.  The three T-length products are taken
+    once for all omegas.  A value can be negative when ``<p, y> < 0``.
     """
     omegas = [float(w) for w in omegas]
     for omega in omegas:

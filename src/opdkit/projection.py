@@ -557,7 +557,7 @@ def _solve(factor: np.ndarray, b: np.ndarray, trans: bool) -> np.ndarray:
         info = dtrtrs(a, x, **kind)[1]
         if info:
             raise SingularProjectionError(
-                f"project: zero pivot {offset + info} in the Cholesky factor")
+                f"zero pivot {offset + info} in the Cholesky factor")
 
     if trans:
         if n1:
@@ -585,9 +585,9 @@ def whiten(basis: ProjectionBasis, x: Waveform) -> np.ndarray:
     """
     T = len(basis.references[0])
     if len(x) != T:
-        raise ValueError(f"project: length mismatch ({len(x)} vs basis length {T})")
+        raise ValueError(f"whiten: length mismatch ({len(x)} vs basis length {T})")
     if x.sample_rate != basis.sample_rate:
-        raise ValueError(f"project: sample rate mismatch ({x.sample_rate} vs {basis.sample_rate})")
+        raise ValueError(f"whiten: sample rate mismatch ({x.sample_rate} vs {basis.sample_rate})")
 
     # <ref delayed by tau, x> needs no truncation correction: x itself is
     # not delayed, so no products fall outside [0, T).

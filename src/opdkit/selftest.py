@@ -103,11 +103,12 @@ class SelfTestReport:
         return out
 
 
-def _lowpass_noise(rng: np.random.Generator, length: int) -> np.ndarray:
-    """White Gaussian noise through ``y[t] = x[t] + LOWPASS_POLE·y[t-1]``."""
+def _lowpass_noise(rng: np.random.Generator, length: int,
+                   pole: float = LOWPASS_POLE) -> np.ndarray:
+    """White Gaussian noise through ``y[t] = x[t] + pole·y[t-1]``."""
     y = rng.standard_normal(length).tolist()  # Python floats: 3x faster than indexing
     for t in range(1, length):
-        y[t] += LOWPASS_POLE * y[t - 1]
+        y[t] += pole * y[t - 1]
     return np.array(y)
 
 

@@ -1,20 +1,17 @@
 import numpy as np
 import pytest
 
+from opdkit.selftest import LOWPASS_POLE, _lowpass_noise
 from opdkit.signals import Waveform
 
 RATE = 16000
 
 
-def lowpass_noise(rng, length, pole=0.9):
+def lowpass_noise(rng, length, pole=LOWPASS_POLE):
     """Correlated test noise; stresses Gram conditioning like real speech.
 
-    White Gaussian noise through ``y[t] = x[t] + pole·y[t-1]``, on Python
-    floats: bitwise ``scipy.signal.lfilter([1], [1, -pole], x)``."""
-    y = rng.standard_normal(length).tolist()
-    for t in range(1, length):
-        y[t] += pole * y[t - 1]
-    return np.array(y)
+    The self-test's recursion, bitwise ``scipy.signal.lfilter([1], [1, -pole], x)``."""
+    return _lowpass_noise(rng, length, pole)
 
 
 @pytest.fixture

@@ -810,6 +810,47 @@ def test_missing_lapack_is_an_error_naming_scipy(tmp_path, enhanced_corpus, mixe
     assert result["error"] == f"ImportError: {message}"
 
 
+def test_regularization_events_name_their_utterance(tmp_path, mixed_corpus,
+                                                     enhanced_corpus):
+    # noise_path names the speech file, so every basis is loaded once and
+    # each utterance's event is recorded under its id, as errors are
+    ids = ("utt0", "utt1")
+    corpus = tmp_path / "n_is_s.jsonl"
+    corpus.write_text("".join(json.dumps({
+        "utterance_id": utt, "speech_path": str(mixed_corpus / f"{utt}.speech.wav"),
+        "noise_path": str(mixed_corpus / f"{utt}.speech.wav"),
+        "enhanced_path": str(enhanced_corpus / f"{utt}.enhanced.wav")}) + "\n"
+        for utt in ids))
+    manifests = {}
+    for command in ("oa", "dsa"):
+        out = tmp_path / command
+        assert main([command, "--corpus", str(corpus), "--grid", "0,1", "-L", "8",
+                     "--out", str(out)]) == 0
+        manifests[command] = json.loads((out / "run_manifest.json").read_text())
+        assert manifests[command]["errors"] == []
+    out = tmp_path / "dec"
+    assert main(["decompose", "--speech", str(mixed_corpus / "utt1.speech.wav"),
+                 "--noise", str(mixed_corpus / "utt1.speech.wav"),
+                 "--enhanced", str(enhanced_corpus / "utt1.enhanced.wav"),
+                 "--id", "utt1", "-L", "8", "--out", str(out)]) == 0
+    manifests["decompose"] = json.loads((out / "run_manifest.json").read_text())
+    for command, manifest in manifests.items():
+        events = manifest["regularization_events"]
+        assert [sorted(e) for e in events] == [["event", "utterance_id"]] * len(events)
+        assert [e["utterance_id"] for e in events] == (
+            ["utt1"] if command == "decompose" else list(ids)), command
+        for e in events:
+            assert e["event"].startswith("gram-regularized: ")
+            assert "from reference 1 on (L=8, refs=2)" in e["event"]
+
+
+def test_self_test_argument_error_exits_1(capsys):
+    assert main(["--self-test", "--self-test-cases", "0"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: case_count must be >= 1\n"
+    assert captured.out == ""
+
+
 def test_self_test_flag(capsys):
     rc = main(["--self-test", "--self-test-cases", "3"])
     assert rc == 0

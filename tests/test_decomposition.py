@@ -3,8 +3,8 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from conftest import RATE, random_signals
-from opdkit.decomposition import (Decomposer, Decomposition, WhitenedDecomposition,
-                                  cross_gram, export_components, recompose)
+from opdkit.decomposition import (Decomposer, Decomposition, cross_gram, export_components,
+                                  recompose)
 from opdkit.projection import build_basis, project
 from opdkit.selftest import INVARIANT_TOLERANCES, make_case
 from opdkit.signals import Waveform, add, energy
@@ -43,10 +43,12 @@ def test_recompose_is_exact(running_example):
     assert_allclose(recompose(d).samples, [0.9, 0.2, 0.1, 0.0], atol=1e-15)
 
 
-def test_recompose_zero_components():
-    zero = Waveform(np.zeros(4), RATE)
-    d = Decomposition(zero, zero, zero)
-    assert_allclose(recompose(d).samples, np.zeros(4))
+def test_recompose_zero_components(running_example):
+    s, n, _, _ = running_example
+    d = Decomposer(s, n, 1).decompose(Waveform(np.zeros(4), RATE))
+    for name in ("s_target", "e_noise", "e_artif"):
+        assert_array_equal(getattr(d, name).samples, np.zeros(4))
+    assert_array_equal(recompose(d).samples, np.zeros(4))
     assert d.artifact_free
 
 
@@ -159,8 +161,9 @@ def test_zero_references_rejected(running_example):
 
 def test_length_mismatch_rejected(running_example):
     s, n, _, _ = running_example
-    with pytest.raises(ValueError, match="length"):
+    with pytest.raises(ValueError, match="length") as raised:
         Decomposer(s, n, 1).decompose(Waveform([1.0, 2.0], RATE))
+    assert str(raised.value).startswith("whiten: ")  # the routine that raised it
 
 
 def test_export_components(tmp_path, running_example):
@@ -212,7 +215,7 @@ def test_gram_and_cross_block_match_the_synthesized_waveforms(kind, seed):
     loaded = kind == "n=s"
     assert bool(dec.basis.regularization) == loaded
     for x in (d, d_y):
-        assert type(x) is WhitenedDecomposition
+        assert type(x) is Decomposition
     if loaded:
         p_s, p_sn = (p.samples for p in project(dec.basis, s_hat))
         want = {"s_target": p_s, "e_noise": p_sn - p_s, "e_artif": s_hat.samples - p_sn}

@@ -8,15 +8,16 @@ from opdkit.signals import energy
 
 def test_lowpass_recursion_is_bitwise_lfilter():
     # the suite's cases (and so every reported deviation) are unchanged from
-    # when the lowpass was scipy.signal.lfilter
+    # when the lowpass was scipy.signal.lfilter; the tests also draw at 0.7
     from scipy.signal import lfilter
-    for seed in range(100):
-        length = int(np.random.default_rng(seed).integers(64, 1025))
-        got = _lowpass_noise(np.random.default_rng(seed), length)
-        want = lfilter([1.0], [1.0, -LOWPASS_POLE],
-                       np.random.default_rng(seed).standard_normal(length))
-        assert got.dtype == np.float64
-        np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+    for pole in (LOWPASS_POLE, 0.7):
+        for seed in range(100):
+            length = int(np.random.default_rng(seed).integers(64, 1025))
+            got = _lowpass_noise(np.random.default_rng(seed), length, pole)
+            want = lfilter([1.0], [1.0, -pole],
+                           np.random.default_rng(seed).standard_normal(length))
+            assert got.dtype == np.float64
+            np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
 
 
 def test_cases_reproducible_from_seed():
