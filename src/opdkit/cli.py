@@ -74,8 +74,8 @@ def parse_grid(text: str) -> list[float]:
     return values
 
 
-def _failed(utterance_id: str, exc: BaseException) -> dict:
-    return {"utterance_id": utterance_id, "rows": (), "events": [],
+def _failed(utterance_id: str, exc: BaseException, events=()) -> dict:
+    return {"utterance_id": utterance_id, "rows": (), "events": list(events),
             "error": f"{type(exc).__name__}: {exc}"}
 
 
@@ -87,22 +87,24 @@ def _named_events(utterance_id: str, basis) -> list[dict]:
 
 def _sweep_task(payload) -> dict:
     command, triplet, max_delay, points = payload
+    events = []
     try:
         if triplet.enhanced_path is None:
             raise ValueError(f"{triplet.utterance_id}: no enhanced_path in the manifest; "
                              "run `opdkit enhance` first")
         s, n, s_hat = load_triplet(triplet)
         dec = Decomposer(s, n, max_delay)
+        events = _named_events(triplet.utterance_id, dec.basis)
         if command == "oa":
             rows = oa_sweep(dec, s_hat, add(s, n), grid=points,
                             utterance_id=triplet.utterance_id)
         else:
             rows = dsa_sweep(dec.decompose(s_hat), grid=points,
                              utterance_id=triplet.utterance_id)
-        return {"utterance_id": triplet.utterance_id, "rows": rows,
-                "events": _named_events(triplet.utterance_id, dec.basis), "error": None}
+        return {"utterance_id": triplet.utterance_id, "rows": rows, "events": events,
+                "error": None}
     except Exception as exc:  # noqa: BLE001 - tagged into the report
-        return _failed(triplet.utterance_id, exc)
+        return _failed(triplet.utterance_id, exc, events)
 
 
 def _run_corpus(task, payloads, workers: int) -> list[dict]:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.fft import irfft, rfft
 
-from .signals import Waveform
+from .signals import Waveform, db_to_power
 
 __all__ = ["EnhanceConfig", "enhance", "stft", "istft", "ENHANCE_METHODS"]
 
@@ -42,8 +42,7 @@ class EnhanceConfig:
             raise ValueError(f"hop must satisfy 1 <= hop <= frame_len, got {self.hop}")
         if not math.isfinite(self.oversubtraction) or self.oversubtraction < 0:
             raise ValueError(f"oversubtraction must be finite and >= 0, got {self.oversubtraction}")
-        if not math.isfinite(self.mask_threshold_db):
-            raise ValueError("mask_threshold_db must be finite")
+        db_to_power(self.mask_threshold_db, "mask_threshold_db")
 
 
 def _sqrt_hann(n: int) -> np.ndarray:
@@ -144,7 +143,7 @@ def enhance(y: Waveform, s: Waveform, n: Waveform, cfg: EnhanceConfig) -> Wavefo
     else:  # ideal-binary-mask
         s_pow = _power(stft(s.samples, cfg.frame_len, cfg.hop))
         n_pow = _power(stft(n.samples, cfg.frame_len, cfg.hop))
-        threshold = 10.0 ** (cfg.mask_threshold_db / 10.0)
+        threshold = db_to_power(cfg.mask_threshold_db, "mask_threshold_db")
         gains = (s_pow >= threshold * n_pow).astype(np.float64)
 
     out = istft(gains * y_spec, len(y), cfg.frame_len, cfg.hop)

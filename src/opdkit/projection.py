@@ -31,25 +31,24 @@ The Gram is held in LAPACK's rectangular full packed (RFP) format
 (2 n1 + 1)-by-n2 Fortran-ordered array, n1 = floor(kL/2) and n2 = kL - n1,
 so kL(kL+1)/2 doubles.  Column j of that array is column n1 + j of the upper
 triangle followed by row j of it from the diagonal up to column n1 - 1.
-``dpftrf`` factorizes it in place with Level-3 BLAS, so a basis holds that
-one array and no solve copies it.  Its three blocks are plain strided
-matrices with leading dimension 2 n1 + 1: ``U11ᵀ`` (lower triangle),
-``U22`` (upper triangle) and ``U12``; a solve is ``dtrtrs`` on the two
-triangles and one product with ``U12`` (see ``_solve``).  For k = 2 the
-split falls on the reference boundary, n1 = L.
+``dpftrf`` factorizes it in place with Level-3 BLAS into the Cholesky factor
+``U`` in the same format, and each solve with ``Uᵀ`` or ``U`` is one
+``dtfsm`` on that whole array, so a basis holds that one array and no solve
+copies it.  Only the writer ``_fill_gram``, ``_diagonal_index`` and the
+check-only ``_unpacked`` know where in it an entry lies.
 
 FFTs come from ``numpy.fft``.  From numpy 2.0 on that is the C++ pocketfft
 that ``scipy.fft`` also wraps, so transforms are bitwise the same as
 scipy's; numpy 1.x ships a different C implementation, hence the
 ``numpy>=2.0`` floor.  LAPACK's packed Cholesky factorization (``dpftrf``)
-and triangular solve (``dtrtrs``) are called through ``ctypes``, in place,
-on the OpenBLAS that numpy's own wheels bundle and have already loaded
-(``scipy_dpftrf_64_`` and ``scipy_dtrtrs_64_``), so neither importing this
-module nor solving loads scipy.  A numpy built against another LAPACK (MKL,
-Accelerate, a distribution's OpenBLAS) exports no such symbols; the same two
-routines then come from ``scipy.linalg.cython_lapack``.  The symbols are
-resolved at the first solve, which raises ``ImportError`` naming both
-sources when neither has them.
+and packed triangular solve (``dtfsm``) are called through ``ctypes``, in
+place, on the OpenBLAS that numpy's own wheels bundle and have already
+loaded (``scipy_dpftrf_64_`` and ``scipy_dtfsm_64_``), so neither importing
+this module nor solving loads scipy.  A numpy built against another LAPACK
+(MKL, Accelerate, a distribution's OpenBLAS) exports no such symbols; the
+same two routines then come from ``scipy.linalg.cython_lapack``.  The
+symbols are resolved at the first factorization, which raises ``ImportError`` naming
+both sources when neither has them; ``lapack_source`` names the one bound.
 """
 
 import functools
@@ -66,6 +65,7 @@ __all__ = [
     "ProjectionBasis",
     "SingularProjectionError",
     "build_basis",
+    "lapack_source",
     "project",
     "project_dense_oracle",
     "synthesize",
@@ -91,27 +91,29 @@ FFT_BLOCK_MIN = 4096
 
 
 class _Lapack(NamedTuple):
-    """LAPACK's ``dpftrf`` and ``dtrtrs`` with their C prototypes declared,
-    and the integer type they take."""
+    """LAPACK's ``dpftrf`` and ``dtfsm`` with their C prototypes declared,
+    the integer type they take, and the library they came from."""
 
     pftrf: Callable
-    trtrs: Callable
+    tfsm: Callable
     int_t: type
+    source: str
 
 
 def _numpy_openblas_pointers():
-    """(int type, dpftrf, dtrtrs) of the OpenBLAS numpy's wheels bundle.
+    """(source, int type, dpftrf, dtfsm) of the OpenBLAS numpy's wheels bundle.
 
     ``dlsym`` on the handle of numpy's linalg extension also searches the
     libraries it links, so this finds the copy already loaded; a numpy
     built against another LAPACK raises ``AttributeError``."""
     import ctypes
     lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
-    return ctypes.c_int64, lib.scipy_dpftrf_64_, lib.scipy_dtrtrs_64_
+    return "numpy's OpenBLAS", ctypes.c_int64, lib.scipy_dpftrf_64_, lib.scipy_dtfsm_64_
 
 
 def _cython_lapack_pointers():
-    """(int type, dpftrf, dtrtrs) from ``scipy.linalg.cython_lapack``'s capsules."""
+    """(source, int type, dpftrf, dtfsm) from ``scipy.linalg.cython_lapack``'s
+    capsules."""
     import ctypes
     from scipy.linalg.cython_lapack import __pyx_capi__ as capi
     api = ctypes.pythonapi
@@ -119,23 +121,24 @@ def _cython_lapack_pointers():
         ("PyCapsule_GetName", api))
     get_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
         ("PyCapsule_GetPointer", api))
-    return ctypes.c_int, *(get_pointer(capi[name], get_name(capi[name]))
-                           for name in ("dpftrf", "dtrtrs"))
+    return "scipy.linalg.cython_lapack", ctypes.c_int, *(
+        get_pointer(capi[name], get_name(capi[name])) for name in ("dpftrf", "dtfsm"))
 
 
 def _bind_lapack(source) -> _Lapack:
     """Declare the C prototypes of the two routines ``source()`` points at:
     ``dpftrf(transr, uplo, n, a, info)`` and
-    ``dtrtrs(uplo, trans, diag, n, nrhs, a, lda, b, ldb, info)``, characters
-    and integers by reference, no hidden Fortran string lengths."""
+    ``dtfsm(transr, side, uplo, trans, diag, m, n, alpha, a, b, ldb)``,
+    characters, integers and ``alpha`` by reference, no hidden Fortran
+    string lengths."""
     import ctypes
-    int_t, pftrf, trtrs = source()
+    name, int_t, pftrf, tfsm = source()
     char_p, int_p, double_p = ctypes.c_char_p, ctypes.POINTER(int_t), ctypes.c_void_p
     pftrf_t = ctypes.CFUNCTYPE(None, char_p, char_p, int_p, double_p, int_p)
-    trtrs_t = ctypes.CFUNCTYPE(None, char_p, char_p, char_p, int_p, int_p, double_p, int_p,
-                               double_p, int_p, int_p)
+    tfsm_t = ctypes.CFUNCTYPE(None, char_p, char_p, char_p, char_p, char_p, int_p, int_p,
+                              ctypes.POINTER(ctypes.c_double), double_p, double_p, int_p)
     return _Lapack(pftrf_t(ctypes.cast(pftrf, ctypes.c_void_p).value),
-                   trtrs_t(ctypes.cast(trtrs, ctypes.c_void_p).value), int_t)
+                   tfsm_t(ctypes.cast(tfsm, ctypes.c_void_p).value), int_t, name)
 
 
 @functools.cache
@@ -152,25 +155,28 @@ def _lapack() -> _Lapack:
                               "install scipy") from scipy_err
 
 
-def _leading_dimension(routine: str, name: str, a: np.ndarray, rows: int) -> int:
-    """Leading dimension of ``a``, a vector or a matrix of ``rows`` rows
-    that LAPACK reads and writes through a raw pointer: a wrong dtype or
-    layout would corrupt memory instead of raising, so refuse it first.
+def lapack_source() -> str:
+    """The library LAPACK is bound from: ``"numpy's OpenBLAS"`` or
+    ``"scipy.linalg.cython_lapack"``, which round differently."""
+    return _lapack().source
 
-    ``a`` must be writeable float64 with contiguous columns (unit row
-    stride) that lie ``lda >= rows`` elements apart, all within the memory of
-    the array it is a view of."""
+
+def _check_array(routine: str, name: str, a: np.ndarray, rows: int) -> None:
+    """Refuse ``a`` unless it is what LAPACK reads and writes through a raw
+    pointer: a vector, or a Fortran-ordered matrix, of ``rows`` rows.  A
+    wrong dtype or layout would corrupt memory instead of raising.
+
+    ``a`` must be writeable float64, one whole Fortran-contiguous array,
+    within the memory of the array it is a view of."""
     if a.dtype != np.float64 or not a.flags.writeable or a.ndim not in (1, 2):
         raise ValueError(f"{routine}: {name} must be a writeable float64 vector or "
                          f"matrix, got {a.ndim}-d {a.dtype} with "
                          f"WRITEABLE={a.flags.writeable}")
     if a.shape[0] != rows:
         raise ValueError(f"{routine}: {name} must have {rows} rows, got shape {a.shape}")
-    row_stride, col_stride = (*a.strides, a.itemsize * rows)[:2]
-    lda, misaligned = divmod(col_stride, a.itemsize)
-    if row_stride != a.itemsize or misaligned or lda < rows:
-        raise ValueError(f"{routine}: {name} must have contiguous columns at least {rows} "
-                         f"elements apart (lda >= n), got strides {a.strides}")
+    if not a.flags.f_contiguous:
+        raise ValueError(f"{routine}: {name} must be Fortran-contiguous, got strides "
+                         f"{a.strides}")
     base = a.base
     while base is not None:  # as_strided views hide their array behind a wrapper
         if isinstance(base, np.ndarray):
@@ -180,13 +186,18 @@ def _leading_dimension(routine: str, name: str, a: np.ndarray, rows: int) -> int
                 raise ValueError(f"{routine}: {name} reaches outside the array it is a "
                                  "view of")
         base = getattr(base, "base", None)
-    return lda
 
 
-def _check_info(routine: str, info) -> int:
-    if info.value < 0:
-        raise ValueError(f"{routine}: argument {-info.value} had an illegal value")
-    return info.value
+def _packed_order(routine: str, a: np.ndarray) -> int:
+    """Order n = n1 + n2 of the matrix that ``a`` holds in rectangular full
+    packed format, once ``a`` is checked to be a Fortran-contiguous
+    (2 n1 + 1)-by-n2 array with n2 = n1 or n1 + 1."""
+    if a.ndim != 2 or a.shape[0] % 2 == 0 or a.shape[1] - a.shape[0] // 2 not in (0, 1) \
+            or a.shape[1] < 1:
+        raise ValueError(f"{routine}: a must be a (2 n1 + 1)-by-n2 array, n2 = n1 or "
+                         f"n1 + 1, got shape {a.shape}")
+    _check_array(routine, "a", a, a.shape[0])
+    return a.shape[0] // 2 + a.shape[1]
 
 
 def dpftrf(a: np.ndarray) -> tuple[np.ndarray, int]:
@@ -196,39 +207,34 @@ def dpftrf(a: np.ndarray) -> tuple[np.ndarray, int]:
     same format.  ``a`` is Fortran-ordered, (2 n1 + 1)-by-n2 with n2 = n1 or
     n1 + 1, for order n = n1 + n2.  Returns ``(a, info)``; ``info > 0`` is the
     1-based order of the first leading minor that is not positive
-    definite."""
-    if a.ndim != 2 or a.shape[0] % 2 == 0 or a.shape[1] - a.shape[0] // 2 not in (0, 1) \
-            or a.shape[1] < 1 or not a.flags.f_contiguous:
-        raise ValueError(f"dpftrf: a must be a Fortran-contiguous (2 n1 + 1)-by-n2 array, "
-                         f"n2 = n1 or n1 + 1, got shape {a.shape} with "
-                         f"F_CONTIGUOUS={a.flags.f_contiguous}")
-    _leading_dimension("dpftrf", "a", a, a.shape[0])
+    definite, and on ``info == 0`` every diagonal entry of ``U`` is
+    positive."""
+    n = _packed_order("dpftrf", a)
     lapack = _lapack()
     info = lapack.int_t()
-    lapack.pftrf(b"N", b"U", lapack.int_t(a.shape[0] // 2 + a.shape[1]), a.ctypes.data,
-                 info)
-    return a, _check_info("dpftrf", info)
+    lapack.pftrf(b"N", b"U", lapack.int_t(n), a.ctypes.data, info)
+    if info.value < 0:
+        raise ValueError(f"dpftrf: argument {-info.value} had an illegal value")
+    return a, info.value
 
 
-def dtrtrs(a: np.ndarray, b: np.ndarray, lower: bool = False,
-           trans: bool = False) -> tuple[np.ndarray, int]:
-    """LAPACK ``dtrtrs``: solve ``T x = b`` (``Tᵀ x = b`` with ``trans``) for
-    the upper triangle ``T`` of the square matrix ``a`` (the lower one with
-    ``lower``), written in place over ``b``.  ``a`` and ``b`` may be strided
-    views, such as the blocks of a packed factor (see
-    ``_leading_dimension``).  Returns ``(b, info)``; ``info > 0`` is the
-    1-based index of a zero diagonal entry of ``T``."""
-    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
-        raise ValueError(f"dtrtrs: a must be a non-empty square matrix, got shape {a.shape}")
-    n = a.shape[0]
-    lda = _leading_dimension("dtrtrs", "a", a, n)
-    ldb = _leading_dimension("dtrtrs", "b", b, n)
+def dtfsm(a: np.ndarray, b: np.ndarray, trans: bool) -> np.ndarray:
+    """LAPACK ``dtfsm`` (``TRANSR='N'``, ``SIDE='L'``, ``UPLO='U'``): solve
+    ``Uᵀ x = b`` (``trans``) or ``U x = b`` for the upper triangular ``U``
+    that ``a`` holds in rectangular full packed format, as ``dpftrf``
+    leaves it, in place over ``b``: a vector, or a Fortran-ordered matrix
+    of one right-hand side per column.  Returns ``b``.
+
+    ``dtfsm`` checks no pivot; a factor ``dpftrf`` accepted has none that
+    is zero."""
+    import ctypes
+    n = _packed_order("dtfsm", a)
+    _check_array("dtfsm", "b", b, n)
     lapack = _lapack()
-    info = lapack.int_t()
-    lapack.trtrs(b"L" if lower else b"U", b"T" if trans else b"N", b"N", lapack.int_t(n),
-                 lapack.int_t(b.shape[1] if b.ndim == 2 else 1), a.ctypes.data,
-                 lapack.int_t(lda), b.ctypes.data, lapack.int_t(ldb), info)
-    return b, _check_info("dtrtrs", info)
+    lapack.tfsm(b"N", b"L", b"U", b"T" if trans else b"N", b"N", lapack.int_t(n),
+                lapack.int_t(b.shape[1] if b.ndim == 2 else 1), ctypes.c_double(1.0),
+                a.ctypes.data, b.ctypes.data, lapack.int_t(n))
+    return b
 
 
 class SingularProjectionError(RuntimeError):
@@ -242,11 +248,12 @@ class ProjectionBasis:
     The basis holds one array of kL(kL+1)/2 doubles, ``_factor``: the Gram
     matrix's upper triangle in rectangular full packed format (see the
     module docstring), factorized in place by ``dpftrf`` into the Cholesky
-    factor ``U`` (``Uᵀ U`` = Gram) in the same format; ``_unpacked`` expands
-    it.  The factor may include diagonal loading; the amount actually added
-    is recorded in ``regularization`` (0.0 when none was needed).  Its
-    leading ``r*L`` block factorizes the Gram of the first ``r``
-    references, so one basis serves each nested subspace.
+    factor ``U`` (``Uᵀ U`` = Gram) in the same format, which ``whiten`` and
+    ``synthesize`` hand whole to ``dtfsm``; ``_unpacked`` expands it.  The
+    factor may include diagonal loading; the amount actually added is
+    recorded in ``regularization`` (0.0 when none was needed).  Its leading
+    ``r*L`` block factorizes the Gram of the first ``r`` references, so one
+    basis serves each nested subspace.
 
     Beside the factor it keeps, per reference, the block spectra that
     ``project`` correlates and synthesizes with: ``_spectra[i]`` has one
@@ -539,49 +546,16 @@ def build_basis(references: Sequence[Waveform], max_delay: int) -> ProjectionBas
     )
 
 
-def _solve(factor: np.ndarray, b: np.ndarray, trans: bool) -> np.ndarray:
-    """Solve ``Uᵀ x = b`` (``trans``) or ``U x = b`` in place over ``b``, for
-    the Cholesky factor ``U`` in rectangular full packed format.
-
-    With ``U = [[U11, U12], [0, U22]]`` split after row n1, the factor holds
-    ``U11ᵀ`` as the lower triangle of rows n1+1 .. 2 n1, ``U22`` as the upper
-    triangle of rows n1 .. n1+n2-1 and ``U12`` in rows 0 .. n1-1, all with
-    leading dimension 2 n1 + 1: each solve is ``dtrtrs`` on the two
-    triangles, in place, and one product with ``U12``.  A zero pivot raises
-    ``SingularProjectionError`` naming its 1-based index in ``U``."""
-    n1, n2 = factor.shape[0] // 2, factor.shape[1]
-    lower11, upper22, off = factor[n1 + 1:, :n1], factor[n1:n1 + n2], factor[:n1]
-    head, tail = b[:n1], b[n1:]
-
-    def triangle(a, x, offset, **kind):
-        info = dtrtrs(a, x, **kind)[1]
-        if info:
-            raise SingularProjectionError(
-                f"zero pivot {offset + info} in the Cholesky factor")
-
-    if trans:
-        if n1:
-            triangle(lower11, head, 0, lower=True)
-            tail -= off.T @ head
-        triangle(upper22, tail, n1, trans=True)
-    else:
-        triangle(upper22, tail, n1)
-        if n1:
-            head -= off @ tail
-            triangle(lower11, head, 0, lower=True, trans=True)
-    return b
-
-
 def whiten(basis: ProjectionBasis, x: Waveform) -> np.ndarray:
     """Whitened coefficients ``z`` of ``x``: one correlation pass gives the
-    right-hand side ``Aᵀx`` and one forward solve ``Uᵀ z = Aᵀx`` the rest.
+    right-hand side ``Aᵀx`` and one forward solve ``Uᵀ z = Aᵀx``, a
+    ``dtfsm`` on the whole factor, the rest.
 
     ``A U⁻¹`` has orthonormal columns, the whitened delayed copies, and
     ``Uᵀ`` is lower triangular, so the leading ``r*L`` entries of ``z`` are
     the coordinates of ``P_r x`` in them: ``‖P_1 x‖² = ‖z[:L]‖²`` and
     ``<P_k x, P_k x'> = z·z'``, with no waveform synthesized (see
-    ``synthesize``).  A zero pivot in the factor raises
-    ``SingularProjectionError``.
+    ``synthesize``).
     """
     T = len(basis.references[0])
     if len(x) != T:
@@ -592,7 +566,7 @@ def whiten(basis: ProjectionBasis, x: Waveform) -> np.ndarray:
     # <ref delayed by tau, x> needs no truncation correction: x itself is
     # not delayed, so no products fall outside [0, T).
     rhs = _correlations(x.samples, basis._spectra, basis.max_delay, basis._block).ravel()
-    return _solve(basis._factor, rhs, trans=True)
+    return dtfsm(basis._factor, rhs, trans=True)
 
 
 def synthesize(basis: ProjectionBasis, z: np.ndarray,
@@ -604,15 +578,14 @@ def synthesize(basis: ProjectionBasis, z: np.ndarray,
     zeroed past ``counts[j]*L``, gives each subspace's coefficients ``c``,
     and its projection is ``Σ_i F_i · rfft(c_i)``, ``F_i`` the block spectra
     of reference ``i``, under one batched inverse FFT whose blocks are
-    overlap-added.  No block of the in-place factor is copied.  A zero pivot
-    in the factor raises ``SingularProjectionError``.
+    overlap-added.  The back solve is one ``dtfsm`` on the whole factor.
     """
     k, L, M = len(basis.references), basis.max_delay, basis._block
     T = len(basis.references[0])
     nested = np.zeros((k * L, len(counts)), order="F")
     for col, r in enumerate(counts):
         nested[:r * L, col] = z[:r * L]
-    coeffs = _solve(basis._factor, nested, trans=False)
+    coeffs = dtfsm(basis._factor, nested, trans=False)
     projections = []
     for col, r in enumerate(counts):
         spectrum = basis._spectra[0] * rfft(coeffs[:L, col], M)

@@ -22,7 +22,7 @@ import numpy as np
 from .analysis import DsaPoint, OaPoint, dsa_synthesize, oa_apply
 from .decomposition import Decomposer, cross_gram, recompose
 from .metrics import compute_metrics, sar_improvement_closed_form
-from .projection import delayed_matrix, project, project_dense_oracle
+from .projection import delayed_matrix, lapack_source, project, project_dense_oracle
 from .signals import Waveform, add, energy, inner, scale
 
 __all__ = ["OracleCase", "SelfTestReport", "make_case", "run_property_suite",
@@ -80,6 +80,7 @@ class SelfTestReport:
     case_count: int
     seed: int
     elapsed_s: float = 0.0
+    lapack: str = ""  # the library the factor and solves ran on; they round differently
     deviations: dict = field(default_factory=dict)
     failures: list = field(default_factory=list)
 
@@ -98,6 +99,7 @@ class SelfTestReport:
             out.append(f"{status:4s} {name:36s} max {value:.3e}  (tol {tol:g})")
         for failure in self.failures:
             out.append(f"FAIL {failure}")
+        out.append(f"LAPACK: {self.lapack}")
         out.append(f"{self.case_count} cases, seed {self.seed}, "
                    f"{self.elapsed_s:.1f} s: {'PASS' if self.passed else 'FAIL'}")
         return out
@@ -315,7 +317,7 @@ def run_property_suite(case_count: int = 200, seed: int = 0) -> SelfTestReport:
     dedicated degenerate ones, and report maximum deviations."""
     if case_count < 1:
         raise ValueError("case_count must be >= 1")
-    report = SelfTestReport(case_count=case_count, seed=seed)
+    report = SelfTestReport(case_count=case_count, seed=seed, lapack=lapack_source())
     started = time.perf_counter()
     cases = [make_case(seed + i) for i in range(case_count)]
     cases.append(make_case(seed, kind="perfect"))

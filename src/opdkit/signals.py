@@ -17,6 +17,7 @@ __all__ = [
     "scale",
     "inner",
     "energy",
+    "db_to_power",
     "mix_at_snr",
 ]
 
@@ -88,6 +89,18 @@ def energy(a: Waveform) -> float:
     return float(np.dot(a.samples, a.samples))
 
 
+def db_to_power(db: float, name: str) -> float:
+    """The power ratio ``10 ** (db / 10)``; a ``ValueError`` naming ``name``
+    and ``db`` where it is not finite (above about 3083 dB) or zero."""
+    try:
+        ratio = 10.0 ** (db / 10.0)
+    except OverflowError:
+        ratio = math.inf
+    if not 0.0 < ratio < math.inf:
+        raise ValueError(f"{name} {db:g} dB is out of range: its power ratio is {ratio:g}")
+    return ratio
+
+
 def mix_at_snr(s: Waveform, n: Waveform, spec: MixtureSpec) -> tuple[Waveform, Waveform]:
     """Scale ``n`` so the s-to-n power ratio hits the target, then mix.
 
@@ -100,6 +113,10 @@ def mix_at_snr(s: Waveform, n: Waveform, spec: MixtureSpec) -> tuple[Waveform, W
     e_s, e_n = energy(s), energy(n)
     if e_s == 0.0 or e_n == 0.0:
         raise ValueError("mix_at_snr requires both signals to have nonzero energy")
-    c = math.sqrt(e_s / (e_n * 10.0 ** (spec.target_snr_db / 10.0)))
-    n_scaled = scale(n, c)
+    snr = spec.target_snr_db
+    noise_power = e_n * db_to_power(snr, "target SNR")
+    n_scaled = scale(n, math.sqrt(e_s / noise_power)) if noise_power > 0.0 else None
+    if n_scaled is None or not 0.0 < energy(n_scaled) < math.inf:
+        raise ValueError(f"target SNR {snr:g} dB is out of range: the scaled noise "
+                         "would have zero or infinite energy")
     return add(s, n_scaled), n_scaled

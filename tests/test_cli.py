@@ -695,8 +695,13 @@ class TestSweepArguments:
     ["enhance", "--corpus", "{tmp}/missing.jsonl", "--method", "oracle-wiener"],
     ["mix", "--speech-dir", "{speech}", "--noise-dir", "{tmp}"],
     ["mix", "--speech-dir", "{speech}", "--noise-dir", "{noise}", "--snr", "nan"],
+    # power ratios of 10^400 and 10^-400: no float holds them
+    ["mix", "--speech-dir", "{speech}", "--noise-dir", "{noise}", "--snr", "4000"],
+    ["mix", "--speech-dir", "{speech}", "--noise-dir", "{noise}", "--snr", "-4000"],
+    ["enhance", "--corpus", "{mixed}/corpus.jsonl", "--method", "ideal-binary-mask",
+     "--mask-threshold-db", "4000"],
 ], ids=["enhance-hop-0", "enhance-missing-corpus", "mix-empty-noise-dir",
-        "mix-nan-snr"])
+        "mix-nan-snr", "mix-snr-4000", "mix-snr-minus-4000", "enhance-mask-threshold-4000"])
 def test_mix_and_enhance_check_inputs_before_out(tmp_path, corpus_dirs, mixed_corpus,
                                                  capsys, argv):
     speech_dir, noise_dir = corpus_dirs
@@ -704,7 +709,9 @@ def test_mix_and_enhance_check_inputs_before_out(tmp_path, corpus_dirs, mixed_co
     argv = [a.format(mixed=mixed_corpus, tmp=tmp_path, speech=speech_dir,
                      noise=noise_dir) for a in argv]
     assert main(argv + ["--out", str(out)]) == 1
-    assert capsys.readouterr().err.startswith("error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "dB is out of range" in err or not any("4000" in a for a in argv)
     assert not out.exists()
 
 
@@ -842,6 +849,34 @@ def test_regularization_events_name_their_utterance(tmp_path, mixed_corpus,
         for e in events:
             assert e["event"].startswith("gram-regularized: ")
             assert "from reference 1 on (L=8, refs=2)" in e["event"]
+
+
+def test_failed_sweep_keeps_its_regularization_event(tmp_path, mixed_corpus,
+                                                    enhanced_corpus, monkeypatch):
+    # utt0's noise_path names its speech file, so its basis is loaded before
+    # its sweep raises; the manifest lists both the error and the event
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text("".join(json.dumps({
+        "utterance_id": utt, "speech_path": str(mixed_corpus / f"{utt}.speech.wav"),
+        "noise_path": str(mixed_corpus / f"{utt}.{kind}.wav"),
+        "enhanced_path": str(enhanced_corpus / f"{utt}.enhanced.wav")}) + "\n"
+        for utt, kind in (("utt0", "speech"), ("utt1", "noise"))))
+    oa_sweep = cli_module.oa_sweep
+
+    def failing(*args, utterance_id, **kwargs):
+        if utterance_id == "utt0":
+            raise ValueError("sweep failed")
+        return oa_sweep(*args, utterance_id=utterance_id, **kwargs)
+    monkeypatch.setattr(cli_module, "oa_sweep", failing)
+    out = tmp_path / "oa"
+    assert main(["oa", "--corpus", str(corpus), "--grid", "0,1", "-L", "8",
+                 "--out", str(out)]) == 0
+    manifest = json.loads((out / "run_manifest.json").read_text())
+    assert manifest["errors"] == [{"utterance_id": "utt0",
+                                   "error": "ValueError: sweep failed"}]
+    events = manifest["regularization_events"]
+    assert [e["utterance_id"] for e in events] == ["utt0"]
+    assert "from reference 1 on (L=8, refs=2)" in events[0]["event"]
 
 
 def test_self_test_argument_error_exits_1(capsys):

@@ -97,13 +97,13 @@ def test_one_correlation_pass_and_two_triangular_solves(monkeypatch):
     # back substitution, and one synthesis (P_sn x, for e_artif); reading
     # s_target adds one back substitution and one synthesis.  The nested
     # two-column project() is not even imported.  Each substitution is one
-    # dtrtrs on each of the packed factor's two triangles.
+    # dtfsm on the whole packed factor.
     import opdkit.decomposition as decomposition_module
     import opdkit.projection as projection_module
     assert not hasattr(decomposition_module, "project")
     case = make_case(0)
     dec = Decomposer(case.s, case.n, case.max_delay)
-    calls = {"_block_spectra": 0, "dtrtrs": 0, "synthesize": 0}
+    calls = {"_block_spectra": 0, "dtfsm": 0, "whiten": 0, "synthesize": 0}
 
     def counted(module, name):
         fn = getattr(module, name)
@@ -113,15 +113,16 @@ def test_one_correlation_pass_and_two_triangular_solves(monkeypatch):
             return fn(*args, **kwargs)
         monkeypatch.setattr(module, name, wrapper)
 
+    counted(decomposition_module, "whiten")
     counted(decomposition_module, "synthesize")
     counted(projection_module, "_block_spectra")
-    counted(projection_module, "dtrtrs")
+    counted(projection_module, "dtfsm")
     d = dec.decompose(case.s_hat)
-    assert calls == {"_block_spectra": 1, "dtrtrs": 4, "synthesize": 1}
+    assert calls == {"_block_spectra": 1, "dtfsm": 2, "whiten": 1, "synthesize": 1}
     d.gram, d.e_artif
-    assert calls == {"_block_spectra": 1, "dtrtrs": 4, "synthesize": 1}
+    assert calls == {"_block_spectra": 1, "dtfsm": 2, "whiten": 1, "synthesize": 1}
     d.s_target, d.e_noise
-    assert calls == {"_block_spectra": 1, "dtrtrs": 6, "synthesize": 2}
+    assert calls == {"_block_spectra": 1, "dtfsm": 3, "whiten": 1, "synthesize": 2}
 
 
 def test_energy_pythagoras(running_example):

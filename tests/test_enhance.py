@@ -38,6 +38,11 @@ class TestConfig:
         with pytest.raises(ValueError, match="oversubtraction"):
             EnhanceConfig(method="spectral-subtraction", oversubtraction=-1.0)
 
+    def test_mask_threshold_with_no_float_power_ratio_rejected(self):
+        with pytest.raises(ValueError, match="^mask_threshold_db 4000 dB is out of range: "
+                                             "its power ratio is inf$"):
+            EnhanceConfig(method="ideal-binary-mask", mask_threshold_db=4000.0)
+
 
 class TestReconstruction:
     @pytest.mark.parametrize("length", [1, 100, 511, 512, 1237, 6000])

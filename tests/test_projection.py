@@ -1,5 +1,4 @@
 import ctypes
-import dataclasses
 import json
 import os
 import subprocess
@@ -536,7 +535,7 @@ class TestGramSizeCheck:
 
 
 class TestLapackBinding:
-    """dpftrf and dtrtrs write through raw pointers, so the wrappers must
+    """dpftrf and dtfsm write through raw pointers, so the wrappers must
     refuse an array LAPACK would misread before any call is made."""
 
     SOURCES = {"numpy-openblas": projection_module._numpy_openblas_pointers,
@@ -546,7 +545,7 @@ class TestLapackBinding:
     def no_call(self, monkeypatch):
         def called(*args):
             raise AssertionError("LAPACK was called")
-        fake = projection_module._Lapack(called, called, ctypes.c_int64)
+        fake = projection_module._Lapack(called, called, ctypes.c_int64, "none")
         monkeypatch.setattr(projection_module, "_lapack", lambda: fake)
 
     @pytest.fixture(params=SOURCES)
@@ -599,34 +598,35 @@ class TestLapackBinding:
             projection_module.dpftrf(a)
 
     @pytest.mark.parametrize("bad", ["a-c-order", "float32", "c-order", "read-only",
-                                     "rows", "3-d", "lda", "outside-base"])
-    def test_dtrtrs_guard_raises_before_the_call(self, no_call, bad):
-        a = {"a-c-order": lambda: np.ascontiguousarray(self.spd()),
-             # columns 5 apart for 6 rows: they would overlap
-             "lda": lambda: self.strided((6, 6), (8, 40)),
-             # columns 6 apart, but past the end of a 20-element array
-             "outside-base": lambda: self.strided((6, 6), (8, 48), base_size=20)
-             }.get(bad, self.spd)()
+                                     "rows", "3-d", "non-contiguous", "outside-base"])
+    def test_dtfsm_guard_raises_before_the_call(self, no_call, bad):
+        a = self.packed(self.spd())  # order 6
+        if bad == "a-c-order":
+            a = np.ascontiguousarray(a)
         b = {"float32": lambda: np.ones(6, np.float32),
              "c-order": lambda: np.ones((6, 2)),
              "rows": lambda: np.ones(5),
-             "3-d": lambda: np.ones((6, 1, 1), order="F")}.get(bad, lambda: np.ones(6))()
+             "3-d": lambda: np.ones((6, 1, 1), order="F"),
+             # columns 8 apart for 6 rows: a strided view, not a whole array
+             "non-contiguous": lambda: np.ones((8, 2), order="F")[:6],
+             # contiguous, but past the end of a 4-element array
+             "outside-base": lambda: self.strided((6,), (8,), base_size=4)
+             }.get(bad, lambda: np.ones(6))()
         if bad == "read-only":
             b.flags.writeable = False
-        with pytest.raises(ValueError, match="^dtrtrs: a " if bad in ("a-c-order", "lda",
-                                                                       "outside-base")
-                           else "^dtrtrs: b "):
-            projection_module.dtrtrs(a, b)
+        if bad == "outside-base":
+            assert b.flags.f_contiguous and b.flags.writeable
+        with pytest.raises(ValueError, match="^dtfsm: a " if bad == "a-c-order"
+                           else "^dtfsm: b "):
+            projection_module.dtfsm(a, b, trans=True)
 
     def test_illegal_argument_raises(self, monkeypatch):
         def illegal(*args):
             args[-1].value = -4  # info, passed by reference
-        fake = projection_module._Lapack(illegal, illegal, ctypes.c_int64)
+        fake = projection_module._Lapack(illegal, illegal, ctypes.c_int64, "fake")
         monkeypatch.setattr(projection_module, "_lapack", lambda: fake)
         with pytest.raises(ValueError, match="dpftrf: argument 4 had an illegal value"):
             projection_module.dpftrf(self.packed(self.spd()))
-        with pytest.raises(ValueError, match="dtrtrs: argument 4 had an illegal value"):
-            projection_module.dtrtrs(self.spd(), np.ones(6))
 
     def test_factor_and_solves_match_numpy(self, lapack):
         rng = np.random.default_rng(2)
@@ -636,22 +636,10 @@ class TestLapackBinding:
             assert info == 0
             upper = _unpacked(factor)
             assert_allclose(upper, np.linalg.cholesky(gram).T, rtol=0, atol=1e-12)
-            # the triangles are strided views with leading dimension 2 n1 + 1,
-            # the right-hand sides rows of a Fortran-ordered n-by-3 array
-            n1 = n // 2
-            lower11, upper22 = factor[n1 + 1:, :n1], factor[n1:n1 + n - n1]
-            b = np.asfortranarray(rng.standard_normal((n, 3)))
-            x = b.copy(order="F")
-            assert projection_module.dtrtrs(lower11, x[:n1], lower=True)[1] == 0
-            assert projection_module.dtrtrs(upper22, x[n1:], trans=True)[1] == 0
-            assert_allclose(x[:n1], np.linalg.solve(upper[:n1, :n1].T, b[:n1]),
-                            rtol=1e-12, atol=1e-12)
-            assert_allclose(x[n1:], np.linalg.solve(upper[n1:, n1:].T, b[n1:]),
-                            rtol=1e-12, atol=1e-12)
-            x = projection_module._solve(factor, b.copy(order="F"), trans=True)
-            assert_allclose(x, np.linalg.solve(upper.T, b), rtol=1e-12, atol=1e-12)
-            x = projection_module._solve(factor, b[:, 0].copy(), trans=False)
-            assert_allclose(x, np.linalg.solve(upper, b[:, 0]), rtol=1e-12, atol=1e-12)
+            for b in (rng.standard_normal(n), np.asfortranarray(rng.standard_normal((n, 3)))):
+                for trans, triangle in ((True, upper.T), (False, upper)):
+                    x = projection_module.dtfsm(factor, b.copy(order="F"), trans=trans)
+                    assert_allclose(x, np.linalg.solve(triangle, b), rtol=1e-12, atol=1e-12)
 
     def test_not_positive_definite_reports_the_minor(self, lapack):
         # order 6 splits after row n1 = 3: index 1 fails in U11, index 3 in U22
@@ -668,16 +656,18 @@ class TestLapackBinding:
         tol = INVARIANT_TOLERANCES["fast_vs_dense_projection_rel"]
         assert_allclose(fast.samples, dense.samples, atol=tol * np.linalg.norm(dense.samples))
 
-    def test_zero_pivot_in_solve_raises(self, running_example):
-        s, n, s_hat, _ = running_example
-        for L, pivot in ((1, 2), (2, 1), (2, 4)):  # in U22, in U11, in U22
-            basis = build_basis([s, n], L)
-            factor = basis._factor.copy(order="F")
-            (position,) = _packed_positions(2 * L, pivot - 1) - _packed_positions(2 * L, pivot)
-            factor[position] = 0.0
-            broken = dataclasses.replace(basis, _factor=factor)
-            with pytest.raises(SingularProjectionError, match=f"zero pivot {pivot} "):
-                project(broken, s_hat)
+    def test_every_factor_has_a_positive_diagonal(self, running_example):
+        # dtfsm checks no pivot: a solve is safe because every factor that
+        # build_basis keeps, loaded or not, has a strictly positive diagonal
+        s, n, _, _ = running_example
+        bases = [build_basis(refs, L) for refs in ([s], [s, n], [s, s]) for L in (1, 2, 3)]
+        for seed in range(4):
+            case = make_case(seed)
+            bases += [build_basis([case.s, case.n], case.max_delay),
+                      build_basis([case.s, case.s], case.max_delay)]
+        assert sum(b.regularization > 0.0 for b in bases) >= 7  # each [s, s] is loaded
+        for basis in bases:
+            assert np.all(np.diagonal(_unpacked(basis._factor)) > 0.0)
 
 
 _FORCED_CYTHON_LAPACK = """

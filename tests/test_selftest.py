@@ -5,6 +5,8 @@ from opdkit.selftest import (INVARIANT_TOLERANCES, LOWPASS_POLE, _lowpass_noise,
                              run_property_suite)
 from opdkit.signals import energy
 
+import opdkit.projection as projection_module
+
 
 def test_lowpass_recursion_is_bitwise_lfilter():
     # the suite's cases (and so every reported deviation) are unchanged from
@@ -57,6 +59,21 @@ def test_report_lines_mention_every_invariant():
     for name in INVARIANT_TOLERANCES:
         assert name in text
     assert "PASS" in text
+
+
+def test_report_names_the_lapack_it_ran_on(monkeypatch):
+    # the two LAPACK sources round differently, so a report names its own
+    try:
+        projection_module._numpy_openblas_pointers()
+        default = "numpy's OpenBLAS"
+    except AttributeError:
+        default = "scipy.linalg.cython_lapack"
+    assert f"LAPACK: {default}" in run_property_suite(case_count=2, seed=0).lines()
+    forced = projection_module._bind_lapack(projection_module._cython_lapack_pointers)
+    monkeypatch.setattr(projection_module, "_lapack", lambda: forced)
+    report = run_property_suite(case_count=2, seed=0)
+    assert report.passed
+    assert "LAPACK: scipy.linalg.cython_lapack" in report.lines()
 
 
 def test_case_count_validated():

@@ -136,6 +136,18 @@ class TestMixAtSnr:
         with pytest.raises(ValueError, match="nonzero energy"):
             mix_at_snr(z, s, MixtureSpec(target_snr_db=0.0))
 
+    def test_out_of_range_snr_rejected(self):
+        s = Waveform([1.0, 0.0], 8000)
+        n = Waveform([0.0, 2.0], 8000)
+        for snr, ratio in ((4000.0, "inf"), (-4000.0, "0")):  # 10^(snr/10) in no float
+            with pytest.raises(ValueError, match=rf"^target SNR {snr:g} dB is out of range: "
+                                                 rf"its power ratio is {ratio}$"):
+                mix_at_snr(s, n, MixtureSpec(target_snr_db=snr))
+        # a ratio of 1e300 fits, but the noise would need energy 1e-400
+        with pytest.raises(ValueError, match="^target SNR 3000 dB is out of range: the "
+                                             "scaled noise would have zero or infinite"):
+            mix_at_snr(Waveform([1e-50, 0.0], 8000), n, MixtureSpec(target_snr_db=3000.0))
+
 
 def test_mixture_spec_validation():
     with pytest.raises(ValueError, match="finite"):
