@@ -24,7 +24,7 @@ import numpy as np
 
 from . import __version__
 from .analysis import DsaPoint, OaPoint, dsa_sweep, oa_sweep
-from .decomposition import Decomposer, export_components
+from .decomposition import COMPONENT_SUFFIXES, Decomposer, export_components
 from .enhance import ENHANCE_METHODS, EnhanceConfig, enhance
 from .metrics import compute_metrics
 from .projection import DEFAULT_MAX_DELAY
@@ -34,7 +34,7 @@ from .reporting import (AGGREGATION_MODE, RunManifest, UtteranceTriplet,
                         write_summary_csv, write_sweep_csv)
 from .signals import MixtureSpec, Waveform, add, mix_at_snr
 from .svgplot import Series, line_plot, write_plot
-from .wavio import read_wav, write_wav
+from .wavio import float32_image, read_wav, write_wav
 
 DEFAULT_DSA_GRID = "0:1.5:0.25"
 DEFAULT_OA_GRID = "0:1.5:0.1"
@@ -195,6 +195,8 @@ def cmd_decompose(args) -> int:
     dec = Decomposer(s, n, args.max_delay)
     d = dec.decompose(s_hat)
     report = compute_metrics(d)
+    for name, suffix in COMPONENT_SUFFIXES.items():  # every WAV is checked before --out exists
+        float32_image(getattr(d, name), utterance_id + suffix)
     os.makedirs(args.out, exist_ok=True)
     export_components(d, args.out, utterance_id)
     with open(os.path.join(args.out, f"{utterance_id}.metrics.json"), "w",
@@ -302,7 +304,10 @@ def cmd_mix(args) -> int:
                              f"!= speech rate {s.sample_rate}")
         n = _fit_length(n_raw, len(s), rng)
         y, n_scaled = mix_at_snr(s, n, spec)
-        mixtures.append((utterance_id, {"speech": s, "noise": n_scaled, "mix": y}))
+        signals = {"speech": s, "noise": n_scaled, "mix": y}
+        for kind, w in signals.items():
+            float32_image(w, f"{utterance_id}.{kind}.wav")
+        mixtures.append((utterance_id, signals))
     os.makedirs(args.out, exist_ok=True)
     triplets = []
     for utterance_id, signals in mixtures:
@@ -334,7 +339,9 @@ def cmd_enhance(args) -> int:
     for triplet in triplets:
         # the record's old enhanced_path, if any, is never read
         s, n, _ = load_triplet(dataclasses.replace(triplet, enhanced_path=None))
-        enhanced.append(enhance(add(s, n), s, n, cfg))
+        s_hat = enhance(add(s, n), s, n, cfg)
+        float32_image(s_hat, f"{triplet.utterance_id}.enhanced.wav")
+        enhanced.append(s_hat)
     os.makedirs(args.out, exist_ok=True)
     out_triplets = []
     for triplet, s_hat in zip(triplets, enhanced):

@@ -79,7 +79,7 @@ class Decomposition:
 
     @cached_property
     def s_target(self) -> Waveform:
-        return Waveform(synthesize(self.basis, self.z, (1,))[0], self.sample_rate)
+        return Waveform(synthesize(self.basis, self.z, 1), self.sample_rate)
 
     @cached_property
     def e_noise(self) -> Waveform:
@@ -145,9 +145,9 @@ class Decomposer:
         """The ``Decomposition`` of ``s_hat``, by one path on every basis:
         ``whiten`` gives ``z`` and one synthesis ``P_sn s_hat``, so
         ``e_artif``; the rest is synthesized when read.  On a loaded basis
-        those are the loaded solve's parts, ``project``'s up to round-off."""
+        those are the loaded solve's parts."""
         z = whiten(self.basis, s_hat)
-        (p_sn,) = synthesize(self.basis, z, (len(self.basis.references),))
+        p_sn = synthesize(self.basis, z, 2)
         e_artif = Waveform(np.subtract(s_hat.samples, p_sn, out=p_sn), s_hat.sample_rate)
         return Decomposition(self.basis, z, s_hat, e_artif)
 

@@ -9,8 +9,8 @@ copies gives the coefficients of every nested subspace's projection, each
 synthesized as FIR filtering of the references.  The solve has two halves:
 ``whiten`` (the right-hand side and the forward solve) gives coefficients
 whose inner products are those of the projections, and ``synthesize`` (the
-back solve and the filtering) makes waveforms of them; ``project`` is the
-two in turn.
+back solve and the filtering) makes the waveform of one subspace's
+projection from them.
 
 Every correlation and every synthesis runs on overlap-save blocks of one
 length M: the smallest power of two >= max(FFT_BLOCK_MIN, 4L), capped at the
@@ -66,7 +66,6 @@ __all__ = [
     "SingularProjectionError",
     "build_basis",
     "lapack_source",
-    "project",
     "project_dense_oracle",
     "synthesize",
     "whiten",
@@ -256,21 +255,20 @@ class ProjectionBasis:
     basis serves each nested subspace.
 
     Beside the factor it keeps, per reference, the block spectra that
-    ``project`` correlates and synthesizes with: ``_spectra[i]`` has one
-    row ``rfft(frame, M)`` per hop of B = M - L + 1 samples, ``_block`` = M,
-    each frame B samples of the reference zero-padded to M: 8 M / B bytes
-    per sample of a reference (9.1 at L=512), a little over the 8 of one
-    full-length spectrum.
+    ``whiten`` correlates and ``synthesize`` filters with: ``_spectra[i]``
+    has one row ``rfft(frame, M)`` per hop of B = M - L + 1 samples,
+    ``_block`` = M, each frame B samples of the reference zero-padded to M:
+    8 M / B bytes per sample of a reference (9.1 at L=512), a little over
+    the 8 of one full-length spectrum.
     """
 
     references: tuple[Waveform, ...]
     max_delay: int
-    sample_rate: int
     regularization: float
     regularization_events: tuple[str, ...]
-    _factor: np.ndarray = field(repr=False, default=None)
-    _spectra: tuple = field(repr=False, default=None)
-    _block: int = field(repr=False, default=0)
+    _factor: np.ndarray = field(repr=False)
+    _spectra: tuple = field(repr=False)
+    _block: int = field(repr=False)
 
     @property
     def gram(self) -> np.ndarray:
@@ -537,7 +535,6 @@ def build_basis(references: Sequence[Waveform], max_delay: int) -> ProjectionBas
     return ProjectionBasis(
         references=refs,
         max_delay=L,
-        sample_rate=refs[0].sample_rate,
         regularization=regularization,
         regularization_events=events,
         _factor=factor,
@@ -560,8 +557,8 @@ def whiten(basis: ProjectionBasis, x: Waveform) -> np.ndarray:
     T = len(basis.references[0])
     if len(x) != T:
         raise ValueError(f"whiten: length mismatch ({len(x)} vs basis length {T})")
-    if x.sample_rate != basis.sample_rate:
-        raise ValueError(f"whiten: sample rate mismatch ({x.sample_rate} vs {basis.sample_rate})")
+    if x.sample_rate != (rate := basis.references[0].sample_rate):
+        raise ValueError(f"whiten: sample rate mismatch ({x.sample_rate} vs {rate})")
 
     # <ref delayed by tau, x> needs no truncation correction: x itself is
     # not delayed, so no products fall outside [0, T).
@@ -569,52 +566,31 @@ def whiten(basis: ProjectionBasis, x: Waveform) -> np.ndarray:
     return dtfsm(basis._factor, rhs, trans=True)
 
 
-def synthesize(basis: ProjectionBasis, z: np.ndarray,
-               counts: Sequence[int]) -> list[np.ndarray]:
-    """Samples of ``P_r x`` for each ``r`` in ``counts``, from the whitened
-    coefficients ``z`` of ``x`` (see ``whiten``).
+def synthesize(basis: ProjectionBasis, z: np.ndarray, r: int) -> np.ndarray:
+    """Samples of ``P_r x``, ``P_r`` onto the delayed copies of the basis'
+    first ``r`` references, from the whitened coefficients ``z`` of ``x``.
 
-    One back solve of ``len(counts)`` columns, column ``j`` being ``z``
-    zeroed past ``counts[j]*L``, gives each subspace's coefficients ``c``,
-    and its projection is ``Σ_i F_i · rfft(c_i)``, ``F_i`` the block spectra
-    of reference ``i``, under one batched inverse FFT whose blocks are
-    overlap-added.  The back solve is one ``dtfsm`` on the whole factor.
+    One back solve of ``z`` zeroed past ``r*L``, a ``dtfsm`` on the whole
+    factor, gives the coefficients ``c``; ``P_r x = Σ_i F_i · rfft(c_i)``,
+    ``F_i`` the block spectra of reference ``i``, under one batched inverse
+    FFT whose blocks are overlap-added.
     """
-    k, L, M = len(basis.references), basis.max_delay, basis._block
-    T = len(basis.references[0])
-    nested = np.zeros((k * L, len(counts)), order="F")
-    for col, r in enumerate(counts):
-        nested[:r * L, col] = z[:r * L]
-    coeffs = dtfsm(basis._factor, nested, trans=False)
-    projections = []
-    for col, r in enumerate(counts):
-        spectrum = basis._spectra[0] * rfft(coeffs[:L, col], M)
-        for i in range(1, r):
-            spectrum += basis._spectra[i] * rfft(coeffs[i * L:(i + 1) * L, col], M)
-        blocks = irfft(spectrum, M, axis=1)
-        del spectrum
-        projections.append(_overlap_add(blocks, L, T))
-    return projections
-
-
-def project(basis: ProjectionBasis, x: Waveform) -> tuple[Waveform, ...]:
-    """Orthogonal projections ``(P_1 x, ..., P_k x)`` of ``x``, ``P_r`` onto
-    the delayed copies of the basis' first ``r`` references: ``(P_s x, P_sn x)``
-    for an ``[s, n]`` basis.
-
-    The composition of ``whiten`` and ``synthesize``: one right-hand side
-    ``Aᵀx`` and one forward solve serve every subspace, and one back solve
-    of ``k`` columns gives every projection.  ``x - project(basis, x)[-1]``
-    is orthogonal to every delayed copy up to round-off.
-    """
-    z = whiten(basis, x)
-    return tuple(Waveform(p, basis.sample_rate)
-                 for p in synthesize(basis, z, range(1, len(basis.references) + 1)))
+    L, M = basis.max_delay, basis._block
+    c = np.zeros(len(z))
+    c[:r * L] = z[:r * L]
+    dtfsm(basis._factor, c, trans=False)
+    spectrum = basis._spectra[0] * rfft(c[:L], M)
+    for i in range(1, r):
+        spectrum += basis._spectra[i] * rfft(c[i * L:(i + 1) * L], M)
+    blocks = irfft(spectrum, M, axis=1)
+    del spectrum
+    return _overlap_add(blocks, L, len(basis.references[0]))
 
 
 def project_dense_oracle(references: Sequence[Waveform], max_delay: int,
                          x: Waveform) -> Waveform:
-    """Reference implementation of :func:`project` by explicit least squares.
+    """Reference implementation of ``synthesize(basis, whiten(basis, x), k)``
+    by explicit least squares.
 
     Materializes the delayed-copy matrix and solves with an SVD-backed
     least-squares routine, sharing no code path with the fast Gram solver.

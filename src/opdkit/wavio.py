@@ -12,7 +12,8 @@ raises ``ValueError`` naming the path.
 
 ``write_wav`` writes float-32 samples in the layout ``scipy.io.wavfile.write``
 writes, byte for byte: ``RIFF``/``WAVE``, a ``fmt `` chunk with a 2-byte
-``cbSize``, a ``fact`` chunk holding the sample count, then ``data``.
+``cbSize``, a ``fact`` chunk holding the sample count, then ``data``, of
+samples that ``float32_image`` accepts.
 """
 
 import os
@@ -22,7 +23,7 @@ import numpy as np
 
 from .signals import Waveform
 
-__all__ = ["read_wav", "write_wav"]
+__all__ = ["float32_image", "read_wav", "write_wav"]
 
 PCM16_FULL_SCALE = 32767.0
 
@@ -103,6 +104,20 @@ def _write(path, sample_rate: int, data: np.ndarray) -> None:
         fh.write(data.data)
 
 
+def float32_image(w: Waveform, name) -> np.ndarray:
+    """The little-endian float-32 samples ``write_wav`` stores for ``w``;
+    ``ValueError`` naming ``name`` when that image is not finite, or is all
+    zero while ``w`` is not."""
+    with np.errstate(over="ignore"):  # the overflow is the error raised below
+        data = w.samples.astype("<f4")
+    finite = np.isfinite(data).all()
+    if not finite or not data.any() and w.samples.any():
+        raise ValueError(f"{name}: samples up to {np.max(np.abs(w.samples)):g} in magnitude "
+                         + ("overflow float32" if not finite else "all round to zero in float32"))
+    return data
+
+
 def write_wav(path: str | os.PathLike, w: Waveform) -> None:
-    """Write a mono IEEE float-32 WAV file."""
-    _write(path, w.sample_rate, w.samples.astype("<f4"))
+    """Write a mono IEEE float-32 WAV file; refuses what ``float32_image``
+    refuses, leaving no file."""
+    _write(path, w.sample_rate, float32_image(w, path))

@@ -237,6 +237,21 @@ class TestEnhanceCommand:
         assert str(bad) in capsys.readouterr().err
         assert not (tmp_path / "x").exists()  # utt0 was not written either
 
+    def test_output_float32_cannot_hold_leaves_no_output(self, tmp_path, mixed_corpus,
+                                                         capsys):
+        # utt1 rewritten as float64 WAVs at 1e-60: its enhanced file would be
+        # float32 zeros, and utt0 is not written either
+        from scipy.io import wavfile
+        for kind in ("speech", "noise"):
+            path = mixed_corpus / f"utt1.{kind}.wav"
+            wavfile.write(path, RATE, read_wav(path).samples * 1e-60)
+        rc = main(["enhance", "--corpus", str(mixed_corpus / "corpus.jsonl"),
+                   "--method", "oracle-wiener", "--out", str(tmp_path / "x")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: utt1.enhanced.wav: ") and "float32" in err
+        assert not (tmp_path / "x").exists()
+
     def test_reads_only_speech_and_noise_once(self, tmp_path, mixed_corpus,
                                               enhanced_corpus, monkeypatch):
         import opdkit.reporting as reporting_module
@@ -315,6 +330,23 @@ class TestDecomposeCommand:
         assert record["sdr_db"] == pytest.approx(12.0951501454, abs=1e-3)
         target = read_wav(out / "tiny.target.wav")
         np.testing.assert_allclose(target.samples, [0.9, 0.0, 0.0, 0.0], atol=1e-6)
+
+    def test_components_float32_cannot_hold_refused_before_out(self, tmp_path, capsys):
+        # float64 WAVs at 1e-60: the decomposition is sound, but every
+        # component would be written as float32 zeros
+        from scipy.io import wavfile
+        rng = np.random.default_rng(3)
+        s, n, w = (lowpass_noise(rng, 400) * 1e-60 for _ in range(3))
+        for name, x in (("s", s), ("n", n), ("sh", s + 0.3 * n + 0.2 * w)):
+            wavfile.write(tmp_path / f"{name}.wav", RATE, x)
+        out = tmp_path / "dec_tiny"
+        assert main(["decompose", "--speech", str(tmp_path / "s.wav"),
+                     "--noise", str(tmp_path / "n.wav"), "--enhanced", str(tmp_path / "sh.wav"),
+                     "--id", "tiny", "-L", "4", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: tiny.target.wav: samples up to ") and err.count("\n") == 1
+        assert err.endswith(" in magnitude all round to zero in float32\n")
+        assert not out.exists()
 
     def test_mismatched_lengths_exit_code(self, tmp_path, mixed_corpus, capsys):
         short = tmp_path / "short.wav"
@@ -700,8 +732,12 @@ class TestSweepArguments:
     ["mix", "--speech-dir", "{speech}", "--noise-dir", "{noise}", "--snr", "-4000"],
     ["enhance", "--corpus", "{mixed}/corpus.jsonl", "--method", "ideal-binary-mask",
      "--mask-threshold-db", "4000"],
+    # noise scaled by 10^-150 and 10^150: a float64 holds it, a float32 WAV does not
+    ["mix", "--speech-dir", "{speech}", "--noise-dir", "{noise}", "--snr", "3000"],
+    ["mix", "--speech-dir", "{speech}", "--noise-dir", "{noise}", "--snr", "-3000"],
 ], ids=["enhance-hop-0", "enhance-missing-corpus", "mix-empty-noise-dir",
-        "mix-nan-snr", "mix-snr-4000", "mix-snr-minus-4000", "enhance-mask-threshold-4000"])
+        "mix-nan-snr", "mix-snr-4000", "mix-snr-minus-4000", "enhance-mask-threshold-4000",
+        "mix-snr-3000", "mix-snr-minus-3000"])
 def test_mix_and_enhance_check_inputs_before_out(tmp_path, corpus_dirs, mixed_corpus,
                                                  capsys, argv):
     speech_dir, noise_dir = corpus_dirs
@@ -712,6 +748,7 @@ def test_mix_and_enhance_check_inputs_before_out(tmp_path, corpus_dirs, mixed_co
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "dB is out of range" in err or not any("4000" in a for a in argv)
+    assert "float32" in err or not any("3000" in a for a in argv)
     assert not out.exists()
 
 

@@ -5,7 +5,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 from conftest import RATE, random_signals
 from opdkit.decomposition import (Decomposer, Decomposition, cross_gram, export_components,
                                   recompose)
-from opdkit.projection import build_basis, project
+from opdkit.projection import _unpacked, build_basis, delayed_matrix, synthesize, whiten
 from opdkit.selftest import INVARIANT_TOLERANCES, make_case
 from opdkit.signals import Waveform, add, energy
 from opdkit.wavio import read_wav
@@ -84,7 +84,8 @@ def test_loading_only_the_failing_block_keeps_speech_projection(seed):
     case = make_case(seed)
     s, L = case.s, case.max_delay
     dec = Decomposer(s, s, L)
-    expected = project(build_basis([s], L), case.s_hat)[-1].samples
+    speech = build_basis([s], L)
+    expected = synthesize(speech, whiten(speech, case.s_hat), 1)
     got = dec.decompose(case.s_hat).s_target.samples
     assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected)
     # reference 1 of the basis is the noise
@@ -93,14 +94,14 @@ def test_loading_only_the_failing_block_keeps_speech_projection(seed):
 
 
 def test_one_correlation_pass_and_two_triangular_solves(monkeypatch):
-    # a decomposition is one right-hand side, one forward and one one-column
-    # back substitution, and one synthesis (P_sn x, for e_artif); reading
-    # s_target adds one back substitution and one synthesis.  The nested
-    # two-column project() is not even imported.  Each substitution is one
-    # dtfsm on the whole packed factor.
+    # a decomposition is one right-hand side, one forward and one back
+    # substitution, and one synthesis (P_sn x, for e_artif); reading
+    # s_target adds one back substitution and one synthesis (P_s x).  Each
+    # substitution is one dtfsm on the whole packed factor, of one column:
+    # synthesize makes one projection per call.
     import opdkit.decomposition as decomposition_module
     import opdkit.projection as projection_module
-    assert not hasattr(decomposition_module, "project")
+    assert not hasattr(projection_module, "project")
     case = make_case(0)
     dec = Decomposer(case.s, case.n, case.max_delay)
     calls = {"_block_spectra": 0, "dtfsm": 0, "whiten": 0, "synthesize": 0}
@@ -209,7 +210,8 @@ def _oracle_case(kind, seed):
 def test_gram_and_cross_block_match_the_synthesized_waveforms(kind, seed):
     # the coefficient-space Gram and OA cross block against the products of
     # the waveforms they stand for; on a loaded basis (n = s) both are those
-    # products, and the components are the ones project() gives
+    # products, and the components are those of the loaded solve, here made
+    # densely from the basis' own factor
     s, n, s_hat, L = _oracle_case(kind, seed)
     dec = Decomposer(s, n, L)
     d, d_y = dec.decompose(s_hat), dec.decompose(add(s, n))
@@ -218,7 +220,10 @@ def test_gram_and_cross_block_match_the_synthesized_waveforms(kind, seed):
     for x in (d, d_y):
         assert type(x) is Decomposition
     if loaded:
-        p_s, p_sn = (p.samples for p in project(dec.basis, s_hat))
+        A = np.hstack([delayed_matrix(r.samples, L) for r in (s, n)])
+        U = _unpacked(dec.basis._factor)
+        p_s, p_sn = (A[:, :r * L] @ np.linalg.solve(U[:r * L, :r * L], np.linalg.solve(
+            U[:r * L, :r * L].T, A[:, :r * L].T @ s_hat.samples)) for r in (1, 2))
         want = {"s_target": p_s, "e_noise": p_sn - p_s, "e_artif": s_hat.samples - p_sn}
         for name, samples in want.items():
             assert (np.linalg.norm(getattr(d, name).samples - samples)

@@ -11,7 +11,8 @@ from numpy.testing import assert_allclose
 
 from conftest import RATE, lowpass_noise
 from opdkit.projection import (DELAY_PADDING, SingularProjectionError, _gram_rows, _unpacked,
-                               build_basis, delayed_matrix, project, project_dense_oracle)
+                               build_basis, delayed_matrix, project_dense_oracle, synthesize,
+                               whiten)
 from opdkit.reporting import RunManifest
 from opdkit.selftest import INVARIANT_TOLERANCES, make_case
 from opdkit.signals import Waveform, inner
@@ -198,41 +199,42 @@ class TestProject:
         rng = np.random.default_rng(0)
         s = Waveform(lowpass_noise(rng, 200), RATE)
         basis = build_basis([s], 4)
-        assert_allclose(project(basis, s)[-1].samples, s.samples, rtol=0, atol=1e-12)
+        assert_allclose(synthesize(basis, whiten(basis, s), 1), s.samples, rtol=0, atol=1e-12)
 
     def test_running_example_single_reference(self, running_example):
         s, _, s_hat, _ = running_example
-        out = project(build_basis([s], 1), s_hat)[-1]
-        assert_allclose(out.samples, [0.9, 0.0, 0.0, 0.0], atol=1e-14)
+        basis = build_basis([s], 1)
+        out = synthesize(basis, whiten(basis, s_hat), 1)
+        assert_allclose(out, [0.9, 0.0, 0.0, 0.0], atol=1e-14)
 
     def test_running_example_joint_reference(self, running_example):
         s, n, s_hat, _ = running_example
-        out = project(build_basis([s, n], 1), s_hat)[-1]
-        assert_allclose(out.samples, [0.9, 0.2, 0.0, 0.0], atol=1e-14)
+        basis = build_basis([s, n], 1)
+        out = synthesize(basis, whiten(basis, s_hat), 2)
+        assert_allclose(out, [0.9, 0.2, 0.0, 0.0], atol=1e-14)
 
     def test_length_and_rate_validated(self, running_example):
         s, _, _, _ = running_example
         basis = build_basis([s], 1)
-        with pytest.raises(ValueError, match="length"):
-            project(basis, Waveform([1.0, 2.0], RATE))
-        with pytest.raises(ValueError, match="rate"):
-            project(basis, Waveform([1.0, 0.0, 0.0, 0.0], 8000))
+        with pytest.raises(ValueError, match="^whiten: length mismatch"):
+            whiten(basis, Waveform([1.0, 2.0], RATE))
+        with pytest.raises(ValueError, match=r"^whiten: sample rate mismatch \(8000 vs 16000"):
+            whiten(basis, Waveform([1.0, 0.0, 0.0, 0.0], 8000))
 
     def test_nested_refs(self, running_example):
         s, n, s_hat, _ = running_example
         basis = build_basis([s, n], 1)
-        out = project(basis, s_hat)[0]
-        assert_allclose(out.samples, [0.9, 0.0, 0.0, 0.0], atol=1e-14)
+        out = synthesize(basis, whiten(basis, s_hat), 1)
+        assert_allclose(out, [0.9, 0.0, 0.0, 0.0], atol=1e-14)
 
     @pytest.mark.parametrize("seed", range(8))
     def test_leading_projection_is_the_speech_projection(self, seed):
         case = make_case(seed)
-        joint = project(build_basis([case.s, case.n], case.max_delay), case.s_hat)
-        speech = project(build_basis([case.s], case.max_delay), case.s_hat)
-        assert len(joint) == 2 and len(speech) == 1
-        expected = speech[0].samples
-        assert np.linalg.norm(joint[0].samples - expected) \
-            <= 1e-8 * np.linalg.norm(expected)
+        joint = build_basis([case.s, case.n], case.max_delay)
+        speech = build_basis([case.s], case.max_delay)
+        expected = synthesize(speech, whiten(speech, case.s_hat), 1)
+        got = synthesize(joint, whiten(joint, case.s_hat), 1)
+        assert np.linalg.norm(got - expected) <= 1e-8 * np.linalg.norm(expected)
 
 
 class TestBlocks:
@@ -260,11 +262,12 @@ class TestBlocks:
         basis = build_basis([s, n], self.L)
         assert basis._block == self.M
         assert len(basis._spectra[0]) == -(-T // self.B)
-        fast = project(basis, x)
-        for r, refs in enumerate(([s], [s, n])):
+        z = whiten(basis, x)
+        for r, refs in enumerate(([s], [s, n]), 1):
             dense = project_dense_oracle(refs, self.L, x).samples
             tol = INVARIANT_TOLERANCES["fast_vs_dense_projection_rel"]
-            assert np.linalg.norm(fast[r].samples - dense) <= tol * np.linalg.norm(dense)
+            assert np.linalg.norm(synthesize(basis, z, r) - dense) \
+                <= tol * np.linalg.norm(dense)
 
 
 def test_production_length_projection_matches_householder_qr():
@@ -275,8 +278,8 @@ def test_production_length_projection_matches_householder_qr():
     rng = np.random.default_rng(64)
     s, n, w = (lowpass_noise(rng, T) for _ in range(3))
     x = np.convolve(s, [0.8, 0.5, 0.2])[:T] + 0.3 * n + 0.25 * w
-    fast = project(build_basis([Waveform(s, RATE), Waveform(n, RATE)], L),
-                   Waveform(x, RATE))[-1].samples
+    basis = build_basis([Waveform(s, RATE), Waveform(n, RATE)], L)
+    fast = synthesize(basis, whiten(basis, Waveform(x, RATE)), 2)
     q, _ = np.linalg.qr(np.hstack([delayed_matrix(s, L), delayed_matrix(n, L)]))
     oracle = q @ (q.T @ x)
     tol = INVARIANT_TOLERANCES["fast_vs_dense_projection_rel"]
@@ -319,25 +322,27 @@ def test_projector_properties(seed):
     joint = build_basis([s, n], max_delay)
     speech = build_basis([s], max_delay)
 
-    px = project(joint, x)[-1]
+    zx = whiten(joint, x)
+    px = Waveform(synthesize(joint, zx, 2), RATE)
     scale_x = np.linalg.norm(x.samples)
 
     # idempotence
-    assert np.linalg.norm(project(joint, px)[-1].samples - px.samples) <= 1e-8 * scale_x
+    assert np.linalg.norm(synthesize(joint, whiten(joint, px), 2) - px.samples) \
+        <= 1e-8 * scale_x
     # symmetry
-    lhs, rhs = inner(px, z), inner(x, project(joint, z)[-1])
+    lhs, rhs = inner(px, z), float(np.dot(x.samples, synthesize(joint, whiten(joint, z), 2)))
     assert abs(lhs - rhs) <= 1e-8 * scale_x * np.linalg.norm(z.samples)
     # containment: projecting the joint projection onto the speech span
     # equals projecting directly
-    via_joint = project(speech, px)[-1]
-    direct = project(speech, x)[-1]
-    assert np.linalg.norm(via_joint.samples - direct.samples) <= 1e-8 * scale_x
+    via_joint = synthesize(speech, whiten(speech, px), 1)
+    direct = synthesize(speech, whiten(speech, x), 1)
+    assert np.linalg.norm(via_joint - direct) <= 1e-8 * scale_x
     # the leading block of the joint factor projects onto the speech span
-    nested = project(joint, x)[0]
-    assert np.linalg.norm(nested.samples - direct.samples) <= 1e-8 * scale_x
+    nested = synthesize(joint, zx, 1)
+    assert np.linalg.norm(nested - direct) <= 1e-8 * scale_x
     # a mixture lies in the joint span
     y = Waveform(s.samples + n.samples, RATE)
-    assert np.linalg.norm(project(joint, y)[-1].samples - y.samples) \
+    assert np.linalg.norm(synthesize(joint, whiten(joint, y), 2) - y.samples) \
         <= 1e-8 * np.linalg.norm(y.samples)
     # fast path equals the dense oracle
     dense = project_dense_oracle([s, n], max_delay, x)
@@ -390,10 +395,10 @@ class TestRegularization:
         assert "loading" in basis.regularization_events[0]
         # projection still behaves: the span is just {impulse at T-1}
         x = Waveform(np.arange(8.0), RATE)
-        out = project(basis, x)[-1]
+        out = synthesize(basis, whiten(basis, x), 1)
         expected = np.zeros(8)
         expected[7] = 7.0
-        assert_allclose(out.samples, expected, atol=1e-6)
+        assert_allclose(out, expected, atol=1e-6)
 
     def test_failure_beyond_regularization_is_reported(self, monkeypatch,
                                                        running_example):
@@ -497,7 +502,7 @@ class TestMemory:
     def test_nested_projection_copies_no_factor_block(self, signals):
         s, n, x = signals
         basis = build_basis([s, n], self.L)
-        _, peak = self.traced_peak(lambda: project(basis, x)[0])
+        _, peak = self.traced_peak(lambda: synthesize(basis, whiten(basis, x), 1))
         assert peak < self.L ** 2 * 8
 
 
@@ -651,10 +656,11 @@ class TestLapackBinding:
     @pytest.mark.parametrize("seed", range(4))
     def test_projection_matches_dense_oracle(self, lapack, seed):
         case = make_case(seed)
-        fast = project(build_basis([case.s, case.n], case.max_delay), case.s_hat)[-1]
+        basis = build_basis([case.s, case.n], case.max_delay)
+        fast = synthesize(basis, whiten(basis, case.s_hat), 2)
         dense = project_dense_oracle([case.s, case.n], case.max_delay, case.s_hat)
         tol = INVARIANT_TOLERANCES["fast_vs_dense_projection_rel"]
-        assert_allclose(fast.samples, dense.samples, atol=tol * np.linalg.norm(dense.samples))
+        assert_allclose(fast, dense.samples, atol=tol * np.linalg.norm(dense.samples))
 
     def test_every_factor_has_a_positive_diagonal(self, running_example):
         # dtfsm checks no pivot: a solve is safe because every factor that

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from opdkit.selftest import (INVARIANT_TOLERANCES, LOWPASS_POLE, _lowpass_noise, make_case,
-                             run_property_suite)
+from opdkit.selftest import (INVARIANT_TOLERANCES, LOWPASS_POLE, _check_case, _lowpass_noise,
+                             make_case, run_property_suite)
 from opdkit.signals import energy
 
 import opdkit.projection as projection_module
@@ -59,6 +59,23 @@ def test_report_lines_mention_every_invariant():
     for name in INVARIANT_TOLERANCES:
         assert name in text
     assert "PASS" in text
+
+
+def test_report_names_each_invariants_worst_case():
+    # the named case, run alone, gives the reported worst value exactly, so
+    # a regression can be replayed from the report's lines
+    report = run_property_suite(case_count=12, seed=7)
+    assert set(report.worst) == set(report.deviations)
+    lines = report.lines()
+    kinds = set()
+    for name, (seed, kind) in report.worst.items():
+        deviations = {}
+        _check_case(make_case(seed, kind), deviations)
+        assert deviations[name] == report.deviations[name], name
+        assert any(line.split()[1] == name and line.endswith(f"  seed {seed} {kind}")
+                   for line in lines), name
+        kinds.add(kind)
+    assert kinds == {"random", "perfect", "negated-observation"}
 
 
 def test_report_names_the_lapack_it_ran_on(monkeypatch):

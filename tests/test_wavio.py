@@ -164,3 +164,19 @@ def test_file_over_4_gib_refused(tmp_path):
     with pytest.raises(ValueError, match="4 GiB"):
         _write(path, 16000, np.broadcast_to(np.float32(0.0), (2 ** 30,)))
     assert not path.exists()
+
+
+@pytest.mark.parametrize("samples,reason", [
+    ([0.5, 1e39], "up to 1e\\+39 in magnitude overflow float32"),  # float32's largest is 3.4e38
+    ([1e-50, -1e-46], "up to 1e-46 in magnitude all round to zero in float32"),  # least: 1.4e-45
+], ids=["overflow", "underflow"])
+def test_samples_float32_cannot_hold_are_refused(tmp_path, samples, reason):
+    path = tmp_path / "x.wav"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # refused, not an overflow warning
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: samples {reason}$"):
+            write_wav(path, Waveform(samples, 16000))
+    assert not path.exists()
+    # a zero waveform is stored as it is
+    write_wav(path, Waveform([0.0, 0.0], 16000))
+    assert_allclose(read_wav(path).samples, [0.0, 0.0])
