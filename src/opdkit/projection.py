@@ -2,11 +2,12 @@
 
 A reference delayed by ``tau`` is zero-padded at the head and truncated to
 the original length ``T``, so every delayed copy lives in the same R^T as
-the signals being projected and orthogonality statements are exact.  The
-projector onto the span of delays ``0 .. L-1`` of one or two references is
-never materialized as a T-by-T matrix: one Gram solve over the delayed
-copies gives the coefficients of every nested subspace's projection, each
-synthesized as FIR filtering of the references.  The solve has two halves:
+the signals being projected and orthogonality statements are exact.  A
+basis spans delays ``0 .. L-1`` of two references, speech ``s`` and noise
+``n``.  Neither projector, ``P_s`` onto the speech copies nor ``P_sn`` onto
+both, is materialized as a T-by-T matrix: one Gram solve over the delayed
+copies gives the coefficients of both, each synthesized as FIR filtering of
+the references.  The solve has two halves:
 ``whiten`` (the right-hand side and the forward solve) gives coefficients
 whose inner products are those of the projections, and ``synthesize`` (the
 back solve and the filtering) makes the waveform of one subspace's
@@ -26,15 +27,15 @@ differs from the plain Toeplitz correlation matrix by products of the
 reference tails that fall off the end; that correction is exact, an O(L^2)
 prefix sum along each diagonal subtracted once (see ``_gram_rows``).
 
-The Gram is held in LAPACK's rectangular full packed (RFP) format
-(``TRANSR='N'``, ``UPLO='U'``): its upper triangle, and nothing else, in one
-(2 n1 + 1)-by-n2 Fortran-ordered array, n1 = floor(kL/2) and n2 = kL - n1,
-so kL(kL+1)/2 doubles.  Column j of that array is column n1 + j of the upper
-triangle followed by row j of it from the diagonal up to column n1 - 1.
-``dpftrf`` factorizes it in place with Level-3 BLAS into the Cholesky factor
-``U`` in the same format, and each solve with ``Uᵀ`` or ``U`` is one
-``dtfsm`` on that whole array, so a basis holds that one array and no solve
-copies it.  Only the writer ``_fill_gram``, ``_diagonal_index`` and the
+The Gram ``[[G_ss, G_sn], [G_snᵀ, G_nn]]`` is held in LAPACK's rectangular
+full packed (RFP) format (``TRANSR='N'``, ``UPLO='U'``): its upper triangle,
+and nothing else, in one (2L + 1)-by-L Fortran-ordered array of L(2L+1)
+doubles, three fixed L-by-L blocks.  ``packed[:L]`` is ``G_sn``, the upper
+triangle of ``packed[L:2L]`` is that of ``G_nn``, and the lower triangle of
+``packed[L+1:]`` is that of ``G_ss``.  ``dpftrf`` factorizes it in place
+with Level-3 BLAS into the Cholesky factor ``U`` in the same format, and
+each solve with ``Uᵀ`` or ``U`` is one ``dtfsm`` on that whole array, so a
+basis holds that one array and no solve copies it.  Only the writer ``_fill_gram``, ``_diagonal_index`` and the
 check-only ``_unpacked`` know where in it an entry lies.
 
 FFTs come from ``numpy.fft``.  From numpy 2.0 on that is the C++ pocketfft
@@ -242,17 +243,16 @@ class SingularProjectionError(RuntimeError):
 
 @dataclass(frozen=True, eq=False)
 class ProjectionBasis:
-    """Factorized representation of a delayed-reference subspace.
+    """Factorized representation of the delayed copies of ``(s, n)``.
 
-    The basis holds one array of kL(kL+1)/2 doubles, ``_factor``: the Gram
-    matrix's upper triangle in rectangular full packed format (see the
-    module docstring), factorized in place by ``dpftrf`` into the Cholesky
-    factor ``U`` (``Uᵀ U`` = Gram) in the same format, which ``whiten`` and
-    ``synthesize`` hand whole to ``dtfsm``; ``_unpacked`` expands it.  The
-    factor may include diagonal loading; the amount actually added is
-    recorded in ``regularization`` (0.0 when none was needed).  Its leading
-    ``r*L`` block factorizes the Gram of the first ``r`` references, so one
-    basis serves each nested subspace.
+    The basis holds one array of L(2L+1) doubles, ``_factor``: the Gram's
+    three packed L-by-L blocks (see the module docstring), factorized in
+    place by ``dpftrf`` into the Cholesky factor ``U`` (``Uᵀ U`` = Gram) in
+    the same format, which ``whiten`` and ``synthesize`` hand whole to
+    ``dtfsm``; ``_unpacked`` expands it.  The factor may include diagonal
+    loading; the amount actually added is recorded in ``regularization``
+    (0.0 when none was needed).  Its leading L-by-L block factorizes
+    ``G_ss`` alone, so one basis serves both ``P_s`` and ``P_sn``.
 
     Beside the factor it keeps, per reference, the block spectra that
     ``whiten`` correlates and ``synthesize`` filters with: ``_spectra[i]``
@@ -262,7 +262,7 @@ class ProjectionBasis:
     the 8 of one full-length spectrum.
     """
 
-    references: tuple[Waveform, ...]
+    references: tuple[Waveform, Waveform]
     max_delay: int
     regularization: float
     regularization_events: tuple[str, ...]
@@ -274,17 +274,17 @@ class ProjectionBasis:
     def gram(self) -> np.ndarray:
         """Unloaded Gram matrix: ``gram[i*L + t, j*L + u]`` is the inner
         product of reference ``i`` delayed by ``t`` with reference ``j``
-        delayed by ``u``.
+        delayed by ``u``, i, j = 0 for ``s`` and 1 for ``n``.
 
         Not stored: each access makes the references' extended block
         spectra again, correlates them with the stored ones, rebuilds the
-        packed upper triangle and expands it into a new (kL)^2 * 8-byte
-        array, in O(k T log M + k^2 (T + L^2)) time, with the lower triangle
-        copied from the upper one, so the result is exactly symmetric.
-        Meant for checks, not for the solve path.
+        packed upper triangle and expands it into a new (2L)^2 * 8-byte
+        array, in O(T log M + L^2) time, with the lower triangle copied
+        from the upper one, so the result is exactly symmetric.  Meant for
+        checks, not for the solve path.
         """
         L = self.max_delay
-        packed = _empty_gram(len(self.references) * L)
+        packed = _empty_gram(L)
         arrays = [r.samples for r in self.references]
         _fill_gram(packed, arrays, _lag_rows(arrays, self._spectra, L, self._block), L)
         gram = _unpacked(packed)
@@ -397,36 +397,34 @@ def _mem_available() -> int | None:
     return None
 
 
-def _empty_gram(dim: int) -> np.ndarray:
-    """Uninitialized Fortran-ordered array for the upper triangle of a
-    dim-by-dim Gram matrix in rectangular full packed format:
-    (2 n1 + 1)-by-(dim - n1), n1 = dim // 2, dim(dim+1)/2 doubles.
+def _empty_gram(L: int) -> np.ndarray:
+    """Uninitialized Fortran-ordered array for the upper triangle of the
+    2L-by-2L Gram of a basis of L delays in rectangular full packed format:
+    (2L + 1)-by-L, L(2L+1) doubles.
 
     The request is refused before allocating when those bytes exceed the
     available memory: under overcommit the allocation would be granted,
     and filling it could get the process killed instead of raising.  An
     allocation that fails anyway raises the same error."""
-    n1 = dim // 2
-    nbytes = dim * (dim + 1) // 2 * 8
-    too_large = ValueError(f"cannot allocate the Gram matrix: kL={dim} needs "
+    nbytes = L * (2 * L + 1) * 8
+    too_large = ValueError(f"cannot allocate the Gram matrix: kL={2 * L} needs "
                            f"kL(kL+1)/2*8 = {nbytes} bytes")
     available = _mem_available()
     if available is not None and nbytes > available:
         raise too_large
     try:
-        return np.empty((2 * n1 + 1, dim - n1), order="F")
+        return np.empty((2 * L + 1, L), order="F")
     except MemoryError:
         raise too_large from None
 
 
-def _diagonal_index(dim: int, start: int = 0) -> np.ndarray:
-    """Positions, in the Fortran-order flattening of the packed array of a
-    dim-by-dim matrix, of its diagonal entries ``start .. dim-1``: entry
-    (i, i) is at row i, column i - n1 (the ``U22`` triangle) for i >= n1,
-    else at row n1 + 1 + i, column i (the ``U11ᵀ`` triangle)."""
-    n1 = dim // 2
-    i = np.arange(start, dim)
-    return np.where(i < n1, n1 + 1 + i + i * (2 * n1 + 1), i + (i - n1) * (2 * n1 + 1))
+def _diagonal_index(L: int, first: int = 0) -> np.ndarray:
+    """Positions, in the Fortran-order flattening of the packed Gram of a
+    basis of L delays, of the Gram's diagonal from reference ``first`` on:
+    that of ``G_ss``, ``packed[L+1+t, t]``, then that of ``G_nn``,
+    ``packed[L+t, t]``, t = 0 .. L-1."""
+    step = np.arange(L) * (2 * L + 2)  # one column and one row on
+    return np.concatenate((L + 1 + step, L + step)[first:])
 
 
 def _unpacked(packed: np.ndarray) -> np.ndarray:
@@ -443,35 +441,26 @@ def _unpacked(packed: np.ndarray) -> np.ndarray:
 def _fill_gram(packed: np.ndarray, arrays: Sequence[np.ndarray], rows: np.ndarray,
                L: int) -> None:
     """Write the upper triangle of the unloaded Gram of the delayed copies of
-    ``arrays``, whose lag rows are ``rows`` (see ``_lag_rows``), into the
-    rectangular full packed array ``packed``; every entry of it is written.
+    ``arrays = (s, n)``, whose lag rows are ``rows`` (see ``_lag_rows``),
+    into the three blocks of the packed array ``packed``, every entry.
 
-    Row j of the C-ordered view ``packed.T`` is column j of ``packed``: Gram
-    column n1 + j from row 0 to the diagonal, then Gram row j from the
-    diagonal to column n1 - 1.  Gram block (i, j), i <= j, is made one row
-    u of ``_gram_rows`` at a time, entry t of which is Gram entry
-    (i L + t, j L + u).  Where Gram column c = j L + u >= n1, the row's
-    entries, up to the diagonal in an auto block, go to view row c - n1
-    from column i L on.  Below n1 only auto block (0, 0) lies, as n1 <= L
-    for k <= 2; it is symmetric, so entries u .. n1 - 1 of its row u are
-    Gram row u from the diagonal, the tail of view row u."""
-    n1 = len(arrays) * L // 2
+    Row u that ``_gram_rows`` yields for a block is its column u.  Column u
+    of ``packed`` (row u of the C-ordered view ``packed.T``) is
+    ``G_sn[:, u]``, then ``G_nn[:u+1, u]``, then ``G_ss[u:, u]``: row u of
+    ``G_ss`` from the diagonal, as that block is exactly symmetric."""
+    s, n = arrays
     view = packed.T
-    for i in range(len(arrays)):
-        for j in range(i, len(arrays)):
-            block = _gram_rows(arrays[i], arrays[j], rows[i, j], L)
-            for u, entries in enumerate(block):
-                c = j * L + u
-                if c >= n1:
-                    width = u + 1 if i == j else L
-                    view[c - n1, i * L:i * L + width] = entries[:width]
-                else:
-                    view[c, n1 + 1 + c:] = entries[u:n1]
+    for u, (ss, sn, nn) in enumerate(zip(_gram_rows(s, s, rows[0, 0], L),
+                                         _gram_rows(s, n, rows[0, 1], L),
+                                         _gram_rows(n, n, rows[1, 1], L))):
+        view[u, :L] = sn
+        view[u, L:L + u + 1] = nn[:u + 1]
+        view[u, L + 1 + u:] = ss[u:]
 
 
 def _validate_references(references: Sequence[Waveform], max_delay: int) -> None:
-    if not 1 <= len(references) <= 2:
-        raise ValueError(f"expected 1 or 2 references, got {len(references)}")
+    if not references:
+        raise ValueError("expected references, got none")
     T = len(references[0])
     rate = references[0].sample_rate
     for i, ref in enumerate(references):
@@ -490,47 +479,48 @@ def build_basis(references: Sequence[Waveform], max_delay: int) -> ProjectionBas
 
     Parameters
     ----------
-    references : one or two equal-length, equal-rate, nonzero waveforms
+    references : ``[s, n]``, equal-length, equal-rate, nonzero waveforms
     max_delay : number of delay taps L; delays 0 .. L-1 are included
 
     The Gram matrix is factorized once (Cholesky).  If factorization fails,
-    a diagonal loading of ``GRAM_REG_LAMBDA * trace / dim`` is added to the
-    reference block where it broke and the blocks after it (earlier blocks
-    keep an unloaded factor) and the event is recorded; if it still fails,
+    a diagonal loading of ``GRAM_REG_LAMBDA * trace / 2L`` is added to
+    ``G_nn``, and to ``G_ss`` only if it broke there (else it keeps an
+    unloaded factor), and the event is recorded; if it still fails,
     ``SingularProjectionError`` is raised rather than silently absorbing the
     problem.  A Gram matrix that cannot be allocated raises ``ValueError``
     naming its size.
     """
+    if len(references) != 2:
+        raise ValueError(f"expected two references, [speech, noise], got {len(references)}")
     _validate_references(references, max_delay)
     refs = tuple(references)
-    k, L = len(refs), max_delay
-    T = len(refs[0])
-    M = _block_length(T, L)
+    L = max_delay
+    M = _block_length(len(refs[0]), L)
     arrays = [r.samples for r in refs]
     spectra = tuple(_block_spectra(a, L, M, extended=False) for a in arrays)
     rows = _lag_rows(arrays, spectra, L, M)
 
-    packed = _empty_gram(k * L)
+    packed = _empty_gram(L)
     _fill_gram(packed, arrays, rows, L)
 
     regularization = 0.0
     events: tuple[str, ...] = ()
     flat = packed.ravel(order="F")  # a view: the array is Fortran-contiguous
-    trace = flat[_diagonal_index(k * L)].sum()
+    trace = flat[_diagonal_index(L)].sum()
     factor, info = dpftrf(packed)
     if info > 0:
-        first = (info - 1) // L  # block of the first non-positive pivot
-        regularization = GRAM_REG_LAMBDA * trace / (k * L)
+        first = (info - 1) // L  # reference of the first non-positive pivot
+        regularization = GRAM_REG_LAMBDA * trace / (2 * L)
         _fill_gram(packed, arrays, rows, L)  # the failed factor overwrote it
-        flat[_diagonal_index(k * L, first * L)] += regularization
+        flat[_diagonal_index(L, first)] += regularization
         factor, info = dpftrf(packed)
         if info > 0:
             raise SingularProjectionError(
-                f"Gram matrix ({k * L}x{k * L}) is singular even after diagonal "
+                f"Gram matrix ({2 * L}x{2 * L}) is singular even after diagonal "
                 f"loading of {regularization:g}"
             )
         events = (f"gram-regularized: diagonal loading {regularization:g} "
-                  f"from reference {first} on (L={L}, refs={k})",)
+                  f"from reference {first} on (L={L}, refs=2)",)
 
     return ProjectionBasis(
         references=refs,
@@ -549,9 +539,9 @@ def whiten(basis: ProjectionBasis, x: Waveform) -> np.ndarray:
     ``dtfsm`` on the whole factor, the rest.
 
     ``A U⁻¹`` has orthonormal columns, the whitened delayed copies, and
-    ``Uᵀ`` is lower triangular, so the leading ``r*L`` entries of ``z`` are
-    the coordinates of ``P_r x`` in them: ``‖P_1 x‖² = ‖z[:L]‖²`` and
-    ``<P_k x, P_k x'> = z·z'``, with no waveform synthesized (see
+    ``Uᵀ`` is lower triangular, so ``z[:L]`` are the coordinates of
+    ``P_s x`` in them and ``z`` those of ``P_sn x``: ``‖P_s x‖² = ‖z[:L]‖²``
+    and ``<P_sn x, P_sn x'> = z·z'``, with no waveform synthesized (see
     ``synthesize``).
     """
     T = len(basis.references[0])
@@ -567,21 +557,21 @@ def whiten(basis: ProjectionBasis, x: Waveform) -> np.ndarray:
 
 
 def synthesize(basis: ProjectionBasis, z: np.ndarray, r: int) -> np.ndarray:
-    """Samples of ``P_r x``, ``P_r`` onto the delayed copies of the basis'
-    first ``r`` references, from the whitened coefficients ``z`` of ``x``.
+    """Samples of ``P_r x`` from the whitened coefficients ``z`` of ``x``:
+    ``P_1 = P_s`` onto the speech copies, ``P_2 = P_sn`` onto both.
 
     One back solve of ``z`` zeroed past ``r*L``, a ``dtfsm`` on the whole
-    factor, gives the coefficients ``c``; ``P_r x = Σ_i F_i · rfft(c_i)``,
-    ``F_i`` the block spectra of reference ``i``, under one batched inverse
-    FFT whose blocks are overlap-added.
+    factor, gives the coefficients ``c``; ``P_r x = Σ_i F_i · rfft(c_i)``
+    over the first r references, ``F_i`` their block spectra, under one
+    batched inverse FFT whose blocks are overlap-added.
     """
     L, M = basis.max_delay, basis._block
     c = np.zeros(len(z))
     c[:r * L] = z[:r * L]
     dtfsm(basis._factor, c, trans=False)
     spectrum = basis._spectra[0] * rfft(c[:L], M)
-    for i in range(1, r):
-        spectrum += basis._spectra[i] * rfft(c[i * L:(i + 1) * L], M)
+    if r == 2:
+        spectrum += basis._spectra[1] * rfft(c[L:], M)
     blocks = irfft(spectrum, M, axis=1)
     del spectrum
     return _overlap_add(blocks, L, len(basis.references[0]))
@@ -589,8 +579,8 @@ def synthesize(basis: ProjectionBasis, z: np.ndarray, r: int) -> np.ndarray:
 
 def project_dense_oracle(references: Sequence[Waveform], max_delay: int,
                          x: Waveform) -> Waveform:
-    """Reference implementation of ``synthesize(basis, whiten(basis, x), k)``
-    by explicit least squares.
+    """Reference implementation of ``synthesize(basis, whiten(basis, x), r)``,
+    ``references`` the first r of the basis', by explicit least squares.
 
     Materializes the delayed-copy matrix and solves with an SVD-backed
     least-squares routine, sharing no code path with the fast Gram solver.

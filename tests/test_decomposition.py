@@ -5,7 +5,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 from conftest import RATE, random_signals
 from opdkit.decomposition import (Decomposer, Decomposition, cross_gram, export_components,
                                   recompose)
-from opdkit.projection import _unpacked, build_basis, delayed_matrix, synthesize, whiten
+from opdkit.projection import _unpacked, delayed_matrix, project_dense_oracle
 from opdkit.selftest import INVARIANT_TOLERANCES, make_case
 from opdkit.signals import Waveform, add, energy
 from opdkit.wavio import read_wav
@@ -84,8 +84,11 @@ def test_loading_only_the_failing_block_keeps_speech_projection(seed):
     case = make_case(seed)
     s, L = case.s, case.max_delay
     dec = Decomposer(s, s, L)
-    speech = build_basis([s], L)
-    expected = synthesize(speech, whiten(speech, case.s_hat), 1)
+    # the leading factor block is numpy's Cholesky factor of the unloaded G_ss
+    lead = _unpacked(dec.basis._factor)[:L, :L]
+    speech = np.linalg.cholesky(dec.basis.gram[:L, :L]).T
+    assert np.max(np.abs(lead - speech)) <= 1e-12 * np.max(np.abs(speech))
+    expected = project_dense_oracle([s], L, case.s_hat).samples
     got = dec.decompose(case.s_hat).s_target.samples
     assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected)
     # reference 1 of the basis is the noise

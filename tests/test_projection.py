@@ -27,8 +27,9 @@ def test_delayed_matrix_columns():
 
 class TestGram:
     def test_single_impulse_reference(self):
-        basis = build_basis([Waveform([1.0, 0.0, 0.0, 0.0], RATE)], 1)
-        assert_allclose(basis.gram, [[1.0]])
+        basis = build_basis([Waveform([1.0, 0.0, 0.0, 0.0], RATE),
+                             Waveform([0.0, 2.0, 0.0, 0.0], RATE)], 1)
+        assert_allclose(basis.gram, [[1.0, 0.0], [0.0, 4.0]])
 
     def test_orthogonal_pair(self, running_example):
         s, n, _, _ = running_example
@@ -36,9 +37,13 @@ class TestGram:
         assert_allclose(basis.gram, np.eye(2))
 
     def test_two_taps_with_truncation(self):
-        # delayed copy of [1, 1] is [0, 1]: the trailing sample falls off
-        basis = build_basis([Waveform([1.0, 1.0], RATE)], 2)
-        assert_allclose(basis.gram, [[2.0, 1.0], [1.0, 1.0]])
+        # delayed copies of [1, 1] and [1, -1] are both [0, 1]: the trailing
+        # sample falls off
+        basis = build_basis([Waveform([1.0, 1.0], RATE), Waveform([1.0, -1.0], RATE)], 2)
+        assert_allclose(basis.gram, [[2.0, 1.0, 0.0, 1.0],
+                                     [1.0, 1.0, -1.0, 1.0],
+                                     [0.0, -1.0, 2.0, -1.0],
+                                     [1.0, 1.0, -1.0, 1.0]])
 
     @pytest.mark.parametrize("seed", range(8))
     def test_matches_dense_delayed_products(self, seed):
@@ -61,12 +66,11 @@ class TestGram:
         rng = np.random.default_rng(length + max_delay)
         s = Waveform(lowpass_noise(rng, length), RATE)
         n = Waveform(lowpass_noise(rng, length), RATE)
-        for refs in ([s], [s, n]):
-            basis = build_basis(refs, max_delay)
-            assert np.array_equal(basis.gram, basis.gram.T)
-            A = np.hstack([delayed_matrix(r.samples, max_delay) for r in refs])
-            dense = A.T @ A
-            assert np.max(np.abs(basis.gram - dense)) <= 1e-8 * np.max(np.abs(dense))
+        basis = build_basis([s, n], max_delay)
+        assert np.array_equal(basis.gram, basis.gram.T)
+        A = np.hstack([delayed_matrix(r.samples, max_delay) for r in (s, n)])
+        dense = A.T @ A
+        assert np.max(np.abs(basis.gram - dense)) <= 1e-8 * np.max(np.abs(dense))
 
     @pytest.mark.parametrize("max_delay", [1, 2, 17, 40])
     def test_truncation_loss_matches_dropped_products(self, max_delay):
@@ -104,7 +108,8 @@ class TestGram:
         assert factor.size == dim * (dim + 1) // 2
 
     def test_convention_recorded(self):
-        basis = build_basis([Waveform(np.ones(16), RATE)], 4)
+        noise = lowpass_noise(np.random.default_rng(0), 16)
+        basis = build_basis([Waveform(np.ones(16), RATE), Waveform(noise, RATE)], 4)
         assert DELAY_PADDING == "zero-pad-head"
         manifest = RunManifest(command="oa", parameters={}, max_delay=4,
                                aggregation="per-utterance")
@@ -124,25 +129,7 @@ def _packed_positions(dim: int, first: int = 0) -> set:
 
 class TestPackedLayout:
     """The basis' Gram and factor in rectangular full packed format: one
-    (2 n1 + 1)-by-n2 array, n1 = kL // 2, for odd and even kL."""
-
-    @staticmethod
-    def single(L, seed=0):
-        rng = np.random.default_rng(seed)
-        return Waveform(lowpass_noise(rng, 64 + 4 * L), RATE)
-
-    @staticmethod
-    def assert_factorizes(basis):
-        gram, upper = basis.gram, _unpacked(basis._factor)
-        assert np.max(np.abs(upper.T @ upper - gram)) <= 1e-12 * np.max(np.abs(gram))
-
-    @pytest.mark.parametrize("L", [1, 2, 3, 5, 16])
-    def test_single_reference_factor(self, L):
-        basis = build_basis([self.single(L)], L)
-        n1 = L // 2
-        assert basis._factor.shape == (2 * n1 + 1, L - n1)
-        assert basis._factor.flags.f_contiguous
-        self.assert_factorizes(basis)
+    (2L + 1)-by-L array of three L-by-L blocks."""
 
     @pytest.mark.parametrize("seed", range(6))
     def test_pair_factor_leads_with_the_speech_factor(self, seed):
@@ -151,7 +138,8 @@ class TestPackedLayout:
         # that it factorizes the Gram is test_factor_is_the_factorized_gram
         joint = build_basis([case.s, case.n], L)
         assert joint._factor.shape == (2 * L + 1, L)
-        speech = _unpacked(build_basis([case.s], L)._factor)
+        assert joint._factor.flags.f_contiguous
+        speech = np.linalg.cholesky(joint.gram[:L, :L]).T
         lead = _unpacked(joint._factor)[:L, :L]
         assert np.max(np.abs(lead - speech)) <= 1e-12 * np.max(np.abs(speech))
 
@@ -173,16 +161,16 @@ class TestPackedLayout:
             assert loaded[p] == plain[p] + basis.regularization
         return basis, positions
 
-    @pytest.mark.parametrize("k", [1, 2])
-    def test_failure_in_the_first_block_loads_both_triangles(self, monkeypatch, k):
+    def test_failure_in_the_first_block_loads_both_triangles(self, monkeypatch):
         # an impulse at the last sample: its delays past 0 are all-zero
         impulse = Waveform([0.0] * 7 + [1.0], RATE)
-        refs = [impulse, Waveform(np.arange(8.0) % 3 - 1.0, RATE)][:k]
-        basis, positions = self.loaded_entries(monkeypatch, refs, 3)
+        refs = [impulse, Waveform(np.arange(8.0) % 3 - 1.0, RATE)]
+        L = 3
+        basis, positions = self.loaded_entries(monkeypatch, refs, L)
         assert "from reference 0 on" in basis.regularization_events[0]
-        assert positions == _packed_positions(3 * k)
-        n1 = 3 * k // 2  # rows n1 + 1 .. 2 n1 hold U11ᵀ, rows n1 .. hold U22
-        assert {r - c for r, c in positions} == {n1, n1 + 1}
+        assert positions == _packed_positions(2 * L)
+        # rows L + 1 .. 2L hold the G_ss triangle, rows L .. 2L - 1 that of G_nn
+        assert {r - c for r, c in positions} == {L, L + 1}
 
     @pytest.mark.parametrize("seed", range(1, 4))
     def test_failure_in_the_second_block_loads_only_its_triangle(self, monkeypatch, seed):
@@ -197,15 +185,9 @@ class TestPackedLayout:
 class TestProject:
     def test_member_is_fixed_point(self):
         rng = np.random.default_rng(0)
-        s = Waveform(lowpass_noise(rng, 200), RATE)
-        basis = build_basis([s], 4)
+        s, n = (Waveform(lowpass_noise(rng, 200), RATE) for _ in range(2))
+        basis = build_basis([s, n], 4)
         assert_allclose(synthesize(basis, whiten(basis, s), 1), s.samples, rtol=0, atol=1e-12)
-
-    def test_running_example_single_reference(self, running_example):
-        s, _, s_hat, _ = running_example
-        basis = build_basis([s], 1)
-        out = synthesize(basis, whiten(basis, s_hat), 1)
-        assert_allclose(out, [0.9, 0.0, 0.0, 0.0], atol=1e-14)
 
     def test_running_example_joint_reference(self, running_example):
         s, n, s_hat, _ = running_example
@@ -214,8 +196,8 @@ class TestProject:
         assert_allclose(out, [0.9, 0.2, 0.0, 0.0], atol=1e-14)
 
     def test_length_and_rate_validated(self, running_example):
-        s, _, _, _ = running_example
-        basis = build_basis([s], 1)
+        s, n, _, _ = running_example
+        basis = build_basis([s, n], 1)
         with pytest.raises(ValueError, match="^whiten: length mismatch"):
             whiten(basis, Waveform([1.0, 2.0], RATE))
         with pytest.raises(ValueError, match=r"^whiten: sample rate mismatch \(8000 vs 16000"):
@@ -231,8 +213,7 @@ class TestProject:
     def test_leading_projection_is_the_speech_projection(self, seed):
         case = make_case(seed)
         joint = build_basis([case.s, case.n], case.max_delay)
-        speech = build_basis([case.s], case.max_delay)
-        expected = synthesize(speech, whiten(speech, case.s_hat), 1)
+        expected = project_dense_oracle([case.s], case.max_delay, case.s_hat).samples
         got = synthesize(joint, whiten(joint, case.s_hat), 1)
         assert np.linalg.norm(got - expected) <= 1e-8 * np.linalg.norm(expected)
 
@@ -320,7 +301,6 @@ def test_projector_properties(seed):
     x = Waveform(lowpass_noise(rng, length), RATE)
     z = Waveform(lowpass_noise(rng, length), RATE)
     joint = build_basis([s, n], max_delay)
-    speech = build_basis([s], max_delay)
 
     zx = whiten(joint, x)
     px = Waveform(synthesize(joint, zx, 2), RATE)
@@ -334,8 +314,8 @@ def test_projector_properties(seed):
     assert abs(lhs - rhs) <= 1e-8 * scale_x * np.linalg.norm(z.samples)
     # containment: projecting the joint projection onto the speech span
     # equals projecting directly
-    via_joint = synthesize(speech, whiten(speech, px), 1)
-    direct = synthesize(speech, whiten(speech, x), 1)
+    via_joint = synthesize(joint, whiten(joint, px), 1)
+    direct = project_dense_oracle([s], max_delay, x).samples
     assert np.linalg.norm(via_joint - direct) <= 1e-8 * scale_x
     # the leading block of the joint factor projects onto the speech span
     nested = synthesize(joint, zx, 1)
@@ -359,22 +339,25 @@ def test_projector_properties(seed):
 
 class TestValidation:
     def test_max_delay_bounds(self, running_example):
-        s, _, _, _ = running_example
+        s, n, _, _ = running_example
         with pytest.raises(ValueError, match="max_delay"):
-            build_basis([s], 0)
+            build_basis([s, n], 0)
         with pytest.raises(ValueError, match="max_delay"):
-            build_basis([s], 5)
+            build_basis([s, n], 5)
 
     def test_zero_reference_rejected(self):
-        with pytest.raises(ValueError, match="all-zero"):
-            build_basis([Waveform(np.zeros(8), RATE)], 2)
+        zero, ramp = Waveform(np.zeros(8), RATE), Waveform(np.arange(8.0), RATE)
+        with pytest.raises(ValueError, match="^reference 0 is all-zero$"):
+            build_basis([zero, ramp], 2)
+        with pytest.raises(ValueError, match="^reference 1 is all-zero$"):
+            build_basis([ramp, zero], 2)
 
     def test_reference_count(self, running_example):
         s, n, _, _ = running_example
-        with pytest.raises(ValueError, match="1 or 2"):
-            build_basis([], 1)
-        with pytest.raises(ValueError, match="1 or 2"):
-            build_basis([s, n, s], 1)
+        for refs in ([], [s], [s, n, s]):
+            with pytest.raises(ValueError, match=r"^expected two references, \[speech, noise\], "
+                                                 rf"got {len(refs)}$"):
+                build_basis(refs, 1)
 
     def test_reference_compat(self, running_example):
         s, _, _, _ = running_example
@@ -389,11 +372,11 @@ class TestRegularization:
         # an impulse at the last sample: every delayed copy beyond tau=0 is
         # all-zero, so the Gram is exactly singular
         ref = Waveform([0.0] * 7 + [1.0], RATE)
-        basis = build_basis([ref], 3)
+        basis = build_basis([ref, Waveform(np.arange(8.0) % 3 - 1.0, RATE)], 3)
         assert basis.regularization > 0.0
         assert len(basis.regularization_events) == 1
         assert "loading" in basis.regularization_events[0]
-        # projection still behaves: the span is just {impulse at T-1}
+        # projection still behaves: the speech span is just {impulse at T-1}
         x = Waveform(np.arange(8.0), RATE)
         out = synthesize(basis, whiten(basis, x), 1)
         expected = np.zeros(8)
@@ -402,7 +385,7 @@ class TestRegularization:
 
     def test_failure_beyond_regularization_is_reported(self, monkeypatch,
                                                        running_example):
-        s, _, _, _ = running_example
+        s, n, _, _ = running_example
 
         def always_fail(a, **kwargs):
             # LAPACK pftrf reports failure through info, here at the first
@@ -410,8 +393,8 @@ class TestRegularization:
             return a, 1
 
         monkeypatch.setattr(projection_module, "dpftrf", always_fail)
-        with pytest.raises(SingularProjectionError, match="singular"):
-            build_basis([s], 1)
+        with pytest.raises(SingularProjectionError, match=r"^Gram matrix \(2x2\) is singular"):
+            build_basis([s, n], 1)
 
 
 _RESIDENT_GROWTH = """
@@ -427,7 +410,7 @@ build_basis([s, n], 4)  # loads LAPACK and the FFT
 # pages in LAPACK's workspace for a 2L-by-2L packed factor on a matrix kept
 # alive, so that the peak before the build is the resident size
 warm = np.zeros((2 * L + 1, L), order="F")
-warm.ravel(order="F")[_diagonal_index(2 * L)] = 2.0
+warm.ravel(order="F")[_diagonal_index(L)] = 2.0
 dpftrf(warm)
 before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
 basis = build_basis([s, s if second == "s" else n], L)
@@ -525,7 +508,7 @@ class TestGramSizeCheck:
         with pytest.raises(ValueError, match=r"^cannot allocate the Gram matrix: "
                                              rf"kL={dim} needs kL\(kL\+1\)/2\*8 = "
                                              rf"{dim * (dim + 1) * 4} bytes$"):
-            projection_module._empty_gram(dim)
+            projection_module._empty_gram(dim // 2)
 
     def test_no_meminfo_leaves_the_allocation_to_numpy(self, monkeypatch, running_example):
         s, n, _, _ = running_example
@@ -666,7 +649,7 @@ class TestLapackBinding:
         # dtfsm checks no pivot: a solve is safe because every factor that
         # build_basis keeps, loaded or not, has a strictly positive diagonal
         s, n, _, _ = running_example
-        bases = [build_basis(refs, L) for refs in ([s], [s, n], [s, s]) for L in (1, 2, 3)]
+        bases = [build_basis(refs, L) for refs in ([s, n], [s, s]) for L in (1, 2, 3)]
         for seed in range(4):
             case = make_case(seed)
             bases += [build_basis([case.s, case.n], case.max_delay),
