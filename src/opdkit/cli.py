@@ -7,6 +7,11 @@ runs an enhancer: the sweeps analyse the file each manifest record's
 ``enhanced_path`` names, and ``decompose`` the file ``--enhanced`` names.
 ``opdkit --self-test`` runs the randomized invariant suite.
 
+With ``--workers N``, ``oa`` and ``dsa`` analyse up to N utterances at once
+on threads, whose FFTs and ``ctypes`` LAPACK calls release the GIL.  An
+exception fails only its utterance; a crash that kills the process (an
+out-of-memory kill, say) ends the run, as it does serially.
+
 Exit codes: 0 success, 1 validation/I-O error or missing LAPACK, 2 numerical
 failure.
 """
@@ -27,7 +32,7 @@ from .analysis import DsaPoint, OaPoint, dsa_sweep, oa_sweep
 from .decomposition import COMPONENT_SUFFIXES, Decomposer, export_components
 from .enhance import ENHANCE_METHODS, EnhanceConfig, enhance
 from .metrics import compute_metrics
-from .projection import DEFAULT_MAX_DELAY
+from .projection import DEFAULT_MAX_DELAY, lapack_source, openblas_threads
 from .reporting import (AGGREGATION_MODE, RunManifest, UtteranceTriplet,
                         load_corpus_manifest, load_triplet, summarize_rows,
                         write_corpus_manifest, write_run_manifest,
@@ -74,11 +79,6 @@ def parse_grid(text: str) -> list[float]:
     return values
 
 
-def _failed(utterance_id: str, exc: BaseException, events=()) -> dict:
-    return {"utterance_id": utterance_id, "rows": (), "events": list(events),
-            "error": f"{type(exc).__name__}: {exc}"}
-
-
 def _named_events(utterance_id: str, basis) -> list[dict]:
     """``basis``' regularization events as manifest records, like ``errors``."""
     return [{"utterance_id": utterance_id, "event": event}
@@ -104,44 +104,21 @@ def _sweep_task(payload) -> dict:
         return {"utterance_id": triplet.utterance_id, "rows": rows, "events": events,
                 "error": None}
     except Exception as exc:  # noqa: BLE001 - tagged into the report
-        return _failed(triplet.utterance_id, exc, events)
+        return {"utterance_id": triplet.utterance_id, "rows": (), "events": events,
+                "error": f"{type(exc).__name__}: {exc}"}
 
 
 def _run_corpus(task, payloads, workers: int) -> list[dict]:
-    """``task`` over each ``(command, triplet, ...)`` payload, in order.
-
-    With more than one worker, a payload left unfinished by a broken pool (a
-    worker process killed, say for memory) is rerun alone in a one-worker
-    pool, so a crash that repeats fails only its own utterance.  Every
-    payload the broken pool left unfinished is rerun that way, one process
-    each: after a crash the rest of the run is serial."""
+    """``task`` over each ``(command, triplet, ...)`` payload, results in
+    corpus order; more than one worker runs that many payloads at once on
+    threads, never more threads than payloads.  ``task`` turns every
+    exception into its utterance's error row."""
     if workers <= 1:
         return [task(p) for p in payloads]
-    # imported here: loading it costs every run, and only --workers > 1 uses it
-    from concurrent.futures import ProcessPoolExecutor
-    from concurrent.futures.process import BrokenProcessPool
-
-    def pooled(batch, size):
-        """Results in batch order, None for each payload the pool broke on."""
-        futures = []
-        with ProcessPoolExecutor(max_workers=size) as pool:
-            try:
-                for payload in batch:
-                    futures.append(pool.submit(task, payload))
-            except BrokenProcessPool:
-                pass  # broken while submitting: the rest are unfinished too
-            results = [None if isinstance(f.exception(), BrokenProcessPool) else f.result()
-                       for f in futures]
-        return results + [None] * (len(batch) - len(results))
-
-    # a fork pool starts all its workers at once, so start no idle ones
-    results = pooled(payloads, min(workers, len(payloads)))
-    for i, payload in enumerate(payloads):
-        if results[i] is None:
-            results[i] = pooled([payload], 1)[0] or _failed(
-                payload[1].utterance_id,
-                BrokenProcessPool("its worker process died, also when rerun alone"))
-    return results
+    # imported here: it loads logging, which a serial run need not pay for
+    from concurrent.futures import ThreadPoolExecutor
+    with ThreadPoolExecutor(min(workers, len(payloads))) as pool:
+        return list(pool.map(task, payloads))
 
 
 def _collect(results):
@@ -174,6 +151,14 @@ def _metric_series(rows, summary, x_field: str, metric: str) -> list[Series]:
     return series
 
 
+def _numerics() -> dict:
+    """What the last digits of the dB values depend on besides the inputs and
+    parameters.  Binding LAPACK here makes a missing one an error before any
+    audio is read."""
+    return {"lapack_source": lapack_source(), "numpy_version": np.__version__,
+            "openblas_threads": openblas_threads()}
+
+
 def _check_max_delay(max_delay: int) -> None:
     if max_delay < 1:  # L <= T needs the audio and is checked by build_basis
         raise ValueError(f"max_delay must satisfy L >= 1, got {max_delay}")
@@ -190,6 +175,7 @@ def cmd_decompose(args) -> int:
     _check_max_delay(args.max_delay)
     utterance_id = args.id or os.path.splitext(os.path.basename(args.speech))[0]
     _check_file_stem(utterance_id)
+    numerics = _numerics()
     s, n, s_hat = load_triplet(UtteranceTriplet(utterance_id, args.speech, args.noise,
                                                 args.enhanced))
     dec = Decomposer(s, n, args.max_delay)
@@ -210,6 +196,7 @@ def cmd_decompose(args) -> int:
         max_delay=args.max_delay,
         aggregation="per-utterance",
         regularization_events=_named_events(utterance_id, dec.basis),
+        numerics=numerics,
     ))
     print(f"{utterance_id}: SDR {report.sdr_db:.2f} dB, SNR {report.snr_db:.2f} dB, "
           f"SAR {report.sar_db:.2f} dB -> {args.out}")
@@ -224,6 +211,7 @@ def _cmd_sweep(args) -> int:
     _check_max_delay(args.max_delay)
     if args.workers < 1:
         raise ValueError(f"--workers must be >= 1, got {args.workers}")
+    numerics = _numerics()  # bound once, before any worker thread starts
     triplets = load_corpus_manifest(args.corpus)
     payloads = [(name, t, args.max_delay, points) for t in triplets]
     rows, events, errors = _collect(_run_corpus(_sweep_task, payloads, args.workers))
@@ -263,6 +251,7 @@ def _cmd_sweep(args) -> int:
         aggregation=AGGREGATION_MODE,
         regularization_events=events,
         errors=errors,
+        numerics=numerics,
     ))
     done = len(triplets) - len(errors)
     print(f"{name}: {done}/{len(triplets)} utterances, {len(rows)} rows -> {args.out}")

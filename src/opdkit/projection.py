@@ -49,7 +49,8 @@ this module nor solving loads scipy.  A numpy built against another LAPACK
 (MKL, Accelerate, a distribution's OpenBLAS) exports no such symbols; the
 same two routines then come from ``scipy.linalg.cython_lapack``.  The
 symbols are resolved at the first factorization, which raises ``ImportError`` naming
-both sources when neither has them; ``lapack_source`` names the one bound.
+both sources when neither has them; ``lapack_source`` names the one bound
+and ``openblas_threads`` gives the thread count of numpy's OpenBLAS.
 """
 
 import functools
@@ -67,6 +68,7 @@ __all__ = [
     "SingularProjectionError",
     "build_basis",
     "lapack_source",
+    "openblas_threads",
     "project_dense_oracle",
     "synthesize",
     "whiten",
@@ -92,28 +94,32 @@ FFT_BLOCK_MIN = 4096
 
 class _Lapack(NamedTuple):
     """LAPACK's ``dpftrf`` and ``dtfsm`` with their C prototypes declared,
-    the integer type they take, and the library they came from."""
+    the integer type they take, the library they came from, and that
+    library's thread-count getter if it has one."""
 
     pftrf: Callable
     tfsm: Callable
     int_t: type
     source: str
+    threads: Callable[[], int] | None
 
 
 def _numpy_openblas_pointers():
-    """(source, int type, dpftrf, dtfsm) of the OpenBLAS numpy's wheels bundle.
+    """(source, int type, dpftrf, dtfsm, thread count) of the OpenBLAS
+    numpy's wheels bundle.
 
     ``dlsym`` on the handle of numpy's linalg extension also searches the
     libraries it links, so this finds the copy already loaded; a numpy
     built against another LAPACK raises ``AttributeError``."""
     import ctypes
     lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
-    return "numpy's OpenBLAS", ctypes.c_int64, lib.scipy_dpftrf_64_, lib.scipy_dtfsm_64_
+    return ("numpy's OpenBLAS", ctypes.c_int64, lib.scipy_dpftrf_64_, lib.scipy_dtfsm_64_,
+            lib.scipy_openblas_get_num_threads64_)
 
 
 def _cython_lapack_pointers():
-    """(source, int type, dpftrf, dtfsm) from ``scipy.linalg.cython_lapack``'s
-    capsules."""
+    """(source, int type, dpftrf, dtfsm, None) from
+    ``scipy.linalg.cython_lapack``'s capsules; they export no thread count."""
     import ctypes
     from scipy.linalg.cython_lapack import __pyx_capi__ as capi
     api = ctypes.pythonapi
@@ -122,7 +128,7 @@ def _cython_lapack_pointers():
     get_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
         ("PyCapsule_GetPointer", api))
     return "scipy.linalg.cython_lapack", ctypes.c_int, *(
-        get_pointer(capi[name], get_name(capi[name])) for name in ("dpftrf", "dtfsm"))
+        get_pointer(capi[name], get_name(capi[name])) for name in ("dpftrf", "dtfsm")), None
 
 
 def _bind_lapack(source) -> _Lapack:
@@ -132,13 +138,13 @@ def _bind_lapack(source) -> _Lapack:
     characters, integers and ``alpha`` by reference, no hidden Fortran
     string lengths."""
     import ctypes
-    name, int_t, pftrf, tfsm = source()
+    name, int_t, pftrf, tfsm, threads = source()
     char_p, int_p, double_p = ctypes.c_char_p, ctypes.POINTER(int_t), ctypes.c_void_p
     pftrf_t = ctypes.CFUNCTYPE(None, char_p, char_p, int_p, double_p, int_p)
     tfsm_t = ctypes.CFUNCTYPE(None, char_p, char_p, char_p, char_p, char_p, int_p, int_p,
                               ctypes.POINTER(ctypes.c_double), double_p, double_p, int_p)
     return _Lapack(pftrf_t(ctypes.cast(pftrf, ctypes.c_void_p).value),
-                   tfsm_t(ctypes.cast(tfsm, ctypes.c_void_p).value), int_t, name)
+                   tfsm_t(ctypes.cast(tfsm, ctypes.c_void_p).value), int_t, name, threads)
 
 
 @functools.cache
@@ -159,6 +165,13 @@ def lapack_source() -> str:
     """The library LAPACK is bound from: ``"numpy's OpenBLAS"`` or
     ``"scipy.linalg.cython_lapack"``, which round differently."""
     return _lapack().source
+
+
+def openblas_threads() -> int | None:
+    """The thread count of numpy's OpenBLAS when LAPACK is bound from it,
+    else None.  The factor's last digits can change with it."""
+    threads = _lapack().threads
+    return None if threads is None else threads()
 
 
 def _check_array(routine: str, name: str, a: np.ndarray, rows: int) -> None:

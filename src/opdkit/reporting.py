@@ -4,8 +4,12 @@ The corpus manifest is JSON lines, one utterance triplet per line with keys
 ``utterance_id``, ``speech_path``, ``noise_path``, and optionally
 ``enhanced_path`` (absent or null when not enhanced yet); no
 ``utterance_id`` may repeat.  Relative paths are
-resolved against the manifest's own directory.  Every command writes a ``run_manifest.json`` describing its
-parameters so outputs can be reproduced bit-identically.
+resolved against the manifest's own directory.  Every command writes a
+``run_manifest.json`` describing its parameters.  ``oa``, ``dsa`` and
+``decompose`` also record under ``numerics`` the LAPACK they solved with,
+numpy's version and OpenBLAS's thread count, since the last digits of their
+dB values can change with each; the same inputs, parameters and
+``numerics`` reproduce the outputs bit-identically on the same CPU model.
 """
 
 import csv
@@ -70,6 +74,7 @@ class RunManifest:
     })
     regularization_events: list = dataclasses.field(default_factory=list)
     errors: list = dataclasses.field(default_factory=list)
+    numerics: dict | None = None  # None for commands that run no LAPACK
 
 
 def load_corpus_manifest(path: str | os.PathLike) -> list[UtteranceTriplet]:

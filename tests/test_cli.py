@@ -12,21 +12,16 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import RATE, lowpass_noise
+from conftest import RATE, lowpass_noise, random_signals
 import opdkit
 import opdkit.cli as cli_module
-from opdkit.cli import MAX_GRID_VALUES, _sweep_task, build_parser, main, parse_grid
-from opdkit.reporting import SWEEP_CSV_COLUMNS
+from opdkit.analysis import OaPoint
+from opdkit.cli import (MAX_GRID_VALUES, _run_corpus, _sweep_task, build_parser, main,
+                        parse_grid)
+from opdkit.projection import lapack_source, openblas_threads
+from opdkit.reporting import SWEEP_CSV_COLUMNS, UtteranceTriplet
 from opdkit.signals import Waveform, energy
 from opdkit.wavio import read_wav, write_wav
-
-
-def _dies_on_utt1(payload):
-    """The sweep task, except that its worker process dies on utterance
-    utt1, as one the kernel kills for memory would."""
-    if payload[1].utterance_id == "utt1":
-        os._exit(1)
-    return _sweep_task(payload)
 
 
 class TestParseGrid:
@@ -134,7 +129,8 @@ class TestMix:
                    str(noise_dir), "--snr", "0", "--seed", "7", "--out", str(out)])
         assert rc == 0
         assert (out / "corpus.jsonl").exists()
-        assert (out / "run_manifest.json").exists()
+        # mix runs no LAPACK, so it records none
+        assert json.loads((out / "run_manifest.json").read_text())["numerics"] is None
         for i in range(2):
             s = read_wav(out / f"utt{i}.speech.wav")
             n = read_wav(out / f"utt{i}.noise.wav")
@@ -415,6 +411,9 @@ class TestOaCommand:
         manifest = json.loads((out / "run_manifest.json").read_text())
         assert manifest["parameters"]["grid"] == [0.0, 0.5, 1.0]
         assert manifest["errors"] == []
+        assert manifest["numerics"] == {"lapack_source": lapack_source(),
+                                        "numpy_version": np.__version__,
+                                        "openblas_threads": openblas_threads()}
 
     def test_zero_grid_matches_decompose_baseline(self, tmp_path,
                                                   enhanced_corpus, mixed_corpus):
@@ -434,62 +433,56 @@ class TestOaCommand:
         assert float(row["sar_db"]) == pytest.approx(baseline["sar_db"], abs=1e-9)
         assert float(row["sari_closed_form_db"]) == 0.0
 
-    def test_workers_do_not_change_results(self, tmp_path, enhanced_corpus):
-        outputs = []
-        for workers in ("1", "2"):
-            out = tmp_path / f"oa_w{workers}"
-            assert main(["oa", "--corpus", str(enhanced_corpus / "corpus.jsonl"),
-                         "--grid", "0:1:0.5", "-L", "8", "--workers", workers,
-                         "--out", str(out)]) == 0
-            outputs.append((out / "oa.csv").read_bytes())
-        assert outputs[0] == outputs[1]
+    def test_workers_do_not_change_results(self, tmp_path, mixed_corpus, enhanced_corpus):
+        # "bad" fails with an error row, and "loaded", whose noise_path names
+        # its speech file, has its basis loaded; with three threads both must
+        # still be reported in corpus order, and every file must be the
+        # serial run's but for the worker count in the manifest
+        bad = tmp_path / "bad.enhanced.wav"
+        bad.write_bytes(b"RIFF\x00\x00\x00\x00WAVE")
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text("".join(json.dumps({
+            "utterance_id": utt, "speech_path": str(mixed_corpus / f"{src}.speech.wav"),
+            "noise_path": str(mixed_corpus / f"{src}.{noise}.wav"),
+            "enhanced_path": str(enhanced or enhanced_corpus / f"{src}.enhanced.wav")}) + "\n"
+            for utt, src, noise, enhanced in (("utt0", "utt0", "noise", None),
+                                              ("bad", "utt1", "noise", bad),
+                                              ("loaded", "utt1", "speech", None))))
+        for command, grid in (("oa", "0:1:0.5"), ("dsa", "0,1")):
+            outputs = []
+            for workers in ("3", "1"):
+                out = tmp_path / f"{command}_w{workers}"
+                assert main([command, "--corpus", str(corpus), "--grid", grid, "-L", "8",
+                             "--workers", workers, "--out", str(out)]) == 0
+                files = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+                manifest = json.loads(files.pop("run_manifest.json"))
+                assert manifest["parameters"].pop("workers") == int(workers)
+                outputs.append((files, manifest))
+            (files, manifest), serial = outputs
+            assert (files, manifest) == serial, command
+            assert [e["utterance_id"] for e in manifest["errors"]] == ["bad"]
+            assert [e["utterance_id"] for e in manifest["regularization_events"]] == ["loaded"]
+            _, rows = read_csv(tmp_path / f"{command}_w3" / f"{command}.csv")
+            per_utterance = (len(rows) - 1) // 2
+            assert [r["utterance_id"] for r in rows] == (
+                ["utt0"] * per_utterance + ["loaded"] * per_utterance + ["bad"])
 
-    def test_dead_worker_fails_only_its_utterance(self, tmp_path, enhanced_corpus,
-                                                  monkeypatch, capsys):
-        # utt1 kills its pool, then its one-worker rerun; utt0 is unaffected
-        monkeypatch.setattr(cli_module, "_sweep_task", _dies_on_utt1)
-        out = tmp_path / "oa_w2"
-        assert main(["oa", "--corpus", str(enhanced_corpus / "corpus.jsonl"),
-                     "--grid", "0:1:0.5", "-L", "8", "--workers", "2",
-                     "--out", str(out)]) == 0
-        assert "failed utt1: BrokenProcessPool: " in capsys.readouterr().err
-        manifest = json.loads((out / "run_manifest.json").read_text())
-        assert [e["utterance_id"] for e in manifest["errors"]] == ["utt1"]
-        _, rows = read_csv(out / "oa.csv")
-        assert [r["utterance_id"] for r in rows] == ["utt0"] * 3 + ["utt1"]
-        assert rows[-1]["error"].startswith("BrokenProcessPool: ")
-
-    def test_pool_broken_while_submitting_reruns_the_rest(self, monkeypatch):
-        # stands in for ProcessPoolExecutor: the first pool breaks at its
-        # second submit, as one whose worker died meanwhile would
-        import concurrent.futures
-        from concurrent.futures.process import BrokenProcessPool
-        sizes = []
-
-        class BreakingPool:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-                self.submitted = 0
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc_info):
-                return False
-
-            def submit(self, fn, payload):
-                self.submitted += 1
-                if len(sizes) == 1 and self.submitted == 2:
-                    raise BrokenProcessPool("a child process terminated abruptly")
-                future = concurrent.futures.Future()
-                future.set_result(fn(payload))
-                return future
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", BreakingPool)
-        payloads = [("oa", argparse.Namespace(utterance_id=f"utt{i}"), 8, []) for i in range(3)]
-        results = cli_module._run_corpus(lambda p: p[1].utterance_id, payloads, 2)
-        assert results == ["utt0", "utt1", "utt2"]
-        assert sizes == [2, 1, 1]
+    def test_threads_match_serial_where_lapack_does_real_work(self, tmp_path):
+        # L=8 corpora never run two multithreaded factorizations at once;
+        # at T=16000 and L=256 each one is a 512-by-512 dpftrf
+        payloads = []
+        for i in range(4):
+            paths = [str(tmp_path / f"u{i}.{kind}.wav") for kind in ("s", "n", "e")]
+            for path, w in zip(paths, random_signals(i, length=16000, max_delay=256)):
+                write_wav(path, w)
+            payloads.append(("oa", UtteranceTriplet(f"u{i}", *paths), 256,
+                             [OaPoint(0.0), OaPoint(1.0)]))
+        threaded = _run_corpus(_sweep_task, payloads, 4)
+        serial = _run_corpus(_sweep_task, payloads, 1)
+        assert [r["error"] for r in threaded] == [None] * 4
+        for t, s in zip(threaded, serial):
+            assert t["utterance_id"] == s["utterance_id"]
+            assert [row.metrics for row in t["rows"]] == [row.metrics for row in s["rows"]]
 
     def test_default_grid(self, tmp_path, enhanced_corpus):
         out = tmp_path / "oa_default"
@@ -686,8 +679,8 @@ class TestSweepArguments:
 
     def test_worker_pool_bounded_by_utterances(self, tmp_path, enhanced_corpus,
                                                monkeypatch):
-        # stands in for ProcessPoolExecutor, so no process is started; the
-        # CLI imports the pool from concurrent.futures only when it starts one
+        # stands in for ThreadPoolExecutor; the CLI imports the pool from
+        # concurrent.futures only when it starts one
         import concurrent.futures
         sizes = []
 
@@ -701,12 +694,10 @@ class TestSweepArguments:
             def __exit__(self, *exc_info):
                 return False
 
-            def submit(self, fn, payload):
-                future = concurrent.futures.Future()
-                future.set_result(fn(payload))
-                return future
+            def map(self, fn, payloads):
+                return map(fn, payloads)
 
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", RecordingPool)
         assert main(["oa", "--corpus", str(enhanced_corpus / "corpus.jsonl"),
                      "--grid", "0,1", "-L", "8", "--workers", "1000",
                      "--out", str(tmp_path / "X")]) == 0
@@ -852,6 +843,12 @@ def test_missing_lapack_is_an_error_naming_scipy(tmp_path, enhanced_corpus, mixe
     triplet = load_corpus_manifest(enhanced_corpus / "corpus.jsonl")[0]
     result = _sweep_task(("oa", triplet, 8, [OaPoint(0.0)]))
     assert result["error"] == f"ImportError: {message}"
+    # a sweep binds LAPACK before its pool starts: one error, not one per utterance
+    for workers in ("1", "2"):
+        assert main(["oa", "--corpus", str(enhanced_corpus / "corpus.jsonl"), "-L", "8",
+                     "--workers", workers, "--out", str(tmp_path / "oa")]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "oa").exists()
 
 
 def test_regularization_events_name_their_utterance(tmp_path, mixed_corpus,
@@ -879,6 +876,7 @@ def test_regularization_events_name_their_utterance(tmp_path, mixed_corpus,
                  "--id", "utt1", "-L", "8", "--out", str(out)]) == 0
     manifests["decompose"] = json.loads((out / "run_manifest.json").read_text())
     for command, manifest in manifests.items():
+        assert manifest["numerics"]["lapack_source"] == lapack_source(), command
         events = manifest["regularization_events"]
         assert [sorted(e) for e in events] == [["event", "utterance_id"]] * len(events)
         assert [e["utterance_id"] for e in events] == (
@@ -976,9 +974,11 @@ from opdkit.cli import main
 def scipy_modules():
     return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 
+def lazy_modules():
+    return sorted({"opdkit.selftest", "concurrent.futures"}.intersection(sys.modules))
+
 tmp = sys.argv[1]
-seen = {"import": scipy_modules() + sorted(
-    {"opdkit.selftest", "concurrent.futures.process"}.intersection(sys.modules))}
+seen = {"import": scipy_modules() + lazy_modules()}
 rng = np.random.default_rng(0)
 for sub in ("speech", "noise"):
     os.makedirs(os.path.join(tmp, sub))
@@ -988,10 +988,13 @@ assert main(["mix", "--speech-dir", os.path.join(tmp, "speech"), "--noise-dir",
 assert main(["enhance", "--corpus", os.path.join(tmp, "mix", "corpus.jsonl"),
              "--method", "oracle-wiener", "--out", os.path.join(tmp, "enh")]) == 0
 seen["mix+enhance"] = scipy_modules()
+from opdkit.projection import _lapack
+seen["mix+enhance_bound_lapack"] = _lapack.cache_info().currsize > 0
 for sweep in ("oa", "dsa"):
     assert main([sweep, "--corpus", os.path.join(tmp, "enh", "corpus.jsonl"), "--grid", "0",
                  "-L", "8", "--out", os.path.join(tmp, sweep)]) == 0
     seen[sweep] = scipy_modules()
+seen["serial_sweeps"] = lazy_modules()
 assert main(["decompose", "--speech", os.path.join(tmp, "mix", "a.speech.wav"),
              "--noise", os.path.join(tmp, "mix", "a.noise.wav"),
              "--enhanced", os.path.join(tmp, "enh", "a.enhanced.wav"),
@@ -1000,7 +1003,7 @@ seen["decompose"] = scipy_modules()
 assert main(["--self-test", "--self-test-cases", "3"]) == 0
 seen["self-test"] = scipy_modules()
 import ctypes
-from opdkit.projection import _lapack, _numpy_openblas_pointers
+from opdkit.projection import _numpy_openblas_pointers
 seen["lapack_int_bytes"] = ctypes.sizeof(_lapack().int_t)
 try:
     _numpy_openblas_pointers()
@@ -1023,13 +1026,16 @@ def test_cli_import_leaves_out_numpy_random():
 def test_analysis_loads_no_scipy(tmp_path):
     # scipy's import dominates start-up; LAPACK's factor and solve run on the
     # OpenBLAS numpy bundles, so no command needs scipy when numpy exports them.
-    # The self-test and the process pool are imported only when used.
+    # The self-test and the thread pool are imported only when used, and
+    # LAPACK is bound only by the commands that solve.
     out = subprocess.run([sys.executable, "-c", _SCIPY_PROBE, str(tmp_path)],
                          env=_child_env(), check=True, capture_output=True, text=True,
                          timeout=120)
     seen = json.loads(out.stdout.splitlines()[-1])
     assert seen["import"] == []
     assert seen["mix+enhance"] == []
+    assert not seen["mix+enhance_bound_lapack"]
+    assert seen["serial_sweeps"] == []
     if not seen["numpy_exports_lapack"]:
         pytest.skip("this numpy bundles no OpenBLAS; LAPACK comes from scipy")
     assert seen["lapack_int_bytes"] == 8  # numpy's OpenBLAS has 64-bit integers

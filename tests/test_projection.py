@@ -533,7 +533,7 @@ class TestLapackBinding:
     def no_call(self, monkeypatch):
         def called(*args):
             raise AssertionError("LAPACK was called")
-        fake = projection_module._Lapack(called, called, ctypes.c_int64, "none")
+        fake = projection_module._Lapack(called, called, ctypes.c_int64, "none", None)
         monkeypatch.setattr(projection_module, "_lapack", lambda: fake)
 
     @pytest.fixture(params=SOURCES)
@@ -611,7 +611,7 @@ class TestLapackBinding:
     def test_illegal_argument_raises(self, monkeypatch):
         def illegal(*args):
             args[-1].value = -4  # info, passed by reference
-        fake = projection_module._Lapack(illegal, illegal, ctypes.c_int64, "fake")
+        fake = projection_module._Lapack(illegal, illegal, ctypes.c_int64, "fake", None)
         monkeypatch.setattr(projection_module, "_lapack", lambda: fake)
         with pytest.raises(ValueError, match="dpftrf: argument 4 had an illegal value"):
             projection_module.dpftrf(self.packed(self.spd()))
@@ -628,6 +628,13 @@ class TestLapackBinding:
                 for trans, triangle in ((True, upper.T), (False, upper)):
                     x = projection_module.dtfsm(factor, b.copy(order="F"), trans=trans)
                     assert_allclose(x, np.linalg.solve(triangle, b), rtol=1e-12, atol=1e-12)
+
+    def test_thread_count_read_only_from_numpy_openblas(self, lapack):
+        threads = projection_module.openblas_threads()
+        if lapack.source == "numpy's OpenBLAS":
+            assert isinstance(threads, int) and threads >= 1
+        else:
+            assert threads is None
 
     def test_not_positive_definite_reports_the_minor(self, lapack):
         # order 6 splits after row n1 = 3: index 1 fails in U11, index 3 in U22
@@ -657,6 +664,18 @@ class TestLapackBinding:
         assert sum(b.regularization > 0.0 for b in bases) >= 7  # each [s, s] is loaded
         for basis in bases:
             assert np.all(np.diagonal(_unpacked(basis._factor)) > 0.0)
+
+
+def test_thread_count_is_openblas_own():
+    # the count OpenBLAS runs with, not a constant: it follows the variable
+    probe = "from opdkit.projection import lapack_source, openblas_threads as t; " \
+            "print(lapack_source(), t())"
+    result = subprocess.run([sys.executable, "-c", probe],
+                            env=dict(_subprocess_env(), OPENBLAS_NUM_THREADS="1"),
+                            capture_output=True, text=True, timeout=120, check=True)
+    if not result.stdout.startswith("numpy's OpenBLAS "):
+        pytest.skip("this numpy bundles no OpenBLAS")
+    assert result.stdout == "numpy's OpenBLAS 1\n"
 
 
 _FORCED_CYTHON_LAPACK = """
