@@ -32,11 +32,26 @@ full packed (RFP) format (``TRANSR='N'``, ``UPLO='U'``): its upper triangle,
 and nothing else, in one (2L + 1)-by-L Fortran-ordered array of L(2L+1)
 doubles, three fixed L-by-L blocks.  ``packed[:L]`` is ``G_sn``, the upper
 triangle of ``packed[L:2L]`` is that of ``G_nn``, and the lower triangle of
-``packed[L+1:]`` is that of ``G_ss``.  ``dpftrf`` factorizes it in place
-with Level-3 BLAS into the Cholesky factor ``U`` in the same format, and
-each solve with ``Uᵀ`` or ``U`` is one ``dtfsm`` on that whole array, so a
-basis holds that one array and no solve copies it.  Only the writer ``_fill_gram``, ``_diagonal_index`` and the
-check-only ``_unpacked`` know where in it an entry lies.
+``packed[L+1:]`` is that of ``G_ss``.  The array holds the Cholesky factor
+``U`` (``Uᵀ U`` = Gram) in that format, and each solve with ``Uᵀ`` or ``U``
+is one ``dtfsm`` on the whole array, so a basis holds that one array and no
+solve copies it.
+
+The factor is computed without forming the Gram.  With F = Z ⊕ Z, the shift
+down by one inside each block, ``G - F G Fᵀ`` has rank 5: truncation makes
+G[i, j] - G[i-1, j-1] a product of reference tails, and F G Fᵀ has a zero
+first row and column in each block.  Its generator, 2L-by-5, is built from
+the undelayed Gram columns 0 and L, the 2-by-2 corner of the Gram and the
+reversed tails (``_generator``), and 2L steps of the generalized Schur
+algorithm, each one J-unitary 5-by-5 rotation applied with ``np.matmul``,
+write ``U`` row by row in O(L^2) work (``_schur_factor``; Kailath and
+Sayed, SIAM Review 1995).  A breakdown (a pivot not positive beyond
+rounding, a corner not positive definite, or T < 2L) sends that basis down
+the dense path: ``_fill_gram`` writes the Gram into the packed array and
+``dpftrf`` factorizes it in place, loading its diagonal if it must.
+``_fill_gram`` otherwise runs only for ``ProjectionBasis.gram``.  Only the
+writers ``_fill_gram`` and ``_schur_factor``, ``_diagonal_index`` and the
+check-only ``_unpacked`` know where in the array an entry lies.
 
 FFTs come from ``numpy.fft``.  From numpy 2.0 on that is the C++ pocketfft
 that ``scipy.fft`` also wraps, so transforms are bitwise the same as
@@ -48,12 +63,14 @@ loaded (``scipy_dpftrf_64_`` and ``scipy_dtfsm_64_``), so neither importing
 this module nor solving loads scipy.  A numpy built against another LAPACK
 (MKL, Accelerate, a distribution's OpenBLAS) exports no such symbols; the
 same two routines then come from ``scipy.linalg.cython_lapack``.  The
-symbols are resolved at the first factorization, which raises ``ImportError`` naming
-both sources when neither has them; ``lapack_source`` names the one bound
-and ``openblas_threads`` gives the thread count of numpy's OpenBLAS.
+symbols are resolved at the first call of either, which raises
+``ImportError`` naming both sources when neither has them;
+``lapack_source`` names the one bound and ``openblas_threads`` gives the
+thread count of numpy's OpenBLAS.
 """
 
 import functools
+import math
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Sequence
 
@@ -79,8 +96,9 @@ DEFAULT_MAX_DELAY = 512
 
 DELAY_PADDING = "zero-pad-head"  # the delay convention; run manifests record it
 
-# Diagonal loading factor used only when the plain Cholesky factorization of
-# the Gram matrix fails: load = GRAM_REG_LAMBDA * trace(gram) / dim.
+# Diagonal loading factor used only when the Schur steps break down and the
+# plain Cholesky factorization of the Gram matrix fails too:
+# load = GRAM_REG_LAMBDA * trace(gram) / dim.
 GRAM_REG_LAMBDA = 1e-10
 
 # Guards for the dense verification oracle, which materializes the full
@@ -238,8 +256,8 @@ def dtfsm(a: np.ndarray, b: np.ndarray, trans: bool) -> np.ndarray:
     leaves it, in place over ``b``: a vector, or a Fortran-ordered matrix
     of one right-hand side per column.  Returns ``b``.
 
-    ``dtfsm`` checks no pivot; a factor ``dpftrf`` accepted has none that
-    is zero."""
+    ``dtfsm`` checks no pivot; a factor ``build_basis`` keeps, from the
+    Schur steps or ``dpftrf``, has none that is zero."""
     import ctypes
     n = _packed_order("dtfsm", a)
     _check_array("dtfsm", "b", b, n)
@@ -258,11 +276,12 @@ class SingularProjectionError(RuntimeError):
 class ProjectionBasis:
     """Factorized representation of the delayed copies of ``(s, n)``.
 
-    The basis holds one array of L(2L+1) doubles, ``_factor``: the Gram's
-    three packed L-by-L blocks (see the module docstring), factorized in
-    place by ``dpftrf`` into the Cholesky factor ``U`` (``Uᵀ U`` = Gram) in
-    the same format, which ``whiten`` and ``synthesize`` hand whole to
-    ``dtfsm``; ``_unpacked`` expands it.  The factor may include diagonal
+    The basis holds one array of L(2L+1) doubles, ``_factor``: the
+    Cholesky factor ``U`` (``Uᵀ U`` = Gram) in the packed format of the
+    Gram's three L-by-L blocks (see the module docstring), written by the
+    Schur steps, or on their breakdown by ``dpftrf`` over the Gram in
+    place, which ``whiten`` and ``synthesize`` hand whole to ``dtfsm``;
+    ``_unpacked`` expands it.  Only a dense-path factor may include diagonal
     loading; the amount actually added is recorded in ``regularization``
     (0.0 when none was needed).  Its leading L-by-L block factorizes
     ``G_ss`` alone, so one basis serves both ``P_s`` and ``P_sn``.
@@ -471,6 +490,106 @@ def _fill_gram(packed: np.ndarray, arrays: Sequence[np.ndarray], rows: np.ndarra
         view[u, L + 1 + u:] = ss[u:]
 
 
+def _generator(arrays: Sequence[np.ndarray], rows: np.ndarray, L: int) -> np.ndarray | None:
+    """The generator of the Gram's displacement, transposed: a new 5-by-2L
+    array ``gen`` with ``G - F G Fᵀ = genᵀ J gen``, J = diag(1, 1, -1, -1,
+    -1), F = Z ⊕ Z the shift down by one inside each L-row block.  None
+    when the corner K = [[G_00, G_0L], [G_L0, G_LL]] is not positive
+    definite (as with n = s).
+
+    Truncation at T makes G[i, j] - G[i-1, j-1] = -v[i] v[j] inside each
+    block pair, v = [0, s[T-1] .. s[T-L+1], 0, n[T-1] .. n[T-L+1]] the
+    reversed tails, and F G Fᵀ has a zero row and column 0 and L.  So with
+    C = G W, W = [e_0, e_L], the Gram columns 0 and L (undelayed, read from
+    the lag rows without truncation correction), and K = RᵀR,
+    ``G - F G Fᵀ = U₀U₀ᵀ - V₀V₀ᵀ - v vᵀ`` for U₀ = C R⁻¹ and V₀ = (C - W K)
+    R⁻¹, which is U₀ with rows 0 and L zeroed.  Rows 0 and L of U₀ are
+    K R⁻¹ = Rᵀ, set exactly, with K symmetric: G_L0 is taken to be G_0L,
+    the packed upper triangle's G_sn[0, 0]."""
+    s, n = arrays
+    gen = np.empty((5, 2 * L))
+    c0, c1 = gen[0], gen[1]
+    c0[:L], c0[L:] = rows[0, 0, L - 1::-1], rows[1, 0, L - 1::-1]
+    c1[:L], c1[L:] = rows[0, 1, L - 1::-1], rows[1, 1, L - 1::-1]
+    k00, k01, k11 = c0[0], c1[0], c1[L]
+    det = k00 * k11 - k01 * k01
+    if not (k00 > 0.0 and det > 0.0):
+        return None
+    r00 = math.sqrt(k00)
+    r01, r11 = k01 / r00, math.sqrt(det / k00)
+    c0 /= r00
+    c1 -= r01 * c0
+    c1 /= r11
+    c0[0], c1[0], c0[L], c1[L] = r00, 0.0, r01, r11  # Rᵀ, exactly
+    gen[2:4] = gen[:2]
+    gen[2:4, ::L] = 0.0
+    gen[4, ::L] = 0.0
+    gen[4, 1:L], gen[4, L + 1:] = s[:-L:-1], n[:-L:-1]
+    return gen
+
+
+def _schur_factor(packed: np.ndarray, gen: np.ndarray, L: int) -> bool:
+    """Write the Cholesky factor U of the Gram whose displacement generator
+    ``gen`` is (see ``_generator``) into the packed array ``packed``, every
+    entry, by 2L steps of the generalized Schur algorithm; False, with
+    ``packed`` part-written, on a breakdown.  ``gen`` is overwritten.
+
+    Step i takes row i of the generator, [a1, a2 | b1, b2, b3], and builds
+    in Python floats a J-unitary Θ that maps it to [δ, 0, 0, 0, 0]: a Givens
+    rotation of (a1, a2) to (a, 0), a Householder reflector of (b1, b2,
+    b3) to (β, 0, 0) and a hyperbolic rotation of (a, β) to δ = sqrt(a² -
+    β²) > 0.  One ``np.matmul`` applies it to the rows i .. 2L-1 of the
+    generator; the first column is then row i of U, from its diagonal on,
+    and is shifted by F for the next step.  Two work arrays of 5 x 2L are
+    all it uses; the generator and its image alternate between them.
+
+    A pivot with a <= |β| (or not finite) leaves no positive δ: a
+    breakdown.  So is one with δ² <= 2L eps G_00 (G_LL in the noise
+    block), which rounding alone can make: on an exactly singular Gram
+    such a pivot is noise that ``dpftrf`` would as likely have found
+    negative, so that Gram goes where ``dpftrf`` decides on its loading."""
+    hypot, sqrt, copysign = math.hypot, math.sqrt, math.copysign
+    rel = 2 * L * np.finfo(np.float64).eps
+    # G_00 and G_LL: rows 0 and L of U₀ are those of Rᵀ
+    floors = (rel * gen[0, 0] ** 2, rel * (gen[0, L] ** 2 + gen[1, L] ** 2))
+    cur, nxt = gen, np.empty_like(gen)
+    for i in range(2 * L):
+        a1, a2, b1, b2, b3 = cur[:, i].tolist()
+        a, b = hypot(a1, a2), hypot(b1, b2, b3)
+        if not (a > b and (a - b) * (a + b) > floors[i >= L]):
+            return False
+        if b > 0.0:  # I - τ w wᵀ with w = (b1 - β, b2, b3)
+            beta = -copysign(b, b1)
+            tau = 1.0 / (b * (b + abs(b1)))
+            w1 = b1 - beta
+            h00, h01, h02 = 1.0 - tau * w1 * w1, -tau * w1 * b2, -tau * w1 * b3
+            h11, h12, h22 = 1.0 - tau * b2 * b2, -tau * b2 * b3, 1.0 - tau * b3 * b3
+        else:
+            beta, h00, h01, h02, h11, h12, h22 = 0.0, 1.0, 0.0, 0.0, 1.0, 0.0, 1.0
+        cs, sn = a1 / a, a2 / a
+        rho = beta / a
+        gamma = sqrt((1.0 - rho) * (1.0 + rho))
+        ig, rg = 1.0 / gamma, rho / gamma
+        # Θᵀ, as gen holds the generator's columns as rows
+        theta_t = np.array([[cs * ig, sn * ig, -rg * h00, -rg * h01, -rg * h02],
+                            [-sn, cs, 0.0, 0.0, 0.0],
+                            [-rg * cs, -rg * sn, h00 * ig, h01 * ig, h02 * ig],
+                            [0.0, 0.0, h01, h11, h12],
+                            [0.0, 0.0, h02, h12, h22]])
+        column = np.matmul(theta_t, cur[:, i:], out=nxt[:, i:])[0]
+        column[0] = a * gamma  # δ > 0, which the product with Θ may round
+        if i < L:  # U[i, i:L] down column i of packed, U[i, L:] along its row i
+            packed[L + 1 + i:, i] = column[:L - i]
+            packed[i] = column[L - i:]
+        else:  # U[i, i:] along row i of packed, from column i - L
+            packed[i, i - L:] = column
+        column[1:] = column[:-1]  # times F: down by one inside each block
+        if i < L:
+            nxt[0, L] = 0.0  # row L heads the noise block
+        cur, nxt = nxt, cur
+    return True
+
+
 def _validate_references(references: Sequence[Waveform], max_delay: int) -> None:
     if not references:
         raise ValueError("expected references, got none")
@@ -495,13 +614,18 @@ def build_basis(references: Sequence[Waveform], max_delay: int) -> ProjectionBas
     references : ``[s, n]``, equal-length, equal-rate, nonzero waveforms
     max_delay : number of delay taps L; delays 0 .. L-1 are included
 
-    The Gram matrix is factorized once (Cholesky).  If factorization fails,
-    a diagonal loading of ``GRAM_REG_LAMBDA * trace / 2L`` is added to
-    ``G_nn``, and to ``G_ss`` only if it broke there (else it keeps an
-    unloaded factor), and the event is recorded; if it still fails,
-    ``SingularProjectionError`` is raised rather than silently absorbing the
-    problem.  A Gram matrix that cannot be allocated raises ``ValueError``
-    naming its size.
+    The Gram matrix is factorized once (Cholesky), without being formed:
+    2L generalized Schur steps on its 5-column displacement generator
+    (``_generator``, ``_schur_factor``) write the factor in O(L^2) work.
+    A breakdown there (the corner K not positive definite, as with n = s;
+    T < 2L; a pivot at or below the rounding floor) sends the basis down
+    the dense path, unchanged: ``_fill_gram`` writes the Gram and
+    ``dpftrf`` factorizes it in place.  If that fails, a diagonal loading of
+    ``GRAM_REG_LAMBDA * trace / 2L`` is added to ``G_nn``, and to ``G_ss``
+    only if it broke there (else it keeps an unloaded factor), and the event
+    is recorded; if it still fails, ``SingularProjectionError`` is raised
+    rather than silently absorbing the problem.  A Gram matrix that cannot
+    be allocated raises ``ValueError`` naming its size.
     """
     if len(references) != 2:
         raise ValueError(f"expected two references, [speech, noise], got {len(references)}")
@@ -514,33 +638,35 @@ def build_basis(references: Sequence[Waveform], max_delay: int) -> ProjectionBas
     rows = _lag_rows(arrays, spectra, L, M)
 
     packed = _empty_gram(L)
-    _fill_gram(packed, arrays, rows, L)
-
     regularization = 0.0
     events: tuple[str, ...] = ()
-    flat = packed.ravel(order="F")  # a view: the array is Fortran-contiguous
-    trace = flat[_diagonal_index(L)].sum()
-    factor, info = dpftrf(packed)
-    if info > 0:
-        first = (info - 1) // L  # reference of the first non-positive pivot
-        regularization = GRAM_REG_LAMBDA * trace / (2 * L)
-        _fill_gram(packed, arrays, rows, L)  # the failed factor overwrote it
-        flat[_diagonal_index(L, first)] += regularization
-        factor, info = dpftrf(packed)
+    # 2L copies in R^T with T < 2L are dependent: that Gram is singular
+    gen = _generator(arrays, rows, L) if 2 * L <= len(refs[0]) else None
+    if gen is None or not _schur_factor(packed, gen, L):
+        _fill_gram(packed, arrays, rows, L)
+        flat = packed.ravel(order="F")  # a view: the array is Fortran-contiguous
+        trace = flat[_diagonal_index(L)].sum()
+        _, info = dpftrf(packed)
         if info > 0:
-            raise SingularProjectionError(
-                f"Gram matrix ({2 * L}x{2 * L}) is singular even after diagonal "
-                f"loading of {regularization:g}"
-            )
-        events = (f"gram-regularized: diagonal loading {regularization:g} "
-                  f"from reference {first} on (L={L}, refs=2)",)
+            first = (info - 1) // L  # reference of the first non-positive pivot
+            regularization = GRAM_REG_LAMBDA * trace / (2 * L)
+            _fill_gram(packed, arrays, rows, L)  # the failed factor overwrote it
+            flat[_diagonal_index(L, first)] += regularization
+            _, info = dpftrf(packed)
+            if info > 0:
+                raise SingularProjectionError(
+                    f"Gram matrix ({2 * L}x{2 * L}) is singular even after diagonal "
+                    f"loading of {regularization:g}"
+                )
+            events = (f"gram-regularized: diagonal loading {regularization:g} "
+                      f"from reference {first} on (L={L}, refs=2)",)
 
     return ProjectionBasis(
         references=refs,
         max_delay=L,
         regularization=regularization,
         regularization_events=events,
-        _factor=factor,
+        _factor=packed,
         _spectra=spectra,
         _block=M,
     )

@@ -15,6 +15,7 @@ seed and kind of the case that set it (``make_case(seed, kind)``), and fails
 with the offending seed on any violation.
 """
 
+import re
 import time
 from dataclasses import dataclass, field
 
@@ -23,7 +24,7 @@ import numpy as np
 from .analysis import DsaPoint, OaPoint, dsa_synthesize, oa_apply
 from .decomposition import Decomposer, cross_gram, recompose
 from .metrics import compute_metrics, sar_improvement_closed_form
-from .projection import delayed_matrix, lapack_source, project_dense_oracle
+from .projection import _unpacked, delayed_matrix, lapack_source, project_dense_oracle
 from .signals import Waveform, add, energy, inner, scale
 
 __all__ = ["OracleCase", "SelfTestReport", "make_case", "run_property_suite",
@@ -36,6 +37,7 @@ CASE_MAX_DELAYS = (1, 4, 16)
 INVARIANT_TOLERANCES = {
     "reconstruction_rel": 1e-10,
     "gram_vs_dense_rel": 1e-8,
+    "factor_backward_rel": 1e-12,
     "coefficient_gram_rel": 1e-8,
     "fast_vs_dense_projection_rel": 1e-8,
     "error_orthogonality_rel": 1e-8,
@@ -156,6 +158,17 @@ def _rel(diff: np.ndarray, ref_norm: float) -> float:
     return float(np.linalg.norm(diff)) / max(ref_norm, 1e-300)
 
 
+def _loaded_gram(basis) -> np.ndarray:
+    """``basis.gram`` plus the diagonal loading its event records, from the
+    reference it names on: the matrix its factor factorizes."""
+    gram = basis.gram
+    if basis.regularization:
+        first = int(re.search(r"from reference (\d) on", basis.regularization_events[0])[1])
+        loaded = np.arange(first * basis.max_delay, len(gram))
+        gram[loaded, loaded] += basis.regularization
+    return gram
+
+
 def _check_case(case: OracleCase, dev: dict) -> None:
     def bump(name, value):
         dev[name] = max(dev.get(name, 0.0), float(value))
@@ -175,6 +188,11 @@ def _check_case(case: OracleCase, dev: dict) -> None:
     gram_dense = a_joint.T @ a_joint
     bump("gram_vs_dense_rel",
          np.max(np.abs(dec.basis.gram - gram_dense)) / np.max(np.abs(gram_dense)))
+
+    # the factor against the Gram it factorizes, with the loading recorded
+    upper = _unpacked(dec.basis._factor)
+    bump("factor_backward_rel",
+         np.linalg.norm(upper.T @ upper - _loaded_gram(dec.basis)) / np.linalg.norm(gram_dense))
 
     # fast projections against dense least squares
     dense_s = project_dense_oracle([s], L, s_hat)

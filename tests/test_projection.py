@@ -16,6 +16,7 @@ from opdkit.projection import (DELAY_PADDING, SingularProjectionError, _gram_row
 from opdkit.reporting import RunManifest
 from opdkit.selftest import INVARIANT_TOLERANCES, make_case
 from opdkit.signals import Waveform, inner
+from test_analysis import _band_limited_references
 
 import opdkit.projection as projection_module
 
@@ -180,6 +181,123 @@ class TestPackedLayout:
         basis, positions = self.loaded_entries(monkeypatch, [case.s, case.s], L)
         assert "from reference 1 on" in basis.regularization_events[0]
         assert positions == _packed_positions(2 * L, L)
+
+
+def _lowpass_pair(T, seed=0):
+    rng = np.random.default_rng(seed)
+    return [Waveform(lowpass_noise(rng, T), RATE) for _ in range(2)]
+
+
+class TestSchurFactor:
+    """The factor written from the Gram's displacement generator, and the
+    dense path (``_fill_gram`` and ``dpftrf``) that a breakdown takes."""
+
+    BACKWARD_TOL = INVARIANT_TOLERANCES["factor_backward_rel"]
+
+    @staticmethod
+    def generator(refs, L):
+        arrays = [r.samples for r in refs]
+        M = projection_module._block_length(len(arrays[0]), L)
+        spectra = [projection_module._block_spectra(a, L, M, extended=False) for a in arrays]
+        return projection_module._generator(
+            arrays, projection_module._lag_rows(arrays, spectra, L, M), L)
+
+    @staticmethod
+    def refuse_dense_path(monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the dense path was taken")
+        monkeypatch.setattr(projection_module, "_fill_gram", refuse)
+        monkeypatch.setattr(projection_module, "dpftrf", refuse)
+
+    def check_generator_identity(self, refs, L):
+        gram = build_basis(refs, L).gram
+        shift = np.kron(np.eye(2), np.eye(L, k=-1))  # F = Z ⊕ Z
+        gen = self.generator(refs, L)
+        assert gen.shape == (5, 2 * L)
+        displacement = gen.T @ np.diag([1.0, 1.0, -1.0, -1.0, -1.0]) @ gen
+        assert np.max(np.abs(gram - shift @ gram @ shift.T - displacement)) \
+            <= 1e-13 * np.max(np.abs(gram))
+
+    @pytest.mark.parametrize("seed", range(6))  # L = 1, 4 and 16
+    def test_generator_identity(self, seed):
+        case = make_case(seed)
+        self.check_generator_identity([case.s, case.n], case.max_delay)
+
+    @pytest.mark.parametrize("T,L", [(50, 7), (50, 6), (10, 1), (12, 12), (13, 13)])
+    def test_generator_identity_odd_even_and_edge_delays(self, T, L):
+        # at L = T the Gram is singular, yet its generator is still exact
+        self.check_generator_identity(_lowpass_pair(T, T + L), L)
+
+    def check_backward_error(self, monkeypatch, refs, L):
+        with monkeypatch.context() as patched:
+            self.refuse_dense_path(patched)
+            basis = build_basis(refs, L)
+        upper, gram = _unpacked(basis._factor), basis.gram
+        assert np.linalg.norm(upper.T @ upper - gram) <= self.BACKWARD_TOL * np.linalg.norm(gram)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_factor_backward_error(self, monkeypatch, seed):
+        case = make_case(seed)
+        self.check_backward_error(monkeypatch, [case.s, case.n], case.max_delay)
+
+    @pytest.mark.parametrize("seed", [5, 6, 7])
+    def test_factor_backward_error_on_band_limited_pcm16(self, monkeypatch, seed):
+        # condition near 1e9, T = 16000, L = 256
+        s, n, _ = _band_limited_references(seed, "pcm16")
+        self.check_backward_error(monkeypatch, [s, n], 256)
+
+    @pytest.mark.parametrize("T,L", [(64, 1), (64, 7), (64, 8), (200, 33), (4066, 32)])
+    def test_every_packed_entry_is_written(self, monkeypatch, T, L):
+        empty = projection_module._empty_gram
+        monkeypatch.setattr(projection_module, "_empty_gram",
+                            lambda delays: np.full_like(empty(delays), np.nan))
+        self.refuse_dense_path(monkeypatch)
+        factor = build_basis(_lowpass_pair(T), L)._factor
+        assert factor.flags.f_contiguous and not np.isnan(factor).any()
+
+    def test_well_conditioned_basis_takes_no_dense_step(self, monkeypatch):
+        self.refuse_dense_path(monkeypatch)
+        for seed in range(12):
+            case = make_case(seed)
+            assert build_basis([case.s, case.n], case.max_delay).regularization == 0.0
+        s, n, _ = _band_limited_references(5, "pcm16")
+        assert build_basis([s, n], 256).regularization_events == ()
+
+    @staticmethod
+    def breakdown_case(kind, arg):
+        """References and L of a basis whose Schur steps break down."""
+        if kind == "n=s":
+            case = make_case(arg)
+            return [case.s, case.s], case.max_delay
+        if kind == "L=T":
+            return _lowpass_pair(arg, 2 * arg), arg
+        if kind == "float32":  # the pinned float32 cases, condition near 1e16
+            s, n, _ = _band_limited_references(arg, kind)
+            return [s, n], 256
+        # the 4-sample running example: at L = 4, L = T; at L = 2 and 3, s
+        # delayed by 1 is n, singular with 2L <= T at a pivot that rounding
+        # alone keeps from zero
+        return [Waveform([1.0, 0.0, 0.0, 0.0], RATE), Waveform([0.0, 1.0, 0.0, 0.0], RATE)], arg
+
+    @pytest.mark.parametrize("kind,arg", [("n=s", 1), ("n=s", 2), ("n=s", 3), ("L=T", 48),
+                                          ("running", 4), ("running", 2), ("running", 3),
+                                          ("float32", 5), ("float32", 6)])
+    def test_breakdown_is_the_dense_path_bitwise(self, monkeypatch, kind, arg):
+        refs, L = self.breakdown_case(kind, arg)
+        outcomes = []
+        schur = projection_module._schur_factor
+
+        def recording(*args):
+            outcomes.append(schur(*args))
+            return outcomes[-1]
+        monkeypatch.setattr(projection_module, "_schur_factor", recording)
+        basis = build_basis(refs, L)
+        assert True not in outcomes
+        monkeypatch.setattr(projection_module, "_generator", lambda *args: None)
+        dense = build_basis(refs, L)
+        assert np.array_equal(basis._factor, dense._factor)
+        assert (basis.regularization, basis.regularization_events) == \
+            (dense.regularization, dense.regularization_events)
 
 
 class TestProject:
@@ -392,6 +510,8 @@ class TestRegularization:
             # leading minor of the plain and the loaded Gram alike
             return a, 1
 
+        # the Schur steps break down first, which sends the basis to dpftrf
+        monkeypatch.setattr(projection_module, "_schur_factor", lambda *args: False)
         monkeypatch.setattr(projection_module, "dpftrf", always_fail)
         with pytest.raises(SingularProjectionError, match=r"^Gram matrix \(2x2\) is singular"):
             build_basis([s, n], 1)

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from opdkit.selftest import (INVARIANT_TOLERANCES, LOWPASS_POLE, _check_case, _lowpass_noise,
-                             make_case, run_property_suite)
-from opdkit.signals import energy
+from opdkit.projection import _unpacked, build_basis
+from opdkit.selftest import (INVARIANT_TOLERANCES, LOWPASS_POLE, _check_case, _loaded_gram,
+                             _lowpass_noise, make_case, run_property_suite)
+from opdkit.signals import Waveform, energy
 
 import opdkit.projection as projection_module
 
@@ -96,3 +97,20 @@ def test_report_names_the_lapack_it_ran_on(monkeypatch):
 def test_case_count_validated():
     with pytest.raises(ValueError):
         run_property_suite(case_count=0)
+
+
+@pytest.mark.parametrize("first", [0, 1])
+def test_backward_error_counts_the_recorded_loading(first):
+    # a loaded factor factorizes the Gram plus the loading its event names:
+    # from reference 0 on for an impulse at the last sample, 1 for n = s
+    if first == 0:
+        refs = [Waveform([0.0] * 7 + [1.0], 16000), Waveform(np.arange(8.0) % 3 - 1.0, 16000)]
+        basis = build_basis(refs, 3)
+    else:
+        case = make_case(1)
+        basis = build_basis([case.s, case.s], case.max_delay)
+    assert f"from reference {first} on" in basis.regularization_events[0]
+    upper, gram = _unpacked(basis._factor), basis.gram
+    tol = INVARIANT_TOLERANCES["factor_backward_rel"] * np.linalg.norm(gram)
+    assert np.linalg.norm(upper.T @ upper - _loaded_gram(basis)) <= tol
+    assert np.linalg.norm(upper.T @ upper - gram) > tol
