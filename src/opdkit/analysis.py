@@ -141,9 +141,10 @@ def oa_sweep(dec: Decomposer, s_hat: Waveform, y: Waveform,
              utterance_id: str = "") -> tuple[SweepRow, ...]:
     """One row per observation-adding amount in the grid.
 
-    Only ``s_hat`` and ``y`` are decomposed.  ``whiten`` and ``synthesize``
-    are linear, even on a loaded Gram, so ``s_hat + w y`` splits into
-    ``d(s_hat) + w d(y)`` and a point's 3x3 Gram is ``M G6 M^T``, with ``G6``
+    Only ``s_hat`` and ``y`` are decomposed, as one batch of two.  ``whiten``
+    and ``synthesize`` are linear, even on a loaded Gram, so ``s_hat + w y``
+    splits into ``d(s_hat) + w d(y)`` and a point's 3x3 Gram is ``M G6 M^T``,
+    with ``G6``
     the Gram of both component triples, assembled from the two 3x3 Grams and
     their ``cross_gram``, and ``M = [I | w I]``.  When both SARs are finite,
     the closed-form SARi (from ``s_hat - e_artif`` and raw ``y``) must match
@@ -155,8 +156,7 @@ def oa_sweep(dec: Decomposer, s_hat: Waveform, y: Waveform,
     """
     grid = list(grid)
     _check_grid(grid, "oa_sweep")
-    baseline = dec.decompose(s_hat)
-    d_y = dec.decompose(y)
+    baseline, d_y = dec.decompose_batch([s_hat, y])
     cross = cross_gram(baseline, d_y)
     g6 = np.block([[baseline.gram, cross], [cross.T, d_y.gram]])
     baseline_sar = metrics_from_gram(g6[:3, :3]).sar_db  # the w = 0 block

@@ -12,17 +12,19 @@ the portion of the enhancement error that no linear combination of delayed
 speech/noise copies can explain.  Decomposition is computed over the whole
 utterance, not in frames.
 
-``Decomposition`` is the one type of it, what ``Decomposer.decompose``
-returns on every basis: the whitened coefficients ``z`` of the forward solve
-and the waveform ``e_artif``, with ``s_target`` and ``e_noise`` synthesized
-when read, as by ``export_components``.  Every metric is a ratio of entries
-of the components' Gram.  ``cross_gram`` takes them from ``z`` and
-``e_artif`` on an unloaded basis (so no sweep synthesizes more) and from the
-waveforms on a loaded one, deciding by the basis alone.
+``Decomposition`` is the one type of it, what ``Decomposer.decompose`` and
+``decompose_batch`` return on every basis: the whitened coefficients ``z``
+of the forward solve and the waveform ``e_artif``, with ``s_target`` and
+``e_noise`` synthesized when read, as by ``export_components``.  Every
+metric is a ratio of entries of the components' Gram.  ``cross_gram`` takes
+them from ``z`` and ``e_artif`` on an unloaded basis (so no sweep
+synthesizes more) and from the waveforms on a loaded one, deciding by the
+basis alone.
 """
 
 import os
 from functools import cached_property
+from typing import Sequence
 
 import numpy as np
 
@@ -142,14 +144,21 @@ class Decomposer:
         self.basis: ProjectionBasis = build_basis([s, n], max_delay)
 
     def decompose(self, s_hat: Waveform) -> Decomposition:
-        """The ``Decomposition`` of ``s_hat``, by one path on every basis:
-        ``whiten`` gives ``z`` and one synthesis ``P_sn s_hat``, so
-        ``e_artif``; the rest is synthesized when read.  On a loaded basis
+        """The ``Decomposition`` of ``s_hat``: ``decompose_batch([s_hat])``'s."""
+        return self.decompose_batch([s_hat])[0]
+
+    def decompose_batch(self, signals: Sequence[Waveform]) -> tuple[Decomposition, ...]:
+        """The ``Decomposition`` of each of ``signals``, by one path on every
+        basis: one ``whiten`` of them all gives each ``z`` and one synthesis
+        of every ``P_sn x``, so each ``e_artif``; the rest is synthesized
+        when read.  The batch shares its forward and its back solve (on a
+        Schur-path basis, one replay of ``U_sn`` each).  On a loaded basis
         those are the loaded solve's parts."""
-        z = whiten(self.basis, s_hat)
+        z = whiten(self.basis, signals)
         p_sn = synthesize(self.basis, z, 2)
-        e_artif = Waveform(np.subtract(s_hat.samples, p_sn, out=p_sn), s_hat.sample_rate)
-        return Decomposition(self.basis, z, s_hat, e_artif)
+        return tuple(Decomposition(self.basis, z[:, j], x,
+                                   Waveform(np.subtract(x.samples, p, out=p), x.sample_rate))
+                     for j, (x, p) in enumerate(zip(signals, p_sn)))
 
 
 def recompose(d: Decomposition) -> Waveform:

@@ -27,31 +27,40 @@ differs from the plain Toeplitz correlation matrix by products of the
 reference tails that fall off the end; that correction is exact, an O(L^2)
 prefix sum along each diagonal subtracted once (see ``_gram_rows``).
 
-The Gram ``[[G_ss, G_sn], [G_snᵀ, G_nn]]`` is held in LAPACK's rectangular
-full packed (RFP) format (``TRANSR='N'``, ``UPLO='U'``): its upper triangle,
-and nothing else, in one (2L + 1)-by-L Fortran-ordered array of L(2L+1)
-doubles, three fixed L-by-L blocks.  ``packed[:L]`` is ``G_sn``, the upper
-triangle of ``packed[L:2L]`` is that of ``G_nn``, and the lower triangle of
-``packed[L+1:]`` is that of ``G_ss``.  The array holds the Cholesky factor
-``U`` (``Uᵀ U`` = Gram) in that format, and each solve with ``Uᵀ`` or ``U``
-is one ``dtfsm`` on the whole array, so a basis holds that one array and no
-solve copies it.
+The Cholesky factor ``U`` (``Uᵀ U`` = Gram) of the Gram
+``[[G_ss, G_sn], [G_snᵀ, G_nn]]`` is computed without forming the Gram.
+With F = Z ⊕ Z, the shift down by one inside each block, ``G - F G Fᵀ``
+has rank 5: truncation makes G[i, j] - G[i-1, j-1] a product of reference
+tails, and F G Fᵀ has a zero first row and column in each block.  Its
+generator, 2L-by-5, is built from the undelayed Gram columns 0 and L, the
+2-by-2 corner of the Gram and the reversed tails (``_generator``), and 2L
+steps of the generalized Schur algorithm, each one J-unitary 5-by-5
+rotation applied with ``np.matmul``, make ``U`` row by row in O(L^2) work
+(``_schur_factor``; Kailath and Sayed, SIAM Review 1995).
 
-The factor is computed without forming the Gram.  With F = Z ⊕ Z, the shift
-down by one inside each block, ``G - F G Fᵀ`` has rank 5: truncation makes
-G[i, j] - G[i-1, j-1] a product of reference tails, and F G Fᵀ has a zero
-first row and column in each block.  Its generator, 2L-by-5, is built from
-the undelayed Gram columns 0 and L, the 2-by-2 corner of the Gram and the
-reversed tails (``_generator``), and 2L steps of the generalized Schur
-algorithm, each one J-unitary 5-by-5 rotation applied with ``np.matmul``,
-write ``U`` row by row in O(L^2) work (``_schur_factor``; Kailath and
-Sayed, SIAM Review 1995).  A breakdown (a pivot not positive beyond
-rounding, a corner not positive definite, or T < 2L) sends that basis down
-the dense path: ``_fill_gram`` writes the Gram into the packed array and
-``dpftrf`` factorizes it in place, loading its diagonal if it must.
-``_fill_gram`` otherwise runs only for ``ProjectionBasis.gram``.  Only the
-writers ``_fill_gram`` and ``_schur_factor``, ``_diagonal_index`` and the
-check-only ``_unpacked`` know where in the array an entry lies.
+Of ``U = [[U_ss, U_sn], [0, U_nn]]`` such a basis holds half
+(``_SplitFactor``): ``U_ss`` and ``U_nn``, each in LAPACK's rectangular
+full packed (RFP) format, transposed (``TRANSR='T'``, ``UPLO='U'``),
+L(L+1)/2 doubles, plus the rotations of the first L steps and the noise
+block's generator before them, 30 L doubles.  Row i of ``U_sn`` is what
+step i made of the noise block, and replaying the stored rotations on
+the stored generator makes it again, bitwise (``_cross_rows``).  A solve
+runs by blocks, one ``dtfsm`` per diagonal block and one replay for the
+cross block, whatever the number of right-hand sides; a solve of ``P_s``
+alone needs no replay.
+
+A breakdown of the Schur steps (a pivot not positive beyond rounding, a
+corner not positive definite, or T < 2L) sends that basis down the dense
+path: ``_fill_gram`` writes the Gram's upper triangle, and nothing else,
+into one (2L + 1)-by-L Fortran-ordered array of L(2L+1) doubles, RFP with
+``TRANSR='N'``, three fixed L-by-L blocks (``packed[:L]`` is ``G_sn``, the
+upper triangle of ``packed[L:2L]`` is that of ``G_nn``, and the lower
+triangle of ``packed[L+1:]`` is that of ``G_ss``), and ``dpftrf``
+factorizes it in place, loading its diagonal if it must.  Each solve with
+``Uᵀ`` or ``U`` is then one ``dtfsm`` on the whole array.  ``_fill_gram``
+otherwise runs only for ``ProjectionBasis.gram``.  Only the writers
+``_fill_gram`` and ``_write_row``, ``_diagonal_index`` and the check-only
+``_unpacked`` know where in a packed array an entry lies.
 
 FFTs come from ``numpy.fft``.  From numpy 2.0 on that is the C++ pocketfft
 that ``scipy.fft`` also wraps, so transforms are bitwise the same as
@@ -108,6 +117,11 @@ DENSE_ORACLE_MAX_COLUMNS = 64
 
 # Least FFT length of an overlap-save block (see the module docstring).
 FFT_BLOCK_MIN = 4096
+
+# Factor rows that the Schur steps' writer (``_write_row``) and a replay of
+# the cross block U_sn (``_cross_rows``) hold at a time: at most 1 MiB at
+# L=2048.
+BLOCK_ROWS = 64
 
 
 class _Lapack(NamedTuple):
@@ -219,16 +233,19 @@ def _check_array(routine: str, name: str, a: np.ndarray, rows: int) -> None:
         base = getattr(base, "base", None)
 
 
-def _packed_order(routine: str, a: np.ndarray) -> int:
+def _packed_order(routine: str, a: np.ndarray, transr: bool = False) -> int:
     """Order n = n1 + n2 of the matrix that ``a`` holds in rectangular full
     packed format, once ``a`` is checked to be a Fortran-contiguous
-    (2 n1 + 1)-by-n2 array with n2 = n1 or n1 + 1."""
-    if a.ndim != 2 or a.shape[0] % 2 == 0 or a.shape[1] - a.shape[0] // 2 not in (0, 1) \
-            or a.shape[1] < 1:
-        raise ValueError(f"{routine}: a must be a (2 n1 + 1)-by-n2 array, n2 = n1 or "
-                         f"n1 + 1, got shape {a.shape}")
+    (2 n1 + 1)-by-n2 array with n2 = n1 or n1 + 1, or with ``transr`` its
+    n2-by-(2 n1 + 1) transpose (LAPACK's ``TRANSR='T'``)."""
+    shape = a.shape[::-1] if transr else a.shape  # that of the TRANSR='N' array
+    if a.ndim != 2 or shape[0] % 2 == 0 or shape[1] - shape[0] // 2 not in (0, 1) \
+            or shape[1] < 1:
+        raise ValueError(f"{routine}: a must be a (2 n1 + 1)-by-n2 array"
+                         f"{', transposed' if transr else ''}, n2 = n1 or n1 + 1, "
+                         f"got shape {a.shape}")
     _check_array(routine, "a", a, a.shape[0])
-    return a.shape[0] // 2 + a.shape[1]
+    return shape[0] // 2 + shape[1]
 
 
 def dpftrf(a: np.ndarray) -> tuple[np.ndarray, int]:
@@ -249,22 +266,23 @@ def dpftrf(a: np.ndarray) -> tuple[np.ndarray, int]:
     return a, info.value
 
 
-def dtfsm(a: np.ndarray, b: np.ndarray, trans: bool) -> np.ndarray:
-    """LAPACK ``dtfsm`` (``TRANSR='N'``, ``SIDE='L'``, ``UPLO='U'``): solve
-    ``Uᵀ x = b`` (``trans``) or ``U x = b`` for the upper triangular ``U``
-    that ``a`` holds in rectangular full packed format, as ``dpftrf``
-    leaves it, in place over ``b``: a vector, or a Fortran-ordered matrix
-    of one right-hand side per column.  Returns ``b``.
+def dtfsm(a: np.ndarray, b: np.ndarray, trans: bool, transr: bool = False) -> np.ndarray:
+    """LAPACK ``dtfsm`` (``SIDE='L'``, ``UPLO='U'``): solve ``Uᵀ x = b``
+    (``trans``) or ``U x = b`` for the upper triangular ``U`` that ``a``
+    holds in rectangular full packed format, as ``dpftrf`` leaves it
+    (``TRANSR='N'``) or, with ``transr``, transposed (``TRANSR='T'``), in
+    place over ``b``: a vector, or a Fortran-ordered matrix of one
+    right-hand side per column.  Returns ``b``.
 
     ``dtfsm`` checks no pivot; a factor ``build_basis`` keeps, from the
     Schur steps or ``dpftrf``, has none that is zero."""
     import ctypes
-    n = _packed_order("dtfsm", a)
+    n = _packed_order("dtfsm", a, transr)
     _check_array("dtfsm", "b", b, n)
     lapack = _lapack()
-    lapack.tfsm(b"N", b"L", b"U", b"T" if trans else b"N", b"N", lapack.int_t(n),
-                lapack.int_t(b.shape[1] if b.ndim == 2 else 1), ctypes.c_double(1.0),
-                a.ctypes.data, b.ctypes.data, lapack.int_t(n))
+    lapack.tfsm(b"T" if transr else b"N", b"L", b"U", b"T" if trans else b"N", b"N",
+                lapack.int_t(n), lapack.int_t(b.shape[1] if b.ndim == 2 else 1),
+                ctypes.c_double(1.0), a.ctypes.data, b.ctypes.data, lapack.int_t(n))
     return b
 
 
@@ -272,19 +290,47 @@ class SingularProjectionError(RuntimeError):
     """Gram system could not be factorized even after diagonal loading."""
 
 
+class _SplitFactor(NamedTuple):
+    """The Cholesky factor ``U = [[U_ss, U_sn], [0, U_nn]]`` of a basis whose
+    Schur steps went through, held without its cross block ``U_sn``.
+
+    ``ss`` and ``nn`` hold ``U_ss`` and ``U_nn`` in rectangular full packed
+    format, transposed (``TRANSR='T'``): n2-by-(2 n1 + 1) Fortran arrays,
+    n1 = L // 2 and n2 = L - n1, of L(L+1)/2 doubles each.  Their
+    transposes, C-ordered, are the ``TRANSR='N'`` layout, in which
+    ``_write_row`` writes the factor rows along rows of the array.
+    ``rotations[i]`` is step i's Θᵀ
+    (5-by-5) for i < L and ``generator`` the noise block's generator
+    columns before step 0 (5-by-L), from which ``_cross_rows`` replays
+    ``U_sn``."""
+
+    ss: np.ndarray
+    nn: np.ndarray
+    rotations: np.ndarray
+    generator: np.ndarray
+
+
 @dataclass(frozen=True, eq=False)
 class ProjectionBasis:
     """Factorized representation of the delayed copies of ``(s, n)``.
 
-    The basis holds one array of L(2L+1) doubles, ``_factor``: the
-    Cholesky factor ``U`` (``Uᵀ U`` = Gram) in the packed format of the
-    Gram's three L-by-L blocks (see the module docstring), written by the
-    Schur steps, or on their breakdown by ``dpftrf`` over the Gram in
-    place, which ``whiten`` and ``synthesize`` hand whole to ``dtfsm``;
-    ``_unpacked`` expands it.  Only a dense-path factor may include diagonal
-    loading; the amount actually added is recorded in ``regularization``
-    (0.0 when none was needed).  Its leading L-by-L block factorizes
-    ``G_ss`` alone, so one basis serves both ``P_s`` and ``P_sn``.
+    ``_factor`` is the Cholesky factor ``U`` (``Uᵀ U`` = Gram) in one of
+    two forms, and ``whiten`` and ``synthesize`` branch on which:
+
+    * written by the Schur steps, a ``_SplitFactor``: ``U_ss`` and ``U_nn``
+      packed, L(L+1) doubles in all, plus 30 L doubles of rotations and
+      generator from which the cross block ``U_sn`` is replayed at each
+      solve that needs it (33.6 MB at L=2048);
+    * on their breakdown, one array of L(2L+1) doubles in the packed format
+      of the Gram's three L-by-L blocks (see the module docstring), written
+      by ``dpftrf`` over the Gram in place, which the solves hand whole to
+      ``dtfsm`` (67.1 MB at L=2048).
+
+    ``_unpacked_factor`` expands either.  Only a dense-path factor may
+    include diagonal loading; the amount actually added is recorded in
+    ``regularization`` (0.0 when none was needed).  Its leading L-by-L
+    block factorizes ``G_ss`` alone, so one basis serves both ``P_s`` and
+    ``P_sn``.
 
     Beside the factor it keeps, per reference, the block spectra that
     ``whiten`` correlates and ``synthesize`` filters with: ``_spectra[i]``
@@ -298,7 +344,7 @@ class ProjectionBasis:
     max_delay: int
     regularization: float
     regularization_events: tuple[str, ...]
-    _factor: np.ndarray = field(repr=False)
+    _factor: np.ndarray | _SplitFactor = field(repr=False)
     _spectra: tuple = field(repr=False)
     _block: int = field(repr=False)
 
@@ -408,12 +454,13 @@ def _gram_rows(a: np.ndarray, b: np.ndarray, row: np.ndarray, L: int):
 
 
 def _overlap_add(blocks: np.ndarray, L: int, T: int) -> np.ndarray:
-    """The first T samples of the length-M rows of ``blocks`` laid at hops
-    of B = M - L + 1 and summed: each row's last L - 1 samples are added,
-    in place, onto the head of the next row."""
-    B = blocks.shape[1] - L + 1
-    blocks[1:, :L - 1] += blocks[:-1, B:]
-    return blocks[:, :B].reshape(-1)[:T]
+    """The first T samples of each signal's length-M block rows, ``blocks``
+    m-by-(blocks)-by-M, laid at hops of B = M - L + 1 and summed: each row's
+    last L - 1 samples are added, in place, onto the head of the next row.
+    One row of T samples per signal."""
+    B = blocks.shape[-1] - L + 1
+    blocks[:, 1:, :L - 1] += blocks[:, :-1, B:]
+    return blocks[:, :, :B].reshape(len(blocks), -1)[:, :T]
 
 
 def _mem_available() -> int | None:
@@ -429,25 +476,40 @@ def _mem_available() -> int | None:
     return None
 
 
-def _empty_gram(L: int) -> np.ndarray:
-    """Uninitialized Fortran-ordered array for the upper triangle of the
-    2L-by-2L Gram of a basis of L delays in rectangular full packed format:
-    (2L + 1)-by-L, L(2L+1) doubles.
-
-    The request is refused before allocating when those bytes exceed the
-    available memory: under overcommit the allocation would be granted,
-    and filling it could get the process killed instead of raising.  An
-    allocation that fails anyway raises the same error."""
-    nbytes = L * (2 * L + 1) * 8
-    too_large = ValueError(f"cannot allocate the Gram matrix: kL={2 * L} needs "
-                           f"kL(kL+1)/2*8 = {nbytes} bytes")
+def _allocate(nbytes: int, what: str, make: Callable):
+    """``make()``, which allocates ``nbytes``, refused before it runs when
+    those bytes exceed the available memory: under overcommit the
+    allocation would be granted, and filling it could get the process
+    killed instead of raising.  An allocation that fails anyway raises the
+    same error, which names ``what`` and the bytes."""
+    too_large = ValueError(f"cannot allocate {what} = {nbytes} bytes")
     available = _mem_available()
     if available is not None and nbytes > available:
         raise too_large
     try:
-        return np.empty((2 * L + 1, L), order="F")
+        return make()
     except MemoryError:
         raise too_large from None
+
+
+def _empty_gram(L: int) -> np.ndarray:
+    """Uninitialized Fortran-ordered array for the upper triangle of the
+    2L-by-2L Gram of a basis of L delays in rectangular full packed format:
+    (2L + 1)-by-L, L(2L+1) doubles, refused beyond the available memory."""
+    return _allocate(L * (2 * L + 1) * 8, f"the Gram matrix: kL={2 * L} needs kL(kL+1)/2*8",
+                     lambda: np.empty((2 * L + 1, L), order="F"))
+
+
+def _empty_split_factor(L: int) -> _SplitFactor:
+    """Uninitialized arrays of the ``_SplitFactor`` of a basis of L delays:
+    two of L(L+1)/2 doubles and 30 L doubles of rotations and generator,
+    refused beyond the available memory."""
+    n1 = L // 2
+    return _allocate(
+        (L * (L + 1) + 30 * L) * 8, f"the Gram factor: L={L} needs (L(L+1) + 30L)*8",
+        lambda: _SplitFactor(np.empty((L - n1, 2 * n1 + 1), order="F"),
+                             np.empty((L - n1, 2 * n1 + 1), order="F"),
+                             np.empty((L, 5, 5)), np.empty((5, L))))
 
 
 def _diagonal_index(L: int, first: int = 0) -> np.ndarray:
@@ -467,6 +529,21 @@ def _unpacked(packed: np.ndarray) -> np.ndarray:
     for j in range(n2):
         upper[:n1 + j + 1, n1 + j] = packed[:n1 + j + 1, j]
         upper[j, j:n1] = packed[n1 + 1 + j:, j]
+    return upper
+
+
+def _unpacked_factor(factor: np.ndarray | _SplitFactor) -> np.ndarray:
+    """The 2L-by-2L upper triangular factor that a basis' ``_factor`` holds,
+    zeros below it: ``_unpacked`` of a dense-path factor, or ``U_ss``,
+    ``U_nn`` and the replayed ``U_sn`` of a split one.  A new array, for
+    checks."""
+    if isinstance(factor, np.ndarray):
+        return _unpacked(factor)
+    L = factor.generator.shape[1]
+    upper = np.zeros((2 * L, 2 * L))
+    upper[:L, :L], upper[L:, L:] = _unpacked(factor.ss.T), _unpacked(factor.nn.T)
+    for i, rows in _cross_rows(factor):
+        upper[i:i + len(rows), L:] = rows
     return upper
 
 
@@ -528,11 +605,34 @@ def _generator(arrays: Sequence[np.ndarray], rows: np.ndarray, L: int) -> np.nda
     return gen
 
 
-def _schur_factor(packed: np.ndarray, gen: np.ndarray, L: int) -> bool:
+def _write_row(packed: np.ndarray, i: int, row: np.ndarray, lead: np.ndarray) -> None:
+    """Write row i of an upper triangular matrix, from its diagonal on, into
+    ``packed``, the C-ordered ``TRANSR='N'`` rectangular full packed array
+    that holds it, rows in order from 0.
+
+    Row i >= n1 goes along row i of ``packed`` from column i - n1.  Row
+    i < n1 goes along row i for its entries from column n1 on, and down
+    column i from row n1 + 1 + i for the rest, a strided write.  That part
+    is gathered in ``lead`` (R rows by n1) and written R columns at a time,
+    along rows of ``packed``; the block also fills entries above those
+    rows' diagonals, each of which a row i >= n1 writes later."""
+    n1 = packed.shape[0] // 2
+    if i >= n1:
+        packed[i, i - n1:] = row
+        return
+    packed[i] = row[n1 - i:]
+    start = i - i % len(lead)
+    k = i - start
+    lead[k, k:n1 - start] = row[:n1 - i]
+    if k == len(lead) - 1 or i == n1 - 1:
+        packed[n1 + 1 + start:, start:i + 1] = lead[:k + 1, :n1 - start].T
+
+
+def _schur_factor(factor: _SplitFactor, gen: np.ndarray, L: int) -> bool:
     """Write the Cholesky factor U of the Gram whose displacement generator
-    ``gen`` is (see ``_generator``) into the packed array ``packed``, every
-    entry, by 2L steps of the generalized Schur algorithm; False, with
-    ``packed`` part-written, on a breakdown.  ``gen`` is overwritten.
+    ``gen`` is (see ``_generator``) into the empty ``factor`` by 2L steps of
+    the generalized Schur algorithm; False, with ``factor`` part-written, on
+    a breakdown.  ``gen`` is overwritten.
 
     Step i takes row i of the generator, [a1, a2 | b1, b2, b3], and builds
     in Python floats a J-unitary Θ that maps it to [δ, 0, 0, 0, 0]: a Givens
@@ -541,7 +641,10 @@ def _schur_factor(packed: np.ndarray, gen: np.ndarray, L: int) -> bool:
     β²) > 0.  One ``np.matmul`` applies it to the rows i .. 2L-1 of the
     generator; the first column is then row i of U, from its diagonal on,
     and is shifted by F for the next step.  Two work arrays of 5 x 2L are
-    all it uses; the generator and its image alternate between them.
+    all it uses; the generator and its image alternate between them.  Of
+    row i < L only the ``U_ss`` part is written: the step's Θᵀ and the
+    noise block's generator before step 0 are kept instead, from which
+    ``_cross_rows`` replays the ``U_sn`` part.
 
     A pivot with a <= |β| (or not finite) leaves no positive δ: a
     breakdown.  So is one with δ² <= 2L eps G_00 (G_LL in the noise
@@ -552,6 +655,10 @@ def _schur_factor(packed: np.ndarray, gen: np.ndarray, L: int) -> bool:
     rel = 2 * L * np.finfo(np.float64).eps
     # G_00 and G_LL: rows 0 and L of U₀ are those of Rᵀ
     floors = (rel * gen[0, 0] ** 2, rel * (gen[0, L] ** 2 + gen[1, L] ** 2))
+    factor.generator[:] = gen[:, L:]
+    ss, nn = factor.ss.T, factor.nn.T  # the TRANSR='N' layouts, C-ordered
+    lead = np.empty((BLOCK_ROWS, L // 2))
+    theta_t = np.empty((5, 5))  # Θᵀ of a step past L, which no replay needs
     cur, nxt = gen, np.empty_like(gen)
     for i in range(2 * L):
         a1, a2, b1, b2, b3 = cur[:, i].tolist()
@@ -571,23 +678,90 @@ def _schur_factor(packed: np.ndarray, gen: np.ndarray, L: int) -> bool:
         gamma = sqrt((1.0 - rho) * (1.0 + rho))
         ig, rg = 1.0 / gamma, rho / gamma
         # Θᵀ, as gen holds the generator's columns as rows
-        theta_t = np.array([[cs * ig, sn * ig, -rg * h00, -rg * h01, -rg * h02],
-                            [-sn, cs, 0.0, 0.0, 0.0],
-                            [-rg * cs, -rg * sn, h00 * ig, h01 * ig, h02 * ig],
-                            [0.0, 0.0, h01, h11, h12],
-                            [0.0, 0.0, h02, h12, h22]])
-        column = np.matmul(theta_t, cur[:, i:], out=nxt[:, i:])[0]
+        step = factor.rotations[i] if i < L else theta_t
+        step[:] = [[cs * ig, sn * ig, -rg * h00, -rg * h01, -rg * h02],
+                   [-sn, cs, 0.0, 0.0, 0.0],
+                   [-rg * cs, -rg * sn, h00 * ig, h01 * ig, h02 * ig],
+                   [0.0, 0.0, h01, h11, h12],
+                   [0.0, 0.0, h02, h12, h22]]
+        column = np.matmul(step, cur[:, i:], out=nxt[:, i:])[0]
         column[0] = a * gamma  # δ > 0, which the product with Θ may round
-        if i < L:  # U[i, i:L] down column i of packed, U[i, L:] along its row i
-            packed[L + 1 + i:, i] = column[:L - i]
-            packed[i] = column[L - i:]
-        else:  # U[i, i:] along row i of packed, from column i - L
-            packed[i, i - L:] = column
+        if i < L:
+            _write_row(ss, i, column[:L - i], lead)
+        else:
+            _write_row(nn, i - L, column, lead)
         column[1:] = column[:-1]  # times F: down by one inside each block
         if i < L:
             nxt[0, L] = 0.0  # row L heads the noise block
         cur, nxt = nxt, cur
     return True
+
+
+def _cross_rows(factor: _SplitFactor):
+    """Yield ``(i, rows)``: rows i .. i + len(rows) - 1 of ``U_sn``, up to
+    ``BLOCK_ROWS`` of them at a time in one reused buffer.
+
+    The Schur steps i < L replayed on the noise block alone: the stored Θᵢᵀ
+    times the 5-by-L generator g is the next g, whose row 0 is row i of
+    ``U_sn`` and is then shifted right by one (F).  Each product is the one
+    the full-width step made on these columns, so the rows are bitwise that
+    step's.  A replay costs L products of 5-by-5 by 5-by-L, whatever the
+    number of right-hand sides it serves."""
+    L = factor.generator.shape[1]
+    g, nxt = factor.generator.copy(), np.empty_like(factor.generator)
+    block = np.empty((min(BLOCK_ROWS, L), L))
+    for i, theta_t in enumerate(factor.rotations):
+        k = i % len(block)
+        np.matmul(theta_t, g, out=nxt)
+        block[k] = nxt[0]
+        nxt[0, 1:] = block[k, :-1]
+        nxt[0, 0] = 0.0
+        g, nxt = nxt, g
+        if k == len(block) - 1 or i == L - 1:
+            yield i - k, block[:k + 1]
+
+
+def _forward_solve(factor: np.ndarray | _SplitFactor, b: np.ndarray) -> np.ndarray:
+    """``z`` with ``Uᵀ z = b``, in place over ``b``: 2L-by-m, Fortran-ordered,
+    one right-hand side per column.
+
+    A dense-path factor is one ``dtfsm``.  A split one solves by blocks,
+    ``z_s = U_ss⁻ᵀ b_s`` and ``z_n = U_nn⁻ᵀ (b_n - Σ_i z_s[i] U_sn[i, :])``,
+    one replay of ``U_sn`` serving every column."""
+    if isinstance(factor, np.ndarray):
+        return dtfsm(factor, b, trans=True)
+    L = len(b) // 2
+    zs = dtfsm(factor.ss, np.array(b[:L], order="F"), trans=True, transr=True)
+    zn = np.array(b[L:], order="F")
+    for i, rows in _cross_rows(factor):
+        for j in range(b.shape[1]):  # by column: a batch solves each as it would alone
+            zn[:, j] -= rows.T @ zs[i:i + len(rows), j]
+    b[:L], b[L:] = zs, dtfsm(factor.nn, zn, trans=True, transr=True)
+    return b
+
+
+def _back_solve(factor: np.ndarray | _SplitFactor, z: np.ndarray, r: int) -> np.ndarray:
+    """``c`` with ``U c = z`` zeroed past row ``r*L``, for ``z`` 2L-by-m: a new
+    Fortran-ordered array, one column per column of ``z``.
+
+    A dense-path factor is one ``dtfsm``.  A split one solves by blocks,
+    ``c_n = U_nn⁻¹ z_n`` and ``c_s = U_ss⁻¹ (z_s - U_sn c_n)``, one replay
+    of ``U_sn`` serving every column; with r = 1, c_n = 0 and only ``U_ss``
+    is read."""
+    L = len(z) // 2
+    c = np.zeros(z.shape, order="F")
+    c[:r * L] = z[:r * L]
+    if isinstance(factor, np.ndarray):
+        return dtfsm(factor, c, trans=False)
+    cs = np.array(c[:L], order="F")
+    if r == 2:
+        cn = dtfsm(factor.nn, np.array(c[L:], order="F"), trans=False, transr=True)
+        for i, rows in _cross_rows(factor):
+            for j in range(z.shape[1]):
+                cs[i:i + len(rows), j] -= rows @ cn[:, j]
+        c[L:] = cn
+    c[:L] = dtfsm(factor.ss, cs, trans=False, transr=True)
+    return c
 
 
 def _validate_references(references: Sequence[Waveform], max_delay: int) -> None:
@@ -616,16 +790,17 @@ def build_basis(references: Sequence[Waveform], max_delay: int) -> ProjectionBas
 
     The Gram matrix is factorized once (Cholesky), without being formed:
     2L generalized Schur steps on its 5-column displacement generator
-    (``_generator``, ``_schur_factor``) write the factor in O(L^2) work.
-    A breakdown there (the corner K not positive definite, as with n = s;
-    T < 2L; a pivot at or below the rounding floor) sends the basis down
-    the dense path, unchanged: ``_fill_gram`` writes the Gram and
-    ``dpftrf`` factorizes it in place.  If that fails, a diagonal loading of
-    ``GRAM_REG_LAMBDA * trace / 2L`` is added to ``G_nn``, and to ``G_ss``
-    only if it broke there (else it keeps an unloaded factor), and the event
-    is recorded; if it still fails, ``SingularProjectionError`` is raised
-    rather than silently absorbing the problem.  A Gram matrix that cannot
-    be allocated raises ``ValueError`` naming its size.
+    (``_generator``, ``_schur_factor``) write the factor in O(L^2) work,
+    held as a ``_SplitFactor``.  A breakdown there (the corner K not
+    positive definite, as with n = s; T < 2L; a pivot at or below the
+    rounding floor) sends the basis down the dense path, unchanged:
+    ``_fill_gram`` writes the Gram and ``dpftrf`` factorizes it in place.
+    If that fails, a diagonal loading of ``GRAM_REG_LAMBDA * trace / 2L``
+    is added to ``G_nn``, and to ``G_ss`` only if it broke there (else it
+    keeps an unloaded factor), and the event is recorded; if it still
+    fails, ``SingularProjectionError`` is raised rather than silently
+    absorbing the problem.  A factor or Gram matrix that cannot be
+    allocated raises ``ValueError`` naming its size, before allocating.
     """
     if len(references) != 2:
         raise ValueError(f"expected two references, [speech, noise], got {len(references)}")
@@ -637,12 +812,14 @@ def build_basis(references: Sequence[Waveform], max_delay: int) -> ProjectionBas
     spectra = tuple(_block_spectra(a, L, M, extended=False) for a in arrays)
     rows = _lag_rows(arrays, spectra, L, M)
 
-    packed = _empty_gram(L)
     regularization = 0.0
     events: tuple[str, ...] = ()
     # 2L copies in R^T with T < 2L are dependent: that Gram is singular
     gen = _generator(arrays, rows, L) if 2 * L <= len(refs[0]) else None
-    if gen is None or not _schur_factor(packed, gen, L):
+    factor = None if gen is None else _empty_split_factor(L)
+    if factor is None or not _schur_factor(factor, gen, L):
+        factor = None  # a broken-down factor is freed before the Gram is made
+        packed = _empty_gram(L)
         _fill_gram(packed, arrays, rows, L)
         flat = packed.ravel(order="F")  # a view: the array is Fortran-contiguous
         trace = flat[_diagonal_index(L)].sum()
@@ -660,22 +837,24 @@ def build_basis(references: Sequence[Waveform], max_delay: int) -> ProjectionBas
                 )
             events = (f"gram-regularized: diagonal loading {regularization:g} "
                       f"from reference {first} on (L={L}, refs=2)",)
+        factor = packed
 
     return ProjectionBasis(
         references=refs,
         max_delay=L,
         regularization=regularization,
         regularization_events=events,
-        _factor=packed,
+        _factor=factor,
         _spectra=spectra,
         _block=M,
     )
 
 
-def whiten(basis: ProjectionBasis, x: Waveform) -> np.ndarray:
-    """Whitened coefficients ``z`` of ``x``: one correlation pass gives the
-    right-hand side ``Aᵀx`` and one forward solve ``Uᵀ z = Aᵀx``, a
-    ``dtfsm`` on the whole factor, the rest.
+def whiten(basis: ProjectionBasis, x: Waveform | Sequence[Waveform]) -> np.ndarray:
+    """Whitened coefficients ``z`` of ``x``, one waveform (a 2L vector) or a
+    batch of m (2L-by-m, one column each): one correlation pass per signal
+    gives the right-hand sides ``Aᵀx`` and one forward solve of them all,
+    ``Uᵀ z = Aᵀx``, the rest (see ``_forward_solve``).
 
     ``A U⁻¹`` has orthonormal columns, the whitened delayed copies, and
     ``Uᵀ`` is lower triangular, so ``z[:L]`` are the coordinates of
@@ -683,37 +862,44 @@ def whiten(basis: ProjectionBasis, x: Waveform) -> np.ndarray:
     and ``<P_sn x, P_sn x'> = z·z'``, with no waveform synthesized (see
     ``synthesize``).
     """
-    T = len(basis.references[0])
-    if len(x) != T:
-        raise ValueError(f"whiten: length mismatch ({len(x)} vs basis length {T})")
-    if x.sample_rate != (rate := basis.references[0].sample_rate):
-        raise ValueError(f"whiten: sample rate mismatch ({x.sample_rate} vs {rate})")
+    signals = [x] if isinstance(x, Waveform) else list(x)
+    T, rate = len(basis.references[0]), basis.references[0].sample_rate
+    for w in signals:
+        if len(w) != T:
+            raise ValueError(f"whiten: length mismatch ({len(w)} vs basis length {T})")
+        if w.sample_rate != rate:
+            raise ValueError(f"whiten: sample rate mismatch ({w.sample_rate} vs {rate})")
 
     # <ref delayed by tau, x> needs no truncation correction: x itself is
     # not delayed, so no products fall outside [0, T).
-    rhs = _correlations(x.samples, basis._spectra, basis.max_delay, basis._block).ravel()
-    return dtfsm(basis._factor, rhs, trans=True)
+    L, M = basis.max_delay, basis._block
+    rhs = np.empty((2 * L, len(signals)), order="F")
+    for j, w in enumerate(signals):
+        rhs[:, j] = _correlations(w.samples, basis._spectra, L, M).ravel()
+    z = _forward_solve(basis._factor, rhs)
+    return z[:, 0] if isinstance(x, Waveform) else z
 
 
 def synthesize(basis: ProjectionBasis, z: np.ndarray, r: int) -> np.ndarray:
     """Samples of ``P_r x`` from the whitened coefficients ``z`` of ``x``:
-    ``P_1 = P_s`` onto the speech copies, ``P_2 = P_sn`` onto both.
+    ``P_1 = P_s`` onto the speech copies, ``P_2 = P_sn`` onto both.  A 2L
+    vector ``z`` gives T samples, a 2L-by-m batch an m-by-T array, one row
+    per column.
 
-    One back solve of ``z`` zeroed past ``r*L``, a ``dtfsm`` on the whole
-    factor, gives the coefficients ``c``; ``P_r x = Σ_i F_i · rfft(c_i)``
-    over the first r references, ``F_i`` their block spectra, under one
-    batched inverse FFT whose blocks are overlap-added.
+    One back solve of every column of ``z`` zeroed past ``r*L`` (see
+    ``_back_solve``) gives the coefficients ``c``; ``P_r x = Σ_i F_i ·
+    rfft(c_i)`` over the first r references, ``F_i`` their block spectra,
+    under one batched inverse FFT whose blocks are overlap-added.
     """
     L, M = basis.max_delay, basis._block
-    c = np.zeros(len(z))
-    c[:r * L] = z[:r * L]
-    dtfsm(basis._factor, c, trans=False)
-    spectrum = basis._spectra[0] * rfft(c[:L], M)
+    c = _back_solve(basis._factor, z.reshape(len(z), -1), r)
+    spectrum = basis._spectra[0] * rfft(c[:L].T, M)[:, None]
     if r == 2:
-        spectrum += basis._spectra[1] * rfft(c[L:], M)
-    blocks = irfft(spectrum, M, axis=1)
+        spectrum += basis._spectra[1] * rfft(c[L:].T, M)[:, None]
+    blocks = irfft(spectrum, M)
     del spectrum
-    return _overlap_add(blocks, L, len(basis.references[0]))
+    out = _overlap_add(blocks, L, len(basis.references[0]))
+    return out if z.ndim == 2 else out[0]
 
 
 def project_dense_oracle(references: Sequence[Waveform], max_delay: int,

@@ -24,7 +24,7 @@ import numpy as np
 from .analysis import DsaPoint, OaPoint, dsa_synthesize, oa_apply
 from .decomposition import Decomposer, cross_gram, recompose
 from .metrics import compute_metrics, sar_improvement_closed_form
-from .projection import _unpacked, delayed_matrix, lapack_source, project_dense_oracle
+from .projection import _unpacked_factor, delayed_matrix, lapack_source, project_dense_oracle
 from .signals import Waveform, add, energy, inner, scale
 
 __all__ = ["OracleCase", "SelfTestReport", "make_case", "run_property_suite",
@@ -189,8 +189,9 @@ def _check_case(case: OracleCase, dev: dict) -> None:
     bump("gram_vs_dense_rel",
          np.max(np.abs(dec.basis.gram - gram_dense)) / np.max(np.abs(gram_dense)))
 
-    # the factor against the Gram it factorizes, with the loading recorded
-    upper = _unpacked(dec.basis._factor)
+    # the factor, with a Schur-path basis' cross block replayed, against the
+    # Gram it factorizes, with the loading recorded
+    upper = _unpacked_factor(dec.basis._factor)
     bump("factor_backward_rel",
          np.linalg.norm(upper.T @ upper - _loaded_gram(dec.basis)) / np.linalg.norm(gram_dense))
 

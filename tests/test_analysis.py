@@ -195,19 +195,35 @@ class TestOaSweep:
         assert grid[-1].omega_obs == 1.5
 
     def test_decomposes_only_s_hat_and_y(self, monkeypatch):
+        # s_hat and y go as one batch: one forward and one back solve of two
+        # columns, each with one replay of the Schur-path cross block
+        import opdkit.projection as projection_module
         s, n, s_hat = random_signals(0, length=500, max_delay=8)
+        y = add(s, n)
         dec = Decomposer(s, n, max_delay=8)
-        seen = []
-        original = Decomposer.decompose
+        assert isinstance(dec.basis._factor, projection_module._SplitFactor)
+        seen, calls = [], []
+        original = Decomposer.decompose_batch
 
-        def counting(self, x):
-            seen.append(x)
-            return original(self, x)
+        def counting(self, signals):
+            seen.append(list(signals))
+            return original(self, signals)
 
-        monkeypatch.setattr(Decomposer, "decompose", counting)
-        oa_sweep(dec, s_hat, add(s, n), default_grid("oa"))
-        assert len(seen) == 2
-        assert seen[0] is s_hat
+        def recorded(name):
+            fn = getattr(projection_module, name)
+            monkeypatch.setattr(projection_module, name, lambda factor, *rest: calls.append(
+                (name, rest[0].shape if rest else None)) or fn(factor, *rest))
+
+        monkeypatch.setattr(Decomposer, "decompose_batch", counting)
+        for name in ("_forward_solve", "_back_solve", "_cross_rows"):
+            recorded(name)
+        monkeypatch.setattr(Decomposer, "decompose", None)  # no one-signal path
+        oa_sweep(dec, s_hat, y, default_grid("oa"))
+        assert len(seen) == 1
+        assert seen[0][0] is s_hat and seen[0][1] is y
+        assert [name for name, _ in calls] == ["_forward_solve", "_cross_rows",
+                                               "_back_solve", "_cross_rows"]
+        assert [shape for name, shape in calls if name != "_cross_rows"] == [(16, 2), (16, 2)]
 
     def test_closed_form_once_for_the_whole_grid(self, monkeypatch):
         import opdkit.analysis as analysis_module

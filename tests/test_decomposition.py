@@ -99,15 +99,18 @@ def test_loading_only_the_failing_block_keeps_speech_projection(seed):
 def test_one_correlation_pass_and_two_triangular_solves(monkeypatch):
     # a decomposition is one right-hand side, one forward and one back
     # substitution, and one synthesis (P_sn x, for e_artif); reading
-    # s_target adds one back substitution and one synthesis (P_s x).  Each
-    # substitution is one dtfsm on the whole packed factor, of one column:
-    # synthesize makes one projection per call.
+    # s_target adds one back substitution and one synthesis (P_s x):
+    # synthesize makes one projection per call.  On a Schur-path basis a
+    # substitution is one dtfsm per diagonal block and, for P_sn, one replay
+    # of the cross block U_sn; that of P_s reads U_ss alone.
     import opdkit.decomposition as decomposition_module
     import opdkit.projection as projection_module
     assert not hasattr(projection_module, "project")
     case = make_case(0)
     dec = Decomposer(case.s, case.n, case.max_delay)
-    calls = {"_block_spectra": 0, "dtfsm": 0, "whiten": 0, "synthesize": 0}
+    assert isinstance(dec.basis._factor, projection_module._SplitFactor)
+    calls = dict.fromkeys(["_block_spectra", "_forward_solve", "_back_solve", "_cross_rows",
+                           "dtfsm", "whiten", "synthesize"], 0)
 
     def counted(module, name):
         fn = getattr(module, name)
@@ -119,14 +122,16 @@ def test_one_correlation_pass_and_two_triangular_solves(monkeypatch):
 
     counted(decomposition_module, "whiten")
     counted(decomposition_module, "synthesize")
-    counted(projection_module, "_block_spectra")
-    counted(projection_module, "dtfsm")
+    for name in ("_block_spectra", "_forward_solve", "_back_solve", "_cross_rows", "dtfsm"):
+        counted(projection_module, name)
+    decomposed = {"_block_spectra": 1, "_forward_solve": 1, "_back_solve": 1, "_cross_rows": 2,
+                  "dtfsm": 4, "whiten": 1, "synthesize": 1}
     d = dec.decompose(case.s_hat)
-    assert calls == {"_block_spectra": 1, "dtfsm": 2, "whiten": 1, "synthesize": 1}
+    assert calls == decomposed
     d.gram, d.e_artif
-    assert calls == {"_block_spectra": 1, "dtfsm": 2, "whiten": 1, "synthesize": 1}
+    assert calls == decomposed
     d.s_target, d.e_noise
-    assert calls == {"_block_spectra": 1, "dtfsm": 3, "whiten": 1, "synthesize": 2}
+    assert calls == dict(decomposed, _back_solve=2, dtfsm=5, synthesize=2)
 
 
 def test_energy_pythagoras(running_example):

@@ -11,8 +11,8 @@ from numpy.testing import assert_allclose
 
 from conftest import RATE, lowpass_noise
 from opdkit.projection import (DELAY_PADDING, SingularProjectionError, _gram_rows, _unpacked,
-                               build_basis, delayed_matrix, project_dense_oracle, synthesize,
-                               whiten)
+                               _unpacked_factor, build_basis, delayed_matrix, project_dense_oracle,
+                               synthesize, whiten)
 from opdkit.reporting import RunManifest
 from opdkit.selftest import INVARIANT_TOLERANCES, make_case
 from opdkit.signals import Waveform, inner
@@ -96,17 +96,20 @@ class TestGram:
     @pytest.mark.parametrize("seed", range(8))
     def test_factor_is_the_factorized_gram(self, seed):
         # ties the Gram that the tests and the self-test check to the one
-        # that was factorized in place; the basis holds that one packed
-        # array of kL(kL+1)/2 doubles and nothing the size of the Gram else
+        # that was factorized; the basis holds U_ss and U_nn, two packed
+        # arrays of L(L+1)/2 doubles, 30 L doubles to replay U_sn from, and
+        # nothing the size of the Gram else
         case = make_case(seed)
-        basis = build_basis([case.s, case.n], case.max_delay)
+        L = case.max_delay
+        basis = build_basis([case.s, case.n], L)
         assert basis.regularization == 0.0
         gram, factor = basis.gram, basis._factor
-        upper = _unpacked(factor)
+        upper = _unpacked_factor(factor)
         assert np.max(np.abs(upper.T @ upper - gram)) <= 1e-12 * np.max(np.abs(gram))
-        dim = 2 * case.max_delay
-        assert factor.dtype == np.float64 and factor.base is None
-        assert factor.size == dim * (dim + 1) // 2
+        for packed in (factor.ss, factor.nn):
+            assert packed.dtype == np.float64 and packed.base is None
+            assert packed.size == L * (L + 1) // 2
+        assert factor.rotations.shape == (L, 5, 5) and factor.generator.shape == (5, L)
 
     def test_convention_recorded(self):
         noise = lowpass_noise(np.random.default_rng(0), 16)
@@ -129,8 +132,9 @@ def _packed_positions(dim: int, first: int = 0) -> set:
 
 
 class TestPackedLayout:
-    """The basis' Gram and factor in rectangular full packed format: one
-    (2L + 1)-by-L array of three L-by-L blocks."""
+    """The basis' Gram in rectangular full packed format, one (2L + 1)-by-L
+    array of three L-by-L blocks, and its factor's diagonal blocks, each
+    packed and transposed (``TRANSR='T'``)."""
 
     @pytest.mark.parametrize("seed", range(6))
     def test_pair_factor_leads_with_the_speech_factor(self, seed):
@@ -138,10 +142,11 @@ class TestPackedLayout:
         L = case.max_delay
         # that it factorizes the Gram is test_factor_is_the_factorized_gram
         joint = build_basis([case.s, case.n], L)
-        assert joint._factor.shape == (2 * L + 1, L)
-        assert joint._factor.flags.f_contiguous
+        n1 = L // 2
+        assert joint._factor.ss.shape == (L - n1, 2 * n1 + 1)
+        assert joint._factor.ss.flags.f_contiguous
         speech = np.linalg.cholesky(joint.gram[:L, :L]).T
-        lead = _unpacked(joint._factor)[:L, :L]
+        lead = _unpacked(joint._factor.ss.T)
         assert np.max(np.abs(lead - speech)) <= 1e-12 * np.max(np.abs(speech))
 
     def loaded_entries(self, monkeypatch, refs, L):
@@ -232,7 +237,7 @@ class TestSchurFactor:
         with monkeypatch.context() as patched:
             self.refuse_dense_path(patched)
             basis = build_basis(refs, L)
-        upper, gram = _unpacked(basis._factor), basis.gram
+        upper, gram = _unpacked_factor(basis._factor), basis.gram
         assert np.linalg.norm(upper.T @ upper - gram) <= self.BACKWARD_TOL * np.linalg.norm(gram)
 
     @pytest.mark.parametrize("seed", range(8))
@@ -246,14 +251,52 @@ class TestSchurFactor:
         s, n, _ = _band_limited_references(seed, "pcm16")
         self.check_backward_error(monkeypatch, [s, n], 256)
 
-    @pytest.mark.parametrize("T,L", [(64, 1), (64, 7), (64, 8), (200, 33), (4066, 32)])
+    # at L = 150 the 75 leading rows of each triangle are written in two blocks
+    @pytest.mark.parametrize("T,L", [(64, 1), (64, 7), (64, 8), (200, 33), (4066, 32),
+                                     (600, 150)])
     def test_every_packed_entry_is_written(self, monkeypatch, T, L):
-        empty = projection_module._empty_gram
-        monkeypatch.setattr(projection_module, "_empty_gram",
-                            lambda delays: np.full_like(empty(delays), np.nan))
+        empty = projection_module._empty_split_factor
+        monkeypatch.setattr(projection_module, "_empty_split_factor",
+                            lambda delays: projection_module._SplitFactor(
+                                *(np.full_like(a, np.nan) for a in empty(delays))))
         self.refuse_dense_path(monkeypatch)
         factor = build_basis(_lowpass_pair(T), L)._factor
-        assert factor.flags.f_contiguous and not np.isnan(factor).any()
+        assert factor.ss.flags.f_contiguous and factor.nn.flags.f_contiguous
+        assert not any(np.isnan(a).any() for a in factor)
+
+    @staticmethod
+    def full_width_cross_block(refs, L, rotations):
+        """U_sn as the Schur steps i < L make it across the generator's whole
+        width, from the rotations a basis stored: row 0 of each 5-by-(2L - i)
+        product, noise block columns.  Those columns take nothing from the
+        speech block's, whose row 0 this leaves as the product rounded it."""
+        cur = TestSchurFactor.generator(refs, L)
+        nxt = np.empty_like(cur)
+        cross = np.empty((L, L))
+        for i in range(L):
+            row = np.matmul(rotations[i], cur[:, i:], out=nxt[:, i:])[0]
+            cross[i] = nxt[0, L:]
+            row[1:] = row[:-1]
+            nxt[0, L] = 0.0
+            cur, nxt = nxt, cur
+        return cross
+
+    @pytest.mark.parametrize("kind,arg", [*(("random", seed) for seed in range(8)),
+                                          *(("pcm16", seed) for seed in (5, 6, 7)),
+                                          ("T=64000", 512)])
+    def test_replayed_cross_block_is_the_full_width_one(self, monkeypatch, kind, arg):
+        # bitwise: the replay's L-wide products are the full-width steps'
+        if kind == "random":
+            case = make_case(arg)
+            refs, L = [case.s, case.n], case.max_delay
+        elif kind == "pcm16":
+            refs, L = list(_band_limited_references(arg, kind)[:2]), 256
+        else:
+            refs, L = _lowpass_pair(64000), arg
+        self.refuse_dense_path(monkeypatch)
+        factor = build_basis(refs, L)._factor
+        replayed = _unpacked_factor(factor)[:L, L:]
+        assert np.array_equal(replayed, self.full_width_cross_block(refs, L, factor.rotations))
 
     def test_well_conditioned_basis_takes_no_dense_step(self, monkeypatch):
         self.refuse_dense_path(monkeypatch)
@@ -334,6 +377,45 @@ class TestProject:
         expected = project_dense_oracle([case.s], case.max_delay, case.s_hat).samples
         got = synthesize(joint, whiten(joint, case.s_hat), 1)
         assert np.linalg.norm(got - expected) <= 1e-8 * np.linalg.norm(expected)
+
+
+class TestBatch:
+    """``whiten`` of m signals and ``synthesize`` of a 2L-by-m ``z``, on a
+    Schur-path basis (``[s, n]``) and a dense-path one (``[s, s]``)."""
+
+    T, L = 3000, 40
+
+    @pytest.fixture(params=["n", "s"])
+    def basis_and_signals(self, request):
+        rng = np.random.default_rng(7)
+        s, n, x, w = (Waveform(lowpass_noise(rng, self.T), RATE) for _ in range(4))
+        basis = build_basis([s, n if request.param == "n" else s], self.L)
+        split = isinstance(basis._factor, projection_module._SplitFactor)
+        assert split == (request.param == "n")
+        return basis, [x, w]
+
+    def test_batch_is_its_one_column_calls(self, basis_and_signals):
+        basis, signals = basis_and_signals
+        z = whiten(basis, signals)
+        assert z.shape == (2 * self.L, 2)
+        for j, x in enumerate(signals):
+            one = whiten(basis, x)
+            assert np.linalg.norm(z[:, j] - one) <= 1e-12 * np.linalg.norm(one)
+        for r in (1, 2):
+            batch = synthesize(basis, z, r)
+            assert batch.shape == (2, self.T)
+            for j in range(2):
+                one = synthesize(basis, z[:, j].copy(), r)
+                assert np.linalg.norm(batch[j] - one) <= 1e-12 * np.linalg.norm(one)
+
+    def test_speech_projection_replays_nothing(self, monkeypatch, basis_and_signals):
+        basis, signals = basis_and_signals
+        z = whiten(basis, signals)
+
+        def refuse(*args):
+            raise AssertionError("U_sn was replayed")
+        monkeypatch.setattr(projection_module, "_cross_rows", refuse)
+        assert synthesize(basis, z, 1).shape == (2, self.T)
 
 
 class TestBlocks:
@@ -551,7 +633,9 @@ def _subprocess_env() -> dict:
 
 class TestMemory:
     """Memory of a k=2 basis at T=20000, L=1024, whose packed Gram is
-    2L(2L+1)/2 * 8 = 16.8 MB and whose L-by-L blocks are 8.4 MB each."""
+    2L(2L+1)/2 * 8 = 16.8 MB, whose Schur-path factor holds two packed
+    L-by-L triangles, L(L+1) * 8 = 8.4 MB, and whose L-by-L blocks are
+    8.4 MB each."""
 
     T, L = 20000, 1024
 
@@ -581,23 +665,26 @@ class TestMemory:
         assert result.returncode == 0, result.stderr[-3000:]
         return json.loads(result.stdout)
 
-    def basis_bound(self):
-        # the packed Gram, one 2 MiB huge page that its allocation may round
-        # up to, and O(T) for spectra and lags; page-rounded columns of a
-        # dense Gram (16 MiB more at 4 KiB pages) do not fit
-        dim = 2 * self.L
-        return dim * (dim + 1) // 2 * 8 + (2 << 20) + 64 * self.T
+    def basis_bound(self, packed_bytes):
+        # the packed factor or Gram, one 2 MiB huge page that its allocation
+        # may round up to, and O(T) for spectra, lags and the 30 L doubles of
+        # rotations and generator; page-rounded columns of a dense Gram (16
+        # MiB more at 4 KiB pages) do not fit
+        return packed_bytes + (2 << 20) + 64 * self.T
 
     @pytest.mark.skipif(sys.platform == "win32", reason="needs resource.getrusage")
     def test_build_holds_one_gram(self):
+        # a Schur-path basis: U_ss and U_nn, and no U_sn
         measured = self.resident_growth("n")
         assert measured["events"] == []
-        assert measured["growth"] <= self.basis_bound()
+        assert measured["growth"] <= self.basis_bound(self.L * (self.L + 1) * 8)
 
     @pytest.mark.skipif(sys.platform == "win32", reason="needs resource.getrusage")
     def test_regularized_build_holds_one_gram(self):
+        # n = s takes the dense path: the packed Gram, factorized in place
         measured = self.resident_growth("s")
-        assert measured["growth"] <= self.basis_bound()
+        dim = 2 * self.L
+        assert measured["growth"] <= self.basis_bound(dim * (dim + 1) // 2 * 8)
         assert measured["events"] == [
             "gram-regularized: diagonal loading 1.0532e-05 from reference 1 on "
             "(L=1024, refs=2)"]
@@ -619,6 +706,24 @@ class TestGramSizeCheck:
             build_basis([s, n], 4)
         monkeypatch.setattr(projection_module, "_mem_available", lambda: 288)
         assert build_basis([s, n], 4).regularization > 0.0
+
+    def test_schur_factor_over_available_memory_refused(self, monkeypatch):
+        # a Schur-path basis allocates two packed L-by-L triangles and 30 L
+        # doubles of rotations and generator: at L = 7, 448 + 1680 bytes
+        refs, L = _lowpass_pair(64), 7
+        allocated = []
+        empty = projection_module._empty_split_factor
+        monkeypatch.setattr(projection_module, "_empty_split_factor",
+                            lambda delays: allocated.append(empty(delays)) or allocated[-1])
+        monkeypatch.setattr(projection_module, "_mem_available", lambda: 2127)
+        with pytest.raises(ValueError, match=r"^cannot allocate the Gram factor: L=7 needs "
+                                             r"\(L\(L\+1\) \+ 30L\)\*8 = 2128 bytes$"):
+            build_basis(refs, L)
+        assert allocated == []
+        monkeypatch.setattr(projection_module, "_mem_available", lambda: 2128)
+        factor = build_basis(refs, L)._factor
+        assert factor is allocated[0]
+        assert sum(a.nbytes for a in factor) == 2128
 
     def test_failed_mapping_is_the_size_error(self, monkeypatch):
         # with no MemAvailable to check against, an allocation the system
@@ -728,6 +833,13 @@ class TestLapackBinding:
                            else "^dtfsm: b "):
             projection_module.dtfsm(a, b, trans=True)
 
+    def test_dtfsm_refuses_the_other_layout(self, no_call):
+        # order 6: (7, 3) with TRANSR='N', its transpose (3, 7) with 'T'
+        a = self.packed(self.spd())
+        for array, transr in ((a, True), (np.asfortranarray(a.T), False)):
+            with pytest.raises(ValueError, match="^dtfsm: a must be a "):
+                projection_module.dtfsm(array, np.ones(6), trans=True, transr=transr)
+
     def test_illegal_argument_raises(self, monkeypatch):
         def illegal(*args):
             args[-1].value = -4  # info, passed by reference
@@ -748,6 +860,20 @@ class TestLapackBinding:
                 for trans, triangle in ((True, upper.T), (False, upper)):
                     x = projection_module.dtfsm(factor, b.copy(order="F"), trans=trans)
                     assert_allclose(x, np.linalg.solve(triangle, b), rtol=1e-12, atol=1e-12)
+
+    def test_transposed_storage_solves_alike(self, lapack):
+        # the TRANSR='T' array is the transpose of the TRANSR='N' one
+        rng = np.random.default_rng(3)
+        for n in (1, 2, 40, 41):
+            factor, info = projection_module.dpftrf(self.packed(self.spd(n, seed=n)))
+            assert info == 0
+            transposed = np.asfortranarray(factor.T)
+            for b in (rng.standard_normal(n), np.asfortranarray(rng.standard_normal((n, 3)))):
+                for trans in (True, False):
+                    want = projection_module.dtfsm(factor, b.copy(order="F"), trans=trans)
+                    got = projection_module.dtfsm(transposed, b.copy(order="F"), trans=trans,
+                                                  transr=True)
+                    assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 
     def test_thread_count_read_only_from_numpy_openblas(self, lapack):
         threads = projection_module.openblas_threads()
@@ -783,7 +909,7 @@ class TestLapackBinding:
                       build_basis([case.s, case.s], case.max_delay)]
         assert sum(b.regularization > 0.0 for b in bases) >= 7  # each [s, s] is loaded
         for basis in bases:
-            assert np.all(np.diagonal(_unpacked(basis._factor)) > 0.0)
+            assert np.all(np.diagonal(_unpacked_factor(basis._factor)) > 0.0)
 
 
 def test_thread_count_is_openblas_own():
