@@ -152,7 +152,7 @@ class Decomposer:
         basis: one ``whiten`` of them all gives each ``z`` and one synthesis
         of every ``P_sn x``, so each ``e_artif``; the rest is synthesized
         when read.  The batch shares its forward and its back solve (on a
-        Schur-path basis, one replay of ``U_sn`` each).  On a loaded basis
+        Schur-path basis, one product with ``G_sn`` each).  On a loaded basis
         those are the loaded solve's parts."""
         z = whiten(self.basis, signals)
         p_sn = synthesize(self.basis, z, 2)

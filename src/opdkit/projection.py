@@ -38,16 +38,15 @@ steps of the generalized Schur algorithm, each one J-unitary 5-by-5
 rotation applied with ``np.matmul``, make ``U`` row by row in O(L^2) work
 (``_schur_factor``; Kailath and Sayed, SIAM Review 1995).
 
-Of ``U = [[U_ss, U_sn], [0, U_nn]]`` such a basis holds half
-(``_SplitFactor``): ``U_ss`` and ``U_nn``, each in LAPACK's rectangular
-full packed (RFP) format, transposed (``TRANSR='T'``, ``UPLO='U'``),
-L(L+1)/2 doubles, plus the rotations of the first L steps and the noise
-block's generator before them, 30 L doubles.  Row i of ``U_sn`` is what
-step i made of the noise block, and replaying the stored rotations on
-the stored generator makes it again, bitwise (``_cross_rows``).  A solve
-runs by blocks, one ``dtfsm`` per diagonal block and one replay for the
-cross block, whatever the number of right-hand sides; a solve of ``P_s``
-alone needs no replay.
+Of ``U = [[U_ss, U_sn], [0, U_nn]]`` such a basis holds the two triangles
+(``_SplitFactor``), each in LAPACK's rectangular full packed (RFP) format,
+transposed (``TRANSR='T'``, ``UPLO='U'``), L(L+1)/2 doubles.  ``U_sn =
+U_ss⁻ᵀ G_sn`` is never formed: ``G_sn = Toep(r_sn) - R_s R_nᵀ``, ``R_x``
+the strictly lower triangular Toeplitz matrix of x's reversed tail, so
+the basis keeps that lag row and the tails, O(L), and a product with
+``G_sn`` or its transpose is a few FFTs (``_cross_product``).  A solve runs
+by blocks, ``dtfsm`` on ``U_ss`` and ``U_nn`` and one cross product per
+direction, whatever the number of right-hand sides; ``P_s`` alone needs none.
 
 A breakdown of the Schur steps (a pivot not positive beyond rounding, a
 corner not positive definite, or T < 2L) sends that basis down the dense
@@ -118,9 +117,8 @@ DENSE_ORACLE_MAX_COLUMNS = 64
 # Least FFT length of an overlap-save block (see the module docstring).
 FFT_BLOCK_MIN = 4096
 
-# Factor rows that the Schur steps' writer (``_write_row``) and a replay of
-# the cross block U_sn (``_cross_rows``) hold at a time: at most 1 MiB at
-# L=2048.
+# Factor rows that the Schur steps' writer (``_write_row``) gathers before
+# writing them along rows of the packed array: at most 512 KiB at L=2048.
 BLOCK_ROWS = 64
 
 
@@ -292,22 +290,21 @@ class SingularProjectionError(RuntimeError):
 
 class _SplitFactor(NamedTuple):
     """The Cholesky factor ``U = [[U_ss, U_sn], [0, U_nn]]`` of a basis whose
-    Schur steps went through, held without its cross block ``U_sn``.
+    Schur steps went through, held without ``U_sn = U_ss⁻ᵀ G_sn``.
 
     ``ss`` and ``nn`` hold ``U_ss`` and ``U_nn`` in rectangular full packed
     format, transposed (``TRANSR='T'``): n2-by-(2 n1 + 1) Fortran arrays,
     n1 = L // 2 and n2 = L - n1, of L(L+1)/2 doubles each.  Their
     transposes, C-ordered, are the ``TRANSR='N'`` layout, in which
     ``_write_row`` writes the factor rows along rows of the array.
-    ``rotations[i]`` is step i's Θᵀ
-    (5-by-5) for i < L and ``generator`` the noise block's generator
-    columns before step 0 (5-by-L), from which ``_cross_rows`` replays
-    ``U_sn``."""
+    ``lags`` (``_lag_rows``' ``rows[0, 1]``, 2L - 1 doubles) and ``tails``
+    (each reference's last L - 1 samples, reversed) make ``G_sn`` for
+    ``_cross_product``."""
 
     ss: np.ndarray
     nn: np.ndarray
-    rotations: np.ndarray
-    generator: np.ndarray
+    lags: np.ndarray
+    tails: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
@@ -318,9 +315,9 @@ class ProjectionBasis:
     two forms, and ``whiten`` and ``synthesize`` branch on which:
 
     * written by the Schur steps, a ``_SplitFactor``: ``U_ss`` and ``U_nn``
-      packed, L(L+1) doubles in all, plus 30 L doubles of rotations and
-      generator from which the cross block ``U_sn`` is replayed at each
-      solve that needs it (33.6 MB at L=2048);
+      packed, L(L+1) doubles in all (33.6 MB at L=2048), plus the lag row
+      and reversed tails, 4L - 3 doubles, that make products with ``G_sn``
+      and so stand for the cross block ``U_sn = U_ss⁻ᵀ G_sn``;
     * on their breakdown, one array of L(2L+1) doubles in the packed format
       of the Gram's three L-by-L blocks (see the module docstring), written
       by ``dpftrf`` over the Gram in place, which the solves hand whole to
@@ -454,13 +451,12 @@ def _gram_rows(a: np.ndarray, b: np.ndarray, row: np.ndarray, L: int):
 
 
 def _overlap_add(blocks: np.ndarray, L: int, T: int) -> np.ndarray:
-    """The first T samples of each signal's length-M block rows, ``blocks``
-    m-by-(blocks)-by-M, laid at hops of B = M - L + 1 and summed: each row's
-    last L - 1 samples are added, in place, onto the head of the next row.
-    One row of T samples per signal."""
+    """The first T samples of one signal's length-M block rows ``blocks``
+    laid at hops of B = M - L + 1 and summed: each row's last L - 1 samples
+    are added, in place, onto the head of the next row.  A new array."""
     B = blocks.shape[-1] - L + 1
-    blocks[:, 1:, :L - 1] += blocks[:, :-1, B:]
-    return blocks[:, :, :B].reshape(len(blocks), -1)[:, :T]
+    blocks[1:, :L - 1] += blocks[:-1, B:]
+    return blocks[:, :B].reshape(-1)[:T]
 
 
 def _mem_available() -> int | None:
@@ -500,16 +496,16 @@ def _empty_gram(L: int) -> np.ndarray:
                      lambda: np.empty((2 * L + 1, L), order="F"))
 
 
-def _empty_split_factor(L: int) -> _SplitFactor:
-    """Uninitialized arrays of the ``_SplitFactor`` of a basis of L delays:
-    two of L(L+1)/2 doubles and 30 L doubles of rotations and generator,
-    refused beyond the available memory."""
-    n1 = L // 2
-    return _allocate(
-        (L * (L + 1) + 30 * L) * 8, f"the Gram factor: L={L} needs (L(L+1) + 30L)*8",
-        lambda: _SplitFactor(np.empty((L - n1, 2 * n1 + 1), order="F"),
-                             np.empty((L - n1, 2 * n1 + 1), order="F"),
-                             np.empty((L, 5, 5)), np.empty((5, L))))
+def _empty_split_factor(L: int, lags: np.ndarray,
+                        arrays: Sequence[np.ndarray]) -> _SplitFactor:
+    """The ``_SplitFactor`` of a basis of L delays with its two triangles,
+    of L(L+1)/2 doubles each, uninitialized and refused beyond the available
+    memory, beside copies of the lag row ``lags`` of ``arrays = (s, n)``
+    and of their reversed tails."""
+    shape = (L - L // 2, 2 * (L // 2) + 1)
+    ss, nn = _allocate(L * (L + 1) * 8, f"the Gram factor: L={L} needs L(L+1)*8",
+                       lambda: (np.empty(shape, order="F"), np.empty(shape, order="F")))
+    return _SplitFactor(ss, nn, lags.copy(), np.stack([a[:-L:-1] for a in arrays]))
 
 
 def _diagonal_index(L: int, first: int = 0) -> np.ndarray:
@@ -535,15 +531,14 @@ def _unpacked(packed: np.ndarray) -> np.ndarray:
 def _unpacked_factor(factor: np.ndarray | _SplitFactor) -> np.ndarray:
     """The 2L-by-2L upper triangular factor that a basis' ``_factor`` holds,
     zeros below it: ``_unpacked`` of a dense-path factor, or ``U_ss``,
-    ``U_nn`` and the replayed ``U_sn`` of a split one.  A new array, for
-    checks."""
+    ``U_nn`` and ``U_sn = U_ss⁻ᵀ G_sn``, as the solves use it, of a split
+    one.  A new array, for checks."""
     if isinstance(factor, np.ndarray):
         return _unpacked(factor)
-    L = factor.generator.shape[1]
+    L = len(factor.lags) // 2 + 1
     upper = np.zeros((2 * L, 2 * L))
     upper[:L, :L], upper[L:, L:] = _unpacked(factor.ss.T), _unpacked(factor.nn.T)
-    for i, rows in _cross_rows(factor):
-        upper[i:i + len(rows), L:] = rows
+    upper[:L, L:] = dtfsm(factor.ss, _cross_product(factor, np.eye(L)), trans=True, transr=True)
     return upper
 
 
@@ -640,11 +635,10 @@ def _schur_factor(factor: _SplitFactor, gen: np.ndarray, L: int) -> bool:
     b3) to (β, 0, 0) and a hyperbolic rotation of (a, β) to δ = sqrt(a² -
     β²) > 0.  One ``np.matmul`` applies it to the rows i .. 2L-1 of the
     generator; the first column is then row i of U, from its diagonal on,
-    and is shifted by F for the next step.  Two work arrays of 5 x 2L are
-    all it uses; the generator and its image alternate between them.  Of
-    row i < L only the ``U_ss`` part is written: the step's Θᵀ and the
-    noise block's generator before step 0 are kept instead, from which
-    ``_cross_rows`` replays the ``U_sn`` part.
+    and is shifted by F for the next step.  Two work arrays of 5 x 2L and
+    one 5-by-5 are all it uses; the generator and its image alternate
+    between them.  Of row i < L only the ``U_ss`` part is written (the
+    solves take ``U_sn`` from ``G_sn``, see ``_cross_product``).
 
     A pivot with a <= |β| (or not finite) leaves no positive δ: a
     breakdown.  So is one with δ² <= 2L eps G_00 (G_LL in the noise
@@ -655,10 +649,9 @@ def _schur_factor(factor: _SplitFactor, gen: np.ndarray, L: int) -> bool:
     rel = 2 * L * np.finfo(np.float64).eps
     # G_00 and G_LL: rows 0 and L of U₀ are those of Rᵀ
     floors = (rel * gen[0, 0] ** 2, rel * (gen[0, L] ** 2 + gen[1, L] ** 2))
-    factor.generator[:] = gen[:, L:]
     ss, nn = factor.ss.T, factor.nn.T  # the TRANSR='N' layouts, C-ordered
     lead = np.empty((BLOCK_ROWS, L // 2))
-    theta_t = np.empty((5, 5))  # Θᵀ of a step past L, which no replay needs
+    theta_t = np.empty((5, 5))
     cur, nxt = gen, np.empty_like(gen)
     for i in range(2 * L):
         a1, a2, b1, b2, b3 = cur[:, i].tolist()
@@ -678,13 +671,12 @@ def _schur_factor(factor: _SplitFactor, gen: np.ndarray, L: int) -> bool:
         gamma = sqrt((1.0 - rho) * (1.0 + rho))
         ig, rg = 1.0 / gamma, rho / gamma
         # Θᵀ, as gen holds the generator's columns as rows
-        step = factor.rotations[i] if i < L else theta_t
-        step[:] = [[cs * ig, sn * ig, -rg * h00, -rg * h01, -rg * h02],
-                   [-sn, cs, 0.0, 0.0, 0.0],
-                   [-rg * cs, -rg * sn, h00 * ig, h01 * ig, h02 * ig],
-                   [0.0, 0.0, h01, h11, h12],
-                   [0.0, 0.0, h02, h12, h22]]
-        column = np.matmul(step, cur[:, i:], out=nxt[:, i:])[0]
+        theta_t[:] = [[cs * ig, sn * ig, -rg * h00, -rg * h01, -rg * h02],
+                      [-sn, cs, 0.0, 0.0, 0.0],
+                      [-rg * cs, -rg * sn, h00 * ig, h01 * ig, h02 * ig],
+                      [0.0, 0.0, h01, h11, h12],
+                      [0.0, 0.0, h02, h12, h22]]
+        column = np.matmul(theta_t, cur[:, i:], out=nxt[:, i:])[0]
         column[0] = a * gamma  # δ > 0, which the product with Θ may round
         if i < L:
             _write_row(ss, i, column[:L - i], lead)
@@ -697,28 +689,31 @@ def _schur_factor(factor: _SplitFactor, gen: np.ndarray, L: int) -> bool:
     return True
 
 
-def _cross_rows(factor: _SplitFactor):
-    """Yield ``(i, rows)``: rows i .. i + len(rows) - 1 of ``U_sn``, up to
-    ``BLOCK_ROWS`` of them at a time in one reused buffer.
+def _cross_product(factor: _SplitFactor, c: np.ndarray, transpose: bool = False) -> np.ndarray:
+    """``G_sn c`` or, with ``transpose``, ``G_snᵀ c = G_ns c``, for ``c``
+    L-by-m: a new Fortran-ordered L-by-m array.
 
-    The Schur steps i < L replayed on the noise block alone: the stored Θᵢᵀ
-    times the 5-by-L generator g is the next g, whose row 0 is row i of
-    ``U_sn`` and is then shifted right by one (F).  Each product is the one
-    the full-width step made on these columns, so the rows are bitwise that
-    step's.  A replay costs L products of 5-by-5 by 5-by-L, whatever the
-    number of right-hand sides it serves."""
-    L = factor.generator.shape[1]
-    g, nxt = factor.generator.copy(), np.empty_like(factor.generator)
-    block = np.empty((min(BLOCK_ROWS, L), L))
-    for i, theta_t in enumerate(factor.rotations):
-        k = i % len(block)
-        np.matmul(theta_t, g, out=nxt)
-        block[k] = nxt[0]
-        nxt[0, 1:] = block[k, :-1]
-        nxt[0, 0] = 0.0
-        g, nxt = nxt, g
-        if k == len(block) - 1 or i == L - 1:
-            yield i - k, block[:k + 1]
+    ``G_sn[t, u] = r[L-1+u-t] - (R_s R_nᵀ)[t, u]``, r the lag row, ``R_x[t, k]
+    = x_rev[t-1-k]`` for k < t: a correlation (transposed, a convolution) of
+    r with a column, less ``R_s R_nᵀ c``, a correlation with n's tail cut to
+    lags 1 .. L-1 and then a convolution with s's (transposed, the tails
+    swap).  No product reaches index 2L - 1, so FFTs of length N >= 2L - 1
+    do not wrap.  Columns go one at a time: a batch's are bitwise its
+    one-column products."""
+    L = len(c)
+    N = 1 << (2 * L - 2).bit_length()
+    lags = rfft(factor.lags, N)
+    first, second = rfft(factor.tails[::-1] if transpose else factor.tails, N)
+    out = np.empty(c.shape, order="F")
+    for j in range(c.shape[1]):
+        f = rfft(c[:, j], N)
+        if transpose:
+            out[:, j] = irfft(lags * f, N)[L - 1:2 * L - 1]
+        else:
+            out[:, j] = irfft(lags * f.conj(), N)[L - 1::-1]
+        inner = irfft(f * second.conj(), N)[1:L]  # R_secondᵀ c, its last entry 0 dropped
+        out[1:, j] -= irfft(first * rfft(inner, N), N)[:L - 1]
+    return out
 
 
 def _forward_solve(factor: np.ndarray | _SplitFactor, b: np.ndarray) -> np.ndarray:
@@ -726,16 +721,14 @@ def _forward_solve(factor: np.ndarray | _SplitFactor, b: np.ndarray) -> np.ndarr
     one right-hand side per column.
 
     A dense-path factor is one ``dtfsm``.  A split one solves by blocks,
-    ``z_s = U_ss⁻ᵀ b_s`` and ``z_n = U_nn⁻ᵀ (b_n - Σ_i z_s[i] U_sn[i, :])``,
-    one replay of ``U_sn`` serving every column."""
+    ``z_s = U_ss⁻ᵀ b_s`` and ``z_n = U_nn⁻ᵀ (b_n - G_ns U_ss⁻¹ z_s)``, as
+    ``U_snᵀ z_s = G_ns U_ss⁻¹ z_s``: three ``dtfsm`` and one cross product."""
     if isinstance(factor, np.ndarray):
         return dtfsm(factor, b, trans=True)
     L = len(b) // 2
     zs = dtfsm(factor.ss, np.array(b[:L], order="F"), trans=True, transr=True)
-    zn = np.array(b[L:], order="F")
-    for i, rows in _cross_rows(factor):
-        for j in range(b.shape[1]):  # by column: a batch solves each as it would alone
-            zn[:, j] -= rows.T @ zs[i:i + len(rows), j]
+    cs = dtfsm(factor.ss, zs.copy(order="F"), trans=False, transr=True)
+    zn = np.subtract(b[L:], _cross_product(factor, cs, transpose=True), order="F")
     b[:L], b[L:] = zs, dtfsm(factor.nn, zn, trans=True, transr=True)
     return b
 
@@ -745,8 +738,8 @@ def _back_solve(factor: np.ndarray | _SplitFactor, z: np.ndarray, r: int) -> np.
     Fortran-ordered array, one column per column of ``z``.
 
     A dense-path factor is one ``dtfsm``.  A split one solves by blocks,
-    ``c_n = U_nn⁻¹ z_n`` and ``c_s = U_ss⁻¹ (z_s - U_sn c_n)``, one replay
-    of ``U_sn`` serving every column; with r = 1, c_n = 0 and only ``U_ss``
+    ``c_n = U_nn⁻¹ z_n`` and ``c_s = U_ss⁻¹ (z_s - U_ss⁻ᵀ G_sn c_n)``: three
+    ``dtfsm`` and one cross product; with r = 1, c_n = 0 and only ``U_ss``
     is read."""
     L = len(z) // 2
     c = np.zeros(z.shape, order="F")
@@ -756,9 +749,7 @@ def _back_solve(factor: np.ndarray | _SplitFactor, z: np.ndarray, r: int) -> np.
     cs = np.array(c[:L], order="F")
     if r == 2:
         cn = dtfsm(factor.nn, np.array(c[L:], order="F"), trans=False, transr=True)
-        for i, rows in _cross_rows(factor):
-            for j in range(z.shape[1]):
-                cs[i:i + len(rows), j] -= rows @ cn[:, j]
+        cs -= dtfsm(factor.ss, _cross_product(factor, cn), trans=True, transr=True)
         c[L:] = cn
     c[:L] = dtfsm(factor.ss, cs, trans=False, transr=True)
     return c
@@ -791,7 +782,8 @@ def build_basis(references: Sequence[Waveform], max_delay: int) -> ProjectionBas
     The Gram matrix is factorized once (Cholesky), without being formed:
     2L generalized Schur steps on its 5-column displacement generator
     (``_generator``, ``_schur_factor``) write the factor in O(L^2) work,
-    held as a ``_SplitFactor``.  A breakdown there (the corner K not
+    held as a ``_SplitFactor``: ``U_ss``, ``U_nn`` and the O(L) data of
+    ``G_sn``.  A breakdown there (the corner K not
     positive definite, as with n = s; T < 2L; a pivot at or below the
     rounding floor) sends the basis down the dense path, unchanged:
     ``_fill_gram`` writes the Gram and ``dpftrf`` factorizes it in place.
@@ -816,7 +808,7 @@ def build_basis(references: Sequence[Waveform], max_delay: int) -> ProjectionBas
     events: tuple[str, ...] = ()
     # 2L copies in R^T with T < 2L are dependent: that Gram is singular
     gen = _generator(arrays, rows, L) if 2 * L <= len(refs[0]) else None
-    factor = None if gen is None else _empty_split_factor(L)
+    factor = None if gen is None else _empty_split_factor(L, rows[0, 1], arrays)
     if factor is None or not _schur_factor(factor, gen, L):
         factor = None  # a broken-down factor is freed before the Gram is made
         packed = _empty_gram(L)
@@ -889,17 +881,21 @@ def synthesize(basis: ProjectionBasis, z: np.ndarray, r: int) -> np.ndarray:
     One back solve of every column of ``z`` zeroed past ``r*L`` (see
     ``_back_solve``) gives the coefficients ``c``; ``P_r x = Σ_i F_i ·
     rfft(c_i)`` over the first r references, ``F_i`` their block spectra,
-    under one batched inverse FFT whose blocks are overlap-added.
+    under an inverse FFT whose blocks are overlap-added.  The signals go one
+    at a time, so only one signal's spectrum and blocks are held at once.
     """
-    L, M = basis.max_delay, basis._block
+    L, M, T = basis.max_delay, basis._block, len(basis.references[0])
     c = _back_solve(basis._factor, z.reshape(len(z), -1), r)
-    spectrum = basis._spectra[0] * rfft(c[:L].T, M)[:, None]
-    if r == 2:
-        spectrum += basis._spectra[1] * rfft(c[L:].T, M)[:, None]
-    blocks = irfft(spectrum, M)
-    del spectrum
-    out = _overlap_add(blocks, L, len(basis.references[0]))
-    return out if z.ndim == 2 else out[0]
+    rows = []
+    for j in range(c.shape[1]):
+        spectrum = basis._spectra[0] * rfft(c[:L, j], M)
+        if r == 2:
+            spectrum += basis._spectra[1] * rfft(c[L:, j], M)
+        blocks = irfft(spectrum, M)
+        del spectrum
+        rows.append(_overlap_add(blocks, L, T))
+        del blocks
+    return rows[0] if z.ndim == 1 else np.stack(rows)
 
 
 def project_dense_oracle(references: Sequence[Waveform], max_delay: int,

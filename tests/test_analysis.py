@@ -196,7 +196,8 @@ class TestOaSweep:
 
     def test_decomposes_only_s_hat_and_y(self, monkeypatch):
         # s_hat and y go as one batch: one forward and one back solve of two
-        # columns, each with one replay of the Schur-path cross block
+        # columns, each with one product of the Schur-path cross block G_sn
+        # (transposed in the forward solve) with two columns
         import opdkit.projection as projection_module
         s, n, s_hat = random_signals(0, length=500, max_delay=8)
         y = add(s, n)
@@ -211,19 +212,18 @@ class TestOaSweep:
 
         def recorded(name):
             fn = getattr(projection_module, name)
-            monkeypatch.setattr(projection_module, name, lambda factor, *rest: calls.append(
-                (name, rest[0].shape if rest else None)) or fn(factor, *rest))
+            monkeypatch.setattr(projection_module, name, lambda factor, a, *rest, **kw: (
+                calls.append((name, a.shape, *rest, *kw.values())) or fn(factor, a, *rest, **kw)))
 
         monkeypatch.setattr(Decomposer, "decompose_batch", counting)
-        for name in ("_forward_solve", "_back_solve", "_cross_rows"):
+        for name in ("_forward_solve", "_back_solve", "_cross_product"):
             recorded(name)
         monkeypatch.setattr(Decomposer, "decompose", None)  # no one-signal path
         oa_sweep(dec, s_hat, y, default_grid("oa"))
         assert len(seen) == 1
         assert seen[0][0] is s_hat and seen[0][1] is y
-        assert [name for name, _ in calls] == ["_forward_solve", "_cross_rows",
-                                               "_back_solve", "_cross_rows"]
-        assert [shape for name, shape in calls if name != "_cross_rows"] == [(16, 2), (16, 2)]
+        assert calls == [("_forward_solve", (16, 2)), ("_cross_product", (8, 2), True),
+                         ("_back_solve", (16, 2), 2), ("_cross_product", (8, 2))]
 
     def test_closed_form_once_for_the_whole_grid(self, monkeypatch):
         import opdkit.analysis as analysis_module

@@ -100,16 +100,16 @@ def test_one_correlation_pass_and_two_triangular_solves(monkeypatch):
     # a decomposition is one right-hand side, one forward and one back
     # substitution, and one synthesis (P_sn x, for e_artif); reading
     # s_target adds one back substitution and one synthesis (P_s x):
-    # synthesize makes one projection per call.  On a Schur-path basis a
-    # substitution is one dtfsm per diagonal block and, for P_sn, one replay
-    # of the cross block U_sn; that of P_s reads U_ss alone.
+    # synthesize makes one projection per call.  On a Schur-path basis each
+    # substitution of P_sn is three dtfsm on the diagonal blocks and one
+    # product with the cross block G_sn; that of P_s is one dtfsm on U_ss.
     import opdkit.decomposition as decomposition_module
     import opdkit.projection as projection_module
     assert not hasattr(projection_module, "project")
     case = make_case(0)
     dec = Decomposer(case.s, case.n, case.max_delay)
     assert isinstance(dec.basis._factor, projection_module._SplitFactor)
-    calls = dict.fromkeys(["_block_spectra", "_forward_solve", "_back_solve", "_cross_rows",
+    calls = dict.fromkeys(["_block_spectra", "_forward_solve", "_back_solve", "_cross_product",
                            "dtfsm", "whiten", "synthesize"], 0)
 
     def counted(module, name):
@@ -122,16 +122,16 @@ def test_one_correlation_pass_and_two_triangular_solves(monkeypatch):
 
     counted(decomposition_module, "whiten")
     counted(decomposition_module, "synthesize")
-    for name in ("_block_spectra", "_forward_solve", "_back_solve", "_cross_rows", "dtfsm"):
+    for name in ("_block_spectra", "_forward_solve", "_back_solve", "_cross_product", "dtfsm"):
         counted(projection_module, name)
-    decomposed = {"_block_spectra": 1, "_forward_solve": 1, "_back_solve": 1, "_cross_rows": 2,
-                  "dtfsm": 4, "whiten": 1, "synthesize": 1}
+    decomposed = {"_block_spectra": 1, "_forward_solve": 1, "_back_solve": 1,
+                  "_cross_product": 2, "dtfsm": 6, "whiten": 1, "synthesize": 1}
     d = dec.decompose(case.s_hat)
     assert calls == decomposed
     d.gram, d.e_artif
     assert calls == decomposed
     d.s_target, d.e_noise
-    assert calls == dict(decomposed, _back_solve=2, dtfsm=5, synthesize=2)
+    assert calls == dict(decomposed, _back_solve=2, dtfsm=7, synthesize=2)
 
 
 def test_energy_pythagoras(running_example):

@@ -97,8 +97,8 @@ class TestGram:
     def test_factor_is_the_factorized_gram(self, seed):
         # ties the Gram that the tests and the self-test check to the one
         # that was factorized; the basis holds U_ss and U_nn, two packed
-        # arrays of L(L+1)/2 doubles, 30 L doubles to replay U_sn from, and
-        # nothing the size of the Gram else
+        # arrays of L(L+1)/2 doubles, the lag row and reversed tails that
+        # make products with G_sn, and nothing the size of the Gram else
         case = make_case(seed)
         L = case.max_delay
         basis = build_basis([case.s, case.n], L)
@@ -109,7 +109,7 @@ class TestGram:
         for packed in (factor.ss, factor.nn):
             assert packed.dtype == np.float64 and packed.base is None
             assert packed.size == L * (L + 1) // 2
-        assert factor.rotations.shape == (L, 5, 5) and factor.generator.shape == (5, L)
+        assert factor.lags.shape == (2 * L - 1,) and factor.tails.shape == (2, L - 1)
 
     def test_convention_recorded(self):
         noise = lowpass_noise(np.random.default_rng(0), 16)
@@ -256,36 +256,26 @@ class TestSchurFactor:
                                      (600, 150)])
     def test_every_packed_entry_is_written(self, monkeypatch, T, L):
         empty = projection_module._empty_split_factor
-        monkeypatch.setattr(projection_module, "_empty_split_factor",
-                            lambda delays: projection_module._SplitFactor(
-                                *(np.full_like(a, np.nan) for a in empty(delays))))
+
+        def nan_filled(*args):
+            factor = empty(*args)
+            factor.ss.fill(np.nan)
+            factor.nn.fill(np.nan)
+            return factor
+        monkeypatch.setattr(projection_module, "_empty_split_factor", nan_filled)
         self.refuse_dense_path(monkeypatch)
         factor = build_basis(_lowpass_pair(T), L)._factor
         assert factor.ss.flags.f_contiguous and factor.nn.flags.f_contiguous
         assert not any(np.isnan(a).any() for a in factor)
 
-    @staticmethod
-    def full_width_cross_block(refs, L, rotations):
-        """U_sn as the Schur steps i < L make it across the generator's whole
-        width, from the rotations a basis stored: row 0 of each 5-by-(2L - i)
-        product, noise block columns.  Those columns take nothing from the
-        speech block's, whose row 0 this leaves as the product rounded it."""
-        cur = TestSchurFactor.generator(refs, L)
-        nxt = np.empty_like(cur)
-        cross = np.empty((L, L))
-        for i in range(L):
-            row = np.matmul(rotations[i], cur[:, i:], out=nxt[:, i:])[0]
-            cross[i] = nxt[0, L:]
-            row[1:] = row[:-1]
-            nxt[0, L] = 0.0
-            cur, nxt = nxt, cur
-        return cross
-
     @pytest.mark.parametrize("kind,arg", [*(("random", seed) for seed in range(8)),
                                           *(("pcm16", seed) for seed in (5, 6, 7)),
                                           ("T=64000", 512)])
-    def test_replayed_cross_block_is_the_full_width_one(self, monkeypatch, kind, arg):
-        # bitwise: the replay's L-wide products are the full-width steps'
+    def test_implied_cross_block_is_the_schur_steps_one(self, monkeypatch, kind, arg):
+        # U_sn = U_ss⁻ᵀ G_sn, as the solves use it, against the rows the
+        # full-width Schur steps i < L make in the noise block's columns and
+        # drop: row i is the generator image's row 0 when step i writes the
+        # U_ss part of it (measured: up to 1.1e-13 on the pcm16 cases)
         if kind == "random":
             case = make_case(arg)
             refs, L = [case.s, case.n], case.max_delay
@@ -294,9 +284,17 @@ class TestSchurFactor:
         else:
             refs, L = _lowpass_pair(64000), arg
         self.refuse_dense_path(monkeypatch)
-        factor = build_basis(refs, L)._factor
-        replayed = _unpacked_factor(factor)[:L, L:]
-        assert np.array_equal(replayed, self.full_width_cross_block(refs, L, factor.rotations))
+        steps, write = [], projection_module._write_row
+
+        def recording(packed, i, row, lead):
+            if len(steps) < L:
+                steps.append(row.base[0, L:].copy())
+            write(packed, i, row, lead)
+        monkeypatch.setattr(projection_module, "_write_row", recording)
+        implied = _unpacked_factor(build_basis(refs, L)._factor)[:L, L:]
+        full_width = np.array(steps)
+        assert np.linalg.norm(implied - full_width) <= \
+            self.BACKWARD_TOL * np.linalg.norm(full_width)
 
     def test_well_conditioned_basis_takes_no_dense_step(self, monkeypatch):
         self.refuse_dense_path(monkeypatch)
@@ -341,6 +339,39 @@ class TestSchurFactor:
         assert np.array_equal(basis._factor, dense._factor)
         assert (basis.regularization, basis.regularization_events) == \
             (dense.regularization, dense.regularization_events)
+
+
+class TestCrossProduct:
+    """Products with the cross block ``G_sn`` and its transpose, from the lag
+    row and reversed tails a Schur-path basis keeps (``_cross_product``)."""
+
+    @staticmethod
+    def cross_data(refs, L):
+        """The ``_SplitFactor`` of ``refs`` with its triangles unwritten: the
+        product reads only the lag row and tails, whichever path the basis
+        takes."""
+        arrays = [r.samples for r in refs]
+        M = projection_module._block_length(len(arrays[0]), L)
+        spectra = [projection_module._block_spectra(a, L, M, extended=False) for a in arrays]
+        rows = projection_module._lag_rows(arrays, spectra, L, M)
+        return projection_module._empty_split_factor(L, rows[0, 1], arrays)
+
+    @pytest.mark.parametrize("L", [1, 7, 8, 33])
+    @pytest.mark.parametrize("extra", [0, 1])  # T = 2L and T = 2L + 1
+    @pytest.mark.parametrize("m", [1, 3])
+    def test_products_are_the_gram_blocks(self, L, extra, m):
+        refs = _lowpass_pair(2 * L + extra, seed=L + extra)
+        gram = build_basis(refs, L).gram
+        factor = self.cross_data(refs, L)
+        c = np.asfortranarray(np.random.default_rng(m).standard_normal((L, m)))
+        for transpose, block in ((False, gram[:L, L:]), (True, gram[L:, :L])):
+            product = projection_module._cross_product(factor, c, transpose)
+            assert product.shape == (L, m) and product.flags.f_contiguous
+            expected = block @ c
+            assert np.linalg.norm(product - expected) <= 1e-12 * np.linalg.norm(expected)
+            for j in range(m):  # bitwise the column alone
+                alone = projection_module._cross_product(factor, c[:, j:j + 1], transpose)
+                assert np.array_equal(product[:, j], alone[:, 0])
 
 
 class TestProject:
@@ -409,12 +440,13 @@ class TestBatch:
                 assert np.linalg.norm(batch[j] - one) <= 1e-12 * np.linalg.norm(one)
 
     def test_speech_projection_replays_nothing(self, monkeypatch, basis_and_signals):
+        # P_s reads U_ss alone: no product with the cross block
         basis, signals = basis_and_signals
         z = whiten(basis, signals)
 
-        def refuse(*args):
-            raise AssertionError("U_sn was replayed")
-        monkeypatch.setattr(projection_module, "_cross_rows", refuse)
+        def refuse(*args, **kwargs):
+            raise AssertionError("the cross block was multiplied")
+        monkeypatch.setattr(projection_module, "_cross_product", refuse)
         assert synthesize(basis, z, 1).shape == (2, self.T)
 
 
@@ -667,9 +699,9 @@ class TestMemory:
 
     def basis_bound(self, packed_bytes):
         # the packed factor or Gram, one 2 MiB huge page that its allocation
-        # may round up to, and O(T) for spectra, lags and the 30 L doubles of
-        # rotations and generator; page-rounded columns of a dense Gram (16
-        # MiB more at 4 KiB pages) do not fit
+        # may round up to, and O(T) for spectra, lags and reversed tails;
+        # page-rounded columns of a dense Gram (16 MiB more at 4 KiB pages)
+        # do not fit
         return packed_bytes + (2 << 20) + 64 * self.T
 
     @pytest.mark.skipif(sys.platform == "win32", reason="needs resource.getrusage")
@@ -708,22 +740,23 @@ class TestGramSizeCheck:
         assert build_basis([s, n], 4).regularization > 0.0
 
     def test_schur_factor_over_available_memory_refused(self, monkeypatch):
-        # a Schur-path basis allocates two packed L-by-L triangles and 30 L
-        # doubles of rotations and generator: at L = 7, 448 + 1680 bytes
+        # a Schur-path basis allocates two packed L-by-L triangles, at L = 7
+        # 448 bytes, and copies the O(L) lag row and tails of G_sn unguarded
         refs, L = _lowpass_pair(64), 7
         allocated = []
         empty = projection_module._empty_split_factor
         monkeypatch.setattr(projection_module, "_empty_split_factor",
-                            lambda delays: allocated.append(empty(delays)) or allocated[-1])
-        monkeypatch.setattr(projection_module, "_mem_available", lambda: 2127)
+                            lambda *args: allocated.append(empty(*args)) or allocated[-1])
+        monkeypatch.setattr(projection_module, "_mem_available", lambda: 447)
         with pytest.raises(ValueError, match=r"^cannot allocate the Gram factor: L=7 needs "
-                                             r"\(L\(L\+1\) \+ 30L\)\*8 = 2128 bytes$"):
+                                             r"L\(L\+1\)\*8 = 448 bytes$"):
             build_basis(refs, L)
         assert allocated == []
-        monkeypatch.setattr(projection_module, "_mem_available", lambda: 2128)
+        monkeypatch.setattr(projection_module, "_mem_available", lambda: 448)
         factor = build_basis(refs, L)._factor
         assert factor is allocated[0]
-        assert sum(a.nbytes for a in factor) == 2128
+        assert factor.ss.nbytes + factor.nn.nbytes == 448
+        assert factor.lags.nbytes + factor.tails.nbytes == (4 * L - 3) * 8
 
     def test_failed_mapping_is_the_size_error(self, monkeypatch):
         # with no MemAvailable to check against, an allocation the system
