@@ -151,9 +151,9 @@ class Decomposer:
         """The ``Decomposition`` of each of ``signals``, by one path on every
         basis: one ``whiten`` of them all gives each ``z`` and one synthesis
         of every ``P_sn x``, so each ``e_artif``; the rest is synthesized
-        when read.  The batch shares its forward and its back solve (on a
-        Schur-path basis, one product with ``G_sn`` each).  On a loaded basis
-        those are the loaded solve's parts."""
+        when read.  The batch shares its forward and its back solve (one
+        product with ``G_sn`` each).  On a loaded basis those are the loaded
+        solve's parts."""
         z = whiten(self.basis, signals)
         p_sn = synthesize(self.basis, z, 2)
         return tuple(Decomposition(self.basis, z[:, j], x,

@@ -49,29 +49,23 @@ by blocks, ``dtfsm`` on ``U_ss`` and ``U_nn`` and one cross product per
 direction, whatever the number of right-hand sides; ``P_s`` alone needs none.
 
 A breakdown of the Schur steps (a pivot not positive beyond rounding, a
-corner not positive definite, or T < 2L) sends that basis down the dense
-path: ``_fill_gram`` writes the Gram's upper triangle, and nothing else,
-into one (2L + 1)-by-L Fortran-ordered array of L(2L+1) doubles, RFP with
-``TRANSR='N'``, three fixed L-by-L blocks (``packed[:L]`` is ``G_sn``, the
-upper triangle of ``packed[L:2L]`` is that of ``G_nn``, and the lower
-triangle of ``packed[L+1:]`` is that of ``G_ss``), and ``dpftrf``
-factorizes it in place, loading its diagonal if it must.  Each solve with
-``Uᵀ`` or ``U`` is then one ``dtfsm`` on the whole array.  ``_fill_gram``
-otherwise runs only for ``ProjectionBasis.gram``.  Only the writers
-``_fill_gram`` and ``_write_row``, ``_diagonal_index`` and the check-only
-``_unpacked`` know where in a packed array an entry lies.
+corner not positive definite, or T < 2L) leaves the same two triangles to
+a block Cholesky factorization with LAPACK (``_block_factor``), so the
+solves cannot tell the two apart.  Only the writer ``_write_row`` and the
+check-only ``_unpacked`` know where in a packed array an entry lies.
 
 FFTs come from ``numpy.fft``.  From numpy 2.0 on that is the C++ pocketfft
 that ``scipy.fft`` also wraps, so transforms are bitwise the same as
 scipy's; numpy 1.x ships a different C implementation, hence the
-``numpy>=2.0`` floor.  LAPACK's packed Cholesky factorization (``dpftrf``)
-and packed triangular solve (``dtfsm``) are called through ``ctypes``, in
-place, on the OpenBLAS that numpy's own wheels bundle and have already
-loaded (``scipy_dpftrf_64_`` and ``scipy_dtfsm_64_``), so neither importing
-this module nor solving loads scipy.  A numpy built against another LAPACK
+``numpy>=2.0`` floor.  LAPACK's packed Cholesky factorization (``dpftrf``),
+packed triangular solve (``dtfsm``) and packed symmetric rank-k update
+(``dsfrk``) are called through ``ctypes``, in place, on the OpenBLAS that
+numpy's own wheels bundle and have already loaded (``scipy_dpftrf_64_``,
+``scipy_dtfsm_64_`` and ``scipy_dsfrk_64_``), so neither importing this
+module nor solving loads scipy.  A numpy built against another LAPACK
 (MKL, Accelerate, a distribution's OpenBLAS) exports no such symbols; the
-same two routines then come from ``scipy.linalg.cython_lapack``.  The
-symbols are resolved at the first call of either, which raises
+same three routines then come from ``scipy.linalg.cython_lapack``.  The
+symbols are resolved at the first call of any, which raises
 ``ImportError`` naming both sources when neither has them;
 ``lapack_source`` names the one bound and ``openblas_threads`` gives the
 thread count of numpy's OpenBLAS.
@@ -105,7 +99,7 @@ DEFAULT_MAX_DELAY = 512
 DELAY_PADDING = "zero-pad-head"  # the delay convention; run manifests record it
 
 # Diagonal loading factor used only when the Schur steps break down and the
-# plain Cholesky factorization of the Gram matrix fails too:
+# plain Cholesky factorization of a Gram block fails too:
 # load = GRAM_REG_LAMBDA * trace(gram) / dim.
 GRAM_REG_LAMBDA = 1e-10
 
@@ -117,38 +111,43 @@ DENSE_ORACLE_MAX_COLUMNS = 64
 # Least FFT length of an overlap-save block (see the module docstring).
 FFT_BLOCK_MIN = 4096
 
-# Factor rows that the Schur steps' writer (``_write_row``) gathers before
-# writing them along rows of the packed array: at most 512 KiB at L=2048.
+# Rows of a triangle that its writer (``_write_row``) gathers before writing
+# them along rows of the packed array: at most 512 KiB at L=2048.
 BLOCK_ROWS = 64
 
 
 class _Lapack(NamedTuple):
-    """LAPACK's ``dpftrf`` and ``dtfsm`` with their C prototypes declared,
-    the integer type they take, the library they came from, and that
-    library's thread-count getter if it has one."""
+    """LAPACK's ``dpftrf``, ``dtfsm`` and ``dsfrk`` with their C prototypes
+    declared, the integer type they take, the library they came from, and
+    that library's thread-count getter if it has one."""
 
     pftrf: Callable
     tfsm: Callable
+    sfrk: Callable
     int_t: type
     source: str
     threads: Callable[[], int] | None
 
 
+_ROUTINES = ("dpftrf", "dtfsm", "dsfrk")
+
+
 def _numpy_openblas_pointers():
-    """(source, int type, dpftrf, dtfsm, thread count) of the OpenBLAS
-    numpy's wheels bundle.
+    """(source, int type, dpftrf, dtfsm, dsfrk, thread count) of the
+    OpenBLAS numpy's wheels bundle.
 
     ``dlsym`` on the handle of numpy's linalg extension also searches the
     libraries it links, so this finds the copy already loaded; a numpy
     built against another LAPACK raises ``AttributeError``."""
     import ctypes
     lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
-    return ("numpy's OpenBLAS", ctypes.c_int64, lib.scipy_dpftrf_64_, lib.scipy_dtfsm_64_,
+    return ("numpy's OpenBLAS", ctypes.c_int64,
+            *(getattr(lib, f"scipy_{name}_64_") for name in _ROUTINES),
             lib.scipy_openblas_get_num_threads64_)
 
 
 def _cython_lapack_pointers():
-    """(source, int type, dpftrf, dtfsm, None) from
+    """(source, int type, dpftrf, dtfsm, dsfrk, None) from
     ``scipy.linalg.cython_lapack``'s capsules; they export no thread count."""
     import ctypes
     from scipy.linalg.cython_lapack import __pyx_capi__ as capi
@@ -158,23 +157,28 @@ def _cython_lapack_pointers():
     get_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
         ("PyCapsule_GetPointer", api))
     return "scipy.linalg.cython_lapack", ctypes.c_int, *(
-        get_pointer(capi[name], get_name(capi[name])) for name in ("dpftrf", "dtfsm")), None
+        get_pointer(capi[name], get_name(capi[name])) for name in _ROUTINES), None
 
 
 def _bind_lapack(source) -> _Lapack:
-    """Declare the C prototypes of the two routines ``source()`` points at:
-    ``dpftrf(transr, uplo, n, a, info)`` and
-    ``dtfsm(transr, side, uplo, trans, diag, m, n, alpha, a, b, ldb)``,
-    characters, integers and ``alpha`` by reference, no hidden Fortran
-    string lengths."""
+    """Declare the C prototypes of the three routines ``source()`` points
+    at: ``DPFTRF(TRANSR, UPLO, N, A, INFO)``,
+    ``DTFSM(TRANSR, SIDE, UPLO, TRANS, DIAG, M, N, ALPHA, A, B, LDB)`` and
+    ``DSFRK(TRANSR, UPLO, TRANS, N, K, ALPHA, A, LDA, BETA, C)``,
+    characters, integers and scalars by reference, no hidden Fortran string
+    lengths."""
     import ctypes
-    name, int_t, pftrf, tfsm, threads = source()
+    name, int_t, *pointers, threads = source()
     char_p, int_p, double_p = ctypes.c_char_p, ctypes.POINTER(int_t), ctypes.c_void_p
-    pftrf_t = ctypes.CFUNCTYPE(None, char_p, char_p, int_p, double_p, int_p)
-    tfsm_t = ctypes.CFUNCTYPE(None, char_p, char_p, char_p, char_p, char_p, int_p, int_p,
-                              ctypes.POINTER(ctypes.c_double), double_p, double_p, int_p)
-    return _Lapack(pftrf_t(ctypes.cast(pftrf, ctypes.c_void_p).value),
-                   tfsm_t(ctypes.cast(tfsm, ctypes.c_void_p).value), int_t, name, threads)
+    scalar_p = ctypes.POINTER(ctypes.c_double)
+    prototypes = (ctypes.CFUNCTYPE(None, char_p, char_p, int_p, double_p, int_p),
+                  ctypes.CFUNCTYPE(None, char_p, char_p, char_p, char_p, char_p, int_p, int_p,
+                                   scalar_p, double_p, double_p, int_p),
+                  ctypes.CFUNCTYPE(None, char_p, char_p, char_p, int_p, int_p, scalar_p,
+                                   double_p, int_p, scalar_p, double_p))
+    return _Lapack(*(prototype(ctypes.cast(pointer, ctypes.c_void_p).value)
+                     for prototype, pointer in zip(prototypes, pointers)),
+                   int_t, name, threads)
 
 
 @functools.cache
@@ -231,57 +235,70 @@ def _check_array(routine: str, name: str, a: np.ndarray, rows: int) -> None:
         base = getattr(base, "base", None)
 
 
-def _packed_order(routine: str, a: np.ndarray, transr: bool = False) -> int:
+def _packed_order(routine: str, a: np.ndarray) -> int:
     """Order n = n1 + n2 of the matrix that ``a`` holds in rectangular full
-    packed format, once ``a`` is checked to be a Fortran-contiguous
-    (2 n1 + 1)-by-n2 array with n2 = n1 or n1 + 1, or with ``transr`` its
-    n2-by-(2 n1 + 1) transpose (LAPACK's ``TRANSR='T'``)."""
-    shape = a.shape[::-1] if transr else a.shape  # that of the TRANSR='N' array
-    if a.ndim != 2 or shape[0] % 2 == 0 or shape[1] - shape[0] // 2 not in (0, 1) \
-            or shape[1] < 1:
-        raise ValueError(f"{routine}: a must be a (2 n1 + 1)-by-n2 array"
-                         f"{', transposed' if transr else ''}, n2 = n1 or n1 + 1, "
+    packed format, transposed (LAPACK's ``TRANSR='T'``), once ``a`` is
+    checked to be a Fortran-contiguous n2-by-(2 n1 + 1) array with n2 = n1
+    or n1 + 1."""
+    if a.ndim != 2 or a.shape[1] % 2 == 0 or a.shape[0] - a.shape[1] // 2 not in (0, 1) \
+            or a.shape[0] < 1:
+        raise ValueError(f"{routine}: a must be an n2-by-(2 n1 + 1) array, n2 = n1 or n1 + 1, "
                          f"got shape {a.shape}")
     _check_array(routine, "a", a, a.shape[0])
-    return shape[0] // 2 + shape[1]
+    return a.shape[1] // 2 + a.shape[0]
 
 
 def dpftrf(a: np.ndarray) -> tuple[np.ndarray, int]:
-    """LAPACK ``dpftrf`` (``TRANSR='N'``, ``UPLO='U'``): Cholesky factor
+    """LAPACK ``dpftrf`` (``TRANSR='T'``, ``UPLO='U'``): Cholesky factor
     ``U`` (``Uᵀ U`` = the matrix) of the symmetric matrix whose upper triangle
-    ``a`` holds in rectangular full packed format, written in place in the
-    same format.  ``a`` is Fortran-ordered, (2 n1 + 1)-by-n2 with n2 = n1 or
-    n1 + 1, for order n = n1 + n2.  Returns ``(a, info)``; ``info > 0`` is the
-    1-based order of the first leading minor that is not positive
-    definite, and on ``info == 0`` every diagonal entry of ``U`` is
-    positive."""
+    ``a`` holds in rectangular full packed format, transposed, written in
+    place in the same format.  ``a`` is Fortran-ordered, n2-by-(2 n1 + 1)
+    with n2 = n1 or n1 + 1, for order n = n1 + n2.  Returns ``(a, info)``;
+    ``info > 0`` is the 1-based order of the first leading minor that is
+    not positive definite, and on ``info == 0`` every diagonal entry of
+    ``U`` is positive."""
     n = _packed_order("dpftrf", a)
     lapack = _lapack()
     info = lapack.int_t()
-    lapack.pftrf(b"N", b"U", lapack.int_t(n), a.ctypes.data, info)
+    lapack.pftrf(b"T", b"U", lapack.int_t(n), a.ctypes.data, info)
     if info.value < 0:
         raise ValueError(f"dpftrf: argument {-info.value} had an illegal value")
     return a, info.value
 
 
-def dtfsm(a: np.ndarray, b: np.ndarray, trans: bool, transr: bool = False) -> np.ndarray:
-    """LAPACK ``dtfsm`` (``SIDE='L'``, ``UPLO='U'``): solve ``Uᵀ x = b``
-    (``trans``) or ``U x = b`` for the upper triangular ``U`` that ``a``
-    holds in rectangular full packed format, as ``dpftrf`` leaves it
-    (``TRANSR='N'``) or, with ``transr``, transposed (``TRANSR='T'``), in
-    place over ``b``: a vector, or a Fortran-ordered matrix of one
-    right-hand side per column.  Returns ``b``.
+def dtfsm(a: np.ndarray, b: np.ndarray, trans: bool) -> np.ndarray:
+    """LAPACK ``dtfsm`` (``TRANSR='T'``, ``SIDE='L'``, ``UPLO='U'``): solve
+    ``Uᵀ x = b`` (``trans``) or ``U x = b`` for the upper triangular ``U``
+    that ``a`` holds as ``dpftrf`` leaves it, in place over ``b``: a vector,
+    or a Fortran-ordered matrix of one right-hand side per column.  Returns
+    ``b``.
 
     ``dtfsm`` checks no pivot; a factor ``build_basis`` keeps, from the
     Schur steps or ``dpftrf``, has none that is zero."""
     import ctypes
-    n = _packed_order("dtfsm", a, transr)
+    n = _packed_order("dtfsm", a)
     _check_array("dtfsm", "b", b, n)
     lapack = _lapack()
-    lapack.tfsm(b"T" if transr else b"N", b"L", b"U", b"T" if trans else b"N", b"N",
+    lapack.tfsm(b"T", b"L", b"U", b"T" if trans else b"N", b"N",
                 lapack.int_t(n), lapack.int_t(b.shape[1] if b.ndim == 2 else 1),
                 ctypes.c_double(1.0), a.ctypes.data, b.ctypes.data, lapack.int_t(n))
     return b
+
+
+def dsfrk(a: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """LAPACK ``dsfrk`` (``TRANSR='T'``, ``UPLO='U'``, ``TRANS='T'``):
+    ``C - Aᵀ A`` in place over ``c``, which holds ``C`` as ``dpftrf`` reads
+    it, for ``a`` Fortran-ordered k-by-n, n the order of ``C``.  Returns ``c``."""
+    import ctypes
+    n = _packed_order("dsfrk", c)
+    if a.ndim != 2 or a.shape[1] != n or a.shape[0] < 1:
+        raise ValueError(f"dsfrk: a must be a k-by-{n} matrix, k >= 1, got shape {a.shape}")
+    _check_array("dsfrk", "a", a, a.shape[0])
+    lapack = _lapack()
+    lapack.sfrk(b"T", b"U", b"T", lapack.int_t(n), lapack.int_t(a.shape[0]),
+                ctypes.c_double(-1.0), a.ctypes.data, lapack.int_t(a.shape[0]),
+                ctypes.c_double(1.0), c.ctypes.data)
+    return c
 
 
 class SingularProjectionError(RuntimeError):
@@ -289,14 +306,14 @@ class SingularProjectionError(RuntimeError):
 
 
 class _SplitFactor(NamedTuple):
-    """The Cholesky factor ``U = [[U_ss, U_sn], [0, U_nn]]`` of a basis whose
-    Schur steps went through, held without ``U_sn = U_ss⁻ᵀ G_sn``.
+    """The Cholesky factor ``U = [[U_ss, U_sn], [0, U_nn]]`` of a basis,
+    held without ``U_sn = U_ss⁻ᵀ G_sn``.
 
     ``ss`` and ``nn`` hold ``U_ss`` and ``U_nn`` in rectangular full packed
     format, transposed (``TRANSR='T'``): n2-by-(2 n1 + 1) Fortran arrays,
     n1 = L // 2 and n2 = L - n1, of L(L+1)/2 doubles each.  Their
     transposes, C-ordered, are the ``TRANSR='N'`` layout, in which
-    ``_write_row`` writes the factor rows along rows of the array.
+    ``_write_row`` writes rows of a triangle along rows of the array.
     ``lags`` (``_lag_rows``' ``rows[0, 1]``, 2L - 1 doubles) and ``tails``
     (each reference's last L - 1 samples, reversed) make ``G_sn`` for
     ``_cross_product``."""
@@ -311,23 +328,16 @@ class _SplitFactor(NamedTuple):
 class ProjectionBasis:
     """Factorized representation of the delayed copies of ``(s, n)``.
 
-    ``_factor`` is the Cholesky factor ``U`` (``Uᵀ U`` = Gram) in one of
-    two forms, and ``whiten`` and ``synthesize`` branch on which:
-
-    * written by the Schur steps, a ``_SplitFactor``: ``U_ss`` and ``U_nn``
-      packed, L(L+1) doubles in all (33.6 MB at L=2048), plus the lag row
-      and reversed tails, 4L - 3 doubles, that make products with ``G_sn``
-      and so stand for the cross block ``U_sn = U_ss⁻ᵀ G_sn``;
-    * on their breakdown, one array of L(2L+1) doubles in the packed format
-      of the Gram's three L-by-L blocks (see the module docstring), written
-      by ``dpftrf`` over the Gram in place, which the solves hand whole to
-      ``dtfsm`` (67.1 MB at L=2048).
-
-    ``_unpacked_factor`` expands either.  Only a dense-path factor may
-    include diagonal loading; the amount actually added is recorded in
-    ``regularization`` (0.0 when none was needed).  Its leading L-by-L
-    block factorizes ``G_ss`` alone, so one basis serves both ``P_s`` and
-    ``P_sn``.
+    ``_factor`` is the Cholesky factor ``U`` (``Uᵀ U`` = Gram), a
+    ``_SplitFactor`` written by the Schur steps or, on their breakdown, by
+    blocks with LAPACK: ``U_ss`` and ``U_nn`` packed, L(L+1) doubles in all
+    (33.6 MB at L=2048), plus the lag row and reversed tails, 4L - 3
+    doubles, that make products with ``G_sn`` and so stand for the cross
+    block ``U_sn = U_ss⁻ᵀ G_sn``.  ``_unpacked_factor`` expands it.  Only a
+    factor written by blocks may include diagonal loading; the amount
+    actually added is recorded in ``regularization`` (0.0 when none was
+    needed).  Its leading L-by-L block factorizes ``G_ss`` alone, so one
+    basis serves both ``P_s`` and ``P_sn``.
 
     Beside the factor it keeps, per reference, the block spectra that
     ``whiten`` correlates and ``synthesize`` filters with: ``_spectra[i]``
@@ -341,7 +351,7 @@ class ProjectionBasis:
     max_delay: int
     regularization: float
     regularization_events: tuple[str, ...]
-    _factor: np.ndarray | _SplitFactor = field(repr=False)
+    _factor: _SplitFactor = field(repr=False)
     _spectra: tuple = field(repr=False)
     _block: int = field(repr=False)
 
@@ -352,19 +362,20 @@ class ProjectionBasis:
         delayed by ``u``, i, j = 0 for ``s`` and 1 for ``n``.
 
         Not stored: each access makes the references' extended block
-        spectra again, correlates them with the stored ones, rebuilds the
-        packed upper triangle and expands it into a new (2L)^2 * 8-byte
-        array, in O(T log M + L^2) time, with the lower triangle copied
-        from the upper one, so the result is exactly symmetric.  Meant for
+        spectra again, correlates them with the stored ones and writes the
+        rows of ``_gram_rows`` into a new (2L)^2 * 8-byte array, in O(T log
+        M + L^2) time, ``G_sn`` as the transpose of ``G_ns``; ``G_ss`` and
+        ``G_nn`` are exactly symmetric, so the result is too.  Meant for
         checks, not for the solve path.
         """
         L = self.max_delay
-        packed = _empty_gram(L)
         arrays = [r.samples for r in self.references]
-        _fill_gram(packed, arrays, _lag_rows(arrays, self._spectra, L, self._block), L)
-        gram = _unpacked(packed)
-        lower = np.tril_indices(len(gram), -1)
-        gram[lower] = gram.T[lower]
+        rows = _lag_rows(arrays, self._spectra, L, self._block)
+        gram = np.empty((2 * L, 2 * L))
+        for i, j in ((0, 0), (0, 1), (1, 1)):  # row u is G[jL + u, iL:(i+1)L]
+            gram[j * L:(j + 1) * L, i * L:(i + 1) * L] = list(
+                _gram_rows(arrays[i], arrays[j], rows[i, j], L))
+        gram[:L, L:] = gram[L:, :L].T
         return gram
 
 
@@ -488,14 +499,6 @@ def _allocate(nbytes: int, what: str, make: Callable):
         raise too_large from None
 
 
-def _empty_gram(L: int) -> np.ndarray:
-    """Uninitialized Fortran-ordered array for the upper triangle of the
-    2L-by-2L Gram of a basis of L delays in rectangular full packed format:
-    (2L + 1)-by-L, L(2L+1) doubles, refused beyond the available memory."""
-    return _allocate(L * (2 * L + 1) * 8, f"the Gram matrix: kL={2 * L} needs kL(kL+1)/2*8",
-                     lambda: np.empty((2 * L + 1, L), order="F"))
-
-
 def _empty_split_factor(L: int, lags: np.ndarray,
                         arrays: Sequence[np.ndarray]) -> _SplitFactor:
     """The ``_SplitFactor`` of a basis of L delays with its two triangles,
@@ -508,13 +511,10 @@ def _empty_split_factor(L: int, lags: np.ndarray,
     return _SplitFactor(ss, nn, lags.copy(), np.stack([a[:-L:-1] for a in arrays]))
 
 
-def _diagonal_index(L: int, first: int = 0) -> np.ndarray:
-    """Positions, in the Fortran-order flattening of the packed Gram of a
-    basis of L delays, of the Gram's diagonal from reference ``first`` on:
-    that of ``G_ss``, ``packed[L+1+t, t]``, then that of ``G_nn``,
-    ``packed[L+t, t]``, t = 0 .. L-1."""
-    step = np.arange(L) * (2 * L + 2)  # one column and one row on
-    return np.concatenate((L + 1 + step, L + step)[first:])
+def _empty_cross_block(L: int) -> np.ndarray:
+    """Uninitialized L-by-L Fortran array, refused beyond the available memory."""
+    return _allocate(L * L * 8, f"the cross block: L={L} needs L*L*8",
+                     lambda: np.empty((L, L), order="F"))
 
 
 def _unpacked(packed: np.ndarray) -> np.ndarray:
@@ -528,38 +528,15 @@ def _unpacked(packed: np.ndarray) -> np.ndarray:
     return upper
 
 
-def _unpacked_factor(factor: np.ndarray | _SplitFactor) -> np.ndarray:
+def _unpacked_factor(factor: _SplitFactor) -> np.ndarray:
     """The 2L-by-2L upper triangular factor that a basis' ``_factor`` holds,
-    zeros below it: ``_unpacked`` of a dense-path factor, or ``U_ss``,
-    ``U_nn`` and ``U_sn = U_ss⁻ᵀ G_sn``, as the solves use it, of a split
-    one.  A new array, for checks."""
-    if isinstance(factor, np.ndarray):
-        return _unpacked(factor)
+    zeros below it: ``U_ss``, ``U_nn`` and ``U_sn = U_ss⁻ᵀ G_sn`` as the
+    solves use it.  A new array, for checks."""
     L = len(factor.lags) // 2 + 1
     upper = np.zeros((2 * L, 2 * L))
     upper[:L, :L], upper[L:, L:] = _unpacked(factor.ss.T), _unpacked(factor.nn.T)
-    upper[:L, L:] = dtfsm(factor.ss, _cross_product(factor, np.eye(L)), trans=True, transr=True)
+    upper[:L, L:] = dtfsm(factor.ss, _cross_product(factor, np.eye(L)), trans=True)
     return upper
-
-
-def _fill_gram(packed: np.ndarray, arrays: Sequence[np.ndarray], rows: np.ndarray,
-               L: int) -> None:
-    """Write the upper triangle of the unloaded Gram of the delayed copies of
-    ``arrays = (s, n)``, whose lag rows are ``rows`` (see ``_lag_rows``),
-    into the three blocks of the packed array ``packed``, every entry.
-
-    Row u that ``_gram_rows`` yields for a block is its column u.  Column u
-    of ``packed`` (row u of the C-ordered view ``packed.T``) is
-    ``G_sn[:, u]``, then ``G_nn[:u+1, u]``, then ``G_ss[u:, u]``: row u of
-    ``G_ss`` from the diagonal, as that block is exactly symmetric."""
-    s, n = arrays
-    view = packed.T
-    for u, (ss, sn, nn) in enumerate(zip(_gram_rows(s, s, rows[0, 0], L),
-                                         _gram_rows(s, n, rows[0, 1], L),
-                                         _gram_rows(n, n, rows[1, 1], L))):
-        view[u, :L] = sn
-        view[u, L:L + u + 1] = nn[:u + 1]
-        view[u, L + 1 + u:] = ss[u:]
 
 
 def _generator(arrays: Sequence[np.ndarray], rows: np.ndarray, L: int) -> np.ndarray | None:
@@ -689,6 +666,51 @@ def _schur_factor(factor: _SplitFactor, gen: np.ndarray, L: int) -> bool:
     return True
 
 
+def _block_factor(factor: _SplitFactor, arrays: Sequence[np.ndarray], rows: np.ndarray,
+                  L: int) -> tuple[float, tuple[str, ...]]:
+    """Write the Cholesky factor of the Gram of the delayed copies of
+    ``arrays = (s, n)``, lag rows ``rows``, into ``factor``'s triangles by
+    blocks: ``dpftrf`` of ``G_ss``; ``U_sn = U_ss⁻ᵀ G_sn`` (``dtfsm``) in an
+    L-by-L array, refused beyond the available memory before it is made and
+    dropped on return; ``dpftrf`` of ``G_nn - U_snᵀ U_sn`` (``dsfrk``).  The
+    first block that fails, and the noise block if that was the speech one,
+    is written again with ``GRAM_REG_LAMBDA * trace / 2L`` on its diagonal;
+    a second failure raises ``SingularProjectionError``.  Returns the loading and its
+    event, which names the first loaded reference: ``(0.0, ())`` if none."""
+    lead = np.empty((BLOCK_ROWS, L // 2))
+
+    def fill(i: int, load: float = 0.0) -> np.ndarray:
+        """Write ``G_ii`` plus ``load`` on its diagonal; its unloaded diagonal."""
+        diagonal = np.empty(L)
+        for u, entries in enumerate(_gram_rows(arrays[i], arrays[i], rows[i, i], L)):
+            diagonal[u] = entries[u]
+            entries[u] += load
+            _write_row(factor[i].T, u, entries[u:], lead)
+        return diagonal
+
+    trace = np.concatenate((fill(0), fill(1))).sum()
+    load, first = 0.0, None
+    for i in (0, 1):
+        if i:
+            cross = _empty_cross_block(L)
+            for u, column in enumerate(_gram_rows(arrays[0], arrays[1], rows[0, 1], L)):
+                cross[:, u] = column  # G_sn[:, u]
+            dtfsm(factor.ss, cross, trans=True)
+        while True:
+            if i:
+                dsfrk(cross, factor.nn)
+            if not dpftrf(factor[i])[1]:
+                break
+            if first is not None:
+                raise SingularProjectionError(f"Gram matrix ({2 * L}x{2 * L}) is singular even "
+                                              f"after diagonal loading of {load:g}")
+            load, first = GRAM_REG_LAMBDA * trace / (2 * L), i
+            for j in range(i, 2):
+                fill(j, load)
+    return load, () if first is None else (
+        f"gram-regularized: diagonal loading {load:g} from reference {first} on (L={L}, refs=2)",)
+
+
 def _cross_product(factor: _SplitFactor, c: np.ndarray, transpose: bool = False) -> np.ndarray:
     """``G_sn c`` or, with ``transpose``, ``G_snᵀ c = G_ns c``, for ``c``
     L-by-m: a new Fortran-ordered L-by-m array.
@@ -716,42 +738,37 @@ def _cross_product(factor: _SplitFactor, c: np.ndarray, transpose: bool = False)
     return out
 
 
-def _forward_solve(factor: np.ndarray | _SplitFactor, b: np.ndarray) -> np.ndarray:
+def _forward_solve(factor: _SplitFactor, b: np.ndarray) -> np.ndarray:
     """``z`` with ``Uᵀ z = b``, in place over ``b``: 2L-by-m, Fortran-ordered,
     one right-hand side per column.
 
-    A dense-path factor is one ``dtfsm``.  A split one solves by blocks,
-    ``z_s = U_ss⁻ᵀ b_s`` and ``z_n = U_nn⁻ᵀ (b_n - G_ns U_ss⁻¹ z_s)``, as
-    ``U_snᵀ z_s = G_ns U_ss⁻¹ z_s``: three ``dtfsm`` and one cross product."""
-    if isinstance(factor, np.ndarray):
-        return dtfsm(factor, b, trans=True)
+    By blocks, ``z_s = U_ss⁻ᵀ b_s`` and ``z_n = U_nn⁻ᵀ (b_n - G_ns U_ss⁻¹
+    z_s)``, as ``U_snᵀ z_s = G_ns U_ss⁻¹ z_s``: three ``dtfsm`` and one cross
+    product."""
     L = len(b) // 2
-    zs = dtfsm(factor.ss, np.array(b[:L], order="F"), trans=True, transr=True)
-    cs = dtfsm(factor.ss, zs.copy(order="F"), trans=False, transr=True)
+    zs = dtfsm(factor.ss, np.array(b[:L], order="F"), trans=True)
+    cs = dtfsm(factor.ss, zs.copy(order="F"), trans=False)
     zn = np.subtract(b[L:], _cross_product(factor, cs, transpose=True), order="F")
-    b[:L], b[L:] = zs, dtfsm(factor.nn, zn, trans=True, transr=True)
+    b[:L], b[L:] = zs, dtfsm(factor.nn, zn, trans=True)
     return b
 
 
-def _back_solve(factor: np.ndarray | _SplitFactor, z: np.ndarray, r: int) -> np.ndarray:
+def _back_solve(factor: _SplitFactor, z: np.ndarray, r: int) -> np.ndarray:
     """``c`` with ``U c = z`` zeroed past row ``r*L``, for ``z`` 2L-by-m: a new
     Fortran-ordered array, one column per column of ``z``.
 
-    A dense-path factor is one ``dtfsm``.  A split one solves by blocks,
-    ``c_n = U_nn⁻¹ z_n`` and ``c_s = U_ss⁻¹ (z_s - U_ss⁻ᵀ G_sn c_n)``: three
-    ``dtfsm`` and one cross product; with r = 1, c_n = 0 and only ``U_ss``
-    is read."""
+    By blocks, ``c_n = U_nn⁻¹ z_n`` and ``c_s = U_ss⁻¹ (z_s - U_ss⁻ᵀ G_sn
+    c_n)``: three ``dtfsm`` and one cross product; with r = 1, c_n = 0 and
+    only ``U_ss`` is read."""
     L = len(z) // 2
     c = np.zeros(z.shape, order="F")
     c[:r * L] = z[:r * L]
-    if isinstance(factor, np.ndarray):
-        return dtfsm(factor, c, trans=False)
     cs = np.array(c[:L], order="F")
     if r == 2:
-        cn = dtfsm(factor.nn, np.array(c[L:], order="F"), trans=False, transr=True)
-        cs -= dtfsm(factor.ss, _cross_product(factor, cn), trans=True, transr=True)
+        cn = dtfsm(factor.nn, np.array(c[L:], order="F"), trans=False)
+        cs -= dtfsm(factor.ss, _cross_product(factor, cn), trans=True)
         c[L:] = cn
-    c[:L] = dtfsm(factor.ss, cs, trans=False, transr=True)
+    c[:L] = dtfsm(factor.ss, cs, trans=False)
     return c
 
 
@@ -783,15 +800,14 @@ def build_basis(references: Sequence[Waveform], max_delay: int) -> ProjectionBas
     2L generalized Schur steps on its 5-column displacement generator
     (``_generator``, ``_schur_factor``) write the factor in O(L^2) work,
     held as a ``_SplitFactor``: ``U_ss``, ``U_nn`` and the O(L) data of
-    ``G_sn``.  A breakdown there (the corner K not
-    positive definite, as with n = s; T < 2L; a pivot at or below the
-    rounding floor) sends the basis down the dense path, unchanged:
-    ``_fill_gram`` writes the Gram and ``dpftrf`` factorizes it in place.
-    If that fails, a diagonal loading of ``GRAM_REG_LAMBDA * trace / 2L``
-    is added to ``G_nn``, and to ``G_ss`` only if it broke there (else it
-    keeps an unloaded factor), and the event is recorded; if it still
-    fails, ``SingularProjectionError`` is raised rather than silently
-    absorbing the problem.  A factor or Gram matrix that cannot be
+    ``G_sn``.  A breakdown there (the corner K not positive definite, as
+    with n = s; T < 2L; a pivot at or below the rounding floor) leaves the
+    same ``_SplitFactor`` to ``_block_factor``, a block Cholesky with
+    LAPACK, which loads ``G_nn``, and ``G_ss`` only if it broke there, by
+    ``GRAM_REG_LAMBDA * trace / 2L`` where a block's ``dpftrf`` fails; the
+    event is recorded, and a second failure raises
+    ``SingularProjectionError`` rather than silently absorbing the problem.
+    A factor, or the cross block that a breakdown works in, that cannot be
     allocated raises ``ValueError`` naming its size, before allocating.
     """
     if len(references) != 2:
@@ -804,32 +820,12 @@ def build_basis(references: Sequence[Waveform], max_delay: int) -> ProjectionBas
     spectra = tuple(_block_spectra(a, L, M, extended=False) for a in arrays)
     rows = _lag_rows(arrays, spectra, L, M)
 
-    regularization = 0.0
-    events: tuple[str, ...] = ()
+    regularization, events = 0.0, ()
     # 2L copies in R^T with T < 2L are dependent: that Gram is singular
     gen = _generator(arrays, rows, L) if 2 * L <= len(refs[0]) else None
-    factor = None if gen is None else _empty_split_factor(L, rows[0, 1], arrays)
-    if factor is None or not _schur_factor(factor, gen, L):
-        factor = None  # a broken-down factor is freed before the Gram is made
-        packed = _empty_gram(L)
-        _fill_gram(packed, arrays, rows, L)
-        flat = packed.ravel(order="F")  # a view: the array is Fortran-contiguous
-        trace = flat[_diagonal_index(L)].sum()
-        _, info = dpftrf(packed)
-        if info > 0:
-            first = (info - 1) // L  # reference of the first non-positive pivot
-            regularization = GRAM_REG_LAMBDA * trace / (2 * L)
-            _fill_gram(packed, arrays, rows, L)  # the failed factor overwrote it
-            flat[_diagonal_index(L, first)] += regularization
-            _, info = dpftrf(packed)
-            if info > 0:
-                raise SingularProjectionError(
-                    f"Gram matrix ({2 * L}x{2 * L}) is singular even after diagonal "
-                    f"loading of {regularization:g}"
-                )
-            events = (f"gram-regularized: diagonal loading {regularization:g} "
-                      f"from reference {first} on (L={L}, refs=2)",)
-        factor = packed
+    factor = _empty_split_factor(L, rows[0, 1], arrays)
+    if gen is None or not _schur_factor(factor, gen, L):
+        regularization, events = _block_factor(factor, arrays, rows, L)
 
     return ProjectionBasis(
         references=refs,

@@ -189,8 +189,8 @@ def _check_case(case: OracleCase, dev: dict) -> None:
     bump("gram_vs_dense_rel",
          np.max(np.abs(dec.basis.gram - gram_dense)) / np.max(np.abs(gram_dense)))
 
-    # the factor, with a Schur-path basis' cross block U_ss⁻ᵀ G_sn as the
-    # solves use it, against the Gram it factorizes, with the loading recorded
+    # the factor, with its cross block U_ss⁻ᵀ G_sn as the solves use it,
+    # against the Gram it factorizes, with the loading recorded
     upper = _unpacked_factor(dec.basis._factor)
     bump("factor_backward_rel",
          np.linalg.norm(upper.T @ upper - _loaded_gram(dec.basis)) / np.linalg.norm(gram_dense))

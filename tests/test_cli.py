@@ -468,18 +468,22 @@ class TestOaCommand:
                 ["utt0"] * per_utterance + ["loaded"] * per_utterance + ["bad"])
 
     def test_threads_match_serial_where_lapack_does_real_work(self, tmp_path):
-        # L=8 corpora never run two multithreaded factorizations at once;
-        # at T=16000 and L=256 each one is a 512-by-512 dpftrf
+        # L=8 corpora never run two multithreaded LAPACK calls at once; at
+        # T=16000 and L=256 each basis solves with 256-by-256 dtfsm, and u0,
+        # whose noise is its speech, breaks down and is factorized by blocks,
+        # two dpftrf, a dtfsm and a dsfrk of order 256, beside the others
         payloads = []
         for i in range(4):
             paths = [str(tmp_path / f"u{i}.{kind}.wav") for kind in ("s", "n", "e")]
-            for path, w in zip(paths, random_signals(i, length=16000, max_delay=256)):
+            s, n, s_hat = random_signals(i, length=16000, max_delay=256)
+            for path, w in zip(paths, (s, s if i == 0 else n, s_hat)):
                 write_wav(path, w)
             payloads.append(("oa", UtteranceTriplet(f"u{i}", *paths), 256,
                              [OaPoint(0.0), OaPoint(1.0)]))
         threaded = _run_corpus(_sweep_task, payloads, 4)
         serial = _run_corpus(_sweep_task, payloads, 1)
         assert [r["error"] for r in threaded] == [None] * 4
+        assert [bool(r["events"]) for r in threaded] == [True, False, False, False]
         for t, s in zip(threaded, serial):
             assert t["utterance_id"] == s["utterance_id"]
             assert [row.metrics for row in t["rows"]] == [row.metrics for row in s["rows"]]
@@ -586,8 +590,8 @@ def _run_limited(code, *args):
 
 
 class TestGramAllocation:
-    """L=20000 over a 2 s pair needs a 2L(2L+1)/2 * 8 = 6.4 GB packed Gram,
-    more than the 2 GiB address space the child is limited to."""
+    """L=20000 over a 2 s pair needs a factor of L(L+1) * 8 = 3.2 GB, more
+    than the 2 GiB address space the child is limited to."""
 
     @pytest.fixture
     def two_second_pair(self, tmp_path):
@@ -606,8 +610,8 @@ class TestGramAllocation:
                               "decompose", "--speech", speech, "--noise", noise,
                               "--enhanced", enhanced, "-L", "20000", "--out", str(out))
         assert result.returncode == 1
-        assert result.stderr == ("error: cannot allocate the Gram matrix: kL=40000 "
-                                 "needs kL(kL+1)/2*8 = 6400160000 bytes\n")
+        assert result.stderr == ("error: cannot allocate the Gram factor: L=20000 "
+                                 "needs L(L+1)*8 = 3200160000 bytes\n")
         assert not out.exists()
 
     def test_sweep_fails_only_that_utterance(self, two_second_pair):
@@ -621,7 +625,7 @@ class TestGramAllocation:
         result = _run_limited(code, *two_second_pair)
         assert result.returncode == 0, result.stderr
         (error, rows), (later_error, later_rows) = json.loads(result.stdout)
-        assert error.startswith("ValueError: cannot allocate the Gram matrix: kL=40000")
+        assert error.startswith("ValueError: cannot allocate the Gram factor: L=20000")
         assert rows == 0
         assert later_error is None and later_rows == 1
 

@@ -5,7 +5,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 from conftest import RATE, random_signals
 from opdkit.decomposition import (Decomposer, Decomposition, cross_gram, export_components,
                                   recompose)
-from opdkit.projection import _unpacked, delayed_matrix, project_dense_oracle
+from opdkit.projection import _unpacked_factor, delayed_matrix, project_dense_oracle
 from opdkit.selftest import INVARIANT_TOLERANCES, make_case
 from opdkit.signals import Waveform, add, energy
 from opdkit.wavio import read_wav
@@ -85,7 +85,7 @@ def test_loading_only_the_failing_block_keeps_speech_projection(seed):
     s, L = case.s, case.max_delay
     dec = Decomposer(s, s, L)
     # the leading factor block is numpy's Cholesky factor of the unloaded G_ss
-    lead = _unpacked(dec.basis._factor)[:L, :L]
+    lead = _unpacked_factor(dec.basis._factor)[:L, :L]
     speech = np.linalg.cholesky(dec.basis.gram[:L, :L]).T
     assert np.max(np.abs(lead - speech)) <= 1e-12 * np.max(np.abs(speech))
     expected = project_dense_oracle([s], L, case.s_hat).samples
@@ -229,7 +229,7 @@ def test_gram_and_cross_block_match_the_synthesized_waveforms(kind, seed):
         assert type(x) is Decomposition
     if loaded:
         A = np.hstack([delayed_matrix(r.samples, L) for r in (s, n)])
-        U = _unpacked(dec.basis._factor)
+        U = _unpacked_factor(dec.basis._factor)
         p_s, p_sn = (A[:, :r * L] @ np.linalg.solve(U[:r * L, :r * L], np.linalg.solve(
             U[:r * L, :r * L].T, A[:, :r * L].T @ s_hat.samples)) for r in (1, 2))
         want = {"s_target": p_s, "e_noise": p_sn - p_s, "e_artif": s_hat.samples - p_sn}

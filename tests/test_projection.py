@@ -122,19 +122,31 @@ class TestGram:
         assert basis.regularization_events == ()
 
 
-def _packed_positions(dim: int, first: int = 0) -> set:
-    """(row, column) in the packed array of Gram diagonal entries first ..
-    dim-1, from the layout's definition: column j holds Gram column n1 + j
-    from row 0 to the diagonal, then Gram row j (j < n1) from the diagonal
-    on, so (i, i) is at (i, i - n1) for i >= n1, else at (n1 + 1 + i, i)."""
+def _packed(matrix: np.ndarray) -> np.ndarray:
+    """The upper triangle of ``matrix`` in rectangular full packed format,
+    transposed (``TRANSR='T'``), from the layout's definition: row j holds
+    column n1 + j from row 0 to the diagonal, then row j (j < n1) from the
+    diagonal on."""
+    dim = len(matrix)
     n1 = dim // 2
-    return {(i, i - n1) if i >= n1 else (n1 + 1 + i, i) for i in range(first, dim)}
+    out = np.empty((dim - n1, 2 * n1 + 1), order="F")
+    for j in range(dim - n1):
+        out[j, :n1 + j + 1] = matrix[:n1 + j + 1, n1 + j]
+        out[j, n1 + 1 + j:] = matrix[j, j:n1]
+    return out
+
+
+def _packed_diagonal(dim: int) -> set:
+    """(row, column) in ``_packed``'s array of the diagonal entries: (i, i) is
+    at (i - n1, i) for i >= n1, else at (i, n1 + 1 + i)."""
+    n1 = dim // 2
+    return {(i - n1, i) if i >= n1 else (i, n1 + 1 + i) for i in range(dim)}
 
 
 class TestPackedLayout:
-    """The basis' Gram in rectangular full packed format, one (2L + 1)-by-L
-    array of three L-by-L blocks, and its factor's diagonal blocks, each
-    packed and transposed (``TRANSR='T'``)."""
+    """The factor's diagonal blocks, each packed and transposed
+    (``TRANSR='T'``), and the Gram blocks that a breakdown writes in the same
+    layout for LAPACK."""
 
     @pytest.mark.parametrize("seed", range(6))
     def test_pair_factor_leads_with_the_speech_factor(self, seed):
@@ -149,43 +161,65 @@ class TestPackedLayout:
         lead = _unpacked(joint._factor.ss.T)
         assert np.max(np.abs(lead - speech)) <= 1e-12 * np.max(np.abs(speech))
 
-    def loaded_entries(self, monkeypatch, refs, L):
-        """The basis, and the positions and loading by which the packed Gram
-        of its second factorization differs from that of its first."""
+    @staticmethod
+    def received(monkeypatch, refs, L):
+        """The basis, and the routines ``dpftrf`` and ``dsfrk`` in call order,
+        each with a copy of the order-L packed array it received."""
         seen = []
-        factorize = projection_module.dpftrf
 
-        def recording(a):
-            seen.append(a.copy(order="F"))
-            return factorize(a)
-        monkeypatch.setattr(projection_module, "dpftrf", recording)
-        basis = build_basis(refs, L)
-        assert len(seen) == 2
-        plain, loaded = seen
+        def recording(name, routine, packed):
+            def call(*args):
+                seen.append((name, args[packed].copy(order="F")))
+                return routine(*args)
+            return call
+        for name, packed in (("dpftrf", 0), ("dsfrk", 1)):
+            monkeypatch.setattr(projection_module, name,
+                                recording(name, getattr(projection_module, name), packed))
+        return build_basis(refs, L), seen
+
+    @staticmethod
+    def loaded_positions(plain, loaded, load):
+        """The positions at which ``loaded`` is ``plain`` plus ``load``,
+        where it differs from it at all."""
         positions = {tuple(p) for p in np.argwhere(plain != loaded)}
         for p in positions:
-            assert loaded[p] == plain[p] + basis.regularization
-        return basis, positions
+            assert loaded[p] == plain[p] + load
+        return positions
 
     def test_failure_in_the_first_block_loads_both_triangles(self, monkeypatch):
         # an impulse at the last sample: its delays past 0 are all-zero
         impulse = Waveform([0.0] * 7 + [1.0], RATE)
         refs = [impulse, Waveform(np.arange(8.0) % 3 - 1.0, RATE)]
         L = 3
-        basis, positions = self.loaded_entries(monkeypatch, refs, L)
+        basis, seen = self.received(monkeypatch, refs, L)
         assert "from reference 0 on" in basis.regularization_events[0]
-        assert positions == _packed_positions(2 * L)
-        # rows L + 1 .. 2L hold the G_ss triangle, rows L .. 2L - 1 that of G_nn
-        assert {r - c for r, c in positions} == {L, L + 1}
+        # G_ss fails, G_ss and G_nn are written again with the loading, and
+        # the Schur complement of the loaded G_ss goes through
+        assert [name for name, _ in seen] == ["dpftrf", "dpftrf", "dsfrk", "dpftrf"]
+        gram, load = basis.gram, basis.regularization
+        assert np.array_equal(seen[0][1], _packed(gram[:L, :L]))
+        assert self.loaded_positions(seen[0][1], seen[1][1], load) == _packed_diagonal(L)
+        assert self.loaded_positions(_packed(gram[L:, L:]), seen[2][1], load) \
+            == _packed_diagonal(L)
 
     @pytest.mark.parametrize("seed", range(1, 4))
     def test_failure_in_the_second_block_loads_only_its_triangle(self, monkeypatch, seed):
         # with n = s the noise block is singular and the speech block is not
         case = make_case(seed)
         L = case.max_delay
-        basis, positions = self.loaded_entries(monkeypatch, [case.s, case.s], L)
+        basis, seen = self.received(monkeypatch, [case.s, case.s], L)
         assert "from reference 1 on" in basis.regularization_events[0]
-        assert positions == _packed_positions(2 * L, L)
+        assert [name for name, _ in seen] == ["dpftrf", "dsfrk", "dpftrf", "dsfrk", "dpftrf"]
+        gram = basis.gram
+        assert np.array_equal(seen[0][1], _packed(gram[:L, :L]))
+        assert np.array_equal(seen[1][1], _packed(gram[L:, L:]))
+        assert self.loaded_positions(seen[1][1], seen[3][1], basis.regularization) \
+            == _packed_diagonal(L)
+
+
+# references whose Schur steps break down (see TestSchurFactor.breakdown_case)
+BREAKDOWN_CASES = [("n=s", 1), ("n=s", 2), ("n=s", 3), ("L=T", 48), ("running", 4),
+                   ("running", 2), ("running", 3), ("float32", 5), ("float32", 6)]
 
 
 def _lowpass_pair(T, seed=0):
@@ -195,7 +229,8 @@ def _lowpass_pair(T, seed=0):
 
 class TestSchurFactor:
     """The factor written from the Gram's displacement generator, and the
-    dense path (``_fill_gram`` and ``dpftrf``) that a breakdown takes."""
+    block Cholesky path with LAPACK (``_block_factor``) that a breakdown
+    takes."""
 
     BACKWARD_TOL = INVARIANT_TOLERANCES["factor_backward_rel"]
 
@@ -208,11 +243,23 @@ class TestSchurFactor:
             arrays, projection_module._lag_rows(arrays, spectra, L, M), L)
 
     @staticmethod
-    def refuse_dense_path(monkeypatch):
+    def refuse_block_path(monkeypatch):
         def refuse(*args):
-            raise AssertionError("the dense path was taken")
-        monkeypatch.setattr(projection_module, "_fill_gram", refuse)
+            raise AssertionError("the block path was taken")
+        monkeypatch.setattr(projection_module, "_block_factor", refuse)
         monkeypatch.setattr(projection_module, "dpftrf", refuse)
+
+    @staticmethod
+    def fill_with_nan(monkeypatch):
+        """Have every factor's triangles allocated filled with NaN."""
+        empty = projection_module._empty_split_factor
+
+        def nan_filled(*args):
+            factor = empty(*args)
+            factor.ss.fill(np.nan)
+            factor.nn.fill(np.nan)
+            return factor
+        monkeypatch.setattr(projection_module, "_empty_split_factor", nan_filled)
 
     def check_generator_identity(self, refs, L):
         gram = build_basis(refs, L).gram
@@ -235,7 +282,7 @@ class TestSchurFactor:
 
     def check_backward_error(self, monkeypatch, refs, L):
         with monkeypatch.context() as patched:
-            self.refuse_dense_path(patched)
+            self.refuse_block_path(patched)
             basis = build_basis(refs, L)
         upper, gram = _unpacked_factor(basis._factor), basis.gram
         assert np.linalg.norm(upper.T @ upper - gram) <= self.BACKWARD_TOL * np.linalg.norm(gram)
@@ -255,15 +302,8 @@ class TestSchurFactor:
     @pytest.mark.parametrize("T,L", [(64, 1), (64, 7), (64, 8), (200, 33), (4066, 32),
                                      (600, 150)])
     def test_every_packed_entry_is_written(self, monkeypatch, T, L):
-        empty = projection_module._empty_split_factor
-
-        def nan_filled(*args):
-            factor = empty(*args)
-            factor.ss.fill(np.nan)
-            factor.nn.fill(np.nan)
-            return factor
-        monkeypatch.setattr(projection_module, "_empty_split_factor", nan_filled)
-        self.refuse_dense_path(monkeypatch)
+        self.fill_with_nan(monkeypatch)
+        self.refuse_block_path(monkeypatch)
         factor = build_basis(_lowpass_pair(T), L)._factor
         assert factor.ss.flags.f_contiguous and factor.nn.flags.f_contiguous
         assert not any(np.isnan(a).any() for a in factor)
@@ -283,7 +323,7 @@ class TestSchurFactor:
             refs, L = list(_band_limited_references(arg, kind)[:2]), 256
         else:
             refs, L = _lowpass_pair(64000), arg
-        self.refuse_dense_path(monkeypatch)
+        self.refuse_block_path(monkeypatch)
         steps, write = [], projection_module._write_row
 
         def recording(packed, i, row, lead):
@@ -297,7 +337,7 @@ class TestSchurFactor:
             self.BACKWARD_TOL * np.linalg.norm(full_width)
 
     def test_well_conditioned_basis_takes_no_dense_step(self, monkeypatch):
-        self.refuse_dense_path(monkeypatch)
+        self.refuse_block_path(monkeypatch)
         for seed in range(12):
             case = make_case(seed)
             assert build_basis([case.s, case.n], case.max_delay).regularization == 0.0
@@ -320,10 +360,11 @@ class TestSchurFactor:
         # alone keeps from zero
         return [Waveform([1.0, 0.0, 0.0, 0.0], RATE), Waveform([0.0, 1.0, 0.0, 0.0], RATE)], arg
 
-    @pytest.mark.parametrize("kind,arg", [("n=s", 1), ("n=s", 2), ("n=s", 3), ("L=T", 48),
-                                          ("running", 4), ("running", 2), ("running", 3),
-                                          ("float32", 5), ("float32", 6)])
+    @pytest.mark.parametrize("kind,arg", BREAKDOWN_CASES)
     def test_breakdown_is_the_dense_path_bitwise(self, monkeypatch, kind, arg):
+        # a breakdown part-way through the Schur steps leaves no trace: the
+        # block path writes every entry of both triangles, as it does when
+        # no step is taken into a factor filled with NaN
         refs, L = self.breakdown_case(kind, arg)
         outcomes = []
         schur = projection_module._schur_factor
@@ -334,11 +375,13 @@ class TestSchurFactor:
         monkeypatch.setattr(projection_module, "_schur_factor", recording)
         basis = build_basis(refs, L)
         assert True not in outcomes
+        self.fill_with_nan(monkeypatch)
         monkeypatch.setattr(projection_module, "_generator", lambda *args: None)
-        dense = build_basis(refs, L)
-        assert np.array_equal(basis._factor, dense._factor)
+        blocks = build_basis(refs, L)
+        for name in ("ss", "nn"):
+            assert np.array_equal(getattr(basis._factor, name), getattr(blocks._factor, name))
         assert (basis.regularization, basis.regularization_events) == \
-            (dense.regularization, dense.regularization_events)
+            (blocks.regularization, blocks.regularization_events)
 
 
 class TestCrossProduct:
@@ -412,7 +455,7 @@ class TestProject:
 
 class TestBatch:
     """``whiten`` of m signals and ``synthesize`` of a 2L-by-m ``z``, on a
-    Schur-path basis (``[s, n]``) and a dense-path one (``[s, s]``)."""
+    Schur-path basis (``[s, n]``) and one written by blocks (``[s, s]``)."""
 
     T, L = 3000, 40
 
@@ -421,8 +464,7 @@ class TestBatch:
         rng = np.random.default_rng(7)
         s, n, x, w = (Waveform(lowpass_noise(rng, self.T), RATE) for _ in range(4))
         basis = build_basis([s, n if request.param == "n" else s], self.L)
-        split = isinstance(basis._factor, projection_module._SplitFactor)
-        assert split == (request.param == "n")
+        assert bool(basis.regularization_events) == (request.param == "s")
         return basis, [x, w]
 
     def test_batch_is_its_one_column_calls(self, basis_and_signals):
@@ -635,23 +677,32 @@ _RESIDENT_GROWTH = """
 import json, resource, sys
 import numpy as np
 from conftest import RATE, lowpass_noise
-from opdkit.projection import _diagonal_index, build_basis, dpftrf
+from opdkit.projection import _write_row, build_basis, dpftrf, dsfrk, dtfsm
 from opdkit.signals import Waveform
 T, L, second = int(sys.argv[1]), int(sys.argv[2]), sys.argv[3]
 rng = np.random.default_rng(0)
 s, n = (Waveform(lowpass_noise(rng, T), RATE) for _ in range(2))
 build_basis([s, n], 4)  # loads LAPACK and the FFT
-# pages in LAPACK's workspace for a 2L-by-2L packed factor on a matrix kept
-# alive, so that the peak before the build is the resident size
-warm = np.zeros((2 * L + 1, L), order="F")
-warm.ravel(order="F")[_diagonal_index(L)] = 2.0
-dpftrf(warm)
+# pages in LAPACK's workspace for the order-L factorizations, solve and
+# update that a breakdown makes, on arrays kept alive, so that the peak
+# before the build is the resident size: 2 I, and a cross block whose
+# update leaves 2 I - J / 2L, positive definite
+warm = [np.empty((L - L // 2, 2 * (L // 2) + 1), order="F") for _ in range(2)]
+lead = np.empty((64, L // 2))
+for packed in warm:
+    for i in range(L):
+        _write_row(packed.T, i, np.eye(1, L - i)[0] * 2.0, lead)
+cross = np.full((L, L), 1.0 / L, order="F")
+dpftrf(warm[0])
+dsfrk(dtfsm(warm[0], cross, trans=True), warm[1])
+assert dpftrf(warm[1])[1] == 0
 before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
 basis = build_basis([s, s if second == "s" else n], L)
 after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
 unit = 1 if sys.platform == "darwin" else 1024  # ru_maxrss is in kB on Linux
 print(json.dumps({"growth": (after - before) * unit,
-                  "events": basis.regularization_events}))
+                  "events": basis.regularization_events,
+                  "held": basis._factor.ss.nbytes + basis._factor.nn.nbytes}))
 """
 
 
@@ -664,10 +715,10 @@ def _subprocess_env() -> dict:
 
 
 class TestMemory:
-    """Memory of a k=2 basis at T=20000, L=1024, whose packed Gram is
-    2L(2L+1)/2 * 8 = 16.8 MB, whose Schur-path factor holds two packed
-    L-by-L triangles, L(L+1) * 8 = 8.4 MB, and whose L-by-L blocks are
-    8.4 MB each."""
+    """Memory of a k=2 basis at T=20000, L=1024, whose factor holds two
+    packed L-by-L triangles, L(L+1) * 8 = 8.4 MB, and whose L-by-L blocks are
+    8.4 MB each: a breakdown works in the triangles and one L-by-L cross
+    block, 2L(2L+1)/2 * 8 = 16.8 MB in all, the size of a packed Gram."""
 
     T, L = 20000, 1024
 
@@ -713,10 +764,12 @@ class TestMemory:
 
     @pytest.mark.skipif(sys.platform == "win32", reason="needs resource.getrusage")
     def test_regularized_build_holds_one_gram(self):
-        # n = s takes the dense path: the packed Gram, factorized in place
+        # n = s takes the block path: the two triangles, factorized in place,
+        # and the cross block, dropped once the noise block is updated
         measured = self.resident_growth("s")
         dim = 2 * self.L
         assert measured["growth"] <= self.basis_bound(dim * (dim + 1) // 2 * 8)
+        assert measured["held"] == self.L * (self.L + 1) * 8
         assert measured["events"] == [
             "gram-regularized: diagonal loading 1.0532e-05 from reference 1 on "
             "(L=1024, refs=2)"]
@@ -730,14 +783,22 @@ class TestMemory:
 
 class TestGramSizeCheck:
     def test_gram_over_available_memory_refused(self, monkeypatch, running_example):
+        # at L = T = 4 the Schur steps are not taken and the block path works
+        # in a 4-by-4 cross block, 128 bytes, beside the 160-byte factor
         s, n, _, _ = running_example
-        # a k=2, L=4 packed Gram is 8 * 9 / 2 * 8 = 288 bytes
-        monkeypatch.setattr(projection_module, "_mem_available", lambda: 287)
-        with pytest.raises(ValueError, match=r"^cannot allocate the Gram matrix: kL=8 "
-                                             r"needs kL\(kL\+1\)/2\*8 = 288 bytes$"):
+        made = []
+        empty = projection_module._empty_cross_block
+        monkeypatch.setattr(projection_module, "_empty_cross_block",
+                            lambda L: made.append(empty(L)) or made[-1])
+        available = iter([160, 127])
+        monkeypatch.setattr(projection_module, "_mem_available", lambda: next(available))
+        with pytest.raises(ValueError, match=r"^cannot allocate the cross block: L=4 "
+                                             r"needs L\*L\*8 = 128 bytes$"):
             build_basis([s, n], 4)
-        monkeypatch.setattr(projection_module, "_mem_available", lambda: 288)
+        assert made == []
+        available = iter([160, 128])
         assert build_basis([s, n], 4).regularization > 0.0
+        assert made[0].nbytes == 128
 
     def test_schur_factor_over_available_memory_refused(self, monkeypatch):
         # a Schur-path basis allocates two packed L-by-L triangles, at L = 7
@@ -760,13 +821,12 @@ class TestGramSizeCheck:
 
     def test_failed_mapping_is_the_size_error(self, monkeypatch):
         # with no MemAvailable to check against, an allocation the system
-        # refuses (here 2^58 bytes, beyond any address space) is the same error
+        # refuses (here 2^57 bytes, beyond any address space) is the same error
         monkeypatch.setattr(projection_module, "_mem_available", lambda: None)
-        dim = 1 << 28
-        with pytest.raises(ValueError, match=r"^cannot allocate the Gram matrix: "
-                                             rf"kL={dim} needs kL\(kL\+1\)/2\*8 = "
-                                             rf"{dim * (dim + 1) * 4} bytes$"):
-            projection_module._empty_gram(dim // 2)
+        L = 1 << 27
+        with pytest.raises(ValueError, match=r"^cannot allocate the cross block: "
+                                             rf"L={L} needs L\*L\*8 = {L * L * 8} bytes$"):
+            projection_module._empty_cross_block(L)
 
     def test_no_meminfo_leaves_the_allocation_to_numpy(self, monkeypatch, running_example):
         s, n, _, _ = running_example
@@ -781,8 +841,8 @@ class TestGramSizeCheck:
 
 
 class TestLapackBinding:
-    """dpftrf and dtfsm write through raw pointers, so the wrappers must
-    refuse an array LAPACK would misread before any call is made."""
+    """dpftrf, dtfsm and dsfrk write through raw pointers, so the wrappers
+    must refuse an array LAPACK would misread before any call is made."""
 
     SOURCES = {"numpy-openblas": projection_module._numpy_openblas_pointers,
                "cython-lapack": projection_module._cython_lapack_pointers}
@@ -791,7 +851,7 @@ class TestLapackBinding:
     def no_call(self, monkeypatch):
         def called(*args):
             raise AssertionError("LAPACK was called")
-        fake = projection_module._Lapack(called, called, ctypes.c_int64, "none", None)
+        fake = projection_module._Lapack(called, called, called, ctypes.c_int64, "none", None)
         monkeypatch.setattr(projection_module, "_lapack", lambda: fake)
 
     @pytest.fixture(params=SOURCES)
@@ -809,18 +869,6 @@ class TestLapackBinding:
         return np.asfortranarray(A.T @ A)
 
     @staticmethod
-    def packed(gram):
-        """The upper triangle of ``gram`` in rectangular full packed format,
-        from the layout's definition (see ``_packed_positions``)."""
-        dim = len(gram)
-        n1 = dim // 2
-        out = np.empty((2 * n1 + 1, dim - n1), order="F")
-        for j in range(dim - n1):
-            out[:n1 + j + 1, j] = gram[:n1 + j + 1, n1 + j]
-            out[n1 + 1 + j:, j] = gram[j, j:n1]
-        return out
-
-    @staticmethod
     def strided(shape, strides, base_size=36):
         # made, never read: the guards must refuse it before LAPACK sees it
         return np.lib.stride_tricks.as_strided(np.zeros(base_size), shape, strides)
@@ -828,14 +876,14 @@ class TestLapackBinding:
     @pytest.mark.parametrize("bad", ["float32", "c-order", "read-only", "non-square",
                                      "vector", "empty", "outside-base"])
     def test_dpftrf_guard_raises_before_the_call(self, no_call, bad):
-        a = {"float32": lambda: self.packed(self.spd()).astype(np.float32, order="F"),
-             "c-order": lambda: np.ascontiguousarray(self.packed(self.spd())),
-             "read-only": lambda: self.packed(self.spd()),
-             # square, so not (2 n1 + 1)-by-n1 or -(n1 + 1)
+        a = {"float32": lambda: _packed(self.spd()).astype(np.float32, order="F"),
+             "c-order": lambda: np.ascontiguousarray(_packed(self.spd())),
+             "read-only": lambda: _packed(self.spd()),
+             # square, so not n1-by-(2 n1 + 1) or (n1 + 1)-by-(2 n1 + 1)
              "non-square": lambda: self.spd(),
              "vector": lambda: np.ones(6),
              "empty": lambda: np.empty((0, 0), order="F"),
-             "outside-base": lambda: self.strided((7, 3), (8, 56), base_size=20)}[bad]()
+             "outside-base": lambda: self.strided((3, 7), (8, 24), base_size=20)}[bad]()
         if bad == "read-only":
             a.flags.writeable = False
         if bad == "outside-base":
@@ -846,7 +894,7 @@ class TestLapackBinding:
     @pytest.mark.parametrize("bad", ["a-c-order", "float32", "c-order", "read-only",
                                      "rows", "3-d", "non-contiguous", "outside-base"])
     def test_dtfsm_guard_raises_before_the_call(self, no_call, bad):
-        a = self.packed(self.spd())  # order 6
+        a = _packed(self.spd())  # order 6
         if bad == "a-c-order":
             a = np.ascontiguousarray(a)
         b = {"float32": lambda: np.ones(6, np.float32),
@@ -867,27 +915,49 @@ class TestLapackBinding:
             projection_module.dtfsm(a, b, trans=True)
 
     def test_dtfsm_refuses_the_other_layout(self, no_call):
-        # order 6: (7, 3) with TRANSR='N', its transpose (3, 7) with 'T'
-        a = self.packed(self.spd())
-        for array, transr in ((a, True), (np.asfortranarray(a.T), False)):
-            with pytest.raises(ValueError, match="^dtfsm: a must be a "):
-                projection_module.dtfsm(array, np.ones(6), trans=True, transr=transr)
+        # order 6: (3, 7) with TRANSR='T', the only layout bound; its
+        # transpose (7, 3) is that of TRANSR='N'
+        a = np.asfortranarray(_packed(self.spd()).T)
+        with pytest.raises(ValueError, match="^dtfsm: a must be an "):
+            projection_module.dtfsm(a, np.ones(6), trans=True)
+
+    @pytest.mark.parametrize("bad", ["float32", "c-order", "read-only", "columns", "vector",
+                                     "empty", "outside-base", "c-packed"])
+    def test_dsfrk_guard_raises_before_the_call(self, no_call, bad):
+        c = _packed(self.spd())  # order 6
+        if bad == "c-packed":
+            c = np.ascontiguousarray(c)
+        a = {"float32": lambda: np.ones((2, 6), np.float32, order="F"),
+             "c-order": lambda: np.ones((2, 6)),
+             "columns": lambda: np.ones((2, 5), order="F"),
+             "vector": lambda: np.ones(6),
+             "empty": lambda: np.empty((0, 6), order="F"),
+             # Fortran-contiguous, but past the end of a 4-element array
+             "outside-base": lambda: self.strided((2, 6), (8, 16), base_size=4)
+             }.get(bad, lambda: np.ones((2, 6), order="F"))()
+        if bad == "read-only":
+            a.flags.writeable = False
+        if bad == "outside-base":
+            assert a.flags.f_contiguous and a.flags.writeable
+        with pytest.raises(ValueError, match="^dsfrk: a "):
+            projection_module.dsfrk(a, c)
 
     def test_illegal_argument_raises(self, monkeypatch):
         def illegal(*args):
             args[-1].value = -4  # info, passed by reference
-        fake = projection_module._Lapack(illegal, illegal, ctypes.c_int64, "fake", None)
+        fake = projection_module._Lapack(illegal, illegal, illegal, ctypes.c_int64, "fake",
+                                         None)
         monkeypatch.setattr(projection_module, "_lapack", lambda: fake)
         with pytest.raises(ValueError, match="dpftrf: argument 4 had an illegal value"):
-            projection_module.dpftrf(self.packed(self.spd()))
+            projection_module.dpftrf(_packed(self.spd()))
 
     def test_factor_and_solves_match_numpy(self, lapack):
         rng = np.random.default_rng(2)
         for n in (40, 41):  # even and odd order
             gram = self.spd(n, seed=1)
-            factor, info = projection_module.dpftrf(self.packed(gram))
+            factor, info = projection_module.dpftrf(_packed(gram))
             assert info == 0
-            upper = _unpacked(factor)
+            upper = _unpacked(factor.T)
             assert_allclose(upper, np.linalg.cholesky(gram).T, rtol=0, atol=1e-12)
             for b in (rng.standard_normal(n), np.asfortranarray(rng.standard_normal((n, 3)))):
                 for trans, triangle in ((True, upper.T), (False, upper)):
@@ -895,18 +965,33 @@ class TestLapackBinding:
                     assert_allclose(x, np.linalg.solve(triangle, b), rtol=1e-12, atol=1e-12)
 
     def test_transposed_storage_solves_alike(self, lapack):
-        # the TRANSR='T' array is the transpose of the TRANSR='N' one
+        # the TRANSR='T' array is the transpose of the TRANSR='N' one, in
+        # which _write_row writes rows of the matrix along rows of the array
         rng = np.random.default_rng(3)
         for n in (1, 2, 40, 41):
-            factor, info = projection_module.dpftrf(self.packed(self.spd(n, seed=n)))
+            gram = self.spd(n, seed=n)
+            packed = np.empty((n - n // 2, 2 * (n // 2) + 1), order="F")
+            lead = np.empty((projection_module.BLOCK_ROWS, n // 2))
+            for i in range(n):
+                projection_module._write_row(packed.T, i, gram[i, i:].copy(), lead)
+            assert np.array_equal(packed, _packed(gram))
+            factor, info = projection_module.dpftrf(packed)
             assert info == 0
-            transposed = np.asfortranarray(factor.T)
+            upper = np.linalg.cholesky(gram).T
             for b in (rng.standard_normal(n), np.asfortranarray(rng.standard_normal((n, 3)))):
-                for trans in (True, False):
-                    want = projection_module.dtfsm(factor, b.copy(order="F"), trans=trans)
-                    got = projection_module.dtfsm(transposed, b.copy(order="F"), trans=trans,
-                                                  transr=True)
-                    assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+                for trans, triangle in ((True, upper.T), (False, upper)):
+                    x = projection_module.dtfsm(factor, b.copy(order="F"), trans=trans)
+                    assert_allclose(x, np.linalg.solve(triangle, b), rtol=1e-10, atol=1e-12)
+
+    def test_rank_update_matches_numpy(self, lapack):
+        rng = np.random.default_rng(4)
+        for n, k in ((1, 1), (2, 3), (40, 40), (41, 7)):
+            c = self.spd(n, seed=n)
+            a = np.asfortranarray(rng.standard_normal((k, n)))
+            updated = projection_module.dsfrk(a, _packed(c))
+            want = c - a.T @ a
+            assert_allclose(_unpacked(updated.T), np.triu(want), rtol=0,
+                            atol=1e-12 * np.max(np.abs(want)))
 
     def test_thread_count_read_only_from_numpy_openblas(self, lapack):
         threads = projection_module.openblas_threads()
@@ -920,7 +1005,7 @@ class TestLapackBinding:
         for index in (1, 3):
             gram = self.spd()
             gram[index, index] = -1.0
-            assert projection_module.dpftrf(self.packed(gram))[1] == index + 1
+            assert projection_module.dpftrf(_packed(gram))[1] == index + 1
 
     @pytest.mark.parametrize("seed", range(4))
     def test_projection_matches_dense_oracle(self, lapack, seed):

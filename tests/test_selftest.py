@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from opdkit.projection import _unpacked, build_basis
+from opdkit.projection import _unpacked_factor, build_basis
 from opdkit.selftest import (INVARIANT_TOLERANCES, LOWPASS_POLE, _check_case, _loaded_gram,
                              _lowpass_noise, make_case, run_property_suite)
 from opdkit.signals import Waveform, energy
+from test_projection import BREAKDOWN_CASES, TestSchurFactor
 
 import opdkit.projection as projection_module
 
@@ -99,18 +100,24 @@ def test_case_count_validated():
         run_property_suite(case_count=0)
 
 
-@pytest.mark.parametrize("first", [0, 1])
-def test_backward_error_counts_the_recorded_loading(first):
+@pytest.mark.parametrize("case", [0, 1, *BREAKDOWN_CASES],
+                         ids=lambda case: "-".join(map(str, case)) if isinstance(case, tuple)
+                         else str(case))
+def test_backward_error_counts_the_recorded_loading(case):
     # a loaded factor factorizes the Gram plus the loading its event names:
-    # from reference 0 on for an impulse at the last sample, 1 for n = s
-    if first == 0:
+    # from reference 0 on for an impulse at the last sample, 1 for n = s;
+    # so does every factor a breakdown writes by blocks, loaded or not
+    if case == 0:
         refs = [Waveform([0.0] * 7 + [1.0], 16000), Waveform(np.arange(8.0) % 3 - 1.0, 16000)]
         basis = build_basis(refs, 3)
+    elif case == 1:
+        sample = make_case(1)
+        basis = build_basis([sample.s, sample.s], sample.max_delay)
     else:
-        case = make_case(1)
-        basis = build_basis([case.s, case.s], case.max_delay)
-    assert f"from reference {first} on" in basis.regularization_events[0]
-    upper, gram = _unpacked(basis._factor), basis.gram
+        basis = build_basis(*TestSchurFactor.breakdown_case(*case))
+    upper, gram = _unpacked_factor(basis._factor), basis.gram
     tol = INVARIANT_TOLERANCES["factor_backward_rel"] * np.linalg.norm(gram)
     assert np.linalg.norm(upper.T @ upper - _loaded_gram(basis)) <= tol
-    assert np.linalg.norm(upper.T @ upper - gram) > tol
+    if case in (0, 1):
+        assert f"from reference {case} on" in basis.regularization_events[0]
+        assert np.linalg.norm(upper.T @ upper - gram) > tol
