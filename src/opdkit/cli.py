@@ -7,9 +7,12 @@ runs an enhancer: the sweeps analyse the file each manifest record's
 ``enhanced_path`` names, and ``decompose`` the file ``--enhanced`` names.
 ``opdkit --self-test`` runs the randomized invariant suite.
 
-With ``--workers N``, ``oa`` and ``dsa`` analyse up to N utterances at once
-on threads, whose FFTs and ``ctypes`` LAPACK calls release the GIL.  An
-exception fails only its utterance; a crash that kills the process (an
+``oa`` and ``dsa`` run ``_sweep_task`` on each utterance, serially or, with
+``--workers N``, up to N at once on threads, whose FFTs and ``ctypes``
+LAPACK calls release the GIL.  It returns the utterance's rows, its basis'
+regularization events and its error as values, from which the sweep writes
+the CSVs and the run manifest's ``errors`` and ``regularization_events``.
+An exception fails only its utterance; a crash that kills the process (an
 out-of-memory kill, say) ends the run, as it does serially.
 
 Exit codes: 0 success, 1 validation/I-O error or missing LAPACK, 2 numerical
@@ -79,60 +82,31 @@ def parse_grid(text: str) -> list[float]:
     return values
 
 
-def _named_events(utterance_id: str, basis) -> list[dict]:
-    """``basis``' regularization events as manifest records, like ``errors``."""
-    return [{"utterance_id": utterance_id, "event": event}
-            for event in basis.regularization_events]
+def _named_events(utterance_id: str, events) -> list[dict]:
+    """An utterance's regularization events as manifest records, like ``errors``."""
+    return [{"utterance_id": utterance_id, "event": event} for event in events]
 
 
-def _sweep_task(payload) -> dict:
-    command, triplet, max_delay, points = payload
-    events = []
+def _sweep_task(command: str, triplet: UtteranceTriplet, max_delay: int, points: list):
+    """``(rows, events, error)``; on an exception, no rows, the events of a
+    basis already built and the exception's text."""
+    events = ()
     try:
         if triplet.enhanced_path is None:
             raise ValueError(f"{triplet.utterance_id}: no enhanced_path in the manifest; "
                              "run `opdkit enhance` first")
         s, n, s_hat = load_triplet(triplet)
         dec = Decomposer(s, n, max_delay)
-        events = _named_events(triplet.utterance_id, dec.basis)
+        events = dec.basis.regularization_events
         if command == "oa":
             rows = oa_sweep(dec, s_hat, add(s, n), grid=points,
                             utterance_id=triplet.utterance_id)
         else:
             rows = dsa_sweep(dec.decompose(s_hat), grid=points,
                              utterance_id=triplet.utterance_id)
-        return {"utterance_id": triplet.utterance_id, "rows": rows, "events": events,
-                "error": None}
     except Exception as exc:  # noqa: BLE001 - tagged into the report
-        return {"utterance_id": triplet.utterance_id, "rows": (), "events": events,
-                "error": f"{type(exc).__name__}: {exc}"}
-
-
-def _run_corpus(task, payloads, workers: int) -> list[dict]:
-    """``task`` over each ``(command, triplet, ...)`` payload, results in
-    corpus order; more than one worker runs that many payloads at once on
-    threads, never more threads than payloads.  ``task`` turns every
-    exception into its utterance's error row."""
-    if workers <= 1:
-        return [task(p) for p in payloads]
-    # imported here: it loads logging, which a serial run need not pay for
-    from concurrent.futures import ThreadPoolExecutor
-    with ThreadPoolExecutor(min(workers, len(payloads))) as pool:
-        return list(pool.map(task, payloads))
-
-
-def _collect(results):
-    rows, events, errors = [], [], []
-    for result in results:
-        rows.extend(result["rows"])
-        events.extend(result["events"])
-        if result["error"]:
-            errors.append({"utterance_id": result["utterance_id"],
-                           "error": result["error"]})
-    if not rows:
-        messages = "; ".join(e["error"] for e in errors)
-        raise ValueError(f"every utterance failed: {messages}")
-    return rows, events, errors
+        return (), events, f"{type(exc).__name__}: {exc}"
+    return rows, events, None
 
 
 def _metric_series(rows, summary, x_field: str, metric: str) -> list[Series]:
@@ -195,7 +169,7 @@ def cmd_decompose(args) -> int:
                     "enhanced": args.enhanced, "utterance_id": utterance_id},
         max_delay=args.max_delay,
         aggregation="per-utterance",
-        regularization_events=_named_events(utterance_id, dec.basis),
+        regularization_events=_named_events(utterance_id, dec.basis.regularization_events),
         numerics=numerics,
     ))
     print(f"{utterance_id}: SDR {report.sdr_db:.2f} dB, SNR {report.snr_db:.2f} dB, "
@@ -213,8 +187,24 @@ def _cmd_sweep(args) -> int:
         raise ValueError(f"--workers must be >= 1, got {args.workers}")
     numerics = _numerics()  # bound once, before any worker thread starts
     triplets = load_corpus_manifest(args.corpus)
-    payloads = [(name, t, args.max_delay, points) for t in triplets]
-    rows, events, errors = _collect(_run_corpus(_sweep_task, payloads, args.workers))
+
+    def task(triplet):
+        return _sweep_task(name, triplet, args.max_delay, points)
+    if args.workers == 1:
+        results = list(map(task, triplets))
+    else:
+        # imported here: it loads logging, which a serial run need not pay for
+        from concurrent.futures import ThreadPoolExecutor
+        with ThreadPoolExecutor(min(args.workers, len(triplets))) as pool:
+            results = list(pool.map(task, triplets))
+    rows, events, errors = [], [], []
+    for triplet, (utterance_rows, utterance_events, error) in zip(triplets, results):
+        rows.extend(utterance_rows)
+        events.extend(_named_events(triplet.utterance_id, utterance_events))
+        if error:
+            errors.append({"utterance_id": triplet.utterance_id, "error": error})
+    if not rows:
+        raise ValueError("every utterance failed: " + "; ".join(e["error"] for e in errors))
     summary = summarize_rows(rows)
     os.makedirs(args.out, exist_ok=True)
 

@@ -137,7 +137,7 @@ class Decomposer:
     The basis spans delayed copies of ``[s, n]``.  Building it dominates the
     cost of a decomposition, so all signals decomposed against one reference
     pair (an OA sweep's ``s_hat`` and ``y``) should share one Decomposer.
-    Any diagonal loading is recorded in ``basis.regularization_events``.
+    Any diagonal loading is recorded in ``basis.regularization`` and ``loaded_from``.
     """
 
     def __init__(self, s: Waveform, n: Waveform, max_delay: int = DEFAULT_MAX_DELAY):

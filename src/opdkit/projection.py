@@ -334,10 +334,10 @@ class ProjectionBasis:
     (33.6 MB at L=2048), plus the lag row and reversed tails, 4L - 3
     doubles, that make products with ``G_sn`` and so stand for the cross
     block ``U_sn = U_ss⁻ᵀ G_sn``.  ``_unpacked_factor`` expands it.  Only a
-    factor written by blocks may include diagonal loading; the amount
-    actually added is recorded in ``regularization`` (0.0 when none was
-    needed).  Its leading L-by-L block factorizes ``G_ss`` alone, so one
-    basis serves both ``P_s`` and ``P_sn``.
+    factor written by blocks may include diagonal loading: ``regularization``
+    on each diagonal entry from the block of reference ``loaded_from`` (0 or
+    1) on, or 0.0 and ``None`` if none was needed.  Its leading L-by-L block
+    factorizes ``G_ss`` alone, so one basis serves both ``P_s`` and ``P_sn``.
 
     Beside the factor it keeps, per reference, the block spectra that
     ``whiten`` correlates and ``synthesize`` filters with: ``_spectra[i]``
@@ -350,10 +350,17 @@ class ProjectionBasis:
     references: tuple[Waveform, Waveform]
     max_delay: int
     regularization: float
-    regularization_events: tuple[str, ...]
+    loaded_from: int | None
     _factor: _SplitFactor = field(repr=False)
     _spectra: tuple = field(repr=False)
     _block: int = field(repr=False)
+
+    @property
+    def regularization_events(self) -> tuple[str, ...]:
+        """The loading as run-manifest event text: one line, or none."""
+        return () if self.loaded_from is None else (
+            f"gram-regularized: diagonal loading {self.regularization:g} from reference "
+            f"{self.loaded_from} on (L={self.max_delay}, refs=2)",)
 
     @property
     def gram(self) -> np.ndarray:
@@ -667,7 +674,7 @@ def _schur_factor(factor: _SplitFactor, gen: np.ndarray, L: int) -> bool:
 
 
 def _block_factor(factor: _SplitFactor, arrays: Sequence[np.ndarray], rows: np.ndarray,
-                  L: int) -> tuple[float, tuple[str, ...]]:
+                  L: int) -> tuple[float, int | None]:
     """Write the Cholesky factor of the Gram of the delayed copies of
     ``arrays = (s, n)``, lag rows ``rows``, into ``factor``'s triangles by
     blocks: ``dpftrf`` of ``G_ss``; ``U_sn = U_ss⁻ᵀ G_sn`` (``dtfsm``) in an
@@ -675,8 +682,8 @@ def _block_factor(factor: _SplitFactor, arrays: Sequence[np.ndarray], rows: np.n
     dropped on return; ``dpftrf`` of ``G_nn - U_snᵀ U_sn`` (``dsfrk``).  The
     first block that fails, and the noise block if that was the speech one,
     is written again with ``GRAM_REG_LAMBDA * trace / 2L`` on its diagonal;
-    a second failure raises ``SingularProjectionError``.  Returns the loading and its
-    event, which names the first loaded reference: ``(0.0, ())`` if none."""
+    a second failure raises ``SingularProjectionError``.  Returns the loading and the
+    first loaded reference: ``(0.0, None)`` if none."""
     lead = np.empty((BLOCK_ROWS, L // 2))
 
     def fill(i: int, load: float = 0.0) -> np.ndarray:
@@ -707,8 +714,7 @@ def _block_factor(factor: _SplitFactor, arrays: Sequence[np.ndarray], rows: np.n
             load, first = GRAM_REG_LAMBDA * trace / (2 * L), i
             for j in range(i, 2):
                 fill(j, load)
-    return load, () if first is None else (
-        f"gram-regularized: diagonal loading {load:g} from reference {first} on (L={L}, refs=2)",)
+    return load, first
 
 
 def _cross_product(factor: _SplitFactor, c: np.ndarray, transpose: bool = False) -> np.ndarray:
@@ -805,7 +811,7 @@ def build_basis(references: Sequence[Waveform], max_delay: int) -> ProjectionBas
     same ``_SplitFactor`` to ``_block_factor``, a block Cholesky with
     LAPACK, which loads ``G_nn``, and ``G_ss`` only if it broke there, by
     ``GRAM_REG_LAMBDA * trace / 2L`` where a block's ``dpftrf`` fails; the
-    event is recorded, and a second failure raises
+    loading and that block are recorded, and a second failure raises
     ``SingularProjectionError`` rather than silently absorbing the problem.
     A factor, or the cross block that a breakdown works in, that cannot be
     allocated raises ``ValueError`` naming its size, before allocating.
@@ -820,18 +826,18 @@ def build_basis(references: Sequence[Waveform], max_delay: int) -> ProjectionBas
     spectra = tuple(_block_spectra(a, L, M, extended=False) for a in arrays)
     rows = _lag_rows(arrays, spectra, L, M)
 
-    regularization, events = 0.0, ()
+    regularization, loaded_from = 0.0, None
     # 2L copies in R^T with T < 2L are dependent: that Gram is singular
     gen = _generator(arrays, rows, L) if 2 * L <= len(refs[0]) else None
     factor = _empty_split_factor(L, rows[0, 1], arrays)
     if gen is None or not _schur_factor(factor, gen, L):
-        regularization, events = _block_factor(factor, arrays, rows, L)
+        regularization, loaded_from = _block_factor(factor, arrays, rows, L)
 
     return ProjectionBasis(
         references=refs,
         max_delay=L,
         regularization=regularization,
-        regularization_events=events,
+        loaded_from=loaded_from,
         _factor=factor,
         _spectra=spectra,
         _block=M,
@@ -851,6 +857,8 @@ def whiten(basis: ProjectionBasis, x: Waveform | Sequence[Waveform]) -> np.ndarr
     ``synthesize``).
     """
     signals = [x] if isinstance(x, Waveform) else list(x)
+    if not signals:
+        raise ValueError("whiten: expected at least one signal, got an empty batch")
     T, rate = len(basis.references[0]), basis.references[0].sample_rate
     for w in signals:
         if len(w) != T:
@@ -880,6 +888,8 @@ def synthesize(basis: ProjectionBasis, z: np.ndarray, r: int) -> np.ndarray:
     under an inverse FFT whose blocks are overlap-added.  The signals go one
     at a time, so only one signal's spectrum and blocks are held at once.
     """
+    if r not in (1, 2):
+        raise ValueError(f"synthesize: r must be 1 (P_s) or 2 (P_sn), got {r!r}")
     L, M, T = basis.max_delay, basis._block, len(basis.references[0])
     c = _back_solve(basis._factor, z.reshape(len(z), -1), r)
     rows = []

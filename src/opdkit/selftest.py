@@ -15,7 +15,6 @@ seed and kind of the case that set it (``make_case(seed, kind)``), and fails
 with the offending seed on any violation.
 """
 
-import re
 import time
 from dataclasses import dataclass, field
 
@@ -159,12 +158,11 @@ def _rel(diff: np.ndarray, ref_norm: float) -> float:
 
 
 def _loaded_gram(basis) -> np.ndarray:
-    """``basis.gram`` plus the diagonal loading its event records, from the
-    reference it names on: the matrix its factor factorizes."""
+    """``basis.gram`` plus its recorded diagonal loading, from the block of
+    reference ``loaded_from`` on: the matrix its factor factorizes."""
     gram = basis.gram
-    if basis.regularization:
-        first = int(re.search(r"from reference (\d) on", basis.regularization_events[0])[1])
-        loaded = np.arange(first * basis.max_delay, len(gram))
+    if basis.loaded_from is not None:
+        loaded = np.arange(basis.loaded_from * basis.max_delay, len(gram))
         gram[loaded, loaded] += basis.regularization
     return gram
 

@@ -15,11 +15,9 @@ from hypothesis import given, strategies as st
 from conftest import RATE, lowpass_noise, random_signals
 import opdkit
 import opdkit.cli as cli_module
-from opdkit.analysis import OaPoint
-from opdkit.cli import (MAX_GRID_VALUES, _run_corpus, _sweep_task, build_parser, main,
-                        parse_grid)
+from opdkit.cli import MAX_GRID_VALUES, build_parser, main, parse_grid
 from opdkit.projection import lapack_source, openblas_threads
-from opdkit.reporting import SWEEP_CSV_COLUMNS, UtteranceTriplet
+from opdkit.reporting import SWEEP_CSV_COLUMNS
 from opdkit.signals import Waveform, energy
 from opdkit.wavio import read_wav, write_wav
 
@@ -467,26 +465,37 @@ class TestOaCommand:
             assert [r["utterance_id"] for r in rows] == (
                 ["utt0"] * per_utterance + ["loaded"] * per_utterance + ["bad"])
 
-    def test_threads_match_serial_where_lapack_does_real_work(self, tmp_path):
+    def test_threads_match_serial_where_lapack_does_real_work(self, tmp_path, monkeypatch):
         # L=8 corpora never run two multithreaded LAPACK calls at once; at
         # T=16000 and L=256 each basis solves with 256-by-256 dtfsm, and u0,
         # whose noise is its speech, breaks down and is factorized by blocks,
         # two dpftrf, a dtfsm and a dsfrk of order 256, beside the others
-        payloads = []
-        for i in range(4):
-            paths = [str(tmp_path / f"u{i}.{kind}.wav") for kind in ("s", "n", "e")]
-            s, n, s_hat = random_signals(i, length=16000, max_delay=256)
-            for path, w in zip(paths, (s, s if i == 0 else n, s_hat)):
-                write_wav(path, w)
-            payloads.append(("oa", UtteranceTriplet(f"u{i}", *paths), 256,
-                             [OaPoint(0.0), OaPoint(1.0)]))
-        threaded = _run_corpus(_sweep_task, payloads, 4)
-        serial = _run_corpus(_sweep_task, payloads, 1)
-        assert [r["error"] for r in threaded] == [None] * 4
-        assert [bool(r["events"]) for r in threaded] == [True, False, False, False]
-        for t, s in zip(threaded, serial):
-            assert t["utterance_id"] == s["utterance_id"]
-            assert [row.metrics for row in t["rows"]] == [row.metrics for row in s["rows"]]
+        corpus = tmp_path / "corpus.jsonl"
+        with open(corpus, "w", encoding="utf-8") as fh:
+            for i in range(4):
+                paths = [str(tmp_path / f"u{i}.{kind}.wav") for kind in ("s", "n", "e")]
+                s, n, s_hat = random_signals(i, length=16000, max_delay=256)
+                for path, w in zip(paths, (s, s if i == 0 else n, s_hat)):
+                    write_wav(path, w)
+                fh.write(json.dumps(dict(zip(("speech_path", "noise_path", "enhanced_path"),
+                                             paths), utterance_id=f"u{i}")) + "\n")
+        written, write = [], cli_module.write_sweep_csv
+
+        def recording(path, rows, error_rows=None):
+            written.append(rows)
+            write(path, rows, error_rows)
+        monkeypatch.setattr(cli_module, "write_sweep_csv", recording)
+        for workers in ("4", "1"):
+            out = tmp_path / f"w{workers}"
+            assert main(["oa", "--corpus", str(corpus), "--grid", "0,1", "-L", "256",
+                         "--workers", workers, "--out", str(out)]) == 0
+            manifest = json.loads((out / "run_manifest.json").read_text())
+            assert manifest["errors"] == []
+            assert [e["utterance_id"] for e in manifest["regularization_events"]] == ["u0"]
+        threaded, serial = written
+        assert [row.utterance_id for row in threaded] == [f"u{i}" for i in range(4) for _ in "01"]
+        assert [(row.utterance_id, row.metrics) for row in threaded] == \
+            [(row.utterance_id, row.metrics) for row in serial]
 
     def test_default_grid(self, tmp_path, enhanced_corpus):
         out = tmp_path / "oa_default"
@@ -619,9 +628,8 @@ class TestGramAllocation:
                 "from opdkit.analysis import OaPoint; "
                 "from opdkit.reporting import UtteranceTriplet; "
                 "t = UtteranceTriplet('utt', *sys.argv[1:4]); "
-                "results = [_sweep_task(('oa', t, L, [OaPoint(0.0)])) "
-                "for L in (20000, 64)]; "
-                "print(json.dumps([[r['error'], len(r['rows'])] for r in results]))")
+                "results = [_sweep_task('oa', t, L, [OaPoint(0.0)]) for L in (20000, 64)]; "
+                "print(json.dumps([[error, len(rows)] for rows, _, error in results]))")
         result = _run_limited(code, *two_second_pair)
         assert result.returncode == 0, result.stderr
         (error, rows), (later_error, later_rows) = json.loads(result.stdout)
@@ -845,8 +853,7 @@ def test_missing_lapack_is_an_error_naming_scipy(tmp_path, enhanced_corpus, mixe
     assert "scipy_dpftrf_64_" in message and "No module named 'scipy'" in message
     assert not (tmp_path / "dec").exists()
     triplet = load_corpus_manifest(enhanced_corpus / "corpus.jsonl")[0]
-    result = _sweep_task(("oa", triplet, 8, [OaPoint(0.0)]))
-    assert result["error"] == f"ImportError: {message}"
+    assert _sweep_task("oa", triplet, 8, [OaPoint(0.0)])[2] == f"ImportError: {message}"
     # a sweep binds LAPACK before its pool starts: one error, not one per utterance
     for workers in ("1", "2"):
         assert main(["oa", "--corpus", str(enhanced_corpus / "corpus.jsonl"), "-L", "8",

@@ -92,6 +92,7 @@ def test_loading_only_the_failing_block_keeps_speech_projection(seed):
     got = dec.decompose(case.s_hat).s_target.samples
     assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected)
     # reference 1 of the basis is the noise
+    assert dec.basis.loaded_from == 1
     assert len(dec.basis.regularization_events) == 1
     assert "from reference 1 on" in dec.basis.regularization_events[0]
 
@@ -174,6 +175,8 @@ def test_length_mismatch_rejected(running_example):
     with pytest.raises(ValueError, match="length") as raised:
         Decomposer(s, n, 1).decompose(Waveform([1.0, 2.0], RATE))
     assert str(raised.value).startswith("whiten: ")  # the routine that raised it
+    with pytest.raises(ValueError, match="^whiten: expected at least one signal"):
+        Decomposer(s, n, 1).decompose_batch([])
 
 
 def test_export_components(tmp_path, running_example):

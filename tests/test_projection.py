@@ -336,7 +336,7 @@ class TestSchurFactor:
         assert np.linalg.norm(implied - full_width) <= \
             self.BACKWARD_TOL * np.linalg.norm(full_width)
 
-    def test_well_conditioned_basis_takes_no_dense_step(self, monkeypatch):
+    def test_well_conditioned_basis_takes_no_block_step(self, monkeypatch):
         self.refuse_block_path(monkeypatch)
         for seed in range(12):
             case = make_case(seed)
@@ -361,7 +361,7 @@ class TestSchurFactor:
         return [Waveform([1.0, 0.0, 0.0, 0.0], RATE), Waveform([0.0, 1.0, 0.0, 0.0], RATE)], arg
 
     @pytest.mark.parametrize("kind,arg", BREAKDOWN_CASES)
-    def test_breakdown_is_the_dense_path_bitwise(self, monkeypatch, kind, arg):
+    def test_breakdown_is_the_block_path_bitwise(self, monkeypatch, kind, arg):
         # a breakdown part-way through the Schur steps leaves no trace: the
         # block path writes every entry of both triangles, as it does when
         # no step is taken into a factor filled with NaN
@@ -437,12 +437,19 @@ class TestProject:
             whiten(basis, Waveform([1.0, 2.0], RATE))
         with pytest.raises(ValueError, match=r"^whiten: sample rate mismatch \(8000 vs 16000"):
             whiten(basis, Waveform([1.0, 0.0, 0.0, 0.0], 8000))
+        with pytest.raises(ValueError, match="^whiten: expected at least one signal, got an "
+                                             "empty batch$"):
+            whiten(basis, [])
 
     def test_nested_refs(self, running_example):
         s, n, s_hat, _ = running_example
         basis = build_basis([s, n], 1)
-        out = synthesize(basis, whiten(basis, s_hat), 1)
-        assert_allclose(out, [0.9, 0.0, 0.0, 0.0], atol=1e-14)
+        z = whiten(basis, s_hat)
+        assert_allclose(synthesize(basis, z, 1), [0.9, 0.0, 0.0, 0.0], atol=1e-14)
+        for r in (0, 3, -1):
+            with pytest.raises(ValueError, match=rf"^synthesize: r must be 1 \(P_s\) or 2 "
+                                                 rf"\(P_sn\), got {r}$"):
+                synthesize(basis, z, r)
 
     @pytest.mark.parametrize("seed", range(8))
     def test_leading_projection_is_the_speech_projection(self, seed):

@@ -104,9 +104,10 @@ def test_case_count_validated():
                          ids=lambda case: "-".join(map(str, case)) if isinstance(case, tuple)
                          else str(case))
 def test_backward_error_counts_the_recorded_loading(case):
-    # a loaded factor factorizes the Gram plus the loading its event names:
-    # from reference 0 on for an impulse at the last sample, 1 for n = s;
-    # so does every factor a breakdown writes by blocks, loaded or not
+    # a loaded factor factorizes the Gram plus the loading it records: from
+    # reference 0 on for an impulse at the last sample and L = T, 1 for n = s
+    # and the running example; so does every factor a breakdown writes by
+    # blocks, loaded or not
     if case == 0:
         refs = [Waveform([0.0] * 7 + [1.0], 16000), Waveform(np.arange(8.0) % 3 - 1.0, 16000)]
         basis = build_basis(refs, 3)
@@ -118,6 +119,13 @@ def test_backward_error_counts_the_recorded_loading(case):
     upper, gram = _unpacked_factor(basis._factor), basis.gram
     tol = INVARIANT_TOLERANCES["factor_backward_rel"] * np.linalg.norm(gram)
     assert np.linalg.norm(upper.T @ upper - _loaded_gram(basis)) <= tol
+    first = case if case in (0, 1) else \
+        {"n=s": 1, "L=T": 0, "running": 1, "float32": None}[case[0]]
+    assert basis.loaded_from == first and bool(basis.regularization) == (first is not None)
+    # the manifest's event text, built from the recorded values, names that reference
+    assert basis.regularization_events == (() if first is None else (
+        f"gram-regularized: diagonal loading {basis.regularization:g} from reference "
+        f"{first} on (L={basis.max_delay}, refs=2)",))
     if case in (0, 1):
         assert f"from reference {case} on" in basis.regularization_events[0]
         assert np.linalg.norm(upper.T @ upper - gram) > tol
