@@ -141,14 +141,13 @@ def oa_sweep(dec: Decomposer, s_hat: Waveform, y: Waveform,
              utterance_id: str = "") -> tuple[SweepRow, ...]:
     """One row per observation-adding amount in the grid.
 
-    Only ``s_hat`` and ``y`` are decomposed, as one batch of two.  ``whiten``
+    Only ``s_hat`` and ``y`` are decomposed, as one batch of two.  ``project``
     and ``synthesize`` are linear, even on a loaded Gram, so ``s_hat + w y``
     splits into ``d(s_hat) + w d(y)`` and a point's 3x3 Gram is ``M G6 M^T``,
-    with ``G6``
-    the Gram of both component triples, assembled from the two 3x3 Grams and
-    their ``cross_gram``, and ``M = [I | w I]``.  When both SARs are finite,
-    the closed-form SARi (from ``s_hat - e_artif`` and raw ``y``) must match
-    the measured one within ``SARI_VALIDATION_TOL_DB``, else
+    with ``G6`` the Gram of both component triples, assembled from the two
+    3x3 Grams and their ``cross_gram``, and ``M = [I | w I]``.  When both
+    SARs are finite, the closed-form SARi (from ``s_hat - e_artif`` and raw
+    ``y``) must match the measured one within ``SARI_VALIDATION_TOL_DB``, else
     ``SweepValidationError``: a ``y`` outside the span has an ``e_artif`` that
     the closed form does not see, and on an ill-conditioned Gram the
     coefficient energies and the waveform ``s_hat - e_artif`` carry different

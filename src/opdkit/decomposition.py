@@ -13,9 +13,10 @@ speech/noise copies can explain.  Decomposition is computed over the whole
 utterance, not in frames.
 
 ``Decomposition`` is the one type of it, what ``Decomposer.decompose`` and
-``decompose_batch`` return on every basis: the whitened coefficients ``z``
-of the forward solve and the waveform ``e_artif``, with ``s_target`` and
-``e_noise`` synthesized when read, as by ``export_components``.  Every
+``decompose_batch`` return on every basis: from one ``project`` solve, the
+whitened coefficients ``z``, the ``P_s`` coefficients ``c_s`` and the
+waveform ``e_artif``, with ``s_target`` and ``e_noise`` synthesized from
+``c_s`` when read, as by ``export_components``, and nothing solved.  Every
 metric is a ratio of entries of the components' Gram.  ``cross_gram`` takes
 them from ``z`` and ``e_artif`` on an unloaded basis (so no sweep
 synthesizes more) and from the waveforms on a loaded one, deciding by the
@@ -28,7 +29,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .projection import DEFAULT_MAX_DELAY, ProjectionBasis, build_basis, synthesize, whiten
+from .projection import DEFAULT_MAX_DELAY, ProjectionBasis, build_basis, project, synthesize
 from .signals import Waveform
 from .wavio import write_wav
 
@@ -62,18 +63,20 @@ def dust_energy(gram: np.ndarray) -> float:
 
 class Decomposition:
     """The decomposition of ``signal`` on ``basis``, held as its whitened
-    coefficients ``z`` (see ``projection.whiten``) and its artifact waveform
-    ``e_artif = signal - P_sn signal``.
+    coefficients ``z`` and ``P_s`` coefficients ``c_s`` (columns of what
+    ``projection.project`` returns) and its artifact waveform ``e_artif =
+    signal - P_sn signal``.
 
-    ``s_target`` and ``e_noise`` are synthesized from ``z`` the first time
-    they are read, so the decomposition keeps the basis, and with it the
-    factor, alive for as long as it lives.  On an unloaded basis ``gram``
+    ``s_target`` is synthesized from ``c_s``, with no solve, and ``e_noise``
+    made from it, the first time they are read, so the decomposition keeps
+    the basis alive for as long as it lives.  On an unloaded basis ``gram``
     and ``cross_gram`` never read them.
     """
 
-    def __init__(self, basis: ProjectionBasis, z: np.ndarray, signal: Waveform,
-                 e_artif: Waveform):
-        self.basis, self.z, self.signal, self.e_artif = basis, z, signal, e_artif
+    def __init__(self, basis: ProjectionBasis, z: np.ndarray, c_s: np.ndarray,
+                 signal: Waveform, e_artif: Waveform):
+        self.basis, self.z, self.c_s = basis, z, c_s
+        self.signal, self.e_artif = signal, e_artif
 
     @property
     def sample_rate(self) -> int:
@@ -81,7 +84,7 @@ class Decomposition:
 
     @cached_property
     def s_target(self) -> Waveform:
-        return Waveform(synthesize(self.basis, self.z, 1), self.sample_rate)
+        return Waveform(synthesize(self.basis, self.c_s[:, None])[0], self.sample_rate)
 
     @cached_property
     def e_noise(self) -> Waveform:
@@ -149,14 +152,14 @@ class Decomposer:
 
     def decompose_batch(self, signals: Sequence[Waveform]) -> tuple[Decomposition, ...]:
         """The ``Decomposition`` of each of ``signals``, by one path on every
-        basis: one ``whiten`` of them all gives each ``z`` and one synthesis
-        of every ``P_sn x``, so each ``e_artif``; the rest is synthesized
-        when read.  The batch shares its forward and its back solve (one
-        product with ``G_sn`` each).  On a loaded basis those are the loaded
-        solve's parts."""
-        z = whiten(self.basis, signals)
-        p_sn = synthesize(self.basis, z, 2)
-        return tuple(Decomposition(self.basis, z[:, j], x,
+        basis: one ``project`` of them all gives each ``z``, ``c_s`` and
+        ``P_sn`` coefficients, and one synthesis of every ``P_sn x`` each
+        ``e_artif``; ``s_target`` is synthesized when read.  The batch shares
+        its one solve (two products with ``G_sn``).  On a loaded basis those
+        are the loaded solve's parts."""
+        z, c_s, c = project(self.basis, signals)
+        p_sn = synthesize(self.basis, c)
+        return tuple(Decomposition(self.basis, z[:, j], c_s[:, j], x,
                                    Waveform(np.subtract(x.samples, p, out=p), x.sample_rate))
                      for j, (x, p) in enumerate(zip(signals, p_sn)))
 

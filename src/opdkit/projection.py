@@ -7,11 +7,11 @@ basis spans delays ``0 .. L-1`` of two references, speech ``s`` and noise
 ``n``.  Neither projector, ``P_s`` onto the speech copies nor ``P_sn`` onto
 both, is materialized as a T-by-T matrix: one Gram solve over the delayed
 copies gives the coefficients of both, each synthesized as FIR filtering of
-the references.  The solve has two halves:
-``whiten`` (the right-hand side and the forward solve) gives coefficients
-whose inner products are those of the projections, and ``synthesize`` (the
-back solve and the filtering) makes the waveform of one subspace's
-projection from them.
+the references.  ``project`` makes the right-hand side and runs that solve
+once: it returns the whitened coefficients ``z``, whose inner products are
+those of the projections, and the coefficients of ``P_s x`` and of
+``P_sn x``, from which ``synthesize`` (the filtering) makes either
+projection's waveform.
 
 Every correlation and every synthesis runs on overlap-save blocks of one
 length M: the smallest power of two >= max(FFT_BLOCK_MIN, 4L), capped at the
@@ -44,9 +44,9 @@ transposed (``TRANSR='T'``, ``UPLO='U'``), L(L+1)/2 doubles.  ``U_sn =
 U_ss⁻ᵀ G_sn`` is never formed: ``G_sn = Toep(r_sn) - R_s R_nᵀ``, ``R_x``
 the strictly lower triangular Toeplitz matrix of x's reversed tail, so
 the basis keeps that lag row and the tails, O(L), and a product with
-``G_sn`` or its transpose is a few FFTs (``_cross_product``).  A solve runs
-by blocks, ``dtfsm`` on ``U_ss`` and ``U_nn`` and one cross product per
-direction, whatever the number of right-hand sides; ``P_s`` alone needs none.
+``G_sn`` or its transpose is a few FFTs (``_cross_product``).  The solve
+runs by blocks, ``dtfsm`` on ``U_ss`` and ``U_nn`` and one cross product per
+direction, whatever the number of right-hand sides (``_solve``).
 
 A breakdown of the Schur steps (a pivot not positive beyond rounding, a
 corner not positive definite, or T < 2L) leaves the same two triangles to
@@ -88,9 +88,9 @@ __all__ = [
     "build_basis",
     "lapack_source",
     "openblas_threads",
+    "project",
     "project_dense_oracle",
     "synthesize",
-    "whiten",
     "delayed_matrix",
 ]
 
@@ -340,7 +340,7 @@ class ProjectionBasis:
     factorizes ``G_ss`` alone, so one basis serves both ``P_s`` and ``P_sn``.
 
     Beside the factor it keeps, per reference, the block spectra that
-    ``whiten`` correlates and ``synthesize`` filters with: ``_spectra[i]``
+    ``project`` correlates and ``synthesize`` filters with: ``_spectra[i]``
     has one row ``rfft(frame, M)`` per hop of B = M - L + 1 samples,
     ``_block`` = M, each frame B samples of the reference zero-padded to M:
     8 M / B bytes per sample of a reference (9.1 at L=512), a little over
@@ -744,38 +744,25 @@ def _cross_product(factor: _SplitFactor, c: np.ndarray, transpose: bool = False)
     return out
 
 
-def _forward_solve(factor: _SplitFactor, b: np.ndarray) -> np.ndarray:
-    """``z`` with ``Uᵀ z = b``, in place over ``b``: 2L-by-m, Fortran-ordered,
-    one right-hand side per column.
+def _solve(factor: _SplitFactor, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(z, c_s, c)`` for the right-hand sides ``b``, 2L-by-m and
+    Fortran-ordered, one per column: ``Uᵀ z = b`` in place over ``b``, the
+    ``P_s`` coefficients ``c_s = U_ss⁻¹ z_s`` and the ``P_sn`` coefficients
+    ``U c = z``, each a new Fortran-ordered array.
 
-    By blocks, ``z_s = U_ss⁻ᵀ b_s`` and ``z_n = U_nn⁻ᵀ (b_n - G_ns U_ss⁻¹
-    z_s)``, as ``U_snᵀ z_s = G_ns U_ss⁻¹ z_s``: three ``dtfsm`` and one cross
-    product."""
+    By blocks, ``z_n = U_nn⁻ᵀ (b_n - G_ns c_s)``, as ``U_snᵀ z_s = G_ns
+    U_ss⁻¹ z_s``, then ``c_n = U_nn⁻¹ z_n`` and ``c[:L] = U_ss⁻¹ (z_s -
+    U_ss⁻ᵀ G_sn c_n)``: six ``dtfsm`` and two cross products in all."""
     L = len(b) // 2
     zs = dtfsm(factor.ss, np.array(b[:L], order="F"), trans=True)
     cs = dtfsm(factor.ss, zs.copy(order="F"), trans=False)
     zn = np.subtract(b[L:], _cross_product(factor, cs, transpose=True), order="F")
     b[:L], b[L:] = zs, dtfsm(factor.nn, zn, trans=True)
-    return b
-
-
-def _back_solve(factor: _SplitFactor, z: np.ndarray, r: int) -> np.ndarray:
-    """``c`` with ``U c = z`` zeroed past row ``r*L``, for ``z`` 2L-by-m: a new
-    Fortran-ordered array, one column per column of ``z``.
-
-    By blocks, ``c_n = U_nn⁻¹ z_n`` and ``c_s = U_ss⁻¹ (z_s - U_ss⁻ᵀ G_sn
-    c_n)``: three ``dtfsm`` and one cross product; with r = 1, c_n = 0 and
-    only ``U_ss`` is read."""
-    L = len(z) // 2
-    c = np.zeros(z.shape, order="F")
-    c[:r * L] = z[:r * L]
-    cs = np.array(c[:L], order="F")
-    if r == 2:
-        cn = dtfsm(factor.nn, np.array(c[L:], order="F"), trans=False)
-        cs -= dtfsm(factor.ss, _cross_product(factor, cn), trans=True)
-        c[L:] = cn
-    c[:L] = dtfsm(factor.ss, cs, trans=False)
-    return c
+    cn = dtfsm(factor.nn, zn, trans=False)
+    zs -= dtfsm(factor.ss, _cross_product(factor, cn), trans=True)
+    c = np.empty_like(b)
+    c[:L], c[L:] = dtfsm(factor.ss, zs, trans=False), cn
+    return b, cs, c
 
 
 def _validate_references(references: Sequence[Waveform], max_delay: int) -> None:
@@ -844,27 +831,29 @@ def build_basis(references: Sequence[Waveform], max_delay: int) -> ProjectionBas
     )
 
 
-def whiten(basis: ProjectionBasis, x: Waveform | Sequence[Waveform]) -> np.ndarray:
-    """Whitened coefficients ``z`` of ``x``, one waveform (a 2L vector) or a
-    batch of m (2L-by-m, one column each): one correlation pass per signal
-    gives the right-hand sides ``Aᵀx`` and one forward solve of them all,
-    ``Uᵀ z = Aᵀx``, the rest (see ``_forward_solve``).
+def project(basis: ProjectionBasis,
+            signals: Sequence[Waveform]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(z, c_s, c)`` of a batch of m signals, one column each: one
+    correlation pass per signal gives the right-hand sides ``Aᵀx`` and one
+    solve of them all (see ``_solve``) the whitened coefficients ``z``
+    (2L-by-m), with ``Uᵀ z = Aᵀx``, and the coefficients of ``P_s x``,
+    ``c_s`` (L-by-m), and of ``P_sn x``, ``c`` (2L-by-m), whose waveforms
+    ``synthesize`` makes.
 
     ``A U⁻¹`` has orthonormal columns, the whitened delayed copies, and
     ``Uᵀ`` is lower triangular, so ``z[:L]`` are the coordinates of
     ``P_s x`` in them and ``z`` those of ``P_sn x``: ``‖P_s x‖² = ‖z[:L]‖²``
-    and ``<P_sn x, P_sn x'> = z·z'``, with no waveform synthesized (see
-    ``synthesize``).
+    and ``<P_sn x, P_sn x'> = z·z'``, with no waveform synthesized.
     """
-    signals = [x] if isinstance(x, Waveform) else list(x)
+    signals = list(signals)
     if not signals:
-        raise ValueError("whiten: expected at least one signal, got an empty batch")
+        raise ValueError("project: expected at least one signal, got an empty batch")
     T, rate = len(basis.references[0]), basis.references[0].sample_rate
     for w in signals:
         if len(w) != T:
-            raise ValueError(f"whiten: length mismatch ({len(w)} vs basis length {T})")
+            raise ValueError(f"project: length mismatch ({len(w)} vs basis length {T})")
         if w.sample_rate != rate:
-            raise ValueError(f"whiten: sample rate mismatch ({w.sample_rate} vs {rate})")
+            raise ValueError(f"project: sample rate mismatch ({w.sample_rate} vs {rate})")
 
     # <ref delayed by tau, x> needs no truncation correction: x itself is
     # not delayed, so no products fall outside [0, T).
@@ -872,42 +861,40 @@ def whiten(basis: ProjectionBasis, x: Waveform | Sequence[Waveform]) -> np.ndarr
     rhs = np.empty((2 * L, len(signals)), order="F")
     for j, w in enumerate(signals):
         rhs[:, j] = _correlations(w.samples, basis._spectra, L, M).ravel()
-    z = _forward_solve(basis._factor, rhs)
-    return z[:, 0] if isinstance(x, Waveform) else z
+    return _solve(basis._factor, rhs)
 
 
-def synthesize(basis: ProjectionBasis, z: np.ndarray, r: int) -> np.ndarray:
-    """Samples of ``P_r x`` from the whitened coefficients ``z`` of ``x``:
-    ``P_1 = P_s`` onto the speech copies, ``P_2 = P_sn`` onto both.  A 2L
-    vector ``z`` gives T samples, a 2L-by-m batch an m-by-T array, one row
-    per column.
+def synthesize(basis: ProjectionBasis, coefficients: np.ndarray) -> np.ndarray:
+    """Samples of the projections whose coefficients ``project`` gives, an
+    m-by-T array, one row per column: ``P_s x`` from ``c_s`` (L rows) or
+    ``P_sn x`` from ``c`` (2L rows).
 
-    One back solve of every column of ``z`` zeroed past ``r*L`` (see
-    ``_back_solve``) gives the coefficients ``c``; ``P_r x = Σ_i F_i ·
-    rfft(c_i)`` over the first r references, ``F_i`` their block spectra,
-    under an inverse FFT whose blocks are overlap-added.  The signals go one
-    at a time, so only one signal's spectrum and blocks are held at once.
+    ``P x = Σ_i F_i · rfft(c_i)`` over the references the rows reach,
+    ``F_i`` their block spectra, under an inverse FFT whose blocks are
+    overlap-added.  The signals go one at a time, so only one signal's
+    spectrum and blocks are held at once.
     """
-    if r not in (1, 2):
-        raise ValueError(f"synthesize: r must be 1 (P_s) or 2 (P_sn), got {r!r}")
     L, M, T = basis.max_delay, basis._block, len(basis.references[0])
-    c = _back_solve(basis._factor, z.reshape(len(z), -1), r)
+    if coefficients.ndim != 2 or len(coefficients) not in (L, 2 * L):
+        raise ValueError(f"synthesize: expected L={L} or 2L={2 * L} coefficient rows, got "
+                         f"shape {coefficients.shape}")
     rows = []
-    for j in range(c.shape[1]):
-        spectrum = basis._spectra[0] * rfft(c[:L, j], M)
-        if r == 2:
-            spectrum += basis._spectra[1] * rfft(c[L:, j], M)
+    for c in coefficients.T:
+        spectrum = basis._spectra[0] * rfft(c[:L], M)
+        if len(c) > L:
+            spectrum += basis._spectra[1] * rfft(c[L:], M)
         blocks = irfft(spectrum, M)
         del spectrum
         rows.append(_overlap_add(blocks, L, T))
         del blocks
-    return rows[0] if z.ndim == 1 else np.stack(rows)
+    return np.stack(rows)
 
 
 def project_dense_oracle(references: Sequence[Waveform], max_delay: int,
                          x: Waveform) -> Waveform:
-    """Reference implementation of ``synthesize(basis, whiten(basis, x), r)``,
-    ``references`` the first r of the basis', by explicit least squares.
+    """Reference implementation of ``P_s x`` (``references = [s]``) or
+    ``P_sn x`` (``[s, n]``), what ``synthesize`` makes of ``project``'s
+    ``c_s`` or ``c``, by explicit least squares.
 
     Materializes the delayed-copy matrix and solves with an SVD-backed
     least-squares routine, sharing no code path with the fast Gram solver.

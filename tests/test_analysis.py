@@ -195,9 +195,11 @@ class TestOaSweep:
         assert grid[-1].omega_obs == 1.5
 
     def test_decomposes_only_s_hat_and_y(self, monkeypatch):
-        # s_hat and y go as one batch: one forward and one back solve of two
-        # columns, each with one product of the Schur-path cross block G_sn
-        # (transposed in the forward solve) with two columns
+        # s_hat and y go as one batch: one project, whose solve of two
+        # columns runs the forward and the back substitution, each with one
+        # product of the Schur-path cross block G_sn (transposed in the
+        # forward one) with two columns
+        import opdkit.decomposition as decomposition_module
         import opdkit.projection as projection_module
         s, n, s_hat = random_signals(0, length=500, max_delay=8)
         y = add(s, n)
@@ -210,20 +212,26 @@ class TestOaSweep:
             seen.append(list(signals))
             return original(self, signals)
 
-        def recorded(name):
-            fn = getattr(projection_module, name)
-            monkeypatch.setattr(projection_module, name, lambda factor, a, *rest, **kw: (
-                calls.append((name, a.shape, *rest, *kw.values())) or fn(factor, a, *rest, **kw)))
+        def recorded(module, name):
+            fn = getattr(module, name)
+            monkeypatch.setattr(module, name, lambda first, a, *rest, **kw: (
+                calls.append((name, getattr(a, "shape", len(a)), *rest, *kw.values()))
+                or fn(first, a, *rest, **kw)))
 
         monkeypatch.setattr(Decomposer, "decompose_batch", counting)
-        for name in ("_forward_solve", "_back_solve", "_cross_product"):
-            recorded(name)
+        recorded(decomposition_module, "project")
+        for name in ("_solve", "_cross_product", "dtfsm"):
+            recorded(projection_module, name)
         monkeypatch.setattr(Decomposer, "decompose", None)  # no one-signal path
         oa_sweep(dec, s_hat, y, default_grid("oa"))
         assert len(seen) == 1
         assert seen[0][0] is s_hat and seen[0][1] is y
-        assert calls == [("_forward_solve", (16, 2)), ("_cross_product", (8, 2), True),
-                         ("_back_solve", (16, 2), 2), ("_cross_product", (8, 2))]
+        block = (8, 2)
+        assert calls == [("project", 2), ("_solve", (16, 2)),
+                         ("dtfsm", block, True), ("dtfsm", block, False),
+                         ("_cross_product", block, True), ("dtfsm", block, True),
+                         ("dtfsm", block, False), ("_cross_product", block),
+                         ("dtfsm", block, True), ("dtfsm", block, False)]
 
     def test_closed_form_once_for_the_whole_grid(self, monkeypatch):
         import opdkit.analysis as analysis_module

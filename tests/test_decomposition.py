@@ -98,20 +98,20 @@ def test_loading_only_the_failing_block_keeps_speech_projection(seed):
 
 
 def test_one_correlation_pass_and_two_triangular_solves(monkeypatch):
-    # a decomposition is one right-hand side, one forward and one back
-    # substitution, and one synthesis (P_sn x, for e_artif); reading
-    # s_target adds one back substitution and one synthesis (P_s x):
-    # synthesize makes one projection per call.  On a Schur-path basis each
-    # substitution of P_sn is three dtfsm on the diagonal blocks and one
-    # product with the cross block G_sn; that of P_s is one dtfsm on U_ss.
+    # a decomposition is one right-hand side, one project (a forward and a
+    # back substitution, which also give the P_s coefficients c_s) and one
+    # synthesis (P_sn x, for e_artif); reading s_target adds one synthesis
+    # (P_s x, from c_s) and no solve.  On a Schur-path basis each
+    # substitution is three dtfsm on the diagonal blocks and one product
+    # with the cross block G_sn.
     import opdkit.decomposition as decomposition_module
     import opdkit.projection as projection_module
-    assert not hasattr(projection_module, "project")
+    assert decomposition_module.project is projection_module.project
     case = make_case(0)
     dec = Decomposer(case.s, case.n, case.max_delay)
     assert isinstance(dec.basis._factor, projection_module._SplitFactor)
-    calls = dict.fromkeys(["_block_spectra", "_forward_solve", "_back_solve", "_cross_product",
-                           "dtfsm", "whiten", "synthesize"], 0)
+    calls = dict.fromkeys(["_block_spectra", "_solve", "_cross_product", "dtfsm", "project",
+                           "synthesize"], 0)
 
     def counted(module, name):
         fn = getattr(module, name)
@@ -121,18 +121,18 @@ def test_one_correlation_pass_and_two_triangular_solves(monkeypatch):
             return fn(*args, **kwargs)
         monkeypatch.setattr(module, name, wrapper)
 
-    counted(decomposition_module, "whiten")
+    counted(decomposition_module, "project")
     counted(decomposition_module, "synthesize")
-    for name in ("_block_spectra", "_forward_solve", "_back_solve", "_cross_product", "dtfsm"):
+    for name in ("_block_spectra", "_solve", "_cross_product", "dtfsm"):
         counted(projection_module, name)
-    decomposed = {"_block_spectra": 1, "_forward_solve": 1, "_back_solve": 1,
-                  "_cross_product": 2, "dtfsm": 6, "whiten": 1, "synthesize": 1}
+    decomposed = {"_block_spectra": 1, "_solve": 1, "_cross_product": 2, "dtfsm": 6,
+                  "project": 1, "synthesize": 1}
     d = dec.decompose(case.s_hat)
     assert calls == decomposed
     d.gram, d.e_artif
     assert calls == decomposed
     d.s_target, d.e_noise
-    assert calls == dict(decomposed, _back_solve=2, dtfsm=7, synthesize=2)
+    assert calls == dict(decomposed, synthesize=2)
 
 
 def test_energy_pythagoras(running_example):
@@ -174,8 +174,8 @@ def test_length_mismatch_rejected(running_example):
     s, n, _, _ = running_example
     with pytest.raises(ValueError, match="length") as raised:
         Decomposer(s, n, 1).decompose(Waveform([1.0, 2.0], RATE))
-    assert str(raised.value).startswith("whiten: ")  # the routine that raised it
-    with pytest.raises(ValueError, match="^whiten: expected at least one signal"):
+    assert str(raised.value).startswith("project: ")  # the routine that raised it
+    with pytest.raises(ValueError, match="^project: expected at least one signal"):
         Decomposer(s, n, 1).decompose_batch([])
 
 

@@ -27,6 +27,7 @@ TRACED_ARGUMENTS = {
     "opdkit.cli:load_triplet": {"t"},
     "opdkit.cli:write_sweep_csv": {"rows", "error_rows"},
     # wrapped, though no argument is read: the name must still be looked up there
+    "opdkit.decomposition:project": set(),
     **{f"opdkit.cli:{name}": set() for name in (
         "enhance", "load_corpus_manifest", "write_corpus_manifest", "write_run_manifest",
         "summarize_rows", "write_summary_csv", "line_plot", "write_plot", "compute_metrics")},

@@ -11,14 +11,20 @@ from numpy.testing import assert_allclose
 
 from conftest import RATE, lowpass_noise
 from opdkit.projection import (DELAY_PADDING, SingularProjectionError, _gram_rows, _unpacked,
-                               _unpacked_factor, build_basis, delayed_matrix, project_dense_oracle,
-                               synthesize, whiten)
+                               _unpacked_factor, build_basis, delayed_matrix, project,
+                               project_dense_oracle, synthesize)
 from opdkit.reporting import RunManifest
 from opdkit.selftest import INVARIANT_TOLERANCES, make_case
 from opdkit.signals import Waveform, inner
 from test_analysis import _band_limited_references
 
 import opdkit.projection as projection_module
+
+
+def projections(basis, x):
+    """Samples of ``P_s x`` and ``P_sn x``, from one ``project`` of ``x``."""
+    _, c_s, c = project(basis, [x])
+    return synthesize(basis, c_s)[0], synthesize(basis, c)[0]
 
 
 def test_delayed_matrix_columns():
@@ -422,47 +428,50 @@ class TestProject:
         rng = np.random.default_rng(0)
         s, n = (Waveform(lowpass_noise(rng, 200), RATE) for _ in range(2))
         basis = build_basis([s, n], 4)
-        assert_allclose(synthesize(basis, whiten(basis, s), 1), s.samples, rtol=0, atol=1e-12)
+        assert_allclose(projections(basis, s)[0], s.samples, rtol=0, atol=1e-12)
 
     def test_running_example_joint_reference(self, running_example):
         s, n, s_hat, _ = running_example
         basis = build_basis([s, n], 1)
-        out = synthesize(basis, whiten(basis, s_hat), 2)
-        assert_allclose(out, [0.9, 0.2, 0.0, 0.0], atol=1e-14)
+        assert_allclose(projections(basis, s_hat)[1], [0.9, 0.2, 0.0, 0.0], atol=1e-14)
 
     def test_length_and_rate_validated(self, running_example):
         s, n, _, _ = running_example
         basis = build_basis([s, n], 1)
-        with pytest.raises(ValueError, match="^whiten: length mismatch"):
-            whiten(basis, Waveform([1.0, 2.0], RATE))
-        with pytest.raises(ValueError, match=r"^whiten: sample rate mismatch \(8000 vs 16000"):
-            whiten(basis, Waveform([1.0, 0.0, 0.0, 0.0], 8000))
-        with pytest.raises(ValueError, match="^whiten: expected at least one signal, got an "
+        with pytest.raises(ValueError, match="^project: length mismatch"):
+            project(basis, [Waveform([1.0, 2.0], RATE)])
+        with pytest.raises(ValueError, match=r"^project: sample rate mismatch \(8000 vs 16000"):
+            project(basis, [s, Waveform([1.0, 0.0, 0.0, 0.0], 8000)])
+        with pytest.raises(ValueError, match="^project: expected at least one signal, got an "
                                              "empty batch$"):
-            whiten(basis, [])
+            project(basis, [])
 
     def test_nested_refs(self, running_example):
         s, n, s_hat, _ = running_example
         basis = build_basis([s, n], 1)
-        z = whiten(basis, s_hat)
-        assert_allclose(synthesize(basis, z, 1), [0.9, 0.0, 0.0, 0.0], atol=1e-14)
-        for r in (0, 3, -1):
-            with pytest.raises(ValueError, match=rf"^synthesize: r must be 1 \(P_s\) or 2 "
-                                                 rf"\(P_sn\), got {r}$"):
-                synthesize(basis, z, r)
+        z, c_s, c = project(basis, [s_hat])
+        assert z.shape == c.shape == (2, 1) and c_s.shape == (1, 1)
+        assert_allclose(synthesize(basis, c_s), [[0.9, 0.0, 0.0, 0.0]], atol=1e-14)
+        # the row count says which projection: L rows P_s, 2L rows P_sn
+        for bad in (c[:, 0], np.zeros((3, 1)), np.zeros((0, 1)), c[None]):
+            with pytest.raises(ValueError) as raised:
+                synthesize(basis, bad)
+            assert str(raised.value) == ("synthesize: expected L=1 or 2L=2 coefficient rows, "
+                                         f"got shape {bad.shape}")
 
     @pytest.mark.parametrize("seed", range(8))
     def test_leading_projection_is_the_speech_projection(self, seed):
         case = make_case(seed)
         joint = build_basis([case.s, case.n], case.max_delay)
         expected = project_dense_oracle([case.s], case.max_delay, case.s_hat).samples
-        got = synthesize(joint, whiten(joint, case.s_hat), 1)
+        got = projections(joint, case.s_hat)[0]
         assert np.linalg.norm(got - expected) <= 1e-8 * np.linalg.norm(expected)
 
 
 class TestBatch:
-    """``whiten`` of m signals and ``synthesize`` of a 2L-by-m ``z``, on a
-    Schur-path basis (``[s, n]``) and one written by blocks (``[s, s]``)."""
+    """``project`` of m signals and ``synthesize`` of its m-column
+    coefficients, on a Schur-path basis (``[s, n]``) and one written by
+    blocks (``[s, s]``)."""
 
     T, L = 3000, 40
 
@@ -475,28 +484,30 @@ class TestBatch:
         return basis, [x, w]
 
     def test_batch_is_its_one_column_calls(self, basis_and_signals):
+        # bitwise: a decomposition's s_target is synthesized from its column
+        # of the batch's c_s, so a batch gives what each signal alone gives
         basis, signals = basis_and_signals
-        z = whiten(basis, signals)
-        assert z.shape == (2 * self.L, 2)
+        batch = project(basis, signals)
+        assert [a.shape for a in batch] == [(2 * self.L, 2), (self.L, 2), (2 * self.L, 2)]
+        p_s, p_sn = synthesize(basis, batch[1]), synthesize(basis, batch[2])
+        assert p_s.shape == p_sn.shape == (2, self.T)
         for j, x in enumerate(signals):
-            one = whiten(basis, x)
-            assert np.linalg.norm(z[:, j] - one) <= 1e-12 * np.linalg.norm(one)
-        for r in (1, 2):
-            batch = synthesize(basis, z, r)
-            assert batch.shape == (2, self.T)
-            for j in range(2):
-                one = synthesize(basis, z[:, j].copy(), r)
-                assert np.linalg.norm(batch[j] - one) <= 1e-12 * np.linalg.norm(one)
+            one = project(basis, [x])
+            for got, alone in zip(batch, one):
+                assert np.array_equal(got[:, j], alone[:, 0])
+            assert np.array_equal(p_s[j], synthesize(basis, one[1])[0])
+            assert np.array_equal(p_sn[j], synthesize(basis, one[2])[0])
 
     def test_speech_projection_replays_nothing(self, monkeypatch, basis_and_signals):
-        # P_s reads U_ss alone: no product with the cross block
+        # P_s is synthesized from c_s alone: no solve, no cross block
         basis, signals = basis_and_signals
-        z = whiten(basis, signals)
+        _, c_s, _ = project(basis, signals)
 
         def refuse(*args, **kwargs):
-            raise AssertionError("the cross block was multiplied")
+            raise AssertionError("synthesize solved")
         monkeypatch.setattr(projection_module, "_cross_product", refuse)
-        assert synthesize(basis, z, 1).shape == (2, self.T)
+        monkeypatch.setattr(projection_module, "dtfsm", refuse)
+        assert synthesize(basis, c_s).shape == (2, self.T)
 
 
 class TestBlocks:
@@ -524,12 +535,10 @@ class TestBlocks:
         basis = build_basis([s, n], self.L)
         assert basis._block == self.M
         assert len(basis._spectra[0]) == -(-T // self.B)
-        z = whiten(basis, x)
-        for r, refs in enumerate(([s], [s, n]), 1):
+        for fast, refs in zip(projections(basis, x), ([s], [s, n])):
             dense = project_dense_oracle(refs, self.L, x).samples
             tol = INVARIANT_TOLERANCES["fast_vs_dense_projection_rel"]
-            assert np.linalg.norm(synthesize(basis, z, r) - dense) \
-                <= tol * np.linalg.norm(dense)
+            assert np.linalg.norm(fast - dense) <= tol * np.linalg.norm(dense)
 
 
 def test_production_length_projection_matches_householder_qr():
@@ -541,7 +550,7 @@ def test_production_length_projection_matches_householder_qr():
     s, n, w = (lowpass_noise(rng, T) for _ in range(3))
     x = np.convolve(s, [0.8, 0.5, 0.2])[:T] + 0.3 * n + 0.25 * w
     basis = build_basis([Waveform(s, RATE), Waveform(n, RATE)], L)
-    fast = synthesize(basis, whiten(basis, Waveform(x, RATE)), 2)
+    fast = projections(basis, Waveform(x, RATE))[1]
     q, _ = np.linalg.qr(np.hstack([delayed_matrix(s, L), delayed_matrix(n, L)]))
     oracle = q @ (q.T @ x)
     tol = INVARIANT_TOLERANCES["fast_vs_dense_projection_rel"]
@@ -583,27 +592,25 @@ def test_projector_properties(seed):
     z = Waveform(lowpass_noise(rng, length), RATE)
     joint = build_basis([s, n], max_delay)
 
-    zx = whiten(joint, x)
-    px = Waveform(synthesize(joint, zx, 2), RATE)
+    nested, px = projections(joint, x)
+    px = Waveform(px, RATE)
     scale_x = np.linalg.norm(x.samples)
 
     # idempotence
-    assert np.linalg.norm(synthesize(joint, whiten(joint, px), 2) - px.samples) \
-        <= 1e-8 * scale_x
+    assert np.linalg.norm(projections(joint, px)[1] - px.samples) <= 1e-8 * scale_x
     # symmetry
-    lhs, rhs = inner(px, z), float(np.dot(x.samples, synthesize(joint, whiten(joint, z), 2)))
+    lhs, rhs = inner(px, z), float(np.dot(x.samples, projections(joint, z)[1]))
     assert abs(lhs - rhs) <= 1e-8 * scale_x * np.linalg.norm(z.samples)
     # containment: projecting the joint projection onto the speech span
     # equals projecting directly
-    via_joint = synthesize(joint, whiten(joint, px), 1)
+    via_joint = projections(joint, px)[0]
     direct = project_dense_oracle([s], max_delay, x).samples
     assert np.linalg.norm(via_joint - direct) <= 1e-8 * scale_x
     # the leading block of the joint factor projects onto the speech span
-    nested = synthesize(joint, zx, 1)
     assert np.linalg.norm(nested - direct) <= 1e-8 * scale_x
     # a mixture lies in the joint span
     y = Waveform(s.samples + n.samples, RATE)
-    assert np.linalg.norm(synthesize(joint, whiten(joint, y), 2) - y.samples) \
+    assert np.linalg.norm(projections(joint, y)[1] - y.samples) \
         <= 1e-8 * np.linalg.norm(y.samples)
     # fast path equals the dense oracle
     dense = project_dense_oracle([s, n], max_delay, x)
@@ -659,7 +666,7 @@ class TestRegularization:
         assert "loading" in basis.regularization_events[0]
         # projection still behaves: the speech span is just {impulse at T-1}
         x = Waveform(np.arange(8.0), RATE)
-        out = synthesize(basis, whiten(basis, x), 1)
+        out = projections(basis, x)[0]
         expected = np.zeros(8)
         expected[7] = 7.0
         assert_allclose(out, expected, atol=1e-6)
@@ -784,7 +791,7 @@ class TestMemory:
     def test_nested_projection_copies_no_factor_block(self, signals):
         s, n, x = signals
         basis = build_basis([s, n], self.L)
-        _, peak = self.traced_peak(lambda: synthesize(basis, whiten(basis, x), 1))
+        _, peak = self.traced_peak(lambda: projections(basis, x))
         assert peak < self.L ** 2 * 8
 
 
@@ -1018,7 +1025,7 @@ class TestLapackBinding:
     def test_projection_matches_dense_oracle(self, lapack, seed):
         case = make_case(seed)
         basis = build_basis([case.s, case.n], case.max_delay)
-        fast = synthesize(basis, whiten(basis, case.s_hat), 2)
+        fast = projections(basis, case.s_hat)[1]
         dense = project_dense_oracle([case.s, case.n], case.max_delay, case.s_hat)
         tol = INVARIANT_TOLERANCES["fast_vs_dense_projection_rel"]
         assert_allclose(fast, dense.samples, atol=tol * np.linalg.norm(dense.samples))
