@@ -12,9 +12,9 @@ Two ways of modifying an enhanced signal to probe its error components:
 Both come with sweep drivers that return one ``SweepRow`` per point of a
 caller-given grid, each point as exact algebra on a small Gram matrix of
 components.  A sweep decomposes each signal once and reads only the Grams
-of its decompositions, which on an unloaded basis come from whitened
-coefficients and the artifact waveform alone (see
-``decomposition.cross_gram``): no target or noise-error waveform is made.
+of its decompositions, which come from whitened coefficients and the
+artifact waveform alone (see ``decomposition.cross_gram``): no target or
+noise-error waveform is made.
 """
 
 import math
@@ -142,10 +142,10 @@ def oa_sweep(dec: Decomposer, s_hat: Waveform, y: Waveform,
     """One row per observation-adding amount in the grid.
 
     Only ``s_hat`` and ``y`` are decomposed, as one batch of two.  ``project``
-    and ``synthesize`` are linear, even on a loaded Gram, so ``s_hat + w y``
-    splits into ``d(s_hat) + w d(y)`` and a point's 3x3 Gram is ``M G6 M^T``,
-    with ``G6`` the Gram of both component triples, assembled from the two
-    3x3 Grams and their ``cross_gram``, and ``M = [I | w I]``.  When both
+    and ``synthesize`` are linear, so ``s_hat + w y`` splits into ``d(s_hat)
+    + w d(y)`` and a point's 3x3 Gram is ``M G6 M^T``, with ``G6`` the Gram
+    of both component triples, assembled from the two 3x3 Grams and their
+    ``cross_gram``, and ``M = [I | w I]``.  When both
     SARs are finite, the closed-form SARi (from ``s_hat - e_artif`` and raw
     ``y``) must match the measured one within ``SARI_VALIDATION_TOL_DB``, else
     ``SweepValidationError``: a ``y`` outside the span has an ``e_artif`` that

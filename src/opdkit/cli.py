@@ -9,14 +9,17 @@ runs an enhancer: the sweeps analyse the file each manifest record's
 
 ``oa`` and ``dsa`` run ``_sweep_task`` on each utterance, serially or, with
 ``--workers N``, up to N at once on threads, whose FFTs and ``ctypes``
-LAPACK calls release the GIL.  It returns the utterance's rows, its basis'
-regularization events and its error as values, from which the sweep writes
-the CSVs and the run manifest's ``errors`` and ``regularization_events``.
-An exception fails only its utterance; a crash that kills the process (an
-out-of-memory kill, say) ends the run, as it does serially.
+LAPACK calls release the GIL.  It returns the utterance's rows and its error
+as values, from which the sweep writes the CSVs and the run manifest's
+``errors``.  An exception, such as references refused by ``build_basis``,
+fails only its utterance; a crash that kills the process (an out-of-memory
+kill, say) ends the run, as it does serially.
 
 Exit codes: 0 success, 1 validation/I-O error or missing LAPACK, 2 numerical
-failure.
+failure, 3 an ``oa`` or ``dsa`` run in which some utterances failed and the
+rest were written (the failures are in the CSV, the run manifest's
+``errors`` and on stderr).  A run in which every utterance failed writes
+nothing and exits 1.
 """
 
 import argparse
@@ -82,22 +85,14 @@ def parse_grid(text: str) -> list[float]:
     return values
 
 
-def _named_events(utterance_id: str, events) -> list[dict]:
-    """An utterance's regularization events as manifest records, like ``errors``."""
-    return [{"utterance_id": utterance_id, "event": event} for event in events]
-
-
 def _sweep_task(command: str, triplet: UtteranceTriplet, max_delay: int, points: list):
-    """``(rows, events, error)``; on an exception, no rows, the events of a
-    basis already built and the exception's text."""
-    events = ()
+    """``(rows, error)``; on an exception, no rows and the exception's text."""
     try:
         if triplet.enhanced_path is None:
             raise ValueError(f"{triplet.utterance_id}: no enhanced_path in the manifest; "
                              "run `opdkit enhance` first")
         s, n, s_hat = load_triplet(triplet)
         dec = Decomposer(s, n, max_delay)
-        events = dec.basis.regularization_events
         if command == "oa":
             rows = oa_sweep(dec, s_hat, add(s, n), grid=points,
                             utterance_id=triplet.utterance_id)
@@ -105,8 +100,8 @@ def _sweep_task(command: str, triplet: UtteranceTriplet, max_delay: int, points:
             rows = dsa_sweep(dec.decompose(s_hat), grid=points,
                              utterance_id=triplet.utterance_id)
     except Exception as exc:  # noqa: BLE001 - tagged into the report
-        return (), events, f"{type(exc).__name__}: {exc}"
-    return rows, events, None
+        return (), f"{type(exc).__name__}: {exc}"
+    return rows, None
 
 
 def _metric_series(rows, summary, x_field: str, metric: str) -> list[Series]:
@@ -169,7 +164,6 @@ def cmd_decompose(args) -> int:
                     "enhanced": args.enhanced, "utterance_id": utterance_id},
         max_delay=args.max_delay,
         aggregation="per-utterance",
-        regularization_events=_named_events(utterance_id, dec.basis.regularization_events),
         numerics=numerics,
     ))
     print(f"{utterance_id}: SDR {report.sdr_db:.2f} dB, SNR {report.snr_db:.2f} dB, "
@@ -197,10 +191,9 @@ def _cmd_sweep(args) -> int:
         from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(min(args.workers, len(triplets))) as pool:
             results = list(pool.map(task, triplets))
-    rows, events, errors = [], [], []
-    for triplet, (utterance_rows, utterance_events, error) in zip(triplets, results):
+    rows, errors = [], []
+    for triplet, (utterance_rows, error) in zip(triplets, results):
         rows.extend(utterance_rows)
-        events.extend(_named_events(triplet.utterance_id, utterance_events))
         if error:
             errors.append({"utterance_id": triplet.utterance_id, "error": error})
     if not rows:
@@ -239,16 +232,14 @@ def _cmd_sweep(args) -> int:
         parameters={"corpus": args.corpus, "grid": grid, "workers": args.workers},
         max_delay=args.max_delay,
         aggregation=AGGREGATION_MODE,
-        regularization_events=events,
         errors=errors,
         numerics=numerics,
     ))
     done = len(triplets) - len(errors)
     print(f"{name}: {done}/{len(triplets)} utterances, {len(rows)} rows -> {args.out}")
-    if errors:
-        for err in errors:
-            print(f"  failed {err['utterance_id']}: {err['error']}", file=sys.stderr)
-    return 0
+    for err in errors:
+        print(f"  failed {err['utterance_id']}: {err['error']}", file=sys.stderr)
+    return 3 if errors else 0
 
 
 # quoted: evaluating np.random here would import numpy.random for every

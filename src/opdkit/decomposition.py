@@ -13,14 +13,14 @@ speech/noise copies can explain.  Decomposition is computed over the whole
 utterance, not in frames.
 
 ``Decomposition`` is the one type of it, what ``Decomposer.decompose`` and
-``decompose_batch`` return on every basis: from one ``project`` solve, the
+``decompose_batch`` return: from one ``project`` solve, the
 whitened coefficients ``z``, the ``P_s`` coefficients ``c_s`` and the
 waveform ``e_artif``, with ``s_target`` and ``e_noise`` synthesized from
 ``c_s`` when read, as by ``export_components``, and nothing solved.  Every
-metric is a ratio of entries of the components' Gram.  ``cross_gram`` takes
-them from ``z`` and ``e_artif`` on an unloaded basis (so no sweep
-synthesizes more) and from the waveforms on a loaded one, deciding by the
-basis alone.
+metric is a ratio of entries of the components' Gram, which ``cross_gram``
+takes from ``z`` and ``e_artif``, so no sweep synthesizes more.  Every
+basis is the orthogonal projection's: ``build_basis`` refuses references
+whose Gram its Schur steps cannot factor.
 """
 
 import os
@@ -69,8 +69,8 @@ class Decomposition:
 
     ``s_target`` is synthesized from ``c_s``, with no solve, and ``e_noise``
     made from it, the first time they are read, so the decomposition keeps
-    the basis alive for as long as it lives.  On an unloaded basis ``gram``
-    and ``cross_gram`` never read them.
+    the basis alive for as long as it lives.  ``gram`` and ``cross_gram``
+    never read them.
     """
 
     def __init__(self, basis: ProjectionBasis, z: np.ndarray, c_s: np.ndarray,
@@ -106,32 +106,25 @@ class Decomposition:
         return bool(self.gram[2, 2] <= dust_energy(self.gram))
 
 
-def _stacked(d: Decomposition) -> np.ndarray:
-    return np.stack([d.s_target.samples, d.e_noise.samples, d.e_artif.samples])
-
-
 def cross_gram(a: Decomposition, b: Decomposition) -> np.ndarray:
     """3x3 inner products of the components of ``a`` (rows) with those of
     ``b`` (columns), each in (s_target, e_noise, e_artif) order.
 
-    This is the one place that decides where the entries come from, and the
-    basis alone decides it.  For two decompositions on one unloaded basis the
-    target and noise-error entries are products of coefficients,
+    The target and noise-error entries are products of coefficients,
     ``z[:L]·z'[:L]`` and ``z[L:]·z'[L:]``, and the entries between the
     target, noise-error and artifact subspaces, mutually orthogonal, are
-    exact zeros.  The artifact entry is always the product of the waveforms:
+    exact zeros.  The artifact entry is the product of the waveforms:
     ``‖x‖² - ‖z‖²`` would lose 2-4 digits of it on ill-conditioned
-    references.  On a loaded basis, or across two bases, the entries are
-    products of the stacked waveforms: the loaded solve is not the orthogonal
-    projection, so ``z`` is no set of coordinates and the parts are not
-    orthogonal.
+    references.  Coefficients are coordinates of one basis only, so two
+    decompositions on different bases are refused.
     """
-    if a.basis is b.basis and not a.basis.regularization:
-        L = a.basis.max_delay
-        return np.diag([float(np.dot(a.z[:L], b.z[:L])), float(np.dot(a.z[L:], b.z[L:])),
-                        float(np.dot(a.e_artif.samples, b.e_artif.samples))])
-    parts = _stacked(a)
-    return parts @ (parts if b is a else _stacked(b)).T
+    if a.basis is not b.basis:
+        raise ValueError("cross_gram: the decompositions are on two different bases, whose "
+                         "coefficients are not coordinates in one space; decompose both "
+                         "with one Decomposer")
+    L = a.basis.max_delay
+    return np.diag([float(np.dot(a.z[:L], b.z[:L])), float(np.dot(a.z[L:], b.z[L:])),
+                    float(np.dot(a.e_artif.samples, b.e_artif.samples))])
 
 
 class Decomposer:
@@ -140,7 +133,9 @@ class Decomposer:
     The basis spans delayed copies of ``[s, n]``.  Building it dominates the
     cost of a decomposition, so all signals decomposed against one reference
     pair (an OA sweep's ``s_hat`` and ``y``) should share one Decomposer.
-    Any diagonal loading is recorded in ``basis.regularization`` and ``loaded_from``.
+    References whose Gram the Schur steps cannot factor are refused when it
+    is built (see ``build_basis``): T < 2L is a ``ValueError``, n a multiple
+    of s or a pivot at the rounding floor a ``SingularProjectionError``.
     """
 
     def __init__(self, s: Waveform, n: Waveform, max_delay: int = DEFAULT_MAX_DELAY):
@@ -151,12 +146,11 @@ class Decomposer:
         return self.decompose_batch([s_hat])[0]
 
     def decompose_batch(self, signals: Sequence[Waveform]) -> tuple[Decomposition, ...]:
-        """The ``Decomposition`` of each of ``signals``, by one path on every
-        basis: one ``project`` of them all gives each ``z``, ``c_s`` and
+        """The ``Decomposition`` of each of ``signals``: one ``project`` of
+        them all gives each ``z``, ``c_s`` and
         ``P_sn`` coefficients, and one synthesis of every ``P_sn x`` each
         ``e_artif``; ``s_target`` is synthesized when read.  The batch shares
-        its one solve (two products with ``G_sn``).  On a loaded basis those
-        are the loaded solve's parts."""
+        its one solve (two products with ``G_sn``)."""
         z, c_s, c = project(self.basis, signals)
         p_sn = synthesize(self.basis, c)
         return tuple(Decomposition(self.basis, z[:, j], c_s[:, j], x,

@@ -48,27 +48,30 @@ the basis keeps that lag row and the tails, O(L), and a product with
 runs by blocks, ``dtfsm`` on ``U_ss`` and ``U_nn`` and one cross product per
 direction, whatever the number of right-hand sides (``_solve``).
 
-A breakdown of the Schur steps (a pivot not positive beyond rounding, a
-corner not positive definite, or T < 2L) leaves the same two triangles to
-a block Cholesky factorization with LAPACK (``_block_factor``), so the
-solves cannot tell the two apart.  Only the writer ``_write_row`` and the
-check-only ``_unpacked`` know where in a packed array an entry lies.
+A Gram that the Schur steps cannot factor is refused, not approximated:
+T < 2L (2L delayed copies in R^T are linearly dependent) and a 2-by-2
+corner that is not positive definite (the noise reference a multiple of the
+speech reference) raise before the factor is allocated, and a pivot at or
+below the rounding floor raises ``SingularProjectionError`` naming its step.
+Any other answer would not be the orthogonal projection the decomposition
+is defined by.  Only the writer ``_write_row`` and the check-only
+``_unpacked`` know where in a packed array an entry lies.
 
 FFTs come from ``numpy.fft``.  From numpy 2.0 on that is the C++ pocketfft
 that ``scipy.fft`` also wraps, so transforms are bitwise the same as
 scipy's; numpy 1.x ships a different C implementation, hence the
-``numpy>=2.0`` floor.  LAPACK's packed Cholesky factorization (``dpftrf``),
-packed triangular solve (``dtfsm``) and packed symmetric rank-k update
-(``dsfrk``) are called through ``ctypes``, in place, on the OpenBLAS that
-numpy's own wheels bundle and have already loaded (``scipy_dpftrf_64_``,
-``scipy_dtfsm_64_`` and ``scipy_dsfrk_64_``), so neither importing this
-module nor solving loads scipy.  A numpy built against another LAPACK
-(MKL, Accelerate, a distribution's OpenBLAS) exports no such symbols; the
-same three routines then come from ``scipy.linalg.cython_lapack``.  The
-symbols are resolved at the first call of any, which raises
-``ImportError`` naming both sources when neither has them;
-``lapack_source`` names the one bound and ``openblas_threads`` gives the
-thread count of numpy's OpenBLAS.
+``numpy>=2.0`` floor.  LAPACK's packed triangular solve (``dtfsm``), the
+one LAPACK routine the solves call, is called through ``ctypes``, in place,
+on the OpenBLAS that numpy's own wheels bundle and have already loaded
+(``scipy_dtfsm_64_``), so neither importing this module nor solving loads
+scipy.  The packed Cholesky factorization (``dpftrf``) and rank-k update
+(``dsfrk``) are bound beside it but no longer called by ``build_basis``.  A
+numpy built against another LAPACK (MKL, Accelerate, a distribution's
+OpenBLAS) exports no such symbols; the same three routines then come from
+``scipy.linalg.cython_lapack``.  The symbols are resolved at the first call
+of any, which raises ``ImportError`` naming both sources when neither has
+them; ``lapack_source`` names the one bound and ``openblas_threads`` gives
+the thread count of numpy's OpenBLAS.
 """
 
 import functools
@@ -97,11 +100,6 @@ __all__ = [
 DEFAULT_MAX_DELAY = 512
 
 DELAY_PADDING = "zero-pad-head"  # the delay convention; run manifests record it
-
-# Diagonal loading factor used only when the Schur steps break down and the
-# plain Cholesky factorization of a Gram block fails too:
-# load = GRAM_REG_LAMBDA * trace(gram) / dim.
-GRAM_REG_LAMBDA = 1e-10
 
 # Guards for the dense verification oracle, which materializes the full
 # delayed-copy matrix.
@@ -256,7 +254,7 @@ def dpftrf(a: np.ndarray) -> tuple[np.ndarray, int]:
     with n2 = n1 or n1 + 1, for order n = n1 + n2.  Returns ``(a, info)``;
     ``info > 0`` is the 1-based order of the first leading minor that is
     not positive definite, and on ``info == 0`` every diagonal entry of
-    ``U`` is positive."""
+    ``U`` is positive.  ``build_basis`` calls neither this nor ``dsfrk``."""
     n = _packed_order("dpftrf", a)
     lapack = _lapack()
     info = lapack.int_t()
@@ -269,12 +267,12 @@ def dpftrf(a: np.ndarray) -> tuple[np.ndarray, int]:
 def dtfsm(a: np.ndarray, b: np.ndarray, trans: bool) -> np.ndarray:
     """LAPACK ``dtfsm`` (``TRANSR='T'``, ``SIDE='L'``, ``UPLO='U'``): solve
     ``Uᵀ x = b`` (``trans``) or ``U x = b`` for the upper triangular ``U``
-    that ``a`` holds as ``dpftrf`` leaves it, in place over ``b``: a vector,
-    or a Fortran-ordered matrix of one right-hand side per column.  Returns
-    ``b``.
+    whose upper triangle ``a`` holds in rectangular full packed format,
+    transposed, in place over ``b``: a vector, or a Fortran-ordered matrix of
+    one right-hand side per column.  Returns ``b``.
 
-    ``dtfsm`` checks no pivot; a factor ``build_basis`` keeps, from the
-    Schur steps or ``dpftrf``, has none that is zero."""
+    ``dtfsm`` checks no pivot; every pivot of a factor ``build_basis`` keeps
+    is above the Schur steps' rounding floor."""
     import ctypes
     n = _packed_order("dtfsm", a)
     _check_array("dtfsm", "b", b, n)
@@ -302,7 +300,8 @@ def dsfrk(a: np.ndarray, c: np.ndarray) -> np.ndarray:
 
 
 class SingularProjectionError(RuntimeError):
-    """Gram system could not be factorized even after diagonal loading."""
+    """The Gram of a basis' delayed copies is singular to working precision,
+    so no orthogonal projection onto their span can be computed from it."""
 
 
 class _SplitFactor(NamedTuple):
@@ -329,15 +328,12 @@ class ProjectionBasis:
     """Factorized representation of the delayed copies of ``(s, n)``.
 
     ``_factor`` is the Cholesky factor ``U`` (``Uᵀ U`` = Gram), a
-    ``_SplitFactor`` written by the Schur steps or, on their breakdown, by
-    blocks with LAPACK: ``U_ss`` and ``U_nn`` packed, L(L+1) doubles in all
-    (33.6 MB at L=2048), plus the lag row and reversed tails, 4L - 3
-    doubles, that make products with ``G_sn`` and so stand for the cross
-    block ``U_sn = U_ss⁻ᵀ G_sn``.  ``_unpacked_factor`` expands it.  Only a
-    factor written by blocks may include diagonal loading: ``regularization``
-    on each diagonal entry from the block of reference ``loaded_from`` (0 or
-    1) on, or 0.0 and ``None`` if none was needed.  Its leading L-by-L block
-    factorizes ``G_ss`` alone, so one basis serves both ``P_s`` and ``P_sn``.
+    ``_SplitFactor`` written by the Schur steps: ``U_ss`` and ``U_nn``
+    packed, L(L+1) doubles in all (33.6 MB at L=2048), plus the lag row and
+    reversed tails, 4L - 3 doubles, that make products with ``G_sn`` and so
+    stand for the cross block ``U_sn = U_ss⁻ᵀ G_sn``.  ``_unpacked_factor``
+    expands it.  Its leading L-by-L block factorizes ``G_ss`` alone, so one
+    basis serves both ``P_s`` and ``P_sn``.
 
     Beside the factor it keeps, per reference, the block spectra that
     ``project`` correlates and ``synthesize`` filters with: ``_spectra[i]``
@@ -345,45 +341,35 @@ class ProjectionBasis:
     ``_block`` = M, each frame B samples of the reference zero-padded to M:
     8 M / B bytes per sample of a reference (9.1 at L=512), a little over
     the 8 of one full-length spectrum.
+
+    ``regularization`` is the class constant 0.0: no basis is loaded, as a
+    Gram the Schur steps cannot factor is refused.  It stays only because
+    the benchmark's traced run reads it off every basis it times
+    (``perfbench/spans.py``).
     """
 
     references: tuple[Waveform, Waveform]
     max_delay: int
-    regularization: float
-    loaded_from: int | None
     _factor: _SplitFactor = field(repr=False)
     _spectra: tuple = field(repr=False)
     _block: int = field(repr=False)
 
-    @property
-    def regularization_events(self) -> tuple[str, ...]:
-        """The loading as run-manifest event text: one line, or none."""
-        return () if self.loaded_from is None else (
-            f"gram-regularized: diagonal loading {self.regularization:g} from reference "
-            f"{self.loaded_from} on (L={self.max_delay}, refs=2)",)
+    regularization = 0.0
 
     @property
     def gram(self) -> np.ndarray:
-        """Unloaded Gram matrix: ``gram[i*L + t, j*L + u]`` is the inner
-        product of reference ``i`` delayed by ``t`` with reference ``j``
-        delayed by ``u``, i, j = 0 for ``s`` and 1 for ``n``.
+        """Gram matrix: ``gram[i*L + t, j*L + u]`` is the inner product of
+        reference ``i`` delayed by ``t`` with reference ``j`` delayed by
+        ``u``, i, j = 0 for ``s`` and 1 for ``n``.
 
         Not stored: each access makes the references' extended block
-        spectra again, correlates them with the stored ones and writes the
-        rows of ``_gram_rows`` into a new (2L)^2 * 8-byte array, in O(T log
-        M + L^2) time, ``G_sn`` as the transpose of ``G_ns``; ``G_ss`` and
-        ``G_nn`` are exactly symmetric, so the result is too.  Meant for
-        checks, not for the solve path.
+        spectra again and correlates them with the stored ones, in O(T log
+        M + L^2) time, for ``_dense_gram``.  Meant for checks, not for the
+        solve path.
         """
-        L = self.max_delay
         arrays = [r.samples for r in self.references]
-        rows = _lag_rows(arrays, self._spectra, L, self._block)
-        gram = np.empty((2 * L, 2 * L))
-        for i, j in ((0, 0), (0, 1), (1, 1)):  # row u is G[jL + u, iL:(i+1)L]
-            gram[j * L:(j + 1) * L, i * L:(i + 1) * L] = list(
-                _gram_rows(arrays[i], arrays[j], rows[i, j], L))
-        gram[:L, L:] = gram[L:, :L].T
-        return gram
+        return _dense_gram(arrays, _lag_rows(arrays, self._spectra, self.max_delay, self._block),
+                           self.max_delay)
 
 
 def delayed_matrix(x: np.ndarray, max_delay: int) -> np.ndarray:
@@ -468,6 +454,19 @@ def _gram_rows(a: np.ndarray, b: np.ndarray, row: np.ndarray, L: int):
         yield lags[L - 1 - u:2 * L - 1 - u] - loss
 
 
+def _dense_gram(arrays: Sequence[np.ndarray], rows: np.ndarray, L: int) -> np.ndarray:
+    """The Gram of the delayed copies of ``arrays = (s, n)``, lag rows
+    ``rows`` (``_lag_rows``), written by ``_gram_rows`` into a new (2L)^2 *
+    8-byte array, ``G_sn`` as the transpose of ``G_ns``; ``G_ss`` and
+    ``G_nn`` are exactly symmetric, so the result is too.  For checks."""
+    gram = np.empty((2 * L, 2 * L))
+    for i, j in ((0, 0), (0, 1), (1, 1)):  # row u is G[jL + u, iL:(i+1)L]
+        gram[j * L:(j + 1) * L, i * L:(i + 1) * L] = list(
+            _gram_rows(arrays[i], arrays[j], rows[i, j], L))
+    gram[:L, L:] = gram[L:, :L].T
+    return gram
+
+
 def _overlap_add(blocks: np.ndarray, L: int, T: int) -> np.ndarray:
     """The first T samples of one signal's length-M block rows ``blocks``
     laid at hops of B = M - L + 1 and summed: each row's last L - 1 samples
@@ -518,12 +517,6 @@ def _empty_split_factor(L: int, lags: np.ndarray,
     return _SplitFactor(ss, nn, lags.copy(), np.stack([a[:-L:-1] for a in arrays]))
 
 
-def _empty_cross_block(L: int) -> np.ndarray:
-    """Uninitialized L-by-L Fortran array, refused beyond the available memory."""
-    return _allocate(L * L * 8, f"the cross block: L={L} needs L*L*8",
-                     lambda: np.empty((L, L), order="F"))
-
-
 def _unpacked(packed: np.ndarray) -> np.ndarray:
     """The dim-by-dim upper triangle, zeros below it, that the rectangular
     full packed array ``packed`` holds: a new array, for checks."""
@@ -546,12 +539,13 @@ def _unpacked_factor(factor: _SplitFactor) -> np.ndarray:
     return upper
 
 
-def _generator(arrays: Sequence[np.ndarray], rows: np.ndarray, L: int) -> np.ndarray | None:
+def _generator(arrays: Sequence[np.ndarray], rows: np.ndarray, L: int) -> np.ndarray:
     """The generator of the Gram's displacement, transposed: a new 5-by-2L
     array ``gen`` with ``G - F G Fᵀ = genᵀ J gen``, J = diag(1, 1, -1, -1,
-    -1), F = Z ⊕ Z the shift down by one inside each L-row block.  None
-    when the corner K = [[G_00, G_0L], [G_L0, G_LL]] is not positive
-    definite (as with n = s).
+    -1), F = Z ⊕ Z the shift down by one inside each L-row block.  Raises
+    ``SingularProjectionError`` when the corner K = [[G_00, G_0L], [G_L0,
+    G_LL]] is not positive definite: by Cauchy-Schwarz, when n is a multiple
+    of s.
 
     Truncation at T makes G[i, j] - G[i-1, j-1] = -v[i] v[j] inside each
     block pair, v = [0, s[T-1] .. s[T-L+1], 0, n[T-1] .. n[T-L+1]] the
@@ -570,7 +564,10 @@ def _generator(arrays: Sequence[np.ndarray], rows: np.ndarray, L: int) -> np.nda
     k00, k01, k11 = c0[0], c1[0], c1[L]
     det = k00 * k11 - k01 * k01
     if not (k00 > 0.0 and det > 0.0):
-        return None
+        raise SingularProjectionError(
+            f"the noise reference is a multiple of the speech reference: the Gram's 2x2 "
+            f"corner of their undelayed inner products is not positive definite "
+            f"(determinant {det:.3g}, L={L})")
     r00 = math.sqrt(k00)
     r01, r11 = k01 / r00, math.sqrt(det / k00)
     c0 /= r00
@@ -607,11 +604,11 @@ def _write_row(packed: np.ndarray, i: int, row: np.ndarray, lead: np.ndarray) ->
         packed[n1 + 1 + start:, start:i + 1] = lead[:k + 1, :n1 - start].T
 
 
-def _schur_factor(factor: _SplitFactor, gen: np.ndarray, L: int) -> bool:
+def _schur_factor(factor: _SplitFactor, gen: np.ndarray, L: int) -> None:
     """Write the Cholesky factor U of the Gram whose displacement generator
     ``gen`` is (see ``_generator``) into the empty ``factor`` by 2L steps of
-    the generalized Schur algorithm; False, with ``factor`` part-written, on
-    a breakdown.  ``gen`` is overwritten.
+    the generalized Schur algorithm; on a breakdown, raise
+    ``SingularProjectionError`` naming the step.  ``gen`` is overwritten.
 
     Step i takes row i of the generator, [a1, a2 | b1, b2, b3], and builds
     in Python floats a J-unitary Θ that maps it to [δ, 0, 0, 0, 0]: a Givens
@@ -627,8 +624,8 @@ def _schur_factor(factor: _SplitFactor, gen: np.ndarray, L: int) -> bool:
     A pivot with a <= |β| (or not finite) leaves no positive δ: a
     breakdown.  So is one with δ² <= 2L eps G_00 (G_LL in the noise
     block), which rounding alone can make: on an exactly singular Gram
-    such a pivot is noise that ``dpftrf`` would as likely have found
-    negative, so that Gram goes where ``dpftrf`` decides on its loading."""
+    such a pivot is noise, as likely negative, and the Gram is singular to
+    working precision."""
     hypot, sqrt, copysign = math.hypot, math.sqrt, math.copysign
     rel = 2 * L * np.finfo(np.float64).eps
     # G_00 and G_LL: rows 0 and L of U₀ are those of Rᵀ
@@ -641,7 +638,11 @@ def _schur_factor(factor: _SplitFactor, gen: np.ndarray, L: int) -> bool:
         a1, a2, b1, b2, b3 = cur[:, i].tolist()
         a, b = hypot(a1, a2), hypot(b1, b2, b3)
         if not (a > b and (a - b) * (a + b) > floors[i >= L]):
-            return False
+            raise SingularProjectionError(
+                f"the Gram is singular to working precision: Schur step {i} of {2 * L} "
+                f"({'noise' if i >= L else 'speech'} block, delay {i % L}) leaves a pivot "
+                f"delta^2 = {(a - b) * (a + b):.3g}, at or below the rounding floor "
+                f"{floors[i >= L]:.3g} = 2L*eps*G_{'LL' if i >= L else '00'} (L={L})")
         if b > 0.0:  # I - τ w wᵀ with w = (b1 - β, b2, b3)
             beta = -copysign(b, b1)
             tau = 1.0 / (b * (b + abs(b1)))
@@ -670,51 +671,6 @@ def _schur_factor(factor: _SplitFactor, gen: np.ndarray, L: int) -> bool:
         if i < L:
             nxt[0, L] = 0.0  # row L heads the noise block
         cur, nxt = nxt, cur
-    return True
-
-
-def _block_factor(factor: _SplitFactor, arrays: Sequence[np.ndarray], rows: np.ndarray,
-                  L: int) -> tuple[float, int | None]:
-    """Write the Cholesky factor of the Gram of the delayed copies of
-    ``arrays = (s, n)``, lag rows ``rows``, into ``factor``'s triangles by
-    blocks: ``dpftrf`` of ``G_ss``; ``U_sn = U_ss⁻ᵀ G_sn`` (``dtfsm``) in an
-    L-by-L array, refused beyond the available memory before it is made and
-    dropped on return; ``dpftrf`` of ``G_nn - U_snᵀ U_sn`` (``dsfrk``).  The
-    first block that fails, and the noise block if that was the speech one,
-    is written again with ``GRAM_REG_LAMBDA * trace / 2L`` on its diagonal;
-    a second failure raises ``SingularProjectionError``.  Returns the loading and the
-    first loaded reference: ``(0.0, None)`` if none."""
-    lead = np.empty((BLOCK_ROWS, L // 2))
-
-    def fill(i: int, load: float = 0.0) -> np.ndarray:
-        """Write ``G_ii`` plus ``load`` on its diagonal; its unloaded diagonal."""
-        diagonal = np.empty(L)
-        for u, entries in enumerate(_gram_rows(arrays[i], arrays[i], rows[i, i], L)):
-            diagonal[u] = entries[u]
-            entries[u] += load
-            _write_row(factor[i].T, u, entries[u:], lead)
-        return diagonal
-
-    trace = np.concatenate((fill(0), fill(1))).sum()
-    load, first = 0.0, None
-    for i in (0, 1):
-        if i:
-            cross = _empty_cross_block(L)
-            for u, column in enumerate(_gram_rows(arrays[0], arrays[1], rows[0, 1], L)):
-                cross[:, u] = column  # G_sn[:, u]
-            dtfsm(factor.ss, cross, trans=True)
-        while True:
-            if i:
-                dsfrk(cross, factor.nn)
-            if not dpftrf(factor[i])[1]:
-                break
-            if first is not None:
-                raise SingularProjectionError(f"Gram matrix ({2 * L}x{2 * L}) is singular even "
-                                              f"after diagonal loading of {load:g}")
-            load, first = GRAM_REG_LAMBDA * trace / (2 * L), i
-            for j in range(i, 2):
-                fill(j, load)
-    return load, first
 
 
 def _cross_product(factor: _SplitFactor, c: np.ndarray, transpose: bool = False) -> np.ndarray:
@@ -793,38 +749,33 @@ def build_basis(references: Sequence[Waveform], max_delay: int) -> ProjectionBas
     2L generalized Schur steps on its 5-column displacement generator
     (``_generator``, ``_schur_factor``) write the factor in O(L^2) work,
     held as a ``_SplitFactor``: ``U_ss``, ``U_nn`` and the O(L) data of
-    ``G_sn``.  A breakdown there (the corner K not positive definite, as
-    with n = s; T < 2L; a pivot at or below the rounding floor) leaves the
-    same ``_SplitFactor`` to ``_block_factor``, a block Cholesky with
-    LAPACK, which loads ``G_nn``, and ``G_ss`` only if it broke there, by
-    ``GRAM_REG_LAMBDA * trace / 2L`` where a block's ``dpftrf`` fails; the
-    loading and that block are recorded, and a second failure raises
-    ``SingularProjectionError`` rather than silently absorbing the problem.
-    A factor, or the cross block that a breakdown works in, that cannot be
-    allocated raises ``ValueError`` naming its size, before allocating.
+    ``G_sn``.  A Gram they cannot factor is refused, with an error that
+    names the cause: T < 2L is a ``ValueError`` and the corner K not
+    positive definite (n a multiple of s) a ``SingularProjectionError``,
+    both before the factor is allocated; a pivot at or below the rounding
+    floor is a ``SingularProjectionError`` naming its step.  A factor that
+    cannot be allocated raises ``ValueError`` naming its size, before
+    allocating.
     """
     if len(references) != 2:
         raise ValueError(f"expected two references, [speech, noise], got {len(references)}")
     _validate_references(references, max_delay)
     refs = tuple(references)
-    L = max_delay
-    M = _block_length(len(refs[0]), L)
+    L, T = max_delay, len(references[0])
+    if 2 * L > T:
+        raise ValueError(f"max_delay L={L} needs T >= 2L samples, got T={T}: the 2L delayed "
+                         f"copies are linearly dependent; lower -L to at most T//2 = {T // 2}")
+    M = _block_length(T, L)
     arrays = [r.samples for r in refs]
     spectra = tuple(_block_spectra(a, L, M, extended=False) for a in arrays)
     rows = _lag_rows(arrays, spectra, L, M)
-
-    regularization, loaded_from = 0.0, None
-    # 2L copies in R^T with T < 2L are dependent: that Gram is singular
-    gen = _generator(arrays, rows, L) if 2 * L <= len(refs[0]) else None
+    gen = _generator(arrays, rows, L)
     factor = _empty_split_factor(L, rows[0, 1], arrays)
-    if gen is None or not _schur_factor(factor, gen, L):
-        regularization, loaded_from = _block_factor(factor, arrays, rows, L)
+    _schur_factor(factor, gen, L)
 
     return ProjectionBasis(
         references=refs,
         max_delay=L,
-        regularization=regularization,
-        loaded_from=loaded_from,
         _factor=factor,
         _spectra=spectra,
         _block=M,

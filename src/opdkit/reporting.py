@@ -72,7 +72,6 @@ class RunManifest:
         "snr_weighting": "full-signal-power",
         "normalization": "none",
     })
-    regularization_events: list = dataclasses.field(default_factory=list)
     errors: list = dataclasses.field(default_factory=list)
     numerics: dict | None = None  # None for commands that run no LAPACK
 

@@ -157,16 +157,6 @@ def _rel(diff: np.ndarray, ref_norm: float) -> float:
     return float(np.linalg.norm(diff)) / max(ref_norm, 1e-300)
 
 
-def _loaded_gram(basis) -> np.ndarray:
-    """``basis.gram`` plus its recorded diagonal loading, from the block of
-    reference ``loaded_from`` on: the matrix its factor factorizes."""
-    gram = basis.gram
-    if basis.loaded_from is not None:
-        loaded = np.arange(basis.loaded_from * basis.max_delay, len(gram))
-        gram[loaded, loaded] += basis.regularization
-    return gram
-
-
 def _check_case(case: OracleCase, dev: dict) -> None:
     def bump(name, value):
         dev[name] = max(dev.get(name, 0.0), float(value))
@@ -188,10 +178,10 @@ def _check_case(case: OracleCase, dev: dict) -> None:
          np.max(np.abs(dec.basis.gram - gram_dense)) / np.max(np.abs(gram_dense)))
 
     # the factor, with its cross block U_ss⁻ᵀ G_sn as the solves use it,
-    # against the Gram it factorizes, with the loading recorded
+    # against the Gram it factorizes
     upper = _unpacked_factor(dec.basis._factor)
     bump("factor_backward_rel",
-         np.linalg.norm(upper.T @ upper - _loaded_gram(dec.basis)) / np.linalg.norm(gram_dense))
+         np.linalg.norm(upper.T @ upper - dec.basis.gram) / np.linalg.norm(gram_dense))
 
     # fast projections against dense least squares
     dense_s = project_dense_oracle([s], L, s_hat)

@@ -432,10 +432,10 @@ class TestOaCommand:
         assert float(row["sari_closed_form_db"]) == 0.0
 
     def test_workers_do_not_change_results(self, tmp_path, mixed_corpus, enhanced_corpus):
-        # "bad" fails with an error row, and "loaded", whose noise_path names
-        # its speech file, has its basis loaded; with three threads both must
-        # still be reported in corpus order, and every file must be the
-        # serial run's but for the worker count in the manifest
+        # "bad" fails with an error row, and so does "same", whose noise_path
+        # names its speech file and whose basis is refused; with three threads
+        # both must still be reported in corpus order, and every file must be
+        # the serial run's but for the worker count in the manifest
         bad = tmp_path / "bad.enhanced.wav"
         bad.write_bytes(b"RIFF\x00\x00\x00\x00WAVE")
         corpus = tmp_path / "corpus.jsonl"
@@ -445,37 +445,34 @@ class TestOaCommand:
             "enhanced_path": str(enhanced or enhanced_corpus / f"{src}.enhanced.wav")}) + "\n"
             for utt, src, noise, enhanced in (("utt0", "utt0", "noise", None),
                                               ("bad", "utt1", "noise", bad),
-                                              ("loaded", "utt1", "speech", None))))
+                                              ("same", "utt1", "speech", None))))
         for command, grid in (("oa", "0:1:0.5"), ("dsa", "0,1")):
             outputs = []
             for workers in ("3", "1"):
                 out = tmp_path / f"{command}_w{workers}"
                 assert main([command, "--corpus", str(corpus), "--grid", grid, "-L", "8",
-                             "--workers", workers, "--out", str(out)]) == 0
+                             "--workers", workers, "--out", str(out)]) == 3
                 files = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
                 manifest = json.loads(files.pop("run_manifest.json"))
                 assert manifest["parameters"].pop("workers") == int(workers)
                 outputs.append((files, manifest))
             (files, manifest), serial = outputs
             assert (files, manifest) == serial, command
-            assert [e["utterance_id"] for e in manifest["errors"]] == ["bad"]
-            assert [e["utterance_id"] for e in manifest["regularization_events"]] == ["loaded"]
+            assert [e["utterance_id"] for e in manifest["errors"]] == ["bad", "same"]
             _, rows = read_csv(tmp_path / f"{command}_w3" / f"{command}.csv")
-            per_utterance = (len(rows) - 1) // 2
-            assert [r["utterance_id"] for r in rows] == (
-                ["utt0"] * per_utterance + ["loaded"] * per_utterance + ["bad"])
+            assert [r["utterance_id"] for r in rows] == \
+                ["utt0"] * (len(rows) - 2) + ["bad", "same"]
 
     def test_threads_match_serial_where_lapack_does_real_work(self, tmp_path, monkeypatch):
         # L=8 corpora never run two multithreaded LAPACK calls at once; at
-        # T=16000 and L=256 each basis solves with 256-by-256 dtfsm, and u0,
-        # whose noise is its speech, breaks down and is factorized by blocks,
-        # two dpftrf, a dtfsm and a dsfrk of order 256, beside the others
+        # T=16000 and L=256 each basis solves with 256-by-256 dtfsm, beside
+        # the others
         corpus = tmp_path / "corpus.jsonl"
         with open(corpus, "w", encoding="utf-8") as fh:
             for i in range(4):
                 paths = [str(tmp_path / f"u{i}.{kind}.wav") for kind in ("s", "n", "e")]
                 s, n, s_hat = random_signals(i, length=16000, max_delay=256)
-                for path, w in zip(paths, (s, s if i == 0 else n, s_hat)):
+                for path, w in zip(paths, (s, n, s_hat)):
                     write_wav(path, w)
                 fh.write(json.dumps(dict(zip(("speech_path", "noise_path", "enhanced_path"),
                                              paths), utterance_id=f"u{i}")) + "\n")
@@ -491,7 +488,6 @@ class TestOaCommand:
                          "--workers", workers, "--out", str(out)]) == 0
             manifest = json.loads((out / "run_manifest.json").read_text())
             assert manifest["errors"] == []
-            assert [e["utterance_id"] for e in manifest["regularization_events"]] == ["u0"]
         threaded, serial = written
         assert [row.utterance_id for row in threaded] == [f"u{i}" for i in range(4) for _ in "01"]
         assert [(row.utterance_id, row.metrics) for row in threaded] == \
@@ -520,7 +516,7 @@ class TestOaCommand:
         bad.write_bytes(b"RIFF\x00\x00\x00\x00WAVE")
         out = tmp_path / "oa"
         assert main(["oa", "--corpus", str(enhanced_corpus / "corpus.jsonl"),
-                     "--grid", "0", "-L", "8", "--out", str(out)]) == 0
+                     "--grid", "0", "-L", "8", "--out", str(out)]) == 3
         _, rows = read_csv(out / "oa.csv")
         by_utterance = {r["utterance_id"]: r for r in rows}
         assert by_utterance["utt0"]["error"] == ""
@@ -599,21 +595,21 @@ def _run_limited(code, *args):
 
 
 class TestGramAllocation:
-    """L=20000 over a 2 s pair needs a factor of L(L+1) * 8 = 3.2 GB, more
-    than the 2 GiB address space the child is limited to."""
+    """L=20000 over a 3 s pair (T >= 2L) needs a factor of L(L+1) * 8 = 3.2
+    GB, more than the 2 GiB address space the child is limited to."""
 
     @pytest.fixture
-    def two_second_pair(self, tmp_path):
+    def three_second_pair(self, tmp_path):
         rng = np.random.default_rng(3)
         paths = []
         for name in ("speech", "noise", "enhanced"):
             path = tmp_path / f"{name}.wav"
-            write_wav(path, Waveform(0.05 * lowpass_noise(rng, 2 * RATE), RATE))
+            write_wav(path, Waveform(0.05 * lowpass_noise(rng, 3 * RATE), RATE))
             paths.append(str(path))
         return paths
 
-    def test_decompose_exits_cleanly(self, tmp_path, two_second_pair):
-        speech, noise, enhanced = two_second_pair
+    def test_decompose_exits_cleanly(self, tmp_path, three_second_pair):
+        speech, noise, enhanced = three_second_pair
         out = tmp_path / "X"
         result = _run_limited("from opdkit.cli import main; sys.exit(main(sys.argv[1:]))",
                               "decompose", "--speech", speech, "--noise", noise,
@@ -623,14 +619,14 @@ class TestGramAllocation:
                                  "needs L(L+1)*8 = 3200160000 bytes\n")
         assert not out.exists()
 
-    def test_sweep_fails_only_that_utterance(self, two_second_pair):
+    def test_sweep_fails_only_that_utterance(self, three_second_pair):
         code = ("import json; from opdkit.cli import _sweep_task; "
                 "from opdkit.analysis import OaPoint; "
                 "from opdkit.reporting import UtteranceTriplet; "
                 "t = UtteranceTriplet('utt', *sys.argv[1:4]); "
                 "results = [_sweep_task('oa', t, L, [OaPoint(0.0)]) for L in (20000, 64)]; "
-                "print(json.dumps([[error, len(rows)] for rows, _, error in results]))")
-        result = _run_limited(code, *two_second_pair)
+                "print(json.dumps([[error, len(rows)] for rows, error in results]))")
+        result = _run_limited(code, *three_second_pair)
         assert result.returncode == 0, result.stderr
         (error, rows), (later_error, later_rows) = json.loads(result.stdout)
         assert error.startswith("ValueError: cannot allocate the Gram factor: L=20000")
@@ -722,6 +718,17 @@ class TestSweepArguments:
         err = capsys.readouterr().err
         assert "every utterance failed" in err
         assert err.count("1 <= L <= T=1600, got 1601") == 2
+
+    def test_max_delay_beyond_half_the_length_fails_each_utterance(self, tmp_path,
+                                                                   enhanced_corpus, capsys):
+        # 2L delayed copies in R^T with T < 2L are linearly dependent
+        assert main(["oa", "--corpus", str(enhanced_corpus / "corpus.jsonl"),
+                     "-L", "801", "--out", str(tmp_path / "X")]) == 1
+        err = capsys.readouterr().err
+        assert "every utterance failed" in err
+        assert err.count("ValueError: max_delay L=801 needs T >= 2L samples, got T=1600: ") == 2
+        assert err.count("lower -L to at most T//2 = 800") == 2
+        assert not (tmp_path / "X").exists()
 
 
 @pytest.mark.parametrize("argv", [
@@ -824,7 +831,7 @@ def no_lapack(monkeypatch):
     import opdkit.projection as projection_module
 
     def numpy_without_openblas():
-        raise AttributeError("_umath_linalg.so: undefined symbol: scipy_dpftrf_64_")
+        raise AttributeError("_umath_linalg.so: undefined symbol: scipy_dtfsm_64_")
 
     def scipy_missing():
         raise ModuleNotFoundError("No module named 'scipy'", name="scipy")
@@ -850,10 +857,10 @@ def test_missing_lapack_is_an_error_naming_scipy(tmp_path, enhanced_corpus, mixe
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
     message = err.strip().removeprefix("error: ")
-    assert "scipy_dpftrf_64_" in message and "No module named 'scipy'" in message
+    assert "scipy_dtfsm_64_" in message and "No module named 'scipy'" in message
     assert not (tmp_path / "dec").exists()
     triplet = load_corpus_manifest(enhanced_corpus / "corpus.jsonl")[0]
-    assert _sweep_task("oa", triplet, 8, [OaPoint(0.0)])[2] == f"ImportError: {message}"
+    assert _sweep_task("oa", triplet, 8, [OaPoint(0.0)])[1] == f"ImportError: {message}"
     # a sweep binds LAPACK before its pool starts: one error, not one per utterance
     for workers in ("1", "2"):
         assert main(["oa", "--corpus", str(enhanced_corpus / "corpus.jsonl"), "-L", "8",
@@ -862,67 +869,39 @@ def test_missing_lapack_is_an_error_naming_scipy(tmp_path, enhanced_corpus, mixe
         assert not (tmp_path / "oa").exists()
 
 
-def test_regularization_events_name_their_utterance(tmp_path, mixed_corpus,
-                                                     enhanced_corpus):
-    # noise_path names the speech file, so every basis is loaded once and
-    # each utterance's event is recorded under its id, as errors are
-    ids = ("utt0", "utt1")
-    corpus = tmp_path / "n_is_s.jsonl"
-    corpus.write_text("".join(json.dumps({
-        "utterance_id": utt, "speech_path": str(mixed_corpus / f"{utt}.speech.wav"),
-        "noise_path": str(mixed_corpus / f"{utt}.speech.wav"),
-        "enhanced_path": str(enhanced_corpus / f"{utt}.enhanced.wav")}) + "\n"
-        for utt in ids))
-    manifests = {}
-    for command in ("oa", "dsa"):
-        out = tmp_path / command
-        assert main([command, "--corpus", str(corpus), "--grid", "0,1", "-L", "8",
-                     "--out", str(out)]) == 0
-        manifests[command] = json.loads((out / "run_manifest.json").read_text())
-        assert manifests[command]["errors"] == []
-    out = tmp_path / "dec"
-    assert main(["decompose", "--speech", str(mixed_corpus / "utt1.speech.wav"),
-                 "--noise", str(mixed_corpus / "utt1.speech.wav"),
-                 "--enhanced", str(enhanced_corpus / "utt1.enhanced.wav"),
-                 "--id", "utt1", "-L", "8", "--out", str(out)]) == 0
-    manifests["decompose"] = json.loads((out / "run_manifest.json").read_text())
-    for command, manifest in manifests.items():
-        assert manifest["numerics"]["lapack_source"] == lapack_source(), command
-        events = manifest["regularization_events"]
-        assert [sorted(e) for e in events] == [["event", "utterance_id"]] * len(events)
-        assert [e["utterance_id"] for e in events] == (
-            ["utt1"] if command == "decompose" else list(ids)), command
-        for e in events:
-            assert e["event"].startswith("gram-regularized: ")
-            assert "from reference 1 on (L=8, refs=2)" in e["event"]
-
-
-def test_failed_sweep_keeps_its_regularization_event(tmp_path, mixed_corpus,
-                                                    enhanced_corpus, monkeypatch):
-    # utt0's noise_path names its speech file, so its basis is loaded before
-    # its sweep raises; the manifest lists both the error and the event
+def test_noise_equal_to_speech_fails_only_that_utterance(tmp_path, mixed_corpus,
+                                                         enhanced_corpus, capsys):
+    # utt0's noise_path names its speech file, so its basis is refused: utt1
+    # is written, utt0 is an error naming the cause, and the exit code says
+    # that some utterances failed
     corpus = tmp_path / "corpus.jsonl"
     corpus.write_text("".join(json.dumps({
         "utterance_id": utt, "speech_path": str(mixed_corpus / f"{utt}.speech.wav"),
         "noise_path": str(mixed_corpus / f"{utt}.{kind}.wav"),
         "enhanced_path": str(enhanced_corpus / f"{utt}.enhanced.wav")}) + "\n"
         for utt, kind in (("utt0", "speech"), ("utt1", "noise"))))
-    oa_sweep = cli_module.oa_sweep
-
-    def failing(*args, utterance_id, **kwargs):
-        if utterance_id == "utt0":
-            raise ValueError("sweep failed")
-        return oa_sweep(*args, utterance_id=utterance_id, **kwargs)
-    monkeypatch.setattr(cli_module, "oa_sweep", failing)
-    out = tmp_path / "oa"
-    assert main(["oa", "--corpus", str(corpus), "--grid", "0,1", "-L", "8",
-                 "--out", str(out)]) == 0
-    manifest = json.loads((out / "run_manifest.json").read_text())
-    assert manifest["errors"] == [{"utterance_id": "utt0",
-                                   "error": "ValueError: sweep failed"}]
-    events = manifest["regularization_events"]
-    assert [e["utterance_id"] for e in events] == ["utt0"]
-    assert "from reference 1 on (L=8, refs=2)" in events[0]["event"]
+    cause = ("SingularProjectionError: the noise reference is a multiple of the speech "
+             "reference: ")
+    for command in ("oa", "dsa"):
+        out = tmp_path / command
+        assert main([command, "--corpus", str(corpus), "--grid", "0,1", "-L", "8",
+                     "--out", str(out)]) == 3
+        manifest = json.loads((out / "run_manifest.json").read_text())
+        assert "regularization_events" not in manifest
+        (error,) = manifest["errors"]
+        assert error["utterance_id"] == "utt0" and error["error"].startswith(cause)
+        _, rows = read_csv(out / f"{command}.csv")
+        assert [r["utterance_id"] for r in rows] == ["utt1"] * (len(rows) - 1) + ["utt0"]
+        assert rows[-1]["error"] == error["error"]
+        assert f"  failed utt0: {error['error']}" in capsys.readouterr().err
+    out = tmp_path / "dec"
+    assert main(["decompose", "--speech", str(mixed_corpus / "utt0.speech.wav"),
+                 "--noise", str(mixed_corpus / "utt0.speech.wav"),
+                 "--enhanced", str(enhanced_corpus / "utt0.enhanced.wav"),
+                 "-L", "8", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(
+        "numerical failure: " + cause.removeprefix("SingularProjectionError: "))
+    assert not out.exists()
 
 
 def test_self_test_argument_error_exits_1(capsys):

@@ -5,7 +5,6 @@ from numpy.testing import assert_allclose, assert_array_equal
 from conftest import RATE, random_signals
 from opdkit.decomposition import (Decomposer, Decomposition, cross_gram, export_components,
                                   recompose)
-from opdkit.projection import _unpacked_factor, delayed_matrix, project_dense_oracle
 from opdkit.selftest import INVARIANT_TOLERANCES, make_case
 from opdkit.signals import Waveform, add, energy
 from opdkit.wavio import read_wav
@@ -77,31 +76,11 @@ def test_linearity_of_redecomposition(seed):
     assert np.linalg.norm(d2.e_artif.samples - b * d.e_artif.samples) <= 1e-8 * scale_ref
 
 
-@pytest.mark.parametrize("seed", range(1, 9))
-def test_loading_only_the_failing_block_keeps_speech_projection(seed):
-    # with n = s the joint Gram is singular while the speech Gram is not, so
-    # only the noise block may be loaded and P_s stays unloaded
-    case = make_case(seed)
-    s, L = case.s, case.max_delay
-    dec = Decomposer(s, s, L)
-    # the leading factor block is numpy's Cholesky factor of the unloaded G_ss
-    lead = _unpacked_factor(dec.basis._factor)[:L, :L]
-    speech = np.linalg.cholesky(dec.basis.gram[:L, :L]).T
-    assert np.max(np.abs(lead - speech)) <= 1e-12 * np.max(np.abs(speech))
-    expected = project_dense_oracle([s], L, case.s_hat).samples
-    got = dec.decompose(case.s_hat).s_target.samples
-    assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected)
-    # reference 1 of the basis is the noise
-    assert dec.basis.loaded_from == 1
-    assert len(dec.basis.regularization_events) == 1
-    assert "from reference 1 on" in dec.basis.regularization_events[0]
-
-
 def test_one_correlation_pass_and_two_triangular_solves(monkeypatch):
     # a decomposition is one right-hand side, one project (a forward and a
     # back substitution, which also give the P_s coefficients c_s) and one
     # synthesis (P_sn x, for e_artif); reading s_target adds one synthesis
-    # (P_s x, from c_s) and no solve.  On a Schur-path basis each
+    # (P_s x, from c_s) and no solve.  Each
     # substitution is three dtfsm on the diagonal blocks and one product
     # with the cross block G_sn.
     import opdkit.decomposition as decomposition_module
@@ -210,35 +189,21 @@ def _band_limited_case(seed):
 def _oracle_case(kind, seed):
     if kind == "band-limited":
         return _band_limited_case(seed)
-    case = make_case(seed, kind="random" if kind == "n=s" else kind)
-    return case.s, case.s if kind == "n=s" else case.n, case.s_hat, case.max_delay
+    case = make_case(seed, kind=kind)
+    return case.s, case.n, case.s_hat, case.max_delay
 
 
 @pytest.mark.parametrize("kind,seed", [("random", seed) for seed in range(12)]
                          + [("perfect", 0), ("negated-observation", 1)]
-                         + [("band-limited", seed) for seed in range(3)]
-                         + [("n=s", seed) for seed in range(1, 4)])
+                         + [("band-limited", seed) for seed in range(3)])
 def test_gram_and_cross_block_match_the_synthesized_waveforms(kind, seed):
     # the coefficient-space Gram and OA cross block against the products of
-    # the waveforms they stand for; on a loaded basis (n = s) both are those
-    # products, and the components are those of the loaded solve, here made
-    # densely from the basis' own factor
+    # the waveforms they stand for
     s, n, s_hat, L = _oracle_case(kind, seed)
     dec = Decomposer(s, n, L)
     d, d_y = dec.decompose(s_hat), dec.decompose(add(s, n))
-    loaded = kind == "n=s"
-    assert bool(dec.basis.regularization) == loaded
     for x in (d, d_y):
         assert type(x) is Decomposition
-    if loaded:
-        A = np.hstack([delayed_matrix(r.samples, L) for r in (s, n)])
-        U = _unpacked_factor(dec.basis._factor)
-        p_s, p_sn = (A[:, :r * L] @ np.linalg.solve(U[:r * L, :r * L], np.linalg.solve(
-            U[:r * L, :r * L].T, A[:, :r * L].T @ s_hat.samples)) for r in (1, 2))
-        want = {"s_target": p_s, "e_noise": p_sn - p_s, "e_artif": s_hat.samples - p_sn}
-        for name, samples in want.items():
-            assert (np.linalg.norm(getattr(d, name).samples - samples)
-                    <= 1e-12 * np.linalg.norm(s_hat.samples)), name
     got = {"gram": d.gram, "gram_y": d_y.gram, "cross": cross_gram(d, d_y)}
     want = {"gram": _waveform_products(d, d), "gram_y": _waveform_products(d_y, d_y),
             "cross": _waveform_products(d, d_y)}
@@ -246,3 +211,14 @@ def test_gram_and_cross_block_match_the_synthesized_waveforms(kind, seed):
     for name in got:
         assert (np.max(np.abs(got[name] - want[name]))
                 <= INVARIANT_TOLERANCES["coefficient_gram_rel"] * largest), name
+
+
+def test_cross_gram_refuses_two_bases():
+    # coefficients are coordinates of one basis only
+    case = make_case(0)
+    a = Decomposer(case.s, case.n, case.max_delay).decompose(case.s_hat)
+    b = Decomposer(case.s, case.n, case.max_delay).decompose(case.s_hat)
+    with pytest.raises(ValueError, match=r"^cross_gram: the decompositions are on two "
+                                         r"different bases"):
+        cross_gram(a, b)
+    assert_array_equal(cross_gram(a, a), a.gram)

@@ -44,3 +44,10 @@ def test_traced_argument_names():
             function = getattr(function, attribute)
         missing[site] = names - set(inspect.signature(function).parameters)
     assert {site: names for site, names in missing.items() if names} == {}
+
+
+def test_basis_attributes_perfbench_reads():
+    # perfbench/spans.py reads regularization off every basis it traces: a
+    # constant 0.0, as no basis is loaded, until the benchmark stops reading it
+    from opdkit.projection import ProjectionBasis
+    assert ProjectionBasis.regularization == 0.0

@@ -1,6 +1,7 @@
 import ctypes
 import json
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -27,6 +28,20 @@ def projections(basis, x):
     return synthesize(basis, c_s)[0], synthesize(basis, c)[0]
 
 
+def _lag_rows_of(refs, L):
+    """The samples of ``refs`` and their lag rows, as ``build_basis`` makes
+    them, with no factor: at any L <= T."""
+    arrays = [r.samples for r in refs]
+    M = projection_module._block_length(len(arrays[0]), L)
+    spectra = [projection_module._block_spectra(a, L, M, extended=False) for a in arrays]
+    return arrays, projection_module._lag_rows(arrays, spectra, L, M)
+
+
+def _gram_of(refs, L):
+    """The Gram ``ProjectionBasis.gram`` gives, at any L <= T."""
+    return projection_module._dense_gram(*_lag_rows_of(refs, L), L)
+
+
 def test_delayed_matrix_columns():
     A = delayed_matrix(np.array([1.0, 2.0, 3.0]), 2)
     assert_allclose(A, [[1.0, 0.0], [2.0, 1.0], [3.0, 2.0]])
@@ -45,9 +60,9 @@ class TestGram:
 
     def test_two_taps_with_truncation(self):
         # delayed copies of [1, 1] and [1, -1] are both [0, 1]: the trailing
-        # sample falls off
-        basis = build_basis([Waveform([1.0, 1.0], RATE), Waveform([1.0, -1.0], RATE)], 2)
-        assert_allclose(basis.gram, [[2.0, 1.0, 0.0, 1.0],
+        # sample falls off (a Gram build_basis refuses, as T < 2L)
+        gram = _gram_of([Waveform([1.0, 1.0], RATE), Waveform([1.0, -1.0], RATE)], 2)
+        assert_allclose(gram, [[2.0, 1.0, 0.0, 1.0],
                                      [1.0, 1.0, -1.0, 1.0],
                                      [0.0, -1.0, 2.0, -1.0],
                                      [1.0, 1.0, -1.0, 1.0]])
@@ -73,11 +88,11 @@ class TestGram:
         rng = np.random.default_rng(length + max_delay)
         s = Waveform(lowpass_noise(rng, length), RATE)
         n = Waveform(lowpass_noise(rng, length), RATE)
-        basis = build_basis([s, n], max_delay)
-        assert np.array_equal(basis.gram, basis.gram.T)
+        gram = _gram_of([s, n], max_delay)  # L = T included, which build_basis refuses
+        assert np.array_equal(gram, gram.T)
         A = np.hstack([delayed_matrix(r.samples, max_delay) for r in (s, n)])
         dense = A.T @ A
-        assert np.max(np.abs(basis.gram - dense)) <= 1e-8 * np.max(np.abs(dense))
+        assert np.max(np.abs(gram - dense)) <= 1e-8 * np.max(np.abs(dense))
 
     @pytest.mark.parametrize("max_delay", [1, 2, 17, 40])
     def test_truncation_loss_matches_dropped_products(self, max_delay):
@@ -108,7 +123,6 @@ class TestGram:
         case = make_case(seed)
         L = case.max_delay
         basis = build_basis([case.s, case.n], L)
-        assert basis.regularization == 0.0
         gram, factor = basis.gram, basis._factor
         upper = _unpacked_factor(factor)
         assert np.max(np.abs(upper.T @ upper - gram)) <= 1e-12 * np.max(np.abs(gram))
@@ -118,14 +132,10 @@ class TestGram:
         assert factor.lags.shape == (2 * L - 1,) and factor.tails.shape == (2, L - 1)
 
     def test_convention_recorded(self):
-        noise = lowpass_noise(np.random.default_rng(0), 16)
-        basis = build_basis([Waveform(np.ones(16), RATE), Waveform(noise, RATE)], 4)
         assert DELAY_PADDING == "zero-pad-head"
         manifest = RunManifest(command="oa", parameters={}, max_delay=4,
                                aggregation="per-utterance")
         assert manifest.conventions["delay_padding"] == DELAY_PADDING
-        assert basis.regularization == 0.0
-        assert basis.regularization_events == ()
 
 
 def _packed(matrix: np.ndarray) -> np.ndarray:
@@ -142,17 +152,9 @@ def _packed(matrix: np.ndarray) -> np.ndarray:
     return out
 
 
-def _packed_diagonal(dim: int) -> set:
-    """(row, column) in ``_packed``'s array of the diagonal entries: (i, i) is
-    at (i - n1, i) for i >= n1, else at (i, n1 + 1 + i)."""
-    n1 = dim // 2
-    return {(i - n1, i) if i >= n1 else (i, n1 + 1 + i) for i in range(dim)}
-
-
 class TestPackedLayout:
     """The factor's diagonal blocks, each packed and transposed
-    (``TRANSR='T'``), and the Gram blocks that a breakdown writes in the same
-    layout for LAPACK."""
+    (``TRANSR='T'``)."""
 
     @pytest.mark.parametrize("seed", range(6))
     def test_pair_factor_leads_with_the_speech_factor(self, seed):
@@ -167,93 +169,93 @@ class TestPackedLayout:
         lead = _unpacked(joint._factor.ss.T)
         assert np.max(np.abs(lead - speech)) <= 1e-12 * np.max(np.abs(speech))
 
-    @staticmethod
-    def received(monkeypatch, refs, L):
-        """The basis, and the routines ``dpftrf`` and ``dsfrk`` in call order,
-        each with a copy of the order-L packed array it received."""
-        seen = []
-
-        def recording(name, routine, packed):
-            def call(*args):
-                seen.append((name, args[packed].copy(order="F")))
-                return routine(*args)
-            return call
-        for name, packed in (("dpftrf", 0), ("dsfrk", 1)):
-            monkeypatch.setattr(projection_module, name,
-                                recording(name, getattr(projection_module, name), packed))
-        return build_basis(refs, L), seen
-
-    @staticmethod
-    def loaded_positions(plain, loaded, load):
-        """The positions at which ``loaded`` is ``plain`` plus ``load``,
-        where it differs from it at all."""
-        positions = {tuple(p) for p in np.argwhere(plain != loaded)}
-        for p in positions:
-            assert loaded[p] == plain[p] + load
-        return positions
-
-    def test_failure_in_the_first_block_loads_both_triangles(self, monkeypatch):
-        # an impulse at the last sample: its delays past 0 are all-zero
-        impulse = Waveform([0.0] * 7 + [1.0], RATE)
-        refs = [impulse, Waveform(np.arange(8.0) % 3 - 1.0, RATE)]
-        L = 3
-        basis, seen = self.received(monkeypatch, refs, L)
-        assert "from reference 0 on" in basis.regularization_events[0]
-        # G_ss fails, G_ss and G_nn are written again with the loading, and
-        # the Schur complement of the loaded G_ss goes through
-        assert [name for name, _ in seen] == ["dpftrf", "dpftrf", "dsfrk", "dpftrf"]
-        gram, load = basis.gram, basis.regularization
-        assert np.array_equal(seen[0][1], _packed(gram[:L, :L]))
-        assert self.loaded_positions(seen[0][1], seen[1][1], load) == _packed_diagonal(L)
-        assert self.loaded_positions(_packed(gram[L:, L:]), seen[2][1], load) \
-            == _packed_diagonal(L)
-
-    @pytest.mark.parametrize("seed", range(1, 4))
-    def test_failure_in_the_second_block_loads_only_its_triangle(self, monkeypatch, seed):
-        # with n = s the noise block is singular and the speech block is not
-        case = make_case(seed)
-        L = case.max_delay
-        basis, seen = self.received(monkeypatch, [case.s, case.s], L)
-        assert "from reference 1 on" in basis.regularization_events[0]
-        assert [name for name, _ in seen] == ["dpftrf", "dsfrk", "dpftrf", "dsfrk", "dpftrf"]
-        gram = basis.gram
-        assert np.array_equal(seen[0][1], _packed(gram[:L, :L]))
-        assert np.array_equal(seen[1][1], _packed(gram[L:, L:]))
-        assert self.loaded_positions(seen[1][1], seen[3][1], basis.regularization) \
-            == _packed_diagonal(L)
-
-
-# references whose Schur steps break down (see TestSchurFactor.breakdown_case)
-BREAKDOWN_CASES = [("n=s", 1), ("n=s", 2), ("n=s", 3), ("L=T", 48), ("running", 4),
-                   ("running", 2), ("running", 3), ("float32", 5), ("float32", 6)]
-
 
 def _lowpass_pair(T, seed=0):
     rng = np.random.default_rng(seed)
     return [Waveform(lowpass_noise(rng, T), RATE) for _ in range(2)]
 
 
+def breakdown_case(kind, arg):
+    """References and L of a Gram whose Schur steps break down at a pivot,
+    with T >= 2L and a positive definite corner."""
+    if kind == "delayed":  # n is s delayed by arg < L: noise delay 0 is speech delay arg
+        s = lowpass_noise(np.random.default_rng(arg), 200)
+        return [Waveform(s, RATE), Waveform(np.concatenate((np.zeros(arg), s[:-arg])), RATE)], 8
+    if kind == "impulse":  # an impulse at the last sample: its delays past 0 are all-zero
+        return [Waveform([0.0] * 7 + [1.0], RATE), Waveform(np.arange(8.0) % 3 - 1.0, RATE)], 3
+    if kind == "float32":  # tier-1's pinned float32 cases, condition near 1e16
+        s, n, _ = _band_limited_references(arg, kind)
+        return [s, n], 256
+    # the 4-sample running example at L = 2: s delayed by 1 is n, singular at a
+    # pivot that rounding alone keeps from zero
+    return [Waveform([1.0, 0.0, 0.0, 0.0], RATE), Waveform([0.0, 1.0, 0.0, 0.0], RATE)], arg
+
+
+class TestRefusal:
+    """A Gram the Schur steps cannot factor is refused, by an error naming
+    its cause; no other factor is tried."""
+
+    @staticmethod
+    def refuse_allocation(monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the factor was allocated")
+        monkeypatch.setattr(projection_module, "_allocate", refuse)
+
+    @pytest.mark.parametrize("refs,L", [(_lowpass_pair(48, 96), 48), (_lowpass_pair(49), 25),
+                                        (_lowpass_pair(2), 2)],
+                             ids=["L=T=48", "T=49-L=25", "L=T=2"])
+    def test_too_few_samples_refused_before_allocation(self, monkeypatch, refs, L):
+        # 2L delayed copies in R^T with T < 2L are linearly dependent
+        self.refuse_allocation(monkeypatch)
+        T = len(refs[0])
+        with pytest.raises(ValueError, match=rf"^max_delay L={L} needs T >= 2L samples, got "
+                                             rf"T={T}: .*; lower -L to at most T//2 = "
+                                             rf"{T // 2}$"):
+            build_basis(refs, L)
+
+    @pytest.mark.parametrize("seed", range(1, 4))
+    def test_noise_a_multiple_of_speech_refused_before_allocation(self, monkeypatch, seed):
+        case = make_case(seed)
+        self.refuse_allocation(monkeypatch)
+        for scale in (1.0, 2.0, -0.5):
+            noise = Waveform(scale * case.s.samples, RATE)
+            with pytest.raises(SingularProjectionError,
+                               match=r"^the noise reference is a multiple of the speech "
+                                     r"reference: .* not positive definite \(determinant "
+                                     rf".*, L={case.max_delay}\)$"):
+                build_basis([case.s, noise], case.max_delay)
+
+    @pytest.mark.parametrize("kind,arg,step,block", [
+        ("delayed", 3, 8, "noise block, delay 0"), ("delayed", 7, 8, "noise block, delay 0"),
+        ("impulse", 0, 1, "speech block, delay 1"), ("running", 2, 2, "noise block, delay 0"),
+        ("float32", 5, 275, "noise block, delay 19"),
+        ("float32", 6, 274, "noise block, delay 18")],
+        ids=["delayed-3", "delayed-7", "impulse", "running-2", "float32-5", "float32-6"])
+    def test_pivot_at_the_rounding_floor_names_its_step(self, kind, arg, step, block):
+        refs, L = breakdown_case(kind, arg)
+        with pytest.raises(SingularProjectionError) as raised:
+            build_basis(refs, L)
+        message = str(raised.value)
+        named = re.fullmatch(r"the Gram is singular to working precision: Schur step (\d+) of "
+                             rf"{2 * L} \((speech|noise) block, delay (\d+)\) leaves a pivot "
+                             r"delta\^2 = (\S+), at or below the rounding floor (\S+) = "
+                             rf"2L\*eps\*G_(00|LL) \(L={L}\)", message)
+        assert named, message
+        i, which, delay, delta2, floor, diagonal = named.groups()
+        assert int(delay) == int(i) % L and (which == "noise") == (int(i) >= L)
+        assert diagonal == ("LL" if which == "noise" else "00")
+        assert float(delta2) <= float(floor)
+        assert f"step {step} of {2 * L} ({block})" in message
+
+
 class TestSchurFactor:
-    """The factor written from the Gram's displacement generator, and the
-    block Cholesky path with LAPACK (``_block_factor``) that a breakdown
-    takes."""
+    """The factor written from the Gram's displacement generator."""
 
     BACKWARD_TOL = INVARIANT_TOLERANCES["factor_backward_rel"]
 
     @staticmethod
     def generator(refs, L):
-        arrays = [r.samples for r in refs]
-        M = projection_module._block_length(len(arrays[0]), L)
-        spectra = [projection_module._block_spectra(a, L, M, extended=False) for a in arrays]
-        return projection_module._generator(
-            arrays, projection_module._lag_rows(arrays, spectra, L, M), L)
-
-    @staticmethod
-    def refuse_block_path(monkeypatch):
-        def refuse(*args):
-            raise AssertionError("the block path was taken")
-        monkeypatch.setattr(projection_module, "_block_factor", refuse)
-        monkeypatch.setattr(projection_module, "dpftrf", refuse)
+        return projection_module._generator(*_lag_rows_of(refs, L), L)
 
     @staticmethod
     def fill_with_nan(monkeypatch):
@@ -268,7 +270,7 @@ class TestSchurFactor:
         monkeypatch.setattr(projection_module, "_empty_split_factor", nan_filled)
 
     def check_generator_identity(self, refs, L):
-        gram = build_basis(refs, L).gram
+        gram = _gram_of(refs, L)
         shift = np.kron(np.eye(2), np.eye(L, k=-1))  # F = Z ⊕ Z
         gen = self.generator(refs, L)
         assert gen.shape == (5, 2 * L)
@@ -286,30 +288,27 @@ class TestSchurFactor:
         # at L = T the Gram is singular, yet its generator is still exact
         self.check_generator_identity(_lowpass_pair(T, T + L), L)
 
-    def check_backward_error(self, monkeypatch, refs, L):
-        with monkeypatch.context() as patched:
-            self.refuse_block_path(patched)
-            basis = build_basis(refs, L)
+    def check_backward_error(self, refs, L):
+        basis = build_basis(refs, L)
         upper, gram = _unpacked_factor(basis._factor), basis.gram
         assert np.linalg.norm(upper.T @ upper - gram) <= self.BACKWARD_TOL * np.linalg.norm(gram)
 
     @pytest.mark.parametrize("seed", range(8))
-    def test_factor_backward_error(self, monkeypatch, seed):
+    def test_factor_backward_error(self, seed):
         case = make_case(seed)
-        self.check_backward_error(monkeypatch, [case.s, case.n], case.max_delay)
+        self.check_backward_error([case.s, case.n], case.max_delay)
 
     @pytest.mark.parametrize("seed", [5, 6, 7])
-    def test_factor_backward_error_on_band_limited_pcm16(self, monkeypatch, seed):
+    def test_factor_backward_error_on_band_limited_pcm16(self, seed):
         # condition near 1e9, T = 16000, L = 256
         s, n, _ = _band_limited_references(seed, "pcm16")
-        self.check_backward_error(monkeypatch, [s, n], 256)
+        self.check_backward_error([s, n], 256)
 
     # at L = 150 the 75 leading rows of each triangle are written in two blocks
     @pytest.mark.parametrize("T,L", [(64, 1), (64, 7), (64, 8), (200, 33), (4066, 32),
                                      (600, 150)])
     def test_every_packed_entry_is_written(self, monkeypatch, T, L):
         self.fill_with_nan(monkeypatch)
-        self.refuse_block_path(monkeypatch)
         factor = build_basis(_lowpass_pair(T), L)._factor
         assert factor.ss.flags.f_contiguous and factor.nn.flags.f_contiguous
         assert not any(np.isnan(a).any() for a in factor)
@@ -329,7 +328,6 @@ class TestSchurFactor:
             refs, L = list(_band_limited_references(arg, kind)[:2]), 256
         else:
             refs, L = _lowpass_pair(64000), arg
-        self.refuse_block_path(monkeypatch)
         steps, write = [], projection_module._write_row
 
         def recording(packed, i, row, lead):
@@ -342,67 +340,23 @@ class TestSchurFactor:
         assert np.linalg.norm(implied - full_width) <= \
             self.BACKWARD_TOL * np.linalg.norm(full_width)
 
-    def test_well_conditioned_basis_takes_no_block_step(self, monkeypatch):
-        self.refuse_block_path(monkeypatch)
+    def test_well_conditioned_basis_is_not_refused(self):
         for seed in range(12):
             case = make_case(seed)
-            assert build_basis([case.s, case.n], case.max_delay).regularization == 0.0
+            assert build_basis([case.s, case.n], case.max_delay).max_delay == case.max_delay
         s, n, _ = _band_limited_references(5, "pcm16")
-        assert build_basis([s, n], 256).regularization_events == ()
-
-    @staticmethod
-    def breakdown_case(kind, arg):
-        """References and L of a basis whose Schur steps break down."""
-        if kind == "n=s":
-            case = make_case(arg)
-            return [case.s, case.s], case.max_delay
-        if kind == "L=T":
-            return _lowpass_pair(arg, 2 * arg), arg
-        if kind == "float32":  # the pinned float32 cases, condition near 1e16
-            s, n, _ = _band_limited_references(arg, kind)
-            return [s, n], 256
-        # the 4-sample running example: at L = 4, L = T; at L = 2 and 3, s
-        # delayed by 1 is n, singular with 2L <= T at a pivot that rounding
-        # alone keeps from zero
-        return [Waveform([1.0, 0.0, 0.0, 0.0], RATE), Waveform([0.0, 1.0, 0.0, 0.0], RATE)], arg
-
-    @pytest.mark.parametrize("kind,arg", BREAKDOWN_CASES)
-    def test_breakdown_is_the_block_path_bitwise(self, monkeypatch, kind, arg):
-        # a breakdown part-way through the Schur steps leaves no trace: the
-        # block path writes every entry of both triangles, as it does when
-        # no step is taken into a factor filled with NaN
-        refs, L = self.breakdown_case(kind, arg)
-        outcomes = []
-        schur = projection_module._schur_factor
-
-        def recording(*args):
-            outcomes.append(schur(*args))
-            return outcomes[-1]
-        monkeypatch.setattr(projection_module, "_schur_factor", recording)
-        basis = build_basis(refs, L)
-        assert True not in outcomes
-        self.fill_with_nan(monkeypatch)
-        monkeypatch.setattr(projection_module, "_generator", lambda *args: None)
-        blocks = build_basis(refs, L)
-        for name in ("ss", "nn"):
-            assert np.array_equal(getattr(basis._factor, name), getattr(blocks._factor, name))
-        assert (basis.regularization, basis.regularization_events) == \
-            (blocks.regularization, blocks.regularization_events)
+        assert build_basis([s, n], 256)._factor.ss.size == 256 * 257 // 2
 
 
 class TestCrossProduct:
     """Products with the cross block ``G_sn`` and its transpose, from the lag
-    row and reversed tails a Schur-path basis keeps (``_cross_product``)."""
+    row and reversed tails a basis keeps (``_cross_product``)."""
 
     @staticmethod
     def cross_data(refs, L):
         """The ``_SplitFactor`` of ``refs`` with its triangles unwritten: the
-        product reads only the lag row and tails, whichever path the basis
-        takes."""
-        arrays = [r.samples for r in refs]
-        M = projection_module._block_length(len(arrays[0]), L)
-        spectra = [projection_module._block_spectra(a, L, M, extended=False) for a in arrays]
-        rows = projection_module._lag_rows(arrays, spectra, L, M)
+        product reads only the lag row and tails."""
+        arrays, rows = _lag_rows_of(refs, L)
         return projection_module._empty_split_factor(L, rows[0, 1], arrays)
 
     @pytest.mark.parametrize("L", [1, 7, 8, 33])
@@ -470,8 +424,9 @@ class TestProject:
 
 class TestBatch:
     """``project`` of m signals and ``synthesize`` of its m-column
-    coefficients, on a Schur-path basis (``[s, n]``) and one written by
-    blocks (``[s, s]``)."""
+    coefficients, on a basis of independent references (``[n]``) and on one
+    whose noise reference is the speech one plus 1% of another signal
+    (``[s]``, condition near 1e7)."""
 
     T, L = 3000, 40
 
@@ -479,9 +434,9 @@ class TestBatch:
     def basis_and_signals(self, request):
         rng = np.random.default_rng(7)
         s, n, x, w = (Waveform(lowpass_noise(rng, self.T), RATE) for _ in range(4))
-        basis = build_basis([s, n if request.param == "n" else s], self.L)
-        assert bool(basis.regularization_events) == (request.param == "s")
-        return basis, [x, w]
+        if request.param == "s":
+            n = Waveform(s.samples + 1e-2 * n.samples, RATE)
+        return build_basis([s, n], self.L), [x, w]
 
     def test_batch_is_its_one_column_calls(self, basis_and_signals):
         # bitwise: a decomposition's s_target is synthesized from its column
@@ -655,67 +610,21 @@ class TestValidation:
             build_basis([s, Waveform([1.0, 0.0, 0.0, 0.0], 8000)], 1)
 
 
-class TestRegularization:
-    def test_singular_gram_gets_loaded_and_recorded(self):
-        # an impulse at the last sample: every delayed copy beyond tau=0 is
-        # all-zero, so the Gram is exactly singular
-        ref = Waveform([0.0] * 7 + [1.0], RATE)
-        basis = build_basis([ref, Waveform(np.arange(8.0) % 3 - 1.0, RATE)], 3)
-        assert basis.regularization > 0.0
-        assert len(basis.regularization_events) == 1
-        assert "loading" in basis.regularization_events[0]
-        # projection still behaves: the speech span is just {impulse at T-1}
-        x = Waveform(np.arange(8.0), RATE)
-        out = projections(basis, x)[0]
-        expected = np.zeros(8)
-        expected[7] = 7.0
-        assert_allclose(out, expected, atol=1e-6)
-
-    def test_failure_beyond_regularization_is_reported(self, monkeypatch,
-                                                       running_example):
-        s, n, _, _ = running_example
-
-        def always_fail(a, **kwargs):
-            # LAPACK pftrf reports failure through info, here at the first
-            # leading minor of the plain and the loaded Gram alike
-            return a, 1
-
-        # the Schur steps break down first, which sends the basis to dpftrf
-        monkeypatch.setattr(projection_module, "_schur_factor", lambda *args: False)
-        monkeypatch.setattr(projection_module, "dpftrf", always_fail)
-        with pytest.raises(SingularProjectionError, match=r"^Gram matrix \(2x2\) is singular"):
-            build_basis([s, n], 1)
-
-
 _RESIDENT_GROWTH = """
 import json, resource, sys
 import numpy as np
 from conftest import RATE, lowpass_noise
-from opdkit.projection import _write_row, build_basis, dpftrf, dsfrk, dtfsm
+from opdkit.projection import build_basis
 from opdkit.signals import Waveform
-T, L, second = int(sys.argv[1]), int(sys.argv[2]), sys.argv[3]
+T, L = int(sys.argv[1]), int(sys.argv[2])
 rng = np.random.default_rng(0)
 s, n = (Waveform(lowpass_noise(rng, T), RATE) for _ in range(2))
-build_basis([s, n], 4)  # loads LAPACK and the FFT
-# pages in LAPACK's workspace for the order-L factorizations, solve and
-# update that a breakdown makes, on arrays kept alive, so that the peak
-# before the build is the resident size: 2 I, and a cross block whose
-# update leaves 2 I - J / 2L, positive definite
-warm = [np.empty((L - L // 2, 2 * (L // 2) + 1), order="F") for _ in range(2)]
-lead = np.empty((64, L // 2))
-for packed in warm:
-    for i in range(L):
-        _write_row(packed.T, i, np.eye(1, L - i)[0] * 2.0, lead)
-cross = np.full((L, L), 1.0 / L, order="F")
-dpftrf(warm[0])
-dsfrk(dtfsm(warm[0], cross, trans=True), warm[1])
-assert dpftrf(warm[1])[1] == 0
+build_basis([s, n], 4)  # loads the FFT
 before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-basis = build_basis([s, s if second == "s" else n], L)
+basis = build_basis([s, n], L)
 after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
 unit = 1 if sys.platform == "darwin" else 1024  # ru_maxrss is in kB on Linux
 print(json.dumps({"growth": (after - before) * unit,
-                  "events": basis.regularization_events,
                   "held": basis._factor.ss.nbytes + basis._factor.nn.nbytes}))
 """
 
@@ -730,9 +639,8 @@ def _subprocess_env() -> dict:
 
 class TestMemory:
     """Memory of a k=2 basis at T=20000, L=1024, whose factor holds two
-    packed L-by-L triangles, L(L+1) * 8 = 8.4 MB, and whose L-by-L blocks are
-    8.4 MB each: a breakdown works in the triangles and one L-by-L cross
-    block, 2L(2L+1)/2 * 8 = 16.8 MB in all, the size of a packed Gram."""
+    packed L-by-L triangles, L(L+1) * 8 = 8.4 MB; an L-by-L block is 8.4 MB
+    and a dense Gram 33.6 MB."""
 
     T, L = 20000, 1024
 
@@ -752,12 +660,12 @@ class TestMemory:
         finally:
             tracemalloc.stop()
 
-    def resident_growth(self, second: str) -> dict:
-        """Growth of the peak resident size over ``build_basis([s, <second>])``
-        in a fresh interpreter, which counts what LAPACK's own buffers page
-        in beside numpy's allocations."""
+    def resident_growth(self) -> dict:
+        """Growth of the peak resident size over ``build_basis([s, n])`` in a
+        fresh interpreter, which counts every page the build touches beside
+        numpy's allocations."""
         result = subprocess.run(
-            [sys.executable, "-c", _RESIDENT_GROWTH, str(self.T), str(self.L), second],
+            [sys.executable, "-c", _RESIDENT_GROWTH, str(self.T), str(self.L)],
             env=_subprocess_env(), capture_output=True, text=True, timeout=120)
         assert result.returncode == 0, result.stderr[-3000:]
         return json.loads(result.stdout)
@@ -771,22 +679,10 @@ class TestMemory:
 
     @pytest.mark.skipif(sys.platform == "win32", reason="needs resource.getrusage")
     def test_build_holds_one_gram(self):
-        # a Schur-path basis: U_ss and U_nn, and no U_sn
-        measured = self.resident_growth("n")
-        assert measured["events"] == []
-        assert measured["growth"] <= self.basis_bound(self.L * (self.L + 1) * 8)
-
-    @pytest.mark.skipif(sys.platform == "win32", reason="needs resource.getrusage")
-    def test_regularized_build_holds_one_gram(self):
-        # n = s takes the block path: the two triangles, factorized in place,
-        # and the cross block, dropped once the noise block is updated
-        measured = self.resident_growth("s")
-        dim = 2 * self.L
-        assert measured["growth"] <= self.basis_bound(dim * (dim + 1) // 2 * 8)
+        # U_ss and U_nn, and no U_sn
+        measured = self.resident_growth()
         assert measured["held"] == self.L * (self.L + 1) * 8
-        assert measured["events"] == [
-            "gram-regularized: diagonal loading 1.0532e-05 from reference 1 on "
-            "(L=1024, refs=2)"]
+        assert measured["growth"] <= self.basis_bound(self.L * (self.L + 1) * 8)
 
     def test_nested_projection_copies_no_factor_block(self, signals):
         s, n, x = signals
@@ -796,26 +692,8 @@ class TestMemory:
 
 
 class TestGramSizeCheck:
-    def test_gram_over_available_memory_refused(self, monkeypatch, running_example):
-        # at L = T = 4 the Schur steps are not taken and the block path works
-        # in a 4-by-4 cross block, 128 bytes, beside the 160-byte factor
-        s, n, _, _ = running_example
-        made = []
-        empty = projection_module._empty_cross_block
-        monkeypatch.setattr(projection_module, "_empty_cross_block",
-                            lambda L: made.append(empty(L)) or made[-1])
-        available = iter([160, 127])
-        monkeypatch.setattr(projection_module, "_mem_available", lambda: next(available))
-        with pytest.raises(ValueError, match=r"^cannot allocate the cross block: L=4 "
-                                             r"needs L\*L\*8 = 128 bytes$"):
-            build_basis([s, n], 4)
-        assert made == []
-        available = iter([160, 128])
-        assert build_basis([s, n], 4).regularization > 0.0
-        assert made[0].nbytes == 128
-
     def test_schur_factor_over_available_memory_refused(self, monkeypatch):
-        # a Schur-path basis allocates two packed L-by-L triangles, at L = 7
+        # a basis allocates two packed L-by-L triangles, at L = 7
         # 448 bytes, and copies the O(L) lag row and tails of G_sn unguarded
         refs, L = _lowpass_pair(64), 7
         allocated = []
@@ -838,14 +716,15 @@ class TestGramSizeCheck:
         # refuses (here 2^57 bytes, beyond any address space) is the same error
         monkeypatch.setattr(projection_module, "_mem_available", lambda: None)
         L = 1 << 27
-        with pytest.raises(ValueError, match=r"^cannot allocate the cross block: "
-                                             rf"L={L} needs L\*L\*8 = {L * L * 8} bytes$"):
-            projection_module._empty_cross_block(L)
+        with pytest.raises(ValueError, match=r"^cannot allocate the Gram factor: "
+                                             rf"L={L} needs L\(L\+1\)\*8 = {L * (L + 1) * 8} "
+                                             r"bytes$"):
+            projection_module._empty_split_factor(L, np.zeros(1), [np.zeros(2)] * 2)
 
     def test_no_meminfo_leaves_the_allocation_to_numpy(self, monkeypatch, running_example):
         s, n, _, _ = running_example
         monkeypatch.setattr(projection_module, "_mem_available", lambda: None)
-        assert build_basis([s, n], 1).regularization == 0.0
+        assert build_basis([s, n], 1)._factor.ss.shape == (1, 1)
 
     def test_reads_mem_available(self):
         if not os.path.exists("/proc/meminfo"):
@@ -968,11 +847,9 @@ class TestLapackBinding:
     def test_factor_and_solves_match_numpy(self, lapack):
         rng = np.random.default_rng(2)
         for n in (40, 41):  # even and odd order
-            gram = self.spd(n, seed=1)
-            factor, info = projection_module.dpftrf(_packed(gram))
-            assert info == 0
-            upper = _unpacked(factor.T)
-            assert_allclose(upper, np.linalg.cholesky(gram).T, rtol=0, atol=1e-12)
+            upper = np.linalg.cholesky(self.spd(n, seed=1)).T
+            factor = _packed(upper)
+            assert np.array_equal(_unpacked(factor.T), upper)
             for b in (rng.standard_normal(n), np.asfortranarray(rng.standard_normal((n, 3)))):
                 for trans, triangle in ((True, upper.T), (False, upper)):
                     x = projection_module.dtfsm(factor, b.copy(order="F"), trans=trans)
@@ -983,18 +860,15 @@ class TestLapackBinding:
         # which _write_row writes rows of the matrix along rows of the array
         rng = np.random.default_rng(3)
         for n in (1, 2, 40, 41):
-            gram = self.spd(n, seed=n)
+            upper = np.linalg.cholesky(self.spd(n, seed=n)).T
             packed = np.empty((n - n // 2, 2 * (n // 2) + 1), order="F")
             lead = np.empty((projection_module.BLOCK_ROWS, n // 2))
             for i in range(n):
-                projection_module._write_row(packed.T, i, gram[i, i:].copy(), lead)
-            assert np.array_equal(packed, _packed(gram))
-            factor, info = projection_module.dpftrf(packed)
-            assert info == 0
-            upper = np.linalg.cholesky(gram).T
+                projection_module._write_row(packed.T, i, upper[i, i:].copy(), lead)
+            assert np.array_equal(packed, _packed(upper))
             for b in (rng.standard_normal(n), np.asfortranarray(rng.standard_normal((n, 3)))):
                 for trans, triangle in ((True, upper.T), (False, upper)):
-                    x = projection_module.dtfsm(factor, b.copy(order="F"), trans=trans)
+                    x = projection_module.dtfsm(packed, b.copy(order="F"), trans=trans)
                     assert_allclose(x, np.linalg.solve(triangle, b), rtol=1e-10, atol=1e-12)
 
     def test_rank_update_matches_numpy(self, lapack):
@@ -1032,14 +906,12 @@ class TestLapackBinding:
 
     def test_every_factor_has_a_positive_diagonal(self, running_example):
         # dtfsm checks no pivot: a solve is safe because every factor that
-        # build_basis keeps, loaded or not, has a strictly positive diagonal
+        # build_basis keeps has a strictly positive diagonal
         s, n, _, _ = running_example
-        bases = [build_basis(refs, L) for refs in ([s, n], [s, s]) for L in (1, 2, 3)]
-        for seed in range(4):
+        bases = [build_basis([s, n], 1)]
+        for seed in range(8):
             case = make_case(seed)
-            bases += [build_basis([case.s, case.n], case.max_delay),
-                      build_basis([case.s, case.s], case.max_delay)]
-        assert sum(b.regularization > 0.0 for b in bases) >= 7  # each [s, s] is loaded
+            bases.append(build_basis([case.s, case.n], case.max_delay))
         for basis in bases:
             assert np.all(np.diagonal(_unpacked_factor(basis._factor)) > 0.0)
 

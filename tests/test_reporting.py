@@ -183,8 +183,7 @@ def test_summary_csv(tmp_path):
 def test_run_manifest_is_json_without_timestamps(tmp_path):
     path = write_run_manifest(tmp_path, RunManifest(
         command="oa", parameters={"grid": [0.0, 0.5]}, max_delay=16,
-        aggregation="mean-of-per-utterance-db",
-        regularization_events=["gram-regularized: diagonal loading 1e-12"]))
+        aggregation="mean-of-per-utterance-db"))
     record = json.loads(Path(path).read_text())
     assert record["command"] == "oa"
     assert record["max_delay"] == 16

@@ -1,11 +1,10 @@
 import numpy as np
 import pytest
 
-from opdkit.projection import _unpacked_factor, build_basis
-from opdkit.selftest import (INVARIANT_TOLERANCES, LOWPASS_POLE, _check_case, _loaded_gram,
-                             _lowpass_noise, make_case, run_property_suite)
-from opdkit.signals import Waveform, energy
-from test_projection import BREAKDOWN_CASES, TestSchurFactor
+from opdkit.selftest import (INVARIANT_TOLERANCES, LOWPASS_POLE, _check_case, _lowpass_noise,
+                             make_case, run_property_suite)
+from opdkit.signals import energy
+from test_projection import TestSchurFactor  # collected here too: ROADMAP item 9
 
 import opdkit.projection as projection_module
 
@@ -98,34 +97,3 @@ def test_report_names_the_lapack_it_ran_on(monkeypatch):
 def test_case_count_validated():
     with pytest.raises(ValueError):
         run_property_suite(case_count=0)
-
-
-@pytest.mark.parametrize("case", [0, 1, *BREAKDOWN_CASES],
-                         ids=lambda case: "-".join(map(str, case)) if isinstance(case, tuple)
-                         else str(case))
-def test_backward_error_counts_the_recorded_loading(case):
-    # a loaded factor factorizes the Gram plus the loading it records: from
-    # reference 0 on for an impulse at the last sample and L = T, 1 for n = s
-    # and the running example; so does every factor a breakdown writes by
-    # blocks, loaded or not
-    if case == 0:
-        refs = [Waveform([0.0] * 7 + [1.0], 16000), Waveform(np.arange(8.0) % 3 - 1.0, 16000)]
-        basis = build_basis(refs, 3)
-    elif case == 1:
-        sample = make_case(1)
-        basis = build_basis([sample.s, sample.s], sample.max_delay)
-    else:
-        basis = build_basis(*TestSchurFactor.breakdown_case(*case))
-    upper, gram = _unpacked_factor(basis._factor), basis.gram
-    tol = INVARIANT_TOLERANCES["factor_backward_rel"] * np.linalg.norm(gram)
-    assert np.linalg.norm(upper.T @ upper - _loaded_gram(basis)) <= tol
-    first = case if case in (0, 1) else \
-        {"n=s": 1, "L=T": 0, "running": 1, "float32": None}[case[0]]
-    assert basis.loaded_from == first and bool(basis.regularization) == (first is not None)
-    # the manifest's event text, built from the recorded values, names that reference
-    assert basis.regularization_events == (() if first is None else (
-        f"gram-regularized: diagonal loading {basis.regularization:g} from reference "
-        f"{first} on (L={basis.max_delay}, refs=2)",))
-    if case in (0, 1):
-        assert f"from reference {case} on" in basis.regularization_events[0]
-        assert np.linalg.norm(upper.T @ upper - gram) > tol
