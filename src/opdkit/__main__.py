@@ -1,0 +1,6 @@
+"""``python -m opdkit``: the ``opdkit`` command."""
+
+from .cli import run
+
+if __name__ == "__main__":
+    run()

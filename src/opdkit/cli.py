@@ -129,7 +129,7 @@ def _numerics() -> dict:
 
 
 def _check_max_delay(max_delay: int) -> None:
-    if max_delay < 1:  # L <= T needs the audio and is checked by build_basis
+    if max_delay < 1:  # 2L <= T needs the audio and is checked by build_basis
         raise ValueError(f"max_delay must satisfy L >= 1, got {max_delay}")
 
 

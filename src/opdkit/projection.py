@@ -64,14 +64,16 @@ scipy's; numpy 1.x ships a different C implementation, hence the
 one LAPACK routine the solves call, is called through ``ctypes``, in place,
 on the OpenBLAS that numpy's own wheels bundle and have already loaded
 (``scipy_dtfsm_64_``), so neither importing this module nor solving loads
-scipy.  The packed Cholesky factorization (``dpftrf``) and rank-k update
-(``dsfrk``) are bound beside it but no longer called by ``build_basis``.  A
-numpy built against another LAPACK (MKL, Accelerate, a distribution's
-OpenBLAS) exports no such symbols; the same three routines then come from
-``scipy.linalg.cython_lapack``.  The symbols are resolved at the first call
-of any, which raises ``ImportError`` naming both sources when neither has
-them; ``lapack_source`` names the one bound and ``openblas_threads`` gives
-the thread count of numpy's OpenBLAS.
+scipy.  A numpy built against another LAPACK (MKL, Accelerate, a
+distribution's OpenBLAS) exports no such symbol; the routine then comes from
+``scipy.linalg.cython_lapack``.  The symbol is resolved at the first call,
+which raises ``ImportError`` naming both sources when neither has it;
+``lapack_source`` names the one bound and ``openblas_threads`` gives the
+thread count of numpy's OpenBLAS.
+
+``oracle_decomposition`` is the reference the fast path is checked against:
+one Householder QR of the dense delayed-copy matrix, sharing no code with
+the Gram solve.
 """
 
 import functools
@@ -91,8 +93,8 @@ __all__ = [
     "build_basis",
     "lapack_source",
     "openblas_threads",
+    "oracle_decomposition",
     "project",
-    "project_dense_oracle",
     "synthesize",
     "delayed_matrix",
 ]
@@ -100,11 +102,6 @@ __all__ = [
 DEFAULT_MAX_DELAY = 512
 
 DELAY_PADDING = "zero-pad-head"  # the delay convention; run manifests record it
-
-# Guards for the dense verification oracle, which materializes the full
-# delayed-copy matrix.
-DENSE_ORACLE_MAX_LENGTH = 8192
-DENSE_ORACLE_MAX_COLUMNS = 64
 
 # Least FFT length of an overlap-save block (see the module docstring).
 FFT_BLOCK_MIN = 4096
@@ -115,38 +112,32 @@ BLOCK_ROWS = 64
 
 
 class _Lapack(NamedTuple):
-    """LAPACK's ``dpftrf``, ``dtfsm`` and ``dsfrk`` with their C prototypes
-    declared, the integer type they take, the library they came from, and
-    that library's thread-count getter if it has one."""
+    """LAPACK's ``dtfsm`` with its C prototype declared, the integer type it
+    takes, the library it came from, and that library's thread-count getter
+    if it has one."""
 
-    pftrf: Callable
     tfsm: Callable
-    sfrk: Callable
     int_t: type
     source: str
     threads: Callable[[], int] | None
 
 
-_ROUTINES = ("dpftrf", "dtfsm", "dsfrk")
-
-
 def _numpy_openblas_pointers():
-    """(source, int type, dpftrf, dtfsm, dsfrk, thread count) of the
-    OpenBLAS numpy's wheels bundle.
+    """(source, int type, dtfsm, thread count) of the OpenBLAS numpy's
+    wheels bundle.
 
     ``dlsym`` on the handle of numpy's linalg extension also searches the
     libraries it links, so this finds the copy already loaded; a numpy
     built against another LAPACK raises ``AttributeError``."""
     import ctypes
     lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
-    return ("numpy's OpenBLAS", ctypes.c_int64,
-            *(getattr(lib, f"scipy_{name}_64_") for name in _ROUTINES),
+    return ("numpy's OpenBLAS", ctypes.c_int64, lib.scipy_dtfsm_64_,
             lib.scipy_openblas_get_num_threads64_)
 
 
 def _cython_lapack_pointers():
-    """(source, int type, dpftrf, dtfsm, dsfrk, None) from
-    ``scipy.linalg.cython_lapack``'s capsules; they export no thread count."""
+    """(source, int type, dtfsm, None) from ``scipy.linalg.cython_lapack``'s
+    capsule; it exports no thread count."""
     import ctypes
     from scipy.linalg.cython_lapack import __pyx_capi__ as capi
     api = ctypes.pythonapi
@@ -154,34 +145,27 @@ def _cython_lapack_pointers():
         ("PyCapsule_GetName", api))
     get_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
         ("PyCapsule_GetPointer", api))
-    return "scipy.linalg.cython_lapack", ctypes.c_int, *(
-        get_pointer(capi[name], get_name(capi[name])) for name in _ROUTINES), None
+    capsule = capi["dtfsm"]
+    return ("scipy.linalg.cython_lapack", ctypes.c_int,
+            get_pointer(capsule, get_name(capsule)), None)
 
 
 def _bind_lapack(source) -> _Lapack:
-    """Declare the C prototypes of the three routines ``source()`` points
-    at: ``DPFTRF(TRANSR, UPLO, N, A, INFO)``,
-    ``DTFSM(TRANSR, SIDE, UPLO, TRANS, DIAG, M, N, ALPHA, A, B, LDB)`` and
-    ``DSFRK(TRANSR, UPLO, TRANS, N, K, ALPHA, A, LDA, BETA, C)``,
+    """Declare the C prototype of the routine ``source()`` points at,
+    ``DTFSM(TRANSR, SIDE, UPLO, TRANS, DIAG, M, N, ALPHA, A, B, LDB)``:
     characters, integers and scalars by reference, no hidden Fortran string
     lengths."""
     import ctypes
-    name, int_t, *pointers, threads = source()
+    name, int_t, pointer, threads = source()
     char_p, int_p, double_p = ctypes.c_char_p, ctypes.POINTER(int_t), ctypes.c_void_p
-    scalar_p = ctypes.POINTER(ctypes.c_double)
-    prototypes = (ctypes.CFUNCTYPE(None, char_p, char_p, int_p, double_p, int_p),
-                  ctypes.CFUNCTYPE(None, char_p, char_p, char_p, char_p, char_p, int_p, int_p,
-                                   scalar_p, double_p, double_p, int_p),
-                  ctypes.CFUNCTYPE(None, char_p, char_p, char_p, int_p, int_p, scalar_p,
-                                   double_p, int_p, scalar_p, double_p))
-    return _Lapack(*(prototype(ctypes.cast(pointer, ctypes.c_void_p).value)
-                     for prototype, pointer in zip(prototypes, pointers)),
-                   int_t, name, threads)
+    prototype = ctypes.CFUNCTYPE(None, char_p, char_p, char_p, char_p, char_p, int_p, int_p,
+                                 ctypes.POINTER(ctypes.c_double), double_p, double_p, int_p)
+    return _Lapack(prototype(ctypes.cast(pointer, ctypes.c_void_p).value), int_t, name, threads)
 
 
 @functools.cache
 def _lapack() -> _Lapack:
-    """The routines of numpy's OpenBLAS, else of scipy; resolved once."""
+    """The routine of numpy's OpenBLAS, else of scipy; resolved once."""
     try:
         return _bind_lapack(_numpy_openblas_pointers)
     except AttributeError as numpy_err:
@@ -206,21 +190,21 @@ def openblas_threads() -> int | None:
     return None if threads is None else threads()
 
 
-def _check_array(routine: str, name: str, a: np.ndarray, rows: int) -> None:
-    """Refuse ``a`` unless it is what LAPACK reads and writes through a raw
+def _check_array(name: str, a: np.ndarray, rows: int) -> None:
+    """Refuse ``a`` unless it is what ``dtfsm`` reads and writes through a raw
     pointer: a vector, or a Fortran-ordered matrix, of ``rows`` rows.  A
     wrong dtype or layout would corrupt memory instead of raising.
 
     ``a`` must be writeable float64, one whole Fortran-contiguous array,
     within the memory of the array it is a view of."""
     if a.dtype != np.float64 or not a.flags.writeable or a.ndim not in (1, 2):
-        raise ValueError(f"{routine}: {name} must be a writeable float64 vector or "
+        raise ValueError(f"dtfsm: {name} must be a writeable float64 vector or "
                          f"matrix, got {a.ndim}-d {a.dtype} with "
                          f"WRITEABLE={a.flags.writeable}")
     if a.shape[0] != rows:
-        raise ValueError(f"{routine}: {name} must have {rows} rows, got shape {a.shape}")
+        raise ValueError(f"dtfsm: {name} must have {rows} rows, got shape {a.shape}")
     if not a.flags.f_contiguous:
-        raise ValueError(f"{routine}: {name} must be Fortran-contiguous, got strides "
+        raise ValueError(f"dtfsm: {name} must be Fortran-contiguous, got strides "
                          f"{a.strides}")
     base = a.base
     while base is not None:  # as_strided views hide their array behind a wrapper
@@ -228,40 +212,22 @@ def _check_array(routine: str, name: str, a: np.ndarray, rows: int) -> None:
             low, high = np.lib.array_utils.byte_bounds(a)
             base_low, base_high = np.lib.array_utils.byte_bounds(base)
             if low < base_low or high > base_high:
-                raise ValueError(f"{routine}: {name} reaches outside the array it is a "
+                raise ValueError(f"dtfsm: {name} reaches outside the array it is a "
                                  "view of")
         base = getattr(base, "base", None)
 
 
-def _packed_order(routine: str, a: np.ndarray) -> int:
+def _packed_order(a: np.ndarray) -> int:
     """Order n = n1 + n2 of the matrix that ``a`` holds in rectangular full
     packed format, transposed (LAPACK's ``TRANSR='T'``), once ``a`` is
     checked to be a Fortran-contiguous n2-by-(2 n1 + 1) array with n2 = n1
     or n1 + 1."""
     if a.ndim != 2 or a.shape[1] % 2 == 0 or a.shape[0] - a.shape[1] // 2 not in (0, 1) \
             or a.shape[0] < 1:
-        raise ValueError(f"{routine}: a must be an n2-by-(2 n1 + 1) array, n2 = n1 or n1 + 1, "
+        raise ValueError(f"dtfsm: a must be an n2-by-(2 n1 + 1) array, n2 = n1 or n1 + 1, "
                          f"got shape {a.shape}")
-    _check_array(routine, "a", a, a.shape[0])
+    _check_array("a", a, a.shape[0])
     return a.shape[1] // 2 + a.shape[0]
-
-
-def dpftrf(a: np.ndarray) -> tuple[np.ndarray, int]:
-    """LAPACK ``dpftrf`` (``TRANSR='T'``, ``UPLO='U'``): Cholesky factor
-    ``U`` (``Uᵀ U`` = the matrix) of the symmetric matrix whose upper triangle
-    ``a`` holds in rectangular full packed format, transposed, written in
-    place in the same format.  ``a`` is Fortran-ordered, n2-by-(2 n1 + 1)
-    with n2 = n1 or n1 + 1, for order n = n1 + n2.  Returns ``(a, info)``;
-    ``info > 0`` is the 1-based order of the first leading minor that is
-    not positive definite, and on ``info == 0`` every diagonal entry of
-    ``U`` is positive.  ``build_basis`` calls neither this nor ``dsfrk``."""
-    n = _packed_order("dpftrf", a)
-    lapack = _lapack()
-    info = lapack.int_t()
-    lapack.pftrf(b"T", b"U", lapack.int_t(n), a.ctypes.data, info)
-    if info.value < 0:
-        raise ValueError(f"dpftrf: argument {-info.value} had an illegal value")
-    return a, info.value
 
 
 def dtfsm(a: np.ndarray, b: np.ndarray, trans: bool) -> np.ndarray:
@@ -274,29 +240,13 @@ def dtfsm(a: np.ndarray, b: np.ndarray, trans: bool) -> np.ndarray:
     ``dtfsm`` checks no pivot; every pivot of a factor ``build_basis`` keeps
     is above the Schur steps' rounding floor."""
     import ctypes
-    n = _packed_order("dtfsm", a)
-    _check_array("dtfsm", "b", b, n)
+    n = _packed_order(a)
+    _check_array("b", b, n)
     lapack = _lapack()
     lapack.tfsm(b"T", b"L", b"U", b"T" if trans else b"N", b"N",
                 lapack.int_t(n), lapack.int_t(b.shape[1] if b.ndim == 2 else 1),
                 ctypes.c_double(1.0), a.ctypes.data, b.ctypes.data, lapack.int_t(n))
     return b
-
-
-def dsfrk(a: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """LAPACK ``dsfrk`` (``TRANSR='T'``, ``UPLO='U'``, ``TRANS='T'``):
-    ``C - Aᵀ A`` in place over ``c``, which holds ``C`` as ``dpftrf`` reads
-    it, for ``a`` Fortran-ordered k-by-n, n the order of ``C``.  Returns ``c``."""
-    import ctypes
-    n = _packed_order("dsfrk", c)
-    if a.ndim != 2 or a.shape[1] != n or a.shape[0] < 1:
-        raise ValueError(f"dsfrk: a must be a k-by-{n} matrix, k >= 1, got shape {a.shape}")
-    _check_array("dsfrk", "a", a, a.shape[0])
-    lapack = _lapack()
-    lapack.sfrk(b"T", b"U", b"T", lapack.int_t(n), lapack.int_t(a.shape[0]),
-                ctypes.c_double(-1.0), a.ctypes.data, lapack.int_t(a.shape[0]),
-                ctypes.c_double(1.0), c.ctypes.data)
-    return c
 
 
 class SingularProjectionError(RuntimeError):
@@ -373,11 +323,13 @@ class ProjectionBasis:
 
 
 def delayed_matrix(x: np.ndarray, max_delay: int) -> np.ndarray:
-    """T-by-L matrix whose columns are ``x`` delayed by 0 .. L-1 samples."""
-    T = len(x)
-    A = np.zeros((T, max_delay))
+    """T-by-kL matrix whose column ``i L + tau`` is row i of ``x``, k signals
+    of T samples (one, if ``x`` is a vector), delayed by tau = 0 .. L-1."""
+    x = np.atleast_2d(x)
+    T = x.shape[1]
+    A = np.zeros((T, len(x) * max_delay))
     for tau in range(max_delay):
-        A[tau:, tau] = x[: T - tau]
+        A[tau:, tau::max_delay] = x[:, :T - tau].T
     return A
 
 
@@ -722,8 +674,9 @@ def _solve(factor: _SplitFactor, b: np.ndarray) -> tuple[np.ndarray, np.ndarray,
 
 
 def _validate_references(references: Sequence[Waveform], max_delay: int) -> None:
-    if not references:
-        raise ValueError("expected references, got none")
+    """Refuse references of unequal length or rate or all-zero, and an L
+    below 1 or above T/2: 2L delayed copies in R^T with T < 2L are linearly
+    dependent."""
     T = len(references[0])
     rate = references[0].sample_rate
     for i, ref in enumerate(references):
@@ -733,8 +686,12 @@ def _validate_references(references: Sequence[Waveform], max_delay: int) -> None
             raise ValueError(f"reference {i}: sample rate mismatch ({ref.sample_rate} vs {rate})")
         if energy(ref) == 0.0:
             raise ValueError(f"reference {i} is all-zero")
-    if not 1 <= max_delay <= T:
-        raise ValueError(f"max_delay must satisfy 1 <= L <= T={T}, got {max_delay}")
+    if max_delay < 1:
+        raise ValueError(f"max_delay must satisfy L >= 1, got {max_delay}")
+    if 2 * max_delay > T:
+        raise ValueError(f"max_delay L={max_delay} needs T >= 2L samples, got T={T}: the 2L "
+                         f"delayed copies are linearly dependent; lower -L to at most T//2 = "
+                         f"{T // 2}")
 
 
 def build_basis(references: Sequence[Waveform], max_delay: int) -> ProjectionBasis:
@@ -762,9 +719,6 @@ def build_basis(references: Sequence[Waveform], max_delay: int) -> ProjectionBas
     _validate_references(references, max_delay)
     refs = tuple(references)
     L, T = max_delay, len(references[0])
-    if 2 * L > T:
-        raise ValueError(f"max_delay L={L} needs T >= 2L samples, got T={T}: the 2L delayed "
-                         f"copies are linearly dependent; lower -L to at most T//2 = {T // 2}")
     M = _block_length(T, L)
     arrays = [r.samples for r in refs]
     spectra = tuple(_block_spectra(a, L, M, extended=False) for a in arrays)
@@ -841,28 +795,41 @@ def synthesize(basis: ProjectionBasis, coefficients: np.ndarray) -> np.ndarray:
     return np.stack(rows)
 
 
-def project_dense_oracle(references: Sequence[Waveform], max_delay: int,
-                         x: Waveform) -> Waveform:
-    """Reference implementation of ``P_s x`` (``references = [s]``) or
-    ``P_sn x`` (``[s, n]``), what ``synthesize`` makes of ``project``'s
-    ``c_s`` or ``c``, by explicit least squares.
+def oracle_decomposition(s: Waveform, n: Waveform, x: Waveform,
+                         max_delay: int) -> tuple[Waveform, Waveform, Waveform]:
+    """Reference ``(s_target, e_noise, e_artif)`` of ``x`` on the delayed
+    copies of ``s`` and ``n``, what a ``Decomposer`` gives, by one reduced
+    Householder QR (``np.linalg.qr``) of the dense T-by-2L delayed-copy
+    matrix ``A``, sharing no code with the Gram solve.
 
-    Materializes the delayed-copy matrix and solves with an SVD-backed
-    least-squares routine, sharing no code path with the fast Gram solver.
-    Guarded to small problems (T <= 8192, k*L <= 64).
+    QR keeps nested column spans: Q's first L columns span the delays of
+    ``s`` and all 2L those of both, so with ``c = Qᵀ x``, ``s_target = P_s x
+    = Q[:, :L] c[:L]``, ``e_noise = P_sn x - P_s x = Q[:, L:] c[L:]`` and
+    ``e_artif = x - s_target - e_noise``.  An oracle dB cell is
+    ``metrics.metrics_from_gram`` of the components' Gram.
+
+    References ``build_basis`` would refuse for their length, rate, energy
+    or L (T < 2L) are refused with its messages.  The matrix, numpy's copy
+    of it and Q are three T-by-2L arrays, and the resident size grows by
+    about five: at T=16000 and L=256 (measured on a 2-core x86-64 host,
+    numpy 2.4 and its OpenBLAS), a 65.5 MB matrix, a 199 MB traced peak and
+    318 MB of growth in 1.5 s; at T=64000 and L=64, 305 MB in 2.1 s.  So a
+    QR needing 5 T 2L 8 bytes beyond the available memory is refused before
+    anything is allocated.
     """
-    _validate_references(references, max_delay)
-    T = len(references[0])
-    if len(x) != T:
-        raise ValueError(f"dense oracle: length mismatch ({len(x)} vs {T})")
-    if x.sample_rate != references[0].sample_rate:
-        raise ValueError("dense oracle: sample rate mismatch")
-    n_cols = len(references) * max_delay
-    if T > DENSE_ORACLE_MAX_LENGTH or n_cols > DENSE_ORACLE_MAX_COLUMNS:
-        raise ValueError(
-            f"dense oracle guard exceeded: T={T} (max {DENSE_ORACLE_MAX_LENGTH}), "
-            f"columns={n_cols} (max {DENSE_ORACLE_MAX_COLUMNS})"
-        )
-    A = np.hstack([delayed_matrix(r.samples, max_delay) for r in references])
-    coeffs, *_ = np.linalg.lstsq(A, x.samples, rcond=None)
-    return Waveform(A @ coeffs, x.sample_rate)
+    _validate_references([s, n], max_delay)
+    T, L = len(s), max_delay
+    if len(x) != T or x.sample_rate != s.sample_rate:
+        raise ValueError(f"oracle_decomposition: x has {len(x)} samples at {x.sample_rate} Hz, "
+                         f"the references {T} at {s.sample_rate} Hz")
+
+    def components():
+        q = np.linalg.qr(delayed_matrix(np.stack([s.samples, n.samples]), L))[0]
+        c = q.T @ x.samples
+        return q[:, :L] @ c[:L], q[:, L:] @ c[L:]
+
+    s_target, e_noise = _allocate(5 * T * 2 * L * 8, f"the oracle's QR: T={T}, 2L={2 * L} "
+                                  "needs 5*T*2L*8", components)
+    rate = x.sample_rate
+    return (Waveform(s_target, rate), Waveform(e_noise, rate),
+            Waveform(x.samples - s_target - e_noise, rate))

@@ -2,9 +2,11 @@
 
 Each case draws correlated (one-pole lowpass filtered) Gaussian signals,
 runs the full decomposition/analysis stack, and checks every advertised
-identity against independent oracles: dense least-squares projection,
-explicit delayed-copy matrices, re-decomposition of modified signals, and
-the synthesized waveforms behind every coefficient-space Gram.
+identity against independent oracles: the projections of one Householder
+QR of the dense delayed-copy matrix (``projection.oracle_decomposition``,
+refused beyond the available memory before it allocates), explicit
+delayed-copy matrices, re-decomposition of modified signals, and the
+synthesized waveforms behind every coefficient-space Gram.
 Correlated rather than white noise is used on purpose; it stresses the Gram
 conditioning the way real speech does.  The lowpass is a plain recursion,
 so the suite needs numpy alone; the CLI imports this module only under
@@ -23,7 +25,7 @@ import numpy as np
 from .analysis import DsaPoint, OaPoint, dsa_synthesize, oa_apply
 from .decomposition import Decomposer, cross_gram, recompose
 from .metrics import compute_metrics, sar_improvement_closed_form
-from .projection import _unpacked_factor, delayed_matrix, lapack_source, project_dense_oracle
+from .projection import _unpacked_factor, delayed_matrix, lapack_source, oracle_decomposition
 from .signals import Waveform, add, energy, inner, scale
 
 __all__ = ["OracleCase", "SelfTestReport", "make_case", "run_property_suite",
@@ -172,7 +174,7 @@ def _check_case(case: OracleCase, dev: dict) -> None:
          _rel(recompose(d).samples - s_hat.samples, np.linalg.norm(s_hat.samples)))
 
     # Gram matrix against the explicit delayed-copy matrix
-    a_joint = np.hstack([delayed_matrix(s.samples, L), delayed_matrix(n.samples, L)])
+    a_joint = delayed_matrix(np.stack([s.samples, n.samples]), L)
     gram_dense = a_joint.T @ a_joint
     bump("gram_vs_dense_rel",
          np.max(np.abs(dec.basis.gram - gram_dense)) / np.max(np.abs(gram_dense)))
@@ -183,13 +185,12 @@ def _check_case(case: OracleCase, dev: dict) -> None:
     bump("factor_backward_rel",
          np.linalg.norm(upper.T @ upper - dec.basis.gram) / np.linalg.norm(gram_dense))
 
-    # fast projections against dense least squares
-    dense_s = project_dense_oracle([s], L, s_hat)
-    dense_sn = project_dense_oracle([s, n], L, s_hat)
+    # fast projections against the QR oracle's
+    dense_s, dense_noise, _ = oracle_decomposition(s, n, s_hat, L)
+    dense_sn = dense_s.samples + dense_noise.samples
     bump("fast_vs_dense_projection_rel",
          _rel(d.s_target.samples - dense_s.samples, np.linalg.norm(dense_s.samples)))
-    bump("fast_vs_dense_projection_rel",
-         _rel(p_sn - dense_sn.samples, np.linalg.norm(dense_sn.samples)))
+    bump("fast_vs_dense_projection_rel", _rel(p_sn - dense_sn, np.linalg.norm(dense_sn)))
 
     # error components orthogonal to the delayed copies they must not
     # contain; the angle is meaningless for dust-sized components, so those

@@ -717,7 +717,8 @@ class TestSweepArguments:
                      "-L", "1601", "--out", str(tmp_path / "X")]) == 1
         err = capsys.readouterr().err
         assert "every utterance failed" in err
-        assert err.count("1 <= L <= T=1600, got 1601") == 2
+        assert err.count("ValueError: max_delay L=1601 needs T >= 2L samples, got T=1600: ") == 2
+        assert err.count("lower -L to at most T//2 = 800") == 2
 
     def test_max_delay_beyond_half_the_length_fails_each_utterance(self, tmp_path,
                                                                    enhanced_corpus, capsys):
@@ -938,9 +939,11 @@ except SystemExit as exc:
 def test_entry_point_exits_as_before_and_freezes_the_collector():
     # run() freezes the collector on every way out, SystemExit from
     # --version included, so exit skips the last cyclic collection
-    out = subprocess.run([sys.executable, "-m", "opdkit.cli", "--version"], env=_child_env(),
-                         capture_output=True, text=True, timeout=120)
-    assert (out.returncode, out.stdout, out.stderr) == (0, f"opdkit {opdkit.__version__}\n", "")
+    for module in ("opdkit", "opdkit.cli"):
+        out = subprocess.run([sys.executable, "-m", module, "--version"], env=_child_env(),
+                             capture_output=True, text=True, timeout=120)
+        assert (out.returncode, out.stdout, out.stderr) == \
+            (0, f"opdkit {opdkit.__version__}\n", ""), module
     out = subprocess.run([sys.executable, "-c", _FREEZE_PROBE], env=_child_env(), check=True,
                          capture_output=True, text=True, timeout=120)
     assert out.stdout.splitlines() == [f"opdkit {opdkit.__version__}", "0 True"]
