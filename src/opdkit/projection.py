@@ -39,14 +39,16 @@ rotation applied with ``np.matmul``, make ``U`` row by row in O(L^2) work
 (``_schur_factor``; Kailath and Sayed, SIAM Review 1995).
 
 Of ``U = [[U_ss, U_sn], [0, U_nn]]`` such a basis holds the two triangles
-(``_SplitFactor``), each in LAPACK's rectangular full packed (RFP) format,
-transposed (``TRANSR='T'``, ``UPLO='U'``), L(L+1)/2 doubles.  ``U_sn =
-U_ss⁻ᵀ G_sn`` is never formed: ``G_sn = Toep(r_sn) - R_s R_nᵀ``, ``R_x``
-the strictly lower triangular Toeplitz matrix of x's reversed tail, so
-the basis keeps that lag row and the tails, O(L), and a product with
-``G_sn`` or its transpose is a few FFTs (``_cross_product``).  The solve
-runs by blocks, ``dtfsm`` on ``U_ss`` and ``U_nn`` and one cross product per
-direction, whatever the number of right-hand sides (``_solve``).
+(``_SplitFactor``), each in LAPACK's packed storage of its transpose
+(``UPLO='L'``), L(L+1)/2 doubles: row i of the triangle, from its diagonal
+on, at offset i L - i(i-1)/2, so each Schur step writes one contiguous
+slice.  ``U_sn = U_ss⁻ᵀ G_sn`` is never formed: ``G_sn = Toep(r_sn) - R_s
+R_nᵀ``, ``R_x`` the strictly lower triangular Toeplitz matrix of x's
+reversed tail, so the basis keeps that lag row and the tails, O(L), and a
+product with ``G_sn`` or its transpose is a few FFTs (``_cross_product``).
+The solve runs by blocks, ``dtptrs`` on ``U_ss`` and ``U_nn`` and one cross
+product per direction, whatever the number of right-hand sides
+(``_solve``).
 
 A Gram that the Schur steps cannot factor is refused, not approximated:
 T < 2L (2L delayed copies in R^T are linearly dependent) and a 2-by-2
@@ -54,16 +56,15 @@ corner that is not positive definite (the noise reference a multiple of the
 speech reference) raise before the factor is allocated, and a pivot at or
 below the rounding floor raises ``SingularProjectionError`` naming its step.
 Any other answer would not be the orthogonal projection the decomposition
-is defined by.  Only the writer ``_write_row`` and the check-only
-``_unpacked`` know where in a packed array an entry lies.
+is defined by.
 
 FFTs come from ``numpy.fft``.  From numpy 2.0 on that is the C++ pocketfft
 that ``scipy.fft`` also wraps, so transforms are bitwise the same as
 scipy's; numpy 1.x ships a different C implementation, hence the
-``numpy>=2.0`` floor.  LAPACK's packed triangular solve (``dtfsm``), the
+``numpy>=2.0`` floor.  LAPACK's packed triangular solve (``dtptrs``), the
 one LAPACK routine the solves call, is called through ``ctypes``, in place,
 on the OpenBLAS that numpy's own wheels bundle and have already loaded
-(``scipy_dtfsm_64_``), so neither importing this module nor solving loads
+(``scipy_dtptrs_64_``), so neither importing this module nor solving loads
 scipy.  A numpy built against another LAPACK (MKL, Accelerate, a
 distribution's OpenBLAS) exports no such symbol; the routine then comes from
 ``scipy.linalg.cython_lapack``.  The symbol is resolved at the first call,
@@ -106,24 +107,20 @@ DELAY_PADDING = "zero-pad-head"  # the delay convention; run manifests record it
 # Least FFT length of an overlap-save block (see the module docstring).
 FFT_BLOCK_MIN = 4096
 
-# Rows of a triangle that its writer (``_write_row``) gathers before writing
-# them along rows of the packed array: at most 512 KiB at L=2048.
-BLOCK_ROWS = 64
-
 
 class _Lapack(NamedTuple):
-    """LAPACK's ``dtfsm`` with its C prototype declared, the integer type it
+    """LAPACK's ``dtptrs`` with its C prototype declared, the integer type it
     takes, the library it came from, and that library's thread-count getter
     if it has one."""
 
-    tfsm: Callable
+    tptrs: Callable
     int_t: type
     source: str
     threads: Callable[[], int] | None
 
 
 def _numpy_openblas_pointers():
-    """(source, int type, dtfsm, thread count) of the OpenBLAS numpy's
+    """(source, int type, dtptrs, thread count) of the OpenBLAS numpy's
     wheels bundle.
 
     ``dlsym`` on the handle of numpy's linalg extension also searches the
@@ -131,12 +128,12 @@ def _numpy_openblas_pointers():
     built against another LAPACK raises ``AttributeError``."""
     import ctypes
     lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
-    return ("numpy's OpenBLAS", ctypes.c_int64, lib.scipy_dtfsm_64_,
+    return ("numpy's OpenBLAS", ctypes.c_int64, lib.scipy_dtptrs_64_,
             lib.scipy_openblas_get_num_threads64_)
 
 
 def _cython_lapack_pointers():
-    """(source, int type, dtfsm, None) from ``scipy.linalg.cython_lapack``'s
+    """(source, int type, dtptrs, None) from ``scipy.linalg.cython_lapack``'s
     capsule; it exports no thread count."""
     import ctypes
     from scipy.linalg.cython_lapack import __pyx_capi__ as capi
@@ -145,21 +142,20 @@ def _cython_lapack_pointers():
         ("PyCapsule_GetName", api))
     get_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
         ("PyCapsule_GetPointer", api))
-    capsule = capi["dtfsm"]
+    capsule = capi["dtptrs"]
     return ("scipy.linalg.cython_lapack", ctypes.c_int,
             get_pointer(capsule, get_name(capsule)), None)
 
 
 def _bind_lapack(source) -> _Lapack:
     """Declare the C prototype of the routine ``source()`` points at,
-    ``DTFSM(TRANSR, SIDE, UPLO, TRANS, DIAG, M, N, ALPHA, A, B, LDB)``:
-    characters, integers and scalars by reference, no hidden Fortran string
-    lengths."""
+    ``DTPTRS(UPLO, TRANS, DIAG, N, NRHS, AP, B, LDB, INFO)``: characters and
+    integers by reference, no hidden Fortran string lengths."""
     import ctypes
     name, int_t, pointer, threads = source()
     char_p, int_p, double_p = ctypes.c_char_p, ctypes.POINTER(int_t), ctypes.c_void_p
-    prototype = ctypes.CFUNCTYPE(None, char_p, char_p, char_p, char_p, char_p, int_p, int_p,
-                                 ctypes.POINTER(ctypes.c_double), double_p, double_p, int_p)
+    prototype = ctypes.CFUNCTYPE(None, char_p, char_p, char_p, int_p, int_p, double_p, double_p,
+                                 int_p, int_p)
     return _Lapack(prototype(ctypes.cast(pointer, ctypes.c_void_p).value), int_t, name, threads)
 
 
@@ -174,7 +170,7 @@ def _lapack() -> _Lapack:
         except ImportError as scipy_err:
             raise ImportError(f"no LAPACK to solve with: numpy bundles none ({numpy_err}) "
                               f"and the fallback, scipy, cannot be imported ({scipy_err}); "
-                              "install scipy") from scipy_err
+                              "pip install opdkit[lapack]") from scipy_err
 
 
 def lapack_source() -> str:
@@ -191,20 +187,20 @@ def openblas_threads() -> int | None:
 
 
 def _check_array(name: str, a: np.ndarray, rows: int) -> None:
-    """Refuse ``a`` unless it is what ``dtfsm`` reads and writes through a raw
-    pointer: a vector, or a Fortran-ordered matrix, of ``rows`` rows.  A
+    """Refuse ``a`` unless it is what ``dtptrs`` reads and writes through a
+    raw pointer: a vector, or a Fortran-ordered matrix, of ``rows`` rows.  A
     wrong dtype or layout would corrupt memory instead of raising.
 
     ``a`` must be writeable float64, one whole Fortran-contiguous array,
     within the memory of the array it is a view of."""
     if a.dtype != np.float64 or not a.flags.writeable or a.ndim not in (1, 2):
-        raise ValueError(f"dtfsm: {name} must be a writeable float64 vector or "
+        raise ValueError(f"dtptrs: {name} must be a writeable float64 vector or "
                          f"matrix, got {a.ndim}-d {a.dtype} with "
                          f"WRITEABLE={a.flags.writeable}")
     if a.shape[0] != rows:
-        raise ValueError(f"dtfsm: {name} must have {rows} rows, got shape {a.shape}")
+        raise ValueError(f"dtptrs: {name} must have {rows} rows, got shape {a.shape}")
     if not a.flags.f_contiguous:
-        raise ValueError(f"dtfsm: {name} must be Fortran-contiguous, got strides "
+        raise ValueError(f"dtptrs: {name} must be Fortran-contiguous, got strides "
                          f"{a.strides}")
     base = a.base
     while base is not None:  # as_strided views hide their array behind a wrapper
@@ -212,40 +208,34 @@ def _check_array(name: str, a: np.ndarray, rows: int) -> None:
             low, high = np.lib.array_utils.byte_bounds(a)
             base_low, base_high = np.lib.array_utils.byte_bounds(base)
             if low < base_low or high > base_high:
-                raise ValueError(f"dtfsm: {name} reaches outside the array it is a "
+                raise ValueError(f"dtptrs: {name} reaches outside the array it is a "
                                  "view of")
         base = getattr(base, "base", None)
 
 
-def _packed_order(a: np.ndarray) -> int:
-    """Order n = n1 + n2 of the matrix that ``a`` holds in rectangular full
-    packed format, transposed (LAPACK's ``TRANSR='T'``), once ``a`` is
-    checked to be a Fortran-contiguous n2-by-(2 n1 + 1) array with n2 = n1
-    or n1 + 1."""
-    if a.ndim != 2 or a.shape[1] % 2 == 0 or a.shape[0] - a.shape[1] // 2 not in (0, 1) \
-            or a.shape[0] < 1:
-        raise ValueError(f"dtfsm: a must be an n2-by-(2 n1 + 1) array, n2 = n1 or n1 + 1, "
-                         f"got shape {a.shape}")
-    _check_array("a", a, a.shape[0])
-    return a.shape[1] // 2 + a.shape[0]
+def dtptrs(a: np.ndarray, b: np.ndarray, trans: bool) -> np.ndarray:
+    """LAPACK ``dtptrs`` (``UPLO='L'``, ``DIAG='N'``): solve ``Uᵀ x = b``
+    (``trans``) or ``U x = b`` for the n-by-n upper triangular ``U`` whose
+    transpose ``a`` holds in packed storage, n(n+1)/2 doubles, row i of
+    ``U`` from its diagonal on at offset i n - i(i-1)/2, in place over
+    ``b``: a vector, or a Fortran-ordered matrix of one right-hand side per
+    column.  Returns ``b``; a zero on the diagonal of ``U`` raises.
 
-
-def dtfsm(a: np.ndarray, b: np.ndarray, trans: bool) -> np.ndarray:
-    """LAPACK ``dtfsm`` (``TRANSR='T'``, ``SIDE='L'``, ``UPLO='U'``): solve
-    ``Uᵀ x = b`` (``trans``) or ``U x = b`` for the upper triangular ``U``
-    whose upper triangle ``a`` holds in rectangular full packed format,
-    transposed, in place over ``b``: a vector, or a Fortran-ordered matrix of
-    one right-hand side per column.  Returns ``b``.
-
-    ``dtfsm`` checks no pivot; every pivot of a factor ``build_basis`` keeps
-    is above the Schur steps' rounding floor."""
-    import ctypes
-    n = _packed_order(a)
+    Every pivot of a factor ``build_basis`` keeps is above the Schur steps'
+    rounding floor."""
+    n = (math.isqrt(8 * a.size + 1) - 1) // 2
+    if a.ndim != 1 or n < 1 or n * (n + 1) // 2 != a.size:
+        raise ValueError(f"dtptrs: a must be a vector of n(n+1)/2 doubles, n >= 1, got "
+                         f"shape {a.shape}")
+    _check_array("a", a, a.size)
     _check_array("b", b, n)
     lapack = _lapack()
-    lapack.tfsm(b"T", b"L", b"U", b"T" if trans else b"N", b"N",
-                lapack.int_t(n), lapack.int_t(b.shape[1] if b.ndim == 2 else 1),
-                ctypes.c_double(1.0), a.ctypes.data, b.ctypes.data, lapack.int_t(n))
+    info = lapack.int_t(0)
+    lapack.tptrs(b"L", b"N" if trans else b"T", b"N", lapack.int_t(n),
+                 lapack.int_t(b.shape[1] if b.ndim == 2 else 1), a.ctypes.data, b.ctypes.data,
+                 lapack.int_t(n), info)
+    if info.value:  # > 0: diagonal entry INFO of U is zero; < 0: argument -INFO is illegal
+        raise RuntimeError(f"dtptrs: INFO = {info.value}")
     return b
 
 
@@ -258,11 +248,10 @@ class _SplitFactor(NamedTuple):
     """The Cholesky factor ``U = [[U_ss, U_sn], [0, U_nn]]`` of a basis,
     held without ``U_sn = U_ss⁻ᵀ G_sn``.
 
-    ``ss`` and ``nn`` hold ``U_ss`` and ``U_nn`` in rectangular full packed
-    format, transposed (``TRANSR='T'``): n2-by-(2 n1 + 1) Fortran arrays,
-    n1 = L // 2 and n2 = L - n1, of L(L+1)/2 doubles each.  Their
-    transposes, C-ordered, are the ``TRANSR='N'`` layout, in which
-    ``_write_row`` writes rows of a triangle along rows of the array.
+    ``ss`` and ``nn`` hold ``U_ss`` and ``U_nn`` in the packed storage of
+    their transposes that ``dtptrs`` reads (``UPLO='L'``): vectors of
+    L(L+1)/2 doubles, row i of the triangle from its diagonal on at offset
+    i L - i(i-1)/2.
     ``lags`` (``_lag_rows``' ``rows[0, 1]``, 2L - 1 doubles) and ``tails``
     (each reference's last L - 1 samples, reversed) make ``G_sn`` for
     ``_cross_product``."""
@@ -279,9 +268,9 @@ class ProjectionBasis:
 
     ``_factor`` is the Cholesky factor ``U`` (``Uᵀ U`` = Gram), a
     ``_SplitFactor`` written by the Schur steps: ``U_ss`` and ``U_nn``
-    packed, L(L+1) doubles in all (33.6 MB at L=2048), plus the lag row and
-    reversed tails, 4L - 3 doubles, that make products with ``G_sn`` and so
-    stand for the cross block ``U_sn = U_ss⁻ᵀ G_sn``.  ``_unpacked_factor``
+    packed row by row, L(L+1) doubles in all (33.6 MB at L=2048), plus the
+    lag row and reversed tails, 4L - 3 doubles, that make products with
+    ``G_sn`` and so stand for the cross block ``U_sn = U_ss⁻ᵀ G_sn``.  ``_unpacked_factor``
     expands it.  Its leading L-by-L block factorizes ``G_ss`` alone, so one
     basis serves both ``P_s`` and ``P_sn``.
 
@@ -463,20 +452,17 @@ def _empty_split_factor(L: int, lags: np.ndarray,
     of L(L+1)/2 doubles each, uninitialized and refused beyond the available
     memory, beside copies of the lag row ``lags`` of ``arrays = (s, n)``
     and of their reversed tails."""
-    shape = (L - L // 2, 2 * (L // 2) + 1)
+    size = L * (L + 1) // 2
     ss, nn = _allocate(L * (L + 1) * 8, f"the Gram factor: L={L} needs L(L+1)*8",
-                       lambda: (np.empty(shape, order="F"), np.empty(shape, order="F")))
+                       lambda: (np.empty(size), np.empty(size)))
     return _SplitFactor(ss, nn, lags.copy(), np.stack([a[:-L:-1] for a in arrays]))
 
 
-def _unpacked(packed: np.ndarray) -> np.ndarray:
-    """The dim-by-dim upper triangle, zeros below it, that the rectangular
-    full packed array ``packed`` holds: a new array, for checks."""
-    n1, n2 = packed.shape[0] // 2, packed.shape[1]
-    upper = np.zeros((n1 + n2, n1 + n2))
-    for j in range(n2):
-        upper[:n1 + j + 1, n1 + j] = packed[:n1 + j + 1, j]
-        upper[j, j:n1] = packed[n1 + 1 + j:, j]
+def _unpacked(packed: np.ndarray, L: int) -> np.ndarray:
+    """The L-by-L upper triangle, zeros below it, whose rows ``packed`` holds
+    one after another from the diagonal on: a new array, for checks."""
+    upper = np.zeros((L, L))
+    upper[np.triu_indices(L)] = packed
     return upper
 
 
@@ -486,8 +472,8 @@ def _unpacked_factor(factor: _SplitFactor) -> np.ndarray:
     solves use it.  A new array, for checks."""
     L = len(factor.lags) // 2 + 1
     upper = np.zeros((2 * L, 2 * L))
-    upper[:L, :L], upper[L:, L:] = _unpacked(factor.ss.T), _unpacked(factor.nn.T)
-    upper[:L, L:] = dtfsm(factor.ss, _cross_product(factor, np.eye(L)), trans=True)
+    upper[:L, :L], upper[L:, L:] = _unpacked(factor.ss, L), _unpacked(factor.nn, L)
+    upper[:L, L:] = dtptrs(factor.ss, _cross_product(factor, np.eye(L)), trans=True)
     return upper
 
 
@@ -533,29 +519,6 @@ def _generator(arrays: Sequence[np.ndarray], rows: np.ndarray, L: int) -> np.nda
     return gen
 
 
-def _write_row(packed: np.ndarray, i: int, row: np.ndarray, lead: np.ndarray) -> None:
-    """Write row i of an upper triangular matrix, from its diagonal on, into
-    ``packed``, the C-ordered ``TRANSR='N'`` rectangular full packed array
-    that holds it, rows in order from 0.
-
-    Row i >= n1 goes along row i of ``packed`` from column i - n1.  Row
-    i < n1 goes along row i for its entries from column n1 on, and down
-    column i from row n1 + 1 + i for the rest, a strided write.  That part
-    is gathered in ``lead`` (R rows by n1) and written R columns at a time,
-    along rows of ``packed``; the block also fills entries above those
-    rows' diagonals, each of which a row i >= n1 writes later."""
-    n1 = packed.shape[0] // 2
-    if i >= n1:
-        packed[i, i - n1:] = row
-        return
-    packed[i] = row[n1 - i:]
-    start = i - i % len(lead)
-    k = i - start
-    lead[k, k:n1 - start] = row[:n1 - i]
-    if k == len(lead) - 1 or i == n1 - 1:
-        packed[n1 + 1 + start:, start:i + 1] = lead[:k + 1, :n1 - start].T
-
-
 def _schur_factor(factor: _SplitFactor, gen: np.ndarray, L: int) -> None:
     """Write the Cholesky factor U of the Gram whose displacement generator
     ``gen`` is (see ``_generator``) into the empty ``factor`` by 2L steps of
@@ -570,7 +533,8 @@ def _schur_factor(factor: _SplitFactor, gen: np.ndarray, L: int) -> None:
     generator; the first column is then row i of U, from its diagonal on,
     and is shifted by F for the next step.  Two work arrays of 5 x 2L and
     one 5-by-5 are all it uses; the generator and its image alternate
-    between them.  Of row i < L only the ``U_ss`` part is written (the
+    between them.  Each row goes into its packed triangle as one
+    contiguous slice; of row i < L only the ``U_ss`` part is written (the
     solves take ``U_sn`` from ``G_sn``, see ``_cross_product``).
 
     A pivot with a <= |β| (or not finite) leaves no positive δ: a
@@ -582,8 +546,6 @@ def _schur_factor(factor: _SplitFactor, gen: np.ndarray, L: int) -> None:
     rel = 2 * L * np.finfo(np.float64).eps
     # G_00 and G_LL: rows 0 and L of U₀ are those of Rᵀ
     floors = (rel * gen[0, 0] ** 2, rel * (gen[0, L] ** 2 + gen[1, L] ** 2))
-    ss, nn = factor.ss.T, factor.nn.T  # the TRANSR='N' layouts, C-ordered
-    lead = np.empty((BLOCK_ROWS, L // 2))
     theta_t = np.empty((5, 5))
     cur, nxt = gen, np.empty_like(gen)
     for i in range(2 * L):
@@ -615,10 +577,9 @@ def _schur_factor(factor: _SplitFactor, gen: np.ndarray, L: int) -> None:
                       [0.0, 0.0, h02, h12, h22]]
         column = np.matmul(theta_t, cur[:, i:], out=nxt[:, i:])[0]
         column[0] = a * gamma  # δ > 0, which the product with Θ may round
-        if i < L:
-            _write_row(ss, i, column[:L - i], lead)
-        else:
-            _write_row(nn, i - L, column, lead)
+        k = i % L  # row k of U_ss (i < L) or of U_nn, from its diagonal on
+        start = k * L - k * (k - 1) // 2
+        (factor.ss if i < L else factor.nn)[start:start + L - k] = column[:L - k]
         column[1:] = column[:-1]  # times F: down by one inside each block
         if i < L:
             nxt[0, L] = 0.0  # row L heads the noise block
@@ -660,16 +621,16 @@ def _solve(factor: _SplitFactor, b: np.ndarray) -> tuple[np.ndarray, np.ndarray,
 
     By blocks, ``z_n = U_nn⁻ᵀ (b_n - G_ns c_s)``, as ``U_snᵀ z_s = G_ns
     U_ss⁻¹ z_s``, then ``c_n = U_nn⁻¹ z_n`` and ``c[:L] = U_ss⁻¹ (z_s -
-    U_ss⁻ᵀ G_sn c_n)``: six ``dtfsm`` and two cross products in all."""
+    U_ss⁻ᵀ G_sn c_n)``: six ``dtptrs`` and two cross products in all."""
     L = len(b) // 2
-    zs = dtfsm(factor.ss, np.array(b[:L], order="F"), trans=True)
-    cs = dtfsm(factor.ss, zs.copy(order="F"), trans=False)
+    zs = dtptrs(factor.ss, np.array(b[:L], order="F"), trans=True)
+    cs = dtptrs(factor.ss, zs.copy(order="F"), trans=False)
     zn = np.subtract(b[L:], _cross_product(factor, cs, transpose=True), order="F")
-    b[:L], b[L:] = zs, dtfsm(factor.nn, zn, trans=True)
-    cn = dtfsm(factor.nn, zn, trans=False)
-    zs -= dtfsm(factor.ss, _cross_product(factor, cn), trans=True)
+    b[:L], b[L:] = zs, dtptrs(factor.nn, zn, trans=True)
+    cn = dtptrs(factor.nn, zn, trans=False)
+    zs -= dtptrs(factor.ss, _cross_product(factor, cn), trans=True)
     c = np.empty_like(b)
-    c[:L], c[L:] = dtfsm(factor.ss, zs, trans=False), cn
+    c[:L], c[L:] = dtptrs(factor.ss, zs, trans=False), cn
     return b, cs, c
 
 

@@ -221,7 +221,7 @@ class TestOaSweep:
 
         monkeypatch.setattr(Decomposer, "decompose_batch", counting)
         recorded(decomposition_module, "project")
-        for name in ("_solve", "_cross_product", "dtfsm"):
+        for name in ("_solve", "_cross_product", "dtptrs"):
             recorded(projection_module, name)
         monkeypatch.setattr(Decomposer, "decompose", None)  # no one-signal path
         oa_sweep(dec, s_hat, y, default_grid("oa"))
@@ -229,10 +229,10 @@ class TestOaSweep:
         assert seen[0][0] is s_hat and seen[0][1] is y
         block = (8, 2)
         assert calls == [("project", 2), ("_solve", (16, 2)),
-                         ("dtfsm", block, True), ("dtfsm", block, False),
-                         ("_cross_product", block, True), ("dtfsm", block, True),
-                         ("dtfsm", block, False), ("_cross_product", block),
-                         ("dtfsm", block, True), ("dtfsm", block, False)]
+                         ("dtptrs", block, True), ("dtptrs", block, False),
+                         ("_cross_product", block, True), ("dtptrs", block, True),
+                         ("dtptrs", block, False), ("_cross_product", block),
+                         ("dtptrs", block, True), ("dtptrs", block, False)]
 
     def test_closed_form_once_for_the_whole_grid(self, monkeypatch):
         import opdkit.analysis as analysis_module

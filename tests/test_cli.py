@@ -465,7 +465,7 @@ class TestOaCommand:
 
     def test_threads_match_serial_where_lapack_does_real_work(self, tmp_path, monkeypatch):
         # L=8 corpora never run two multithreaded LAPACK calls at once; at
-        # T=16000 and L=256 each basis solves with 256-by-256 dtfsm, beside
+        # T=16000 and L=256 each basis solves with 256-by-256 dtptrs, beside
         # the others
         corpus = tmp_path / "corpus.jsonl"
         with open(corpus, "w", encoding="utf-8") as fh:
@@ -832,7 +832,7 @@ def no_lapack(monkeypatch):
     import opdkit.projection as projection_module
 
     def numpy_without_openblas():
-        raise AttributeError("_umath_linalg.so: undefined symbol: scipy_dtfsm_64_")
+        raise AttributeError("_umath_linalg.so: undefined symbol: scipy_dtptrs_64_")
 
     def scipy_missing():
         raise ModuleNotFoundError("No module named 'scipy'", name="scipy")
@@ -858,7 +858,8 @@ def test_missing_lapack_is_an_error_naming_scipy(tmp_path, enhanced_corpus, mixe
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
     message = err.strip().removeprefix("error: ")
-    assert "scipy_dtfsm_64_" in message and "No module named 'scipy'" in message
+    assert "scipy_dtptrs_64_" in message and "No module named 'scipy'" in message
+    assert message.endswith("pip install opdkit[lapack]")
     assert not (tmp_path / "dec").exists()
     triplet = load_corpus_manifest(enhanced_corpus / "corpus.jsonl")[0]
     assert _sweep_task("oa", triplet, 8, [OaPoint(0.0)])[1] == f"ImportError: {message}"

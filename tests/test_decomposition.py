@@ -81,7 +81,7 @@ def test_one_correlation_pass_and_two_triangular_solves(monkeypatch):
     # back substitution, which also give the P_s coefficients c_s) and one
     # synthesis (P_sn x, for e_artif); reading s_target adds one synthesis
     # (P_s x, from c_s) and no solve.  Each
-    # substitution is three dtfsm on the diagonal blocks and one product
+    # substitution is three dtptrs on the diagonal blocks and one product
     # with the cross block G_sn.
     import opdkit.decomposition as decomposition_module
     import opdkit.projection as projection_module
@@ -89,7 +89,7 @@ def test_one_correlation_pass_and_two_triangular_solves(monkeypatch):
     case = make_case(0)
     dec = Decomposer(case.s, case.n, case.max_delay)
     assert isinstance(dec.basis._factor, projection_module._SplitFactor)
-    calls = dict.fromkeys(["_block_spectra", "_solve", "_cross_product", "dtfsm", "project",
+    calls = dict.fromkeys(["_block_spectra", "_solve", "_cross_product", "dtptrs", "project",
                            "synthesize"], 0)
 
     def counted(module, name):
@@ -102,9 +102,9 @@ def test_one_correlation_pass_and_two_triangular_solves(monkeypatch):
 
     counted(decomposition_module, "project")
     counted(decomposition_module, "synthesize")
-    for name in ("_block_spectra", "_solve", "_cross_product", "dtfsm"):
+    for name in ("_block_spectra", "_solve", "_cross_product", "dtptrs"):
         counted(projection_module, name)
-    decomposed = {"_block_spectra": 1, "_solve": 1, "_cross_product": 2, "dtfsm": 6,
+    decomposed = {"_block_spectra": 1, "_solve": 1, "_cross_product": 2, "dtptrs": 6,
                   "project": 1, "synthesize": 1}
     d = dec.decompose(case.s_hat)
     assert calls == decomposed

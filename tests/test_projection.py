@@ -141,22 +141,16 @@ class TestGram:
 
 
 def _packed(matrix: np.ndarray) -> np.ndarray:
-    """The upper triangle of ``matrix`` in rectangular full packed format,
-    transposed (``TRANSR='T'``), from the layout's definition: row j holds
-    column n1 + j from row 0 to the diagonal, then row j (j < n1) from the
-    diagonal on."""
-    dim = len(matrix)
-    n1 = dim // 2
-    out = np.empty((dim - n1, 2 * n1 + 1), order="F")
-    for j in range(dim - n1):
-        out[j, :n1 + j + 1] = matrix[:n1 + j + 1, n1 + j]
-        out[j, n1 + 1 + j:] = matrix[j, j:n1]
-    return out
+    """The upper triangle of ``matrix`` in the packed storage of its
+    transpose (``UPLO='L'``), from the layout's definition: the columns of
+    the lower triangle one after another, column j from the diagonal down,
+    that is, row j of the upper triangle from the diagonal on."""
+    return np.concatenate([matrix[j, j:] for j in range(len(matrix))])
 
 
 class TestPackedLayout:
-    """The factor's diagonal blocks, each packed and transposed
-    (``TRANSR='T'``)."""
+    """The factor's diagonal blocks, each in the packed storage of its
+    transpose (``UPLO='L'``)."""
 
     @pytest.mark.parametrize("seed", range(6))
     def test_pair_factor_leads_with_the_speech_factor(self, seed):
@@ -164,11 +158,11 @@ class TestPackedLayout:
         L = case.max_delay
         # that it factorizes the Gram is test_factor_is_the_factorized_gram
         joint = build_basis([case.s, case.n], L)
-        n1 = L // 2
-        assert joint._factor.ss.shape == (L - n1, 2 * n1 + 1)
+        assert joint._factor.ss.shape == (L * (L + 1) // 2,)
         assert joint._factor.ss.flags.f_contiguous
         speech = np.linalg.cholesky(joint.gram[:L, :L]).T
-        lead = _unpacked(joint._factor.ss.T)
+        assert np.array_equal(_unpacked(_packed(speech), L), speech)
+        lead = _unpacked(joint._factor.ss, L)
         assert np.max(np.abs(lead - speech)) <= 1e-12 * np.max(np.abs(speech))
 
 
@@ -306,7 +300,7 @@ class TestSchurFactor:
         s, n, _ = _band_limited_references(seed, "pcm16")
         self.check_backward_error([s, n], 256)
 
-    # at L = 150 the 75 leading rows of each triangle are written in two blocks
+    # odd and even L, one row at L = 1, and T = 4066 two overlap-save blocks
     @pytest.mark.parametrize("T,L", [(64, 1), (64, 7), (64, 8), (200, 33), (4066, 32),
                                      (600, 150)])
     def test_every_packed_entry_is_written(self, monkeypatch, T, L):
@@ -330,13 +324,18 @@ class TestSchurFactor:
             refs, L = list(_band_limited_references(arg, kind)[:2]), 256
         else:
             refs, L = _lowpass_pair(64000), arg
-        steps, write = [], projection_module._write_row
+        steps, empty = [], projection_module._empty_split_factor
 
-        def recording(packed, i, row, lead):
-            if len(steps) < L:
+        class Recording(np.ndarray):
+            """U_ss, recording the full generator image row of each write."""
+            def __setitem__(self, key, row):
                 steps.append(row.base[0, L:].copy())
-            write(packed, i, row, lead)
-        monkeypatch.setattr(projection_module, "_write_row", recording)
+                super().__setitem__(key, row)
+
+        def recording(*args):
+            factor = empty(*args)
+            return factor._replace(ss=factor.ss.view(Recording))
+        monkeypatch.setattr(projection_module, "_empty_split_factor", recording)
         implied = _unpacked_factor(build_basis(refs, L)._factor)[:L, L:]
         full_width = np.array(steps)
         assert np.linalg.norm(implied - full_width) <= \
@@ -463,7 +462,7 @@ class TestBatch:
         def refuse(*args, **kwargs):
             raise AssertionError("synthesize solved")
         monkeypatch.setattr(projection_module, "_cross_product", refuse)
-        monkeypatch.setattr(projection_module, "dtfsm", refuse)
+        monkeypatch.setattr(projection_module, "dtptrs", refuse)
         assert synthesize(basis, c_s).shape == (2, self.T)
 
 
@@ -778,7 +777,7 @@ class TestGramSizeCheck:
     def test_no_meminfo_leaves_the_allocation_to_numpy(self, monkeypatch, running_example):
         s, n, _, _ = running_example
         monkeypatch.setattr(projection_module, "_mem_available", lambda: None)
-        assert build_basis([s, n], 1)._factor.ss.shape == (1, 1)
+        assert build_basis([s, n], 1)._factor.ss.shape == (1,)
 
     def test_reads_mem_available(self):
         if not os.path.exists("/proc/meminfo"):
@@ -788,8 +787,8 @@ class TestGramSizeCheck:
 
 
 class TestLapackBinding:
-    """dtfsm writes through raw pointers, so its wrapper must refuse an
-    array LAPACK would misread before any call is made."""
+    """dtptrs reads and writes through raw pointers, so its wrapper must
+    refuse an array LAPACK would misread before any call is made."""
 
     SOURCES = {"numpy-openblas": projection_module._numpy_openblas_pointers,
                "cython-lapack": projection_module._cython_lapack_pointers}
@@ -820,12 +819,12 @@ class TestLapackBinding:
         # made, never read: the guards must refuse it before LAPACK sees it
         return np.lib.stride_tricks.as_strided(np.zeros(base_size), shape, strides)
 
-    @pytest.mark.parametrize("bad", ["a-c-order", "float32", "c-order", "read-only",
+    @pytest.mark.parametrize("bad", ["a-length", "float32", "c-order", "read-only",
                                      "rows", "3-d", "non-contiguous", "outside-base"])
-    def test_dtfsm_guard_raises_before_the_call(self, no_call, bad):
-        a = _packed(self.spd())  # order 6
-        if bad == "a-c-order":
-            a = np.ascontiguousarray(a)
+    def test_dtptrs_guard_raises_before_the_call(self, no_call, bad):
+        a = _packed(self.spd())  # order 6, 21 doubles
+        if bad == "a-length":
+            a = a[:20].copy()  # not n(n+1)/2 doubles for any n
         b = {"float32": lambda: np.ones(6, np.float32),
              "c-order": lambda: np.ones((6, 2)),
              "rows": lambda: np.ones(5),
@@ -839,43 +838,55 @@ class TestLapackBinding:
             b.flags.writeable = False
         if bad == "outside-base":
             assert b.flags.f_contiguous and b.flags.writeable
-        with pytest.raises(ValueError, match="^dtfsm: a " if bad == "a-c-order"
-                           else "^dtfsm: b "):
-            projection_module.dtfsm(a, b, trans=True)
+        with pytest.raises(ValueError, match="^dtptrs: a " if bad == "a-length"
+                           else "^dtptrs: b "):
+            projection_module.dtptrs(a, b, trans=True)
 
-    def test_dtfsm_refuses_the_other_layout(self, no_call):
-        # order 6: (3, 7) with TRANSR='T', the only layout bound; its
-        # transpose (7, 3) is that of TRANSR='N'
-        a = np.asfortranarray(_packed(self.spd()).T)
-        with pytest.raises(ValueError, match="^dtfsm: a must be an "):
-            projection_module.dtfsm(a, np.ones(6), trans=True)
+    @pytest.mark.parametrize("a", ["square", "column", "empty", "strided"])
+    def test_dtptrs_refuses_a_that_is_not_one_packed_vector(self, no_call, a):
+        # the 6-by-6 triangle as a square matrix, its 21 packed doubles as a
+        # column, no doubles, or every other double of 42
+        upper = np.triu(self.spd())
+        a = {"square": lambda: np.asfortranarray(upper),
+             "column": lambda: _packed(upper)[:, None].copy(order="F"),
+             "empty": lambda: np.empty(0),
+             "strided": lambda: np.repeat(_packed(upper), 2)[::2]}[a]()
+        with pytest.raises(ValueError, match="^dtptrs: a "):
+            projection_module.dtptrs(a, np.ones(6), trans=True)
 
     def test_factor_and_solves_match_numpy(self, lapack):
         rng = np.random.default_rng(2)
         for n in (40, 41):  # even and odd order
             upper = np.linalg.cholesky(self.spd(n, seed=1)).T
             factor = _packed(upper)
-            assert np.array_equal(_unpacked(factor.T), upper)
+            assert np.array_equal(_unpacked(factor, n), upper)
             for b in (rng.standard_normal(n), np.asfortranarray(rng.standard_normal((n, 3)))):
                 for trans, triangle in ((True, upper.T), (False, upper)):
-                    x = projection_module.dtfsm(factor, b.copy(order="F"), trans=trans)
+                    x = projection_module.dtptrs(factor, b.copy(order="F"), trans=trans)
                     assert_allclose(x, np.linalg.solve(triangle, b), rtol=1e-12, atol=1e-12)
 
-    def test_transposed_storage_solves_alike(self, lapack):
-        # the TRANSR='T' array is the transpose of the TRANSR='N' one, in
-        # which _write_row writes rows of the matrix along rows of the array
+    def test_rows_at_their_offsets_solve_alike(self, lapack):
+        # the Schur steps write row i of a triangle at i n - i(i-1)/2, one
+        # slice from the diagonal on: the layout dtptrs reads
         rng = np.random.default_rng(3)
         for n in (1, 2, 40, 41):
             upper = np.linalg.cholesky(self.spd(n, seed=n)).T
-            packed = np.empty((n - n // 2, 2 * (n // 2) + 1), order="F")
-            lead = np.empty((projection_module.BLOCK_ROWS, n // 2))
+            packed = np.full(n * (n + 1) // 2, np.nan)
             for i in range(n):
-                projection_module._write_row(packed.T, i, upper[i, i:].copy(), lead)
+                start = i * n - i * (i - 1) // 2
+                packed[start:start + n - i] = upper[i, i:]
             assert np.array_equal(packed, _packed(upper))
             for b in (rng.standard_normal(n), np.asfortranarray(rng.standard_normal((n, 3)))):
                 for trans, triangle in ((True, upper.T), (False, upper)):
-                    x = projection_module.dtfsm(packed, b.copy(order="F"), trans=trans)
+                    x = projection_module.dtptrs(packed, b.copy(order="F"), trans=trans)
                     assert_allclose(x, np.linalg.solve(triangle, b), rtol=1e-10, atol=1e-12)
+
+    def test_zero_pivot_raises_after_the_call(self, lapack):
+        upper = np.linalg.cholesky(self.spd()).T
+        upper[2, 2] = 0.0
+        b = np.ones(6)
+        with pytest.raises(RuntimeError, match=r"^dtptrs: INFO = 3$"):
+            projection_module.dtptrs(_packed(upper), b, trans=True)
 
     def test_thread_count_read_only_from_numpy_openblas(self, lapack):
         threads = projection_module.openblas_threads()
@@ -895,8 +906,8 @@ class TestLapackBinding:
         assert_allclose(fast, dense, atol=tol * np.linalg.norm(dense))
 
     def test_every_factor_has_a_positive_diagonal(self, running_example):
-        # dtfsm checks no pivot: a solve is safe because every factor that
-        # build_basis keeps has a strictly positive diagonal
+        # dtptrs refuses only an exactly zero pivot: a solve is safe because
+        # every factor that build_basis keeps has a strictly positive diagonal
         s, n, _, _ = running_example
         bases = [build_basis([s, n], 1)]
         for seed in range(8):
