@@ -24,7 +24,8 @@ from typing import Sequence
 import numpy as np
 
 from .decomposition import Decomposer, Decomposition, cross_gram
-from .metrics import MetricsReport, metrics_from_gram, sar_improvement_closed_form
+from .metrics import (MetricsReport, _check_omega, metrics_from_gram,
+                      sar_improvement_closed_form)
 from .signals import Waveform, add, inner, scale
 
 __all__ = [
@@ -42,13 +43,6 @@ __all__ = [
 # An OA sweep cross-checks the closed-form SAR improvement against the
 # measured one and refuses to continue past this gap.
 SARI_VALIDATION_TOL_DB = 1e-6
-
-
-def _check_omega(value: float, name: str) -> float:
-    value = float(value)
-    if not math.isfinite(value) or value < 0:
-        raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
-    return value
 
 
 @dataclass(frozen=True)

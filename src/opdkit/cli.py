@@ -36,9 +36,10 @@ import numpy as np
 from . import __version__
 from .analysis import DsaPoint, OaPoint, dsa_sweep, oa_sweep
 from .decomposition import COMPONENT_SUFFIXES, Decomposer, export_components
-from .enhance import ENHANCE_METHODS, EnhanceConfig, enhance
+from .enhance import ENHANCE_METHODS, enhance
 from .metrics import compute_metrics
-from .projection import DEFAULT_MAX_DELAY, lapack_source, openblas_threads
+from .projection import (DEFAULT_MAX_DELAY, check_max_delay, lapack_source,
+                         openblas_threads)
 from .reporting import (AGGREGATION_MODE, RunManifest, UtteranceTriplet,
                         load_corpus_manifest, load_triplet, summarize_rows,
                         write_corpus_manifest, write_run_manifest,
@@ -128,11 +129,6 @@ def _numerics() -> dict:
             "openblas_threads": openblas_threads()}
 
 
-def _check_max_delay(max_delay: int) -> None:
-    if max_delay < 1:  # 2L <= T needs the audio and is checked by build_basis
-        raise ValueError(f"max_delay must satisfy L >= 1, got {max_delay}")
-
-
 def _check_file_stem(utterance_id: str) -> None:
     """An id that names files in --out must be one path component."""
     if utterance_id in ("", ".", "..") or "/" in utterance_id or os.sep in utterance_id:
@@ -141,7 +137,7 @@ def _check_file_stem(utterance_id: str) -> None:
 
 
 def cmd_decompose(args) -> int:
-    _check_max_delay(args.max_delay)
+    check_max_delay(args.max_delay)  # 2L <= T needs the audio; build_basis checks it
     utterance_id = args.id or os.path.splitext(os.path.basename(args.speech))[0]
     _check_file_stem(utterance_id)
     numerics = _numerics()
@@ -176,7 +172,7 @@ def _cmd_sweep(args) -> int:
     grid = parse_grid(args.grid)
     points = ([OaPoint(v) for v in grid] if name == "oa"
               else [DsaPoint(wn, wa) for wn in grid for wa in grid])
-    _check_max_delay(args.max_delay)
+    check_max_delay(args.max_delay)
     if args.workers < 1:
         raise ValueError(f"--workers must be >= 1, got {args.workers}")
     numerics = _numerics()  # bound once, before any worker thread starts
@@ -299,9 +295,6 @@ def cmd_mix(args) -> int:
 
 
 def cmd_enhance(args) -> int:
-    cfg = EnhanceConfig(method=args.method, frame_len=args.frame_len, hop=args.hop,
-                        oversubtraction=args.oversubtraction,
-                        mask_threshold_db=args.mask_threshold_db)
     triplets = load_corpus_manifest(args.corpus)
     for triplet in triplets:
         _check_file_stem(triplet.utterance_id)
@@ -309,7 +302,7 @@ def cmd_enhance(args) -> int:
     for triplet in triplets:
         # the record's old enhanced_path, if any, is never read
         s, n, _ = load_triplet(dataclasses.replace(triplet, enhanced_path=None))
-        s_hat = enhance(add(s, n), s, n, cfg)
+        s_hat = enhance(add(s, n), s, n, args.method)
         float32_image(s_hat, f"{triplet.utterance_id}.enhanced.wav")
         enhanced.append(s_hat)
     os.makedirs(args.out, exist_ok=True)
@@ -326,11 +319,11 @@ def cmd_enhance(args) -> int:
     write_corpus_manifest(os.path.join(args.out, "corpus.jsonl"), out_triplets)
     write_run_manifest(args.out, RunManifest(
         command="enhance",
-        parameters={"corpus": args.corpus, **dataclasses.asdict(cfg)},
+        parameters={"corpus": args.corpus, "method": args.method},
         max_delay=None,
         aggregation="per-utterance",
     ))
-    print(f"enhance[{cfg.method}]: {len(out_triplets)} utterances -> {args.out}")
+    print(f"enhance[{args.method}]: {len(out_triplets)} utterances -> {args.out}")
     return 0
 
 
@@ -382,10 +375,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--method", choices=ENHANCE_METHODS, required=True,
                    help="baseline enhancement stub to run")
-    p.add_argument("--frame-len", type=int, default=512)
-    p.add_argument("--hop", type=int, default=256)
-    p.add_argument("--oversubtraction", type=float, default=2.0)
-    p.add_argument("--mask-threshold-db", type=float, default=0.0)
     p.set_defaults(func=cmd_enhance)
 
     return parser

@@ -29,6 +29,13 @@ __all__ = [
 ]
 
 
+def _check_omega(value: float, name: str) -> float:
+    value = float(value)
+    if not math.isfinite(value) or value < 0:
+        raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
+    return value
+
+
 class NoTargetError(ValueError):
     """The decomposition has (numerically) no target component; SDR/SNR undefined."""
 
@@ -127,10 +134,7 @@ def sar_improvement_closed_form(d: Decomposition, y: Waveform,
     not projected into agreement.  The three T-length products are taken
     once for all omegas.  A value can be negative when ``<p, y> < 0``.
     """
-    omegas = [float(w) for w in omegas]
-    for omega in omegas:
-        if not math.isfinite(omega) or omega < 0:
-            raise ValueError(f"omega_obs must be finite and >= 0, got {omega!r}")
+    omegas = [_check_omega(w, "omega_obs") for w in omegas]
     if len(y) != len(d.e_artif) or y.sample_rate != d.sample_rate:
         raise ValueError("sar_improvement_closed_form: y incompatible with decomposition")
     p = d.projected

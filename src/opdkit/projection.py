@@ -92,6 +92,7 @@ __all__ = [
     "ProjectionBasis",
     "SingularProjectionError",
     "build_basis",
+    "check_max_delay",
     "lapack_source",
     "openblas_threads",
     "oracle_decomposition",
@@ -634,6 +635,12 @@ def _solve(factor: _SplitFactor, b: np.ndarray) -> tuple[np.ndarray, np.ndarray,
     return b, cs, c
 
 
+def check_max_delay(max_delay: int) -> None:
+    """Refuse a delay count L below 1."""
+    if max_delay < 1:
+        raise ValueError(f"max_delay must satisfy L >= 1, got {max_delay}")
+
+
 def _validate_references(references: Sequence[Waveform], max_delay: int) -> None:
     """Refuse references of unequal length or rate or all-zero, and an L
     below 1 or above T/2: 2L delayed copies in R^T with T < 2L are linearly
@@ -647,8 +654,7 @@ def _validate_references(references: Sequence[Waveform], max_delay: int) -> None
             raise ValueError(f"reference {i}: sample rate mismatch ({ref.sample_rate} vs {rate})")
         if energy(ref) == 0.0:
             raise ValueError(f"reference {i} is all-zero")
-    if max_delay < 1:
-        raise ValueError(f"max_delay must satisfy L >= 1, got {max_delay}")
+    check_max_delay(max_delay)
     if 2 * max_delay > T:
         raise ValueError(f"max_delay L={max_delay} needs T >= 2L samples, got T={T}: the 2L "
                          f"delayed copies are linearly dependent; lower -L to at most T//2 = "
