@@ -29,8 +29,6 @@ from .metrics import (MetricsReport, _check_omega, metrics_from_gram,
 from .signals import Waveform, add, inner, scale
 
 __all__ = [
-    "DsaPoint",
-    "OaPoint",
     "SweepRow",
     "SweepValidationError",
     "dsa_synthesize",
@@ -43,28 +41,6 @@ __all__ = [
 # An OA sweep cross-checks the closed-form SAR improvement against the
 # measured one and refuses to continue past this gap.
 SARI_VALIDATION_TOL_DB = 1e-6
-
-
-@dataclass(frozen=True)
-class DsaPoint:
-    """Scaling factors for the noise and artifact error components."""
-
-    omega_noise: float
-    omega_artif: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "omega_noise", _check_omega(self.omega_noise, "omega_noise"))
-        object.__setattr__(self, "omega_artif", _check_omega(self.omega_artif, "omega_artif"))
-
-
-@dataclass(frozen=True)
-class OaPoint:
-    """Amount of the observed signal added back to the enhanced signal."""
-
-    omega_obs: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "omega_obs", _check_omega(self.omega_obs, "omega_obs"))
 
 
 @dataclass(frozen=True)
@@ -84,19 +60,19 @@ class SweepValidationError(RuntimeError):
     """Closed-form SAR improvement disagreed with the measured one."""
 
 
-def dsa_synthesize(d: Decomposition, point: DsaPoint) -> Waveform:
+def dsa_synthesize(d: Decomposition, omega_noise: float, omega_artif: float) -> Waveform:
     """Modified enhanced signal s_target + w_noise*e_noise + w_artif*e_artif."""
     return Waveform(
         d.s_target.samples
-        + point.omega_noise * d.e_noise.samples
-        + point.omega_artif * d.e_artif.samples,
+        + _check_omega(omega_noise, "omega_noise") * d.e_noise.samples
+        + _check_omega(omega_artif, "omega_artif") * d.e_artif.samples,
         d.sample_rate,
     )
 
 
-def oa_apply(s_hat: Waveform, y: Waveform, point: OaPoint) -> Waveform:
-    """Enhanced signal with a scaled copy of the observation added back."""
-    return add(s_hat, scale(y, point.omega_obs))
+def oa_apply(s_hat: Waveform, y: Waveform, omega_obs: float) -> Waveform:
+    """Enhanced signal with ``omega_obs`` times the observation added back."""
+    return add(s_hat, scale(y, _check_omega(omega_obs, "omega_obs")))
 
 
 def _check_grid(grid: Sequence, name: str) -> None:
@@ -106,24 +82,25 @@ def _check_grid(grid: Sequence, name: str) -> None:
         raise ValueError(f"{name}: grid points must be unique")
 
 
-def dsa_sweep(d: Decomposition, grid: Sequence[DsaPoint],
+def dsa_sweep(d: Decomposition, grid: Sequence[tuple[float, float]],
               utterance_id: str = "") -> tuple[SweepRow, ...]:
-    """One row per grid point of independently scaled error components.
+    """One row per ``(omega_noise, omega_artif)`` pair of the grid.
 
     Scaling the components by ``D = diag(1, w_noise, w_artif)`` maps their
     3x3 Gram ``G`` to ``D G D`` exactly, orthogonal or not, so no waveform
     is formed per point.  The self-test suite verifies against
     re-decomposition that the scaled signal splits into the scaled parts.
     """
-    grid = list(grid)
+    grid = [(_check_omega(omega_noise, "omega_noise"), _check_omega(omega_artif, "omega_artif"))
+            for omega_noise, omega_artif in grid]
     _check_grid(grid, "dsa_sweep")
     rows = []
-    for point in grid:
-        w = np.array([1.0, point.omega_noise, point.omega_artif])
+    for omega_noise, omega_artif in grid:
+        w = np.array([1.0, omega_noise, omega_artif])
         rows.append(SweepRow(
             utterance_id=utterance_id,
-            omega_noise=point.omega_noise,
-            omega_artif=point.omega_artif,
+            omega_noise=omega_noise,
+            omega_artif=omega_artif,
             omega_obs=None,
             metrics=metrics_from_gram(d.gram * np.outer(w, w)),
         ))
@@ -131,7 +108,7 @@ def dsa_sweep(d: Decomposition, grid: Sequence[DsaPoint],
 
 
 def oa_sweep(dec: Decomposer, s_hat: Waveform, y: Waveform,
-             grid: Sequence[OaPoint],
+             grid: Sequence[float],
              utterance_id: str = "") -> tuple[SweepRow, ...]:
     """One row per observation-adding amount in the grid.
 
@@ -147,18 +124,18 @@ def oa_sweep(dec: Decomposer, s_hat: Waveform, y: Waveform,
     coefficient energies and the waveform ``s_hat - e_artif`` carry different
     round-off.
     """
-    grid = list(grid)
+    grid = [_check_omega(omega, "omega_obs") for omega in grid]
     _check_grid(grid, "oa_sweep")
     baseline, d_y = dec.decompose_batch([s_hat, y])
     cross = cross_gram(baseline, d_y)
     g6 = np.block([[baseline.gram, cross], [cross.T, d_y.gram]])
     baseline_sar = metrics_from_gram(g6[:3, :3]).sar_db  # the w = 0 block
-    saris = sar_improvement_closed_form(baseline, y, [p.omega_obs for p in grid])
+    saris = sar_improvement_closed_form(baseline, y, grid)
     inner_s_hat_y = inner(s_hat, y)  # OA is guaranteed to improve SAR when > 0
 
     rows = []
-    for point, sari in zip(grid, saris):
-        m = np.hstack([np.eye(3), point.omega_obs * np.eye(3)])
+    for omega, sari in zip(grid, saris):
+        m = np.hstack([np.eye(3), omega * np.eye(3)])
         report = metrics_from_gram(m @ g6 @ m.T)
         if math.isfinite(report.sar_db) and math.isfinite(baseline_sar):
             measured = report.sar_db - baseline_sar
@@ -167,7 +144,7 @@ def oa_sweep(dec: Decomposer, s_hat: Waveform, y: Waveform,
                     f"closed-form SAR improvement {sari:.9f} dB disagrees with the "
                     f"measured {measured:.9f} dB by {abs(sari - measured):.3g} dB, "
                     f"over the {SARI_VALIDATION_TOL_DB:g} dB tolerance, at "
-                    f"omega_obs={point.omega_obs} (utterance {utterance_id!r}): either "
+                    f"omega_obs={omega} (utterance {utterance_id!r}): either "
                     "y lies outside the span of the delayed references, or the "
                     "projection is inaccurate at this Gram's conditioning"
                 )
@@ -175,7 +152,7 @@ def oa_sweep(dec: Decomposer, s_hat: Waveform, y: Waveform,
             utterance_id=utterance_id,
             omega_noise=None,
             omega_artif=None,
-            omega_obs=point.omega_obs,
+            omega_obs=omega,
             metrics=report,
             inner_s_hat_y=inner_s_hat_y,
             sari_closed_form_db=sari,

@@ -34,17 +34,17 @@ import sys
 import numpy as np
 
 from . import __version__
-from .analysis import DsaPoint, OaPoint, dsa_sweep, oa_sweep
+from .analysis import dsa_sweep, oa_sweep
 from .decomposition import COMPONENT_SUFFIXES, Decomposer, export_components
 from .enhance import ENHANCE_METHODS, enhance
-from .metrics import compute_metrics
+from .metrics import _check_omega, compute_metrics
 from .projection import (DEFAULT_MAX_DELAY, check_max_delay, lapack_source,
                          openblas_threads)
 from .reporting import (AGGREGATION_MODE, RunManifest, UtteranceTriplet,
                         load_corpus_manifest, load_triplet, summarize_rows,
                         write_corpus_manifest, write_run_manifest,
                         write_summary_csv, write_sweep_csv)
-from .signals import MixtureSpec, Waveform, add, mix_at_snr
+from .signals import Waveform, add, mix_at_snr
 from .svgplot import Series, line_plot, write_plot
 from .wavio import float32_image, read_wav, write_wav
 
@@ -170,8 +170,10 @@ def cmd_decompose(args) -> int:
 def _cmd_sweep(args) -> int:
     name = args.command
     grid = parse_grid(args.grid)
-    points = ([OaPoint(v) for v in grid] if name == "oa"
-              else [DsaPoint(wn, wa) for wn in grid for wa in grid])
+    # refused here, as the sweep would refuse them, before any audio is read
+    points = ([_check_omega(w, "omega_obs") for w in grid] if name == "oa"
+              else [(_check_omega(wn, "omega_noise"), _check_omega(wa, "omega_artif"))
+                    for wn in grid for wa in grid])
     check_max_delay(args.max_delay)
     if args.workers < 1:
         raise ValueError(f"--workers must be >= 1, got {args.workers}")
@@ -256,7 +258,6 @@ def _list_wavs(directory: str) -> list[str]:
 
 
 def cmd_mix(args) -> int:
-    spec = MixtureSpec(target_snr_db=args.snr)
     speech_files = _list_wavs(args.speech_dir)
     noises = [read_wav(path) for path in _list_wavs(args.noise_dir)]
     rng = np.random.default_rng(args.seed)
@@ -269,7 +270,7 @@ def cmd_mix(args) -> int:
             raise ValueError(f"{utterance_id}: noise rate {n_raw.sample_rate} "
                              f"!= speech rate {s.sample_rate}")
         n = _fit_length(n_raw, len(s), rng)
-        y, n_scaled = mix_at_snr(s, n, spec)
+        y, n_scaled = mix_at_snr(s, n, args.snr)
         signals = {"speech": s, "noise": n_scaled, "mix": y}
         for kind, w in signals.items():
             float32_image(w, f"{utterance_id}.{kind}.wav")

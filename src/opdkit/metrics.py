@@ -30,6 +30,8 @@ __all__ = [
 
 
 def _check_omega(value: float, name: str) -> float:
+    """``value`` as a Python float, so that a NumPy scalar writes the same CSV
+    text; a ``ValueError`` naming ``name`` unless it is finite and >= 0."""
     value = float(value)
     if not math.isfinite(value) or value < 0:
         raise ValueError(f"{name} must be finite and >= 0, got {value!r}")

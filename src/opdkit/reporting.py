@@ -15,7 +15,6 @@ dB values can change with each; the same inputs, parameters and
 import csv
 import dataclasses
 import json
-import math
 import os
 from dataclasses import dataclass
 
@@ -155,8 +154,8 @@ def write_run_manifest(out_dir: str | os.PathLike, manifest: RunManifest) -> str
 def _cell(value) -> str:
     if value is None:
         return ""
-    if isinstance(value, float):
-        return db_to_str(value) if math.isinf(value) else repr(value)
+    if isinstance(value, (float, np.floating)):  # a NumPy scalar's repr names its type
+        return db_to_str(value)
     return str(value)
 
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .analysis import DsaPoint, OaPoint, dsa_synthesize, oa_apply
+from .analysis import dsa_synthesize, oa_apply
 from .decomposition import Decomposer, cross_gram, recompose
 from .metrics import compute_metrics, sar_improvement_closed_form
 from .projection import _unpacked_factor, delayed_matrix, lapack_source, oracle_decomposition
@@ -260,7 +260,7 @@ def _check_case(case: OracleCase, dev: dict) -> None:
     sars = []
     e_artif_norm = max(np.linalg.norm(d.e_artif.samples), scale_floor)
     for omega, sari in zip(OA_CHECK_GRID, saris):
-        d_bar = dec.decompose(oa_apply(s_hat, y, OaPoint(omega)))
+        d_bar = dec.decompose(oa_apply(s_hat, y, omega))
         report = compute_metrics(d_bar)
         sars.append(report.sar_db)
         bump("oa_artifact_invariance_rel",
@@ -279,8 +279,7 @@ def _check_case(case: OracleCase, dev: dict) -> None:
 
     # direct scaling linearity and the SNR shift law
     for omega_noise, omega_artif in DSA_CHECK_POINTS:
-        point = DsaPoint(omega_noise, omega_artif)
-        d_w = dec.decompose(dsa_synthesize(d, point))
+        d_w = dec.decompose(dsa_synthesize(d, omega_noise, omega_artif))
         bump("dsa_linearity_rel",
              _rel(d_w.s_target.samples - d.s_target.samples,
                   np.linalg.norm(d.s_target.samples)))
@@ -303,7 +302,7 @@ def _check_perfect(case, dec, d, dev):
         violations += 1
     if not d.artifact_free:
         violations += 1
-    d_bar = dec.decompose(oa_apply(case.s_hat, case.y, OaPoint(0.5)))
+    d_bar = dec.decompose(oa_apply(case.s_hat, case.y, 0.5))
     if not compute_metrics(d_bar).sar_db == np.inf:
         violations += 1
     dev["degenerate_case_violations"] = dev.get("degenerate_case_violations", 0.0) + violations

@@ -12,7 +12,6 @@ import numpy as np
 
 __all__ = [
     "Waveform",
-    "MixtureSpec",
     "add",
     "scale",
     "inner",
@@ -44,17 +43,6 @@ class Waveform:
 
     def __len__(self) -> int:
         return self.samples.size
-
-
-@dataclass(frozen=True)
-class MixtureSpec:
-    """How to scale noise against speech when synthesizing a mixture."""
-
-    target_snr_db: float
-
-    def __post_init__(self):
-        if not math.isfinite(self.target_snr_db):
-            raise ValueError("target_snr_db must be finite")
 
 
 def _check_compatible(a: Waveform, b: Waveform, op: str) -> None:
@@ -91,7 +79,8 @@ def energy(a: Waveform) -> float:
 
 def db_to_power(db: float, name: str) -> float:
     """The power ratio ``10 ** (db / 10)``; a ``ValueError`` naming ``name``
-    and ``db`` where it is not finite (above about 3083 dB) or zero."""
+    and ``db`` where that ratio is NaN, zero or infinite (NaN or ±inf dB, or
+    above about 3083 dB)."""
     try:
         ratio = 10.0 ** (db / 10.0)
     except OverflowError:
@@ -101,11 +90,11 @@ def db_to_power(db: float, name: str) -> float:
     return ratio
 
 
-def mix_at_snr(s: Waveform, n: Waveform, spec: MixtureSpec) -> tuple[Waveform, Waveform]:
-    """Scale ``n`` so the s-to-n power ratio hits the target, then mix.
+def mix_at_snr(s: Waveform, n: Waveform, snr_db: float) -> tuple[Waveform, Waveform]:
+    """Scale ``n`` so the s-to-n power ratio is ``snr_db``, then mix.
 
     Returns ``(y, n_scaled)`` with ``y = s + n_scaled`` and
-    ``10*log10(energy(s) / energy(n_scaled)) == spec.target_snr_db``.
+    ``10*log10(energy(s) / energy(n_scaled)) == snr_db``.
     SNR is measured on full-signal power; there is no voice-activity
     weighting.
     """
@@ -113,10 +102,9 @@ def mix_at_snr(s: Waveform, n: Waveform, spec: MixtureSpec) -> tuple[Waveform, W
     e_s, e_n = energy(s), energy(n)
     if e_s == 0.0 or e_n == 0.0:
         raise ValueError("mix_at_snr requires both signals to have nonzero energy")
-    snr = spec.target_snr_db
-    noise_power = e_n * db_to_power(snr, "target SNR")
+    noise_power = e_n * db_to_power(snr_db, "target SNR")
     n_scaled = scale(n, math.sqrt(e_s / noise_power)) if noise_power > 0.0 else None
     if n_scaled is None or not 0.0 < energy(n_scaled) < math.inf:
-        raise ValueError(f"target SNR {snr:g} dB is out of range: the scaled noise "
+        raise ValueError(f"target SNR {snr_db:g} dB is out of range: the scaled noise "
                          "would have zero or infinite energy")
     return add(s, n_scaled), n_scaled

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -6,22 +7,22 @@ import pytest
 from numpy.testing import assert_allclose
 
 from conftest import RATE, lowpass_noise, random_signals
-from opdkit.analysis import (DsaPoint, OaPoint, SweepValidationError, dsa_sweep, dsa_synthesize,
-                             oa_apply, oa_sweep)
+from opdkit.analysis import SweepValidationError, dsa_sweep, dsa_synthesize, oa_apply, oa_sweep
 from opdkit.cli import DEFAULT_DSA_GRID, DEFAULT_OA_GRID, parse_grid
 from opdkit.decomposition import Decomposer
 from opdkit.metrics import NoTargetError, compute_metrics, metrics_from_gram
 from opdkit.projection import SingularProjectionError
+from opdkit.reporting import write_sweep_csv
 from opdkit.selftest import make_case
 from opdkit.signals import Waveform, add, scale
 
 
 def default_grid(kind):
-    """The CLI's default ``kind`` grid ("oa" or "dsa") as sweep points."""
+    """The CLI's default ``kind`` grid: amounts for "oa", pairs for "dsa"."""
     if kind == "oa":
-        return [OaPoint(v) for v in parse_grid(DEFAULT_OA_GRID)]
+        return parse_grid(DEFAULT_OA_GRID)
     values = parse_grid(DEFAULT_DSA_GRID)
-    return [DsaPoint(wn, wa) for wn in values for wa in values]
+    return [(wn, wa) for wn in values for wa in values]
 
 
 @pytest.fixture
@@ -31,49 +32,67 @@ def running_decomposition(running_example):
 
 
 class TestPoints:
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            DsaPoint(-0.1, 1.0)
-        with pytest.raises(ValueError):
-            OaPoint(-1.0)
+    """Every function that takes an amount refuses it, by name, unless it is
+    finite and >= 0."""
 
-    def test_nonfinite_rejected(self):
-        with pytest.raises(ValueError):
-            DsaPoint(math.nan, 1.0)
-        with pytest.raises(ValueError):
-            OaPoint(math.inf)
+    @staticmethod
+    def assert_refused(running_example, bad):
+        s, n, s_hat, y = running_example
+        dec = Decomposer(s, n, 1)
+        d = dec.decompose(s_hat)
+        calls = {
+            "omega_noise": [lambda: dsa_synthesize(d, bad, 1.0),
+                            lambda: dsa_sweep(d, [(1.0, 1.0), (bad, 1.0)])],
+            "omega_artif": [lambda: dsa_synthesize(d, 1.0, bad),
+                            lambda: dsa_sweep(d, [(1.0, 1.0), (1.0, bad)])],
+            "omega_obs": [lambda: oa_apply(s_hat, y, bad),
+                          lambda: oa_sweep(dec, s_hat, y, [0.0, bad])],
+        }
+        message = re.escape(f"must be finite and >= 0, got {float(bad)!r}")
+        for name, refused in calls.items():
+            for call in refused:
+                with pytest.raises(ValueError, match=f"^{name} {message}$"):
+                    call()
+
+    def test_negative_rejected(self, running_example):
+        for bad in (-0.1, np.float64(-1.0)):
+            self.assert_refused(running_example, bad)
+
+    def test_nonfinite_rejected(self, running_example):
+        for bad in (math.nan, math.inf, -math.inf, np.float32(math.nan)):
+            self.assert_refused(running_example, bad)
 
 
 class TestDsaSynthesize:
     def test_unit_point_is_identity(self, running_decomposition, running_example):
         _, _, s_hat, _ = running_example
-        out = dsa_synthesize(running_decomposition, DsaPoint(1.0, 1.0))
+        out = dsa_synthesize(running_decomposition, 1.0, 1.0)
         assert_allclose(out.samples, s_hat.samples, atol=1e-15)
 
     def test_artifact_free_point(self, running_decomposition):
-        out = dsa_synthesize(running_decomposition, DsaPoint(1.0, 0.0))
+        out = dsa_synthesize(running_decomposition, 1.0, 0.0)
         assert_allclose(out.samples, [0.9, 0.2, 0.0, 0.0], atol=1e-14)
 
     def test_running_example_scaling(self, running_decomposition):
-        out = dsa_synthesize(running_decomposition, DsaPoint(0.5, 2.0))
+        out = dsa_synthesize(running_decomposition, 0.5, 2.0)
         assert_allclose(out.samples, [0.9, 0.1, 0.2, 0.0], atol=1e-14)
 
 
 class TestOaApply:
     def test_zero_omega_is_identity(self, running_example):
         _, _, s_hat, y = running_example
-        out = oa_apply(s_hat, y, OaPoint(0.0))
+        out = oa_apply(s_hat, y, 0.0)
         assert_allclose(out.samples, s_hat.samples, rtol=0, atol=0)
 
     def test_running_example(self, running_example):
         _, _, s_hat, y = running_example
-        out = oa_apply(s_hat, y, OaPoint(0.5))
+        out = oa_apply(s_hat, y, 0.5)
         assert_allclose(out.samples, [1.4, 0.7, 0.1, 0.0], atol=1e-15)
 
     def test_zero_enhanced_returns_observation(self, running_example):
         _, _, _, y = running_example
         zero = Waveform(np.zeros(4), RATE)
-        assert_allclose(oa_apply(zero, y, OaPoint(1.0)).samples, y.samples)
+        assert_allclose(oa_apply(zero, y, 1.0).samples, y.samples)
 
 
 class TestSarGainCondition:
@@ -82,7 +101,7 @@ class TestSarGainCondition:
     @staticmethod
     def inner_s_hat_y(s_hat, running_example):
         s, n, _, y = running_example
-        return oa_sweep(Decomposer(s, n, 1), s_hat, y, [OaPoint(0.0)])[0].inner_s_hat_y
+        return oa_sweep(Decomposer(s, n, 1), s_hat, y, [0.0])[0].inner_s_hat_y
 
     def test_observation_itself_holds(self, running_example):
         _, _, _, y = running_example
@@ -101,7 +120,7 @@ class TestSarGainCondition:
 class TestDsaSweep:
     def test_unit_grid_point_matches_baseline(self, running_decomposition):
         baseline = compute_metrics(running_decomposition)
-        rows = dsa_sweep(running_decomposition, [DsaPoint(1.0, 1.0)], "u0")
+        rows = dsa_sweep(running_decomposition, [(1.0, 1.0)], "u0")
         assert len(rows) == 1
         row = rows[0]
         assert row.utterance_id == "u0"
@@ -116,12 +135,12 @@ class TestDsaSweep:
     def test_duplicate_grid_rejected(self, running_decomposition):
         with pytest.raises(ValueError, match="unique"):
             dsa_sweep(running_decomposition,
-                      [DsaPoint(1.0, 1.0), DsaPoint(1.0, 1.0)])
+                      [(1.0, 1.0), (1.0, 1.0)])
 
     def test_snr_shift_law(self, running_decomposition):
         baseline = compute_metrics(running_decomposition)
         for omega_noise in (0.25, 0.5, 2.0):
-            rows = dsa_sweep(running_decomposition, [DsaPoint(omega_noise, 1.0)])
+            rows = dsa_sweep(running_decomposition, [(omega_noise, 1.0)])
             expected = baseline.snr_db - 20.0 * math.log10(omega_noise)
             assert rows[0].metrics.snr_db == pytest.approx(expected, abs=1e-9)
 
@@ -134,13 +153,12 @@ class TestDsaSweep:
         assert d.artifact_free == artifact_free
         grid = default_grid("dsa")
         rows = dsa_sweep(d, grid)
-        assert [(r.omega_noise, r.omega_artif) for r in rows] == \
-            [(p.omega_noise, p.omega_artif) for p in grid]
-        for row, point in zip(rows, grid):
+        assert [(r.omega_noise, r.omega_artif) for r in rows] == grid
+        for row, (omega_noise, omega_artif) in zip(rows, grid):
             # the oracle is the Gram of the scaled waveforms, not cross_gram's
             parts = np.stack([d.s_target.samples,
-                              scale(d.e_noise, point.omega_noise).samples,
-                              scale(d.e_artif, point.omega_artif).samples])
+                              scale(d.e_noise, omega_noise).samples,
+                              scale(d.e_artif, omega_artif).samples])
             want = metrics_from_gram(parts @ parts.T)
             for name in ("sdr_db", "snr_db", "sar_db"):
                 got, expected = getattr(row.metrics, name), getattr(want, name)
@@ -156,15 +174,15 @@ class TestDsaSweep:
     def test_default_grid_shape(self):
         grid = default_grid("dsa")
         assert len(grid) == 49
-        assert grid[0] == DsaPoint(0.0, 0.0)
-        assert grid[-1] == DsaPoint(1.5, 1.5)
+        assert grid[0] == (0.0, 0.0)
+        assert grid[-1] == (1.5, 1.5)
 
 
 class TestOaSweep:
     def test_zero_point_matches_baseline(self, running_example):
         s, n, s_hat, y = running_example
         baseline = compute_metrics(Decomposer(s, n, 1).decompose(s_hat))
-        row = oa_sweep(Decomposer(s, n, 1), s_hat, y, [OaPoint(0.0)], "u0")[0]
+        row = oa_sweep(Decomposer(s, n, 1), s_hat, y, [0.0], "u0")[0]
         assert row.sari_closed_form_db == 0.0
         assert row.metrics.sar_db == pytest.approx(baseline.sar_db, abs=1e-12)
         assert row.inner_s_hat_y == pytest.approx(1.1)
@@ -172,7 +190,7 @@ class TestOaSweep:
     def test_sar_increases_when_condition_holds(self, running_example):
         s, n, s_hat, y = running_example
         rows = oa_sweep(Decomposer(s, n, 1), s_hat, y,
-                        [OaPoint(0.0), OaPoint(0.5), OaPoint(1.0)])
+                        [0.0, 0.5, 1.0])
         sars = [row.metrics.sar_db for row in rows]
         assert sars[0] < sars[1] < sars[2]
 
@@ -182,7 +200,7 @@ class TestOaSweep:
         s, n, s_hat, _ = running_example
         bad_y = Waveform([1.0, 1.0, 0.5, 0.0], RATE)
         with pytest.raises(SweepValidationError, match="disagrees") as raised:
-            oa_sweep(Decomposer(s, n, 1), s_hat, bad_y, [OaPoint(1.0)])
+            oa_sweep(Decomposer(s, n, 1), s_hat, bad_y, [1.0])
         # the message names the gap, the tolerance, the point and both causes
         message = str(raised.value)
         for part in ("dB by 15.8 dB", "over the 1e-06 dB tolerance", "omega_obs=1.0",
@@ -192,8 +210,8 @@ class TestOaSweep:
     def test_default_grid(self):
         grid = default_grid("oa")
         assert len(grid) == 16
-        assert grid[0].omega_obs == 0.0
-        assert grid[-1].omega_obs == 1.5
+        assert grid[0] == 0.0
+        assert grid[-1] == 1.5
 
     def test_decomposes_only_s_hat_and_y(self, monkeypatch):
         # s_hat and y go as one batch: one project, whose solve of two
@@ -243,7 +261,7 @@ class TestOaSweep:
                             lambda d, y, omegas: calls.append(omegas) or original(d, y, omegas))
         grid = default_grid("oa")
         rows = oa_sweep(Decomposer(s, n, max_delay=8), s_hat, add(s, n), grid)
-        assert calls == [[p.omega_obs for p in grid]]
+        assert calls == [grid]
         assert [r.sari_closed_form_db for r in rows] == original(
             Decomposer(s, n, max_delay=8).decompose(s_hat), add(s, n), calls[0])
 
@@ -256,9 +274,9 @@ class TestOaSweep:
         dec = Decomposer(case.s, case.n, case.max_delay)
         grid = default_grid("oa")
         rows = oa_sweep(dec, case.s_hat, y, grid)
-        assert [r.omega_obs for r in rows] == [p.omega_obs for p in grid]
-        for row, point in zip(rows, grid):
-            want = compute_metrics(dec.decompose(oa_apply(case.s_hat, y, point)))
+        assert [r.omega_obs for r in rows] == grid
+        for row, omega in zip(rows, grid):
+            want = compute_metrics(dec.decompose(oa_apply(case.s_hat, y, omega)))
             for name in ("sdr_db", "snr_db", "sar_db"):
                 got, expected = getattr(row.metrics, name), getattr(want, name)
                 if math.isinf(expected):
@@ -275,8 +293,26 @@ class TestOaSweep:
         with pytest.raises(NoTargetError):
             oa_sweep(dec, case.s_hat, case.y, default_grid("oa"))
         with pytest.raises(NoTargetError):
-            for point in default_grid("oa"):
-                compute_metrics(dec.decompose(oa_apply(case.s_hat, case.y, point)))
+            for omega in default_grid("oa"):
+                compute_metrics(dec.decompose(oa_apply(case.s_hat, case.y, omega)))
+
+
+def test_numpy_amounts_write_the_csv_text_of_floats(tmp_path):
+    # every amount reaches its SweepRow as a Python float, so np.arange's
+    # values write the text of their tolist()
+    s, n, s_hat = random_signals(0, length=500, max_delay=8)
+    dec = Decomposer(s, n, max_delay=8)
+    d = dec.decompose(s_hat)
+    grid = np.arange(0, 1.6, 0.1)
+    pairs = np.stack([grid, grid[::-1]], axis=1)
+    texts = []
+    for amounts, amount_pairs in ((grid, pairs), (grid.tolist(), pairs.tolist())):
+        rows = oa_sweep(dec, s_hat, add(s, n), amounts, "u0") + dsa_sweep(d, amount_pairs, "u0")
+        assert {type(value) for r in rows
+                for value in (r.omega_noise, r.omega_artif, r.omega_obs)} == {float, type(None)}
+        write_sweep_csv(tmp_path / "sweep.csv", rows)
+        texts.append((tmp_path / "sweep.csv").read_text())
+    assert texts[0] == texts[1]
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -286,7 +322,7 @@ def test_oa_artifact_invariance_random(seed):
     dec = Decomposer(s, n, max_delay=8)
     d = dec.decompose(s_hat)
     for omega in (0.3, 1.0, 1.5):
-        d_bar = dec.decompose(oa_apply(s_hat, y, OaPoint(omega)))
+        d_bar = dec.decompose(oa_apply(s_hat, y, omega))
         rel = (np.linalg.norm(d_bar.e_artif.samples - d.e_artif.samples)
                / np.linalg.norm(d.e_artif.samples))
         assert rel <= 1e-8
@@ -297,8 +333,7 @@ def test_dsa_end_to_end_linearity_random(seed):
     s, n, s_hat = random_signals(seed, length=500, max_delay=8)
     dec = Decomposer(s, n, max_delay=8)
     d = dec.decompose(s_hat)
-    point = DsaPoint(0.5, 2.0)
-    d2 = dec.decompose(dsa_synthesize(d, point))
+    d2 = dec.decompose(dsa_synthesize(d, 0.5, 2.0))
     ref = np.linalg.norm(s_hat.samples)
     assert np.linalg.norm(d2.s_target.samples - d.s_target.samples) <= 1e-8 * ref
     assert np.linalg.norm(d2.e_noise.samples - 0.5 * d.e_noise.samples) <= 1e-8 * ref

@@ -623,10 +623,9 @@ class TestGramAllocation:
 
     def test_sweep_fails_only_that_utterance(self, three_second_pair):
         code = ("import json; from opdkit.cli import _sweep_task; "
-                "from opdkit.analysis import OaPoint; "
                 "from opdkit.reporting import UtteranceTriplet; "
                 "t = UtteranceTriplet('utt', *sys.argv[1:4]); "
-                "results = [_sweep_task('oa', t, L, [OaPoint(0.0)]) for L in (20000, 64)]; "
+                "results = [_sweep_task('oa', t, L, [0.0]) for L in (20000, 64)]; "
                 "print(json.dumps([[error, len(rows)] for rows, error in results]))")
         result = _run_limited(code, *three_second_pair)
         assert result.returncode == 0, result.stderr
@@ -738,14 +737,17 @@ class TestSweepArguments:
     ["enhance", "--corpus", "{tmp}/missing.jsonl", "--method", "oracle-wiener"],
     ["mix", "--speech-dir", "{speech}", "--noise-dir", "{tmp}"],
     ["mix", "--speech-dir", "{speech}", "--noise-dir", "{noise}", "--snr", "nan"],
+    ["mix", "--speech-dir", "{speech}", "--noise-dir", "{noise}", "--snr", "inf"],
+    ["mix", "--speech-dir", "{speech}", "--noise-dir", "{noise}", "--snr=-inf"],
     # power ratios of 10^400 and 10^-400: no float holds them
     ["mix", "--speech-dir", "{speech}", "--noise-dir", "{noise}", "--snr", "4000"],
     ["mix", "--speech-dir", "{speech}", "--noise-dir", "{noise}", "--snr", "-4000"],
     # noise scaled by 10^-150 and 10^150: a float64 holds it, a float32 WAV does not
     ["mix", "--speech-dir", "{speech}", "--noise-dir", "{noise}", "--snr", "3000"],
     ["mix", "--speech-dir", "{speech}", "--noise-dir", "{noise}", "--snr", "-3000"],
-], ids=["enhance-missing-corpus", "mix-empty-noise-dir", "mix-nan-snr", "mix-snr-4000",
-        "mix-snr-minus-4000", "mix-snr-3000", "mix-snr-minus-3000"])
+], ids=["enhance-missing-corpus", "mix-empty-noise-dir", "mix-nan-snr", "mix-inf-snr",
+        "mix-minus-inf-snr", "mix-snr-4000", "mix-snr-minus-4000", "mix-snr-3000",
+        "mix-snr-minus-3000"])
 def test_mix_and_enhance_check_inputs_before_out(tmp_path, corpus_dirs, mixed_corpus,
                                                  capsys, argv):
     speech_dir, noise_dir = corpus_dirs
@@ -756,6 +758,7 @@ def test_mix_and_enhance_check_inputs_before_out(tmp_path, corpus_dirs, mixed_co
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "dB is out of range" in err or not any("4000" in a for a in argv)
+    assert err.startswith("error: target SNR ") or not any(a.endswith(("nan", "inf")) for a in argv)
     assert "float32" in err or not any("3000" in a for a in argv)
     assert not out.exists()
 
@@ -844,7 +847,6 @@ def no_lapack(monkeypatch):
 
 def test_missing_lapack_is_an_error_naming_scipy(tmp_path, enhanced_corpus, mixed_corpus,
                                                  no_lapack, capsys):
-    from opdkit.analysis import OaPoint
     from opdkit.cli import _sweep_task
     from opdkit.reporting import load_corpus_manifest
     rc = main(["decompose",
@@ -860,7 +862,7 @@ def test_missing_lapack_is_an_error_naming_scipy(tmp_path, enhanced_corpus, mixe
     assert message.endswith("pip install opdkit[lapack]")
     assert not (tmp_path / "dec").exists()
     triplet = load_corpus_manifest(enhanced_corpus / "corpus.jsonl")[0]
-    assert _sweep_task("oa", triplet, 8, [OaPoint(0.0)])[1] == f"ImportError: {message}"
+    assert _sweep_task("oa", triplet, 8, [0.0])[1] == f"ImportError: {message}"
     # a sweep binds LAPACK before its pool starts: one error, not one per utterance
     for workers in ("1", "2"):
         assert main(["oa", "--corpus", str(enhanced_corpus / "corpus.jsonl"), "-L", "8",

@@ -6,7 +6,7 @@ from conftest import RATE
 from opdkit.decomposition import Decomposer
 from opdkit.enhance import enhance, istft, stft
 from opdkit.metrics import compute_metrics
-from opdkit.signals import MixtureSpec, Waveform, energy, inner, mix_at_snr
+from opdkit.signals import Waveform, energy, inner, mix_at_snr
 
 
 def tone_plus_noise(seed=0, length=6000, snr_db=5.0):
@@ -15,7 +15,7 @@ def tone_plus_noise(seed=0, length=6000, snr_db=5.0):
                  + 0.2 * np.sin(2 * np.pi * 950.0 * t + 0.3), RATE)
     rng = np.random.default_rng(seed)
     n = Waveform(rng.standard_normal(length) * 0.2, RATE)
-    y, n_scaled = mix_at_snr(s, n, MixtureSpec(target_snr_db=snr_db))
+    y, n_scaled = mix_at_snr(s, n, snr_db)
     return s, n_scaled, y
 
 

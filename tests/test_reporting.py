@@ -180,6 +180,28 @@ def test_summary_csv(tmp_path):
     assert len(table) == 2
 
 
+@pytest.mark.parametrize("real", [np.float64, np.float32, float])
+def test_numpy_reals_write_the_text_of_floats(tmp_path, real):
+    # a NumPy scalar's repr is "np.float64(0.1)" under numpy 2; each real is
+    # written as the repr of the Python float it equals, and inf as "inf"
+    def row(utt, sar):
+        return SweepRow(utterance_id=utt, omega_noise=real(0.1), omega_artif=real(1.5),
+                        omega_obs=None, metrics=_report(sdr=real(-2.5), sar=real(sar)),
+                        inner_s_hat_y=real(0.25), sari_closed_form_db=None)
+    rows = [row("u0", 0.3), row("u1", math.inf)]
+    write_sweep_csv(tmp_path / "dsa.csv", rows)
+    write_summary_csv(tmp_path / "summary.csv", [{**record, "sdr_db": real(-2.5)}
+                                                 for record in summarize_rows(rows)])
+    with open(tmp_path / "dsa.csv", newline="") as fh:
+        table = list(csv.reader(fh))
+    assert table[1][:8] == ["u0", repr(float(real(0.1))), "1.5", "", "-2.5", "2.0",
+                            repr(float(real(0.3))), "0.25"]
+    assert table[2][6] == "inf"
+    with open(tmp_path / "summary.csv", newline="") as fh:
+        summary = list(csv.reader(fh))
+    assert summary[1] == [repr(float(real(0.1))), "1.5", "", "-2.5", "2.0", "inf", "2"]
+
+
 def test_run_manifest_is_json_without_timestamps(tmp_path):
     path = write_run_manifest(tmp_path, RunManifest(
         command="oa", parameters={"grid": [0.0, 0.5]}, max_delay=16,

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from opdkit.signals import MixtureSpec, Waveform, add, energy, inner, mix_at_snr, scale
+from opdkit.signals import Waveform, add, energy, inner, mix_at_snr, scale
 
 
 class TestWaveform:
@@ -108,7 +108,7 @@ class TestMixAtSnr:
         # speech energy 1, noise energy 4, 0 dB target -> noise halved
         s = Waveform([1.0, 0.0], 8000)
         n = Waveform([0.0, 2.0], 8000)
-        y, n_scaled = mix_at_snr(s, n, MixtureSpec(target_snr_db=0.0))
+        y, n_scaled = mix_at_snr(s, n, 0.0)
         assert_allclose(n_scaled.samples, [0.0, 1.0])
         assert_array_equal(y.samples, add(s, n_scaled).samples)
 
@@ -116,7 +116,7 @@ class TestMixAtSnr:
         rng = np.random.default_rng(3)
         x = rng.standard_normal(100)
         s, n = Waveform(x, 8000), Waveform(x[::-1].copy(), 8000)
-        _, n_scaled = mix_at_snr(s, n, MixtureSpec(target_snr_db=0.0))
+        _, n_scaled = mix_at_snr(s, n, 0.0)
         assert_allclose(n_scaled.samples, n.samples, rtol=1e-14)
 
     @pytest.mark.parametrize("target", [-10.0, 0.0, 5.0, 23.7])
@@ -124,7 +124,7 @@ class TestMixAtSnr:
         rng = np.random.default_rng(int(abs(target) * 10) + 1)
         s = Waveform(rng.standard_normal(500), 8000)
         n = Waveform(rng.standard_normal(500) * 3.7, 8000)
-        _, n_scaled = mix_at_snr(s, n, MixtureSpec(target_snr_db=target))
+        _, n_scaled = mix_at_snr(s, n, target)
         measured = 10.0 * math.log10(energy(s) / energy(n_scaled))
         assert measured == pytest.approx(target, abs=1e-9)
 
@@ -132,9 +132,9 @@ class TestMixAtSnr:
         s = Waveform([1.0, 0.0], 8000)
         z = Waveform([0.0, 0.0], 8000)
         with pytest.raises(ValueError, match="nonzero energy"):
-            mix_at_snr(s, z, MixtureSpec(target_snr_db=0.0))
+            mix_at_snr(s, z, 0.0)
         with pytest.raises(ValueError, match="nonzero energy"):
-            mix_at_snr(z, s, MixtureSpec(target_snr_db=0.0))
+            mix_at_snr(z, s, 0.0)
 
     def test_out_of_range_snr_rejected(self):
         s = Waveform([1.0, 0.0], 8000)
@@ -142,13 +142,18 @@ class TestMixAtSnr:
         for snr, ratio in ((4000.0, "inf"), (-4000.0, "0")):  # 10^(snr/10) in no float
             with pytest.raises(ValueError, match=rf"^target SNR {snr:g} dB is out of range: "
                                                  rf"its power ratio is {ratio}$"):
-                mix_at_snr(s, n, MixtureSpec(target_snr_db=snr))
+                mix_at_snr(s, n, snr)
         # a ratio of 1e300 fits, but the noise would need energy 1e-400
         with pytest.raises(ValueError, match="^target SNR 3000 dB is out of range: the "
                                              "scaled noise would have zero or infinite"):
-            mix_at_snr(Waveform([1e-50, 0.0], 8000), n, MixtureSpec(target_snr_db=3000.0))
+            mix_at_snr(Waveform([1e-50, 0.0], 8000), n, 3000.0)
 
 
 def test_mixture_spec_validation():
-    with pytest.raises(ValueError, match="finite"):
-        MixtureSpec(target_snr_db=math.inf)
+    # a NaN or infinite target SNR is refused, not mixed at ratio NaN, inf or 0
+    s = Waveform([1.0, 0.0], 8000)
+    n = Waveform([0.0, 2.0], 8000)
+    for snr, ratio in ((math.nan, "nan"), (math.inf, "inf"), (-math.inf, "0")):
+        with pytest.raises(ValueError, match=rf"^target SNR {snr:g} dB is out of range: "
+                                             rf"its power ratio is {ratio}$"):
+            mix_at_snr(s, n, snr)
